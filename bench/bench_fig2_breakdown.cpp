@@ -77,8 +77,9 @@ int main(int argc, char** argv) {
     const auto m = static_cast<EdgeId>(density) * n;
     const EdgeList g = random_graph(n, m, args.seed + static_cast<std::uint64_t>(density));
     bench::banner("Fig 2 / random", g);
-    std::printf("  %-8s %10s %10s %10s %10s %10s %6s %8s\n", "alg", "find-min",
-                "connect", "compact", "other", "total", "iters", "reg/iter");
+    std::printf("  %-8s %10s %10s %10s %10s %10s %10s %10s %10s %6s %8s\n",
+                "alg", "find-min", "connect", "compact", "other", "(rank)",
+                "(arcs)", "(assembly)", "total", "iters", "reg/iter");
     for (const auto alg : algs) {
       core::StepTimes best{};
       core::PhaseStats best_ps{};
@@ -103,21 +104,24 @@ int main(int argc, char** argv) {
         }
       }
       const std::string name(core::to_string(alg));
-      std::printf("  %-8s %9.3fs %9.3fs %9.3fs %9.3fs %9.3fs %6llu %8.2f\n",
+      std::printf("  %-8s %9.3fs %9.3fs %9.3fs %9.3fs %9.3fs %9.3fs %9.3fs "
+                  "%9.3fs %6llu %8.2f\n",
                   name.c_str(), best.find_min, best.connect, best.compact,
-                  best.other, best.total(),
+                  best.other, best.rank_build, best.arc_build, best.assembly,
+                  best.total(),
                   static_cast<unsigned long long>(best_ps.iterations),
                   best_ps.regions_per_iteration());
       const core::FindMinMode resolved =
           core::resolve_find_min_mode(core::FindMinMode::kAuto, g.num_edges());
       double live_last = 1.0;
       if (!best_iters.empty()) live_last = best_iters.back().live_fraction;
-      char buf[1024];
+      char buf[2048];
       std::snprintf(
           buf, sizeof buf,
           "{\"density\": %d, \"n\": %u, \"m\": %llu, \"alg\": \"%s\", "
           "\"threads\": %d, \"find_min\": %.6f, \"connect\": %.6f, "
-          "\"compact\": %.6f, \"other\": %.6f, \"total\": %.6f, "
+          "\"compact\": %.6f, \"other\": %.6f, \"rank_build\": %.6f, "
+          "\"arc_build\": %.6f, \"assembly\": %.6f, \"total\": %.6f, "
           "\"iterations\": %llu, \"regions\": %llu, "
           "\"regions_per_iteration\": %.4f, "
           "\"find_min_mode\": \"%s\", \"simd_kernel\": \"%s\", "
@@ -129,7 +133,8 @@ int main(int argc, char** argv) {
           "\"strategies\": %s}",
           density, g.num_vertices, static_cast<unsigned long long>(g.num_edges()),
           name.c_str(), args.max_threads, best.find_min, best.connect,
-          best.compact, best.other, best.total(),
+          best.compact, best.other, best.rank_build, best.arc_build,
+          best.assembly, best.total(),
           static_cast<unsigned long long>(best_ps.iterations),
           static_cast<unsigned long long>(best_ps.regions),
           best_ps.regions_per_iteration(),

@@ -341,8 +341,9 @@ MsfResult bor_al_impl(ThreadTeam& team, const EdgeList& g, const MsfOptions& opt
   }
 
   phase.reset();
-  MsfResult res = detail::assemble_result(g, collector.gather());
-  st.other += phase.elapsed_s();
+  MsfResult res = detail::assemble_result(team, g, collector.gather());
+  st.assembly += phase.elapsed_s();
+  st.other += st.assembly;
   if (opts.step_times) *opts.step_times += st;
   return res;
 }
@@ -372,8 +373,10 @@ MsfResult bor_al_deferred_impl(ThreadTeam& team, const EdgeList& g,
   const int p = team.size();
 
   std::vector<std::uint32_t> rank_to_edge;
+  WallTimer ranks;
   const std::vector<std::uint32_t> rank =
       build_weight_ranks(team, g, &rank_to_edge);
+  st.rank_build += ranks.elapsed_s();
 
   detail::EdgeCollector collector(p);
   std::vector<std::uint64_t> best_keys(adj.n);
@@ -640,8 +643,9 @@ MsfResult bor_al_deferred_impl(ThreadTeam& team, const EdgeList& g,
   }
 
   phase.reset();
-  MsfResult res = detail::assemble_result(g, collector.gather());
-  st.other += phase.elapsed_s();
+  MsfResult res = detail::assemble_result(team, g, collector.gather());
+  st.assembly += phase.elapsed_s();
+  st.other += st.assembly;
   if (opts.step_times) *opts.step_times += st;
   if (opts.phase_stats) *opts.phase_stats += local_ps;
   return res;

@@ -84,7 +84,9 @@ MsfResult bor_el_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
   std::vector<std::uint32_t> rank;        // packed path: per input edge
   LocalBestScratch local_best;
   if (packed) {
+    WallTimer ranks;
     rank = build_weight_ranks(team, g);
+    st.rank_build += ranks.elapsed_s();
     best_keys.resize(n);
   } else {
     best = std::vector<std::atomic<EdgeId>>(n);
@@ -222,8 +224,9 @@ MsfResult bor_el_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
   }
 
   phase.reset();
-  MsfResult res = detail::assemble_result(g, collector.gather());
-  st.other += phase.elapsed_s();
+  MsfResult res = detail::assemble_result(team, g, collector.gather());
+  st.assembly += phase.elapsed_s();
+  st.other += st.assembly;
   if (opts.step_times) *opts.step_times += st;
   return res;
 }

@@ -56,10 +56,11 @@ using graph::WeightOrder;
 /// The packed loop lives in bor_fal_packed_engine so the compressed-CSR
 /// streaming path (core/compressed_solve.cpp) can drive the identical
 /// engine from decoded varint rows without ever materializing an EdgeList.
-std::vector<EdgeId> bor_fal_packed_engine(ThreadTeam& team,
-                                          PackedSolveInput in,
-                                          const MsfOptions& opts,
-                                          StepTimes& st) {
+namespace {
+
+/// The packed Borůvka loop itself; bor_fal_packed_engine wraps it.
+std::vector<EdgeId> packed_boruvka_loop(ThreadTeam& team, PackedSolveInput in,
+                                        const MsfOptions& opts, StepTimes& st) {
   const VertexId n = in.n;
   const int p = team.size();
   const int lb_threads = find_min_local_best_threads(opts);
@@ -243,6 +244,22 @@ std::vector<EdgeId> bor_fal_packed_engine(ThreadTeam& team,
   return collector.gather();
 }
 
+}  // namespace
+
+std::vector<EdgeId> bor_fal_packed_engine(ThreadTeam& team,
+                                          PackedSolveInput in,
+                                          const MsfOptions& opts,
+                                          StepTimes& st) {
+  // Whatever the loop does outside its timed steps — scratch set-up,
+  // per-iteration checkpoints, the id gather, freeing the consumed input —
+  // is set-up and teardown, so `other` takes it.
+  WallTimer wall;
+  const double steps_before = st.total();
+  std::vector<EdgeId> ids = packed_boruvka_loop(team, std::move(in), opts, st);
+  st.other += wall.elapsed_s() - (st.total() - steps_before);
+  return ids;
+}
+
 MsfResult bor_fal_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts) {
   const VertexId n = g.num_vertices;
   StepTimes st;
@@ -254,14 +271,20 @@ MsfResult bor_fal_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opt
   if (mode == FindMinMode::kSimd) {
     PackedSolveInput in;
     in.n = n;
-    const std::vector<std::uint32_t> rank =
-        build_weight_ranks(team, g, &in.rank_to_edge);
-    build_packed_arcs(g, n, rank, in.offsets, in.keys);
+    {
+      const std::vector<std::uint32_t> rank =
+          build_weight_ranks(team, g, &in.rank_to_edge);
+      st.rank_build += phase.elapsed_s();
+      WallTimer arcs;
+      build_packed_arcs(team, g, n, rank, in.offsets, in.keys);
+      st.arc_build += arcs.elapsed_s();
+    }  // the keys carry the ranks from here on
     st.other += phase.elapsed_s();
     std::vector<EdgeId> ids = bor_fal_packed_engine(team, std::move(in), opts, st);
     phase.reset();
-    MsfResult res = detail::assemble_result(g, std::move(ids));
-    st.other += phase.elapsed_s();
+    MsfResult res = detail::assemble_result(team, g, std::move(ids));
+    st.assembly += phase.elapsed_s();
+    st.other += st.assembly;
     if (opts.step_times) *opts.step_times += st;
     return res;
   }
@@ -381,8 +404,9 @@ MsfResult bor_fal_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opt
   }
 
   phase.reset();
-  MsfResult res = detail::assemble_result(g, collector.gather());
-  st.other += phase.elapsed_s();
+  MsfResult res = detail::assemble_result(team, g, collector.gather());
+  st.assembly += phase.elapsed_s();
+  st.other += st.assembly;
   if (opts.step_times) *opts.step_times += st;
   return res;
 }

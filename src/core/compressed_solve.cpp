@@ -1,12 +1,12 @@
 #include "core/compressed_solve.hpp"
 
-#include <algorithm>
 #include <new>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/bor_fal_packed.hpp"
+#include "core/detail.hpp"
 #include "core/find_min.hpp"
 #include "graph/edge_list.hpp"
 #include "pprim/timer.hpp"
@@ -36,8 +36,8 @@ namespace {
 }
 
 /// Streaming solve: ranks from the flat weight section, packed arcs straight
-/// from the varint rows, and one final row walk to materialize just the
-/// forest edges (sorted-id two-pointer against the implicit edge-id order).
+/// from the varint rows, and a parallel row walk that materializes just the
+/// forest edges (detail::assemble_result over the implicit edge-id order).
 MsfResult solve_streaming(ThreadTeam& team, const CompressedCsr& g,
                           const MsfOptions& opts) {
   StepTimes st;
@@ -46,30 +46,28 @@ MsfResult solve_streaming(ThreadTeam& team, const CompressedCsr& g,
 
   PackedSolveInput in;
   in.n = g.num_vertices();
-  const std::vector<std::uint32_t> rank = build_weight_ranks(
-      team, std::span<const Weight>(g.weights(), m), &in.rank_to_edge);
-  build_packed_arcs(g, rank, in.offsets, in.keys);
+  {
+    const std::vector<std::uint32_t> rank = build_weight_ranks(
+        team, std::span<const Weight>(g.weights(), m), &in.rank_to_edge);
+    st.rank_build += phase.elapsed_s();
+    WallTimer arcs;
+    build_packed_arcs(team, g, rank, in.offsets, in.keys);
+    st.arc_build += arcs.elapsed_s();
+  }  // the keys carry the ranks from here on
   st.other += phase.elapsed_s();
 
   std::vector<EdgeId> ids = bor_fal_packed_engine(team, std::move(in), opts, st);
 
   phase.reset();
-  MsfResult res;
-  res.edge_ids = std::move(ids);
-  // Canonical order, exactly like detail::assemble_result: makes the result
-  // (including the floating-point sum) bit-identical across thread counts.
-  std::sort(res.edge_ids.begin(), res.edge_ids.end());
-  res.edges.reserve(res.edge_ids.size());
-  std::size_t next = 0;
-  g.for_each_edge([&](EdgeId e, VertexId u, VertexId v, Weight w) {
-    if (next < res.edge_ids.size() && res.edge_ids[next] == e) {
-      res.edges.push_back({u, v, w});
-      res.total_weight += w;
-      ++next;
-    }
-  });
-  res.num_trees = g.num_vertices() - res.edges.size();
-  st.other += phase.elapsed_s();
+  MsfResult res = detail::assemble_result(
+      team, g.num_vertices(), m, std::move(ids),
+      [&](EdgeId begin, EdgeId end, auto&& fn) {
+        g.for_each_edge(begin, end, [&](EdgeId e, VertexId u, VertexId v, Weight w) {
+          fn(e, graph::WEdge{u, v, w});
+        });
+      });
+  st.assembly += phase.elapsed_s();
+  st.other += st.assembly;
   if (opts.step_times) *opts.step_times += st;
   return res;
 }

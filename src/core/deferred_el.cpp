@@ -67,8 +67,10 @@ MsfResult deferred_el_msf(ThreadTeam& team, const EdgeList& g,
   }
 
   std::vector<std::uint32_t> rank_to_edge;
+  WallTimer ranks;
   const std::vector<std::uint32_t> rank =
       build_weight_ranks(team, g, &rank_to_edge);
+  st.rank_build += ranks.elapsed_s();
 
   detail::EdgeCollector collector(p);
   std::vector<std::uint64_t> best_keys(n);
@@ -331,8 +333,9 @@ MsfResult deferred_el_msf(ThreadTeam& team, const EdgeList& g,
   }
 
   phase.reset();
-  MsfResult res = detail::assemble_result(g, collector.gather());
-  st.other += phase.elapsed_s();
+  MsfResult res = detail::assemble_result(team, g, collector.gather());
+  st.assembly += phase.elapsed_s();
+  st.other += st.assembly;
   if (opts.step_times) *opts.step_times += st;
   if (opts.phase_stats) {
     local_ps.hash_keys = compact_scratch.hash_stats.keys;

@@ -16,20 +16,12 @@ using graph::kInvalidEdge;
 using graph::MsfResult;
 using graph::VertexId;
 
-MsfResult assemble_result(const EdgeList& input, std::vector<EdgeId> ids) {
-  MsfResult res;
-  res.edge_ids = std::move(ids);
-  // Canonical order: makes the result (including the floating-point sum)
-  // bit-identical across thread counts and scheduling.
-  std::sort(res.edge_ids.begin(), res.edge_ids.end());
-  res.edges.reserve(res.edge_ids.size());
-  for (const EdgeId id : res.edge_ids) {
-    const auto& e = input.edges[id];
-    res.edges.push_back(e);
-    res.total_weight += e.w;
-  }
-  res.num_trees = input.num_vertices - res.edges.size();
-  return res;
+MsfResult assemble_result(ThreadTeam& team, const EdgeList& input,
+                          std::vector<EdgeId> ids) {
+  return assemble_result(team, input.num_vertices, input.edges.size(),
+                         std::move(ids), [&](EdgeId begin, EdgeId end, auto&& fn) {
+                           for (EdgeId e = begin; e < end; ++e) fn(e, input.edges[e]);
+                         });
 }
 
 std::size_t CompactScratch::footprint_bytes() const {

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -9,6 +11,8 @@
 #include "graph/edge_list.hpp"
 #include "graph/msf_result.hpp"
 #include "pprim/cacheline.hpp"
+#include "pprim/parallel_for.hpp"
+#include "pprim/partition.hpp"
 #include "pprim/prefix_sum.hpp"
 #include "pprim/radix_hash_map.hpp"
 #include "pprim/radix_sort.hpp"
@@ -48,8 +52,53 @@ class EdgeCollector {
   std::vector<Padded<std::vector<graph::EdgeId>>> slots_;
 };
 
-/// Builds the public result from the collected input-edge indices.
-graph::MsfResult assemble_result(const graph::EdgeList& input,
+/// Builds the public result from the selected input-edge ids of a graph
+/// with n vertices and m edges, in ascending id order: the canonical order
+/// that makes the result (including the floating-point sum) bit-identical
+/// across thread counts and scheduling.  The team flags the ids in an
+/// m-byte map, counts the flags per block of the id space, and emits each
+/// block's ids and edges at its scanned offset; only the total_weight sum
+/// runs sequentially, in id order.  `walk(begin, end, fn)` calls
+/// fn(e, edge) for every input edge e in [begin, end) in ascending order;
+/// `ids` must be distinct and below m.  Fork-join.
+template <class Walk>
+graph::MsfResult assemble_result(ThreadTeam& team, graph::VertexId n,
+                                 std::size_t m, std::vector<graph::EdgeId> ids,
+                                 Walk walk) {
+  graph::MsfResult res;
+  const std::size_t k = ids.size();
+  res.edge_ids = std::move(ids);
+  res.edges.resize(k);
+  auto flags = std::make_unique_for_overwrite<std::uint8_t[]>(m);
+  std::vector<Padded<std::size_t>> at(static_cast<std::size_t>(team.size()));
+  team.run([&](TeamCtx& ctx) {
+    const auto t = static_cast<std::size_t>(ctx.tid());
+    const IndexRange r = block_range(m, ctx.tid(), ctx.nthreads());
+    std::fill(flags.get() + r.begin, flags.get() + r.end, std::uint8_t{0});
+    ctx.barrier();
+    for_range(ctx, k, [&](std::size_t i) { flags[res.edge_ids[i]] = 1; });
+    ctx.barrier();
+    std::size_t c = 0;
+    for (std::size_t e = r.begin; e < r.end; ++e) c += flags[e];
+    at[t].value = c;
+    ctx.barrier();
+    std::size_t pos = 0;
+    for (std::size_t t2 = 0; t2 < t; ++t2) pos += at[t2].value;
+    walk(graph::EdgeId{r.begin}, graph::EdgeId{r.end},
+         [&](graph::EdgeId e, const graph::WEdge& edge) {
+           if (flags[e] == 0) return;
+           res.edge_ids[pos] = e;
+           res.edges[pos] = edge;
+           ++pos;
+         });
+  });
+  for (const graph::WEdge& e : res.edges) res.total_weight += e.w;
+  res.num_trees = n - res.edges.size();
+  return res;
+}
+
+/// assemble_result over an edge list (every engine's epilogue).
+graph::MsfResult assemble_result(ThreadTeam& team, const graph::EdgeList& input,
                                  std::vector<graph::EdgeId> ids);
 
 /// Team-shared scratch for compact_arcs_in_region.  Grow-only within a

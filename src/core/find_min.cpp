@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <thread>
+#include <utility>
 
 #include "graph/compressed_csr.hpp"
 #include "pprim/partition.hpp"
@@ -23,45 +23,266 @@ std::string_view to_string(FindMinMode m) {
 
 namespace {
 
+using graph::EdgeId;
+using graph::VertexId;
+
 // Rank sort: 16-bit digits, so a full 64-bit key costs 4 scatter passes
 // instead of the 8 the general-purpose 8-bit radix sort pays.  The rank
 // build is the packed path's setup tax on every solve, and its keys are
 // weight bits — nearly every byte position varies, so the shared sort's
 // constant-byte skipping rarely helps it.  The wider digit doubles the
 // count-slab footprint (64Ki counters per thread) but halves the passes
-// over the m-element key/index arrays, which is what dominates.
+// over the m-element key arrays, which is what dominates.
 constexpr int kRankDigitBits = 16;
 constexpr std::size_t kRankBuckets = std::size_t{1} << kRankDigitBits;
 // Below this size the parallel machinery costs more than one std::sort.
 constexpr std::size_t kRankSeqCutoff = std::size_t{1} << 15;
-// Sequential packed variant: when the index fits 24 bits it shares the
-// 64-bit sort element with the top 40 weight bits (see below).
+// Packed path: when the index fits 24 bits it shares the 64-bit sort
+// element with the top 40 weight bits (see rank_sort_packed).
 constexpr int kRankPackedIdxBits = 24;
+constexpr std::uint64_t kRankIdxMask =
+    (std::uint64_t{1} << kRankPackedIdxBits) - 1;
 
-}  // namespace
+/// Team-shared state of one rank sort: a thread-major count slab of
+/// kRankBuckets counters per thread, plus per-thread partials for the
+/// bucket scan and the key OR/AND reductions.
+struct RankSortScratch {
+  explicit RankSortScratch(int p)
+      : counts(std::make_unique_for_overwrite<std::uint64_t[]>(
+            static_cast<std::size_t>(p) * kRankBuckets)),
+        partial(static_cast<std::size_t>(p)),
+        key_or(static_cast<std::size_t>(p)),
+        key_and(static_cast<std::size_t>(p)) {}
 
-namespace {
+  std::unique_ptr<std::uint64_t[]> counts;
+  std::vector<Padded<std::uint64_t>> partial;
+  std::vector<Padded<std::uint64_t>> key_or;
+  std::vector<Padded<std::uint64_t>> key_and;
 
-// Shared rank-build engine: the only thing the two public overloads differ
-// in is where weight i comes from, so the whole sort is templated on that
-// accessor (EdgeList AoS gather vs the compressed graph's flat weight
-// array) and instantiated twice below.
+  /// Publish this thread's key OR/AND; after the barrier every thread
+  /// returns the bits that vary across all m keys.  A digit that is
+  /// constant over every key makes its pass the identity permutation, so
+  /// the passes over it are skipped.
+  std::uint64_t varying_bits(TeamCtx& ctx, std::uint64_t acc_or,
+                             std::uint64_t acc_and) {
+    const auto t = static_cast<std::size_t>(ctx.tid());
+    key_or[t].value = acc_or;
+    key_and[t].value = acc_and;
+    ctx.barrier();
+    std::uint64_t all_or = 0;
+    std::uint64_t all_and = ~std::uint64_t{0};
+    for (std::size_t t2 = 0; t2 < key_or.size(); ++t2) {
+      all_or |= key_or[t2].value;
+      all_and &= key_and[t2].value;
+    }
+    return all_or ^ all_and;
+  }
+};
+
+/// One stable LSD counting pass over [0, m) on the whole team (the
+/// thread-local histogram plus prefix-sum scheme): each thread counts its
+/// block into its own slab, a parallel (bucket, thread)-ordered scan turns
+/// the slabs into scatter cursors, and each thread scatters its block in
+/// order — so equal digits keep their input order.  `digit(i)` is source
+/// element i's bucket in [0, buckets); `move(i, pos)` copies source element
+/// i to destination slot pos.  Ends behind a barrier.
+template <class Digit, class Move>
+void rank_sort_pass(TeamCtx& ctx, std::size_t m, std::size_t buckets,
+                    RankSortScratch& s, Digit digit, Move move) {
+  const int p = ctx.nthreads();
+  const auto t = static_cast<std::size_t>(ctx.tid());
+  std::uint64_t* const counts = s.counts.get();
+  std::uint64_t* const mine = counts + t * kRankBuckets;
+  const IndexRange r = block_range(m, ctx.tid(), p);
+  std::fill(mine, mine + buckets, 0);
+  for (std::size_t i = r.begin; i < r.end; ++i) ++mine[digit(i)];
+  ctx.barrier();
+
+  // Each thread scans one bucket range across all slabs: its range total
+  // first, then (behind a barrier) its exclusive base from the lower ranges.
+  const IndexRange br = block_range(buckets, ctx.tid(), p);
+  std::uint64_t sum = 0;
+  for (std::size_t b = br.begin; b < br.end; ++b) {
+    for (int t2 = 0; t2 < p; ++t2) {
+      sum += counts[static_cast<std::size_t>(t2) * kRankBuckets + b];
+    }
+  }
+  s.partial[t].value = sum;
+  ctx.barrier();
+  std::uint64_t run = 0;
+  for (std::size_t t2 = 0; t2 < t; ++t2) run += s.partial[t2].value;
+  for (std::size_t b = br.begin; b < br.end; ++b) {
+    for (int t2 = 0; t2 < p; ++t2) {
+      std::uint64_t& c = counts[static_cast<std::size_t>(t2) * kRankBuckets + b];
+      const std::uint64_t v = c;
+      c = run;
+      run += v;
+    }
+  }
+  ctx.barrier();
+
+  for (std::size_t i = r.begin; i < r.end; ++i) move(i, mine[digit(i)]++);
+  ctx.barrier();
+}
+
+/// m ≤ 2^24: self-contained 8-byte elements.  The index rides in the low 24
+/// bits of the sort element, so each scatter moves 8 bytes instead of a
+/// 12-byte (key, index) pair, and only the top 40 weight bits are radix
+/// passes (16/16/8 bits: 3 instead of 4).  Distinct weights that collide in
+/// those 40 bits are rare for real inputs; the run fix-up restores the
+/// exact order for them.
+template <class WeightAt>
+void rank_sort_packed(ThreadTeam& team, std::size_t m, WeightAt w_at,
+                      std::uint32_t* rank, std::uint32_t* rank_to_edge) {
+  auto keys = std::make_unique_for_overwrite<std::uint64_t[]>(m);
+  auto keys_aux = std::make_unique_for_overwrite<std::uint64_t[]>(m);
+  RankSortScratch s(team.size());
+
+  team.run([&](TeamCtx& ctx) {
+    const IndexRange r = block_range(m, ctx.tid(), ctx.nthreads());
+    std::uint64_t acc_or = 0;
+    std::uint64_t acc_and = ~std::uint64_t{0};
+    for (std::size_t i = r.begin; i < r.end; ++i) {
+      const std::uint64_t k = monotone_weight_bits(w_at(i));
+      keys[i] = (k & ~kRankIdxMask) | i;
+      acc_or |= k;
+      acc_and &= k;
+    }
+    const std::uint64_t varying = s.varying_bits(ctx, acc_or, acc_and);
+
+    std::uint64_t* src = keys.get();
+    std::uint64_t* dst = keys_aux.get();
+    for (int shift = kRankPackedIdxBits; shift < 64; shift += kRankDigitBits) {
+      const int width = std::min(64 - shift, kRankDigitBits);
+      const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
+      if (((varying >> shift) & mask) == 0) continue;
+      rank_sort_pass(
+          ctx, m, mask + 1, s,
+          [&](std::size_t i) { return (src[i] >> shift) & mask; },
+          [&](std::size_t i, std::uint64_t pos) { dst[pos] = src[i]; });
+      std::swap(src, dst);
+    }
+
+    // Fix-up: inside a run of equal top-40 bits the stable passes left
+    // input-index order, which is correct only if the low 24 weight bits
+    // agree too.  Re-sort mixed runs under the full ⟨weight bits, index⟩
+    // order; runs are short and rare, so this gathers a handful of edges.
+    // Each thread owns the runs that START in its block (a run may run past
+    // the block end), finds them read-only, and writes its fixes only after
+    // a barrier, so no thread reads an element another is rewriting.
+    std::vector<std::pair<std::size_t, std::uint32_t>> fixes;
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> run;
+    const auto hi_of = [&](std::size_t i) { return src[i] & ~kRankIdxMask; };
+    for (std::size_t i = r.begin; i < r.end;) {
+      const std::uint64_t hi = hi_of(i);
+      if (i > 0 && hi_of(i - 1) == hi) {  // continues a run owned upstream
+        ++i;
+        continue;
+      }
+      std::size_t j = i + 1;
+      while (j < m && hi_of(j) == hi) ++j;
+      if (j - i > 1) {
+        run.clear();
+        bool mixed = false;
+        for (std::size_t k = i; k < j; ++k) {
+          const auto e = static_cast<std::uint32_t>(src[k] & kRankIdxMask);
+          run.emplace_back(monotone_weight_bits(w_at(e)), e);
+          mixed = mixed || run.back().first != run.front().first;
+        }
+        if (mixed) {
+          std::sort(run.begin(), run.end());
+          for (std::size_t k = i; k < j; ++k) {
+            fixes.emplace_back(k, run[k - i].second);
+          }
+        }
+      }
+      i = j;
+    }
+    ctx.barrier();
+    for (const auto& [pos, e] : fixes) src[pos] = (src[pos] & ~kRankIdxMask) | e;
+    ctx.barrier();
+
+    for (std::size_t i = r.begin; i < r.end; ++i) {
+      const auto e = static_cast<std::uint32_t>(src[i] & kRankIdxMask);
+      rank[e] = static_cast<std::uint32_t>(i);
+      if (rank_to_edge != nullptr) rank_to_edge[i] = e;
+    }
+  });
+}
+
+/// m > 2^24: the index no longer fits beside the weight bits, so sort
+/// 12-byte ⟨weight bits, index⟩ pairs in four 16-bit passes.
+template <class WeightAt>
+void rank_sort_wide(ThreadTeam& team, std::size_t m, WeightAt w_at,
+                    std::uint32_t* rank, std::uint32_t* rank_to_edge) {
+  auto keys = std::make_unique_for_overwrite<std::uint64_t[]>(m);
+  auto keys_aux = std::make_unique_for_overwrite<std::uint64_t[]>(m);
+  auto idx = std::make_unique_for_overwrite<std::uint32_t[]>(m);
+  auto idx_aux = std::make_unique_for_overwrite<std::uint32_t[]>(m);
+  RankSortScratch s(team.size());
+
+  team.run([&](TeamCtx& ctx) {
+    const IndexRange r = block_range(m, ctx.tid(), ctx.nthreads());
+    std::uint64_t acc_or = 0;
+    std::uint64_t acc_and = ~std::uint64_t{0};
+    for (std::size_t i = r.begin; i < r.end; ++i) {
+      const std::uint64_t k = monotone_weight_bits(w_at(i));
+      keys[i] = k;
+      idx[i] = static_cast<std::uint32_t>(i);
+      acc_or |= k;
+      acc_and &= k;
+    }
+    const std::uint64_t varying = s.varying_bits(ctx, acc_or, acc_and);
+
+    std::uint64_t* ksrc = keys.get();
+    std::uint64_t* kdst = keys_aux.get();
+    std::uint32_t* isrc = idx.get();
+    std::uint32_t* idst = idx_aux.get();
+    for (int shift = 0; shift < 64; shift += kRankDigitBits) {
+      if (((varying >> shift) & (kRankBuckets - 1)) == 0) continue;
+      rank_sort_pass(
+          ctx, m, kRankBuckets, s,
+          [&](std::size_t i) { return (ksrc[i] >> shift) & (kRankBuckets - 1); },
+          [&](std::size_t i, std::uint64_t pos) {
+            kdst[pos] = ksrc[i];
+            idst[pos] = isrc[i];
+          });
+      std::swap(ksrc, kdst);
+      std::swap(isrc, idst);
+    }
+    // Stable passes leave equal weight bits in input-index order, which is
+    // exactly WeightOrder's tie-break.
+    for (std::size_t i = r.begin; i < r.end; ++i) {
+      rank[isrc[i]] = static_cast<std::uint32_t>(i);
+      if (rank_to_edge != nullptr) rank_to_edge[i] = isrc[i];
+    }
+  });
+}
+
+// Shared rank-build front end: the only thing the two public overloads
+// differ in is where weight i comes from, so the sort is templated on that
+// accessor (EdgeList AoS gather vs the compressed graph's flat weight array)
+// and instantiated twice below.  Every path runs on the caller's team; a
+// one-thread team runs the identical code inline.
 template <class WeightAt>
 std::vector<std::uint32_t> build_weight_ranks_impl(
     ThreadTeam& team, std::size_t m, WeightAt w_at,
-    std::vector<std::uint32_t>* rank_to_edge) {
+    std::vector<std::uint32_t>* rank_to_edge, bool force_wide = false) {
   std::vector<std::uint32_t> rank(m);
-  if (m == 0) {
-    if (rank_to_edge != nullptr) rank_to_edge->clear();
-    return rank;
-  }
+  if (rank_to_edge != nullptr) rank_to_edge->resize(m);
+  std::uint32_t* const r2e =
+      rank_to_edge != nullptr ? rank_to_edge->data() : nullptr;
+  if (m == 0) return rank;
 
-  // ⟨weight bits, input index⟩ pairs; the index both carries the payload and
-  // completes the WeightOrder tie-break, so sorting pairs needs no stability.
-  auto keys = std::make_unique_for_overwrite<std::uint64_t[]>(m);
-  auto idx = std::make_unique_for_overwrite<std::uint32_t[]>(m);
-
-  if (m < kRankSeqCutoff) {
+  if (force_wide || m > (std::size_t{1} << kRankPackedIdxBits)) {
+    rank_sort_wide(team, m, w_at, rank.data(), r2e);
+  } else if (m >= kRankSeqCutoff) {
+    rank_sort_packed(team, m, w_at, rank.data(), r2e);
+  } else {
+    // ⟨weight bits, input index⟩ order; the index completes the WeightOrder
+    // tie-break, so the comparison sort needs no stability.
+    auto keys = std::make_unique_for_overwrite<std::uint64_t[]>(m);
+    auto idx = std::make_unique_for_overwrite<std::uint32_t[]>(m);
     for (std::size_t i = 0; i < m; ++i) {
       keys[i] = monotone_weight_bits(w_at(i));
       idx[i] = static_cast<std::uint32_t>(i);
@@ -72,213 +293,83 @@ std::vector<std::uint32_t> build_weight_ranks_impl(
     for (std::size_t i = 0; i < m; ++i) {
       rank[idx[i]] = static_cast<std::uint32_t>(i);
     }
-    if (rank_to_edge != nullptr) rank_to_edge->assign(idx.get(), idx.get() + m);
-    return rank;
+    if (r2e != nullptr) std::copy(idx.get(), idx.get() + m, r2e);
   }
+  return rank;
+}
 
-  auto keys_aux = std::make_unique_for_overwrite<std::uint64_t[]>(m);
-  auto idx_aux = std::make_unique_for_overwrite<std::uint32_t[]>(m);
-
-  // With one worker — or a team oversubscribed onto a single hardware
-  // thread — the parallel sort's barriers and count-merge buy nothing, so
-  // run the same passes serially without them.
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (team.size() == 1 || hw == 1) {
-    std::vector<std::uint64_t> count(kRankBuckets);
-    if (m <= (std::size_t{1} << kRankPackedIdxBits)) {
-      // Self-contained 8-byte elements: the index rides in the low 24 bits
-      // of the sort element, so each scatter moves 8 bytes instead of a
-      // 12-byte (key, idx) pair, and only the top 40 weight bits are radix
-      // passes (3 instead of 4).  Distinct weights that collide in those 40
-      // bits are rare for real inputs; the run fix-up below restores the
-      // exact order for them.
-      constexpr std::uint64_t kIdxMask =
-          (std::uint64_t{1} << kRankPackedIdxBits) - 1;
-      std::uint64_t key_or = 0;
-      for (std::size_t i = 0; i < m; ++i) {
-        const std::uint64_t k = monotone_weight_bits(w_at(i));
-        keys[i] = (k & ~kIdxMask) | i;
-        key_or |= k;
-      }
-      std::uint64_t* vsrc = keys.get();
-      std::uint64_t* vdst = keys_aux.get();
-      for (int shift = kRankPackedIdxBits; shift < 64; shift += kRankDigitBits) {
-        const int width = std::min(64 - shift, kRankDigitBits);
-        const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
-        if (((key_or >> shift) & mask) == 0) continue;
-        std::fill(count.begin(), count.begin() + (std::size_t{1} << width), 0);
-        for (std::size_t i = 0; i < m; ++i) {
-          ++count[(vsrc[i] >> shift) & mask];
-        }
-        std::uint64_t sum = 0;
-        for (std::size_t b = 0; b <= mask; ++b) {
-          const std::uint64_t c = count[b];
-          count[b] = sum;
-          sum += c;
-        }
-        for (std::size_t i = 0; i < m; ++i) {
-          vdst[count[(vsrc[i] >> shift) & mask]++] = vsrc[i];
-        }
-        std::swap(vsrc, vdst);
-      }
-      // Fix-up: inside a run of equal top-40 bits the stable passes left
-      // input-index order, which is correct only if the low 24 weight bits
-      // agree too.  Re-sort mixed runs under the full ⟨weight bits, index⟩
-      // order; runs are short and rare, so this gathers a handful of edges.
-      std::vector<std::pair<std::uint64_t, std::uint32_t>> run;
-      for (std::size_t i = 0; i < m;) {
-        std::size_t j = i + 1;
-        const std::uint64_t hi = vsrc[i] & ~kIdxMask;
-        while (j < m && (vsrc[j] & ~kIdxMask) == hi) ++j;
-        if (j - i > 1) {
-          run.clear();
-          bool mixed = false;
-          for (std::size_t k = i; k < j; ++k) {
-            const auto e = static_cast<std::uint32_t>(vsrc[k] & kIdxMask);
-            run.emplace_back(monotone_weight_bits(w_at(e)), e);
-            mixed = mixed || run.back().first != run.front().first;
-          }
-          if (mixed) {
-            std::sort(run.begin(), run.end());
-            for (std::size_t k = i; k < j; ++k) {
-              vsrc[k] = hi | run[k - i].second;
-            }
-          }
-        }
-        i = j;
-      }
-      for (std::size_t i = 0; i < m; ++i) {
-        rank[vsrc[i] & kIdxMask] = static_cast<std::uint32_t>(i);
-      }
-      if (rank_to_edge != nullptr) {
-        rank_to_edge->resize(m);
-        for (std::size_t i = 0; i < m; ++i) {
-          (*rank_to_edge)[i] = static_cast<std::uint32_t>(vsrc[i] & kIdxMask);
-        }
-      }
-      return rank;
-    }
-
-    std::uint64_t key_or = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::uint64_t k = monotone_weight_bits(w_at(i));
-      keys[i] = k;
-      idx[i] = static_cast<std::uint32_t>(i);
-      key_or |= k;
-    }
-    std::uint64_t* ksrc = keys.get();
-    std::uint64_t* kdst = keys_aux.get();
-    std::uint32_t* isrc = idx.get();
-    std::uint32_t* idst = idx_aux.get();
-    for (int shift = 0; shift < 64; shift += kRankDigitBits) {
-      if (((key_or >> shift) & (kRankBuckets - 1)) == 0) continue;
-      std::fill(count.begin(), count.end(), 0);
-      for (std::size_t i = 0; i < m; ++i) {
-        ++count[(ksrc[i] >> shift) & (kRankBuckets - 1)];
-      }
-      std::uint64_t sum = 0;
-      for (std::size_t b = 0; b < kRankBuckets; ++b) {
-        const std::uint64_t c = count[b];
-        count[b] = sum;
-        sum += c;
-      }
-      for (std::size_t i = 0; i < m; ++i) {
-        const std::size_t b = (ksrc[i] >> shift) & (kRankBuckets - 1);
-        const std::uint64_t pos = count[b]++;
-        kdst[pos] = ksrc[i];
-        idst[pos] = isrc[i];
-      }
-      std::swap(ksrc, kdst);
-      std::swap(isrc, idst);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      rank[isrc[i]] = static_cast<std::uint32_t>(i);
-    }
-    if (rank_to_edge != nullptr) rank_to_edge->assign(isrc, isrc + m);
-    return rank;
-  }
-
+/// Shared packed-arc engine behind both build_packed_arcs overloads.
+/// `walk(begin, end, fn)` calls fn(e, u, v) for every input edge e in
+/// [begin, end) in ascending id order; `rank` is indexed by the same ids.
+///
+/// Each counting thread owns one contiguous edge block: it counts the
+/// degrees of its block into a private n-slot slab, a (vertex, thread)-
+/// ordered scan turns the slabs into offsets plus per-thread cursors, and
+/// each thread scatters its own block.  Vertex x's arcs therefore land in
+/// ascending edge-id order, exactly as one sequential cursor scatter would
+/// place them.  The slabs are capped at the size of the 2m-key array they
+/// build: at most 2m / n counting threads (at least one), so a graph with
+/// n ≫ m counts on one thread instead of allocating p·n slots.
+template <class Walk>
+void build_packed_arcs_impl(ThreadTeam& team, VertexId n, EdgeId m,
+                            std::span<const std::uint32_t> rank, Walk walk,
+                            std::vector<EdgeId>& offsets,
+                            std::unique_ptr<std::uint64_t[]>& keys) {
   const int p = team.size();
-  const auto P = static_cast<std::size_t>(p);
-  // Per-thread count slabs, thread-major; 64Ki buckets is too large to pad
-  // per line, but threads only touch their own slab between barriers.
-  std::vector<std::uint64_t> counts(P * kRankBuckets);
-  std::vector<Padded<std::uint64_t>> or_partial(P);
-  std::uint64_t key_or = 0;
+  const auto N = static_cast<std::size_t>(n);
+  const std::size_t num_arcs = 2 * static_cast<std::size_t>(m);
+  const int q = static_cast<int>(std::clamp<std::size_t>(
+      N == 0 ? 1 : num_arcs / N, 1, static_cast<std::size_t>(p)));
+  auto slabs = std::make_unique_for_overwrite<EdgeId[]>(
+      static_cast<std::size_t>(q) * N);
+  std::vector<Padded<EdgeId>> partial(static_cast<std::size_t>(p));
+  offsets.resize(N + 1);
+  keys = std::make_unique_for_overwrite<std::uint64_t[]>(num_arcs);
 
   team.run([&](TeamCtx& ctx) {
-    const auto t = static_cast<std::size_t>(ctx.tid());
-    const IndexRange r = block_range(m, ctx.tid(), ctx.nthreads());
-    {
-      std::uint64_t acc = 0;
-      for (std::size_t i = r.begin; i < r.end; ++i) {
-        const std::uint64_t k = monotone_weight_bits(w_at(i));
-        keys[i] = k;
-        idx[i] = static_cast<std::uint32_t>(i);
-        acc |= k;
-      }
-      or_partial[t].value = acc;
-    }
-    ctx.barrier();
-    if (ctx.tid() == 0) {
-      std::uint64_t acc = 0;
-      for (std::size_t t2 = 0; t2 < P; ++t2) acc |= or_partial[t2].value;
-      key_or = acc;
+    const int t = ctx.tid();
+    const bool counts = t < q;
+    EdgeId* const mine =
+        counts ? slabs.get() + static_cast<std::size_t>(t) * N : nullptr;
+    const IndexRange eb = counts ? block_range(m, t, q) : IndexRange{};
+    if (counts) {
+      std::fill(mine, mine + N, EdgeId{0});
+      walk(eb.begin, eb.end, [&](EdgeId, VertexId u, VertexId v) {
+        ++mine[u];
+        ++mine[v];
+      });
     }
     ctx.barrier();
 
-    std::uint64_t* ksrc = keys.get();
-    std::uint64_t* kdst = keys_aux.get();
-    std::uint32_t* isrc = idx.get();
-    std::uint32_t* idst = idx_aux.get();
-    std::uint64_t* my_counts = counts.data() + t * kRankBuckets;
-
-    for (int shift = 0; shift < 64; shift += kRankDigitBits) {
-      if (((key_or >> shift) & (kRankBuckets - 1)) == 0) continue;
-      std::fill(my_counts, my_counts + kRankBuckets, 0);
-      for (std::size_t i = r.begin; i < r.end; ++i) {
-        ++my_counts[(ksrc[i] >> shift) & (kRankBuckets - 1)];
-      }
-      ctx.barrier();
-      // Serial (bucket, thread)-order scan on tid 0: 64Ki·p additions, dwarfed
-      // by the m-element scatter it steers.
-      if (ctx.tid() == 0) {
-        std::uint64_t sum = 0;
-        for (std::size_t b = 0; b < kRankBuckets; ++b) {
-          for (std::size_t t2 = 0; t2 < P; ++t2) {
-            const std::uint64_t c = counts[t2 * kRankBuckets + b];
-            counts[t2 * kRankBuckets + b] = sum;
-            sum += c;
-          }
-        }
-      }
-      ctx.barrier();
-      for (std::size_t i = r.begin; i < r.end; ++i) {
-        const std::size_t b = (ksrc[i] >> shift) & (kRankBuckets - 1);
-        const std::uint64_t pos = my_counts[b]++;
-        kdst[pos] = ksrc[i];
-        idst[pos] = isrc[i];
-      }
-      ctx.barrier();
-      std::swap(ksrc, kdst);
-      std::swap(isrc, idst);
+    const IndexRange vr = block_range(N, t, p);
+    EdgeId sum = 0;
+    for (std::size_t x = vr.begin; x < vr.end; ++x) {
+      for (int t2 = 0; t2 < q; ++t2) sum += slabs[static_cast<std::size_t>(t2) * N + x];
     }
-
-    // Every pass scatters each thread's contiguous range in order behind a
-    // (bucket, thread)-ordered scan, so the sort is stable: equal weight
-    // bits stay in input-index order, which is exactly WeightOrder's
-    // tie-break.  An odd pass count leaves the result in the aux arrays.
-    if (ctx.tid() == 0 && isrc != idx.get()) {
-      std::copy(ksrc, ksrc + m, keys.get());
-      std::copy(isrc, isrc + m, idx.get());
-    }
+    partial[static_cast<std::size_t>(t)].value = sum;
     ctx.barrier();
-    for (std::size_t i = r.begin; i < r.end; ++i) {
-      rank[idx[i]] = static_cast<std::uint32_t>(i);
+    EdgeId run = 0;
+    for (int t2 = 0; t2 < t; ++t2) run += partial[static_cast<std::size_t>(t2)].value;
+    for (std::size_t x = vr.begin; x < vr.end; ++x) {
+      offsets[x] = run;
+      for (int t2 = 0; t2 < q; ++t2) {
+        EdgeId& c = slabs[static_cast<std::size_t>(t2) * N + x];
+        const EdgeId d = c;
+        c = run;
+        run += d;
+      }
+    }
+    if (t == p - 1) offsets[N] = run;
+    ctx.barrier();
+
+    if (counts) {
+      walk(eb.begin, eb.end, [&](EdgeId e, VertexId u, VertexId v) {
+        const std::uint32_t r = rank[static_cast<std::size_t>(e)];
+        keys[mine[u]++] = pack_key(r, v);
+        keys[mine[v]++] = pack_key(r, u);
+      });
     }
   });
-  if (rank_to_edge != nullptr) rank_to_edge->assign(idx.get(), idx.get() + m);
-  return rank;
 }
 
 }  // namespace
@@ -299,62 +390,87 @@ std::vector<std::uint32_t> build_weight_ranks(
       rank_to_edge);
 }
 
-void build_packed_arcs(const graph::EdgeList& g, graph::VertexId n,
-                       std::span<const std::uint32_t> rank,
-                       std::vector<graph::EdgeId>& offsets,
-                       std::unique_ptr<std::uint64_t[]>& keys) {
-  using graph::EdgeId;
-  offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& e : g.edges) {
-    ++offsets[e.u + 1];
-    ++offsets[e.v + 1];
-  }
-  for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
+namespace detail {
 
-  keys = std::make_unique_for_overwrite<std::uint64_t[]>(offsets.back());
-  std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
-  for (EdgeId i = 0; i < g.edges.size(); ++i) {
-    const graph::WEdge& e = g.edges[i];
-    const std::uint32_t r = rank[i];
-    keys[cursor[e.u]++] = pack_key(r, e.v);
-    keys[cursor[e.v]++] = pack_key(r, e.u);
-  }
+std::vector<std::uint32_t> build_weight_ranks_wide(
+    ThreadTeam& team, std::span<const graph::Weight> weights,
+    std::vector<std::uint32_t>* rank_to_edge) {
+  return build_weight_ranks_impl(
+      team, weights.size(), [&](std::size_t i) { return weights[i]; },
+      rank_to_edge, /*force_wide=*/true);
 }
 
-void build_packed_arcs(const graph::CompressedCsr& g,
-                       std::span<const std::uint32_t> rank,
-                       std::vector<graph::EdgeId>& offsets,
+}  // namespace detail
+
+void build_packed_arcs(ThreadTeam& team, const graph::EdgeList& g,
+                       VertexId n, std::span<const std::uint32_t> rank,
+                       std::vector<EdgeId>& offsets,
                        std::unique_ptr<std::uint64_t[]>& keys) {
-  using graph::EdgeId;
-  using graph::VertexId;
+  build_packed_arcs_impl(
+      team, n, g.edges.size(), rank,
+      [&](EdgeId begin, EdgeId end, auto&& fn) {
+        for (EdgeId e = begin; e < end; ++e) fn(e, g.edges[e].u, g.edges[e].v);
+      },
+      offsets, keys);
+}
+
+void build_packed_arcs(const graph::EdgeList& g, VertexId n,
+                       std::span<const std::uint32_t> rank,
+                       std::vector<EdgeId>& offsets,
+                       std::unique_ptr<std::uint64_t[]>& keys) {
+  ThreadTeam one(1);
+  build_packed_arcs(one, g, n, rank, offsets, keys);
+}
+
+void build_packed_arcs(ThreadTeam& team, const graph::CompressedCsr& g,
+                       std::span<const std::uint32_t> rank,
+                       std::vector<EdgeId>& offsets,
+                       std::unique_ptr<std::uint64_t[]>& keys) {
   const VertexId n = g.num_vertices();
   const EdgeId m = g.num_edges();
-  // Decode targets once (bulk varint kernel): 4 bytes/edge of scratch is
-  // the only uncompressed structure this path ever materializes — the
-  // 16-byte WEdge list never exists.
-  std::vector<VertexId> targets(static_cast<std::size_t>(m));
-  g.decode_targets(targets.data());
-
-  offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (VertexId u = 0; u < n; ++u) {
-    offsets[std::size_t{u} + 1] += g.out_degree(u);
-  }
-  for (EdgeId e = 0; e < m; ++e) {
-    ++offsets[std::size_t{targets[static_cast<std::size_t>(e)]} + 1];
-  }
-  for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
-
-  keys = std::make_unique_for_overwrite<std::uint64_t[]>(offsets.back());
-  std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
-  for (VertexId u = 0; u < n; ++u) {
-    const EdgeId e_end = g.edge_offset(u + 1);
-    for (EdgeId e = g.edge_offset(u); e < e_end; ++e) {
-      const VertexId v = targets[static_cast<std::size_t>(e)];
-      const std::uint32_t r = rank[static_cast<std::size_t>(e)];
-      keys[cursor[u]++] = pack_key(r, v);
-      keys[cursor[v]++] = pack_key(r, u);
+  // Decode targets once (bulk varint kernel, one row range per thread):
+  // 4 bytes/edge of scratch is the only uncompressed structure this path
+  // ever materializes — the 16-byte WEdge list never exists.
+  auto targets = std::make_unique_for_overwrite<VertexId[]>(
+      static_cast<std::size_t>(m));
+  // Thread t decodes the whole rows that start inside its edge block.
+  const auto first_row_from = [&](EdgeId e) {
+    VertexId lo = 0;
+    VertexId hi = n;
+    while (lo < hi) {
+      const VertexId mid = lo + (hi - lo) / 2;
+      if (g.edge_offset(mid) < e) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
     }
-  }
+    return lo;
+  };
+  team.run([&](TeamCtx& ctx) {
+    const int t = ctx.tid();
+    const int p = ctx.nthreads();
+    const VertexId lo = first_row_from(block_range(m, t, p).begin);
+    const VertexId hi =
+        t + 1 == p ? n : first_row_from(block_range(m, t + 1, p).begin);
+    g.decode_targets(lo, hi, targets.get());
+  });
+  build_packed_arcs_impl(
+      team, n, m, rank,
+      [&](EdgeId begin, EdgeId end, auto&& fn) {
+        if (begin == end) return;
+        // Edge ids follow the row walk, so a block starts mid-row at most.
+        VertexId u = g.source_of(begin);
+        EdgeId row_end = g.edge_offset(u + 1);
+        for (EdgeId e = begin; e < end; ++e) {
+          while (e == row_end) {
+            ++u;
+            row_end = g.edge_offset(u + 1);
+          }
+          fn(e, u, targets[static_cast<std::size_t>(e)]);
+        }
+      },
+      offsets, keys);
 }
 
 }  // namespace smp::core

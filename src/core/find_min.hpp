@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -99,12 +100,16 @@ inline constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 }
 
 /// rank[e] ∈ [0, m): position of input edge e under the WeightOrder total
-/// order.  Stable parallel LSD radix sort of an index permutation keyed by
+/// order.  Stable parallel LSD radix sort of the input indices keyed by
 /// monotone_weight_bits — stability is what breaks weight ties by input
-/// index, completing the total order.  Fork-join (runs its own region); call
-/// during setup, not inside an open region.  If `rank_to_edge` is non-null
-/// it receives the inverse permutation ((*rank_to_edge)[r] = the input edge
-/// with rank r) — the sort materializes it anyway, so this is free.
+/// index, completing the total order.  Below 2^15 edges one std::sort; up to
+/// 2^24 edges packed 8-byte ⟨top 40 weight bits | 24-bit index⟩ elements in
+/// three passes plus a run fix-up; above that 12-byte ⟨key, index⟩ pairs in
+/// four.  Every path runs on `team` (a one-thread team runs the same code
+/// inline).  Fork-join (runs its own region); call during setup, not inside
+/// an open region.  If `rank_to_edge` is non-null it receives the inverse
+/// permutation ((*rank_to_edge)[r] = the input edge with rank r) — the sort
+/// materializes it anyway, so this is free.
 [[nodiscard]] std::vector<std::uint32_t> build_weight_ranks(
     ThreadTeam& team, const graph::EdgeList& g,
     std::vector<std::uint32_t>* rank_to_edge = nullptr);
@@ -115,22 +120,42 @@ inline constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
     ThreadTeam& team, std::span<const graph::Weight> weights,
     std::vector<std::uint32_t>* rank_to_edge = nullptr);
 
+namespace detail {
+/// The m > 2^24 path of build_weight_ranks (12-byte ⟨key, index⟩ pairs)
+/// forced at any m, so tests can check it against the packed path without
+/// a 2^24-edge input.
+[[nodiscard]] std::vector<std::uint32_t> build_weight_ranks_wide(
+    ThreadTeam& team, std::span<const graph::Weight> weights,
+    std::vector<std::uint32_t>* rank_to_edge = nullptr);
+}  // namespace detail
+
 /// Packed-path adjacency build: n + 1 offsets plus one pre-packed
 /// ⟨rank, target⟩ key per directed arc, straight from the edge list.  This
 /// replaces a full CsrGraph for Bor-FAL's packed find-min — the key array
 /// IS the adjacency structure, so the target/weight/orig arc arrays (and
 /// the separate key-packing pass over them, with its random rank gathers —
-/// here rank[e] is a sequential read) are never materialized.
+/// here rank[e] is a sequential read) are never materialized.  Each
+/// vertex's arcs appear in ascending input-edge order, whatever the team
+/// size: per-thread degree counts over edge blocks, a (vertex, thread)-
+/// ordered scan, then each thread scatters its own block.  Fork-join.
+void build_packed_arcs(ThreadTeam& team, const graph::EdgeList& g,
+                       graph::VertexId n, std::span<const std::uint32_t> rank,
+                       std::vector<graph::EdgeId>& offsets,
+                       std::unique_ptr<std::uint64_t[]>& keys);
+
+/// One-thread build_packed_arcs (identical output).
 void build_packed_arcs(const graph::EdgeList& g, graph::VertexId n,
                        std::span<const std::uint32_t> rank,
                        std::vector<graph::EdgeId>& offsets,
                        std::unique_ptr<std::uint64_t[]>& keys);
 
-/// Decode-on-the-fly variant over the compressed CSR: streams the varint
-/// rows straight into packed ⟨rank, target⟩ keys.  The only uncompressed
-/// scratch is one u32 target per edge for the scatter; no EdgeList or
-/// CsrGraph is ever materialized (the eager path costs 16 B/edge more).
-void build_packed_arcs(const graph::CompressedCsr& g,
+/// Decode-on-the-fly variant over the compressed CSR: decodes the varint
+/// rows (one row range per thread) and packs ⟨rank, target⟩ keys with the
+/// same engine, so its output equals the EdgeList overload's on the
+/// canonicalized graph.  The only uncompressed scratch is one u32 target
+/// per edge; no EdgeList or CsrGraph is ever materialized (the eager path
+/// costs 16 B/edge more).
+void build_packed_arcs(ThreadTeam& team, const graph::CompressedCsr& g,
                        std::span<const std::uint32_t> rank,
                        std::vector<graph::EdgeId>& offsets,
                        std::unique_ptr<std::uint64_t[]>& keys);

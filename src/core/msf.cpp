@@ -1,11 +1,15 @@
 #include "core/msf.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <new>
 #include <string>
 
 #include "core/bor_uf.hpp"
 #include "core/filter_kruskal.hpp"
 #include "core/sample_filter.hpp"
+#include "pprim/partition.hpp"
+#include "pprim/thread_team.hpp"
 #include "pprim/tuning.hpp"
 #include "seq/seq_msf.hpp"
 
@@ -107,7 +111,13 @@ namespace {
 
 }  // namespace
 
-void validate_request(const graph::EdgeList& g, const MsfOptions& opts) {
+namespace {
+
+// Below this many edges the endpoint check stays on the calling thread: a
+// team region costs more than the scan.
+constexpr std::size_t kParallelValidateCutoff = std::size_t{1} << 16;
+
+void validate_options(const MsfOptions& opts) {
   if (!known_algorithm(opts.algorithm)) {
     throw Error(ErrorCode::kInvalidInput,
                 "unknown algorithm id " +
@@ -126,12 +136,42 @@ void validate_request(const graph::EdgeList& g, const MsfOptions& opts) {
     throw Error(ErrorCode::kInvalidInput,
                 "bc_base_size must be >= 1 (0 would be an empty base case)");
   }
-  for (const auto& e : g.edges) {
-    if (e.u == e.v || e.u >= g.num_vertices || e.v >= g.num_vertices) {
-      throw Error(ErrorCode::kInvalidInput,
-                  "self-loop or out-of-range endpoint in edge list");
-    }
+}
+
+/// Endpoint check: no self-loops, every endpoint below num_vertices.  Runs
+/// on `team` when one is given and the list is large, one block per thread.
+void validate_edges(ThreadTeam* team, const graph::EdgeList& g) {
+  const auto bad = [&](const graph::WEdge& e) {
+    return e.u == e.v || e.u >= g.num_vertices || e.v >= g.num_vertices;
+  };
+  const std::size_t m = g.edges.size();
+  bool any_bad = false;
+  if (team != nullptr && team->size() > 1 && m >= kParallelValidateCutoff) {
+    std::atomic<bool> found{false};
+    team->run([&](TeamCtx& ctx) {
+      const IndexRange r = block_range(m, ctx.tid(), ctx.nthreads());
+      for (std::size_t i = r.begin; i < r.end; ++i) {
+        if (bad(g.edges[i])) {
+          found.store(true, std::memory_order_relaxed);
+          return;
+        }
+      }
+    });
+    any_bad = found.load(std::memory_order_relaxed);
+  } else {
+    any_bad = std::any_of(g.edges.begin(), g.edges.end(), bad);
   }
+  if (any_bad) {
+    throw Error(ErrorCode::kInvalidInput,
+                "self-loop or out-of-range endpoint in edge list");
+  }
+}
+
+}  // namespace
+
+void validate_request(const graph::EdgeList& g, const MsfOptions& opts) {
+  validate_options(opts);
+  validate_edges(nullptr, g);
 }
 
 namespace {
@@ -170,7 +210,8 @@ graph::MsfResult dispatch_parallel(ThreadTeam& team, const graph::EdgeList& g,
 /// for this call", non-null means "run on the caller's persistent team".
 graph::MsfResult solve_with(ThreadTeam* external_team, const graph::EdgeList& g,
                             const MsfOptions& opts) {
-  validate_request(g, opts);
+  validate_options(opts);
+  validate_edges(external_team, g);
   iteration_checkpoint(opts, "request start");
   // Cutoff-ablation overrides (0 = keep the process-global tuning value);
   // restored when the solve returns or unwinds.

@@ -97,6 +97,12 @@ struct StepTimes {
   double connect = 0;
   double compact = 0;
   double other = 0;  ///< setup, result assembly, base-case solve (MST-BC)
+  /// Named parts OF `other` (already counted there, so total() and `other`
+  /// are unchanged): the weight-rank sort, the packed-arc build, and the
+  /// final result assembly.  Engines without a step leave it at 0.
+  double rank_build = 0;
+  double arc_build = 0;
+  double assembly = 0;
   /// Arcs permanently retired from a live-arc working set across all
   /// iterations — Bor-FAL's prune as well as the deferred-compaction
   /// watermark prunes of Bor-EL/AL/ALM and the champion (0 under
@@ -110,6 +116,9 @@ struct StepTimes {
     connect += o.connect;
     compact += o.compact;
     other += o.other;
+    rank_build += o.rank_build;
+    arc_build += o.arc_build;
+    assembly += o.assembly;
     pruned_arcs += o.pruned_arcs;
     return *this;
   }

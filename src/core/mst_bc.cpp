@@ -392,7 +392,9 @@ MsfResult mst_bc_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
     solve_base_case(cur, base_ids);
     for (const EdgeId id : base_ids) collector.add(0, id);
   }
-  MsfResult res = detail::assemble_result(g, collector.gather());
+  WallTimer assembly;
+  MsfResult res = detail::assemble_result(team, g, collector.gather());
+  st.assembly += assembly.elapsed_s();
   st.other += phase.elapsed_s();
   if (opts.step_times) *opts.step_times += st;
   return res;

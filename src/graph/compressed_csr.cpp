@@ -134,12 +134,19 @@ VertexId CompressedCsr::source_of(EdgeId e) const {
 }
 
 void CompressedCsr::decode_targets(VertexId* out) const {
+  decode_targets(0, n_, out);
+}
+
+void CompressedCsr::decode_targets(VertexId row_begin, VertexId row_end,
+                                   VertexId* out) const {
   static_assert(sizeof(VertexId) == sizeof(std::uint32_t));
-  // Pass 1: one bulk varint decode of the whole region (SIMD fast path) —
+  const EdgeId e_begin = edge_off_[row_begin];
+  // Pass 1: one bulk varint decode of the rows' region (SIMD fast path) —
   // rows are concatenated, so gaps land in implicit edge-id order.
-  varint_decode_bulk(adj_, adj_ + adj_bytes_, m_, out);
+  varint_decode_bulk(adj_ + byte_off(row_begin), adj_ + byte_off(row_end),
+                     edge_off_[row_end] - e_begin, out + e_begin);
   // Pass 2: per-row prefix reconstruction, v_i = u + sum(gaps 0..i).
-  for (VertexId u = 0; u < n_; ++u) {
+  for (VertexId u = row_begin; u < row_end; ++u) {
     VertexId acc = u;
     const EdgeId e_end = edge_off_[u + 1];
     for (EdgeId e = edge_off_[u]; e < e_end; ++e) {

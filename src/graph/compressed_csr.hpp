@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -67,6 +68,12 @@ class CompressedCsr {
   /// path and what the decode-GB/s bench times.
   void decode_targets(VertexId* out) const;
 
+  /// Same decode restricted to rows [row_begin, row_end): writes only
+  /// out[edge_offset(row_begin) .. edge_offset(row_end)), so disjoint row
+  /// ranges can decode into one num_edges()-sized array concurrently.
+  void decode_targets(VertexId row_begin, VertexId row_end,
+                      VertexId* out) const;
+
   /// Decodes row `u` (targets only) into out[0 .. out_degree(u)).
   void decode_row(VertexId u, VertexId* out) const;
 
@@ -86,14 +93,27 @@ class CompressedCsr {
   /// in implicit edge-id order.
   template <class Fn>
   void for_each_edge(Fn&& fn) const {
-    const std::uint8_t* p = adj_;
-    for (VertexId u = 0; u < n_; ++u) {
-      VertexId v = u;
-      const EdgeId e_end = edge_off_[u + 1];
-      for (EdgeId e = edge_off_[u]; e < e_end; ++e) {
+    for_each_edge(0, m_, fn);
+  }
+
+  /// The same walk restricted to edge ids [begin, end): starts at the row
+  /// holding `begin` (skipping its earlier gaps), so disjoint id ranges can
+  /// be walked concurrently.
+  template <class Fn>
+  void for_each_edge(EdgeId begin, EdgeId end, Fn&& fn) const {
+    if (begin >= end) return;
+    VertexId u = source_of(begin);
+    const std::uint8_t* p = adj_ + byte_off(u);
+    VertexId v = u;
+    for (EdgeId e = edge_off_[u]; e < begin; ++e) v += decode_gap(p);
+    for (EdgeId e = begin; e < end;) {
+      const EdgeId e_end = std::min<EdgeId>(edge_off_[u + 1], end);
+      for (; e < e_end; ++e) {
         v += decode_gap(p);
         fn(e, u, v, weights_[e]);
       }
+      ++u;
+      v = u;
     }
   }
 

@@ -2,6 +2,8 @@
 // the hooks behind Table 1 and Fig. 2.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/msf.hpp"
 #include "graph/generators.hpp"
 #include "pprim/tuning.hpp"
@@ -126,6 +128,30 @@ TEST(StepTimes, AllVariantsPopulate) {
     opts.step_times = &st;
     (void)core::minimum_spanning_forest(g, opts);
     EXPECT_GT(st.total(), 0.0) << core::to_string(alg);
+  }
+}
+
+TEST(StepTimes, PrologueAndAssemblyArePartsOfOther) {
+  // Large enough for the packed rank sort's radix path (m >= 2^15).
+  const EdgeList g = random_graph(20000, 60000, 8);
+  for (const auto alg : {core::Algorithm::kBorFAL, core::Algorithm::kChampion}) {
+    for (const int threads : {1, 3}) {
+      core::StepTimes st;
+      core::MsfOptions opts;
+      opts.algorithm = alg;
+      opts.threads = threads;
+      opts.step_times = &st;
+      (void)core::minimum_spanning_forest(g, opts);
+      const std::string what =
+          std::string(core::to_string(alg)) + " p=" + std::to_string(threads);
+      EXPECT_GT(st.rank_build, 0.0) << what;
+      EXPECT_GT(st.arc_build, 0.0) << what;
+      EXPECT_GT(st.assembly, 0.0) << what;
+      EXPECT_LE(st.rank_build + st.arc_build + st.assembly, st.other) << what;
+      // The parts are inside `other`: total() still sums the four steps.
+      EXPECT_DOUBLE_EQ(st.total(), st.find_min + st.connect + st.compact + st.other)
+          << what;
+    }
   }
 }
 
