@@ -85,7 +85,8 @@ DynamicMsf::DynamicMsf(EdgeStore store, std::vector<EdgeId> forest,
 }
 
 MsfDelta DynamicMsf::apply_batch(std::span<const WEdge> insertions,
-                                 std::span<const EdgeId> deletions) {
+                                 std::span<const EdgeId> deletions,
+                                 const ForestOracle* oracle) {
   // ---- Validate the whole batch before mutating anything (a bad batch
   // must not leave the store half-applied). ----
   for (const auto& e : insertions) store_.validate_edge(e.u, e.v, e.w);
@@ -141,6 +142,9 @@ MsfDelta DynamicMsf::apply_batch(std::span<const WEdge> insertions,
   std::vector<EdgeId> ids;
   if (scratch) {
     cand = store_.live_graph(&ids);
+  } else if (!forest_cut && oracle != nullptr &&
+             oracle->num_forest_edges() == forest_.size()) {
+    return apply_by_path_max(*oracle, first_new, old_forest);
   } else if (!forest_cut) {
     // Insertion-only sparsification: MSF(G ∪ B) = MSF(F ∪ B), so the
     // candidate set is ~n−1+|B| edges no matter how large m is.
@@ -182,6 +186,102 @@ MsfDelta DynamicMsf::apply_batch(std::span<const WEdge> insertions,
     }
   }
   return solve_and_commit(cand, ids, old_forest, scratch);
+}
+
+MsfDelta DynamicMsf::apply_by_path_max(const ForestOracle& oracle,
+                                        EdgeId first_new,
+                                        const std::vector<EdgeId>& old_forest) {
+  const EdgeId last = store_.size();
+  // Compressed path tree: the batch endpoints in (tree, preorder) order,
+  // closed under the LCAs of adjacent same-tree pairs.  In that closed,
+  // ordered set the tree parent of each vertex is its LCA with its
+  // predecessor.
+  const auto key = [&](VertexId x) {
+    return (std::uint64_t{oracle.component(x)} << 32) | oracle.tin(x);
+  };
+  const auto by_key = [&](VertexId a, VertexId b) { return key(a) < key(b); };
+  std::vector<VertexId> pts;
+  pts.reserve(4 * static_cast<std::size_t>(last - first_new));
+  for (EdgeId id = first_new; id < last; ++id) {
+    pts.push_back(store_.edge(id).u);
+    pts.push_back(store_.edge(id).v);
+  }
+  std::sort(pts.begin(), pts.end(), by_key);
+  pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
+  const std::size_t endpoints = pts.size();
+  for (std::size_t i = 1; i < endpoints; ++i) {
+    if (oracle.component(pts[i - 1]) == oracle.component(pts[i])) {
+      pts.push_back(oracle.lca(pts[i - 1], pts[i]));
+    }
+  }
+  std::sort(pts.begin(), pts.end(), by_key);
+  pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
+  const auto slot = [&](VertexId x) {
+    return static_cast<std::uint32_t>(
+        std::lower_bound(pts.begin(), pts.end(), x, by_key) - pts.begin());
+  };
+
+  // Kruskal candidates under ⟨weight, store id⟩: each compressed edge
+  // carries its path's bottleneck forest edge, each batch edge itself.
+  struct Cand {
+    graph::WeightOrder order;
+    std::uint32_t a, b;
+    bool batch;
+  };
+  std::vector<Cand> cands;
+  cands.reserve(pts.size() + static_cast<std::size_t>(last - first_new));
+  for (std::size_t i = 1; i < pts.size(); ++i) {
+    if (oracle.component(pts[i - 1]) != oracle.component(pts[i])) continue;
+    const VertexId parent = oracle.lca(pts[i - 1], pts[i]);
+    const EdgeId bottleneck = oracle.bottleneck(pts[i], parent);
+    cands.push_back(Cand{{store_.edge(bottleneck).w, bottleneck},
+                         static_cast<std::uint32_t>(i), slot(parent), false});
+  }
+  for (EdgeId id = first_new; id < last; ++id) {
+    const WEdge& e = store_.edge(id);
+    cands.push_back(Cand{{e.w, id}, slot(e.u), slot(e.v), true});
+  }
+  std::sort(cands.begin(), cands.end(),
+            [](const Cand& x, const Cand& y) { return x.order < y.order; });
+
+  std::vector<std::uint32_t> uf(pts.size());
+  for (std::uint32_t i = 0; i < uf.size(); ++i) uf[i] = i;
+  const auto find = [&](std::uint32_t x) {
+    while (uf[x] != x) x = uf[x] = uf[uf[x]];
+    return x;
+  };
+  std::vector<EdgeId> removed;
+  std::vector<EdgeId> added;
+  for (const Cand& c : cands) {
+    const std::uint32_t ra = find(c.a);
+    const std::uint32_t rb = find(c.b);
+    if (ra != rb) {
+      uf[ra] = rb;
+      if (c.batch) added.push_back(c.order.orig);
+    } else if (!c.batch) {
+      removed.push_back(c.order.orig);
+    }
+  }
+
+  // Commit: batch ids exceed every existing id, so appending keeps the
+  // forest ascending.
+  std::sort(removed.begin(), removed.end());
+  std::sort(added.begin(), added.end());
+  std::vector<EdgeId> next;
+  next.reserve(forest_.size() - removed.size() + added.size());
+  std::set_difference(forest_.begin(), forest_.end(), removed.begin(),
+                      removed.end(), std::back_inserter(next));
+  next.insert(next.end(), added.begin(), added.end());
+  forest_ = std::move(next);
+  trees_ = static_cast<std::size_t>(store_.num_vertices()) - forest_.size();
+  recompute_weight();
+  ++path_max_batches_;
+
+  MsfDelta d = snapshot_delta(old_forest);
+  // The candidate set a solve would have taken: retained forest ∪ batch.
+  d.candidate_edges =
+      old_forest.size() + static_cast<std::size_t>(last - first_new);
+  return d;
 }
 
 std::vector<EdgeId> DynamicMsf::compact_store() {

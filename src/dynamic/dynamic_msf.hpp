@@ -6,6 +6,7 @@
 #include "core/msf.hpp"
 #include "dynamic/delta.hpp"
 #include "dynamic/edge_store.hpp"
+#include "dynamic/forest_oracle.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/msf_result.hpp"
 
@@ -53,6 +54,16 @@ struct DynamicMsfOptions {
 ///    exactly as a from-scratch run would and the maintained forest is
 ///    bit-identical (edge ids and weight) to MSF(live graph) after every
 ///    batch, for every backend and thread count.
+///  * An insert-only batch given a ForestOracle skips the solve: the
+///    batch endpoints, closed under the LCAs of DFS-adjacent pairs, span a
+///    compressed path tree whose edges each stand for one forest path,
+///    labelled with that path's bottleneck edge.  Kruskal over those
+///    ≤ 4k labelled edges plus the k batch edges decides everything
+///    (Anderson–Blelloch–Tangwongsan, "Work-efficient batch-incremental
+///    minimum spanning trees"): a dropped path label removes its bottleneck
+///    from the forest, a kept batch edge enters it.  The total order is the
+///    same ⟨weight, store-id⟩ order, so the result is the same forest the
+///    solve would give.
 ///
 /// Not thread-safe (one writer); the solve itself parallelizes internally
 /// per DynamicMsfOptions::msf.threads.
@@ -86,8 +97,14 @@ class DynamicMsf {
   /// its own insertions) and batch-unique; `insertions` are new edges
   /// validated like EdgeStore::insert.  Throws Error{kInvalidInput} before
   /// any mutation on a bad batch.  Returns what changed.
+  ///
+  /// `oracle` (optional) must index the forest as it is at batch entry.  An
+  /// insert-only batch that would take the sparsified solve is then applied
+  /// by path-max instead, with an identical result and delta; every other
+  /// batch, and any oracle whose forest size differs from ours, solves.
   MsfDelta apply_batch(std::span<const graph::WEdge> insertions,
-                       std::span<const graph::EdgeId> deletions);
+                       std::span<const graph::EdgeId> deletions,
+                       const ForestOracle* oracle = nullptr);
 
   /// Solves the whole live graph from scratch and commits the result.
   /// Exception semantics of apply_batch: if the *solver* fails mid-batch
@@ -123,6 +140,10 @@ class DynamicMsf {
   /// the same deterministic sum over a from-scratch solve).
   [[nodiscard]] graph::Weight total_weight() const { return weight_; }
   [[nodiscard]] std::size_t num_trees() const { return trees_; }
+  /// Batches apply_batch has applied by path-max rather than by a solve.
+  [[nodiscard]] std::uint64_t path_max_batches() const {
+    return path_max_batches_;
+  }
   /// Materializes the forest as an MsfResult in store-id space.
   [[nodiscard]] graph::MsfResult forest() const;
 
@@ -133,6 +154,11 @@ class DynamicMsf {
                             const std::vector<graph::EdgeId>& ids,
                             const std::vector<graph::EdgeId>& old_forest,
                             bool from_scratch);
+  /// The insert-only batch [first_new, store size) by path-max over
+  /// `oracle`; commits like solve_and_commit.
+  MsfDelta apply_by_path_max(const ForestOracle& oracle,
+                             graph::EdgeId first_new,
+                             const std::vector<graph::EdgeId>& old_forest);
   MsfDelta snapshot_delta(const std::vector<graph::EdgeId>& old_forest) const;
   void recompute_weight();
 
@@ -141,6 +167,7 @@ class DynamicMsf {
   std::vector<graph::EdgeId> forest_;  ///< ascending store ids
   graph::Weight weight_ = 0;
   std::size_t trees_ = 0;
+  std::uint64_t path_max_batches_ = 0;
 };
 
 }  // namespace smp::dynamic

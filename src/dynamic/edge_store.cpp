@@ -1,8 +1,12 @@
 #include "dynamic/edge_store.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <new>
 #include <string>
+
+#include <sys/mman.h>
 
 #include "core/error.hpp"
 
@@ -30,12 +34,69 @@ void EdgeStore::check_edge(VertexId u, VertexId v, Weight w, VertexId n) {
   }
 }
 
+namespace {
+
+/// Smallest buffer a store allocates; growth doubles from here.
+constexpr std::size_t kMinSlots = 16;
+
+}  // namespace
+
+SlotBuffer::SlotBuffer(std::size_t slots, std::size_t tail)
+    : slots_(slots),
+      bytes_(tail * sizeof(WEdge) + slots * sizeof(std::uint64_t)),
+      tail_(nullptr),
+      stamps_(nullptr) {
+  void* p = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  tail_ = static_cast<WEdge*>(p);
+  // sizeof(WEdge) is a multiple of 8, so the stamps stay 8-aligned.
+  stamps_ = reinterpret_cast<std::uint64_t*>(static_cast<char*>(p) +
+                                             tail * sizeof(WEdge));
+}
+
+SlotBuffer::~SlotBuffer() { munmap(tail_, bytes_); }
+
+std::shared_ptr<SlotBuffer> EdgeStore::copy_slots(std::size_t capacity) const {
+  const auto base = static_cast<std::size_t>(base_m_);
+  const auto slots = static_cast<std::size_t>(slots_);
+  auto nb = std::make_shared<SlotBuffer>(capacity, capacity - base);
+  if (slots > 0) {
+    std::memcpy(nb->tail(), buf_->tail(), (slots - base) * sizeof(WEdge));
+    for (std::size_t i = 0; i < slots; ++i) nb->set_stamp(i, buf_->stamp(i));
+  }
+  return nb;
+}
+
+EdgeStore::EdgeStore(const EdgeStore& other)
+    : n_(other.n_),
+      base_(other.base_),
+      base_m_(other.base_m_),
+      slots_(other.slots_),
+      live_(other.live_),
+      erase_clock_(other.erase_clock_),
+      compactions_(other.compactions_),
+      pair_index_(other.pair_index_),
+      pair_index_built_(other.pair_index_built_) {
+  if (other.buf_ != nullptr) {
+    buf_ = other.copy_slots(other.buf_->capacity());
+  }
+}
+
+EdgeStore& EdgeStore::operator=(const EdgeStore& other) {
+  if (this != &other) *this = EdgeStore(other);
+  return *this;
+}
+
 EdgeStore::EdgeStore(const EdgeList& g) : n_(g.num_vertices) {
-  edges_.reserve(g.edges.size());
   for (const auto& e : g.edges) check_edge(e.u, e.v, e.w, n_);
-  edges_ = g.edges;
-  dead_.assign(edges_.size(), 0);
-  live_ = edges_.size();
+  const std::size_t m = g.edges.size();
+  buf_ = std::make_shared<SlotBuffer>(std::max(m, kMinSlots),
+                                      std::max(m, kMinSlots));
+  if (m > 0) std::memcpy(buf_->tail(), g.edges.data(), m * sizeof(WEdge));
+  for (std::size_t i = 0; i < m; ++i) buf_->set_stamp(i, SlotBuffer::kLive);
+  slots_ = m;
+  live_ = m;
 }
 
 EdgeStore::EdgeStore(std::shared_ptr<const EdgeSlab> slab)
@@ -43,16 +104,30 @@ EdgeStore::EdgeStore(std::shared_ptr<const EdgeSlab> slab)
       base_(std::move(slab)),
       base_m_(base_->num_edges()) {
   // EdgeSlab::open already enforced the insertion invariants per record, so
-  // adoption is O(m) flag bytes, not another validation pass.
-  dead_.assign(static_cast<std::size_t>(base_m_), 0);
-  live_ = static_cast<std::size_t>(base_m_);
+  // adoption is O(m) stamps, not another validation pass.
+  const auto m = static_cast<std::size_t>(base_m_);
+  buf_ = std::make_shared<SlotBuffer>(m + kMinSlots, kMinSlots);
+  for (std::size_t i = 0; i < m; ++i) buf_->set_stamp(i, SlotBuffer::kLive);
+  slots_ = base_m_;
+  live_ = m;
+}
+
+void EdgeStore::reserve_slot() {
+  const auto slots = static_cast<std::size_t>(slots_);
+  if (buf_ != nullptr && slots < buf_->capacity()) return;
+  // Views taken so far keep the full buffer; the writer moves on to a copy
+  // of twice the capacity, so nothing a view reads is ever written again.
+  const auto base = static_cast<std::size_t>(base_m_);
+  buf_ = copy_slots(std::max(base + kMinSlots, 2 * slots));
 }
 
 EdgeId EdgeStore::insert(VertexId u, VertexId v, Weight w) {
   check_edge(u, v, w, n_);
-  const EdgeId id = size();
-  edges_.push_back(WEdge{u, v, w});
-  dead_.push_back(0);
+  reserve_slot();
+  const EdgeId id = slots_;
+  buf_->tail()[static_cast<std::size_t>(id - base_m_)] = WEdge{u, v, w};
+  buf_->set_stamp(id, SlotBuffer::kLive);
+  ++slots_;
   ++live_;
   if (pair_index_built_) pair_index_.emplace(pair_key(u, v), id);
   return id;
@@ -64,7 +139,7 @@ void EdgeStore::erase(EdgeId id) {
                 "edge store: erase of dead or out-of-range id " +
                     std::to_string(id));
   }
-  dead_[static_cast<std::size_t>(id)] = 1;
+  buf_->set_stamp(id, ++erase_clock_);
   --live_;
   if (pair_index_built_) {
     const auto& e = edge(id);
@@ -78,11 +153,23 @@ void EdgeStore::erase(EdgeId id) {
   }
 }
 
+StoreView EdgeStore::view() const {
+  StoreView v;
+  v.base_ = base_;
+  v.buf_ = buf_;
+  v.base_m_ = base_m_;
+  v.slots_ = slots_;
+  v.erase_bound_ = erase_clock_;
+  v.live_ = live_;
+  v.n_ = n_;
+  return v;
+}
+
 void EdgeStore::ensure_pair_index() const {
   if (pair_index_built_) return;
   pair_index_.reserve(live_);
   for (EdgeId id = 0; id < size(); ++id) {
-    if (dead_[static_cast<std::size_t>(id)]) continue;
+    if (!is_live(id)) continue;
     const auto& e = edge(id);
     pair_index_.emplace(pair_key(e.u, e.v), id);
   }
@@ -109,23 +196,24 @@ std::optional<EdgeId> EdgeStore::find_live(VertexId u, VertexId v) const {
 std::vector<EdgeId> EdgeStore::compact() {
   std::vector<EdgeId> remap(static_cast<std::size_t>(size()),
                             graph::kInvalidEdge);
-  std::vector<WEdge> kept;
-  kept.reserve(live_);
+  // Compaction materializes everything into a fresh owned buffer and
+  // releases the mmap base (a compacted slab no longer matches its file
+  // anyway); views of the old layout keep the old buffer.
+  auto nb = std::make_shared<SlotBuffer>(std::max(live_, kMinSlots),
+                                         std::max(live_, kMinSlots));
   EdgeId next = 0;
   for (EdgeId id = 0; id < size(); ++id) {
-    if (dead_[static_cast<std::size_t>(id)]) continue;
+    if (!is_live(id)) continue;
     remap[static_cast<std::size_t>(id)] = next;
-    kept.push_back(edge(id));
+    nb->tail()[static_cast<std::size_t>(next)] = edge(id);
+    nb->set_stamp(next, SlotBuffer::kLive);
     ++next;
   }
-  // Compaction materializes everything into the owned tail and releases the
-  // mmap base (a compacted slab no longer matches its file anyway).
   base_.reset();
   base_m_ = 0;
-  edges_ = std::move(kept);
-  dead_.assign(edges_.size(), 0);
-  dead_.shrink_to_fit();
-  live_ = edges_.size();
+  buf_ = std::move(nb);
+  slots_ = next;
+  ++compactions_;
   // The pair index maps to old ids; cheaper to rebuild lazily than remap.
   pair_index_.clear();
   pair_index_built_ = false;
@@ -164,8 +252,7 @@ void EdgeStore::serialize(std::string& out) const {
     put<std::uint32_t>(out, e.u);
     put<std::uint32_t>(out, e.v);
     put<double>(out, e.w);
-    put<std::uint8_t>(out,
-                      static_cast<std::uint8_t>(dead_[static_cast<std::size_t>(i)]));
+    put<std::uint8_t>(out, is_live(i) ? 0 : 1);
   }
 }
 
@@ -181,9 +268,10 @@ EdgeStore EdgeStore::restore(const unsigned char* data, std::size_t size,
                 "edge store restore: slot count " + std::to_string(slots) +
                     " exceeds the serialized payload");
   }
-  s.edges_.reserve(static_cast<std::size_t>(slots));
-  s.dead_.reserve(static_cast<std::size_t>(slots));
-  for (std::uint64_t i = 0; i < slots; ++i) {
+  const auto count = static_cast<std::size_t>(slots);
+  s.buf_ = std::make_shared<SlotBuffer>(std::max(count, kMinSlots),
+                                        std::max(count, kMinSlots));
+  for (std::size_t i = 0; i < count; ++i) {
     WEdge e;
     e.u = take<std::uint32_t>(data, size, off, "edge");
     e.v = take<std::uint32_t>(data, size, off, "edge");
@@ -195,23 +283,29 @@ EdgeStore EdgeStore::restore(const unsigned char* data, std::size_t size,
                       std::to_string(i));
     }
     check_edge(e.u, e.v, e.w, s.n_);  // tombstoned slots were once live too
-    s.edges_.push_back(e);
-    s.dead_.push_back(static_cast<char>(dead));
+    s.buf_->tail()[i] = e;
+    // Restored tombstones get distinct stamps, like erase() would give.
+    s.buf_->set_stamp(i, dead == 0 ? SlotBuffer::kLive : ++s.erase_clock_);
     if (dead == 0) ++s.live_;
+    ++s.slots_;
   }
   if (consumed != nullptr) *consumed = off;
   return s;
 }
 
 EdgeList EdgeStore::live_graph(std::vector<EdgeId>* out_ids) const {
+  return view().live_graph(out_ids);
+}
+
+EdgeList StoreView::live_graph(std::vector<EdgeId>* out_ids) const {
   EdgeList g(n_);
   g.edges.reserve(live_);
   if (out_ids != nullptr) {
     out_ids->clear();
     out_ids->reserve(live_);
   }
-  for (EdgeId id = 0; id < size(); ++id) {
-    if (dead_[static_cast<std::size_t>(id)]) continue;
+  for (EdgeId id = 0; id < slots_; ++id) {
+    if (!is_live(id)) continue;
     g.edges.push_back(edge(id));
     if (out_ids != nullptr) out_ids->push_back(id);
   }

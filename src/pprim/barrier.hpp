@@ -39,8 +39,13 @@ class SenseBarrier {
   /// normal release; false if the barrier was poisoned (the region is
   /// unwinding and phase separation no longer holds).
   [[nodiscard]] bool arrive_and_wait() {
-    if (poisoned_.load(std::memory_order_acquire)) return false;
+    // Read the generation before the poison flag.  The other order loses a
+    // poison() that lands between the two loads: the flag reads clear, the
+    // generation already holds poison's bump, and the wait below blocks on a
+    // generation nobody will move again.  In this order a clear flag means
+    // `gen` predates poison's bump, so that bump still releases the wait.
     const std::uint64_t gen = generation_.load(std::memory_order_acquire);
+    if (poisoned_.load(std::memory_order_acquire)) return false;
     if (count_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       count_.store(n_, std::memory_order_relaxed);
       generation_.fetch_add(1, std::memory_order_release);

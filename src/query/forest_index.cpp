@@ -23,7 +23,7 @@ namespace {
 struct Arc {
   graph::VertexId src;
   graph::VertexId dst;
-  std::uint32_t eidx;  ///< forest position (index into fedges_)
+  std::uint32_t eidx;  ///< forest position (index into Body::fedges)
 };
 
 /// top_k candidate under the full edge order: monotone weight bits, ties by
@@ -57,15 +57,17 @@ ForestIndex::ForestIndex(ThreadTeam& team, const dynamic::EdgeStore& store,
   const std::size_t mf = forest_ids.size();
   stats_.version = version;
 
-  // 1. Gather the forest, ascending store id.  Position in fedges_ is the
+  // 1. Gather the forest, ascending store id.  Position in fedges is the
   // input index build_weight_ranks breaks ties by, so rank order ==
   // ⟨weight, store-id⟩ — the repo-wide WeightOrder.
-  fedges_.resize(mf);
-  fids_.assign(forest_ids.begin(), forest_ids.end());
+  auto b = std::make_shared<Body>();
+  b->fedges.resize(mf);
+  b->fids.assign(forest_ids.begin(), forest_ids.end());
   parallel_for(team, mf, [&](std::size_t i) {
-    fedges_[i] = store.edge(forest_ids[i]);
+    b->fedges[i] = store.edge(forest_ids[i]);
   });
-  build(team, store.num_vertices(), t0);
+  build(team, *b, store.num_vertices(), t0);
+  b_ = std::move(b);
 }
 
 ForestIndex::ForestIndex(ThreadTeam& team, graph::VertexId num_vertices,
@@ -74,25 +76,34 @@ ForestIndex::ForestIndex(ThreadTeam& team, graph::VertexId num_vertices,
                          std::uint64_t version) {
   const auto t0 = std::chrono::steady_clock::now();
   stats_.version = version;
-  fedges_ = std::move(fedges);
-  fids_ = std::move(fids);
-  build(team, num_vertices, t0);
+  auto b = std::make_shared<Body>();
+  b->fedges = std::move(fedges);
+  b->fids = std::move(fids);
+  build(team, *b, num_vertices, t0);
+  b_ = std::move(b);
 }
 
-void ForestIndex::build(ThreadTeam& team, graph::VertexId n,
+std::shared_ptr<const ForestIndex> ForestIndex::restamped(
+    std::uint64_t version) const {
+  Stats st = stats_;
+  st.version = version;
+  return std::shared_ptr<const ForestIndex>(new ForestIndex(b_, st, built_at_));
+}
+
+void ForestIndex::build(ThreadTeam& team, Body& b, graph::VertexId n,
                         std::chrono::steady_clock::time_point t0) {
-  const std::size_t mf = fedges_.size();
+  const std::size_t mf = b.fedges.size();
   stats_.num_vertices = n;
   stats_.num_forest_edges = mf;
 
   graph::EdgeList fel(n);
-  fel.edges = fedges_;
+  fel.edges = b.fedges;
   std::vector<std::uint32_t> rank = core::build_weight_ranks(team, fel);
 
   // 2. CSR adjacency over the 2·mf arcs (stable counting sort by source).
   std::vector<Arc> arcs(2 * mf);
   parallel_for(team, mf, [&](std::size_t i) {
-    const graph::WEdge& e = fedges_[i];
+    const graph::WEdge& e = b.fedges[i];
     const auto ei = static_cast<std::uint32_t>(i);
     arcs[2 * i] = Arc{e.u, e.v, ei};
     arcs[2 * i + 1] = Arc{e.v, e.u, ei};
@@ -114,14 +125,14 @@ void ForestIndex::build(ThreadTeam& team, graph::VertexId n,
   // 3. Deterministic component labels; the root of each component is its
   // minimum vertex id (atomic write-min).
   core::CcResult cc = core::connected_components(team, fel);
-  comp_ = std::move(cc.label);
+  b.comp = std::move(cc.label);
   stats_.num_components = cc.num_components;
   const std::size_t C = cc.num_components;
 
   std::vector<graph::VertexId> root(C, graph::kInvalidVertex);
   std::vector<std::uint32_t> comp_size(C, 0);
   parallel_for(team, n, [&](std::size_t v) {
-    const graph::VertexId c = comp_[v];
+    const graph::VertexId c = b.comp[v];
     std::atomic_ref<std::uint32_t>(comp_size[c])
         .fetch_add(1, std::memory_order_relaxed);
     std::atomic_ref<graph::VertexId> r(root[c]);
@@ -141,39 +152,39 @@ void ForestIndex::build(ThreadTeam& team, graph::VertexId n,
   // with a tiny constant instead of a level-synchronous BFS's O(depth)
   // rounds).  Fills parent/depth/parent-key and the Euler tour: preorder
   // positions, each component contiguous at comp_base[c].
-  parent_.resize(n);
-  depth_.resize(n);
-  pkey_.assign(n, 0);
-  tour_.resize(n);
-  tin_.resize(n);
-  tout_.resize(n);
+  b.parent.resize(n);
+  b.depth.resize(n);
+  b.pkey.assign(n, 0);
+  b.tour.resize(n);
+  b.tin.resize(n);
+  b.tout.resize(n);
   std::atomic<std::size_t> cursor{0};
   team.run([&](TeamCtx& ctx) {
     std::vector<std::pair<graph::VertexId, std::uint64_t>> stack;
     for_range_dynamic(ctx, cursor, C, 16, [&](std::size_t c) {
       const graph::VertexId r = root[c];
       std::uint32_t pos = comp_base[c];
-      parent_[r] = r;
-      depth_[r] = 0;
-      tin_[r] = pos;
-      tour_[pos++] = r;
+      b.parent[r] = r;
+      b.depth[r] = 0;
+      b.tin[r] = pos;
+      b.tour[pos++] = r;
       stack.clear();
       stack.emplace_back(r, off[r]);
       while (!stack.empty()) {
         auto& [x, cur] = stack.back();
         if (cur == off[x + 1]) {
-          tout_[x] = pos;
+          b.tout[x] = pos;
           stack.pop_back();
           continue;
         }
         const Arc& a = adj[cur++];
-        if (a.dst == parent_[x]) continue;
+        if (a.dst == b.parent[x]) continue;
         const graph::VertexId w = a.dst;
-        parent_[w] = x;
-        depth_[w] = depth_[x] + 1;
-        pkey_[w] = core::pack_key(rank[a.eidx], a.eidx);
-        tin_[w] = pos;
-        tour_[pos++] = w;
+        b.parent[w] = x;
+        b.depth[w] = b.depth[x] + 1;
+        b.pkey[w] = core::pack_key(rank[a.eidx], a.eidx);
+        b.tin[w] = pos;
+        b.tour[pos++] = w;
         stack.emplace_back(w, off[w]);
       }
     });
@@ -186,7 +197,7 @@ void ForestIndex::build(ThreadTeam& team, graph::VertexId n,
     team.run([&](TeamCtx& ctx) {
       std::uint32_t local = 0;
       for_range(ctx, n, [&](std::size_t v) {
-        local = std::max(local, depth_[v]);
+        local = std::max(local, b.depth[v]);
       });
       std::uint32_t cur = md.load(std::memory_order_relaxed);
       while (local > cur &&
@@ -201,20 +212,20 @@ void ForestIndex::build(ThreadTeam& team, graph::VertexId n,
   // packed key of the jumped edges (roots self-loop with key 0 — a real
   // path always contributes at least one genuine parent key, so the
   // neutral 0 never decides a bottleneck).
-  levels_ = std::max<std::uint32_t>(
+  b.levels = std::max<std::uint32_t>(
       1, static_cast<std::uint32_t>(std::bit_width(max_depth)));
-  stats_.levels = levels_;
-  up_.resize(static_cast<std::size_t>(levels_) * n);
-  upkey_.resize(static_cast<std::size_t>(levels_) * n);
+  stats_.levels = b.levels;
+  b.up.resize(static_cast<std::size_t>(b.levels) * n);
+  b.upkey.resize(static_cast<std::size_t>(b.levels) * n);
   parallel_for(team, n, [&](std::size_t v) {
-    up_[v] = parent_[v];
-    upkey_[v] = pkey_[v];
+    b.up[v] = b.parent[v];
+    b.upkey[v] = b.pkey[v];
   });
-  for (std::uint32_t k = 1; k < levels_; ++k) {
-    const graph::VertexId* up_prev = up_.data() + (k - 1) * std::size_t{n};
-    const std::uint64_t* key_prev = upkey_.data() + (k - 1) * std::size_t{n};
-    graph::VertexId* up_k = up_.data() + k * std::size_t{n};
-    std::uint64_t* key_k = upkey_.data() + k * std::size_t{n};
+  for (std::uint32_t k = 1; k < b.levels; ++k) {
+    const graph::VertexId* up_prev = b.up.data() + (k - 1) * std::size_t{n};
+    const std::uint64_t* key_prev = b.upkey.data() + (k - 1) * std::size_t{n};
+    graph::VertexId* up_k = b.up.data() + k * std::size_t{n};
+    std::uint64_t* key_k = b.upkey.data() + k * std::size_t{n};
     parallel_for(team, n, [&](std::size_t v) {
       const graph::VertexId mid = up_prev[v];
       up_k[v] = up_prev[mid];
@@ -227,56 +238,85 @@ void ForestIndex::build(ThreadTeam& team, graph::VertexId n,
       std::chrono::duration<double>(built_at_ - t0).count();
 }
 
-ForestIndex::PathMax ForestIndex::path_max(graph::VertexId u,
-                                           graph::VertexId v) const {
-  PathMax r;
-  if (comp_[u] != comp_[v]) return r;
-  r.connected = true;
-  if (u == v) return r;
-
+std::uint64_t ForestIndex::path_max_key(graph::VertexId u,
+                                        graph::VertexId v) const {
+  const Body& b = *b_;
   const std::size_t n = stats_.num_vertices;
   std::uint64_t best = 0;
-  if (depth_[u] < depth_[v]) std::swap(u, v);
-  std::uint32_t diff = depth_[u] - depth_[v];
+  if (b.depth[u] < b.depth[v]) std::swap(u, v);
+  std::uint32_t diff = b.depth[u] - b.depth[v];
   for (std::uint32_t k = 0; diff != 0; ++k, diff >>= 1) {
     if (diff & 1) {
-      best = std::max(best, upkey_[k * n + u]);
-      u = up_[k * n + u];
+      best = std::max(best, b.upkey[k * n + u]);
+      u = b.up[k * n + u];
     }
   }
   if (u != v) {
-    for (std::uint32_t k = levels_; k-- > 0;) {
-      if (up_[k * n + u] != up_[k * n + v]) {
-        best = std::max(best, upkey_[k * n + u]);
-        best = std::max(best, upkey_[k * n + v]);
-        u = up_[k * n + u];
-        v = up_[k * n + v];
+    for (std::uint32_t k = b.levels; k-- > 0;) {
+      if (b.up[k * n + u] != b.up[k * n + v]) {
+        best = std::max(best, b.upkey[k * n + u]);
+        best = std::max(best, b.upkey[k * n + v]);
+        u = b.up[k * n + u];
+        v = b.up[k * n + v];
       }
     }
-    best = std::max(best, pkey_[u]);
-    best = std::max(best, pkey_[v]);
+    best = std::max(best, b.pkey[u]);
+    best = std::max(best, b.pkey[v]);
   }
+  return best;
+}
 
-  const auto pos = static_cast<std::size_t>(core::key_index(best));
-  r.edge_id = fids_[pos];
-  r.u = fedges_[pos].u;
-  r.v = fedges_[pos].v;
-  r.weight = fedges_[pos].w;
+ForestIndex::PathMax ForestIndex::path_max(graph::VertexId u,
+                                           graph::VertexId v) const {
+  PathMax r;
+  if (b_->comp[u] != b_->comp[v]) return r;
+  r.connected = true;
+  if (u == v) return r;
+  const auto pos =
+      static_cast<std::size_t>(core::key_index(path_max_key(u, v)));
+  r.edge_id = b_->fids[pos];
+  r.u = b_->fedges[pos].u;
+  r.v = b_->fedges[pos].v;
+  r.weight = b_->fedges[pos].w;
   return r;
 }
 
+graph::EdgeId ForestIndex::bottleneck(graph::VertexId u,
+                                      graph::VertexId v) const {
+  return b_->fids[static_cast<std::size_t>(
+      core::key_index(path_max_key(u, v)))];
+}
+
+graph::VertexId ForestIndex::lca(graph::VertexId u, graph::VertexId v) const {
+  const Body& b = *b_;
+  const std::size_t n = stats_.num_vertices;
+  if (b.depth[u] < b.depth[v]) std::swap(u, v);
+  std::uint32_t diff = b.depth[u] - b.depth[v];
+  for (std::uint32_t k = 0; diff != 0; ++k, diff >>= 1) {
+    if (diff & 1) u = b.up[k * n + u];
+  }
+  if (u == v) return u;
+  for (std::uint32_t k = b.levels; k-- > 0;) {
+    if (b.up[k * n + u] != b.up[k * n + v]) {
+      u = b.up[k * n + u];
+      v = b.up[k * n + v];
+    }
+  }
+  return b.parent[u];
+}
+
 const core::Dendrogram& ForestIndex::dendrogram() const {
-  std::lock_guard<std::mutex> lk(dend_mu_);
-  if (!dend_) {
+  std::lock_guard<std::mutex> lk(b_->dend_mu);
+  if (!b_->dend) {
     // A forest-shaped MsfResult: edge "ids" are the store ids, so the
     // dendrogram's Kruskal pass breaks weight ties exactly like every
     // solver in the repo.
     graph::MsfResult msf;
-    msf.edges = fedges_;
-    msf.edge_ids = fids_;
-    dend_ = std::make_unique<core::Dendrogram>(stats_.num_vertices, msf);
+    msf.edges = b_->fedges;
+    msf.edge_ids = b_->fids;
+    b_->dend = std::make_unique<core::Dendrogram>(stats_.num_vertices, msf);
   }
-  return *dend_;
+  return *b_->dend;
 }
 
 ForestIndex::Cut ForestIndex::cut(graph::Weight threshold,
@@ -289,17 +329,23 @@ ForestIndex::Cut ForestIndex::cut(graph::Weight threshold,
   return c;
 }
 
-namespace {
+std::vector<ForestIndex::TopkEdge> ForestIndex::top_k(
+    ThreadTeam& team, const dynamic::StoreView& view, std::size_t k,
+    std::optional<graph::Weight> lambda) const {
+  if (k == 0) return {};
+  std::vector<graph::VertexId> labels;
+  if (lambda.has_value()) (void)cut(*lambda, &labels);
+  const graph::VertexId* cl = labels.empty() ? nullptr : labels.data();
+  // Weight bits for live cluster-crossing edges, all-ones (loses every min)
+  // for the rest.
+  const auto key_of = [&](graph::EdgeId id) {
+    if (!view.is_live(id)) return core::kEmptyKey;
+    const graph::WEdge& e = view.edge(id);
+    if (cl != nullptr && cl[e.u] == cl[e.v]) return core::kEmptyKey;
+    return core::monotone_weight_bits(e.w);
+  };
 
-/// The shared top_k scan kernel: `slots` positions, each exposing a sort key
-/// (kEmptyKey = skip), a store id, and the edge itself.  Positions must be
-/// ascending by store id so positional and id tie-breaks agree.
-template <typename KeyFn, typename IdFn, typename EdgeFn>
-std::vector<ForestIndex::TopkEdge> scan_top_k(ThreadTeam& team,
-                                              std::size_t slots, std::size_t k,
-                                              KeyFn&& key_of, IdFn&& id_of,
-                                              EdgeFn&& edge_of) {
-  std::vector<ForestIndex::TopkEdge> out;
+  const auto slots = static_cast<std::size_t>(view.size());
   const std::size_t block = 1024;
   const std::size_t num_blocks = (slots + block - 1) / block;
   const int p = team.size();
@@ -324,8 +370,6 @@ std::vector<ForestIndex::TopkEdge> scan_top_k(ThreadTeam& team,
       const std::size_t lo = b * block;
       const std::size_t hi = std::min(lo + block, slots);
       const std::size_t bn = hi - lo;
-      // Key pass: weight bits for live cluster-crossing edges, all-ones
-      // (loses every min) for the rest.
       for (std::size_t i = 0; i < bn; ++i) keys[i] = key_of(lo + i);
       // SIMD skim: repeatedly pull the block's argmin; once it cannot beat
       // the heap's bound the whole remainder of the block is out.
@@ -333,15 +377,16 @@ std::vector<ForestIndex::TopkEdge> scan_top_k(ThreadTeam& team,
         const std::size_t a = u64_argmin(keys.data(), bn);
         const std::uint64_t bits = keys[a];
         if (bits == core::kEmptyKey) break;
+        const graph::EdgeId id = lo + a;
         if (heap.size() == k) {
           const Cand& worst = heap.front();
           if (bits > worst.bits) break;
-          if (bits == worst.bits && id_of(lo + a) > worst.id) {
+          if (bits == worst.bits && id > worst.id) {
             keys[a] = core::kEmptyKey;
             continue;
           }
         }
-        consider(Cand{bits, id_of(lo + a)});
+        consider(Cand{bits, id});
         keys[a] = core::kEmptyKey;
       }
     });
@@ -351,58 +396,13 @@ std::vector<ForestIndex::TopkEdge> scan_top_k(ThreadTeam& team,
   for (const auto& h : heaps) all.insert(all.end(), h.begin(), h.end());
   std::sort(all.begin(), all.end());
   if (all.size() > k) all.resize(k);
+  std::vector<TopkEdge> out;
   out.reserve(all.size());
   for (const Cand& c : all) {
-    const graph::WEdge e = edge_of(c.id);
-    out.push_back(ForestIndex::TopkEdge{c.id, e.u, e.v, e.w});
+    const graph::WEdge& e = view.edge(c.id);
+    out.push_back(TopkEdge{c.id, e.u, e.v, e.w});
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<ForestIndex::TopkEdge> ForestIndex::top_k(
-    ThreadTeam& team, const dynamic::EdgeStore& store, std::size_t k,
-    std::optional<graph::Weight> lambda) const {
-  if (k == 0) return {};
-  std::vector<graph::VertexId> labels;
-  if (lambda.has_value()) (void)cut(*lambda, &labels);
-  const graph::VertexId* cl = labels.empty() ? nullptr : labels.data();
-  return scan_top_k(
-      team, static_cast<std::size_t>(store.size()), k,
-      [&](std::size_t pos) {
-        const auto id = static_cast<graph::EdgeId>(pos);
-        if (!store.is_live(id)) return core::kEmptyKey;
-        const graph::WEdge& e = store.edge(id);
-        if (cl != nullptr && cl[e.u] == cl[e.v]) return core::kEmptyKey;
-        return core::monotone_weight_bits(e.w);
-      },
-      [](std::size_t pos) { return static_cast<graph::EdgeId>(pos); },
-      [&](graph::EdgeId id) { return store.edge(id); });
-}
-
-std::vector<ForestIndex::TopkEdge> ForestIndex::top_k(
-    ThreadTeam& team, std::span<const graph::WEdge> live,
-    std::span<const graph::EdgeId> live_ids, std::size_t k,
-    std::optional<graph::Weight> lambda) const {
-  if (k == 0) return {};
-  std::vector<graph::VertexId> labels;
-  if (lambda.has_value()) (void)cut(*lambda, &labels);
-  const graph::VertexId* cl = labels.empty() ? nullptr : labels.data();
-  // Positions enumerate the snapshot's live edges; live_ids is ascending, so
-  // positional order and store-id order agree as the kernel requires.
-  return scan_top_k(
-      team, live.size(), k,
-      [&](std::size_t pos) {
-        const graph::WEdge& e = live[pos];
-        if (cl != nullptr && cl[e.u] == cl[e.v]) return core::kEmptyKey;
-        return core::monotone_weight_bits(e.w);
-      },
-      [&](std::size_t pos) { return live_ids[pos]; },
-      [&](graph::EdgeId id) {
-        const auto it = std::lower_bound(live_ids.begin(), live_ids.end(), id);
-        return live[static_cast<std::size_t>(it - live_ids.begin())];
-      });
 }
 
 }  // namespace smp::query

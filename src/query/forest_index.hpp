@@ -11,6 +11,7 @@
 
 #include "core/dendrogram.hpp"
 #include "dynamic/edge_store.hpp"
+#include "dynamic/forest_oracle.hpp"
 #include "graph/types.hpp"
 #include "pprim/thread_team.hpp"
 
@@ -47,8 +48,12 @@ namespace smp::query {
 /// with the live session state is the serving layer's job: each index
 /// carries the session `version` it was built from, and ServiceCore swaps
 /// whole instances via shared_ptr so a query never observes a half-built
-/// index.
-class ForestIndex {
+/// index.  The topology itself is a shared body: restamped() hands the same
+/// body to a later version whose forest is unchanged, in O(1).
+///
+/// As a dynamic::ForestOracle it lets DynamicMsf apply an insert-only batch
+/// by path-max against the forest it indexes.
+class ForestIndex final : public dynamic::ForestOracle {
  public:
   struct Stats {
     std::uint64_t version = 0;
@@ -103,6 +108,12 @@ class ForestIndex {
               std::vector<graph::WEdge> fedges,
               std::vector<graph::EdgeId> fids, std::uint64_t version);
 
+  /// The same index stamped with a later `version` whose forest is this
+  /// one's, edge for edge and id for id.  Shares every table (and the cut()
+  /// memo); keeps built_at() and the build stats.
+  [[nodiscard]] std::shared_ptr<const ForestIndex> restamped(
+      std::uint64_t version) const;
+
   [[nodiscard]] std::uint64_t version() const { return stats_.version; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::chrono::steady_clock::time_point built_at() const {
@@ -111,11 +122,19 @@ class ForestIndex {
 
   /// O(1): same tree of the forest?
   [[nodiscard]] bool connected(graph::VertexId u, graph::VertexId v) const {
-    return comp_[u] == comp_[v];
+    return b_->comp[u] == b_->comp[v];
   }
 
   /// O(log n) bottleneck edge on the forest path (see PathMax).
   [[nodiscard]] PathMax path_max(graph::VertexId u, graph::VertexId v) const;
+
+  /// O(log n) lowest common ancestor of two vertices of the same tree
+  /// (roots are the minimum vertex id of their tree).
+  [[nodiscard]] graph::VertexId lca(graph::VertexId u,
+                                    graph::VertexId v) const override;
+  /// Store id of path_max(u, v)'s edge; u ≠ v, same tree.
+  [[nodiscard]] graph::EdgeId bottleneck(graph::VertexId u,
+                                         graph::VertexId v) const override;
 
   /// Single-linkage clustering at threshold (edges with weight <= threshold
   /// merge).  Memoizes the dendrogram on first use.  If `labels` is
@@ -124,85 +143,101 @@ class ForestIndex {
   [[nodiscard]] Cut cut(graph::Weight threshold,
                         std::vector<graph::VertexId>* labels = nullptr) const;
 
-  /// The k lightest live edges of `store` crossing distinct clusters, in
+  /// The k lightest live edges of `view` crossing distinct clusters, in
   /// ascending ⟨weight, store-id⟩ order.  With `lambda` the clusters are
   /// cut(*lambda); without, every vertex is its own cluster, i.e. the k
-  /// lightest live edges overall.  The caller must hold the session state
-  /// (shared) lock: unlike the other ops this reads the mutable EdgeStore,
-  /// not just the index.  Scans in blocks, skimming each block with the
-  /// u64_argmin SIMD kernel over monotone weight bits so only candidates
-  /// that beat the current k-th bound are examined individually.
+  /// lightest live edges overall.  A view is immutable, so this needs no
+  /// lock: the MVCC read path scans its epoch's view directly.  Scans in
+  /// blocks, skimming each block with the u64_argmin SIMD kernel over
+  /// monotone weight bits so only candidates that beat the current k-th
+  /// bound are examined individually.
+  [[nodiscard]] std::vector<TopkEdge> top_k(
+      ThreadTeam& team, const dynamic::StoreView& view, std::size_t k,
+      std::optional<graph::Weight> lambda) const;
+
+  /// top_k over the store as it is now (its view()).  The caller must keep
+  /// writers off the store for the call.
   [[nodiscard]] std::vector<TopkEdge> top_k(
       ThreadTeam& team, const dynamic::EdgeStore& store, std::size_t k,
-      std::optional<graph::Weight> lambda) const;
+      std::optional<graph::Weight> lambda) const {
+    return top_k(team, store.view(), k, lambda);
+  }
 
-  /// top_k over an immutable live-edge snapshot (`live` parallel to
-  /// `live_ids`, ascending store ids) instead of the mutable store — the
-  /// MVCC read path, needing no lock at all.  Identical results to the
-  /// store overload on the same committed state.
-  [[nodiscard]] std::vector<TopkEdge> top_k(
-      ThreadTeam& team, std::span<const graph::WEdge> live,
-      std::span<const graph::EdgeId> live_ids, std::size_t k,
-      std::optional<graph::Weight> lambda) const;
-
-  // --- topology accessors (tests; later: replacement-edge search) ---
+  // --- topology accessors (tests; dynamic::ForestOracle) ---
   [[nodiscard]] graph::VertexId num_vertices() const {
     return stats_.num_vertices;
   }
-  [[nodiscard]] std::size_t num_forest_edges() const { return fedges_.size(); }
+  [[nodiscard]] std::size_t num_forest_edges() const override {
+    return b_->fedges.size();
+  }
   [[nodiscard]] const graph::WEdge& forest_edge(std::size_t i) const {
-    return fedges_[i];
+    return b_->fedges[i];
   }
   [[nodiscard]] graph::EdgeId forest_id(std::size_t i) const {
-    return fids_[i];
+    return b_->fids[i];
   }
-  [[nodiscard]] graph::VertexId component(graph::VertexId v) const {
-    return comp_[v];
+  [[nodiscard]] graph::VertexId component(graph::VertexId v) const override {
+    return b_->comp[v];
   }
   [[nodiscard]] graph::VertexId parent(graph::VertexId v) const {
-    return parent_[v];
+    return b_->parent[v];
   }
   [[nodiscard]] std::uint32_t depth(graph::VertexId v) const {
-    return depth_[v];
+    return b_->depth[v];
   }
-  [[nodiscard]] std::uint32_t tin(graph::VertexId v) const { return tin_[v]; }
-  [[nodiscard]] std::uint32_t tout(graph::VertexId v) const { return tout_[v]; }
+  [[nodiscard]] std::uint32_t tin(graph::VertexId v) const override {
+    return b_->tin[v];
+  }
+  [[nodiscard]] std::uint32_t tout(graph::VertexId v) const {
+    return b_->tout[v];
+  }
   [[nodiscard]] const std::vector<graph::VertexId>& tour() const {
-    return tour_;
+    return b_->tour;
   }
 
  private:
-  /// Shared build phases 2–5; fedges_/fids_/stats_.version already set.
-  void build(ThreadTeam& team, graph::VertexId num_vertices,
+  /// Everything derived from the forest: shared by every restamp.
+  struct Body {
+    // Forest edges ascending by store id; position is the packed-key index.
+    std::vector<graph::WEdge> fedges;
+    std::vector<graph::EdgeId> fids;
+
+    // Per-vertex topology.
+    std::vector<graph::VertexId> comp;    ///< dense component label
+    std::vector<graph::VertexId> parent;  ///< roots point at themselves
+    std::vector<std::uint32_t> depth;
+    std::vector<std::uint64_t> pkey;  ///< packed key of parent edge; 0 at roots
+    std::vector<graph::VertexId> tour;
+    std::vector<std::uint32_t> tin;
+    std::vector<std::uint32_t> tout;
+
+    // Level-major skip tables: up[k * n + v] jumps 2^k ancestors;
+    // upkey[k * n + v] is the packed max key along that jump.
+    std::uint32_t levels = 0;
+    std::vector<graph::VertexId> up;
+    std::vector<std::uint64_t> upkey;
+
+    // Lazily built single-linkage dendrogram for cut().
+    mutable std::mutex dend_mu;
+    mutable std::unique_ptr<core::Dendrogram> dend;
+  };
+
+  ForestIndex(std::shared_ptr<const Body> body, Stats stats,
+              std::chrono::steady_clock::time_point built_at)
+      : stats_(stats), built_at_(built_at), b_(std::move(body)) {}
+
+  /// Build phases 2–5 into `b`; b.fedges/b.fids and stats_.version set.
+  void build(ThreadTeam& team, Body& b, graph::VertexId num_vertices,
              std::chrono::steady_clock::time_point t0);
 
+  /// Packed key of the bottleneck edge on the u–v path (same tree, u ≠ v).
+  [[nodiscard]] std::uint64_t path_max_key(graph::VertexId u,
+                                           graph::VertexId v) const;
   [[nodiscard]] const core::Dendrogram& dendrogram() const;
 
   Stats stats_;
   std::chrono::steady_clock::time_point built_at_;
-
-  // Forest edges ascending by store id; position is the packed-key index.
-  std::vector<graph::WEdge> fedges_;
-  std::vector<graph::EdgeId> fids_;
-
-  // Per-vertex topology.
-  std::vector<graph::VertexId> comp_;    ///< dense component label
-  std::vector<graph::VertexId> parent_;  ///< roots point at themselves
-  std::vector<std::uint32_t> depth_;
-  std::vector<std::uint64_t> pkey_;  ///< packed key of parent edge; 0 at roots
-  std::vector<graph::VertexId> tour_;
-  std::vector<std::uint32_t> tin_;
-  std::vector<std::uint32_t> tout_;
-
-  // Level-major skip tables: up_[k * n + v] jumps 2^k ancestors;
-  // upkey_[k * n + v] is the packed max key along that jump.
-  std::uint32_t levels_ = 0;
-  std::vector<graph::VertexId> up_;
-  std::vector<std::uint64_t> upkey_;
-
-  // Lazily built single-linkage dendrogram for cut().
-  mutable std::mutex dend_mu_;
-  mutable std::unique_ptr<core::Dendrogram> dend_;
+  std::shared_ptr<const Body> b_;
 };
 
 /// Order-sensitive FNV-1a over a label sequence — the digest cut() reports.

@@ -86,8 +86,13 @@ std::string MetricsRegistry::to_json(
   std::snprintf(buf, sizeof buf,
                 ", \"query_index\": {\"rebuilds\": %" PRIu64
                 ", \"hits\": %" PRIu64 ", \"misses\": %" PRIu64
+                ", \"index_carried\": %" PRIu64
+                ", \"insert_index_path\": %" PRIu64
+                ", \"insert_solve_fallbacks\": %" PRIu64
                 ", \"rebuild_us\": ",
-                u64(index_rebuilds), u64(index_hits), u64(index_misses));
+                u64(index_rebuilds), u64(index_hits), u64(index_misses),
+                u64(index_carried), u64(insert_index_path),
+                u64(insert_solve_fallbacks));
   json += buf;
   json += histogram_json(index_rebuild_us) + "}";
   json += ", \"ops\": {";
@@ -98,7 +103,11 @@ std::string MetricsRegistry::to_json(
     if (completed == 0) continue;
     if (!first) json += ", ";
     first = false;
-    json += "\"" + std::string(to_string(static_cast<Op>(i))) + "\": ";
+    // Appended piecewise: GCC 12 at -O3 flags a chained std::string
+    // concatenation here with a false -Wrestrict.
+    json += '"';
+    json += to_string(static_cast<Op>(i));
+    json += "\": ";
     std::snprintf(buf, sizeof buf,
                   "{\"completed\": %" PRIu64 ", \"errors\": %" PRIu64
                   ", \"latency_us\": ",

@@ -71,6 +71,14 @@ class MetricsRegistry {
   /// the state lock vs. queries that found the index stale (or absent).
   std::atomic<std::uint64_t> index_hits{0};
   std::atomic<std::uint64_t> index_misses{0};
+  /// Epochs that reused the previous epoch's index (same forest) instead of
+  /// building one.
+  std::atomic<std::uint64_t> index_carried{0};
+  /// Insert-only write groups applied by path-max over the latest index vs.
+  /// solved instead (no fresh index, or the crossover chose a scratch
+  /// solve).
+  std::atomic<std::uint64_t> insert_index_path{0};
+  std::atomic<std::uint64_t> insert_solve_fallbacks{0};
 
   // --- durability ---
   /// WAL append/fsync/snapshot counters, fed directly by the SessionLogs.
@@ -129,6 +137,9 @@ class MetricsRegistry {
     index_rebuild_us.reset();
     index_hits.store(0, std::memory_order_relaxed);
     index_misses.store(0, std::memory_order_relaxed);
+    index_carried.store(0, std::memory_order_relaxed);
+    insert_index_path.store(0, std::memory_order_relaxed);
+    insert_solve_fallbacks.store(0, std::memory_order_relaxed);
     persist.wal_appends.store(0, std::memory_order_relaxed);
     persist.wal_bytes.store(0, std::memory_order_relaxed);
     persist.fsyncs.store(0, std::memory_order_relaxed);

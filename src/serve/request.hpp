@@ -169,9 +169,11 @@ struct Request {
 };
 
 /// In-process snapshot payload (kSnapshot): the live graph, its store ids,
-/// and the maintained forest, captured under one shared lock — i.e. all
-/// three are consistent with each other.  The stress tests solve `live`
-/// from scratch and demand bit-identity with `forest_ids`/`weight`.
+/// and the maintained forest of one MVCC epoch — all three are consistent
+/// with each other.  Materialized from the epoch's store view on the first
+/// kSnapshot of that epoch and shared by every later one.  The stress tests
+/// solve `live` from scratch and demand bit-identity with
+/// `forest_ids`/`weight`.
 struct SnapshotData {
   graph::EdgeList live;
   std::vector<graph::EdgeId> live_ids;

@@ -29,21 +29,30 @@ using graph::EdgeList;
 using graph::VertexId;
 using graph::WEdge;
 
-/// One published MVCC epoch of a session: the committed live graph + forest
-/// (SnapshotData, immutable once published) plus lazily built read caches —
-/// the materialized forest edge list, the forest component labels, and the
-/// query ForestIndex.  A reader holding a shared_ptr to one of these
-/// answers weight/edges/connected/pathmax/conn/cut/topk bit-identically to
-/// a scratch solve of this epoch's graph, no matter how far the session has
-/// moved on since.
+/// One published MVCC epoch of a session: an O(1) view of the session's
+/// edge store, the committed forest, and lazily built read caches — the
+/// kSnapshot payload, the materialized forest edge list, the forest
+/// component labels, and the query ForestIndex.  A reader holding a
+/// shared_ptr to one of these answers weight/edges/connected/pathmax/conn/
+/// cut/topk bit-identically to a scratch solve of this epoch's graph, no
+/// matter how far the session has moved on since.
 struct SessionSnapshot {
   std::uint64_t epoch = 0;
-  std::shared_ptr<SnapshotData> data;
+  dynamic::StoreView view;
+  /// Ascending store ids; shared with the previous epoch when unchanged.
+  std::shared_ptr<const std::vector<EdgeId>> forest_ids;
+  graph::Weight weight = 0;
+  std::size_t trees = 0;
+  /// The store's compaction count: forest ids of two epochs name the same
+  /// edges only when these match.
+  std::uint64_t compactions = 0;
 
-  /// Lazy caches, each built at most once from `data` alone.  aux_mu guards
-  /// the cheap ones; the index (expensive, separately buildable) has its
-  /// own mutex so a slow index build never blocks a `connected` read.
+  /// Lazy caches, each built at most once.  aux_mu guards the cheap ones;
+  /// the index (expensive, separately buildable) has its own mutex so a
+  /// slow index build never blocks a `connected` read.  Epochs with the
+  /// same forest share fedges, cc and the index body.
   mutable std::mutex aux_mu;
+  mutable std::shared_ptr<SnapshotData> data;
   mutable std::shared_ptr<const std::vector<WEdge>> fedges;
   mutable std::shared_ptr<const core::CcResult> cc;
   mutable std::mutex index_mu;
@@ -218,30 +227,37 @@ void fill_forest_facts(Response& r, const dynamic::DynamicMsf& m) {
   r.live_edges = m.store().num_live();
 }
 
-void fill_snapshot_facts(Response& r, const SnapshotData& d) {
-  r.weight = d.weight;
-  r.trees = d.trees;
-  r.forest_edges = d.forest_ids.size();
-  r.live_edges = d.live.num_edges();
+void fill_snapshot_facts(Response& r, const SessionSnapshot& snap) {
+  r.weight = snap.weight;
+  r.trees = snap.trees;
+  r.forest_edges = snap.forest_ids->size();
+  r.live_edges = snap.view.num_live();
 }
 
-/// The snapshot's forest edges (ascending by store id), built once under
-/// aux_mu.  forest_ids is a subsequence of live_ids and both are ascending,
-/// so a two-pointer merge materializes the list in one pass.
+/// The snapshot's kSnapshot payload, materialized from its view on first
+/// use (O(m)) and cached for every later kSnapshot of the epoch.
+std::shared_ptr<SnapshotData> snapshot_data(const SessionSnapshot& snap) {
+  std::lock_guard<std::mutex> lk(snap.aux_mu);
+  if (snap.data != nullptr) return snap.data;
+  auto d = std::make_shared<SnapshotData>();
+  d->live = snap.view.live_graph(&d->live_ids);
+  d->forest_ids = *snap.forest_ids;
+  d->weight = snap.weight;
+  d->trees = snap.trees;
+  d->version = snap.epoch;
+  snap.data = d;
+  return d;
+}
+
+/// The snapshot's forest edges (ascending by store id), read from the view
+/// by id in O(n) and built once under aux_mu.
 std::shared_ptr<const std::vector<WEdge>> snapshot_forest_edges(
     const SessionSnapshot& snap) {
   std::lock_guard<std::mutex> lk(snap.aux_mu);
   if (snap.fedges != nullptr) return snap.fedges;
-  const SnapshotData& d = *snap.data;
   auto fe = std::make_shared<std::vector<WEdge>>();
-  fe->reserve(d.forest_ids.size());
-  std::size_t pos = 0;
-  for (const EdgeId id : d.forest_ids) {
-    while (pos < d.live_ids.size() && d.live_ids[pos] < id) ++pos;
-    if (pos < d.live_ids.size() && d.live_ids[pos] == id) {
-      fe->push_back(d.live.edges[pos]);
-    }
-  }
+  fe->reserve(snap.forest_ids->size());
+  for (const EdgeId id : *snap.forest_ids) fe->push_back(snap.view.edge(id));
   snap.fedges = fe;
   return fe;
 }
@@ -251,7 +267,7 @@ std::shared_ptr<const core::CcResult> snapshot_cc(const SessionSnapshot& snap) {
   const auto fe = snapshot_forest_edges(snap);
   std::lock_guard<std::mutex> lk(snap.aux_mu);
   if (snap.cc != nullptr) return snap.cc;
-  EdgeList fg(snap.data->live.num_vertices);
+  EdgeList fg(snap.view.num_vertices());
   fg.edges = *fe;
   auto cc = std::make_shared<core::CcResult>(core::connected_components(fg, 1));
   snap.cc = cc;
@@ -564,7 +580,8 @@ void ServiceCore::execute(QueuedRequest qr) {
   }
 }
 
-void ServiceCore::publish_snapshot_locked(Session& s) {
+void ServiceCore::publish_snapshot_locked(Session& s, bool with_index) {
+  std::shared_ptr<SessionSnapshot> prev;
   {
     std::lock_guard<std::mutex> lk(s.snap_mu);
     if (!s.snaps.empty() && s.snaps.back()->epoch == s.version) {
@@ -572,16 +589,39 @@ void ServiceCore::publish_snapshot_locked(Session& s) {
       // the version in place) — the published epoch stays immutable.
       return;
     }
+    if (!s.snaps.empty()) prev = s.snaps.back();
   }
+  const dynamic::EdgeStore& store = s.msf->store();
+  const std::vector<EdgeId>& forest = s.msf->forest_edge_ids();
   auto snap = std::make_shared<SessionSnapshot>();
-  auto data = std::make_shared<SnapshotData>();
-  data->live = s.msf->store().live_graph(&data->live_ids);
-  data->forest_ids = s.msf->forest_edge_ids();
-  data->weight = s.msf->total_weight();
-  data->trees = s.msf->num_trees();
-  data->version = s.version;
   snap->epoch = s.version;
-  snap->data = std::move(data);
+  snap->view = store.view();
+  snap->weight = s.msf->total_weight();
+  snap->trees = s.msf->num_trees();
+  snap->compactions = store.compactions();
+  if (prev != nullptr && prev->compactions == snap->compactions &&
+      *prev->forest_ids == forest) {
+    // Same forest, same ids: everything derived from it carries over, and
+    // the index is restamped with this epoch in O(1).
+    snap->forest_ids = prev->forest_ids;
+    {
+      std::lock_guard<std::mutex> lk(prev->aux_mu);
+      snap->fedges = prev->fedges;
+      snap->cc = prev->cc;
+    }
+    std::lock_guard<std::mutex> lk(prev->index_mu);
+    if (prev->index != nullptr) {
+      snap->index = prev->index->restamped(snap->epoch);
+      metrics_.index_carried.fetch_add(1, std::memory_order_relaxed);
+    }
+  } else {
+    snap->forest_ids = std::make_shared<const std::vector<EdgeId>>(forest);
+  }
+  // Attach the index before the epoch becomes visible, so no reader finds
+  // this epoch without one and builds it inline.
+  if (with_index && snap->index == nullptr) {
+    snapshot_index(s, *snap, /*eager=*/true);
+  }
   {
     std::lock_guard<std::mutex> lk(s.snap_mu);
     s.snaps.push_back(std::move(snap));
@@ -628,14 +668,14 @@ std::shared_ptr<const query::ForestIndex> ServiceCore::snapshot_index(
   std::lock_guard<std::mutex> lk(snap.index_mu);
   if (snap.index != nullptr) return snap.index;
   std::vector<WEdge> fedges = *snapshot_forest_edges(snap);
-  std::vector<EdgeId> fids = snap.data->forest_ids;
+  std::vector<EdgeId> fids = *snap.forest_ids;
   std::shared_ptr<const query::ForestIndex> idx;
   if (eager) {
     // Flusher path (exclusive state lock held): build in parallel on the
     // session's shard team.
     std::lock_guard<std::mutex> solver(s.home->solver_mu);
     idx = std::make_shared<query::ForestIndex>(
-        *s.home->team, snap.data->live.num_vertices, std::move(fedges),
+        *s.home->team, snap.view.num_vertices(), std::move(fedges),
         std::move(fids), snap.epoch);
   } else {
     // Read path: build inline on the calling thread — a ThreadTeam of one
@@ -643,7 +683,7 @@ std::shared_ptr<const query::ForestIndex> ServiceCore::snapshot_index(
     // team stays free for solves.
     ThreadTeam local(1);
     idx = std::make_shared<query::ForestIndex>(
-        local, snap.data->live.num_vertices, std::move(fedges),
+        local, snap.view.num_vertices(), std::move(fedges),
         std::move(fids), snap.epoch);
   }
   snap.index = idx;
@@ -863,15 +903,14 @@ Response ServiceCore::do_read(Session& s, const QueuedRequest& qr) {
   const std::shared_ptr<SessionSnapshot> snap =
       pinned_snapshot(s, qr.req.pin_epoch, &err);
   if (snap == nullptr) return err;
-  const SnapshotData& d = *snap->data;
   Response r;
   r.epoch = snap->epoch;
   switch (qr.req.op) {
     case Op::kWeight:
-      fill_snapshot_facts(r, d);
+      fill_snapshot_facts(r, *snap);
       return r;
     case Op::kConnected: {
-      const VertexId n = d.live.num_vertices;
+      const VertexId n = snap->view.num_vertices();
       if (qr.req.u >= n || qr.req.v >= n) {
         return make_error(Status::kInvalidInput, "vertex out of range");
       }
@@ -880,7 +919,7 @@ Response ServiceCore::do_read(Session& s, const QueuedRequest& qr) {
       return r;
     }
     case Op::kForestEdges: {
-      fill_snapshot_facts(r, d);
+      fill_snapshot_facts(r, *snap);
       const auto fe = snapshot_forest_edges(*snap);
       r.edges_total = fe->size();
       const std::size_t take = qr.req.limit == 0
@@ -891,10 +930,10 @@ Response ServiceCore::do_read(Session& s, const QueuedRequest& qr) {
       return r;
     }
     case Op::kSnapshot:
-      // The published SnapshotData is immutable and shared — handing the
-      // pointer out is the whole copy.
-      fill_snapshot_facts(r, d);
-      r.snapshot = snap->data;
+      // Built from the epoch's view once, then immutable and shared —
+      // handing the pointer out is the whole copy.
+      fill_snapshot_facts(r, *snap);
+      r.snapshot = snapshot_data(*snap);
       return r;
     default:
       return make_error(Status::kInternal, "bad read dispatch");
@@ -975,13 +1014,11 @@ Response ServiceCore::do_query(Session& s, const QueuedRequest& qr) {
         }
         lambda = req.lambda;
       }
-      const SnapshotData& d = *snap->data;
-      // The scan runs over the snapshot's immutable live edges — no lock,
+      // The scan runs over the epoch's immutable store view — no lock,
       // inline on this thread.
       ThreadTeam local(1);
-      const std::vector<query::ForestIndex::TopkEdge> top = idx->top_k(
-          local, std::span<const WEdge>(d.live.edges),
-          std::span<const EdgeId>(d.live_ids), req.limit, lambda);
+      const std::vector<query::ForestIndex::TopkEdge> top =
+          idx->top_k(local, snap->view, req.limit, lambda);
       r.edges.reserve(top.size());
       r.edge_ids.reserve(top.size());
       for (const auto& e : top) {
@@ -1245,13 +1282,35 @@ void ServiceCore::flush_writes(Session& s) {
         budget.set_deadline_after(
             std::chrono::duration<double>(earliest - Clock::now()).count());
       }
+      // An insert-only group applies by path-max when the latest epoch's
+      // index describes exactly the committed forest.
+      const bool insert_only = del.empty() && !ins.empty();
+      std::shared_ptr<const query::ForestIndex> oracle;
+      if (insert_only) {
+        std::shared_ptr<SessionSnapshot> latest;
+        {
+          std::lock_guard<std::mutex> lk(s.snap_mu);
+          latest = s.snaps.back();
+        }
+        std::lock_guard<std::mutex> lk(latest->index_mu);
+        if (latest->index != nullptr && latest->index->version() == s.version) {
+          oracle = latest->index;
+        }
+      }
       try {
         s.msf->set_budget(bounded ? &budget : nullptr);
+        const std::uint64_t by_path_max = s.msf->path_max_batches();
         {
           std::lock_guard<std::mutex> solver(s.home->solver_mu);
-          s.msf->apply_batch(ins, del);
+          s.msf->apply_batch(ins, del, oracle.get());
         }
         s.msf->set_budget(nullptr);
+        if (insert_only) {
+          auto& counter = s.msf->path_max_batches() != by_path_max
+                              ? metrics_.insert_index_path
+                              : metrics_.insert_solve_fallbacks;
+          counter.fetch_add(1, std::memory_order_relaxed);
+        }
         bump_version(s);
         metrics_.apply_batches.fetch_add(1, std::memory_order_relaxed);
         metrics_.coalesced_writes.fetch_add(members.size(),
@@ -1265,28 +1324,19 @@ void ServiceCore::flush_writes(Session& s) {
         // write response also sees the post-compaction store.
         maybe_compact(s);
         // Publish the committed state as the newest MVCC epoch — from here
-        // on reads serve this (or a pinned older) snapshot.
-        publish_snapshot_locked(s);
-        // Query-active sessions get the new epoch's ForestIndex built
-        // eagerly on the shard team while we still hold the exclusive lock
-        // — but only when no further writes are pending, so a coalesced
-        // burst pays one build at its tail, not one per group.
+        // on reads serve this (or a pinned older) snapshot.  Query-active
+        // sessions get the epoch's ForestIndex (carried, or built on the
+        // shard team) attached before it is visible — but only when no
+        // further writes are pending, so a coalesced burst pays one build
+        // at its tail, not one per group.
+        bool with_index = false;
         if (opts_.query_index_eager &&
-            s.query_active.load(std::memory_order_relaxed)) {
-          bool more;
-          {
-            std::lock_guard<std::mutex> lk(s.pending_mu);
-            more = !s.pending.empty();
-          }
-          if (!more && i >= batch.size()) {
-            std::shared_ptr<SessionSnapshot> snap;
-            {
-              std::lock_guard<std::mutex> lk(s.snap_mu);
-              snap = s.snaps.back();
-            }
-            snapshot_index(s, *snap, /*eager=*/true);
-          }
+            s.query_active.load(std::memory_order_relaxed) &&
+            i >= batch.size()) {
+          std::lock_guard<std::mutex> lk(s.pending_mu);
+          with_index = s.pending.empty();
         }
+        publish_snapshot_locked(s, with_index);
         Response base;
         fill_forest_facts(base, *s.msf);
         base.applied = true;

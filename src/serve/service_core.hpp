@@ -114,7 +114,8 @@ struct ServeOptions {
 ///
 /// Concurrency model per session:
 ///  * every committed mutation publishes an immutable epoch-stamped MVCC
-///    snapshot (live graph + forest + lazily built query index); reads and
+///    snapshot (an O(1) view of the shared edge store + forest + query
+///    index, carried over while the forest is unchanged); reads and
 ///    queries serve from a snapshot without ever touching the writer lock,
 ///    so they are wait-free with respect to writers and are executed inline
 ///    on the submitting thread (the read priority lane);
@@ -230,9 +231,13 @@ class ServiceCore {
   // --- MVCC snapshot machinery ---
   /// Publishes an immutable snapshot of the session's committed state as
   /// the newest epoch, retiring the oldest ring entry when the ring is
-  /// full.  Caller holds the exclusive state lock (or the session is not
-  /// yet visible).
-  void publish_snapshot_locked(Session& s);
+  /// full.  O(1) in the graph size: the epoch holds a view of the store.
+  /// When the forest is the previous epoch's (same ids, no compaction in
+  /// between), the forest-derived caches and the index carry over.  With
+  /// `with_index` an index is built on the shard team if none carried, and
+  /// attached before the epoch becomes visible.  Caller holds the exclusive
+  /// state lock (or the session is not yet visible).
+  void publish_snapshot_locked(Session& s, bool with_index = false);
   /// The snapshot for `pin_epoch` (0 = latest).  Returns nullptr and fills
   /// `err` when the epoch was retired or never committed.
   [[nodiscard]] std::shared_ptr<SessionSnapshot> pinned_snapshot(
