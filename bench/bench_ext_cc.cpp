@@ -1,6 +1,6 @@
-// Extension bench: parallel connected components (the paper's §6 future
-// work) — hook + pointer-jump versus the sequential union-find sweep, across
-// input families and a thread sweep.
+// Extension bench: connected components (the paper's §6 future work) —
+// core::connected_components (a min-root union-find pass plus dense labels)
+// versus the bare sequential union-find sweep, across input families.
 #include <cstdio>
 
 #include "common.hpp"
@@ -42,14 +42,12 @@ int main(int argc, char** argv) {
     std::size_t comps = 0;
     const double ts = bench::time_best_of(args.reps, [&] { comps = seq_cc(c.g); });
     std::printf("  union-find (seq): %.3fs, %zu components\n", ts, comps);
-    for (int p = 1; p <= args.max_threads; p *= 2) {
-      std::size_t pc = 0;
-      const double tp = bench::time_best_of(args.reps, [&] {
-        pc = core::connected_components(c.g, p).num_components;
-      });
-      std::printf("  hook+jump p=%-2d:   %.3fs %5.2fx  (%zu components)\n", p, tp,
-                  ts / tp, pc);
-    }
+    std::size_t cc = 0;
+    const double tc = bench::time_best_of(args.reps, [&] {
+      cc = core::connected_components(c.g).num_components;
+    });
+    std::printf("  core cc (labels):  %.3fs %5.2fx  (%zu components)\n", tc,
+                ts / tc, cc);
     std::printf("\n");
   }
   return 0;

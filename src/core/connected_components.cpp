@@ -1,79 +1,33 @@
 #include "core/connected_components.hpp"
 
-#include <atomic>
+#include <utility>
 
-#include "core/hook_jump.hpp"
-#include "pprim/parallel_for.hpp"
-#include "pprim/prefix_sum.hpp"
+#include "seq/union_find.hpp"
 
 namespace smp::core {
 
 using graph::EdgeList;
 using graph::VertexId;
 
-CcResult connected_components(ThreadTeam& team, const EdgeList& g) {
-  const VertexId n = g.num_vertices;
+CcResult connected_components(const EdgeList& g, int /*threads*/) {
+  // One pass over the edges with a min-root union-find, then one ascending
+  // pass that numbers the roots: a root is its component's minimum vertex,
+  // so it is numbered before any other member reads its label.
+  seq::MinRootUnionFind uf(g.num_vertices);
+  for (const auto& e : g.edges) uf.unite(e.u, e.v);
   CcResult res;
-
-  // Atomic parents so concurrent hooks race safely; hooking to the smaller
-  // root via CAS-min keeps the forest acyclic and the outcome deterministic.
-  std::vector<std::atomic<VertexId>> parent(n);
-  parallel_for(team, n, [&](std::size_t v) {
-    parent[v].store(static_cast<VertexId>(v), std::memory_order_relaxed);
-  });
-
-  const std::size_t m = g.edges.size();
-  std::atomic<bool> changed{true};
-  while (changed.load(std::memory_order_relaxed)) {
-    changed.store(false, std::memory_order_relaxed);
-
-    // Hook: try to point the larger of the two roots at the smaller.
-    parallel_for(team, m, [&](std::size_t i) {
-      const auto& e = g.edges[i];
-      VertexId ru = parent[e.u].load(std::memory_order_relaxed);
-      VertexId rv = parent[e.v].load(std::memory_order_relaxed);
-      if (ru == rv) return;
-      // Only roots may be re-pointed (star-hooking); retry via CAS-min.
-      for (;;) {
-        if (ru > rv) std::swap(ru, rv);
-        VertexId expected = rv;
-        // rv must currently be a root for the hook to be valid.
-        if (parent[rv].load(std::memory_order_relaxed) != rv) break;
-        if (parent[rv].compare_exchange_weak(expected, ru,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_relaxed)) {
-          changed.store(true, std::memory_order_relaxed);
-          break;
-        }
-        // Lost the race: expected holds rv's new parent; re-evaluate.
-        if (expected <= ru) break;  // someone hooked it even lower — done
-        rv = expected;
-      }
-    });
-
-    // Jump: halve every chain.
-    parallel_for(team, n, [&](std::size_t v) {
-      const VertexId p = parent[v].load(std::memory_order_relaxed);
-      const VertexId gp = parent[p].load(std::memory_order_relaxed);
-      if (p != gp) {
-        parent[v].store(gp, std::memory_order_relaxed);
-        changed.store(true, std::memory_order_relaxed);
-      }
-    });
+  res.label = std::move(uf).flatten();
+  VertexId next = 0;
+  for (VertexId v = 0; v < g.num_vertices; ++v) {
+    const VertexId root = res.label[v];
+    res.label[v] = root == v ? next++ : res.label[root];
   }
-
-  // Densify through the existing label machinery.
-  res.label.resize(n);
-  parallel_for(team, n, [&](std::size_t v) {
-    res.label[v] = parent[v].load(std::memory_order_relaxed);
-  });
-  res.num_components = densify_labels(team, res.label);
+  res.num_components = next;
   return res;
 }
 
-CcResult connected_components(const EdgeList& g, int threads) {
-  ThreadTeam team(threads);
-  return connected_components(team, g);
+CcResult connected_components(ThreadTeam& /*team*/, const EdgeList& g) {
+  return connected_components(g);
 }
 
 }  // namespace smp::core

@@ -1,12 +1,16 @@
 #include "dynamic/dynamic_msf.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 
-#include "core/connected_components.hpp"
 #include "core/error.hpp"
+#include "pprim/partition.hpp"
+#include "pprim/timer.hpp"
+#include "seq/union_find.hpp"
 
 namespace smp::dynamic {
 
@@ -105,27 +109,27 @@ MsfDelta DynamicMsf::apply_batch(std::span<const WEdge> insertions,
     }
   }
 
-  const std::vector<EdgeId> old_forest = forest_;
+  // The forest edges the batch deletes, ascending.
+  std::vector<EdgeId> cut;
+  for (const EdgeId id : del) {
+    if (std::binary_search(forest_.begin(), forest_.end(), id)) {
+      cut.push_back(id);
+    }
+  }
 
   // ---- Deletions first: a batch's ids always name pre-batch edges. ----
   for (const EdgeId id : del) store_.erase(id);
-  std::vector<EdgeId> retained;
-  retained.reserve(forest_.size());
-  std::set_difference(forest_.begin(), forest_.end(), del.begin(), del.end(),
-                      std::back_inserter(retained));
-  const bool forest_cut = retained.size() != forest_.size();
 
   // ---- Insertions: appended after every existing id. ----
   const EdgeId first_new = store_.size();
   for (const auto& e : insertions) store_.insert(e.u, e.v, e.w);
 
   // ---- Fast paths that need no solve. ----
-  if (insertions.empty() && !forest_cut) {
+  if (insertions.empty() && cut.empty()) {
     // Nothing inserted and only non-tree edges died: each dead edge was the
     // WeightOrder-maximum of a cycle whose other edges all survive, so the
     // forest is unchanged.  (Covers the empty batch too.)
-    forest_ = retained;  // == forest_, kept for clarity
-    return snapshot_delta(old_forest);
+    return commit({}, {});
   }
 
   // ---- Crossover heuristic: a batch touching a large fraction of the
@@ -134,63 +138,222 @@ MsfDelta DynamicMsf::apply_batch(std::span<const WEdge> insertions,
   // store scan on top. ----
   const std::size_t live = store_.num_live();
   const std::size_t batch_ops = insertions.size() + del.size();
-  const bool scratch =
-      static_cast<double>(batch_ops) >=
-      opts_.scratch_batch_fraction * static_cast<double>(live);
+  if (static_cast<double>(batch_ops) >=
+      opts_.scratch_batch_fraction * static_cast<double>(live)) {
+    std::vector<EdgeId> ids;
+    const EdgeList all = store_.live_graph(&ids);
+    return solve_and_commit(all, ids, /*from_scratch=*/true);
+  }
+  if (cut.empty() && oracle != nullptr &&
+      oracle->num_forest_edges() == forest_.size()) {
+    return apply_by_path_max(*oracle, first_new);
+  }
+  if (opts_.msf.algorithm == core::Algorithm::kChampion) {
+    return apply_by_kruskal(first_new, std::move(cut));
+  }
 
-  EdgeList cand(store_.num_vertices());
+  // ---- An explicitly named backend solves the candidate set, ascending
+  // by store id: the retained forest edges, after a cut the retained
+  // non-tree edges that now cross two of its components (one *within* a
+  // component still closes a surviving forest cycle it is the maximum of,
+  // so it can never enter), and the insertions, which follow every
+  // existing id. ----
+  std::vector<EdgeId> retained;
+  retained.reserve(forest_.size() - cut.size());
+  std::set_difference(forest_.begin(), forest_.end(), cut.begin(), cut.end(),
+                      std::back_inserter(retained));
   std::vector<EdgeId> ids;
-  if (scratch) {
-    cand = store_.live_graph(&ids);
-  } else if (!forest_cut && oracle != nullptr &&
-             oracle->num_forest_edges() == forest_.size()) {
-    return apply_by_path_max(*oracle, first_new, old_forest);
-  } else if (!forest_cut) {
-    // Insertion-only sparsification: MSF(G ∪ B) = MSF(F ∪ B), so the
-    // candidate set is ~n−1+|B| edges no matter how large m is.
-    ids = retained;
-    ids.reserve(retained.size() + insertions.size());
-    for (EdgeId id = first_new; id < store_.size(); ++id) ids.push_back(id);
-    cand.edges.reserve(ids.size());
-    for (const EdgeId id : ids) cand.edges.push_back(store_.edge(id));
+  if (cut.empty()) {
+    ids = std::move(retained);
   } else {
-    // Deletions cut the forest: label the surviving forest components, then
-    // one ascending store sweep merges the three candidate groups —
-    // retained forest edges, batch insertions, and retained non-tree edges
-    // now crossing two components (a retained non-tree edge *within* a
-    // component still closes a surviving forest cycle it is the maximum of,
-    // so it can never enter the new forest).
-    EdgeList fg(store_.num_vertices());
-    fg.edges.reserve(retained.size());
-    for (const EdgeId id : retained) fg.edges.push_back(store_.edge(id));
-    const core::CcResult cc =
-        core::connected_components(fg, opts_.msf.threads);
+    seq::MinRootUnionFind uf(store_.num_vertices());
+    for (const EdgeId id : retained) {
+      uf.unite(store_.edge(id).u, store_.edge(id).v);
+    }
+    std::vector<EdgeId> crossing;
+    for (const Record& r : crossing_records(first_new, std::move(uf).flatten())) {
+      crossing.push_back(r.id);
+    }
+    ids.reserve(retained.size() + crossing.size());
+    std::merge(retained.begin(), retained.end(), crossing.begin(),
+               crossing.end(), std::back_inserter(ids));
+  }
+  for (EdgeId id = first_new; id < store_.size(); ++id) ids.push_back(id);
+  EdgeList cand(store_.num_vertices());
+  cand.edges.reserve(ids.size());
+  for (const EdgeId id : ids) cand.edges.push_back(store_.edge(id));
+  return solve_and_commit(cand, ids, /*from_scratch=*/false);
+}
 
-    std::size_t ri = 0;
-    for (EdgeId id = 0; id < store_.size(); ++id) {
-      if (!store_.is_live(id)) continue;
-      bool take = false;
-      if (ri < retained.size() && retained[ri] == id) {
-        take = true;
-        ++ri;
-      } else if (id >= first_new) {
-        take = true;
-      } else {
-        const WEdge& e = store_.edge(id);
-        take = cc.label[e.u] != cc.label[e.v];
+MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
+                                      std::vector<EdgeId> cut) {
+  core::StepTimes* const steps = opts_.msf.step_times;
+  const VertexId n = store_.num_vertices();
+  const EdgeId last = store_.size();
+  WallTimer sort_timer;
+  build_ordered();
+  double sort_s = sort_timer.elapsed_s();
+
+  // Positions of the deleted forest records in ordered_, ascending, closed
+  // by a sentinel no position reaches.
+  std::vector<std::size_t> skip;
+  skip.reserve(cut.size() + 1);
+  for (const EdgeId id : cut) {
+    skip.push_back(static_cast<std::size_t>(
+        std::lower_bound(ordered_.begin(), ordered_.end(), record(id),
+                         before) -
+        ordered_.begin()));
+  }
+  std::sort(skip.begin(), skip.end());
+  skip.push_back(std::numeric_limits<std::size_t>::max());
+
+  // ---- Candidates: after a cut, the retained non-tree edges that now
+  // cross two of the split forest's components; then the insertions. ----
+  std::vector<Record> cands;
+  if (!cut.empty()) {
+    seq::MinRootUnionFind uf(n);
+    for (std::size_t i = 0, s = 0; i < ordered_.size(); ++i) {
+      if (i == skip[s]) {
+        ++s;
+        continue;
       }
-      if (take) {
-        ids.push_back(id);
-        cand.edges.push_back(store_.edge(id));
-      }
+      uf.unite(ordered_[i].u, ordered_[i].v);
+    }
+    const std::vector<VertexId> label = std::move(uf).flatten();
+    core::iteration_checkpoint(opts_.msf, "forest Kruskal sweep");
+    cands = crossing_records(first_new, label);
+  }
+  cands.reserve(cands.size() + static_cast<std::size_t>(last - first_new));
+  for (EdgeId id = first_new; id < last; ++id) cands.push_back(record(id));
+  sort_timer.reset();
+  std::sort(cands.begin(), cands.end(), before);
+  sort_s += sort_timer.elapsed_s();
+
+  // ---- One union-find scan over the merge of the ordered forest (minus
+  // its deleted records) and the sorted candidates. ----
+  core::iteration_checkpoint(opts_.msf, "forest Kruskal scan");
+  WallTimer scan_timer;
+  seq::MinRootUnionFind uf(n);
+  ordered_next_.clear();
+  // The output is a forest: at most n − 1 records.
+  ordered_next_.reserve(std::min<std::size_t>(n, ordered_.size() + cands.size()));
+  std::vector<EdgeId> dropped;
+  std::vector<EdgeId> added;
+  const std::size_t nf = ordered_.size();
+  const std::size_t nc = cands.size();
+  std::size_t fi = 0;
+  std::size_t ci = 0;
+  std::size_t si = 0;
+  for (std::size_t scanned = 1;; ++scanned) {
+    if (fi == skip[si]) {
+      ++fi;
+      ++si;
+      continue;
+    }
+    const bool forest = fi < nf && (ci == nc || before(ordered_[fi], cands[ci]));
+    if (!forest && ci == nc) break;
+    const Record& r = forest ? ordered_[fi++] : cands[ci++];
+    if (uf.unite(r.u, r.v)) {
+      ordered_next_.push_back(r);
+      if (!forest) added.push_back(r.id);
+    } else if (forest) {
+      dropped.push_back(r.id);
+    }
+    if (scanned % (std::size_t{1} << 16) == 0) {
+      core::iteration_checkpoint(opts_.msf, "forest Kruskal scan");
     }
   }
-  return solve_and_commit(cand, ids, old_forest, scratch);
+  if (steps != nullptr) {
+    steps->rank_build += sort_s;
+    steps->other += sort_s;
+    steps->connect += scan_timer.elapsed_s();
+  }
+
+  // ---- Commit: the delta is the deleted and dropped forest edges out,
+  // the entering candidates in. ----
+  std::sort(dropped.begin(), dropped.end());
+  std::sort(added.begin(), added.end());
+  std::vector<EdgeId> removed;
+  removed.reserve(cut.size() + dropped.size());
+  std::merge(cut.begin(), cut.end(), dropped.begin(), dropped.end(),
+             std::back_inserter(removed));
+  const std::size_t candidates = nf - cut.size() + nc;
+  MsfDelta d = commit(std::move(removed), std::move(added));
+  ordered_.swap(ordered_next_);
+  d.candidate_edges = candidates;
+  return d;
+}
+
+std::vector<DynamicMsf::Record> DynamicMsf::crossing_records(
+    EdgeId end, const std::vector<VertexId>& label) const {
+  const auto crosses = [&](std::size_t id) {
+    if (!store_.is_live(id)) return false;
+    const WEdge& e = store_.edge(id);
+    return label[e.u] != label[e.v];
+  };
+  // Runs fn(tid, nthreads) on every thread of the team, or inline.
+  const auto on_team = [&](const auto& fn) {
+    if (opts_.team == nullptr) {
+      fn(0, 1);
+    } else {
+      opts_.team->run([&](TeamCtx& ctx) { fn(ctx.tid(), ctx.nthreads()); });
+    }
+  };
+  // One sweep marks the crossing ids in a bitmap (64 ids per word, each
+  // thread owning whole words) and counts them; a gather then writes each
+  // thread's records at its offset.  The output is allocated once, here, so
+  // the workers allocate nothing (memory a worker allocates stays in its own
+  // malloc arena).
+  const auto m = static_cast<std::size_t>(end);
+  std::vector<std::uint64_t> marks((m + 63) / 64);
+  const auto p =
+      static_cast<std::size_t>(opts_.team != nullptr ? opts_.team->size() : 1);
+  std::vector<std::size_t> offset(p + 1, 0);
+  on_team([&](int tid, int nthreads) {
+    const IndexRange r = block_range(marks.size(), tid, nthreads);
+    std::size_t count = 0;
+    for (std::size_t w = r.begin; w < r.end; ++w) {
+      std::uint64_t bits = 0;
+      const std::size_t base = 64 * w;
+      for (std::size_t id = base; id < std::min(base + 64, m); ++id) {
+        if (crosses(id)) bits |= std::uint64_t{1} << (id - base);
+      }
+      marks[w] = bits;
+      count += static_cast<std::size_t>(std::popcount(bits));
+    }
+    offset[static_cast<std::size_t>(tid) + 1] = count;
+  });
+  for (std::size_t t = 0; t < p; ++t) offset[t + 1] += offset[t];
+  std::vector<Record> out(offset[p]);
+  on_team([&](int tid, int nthreads) {
+    const IndexRange r = block_range(marks.size(), tid, nthreads);
+    std::size_t o = offset[static_cast<std::size_t>(tid)];
+    for (std::size_t w = r.begin; w < r.end; ++w) {
+      for (std::uint64_t bits = marks[w]; bits != 0; bits &= bits - 1) {
+        out[o++] = record(64 * w + static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    }
+  });
+  return out;
+}
+
+void DynamicMsf::build_ordered() {
+  if (ordered_ready_) return;
+  ordered_.clear();
+  ordered_.reserve(forest_.size());
+  for (const EdgeId id : forest_) ordered_.push_back(record(id));
+  std::sort(ordered_.begin(), ordered_.end(), before);
+  ordered_ready_ = true;
+}
+
+void DynamicMsf::drop_ordered() {
+  ordered_ = {};
+  ordered_next_ = {};
+  ordered_ready_ = false;
 }
 
 MsfDelta DynamicMsf::apply_by_path_max(const ForestOracle& oracle,
-                                        EdgeId first_new,
-                                        const std::vector<EdgeId>& old_forest) {
+                                        EdgeId first_new) {
   const EdgeId last = store_.size();
   // Compressed path tree: the batch endpoints in (tree, preorder) order,
   // closed under the LCAs of adjacent same-tree pairs.  In that closed,
@@ -244,43 +407,28 @@ MsfDelta DynamicMsf::apply_by_path_max(const ForestOracle& oracle,
   std::sort(cands.begin(), cands.end(),
             [](const Cand& x, const Cand& y) { return x.order < y.order; });
 
-  std::vector<std::uint32_t> uf(pts.size());
-  for (std::uint32_t i = 0; i < uf.size(); ++i) uf[i] = i;
-  const auto find = [&](std::uint32_t x) {
-    while (uf[x] != x) x = uf[x] = uf[uf[x]];
-    return x;
-  };
+  seq::MinRootUnionFind uf(pts.size());
   std::vector<EdgeId> removed;
   std::vector<EdgeId> added;
   for (const Cand& c : cands) {
-    const std::uint32_t ra = find(c.a);
-    const std::uint32_t rb = find(c.b);
-    if (ra != rb) {
-      uf[ra] = rb;
+    if (uf.unite(c.a, c.b)) {
       if (c.batch) added.push_back(c.order.orig);
     } else if (!c.batch) {
       removed.push_back(c.order.orig);
     }
   }
 
-  // Commit: batch ids exceed every existing id, so appending keeps the
-  // forest ascending.
   std::sort(removed.begin(), removed.end());
   std::sort(added.begin(), added.end());
-  std::vector<EdgeId> next;
-  next.reserve(forest_.size() - removed.size() + added.size());
-  std::set_difference(forest_.begin(), forest_.end(), removed.begin(),
-                      removed.end(), std::back_inserter(next));
-  next.insert(next.end(), added.begin(), added.end());
-  forest_ = std::move(next);
-  trees_ = static_cast<std::size_t>(store_.num_vertices()) - forest_.size();
-  recompute_weight();
   ++path_max_batches_;
-
-  MsfDelta d = snapshot_delta(old_forest);
+  // A batch that left the forest as it was keeps its ordered records (a
+  // served insert costs about a millisecond; an O(n) rebuild would show).
+  if (!removed.empty() || !added.empty()) drop_ordered();
   // The candidate set a solve would have taken: retained forest ∪ batch.
-  d.candidate_edges =
-      old_forest.size() + static_cast<std::size_t>(last - first_new);
+  const std::size_t candidates =
+      forest_.size() + static_cast<std::size_t>(last - first_new);
+  MsfDelta d = commit(std::move(removed), std::move(added));
+  d.candidate_edges = candidates;
   return d;
 }
 
@@ -289,33 +437,63 @@ std::vector<EdgeId> DynamicMsf::compact_store() {
   // Forest ids are live by definition, so every remap hit is valid; the
   // renumbering is monotone, so the forest stays ascending.
   for (EdgeId& id : forest_) id = remap[static_cast<std::size_t>(id)];
+  for (Record& r : ordered_) r.id = remap[static_cast<std::size_t>(r.id)];
   return remap;
 }
 
 MsfDelta DynamicMsf::recompute() {
-  const std::vector<EdgeId> old_forest = forest_;
   std::vector<EdgeId> ids;
   const EdgeList live = store_.live_graph(&ids);
-  return solve_and_commit(live, ids, old_forest, /*from_scratch=*/true);
+  return solve_and_commit(live, ids, /*from_scratch=*/true);
 }
 
 MsfDelta DynamicMsf::solve_and_commit(const EdgeList& candidates,
                                       const std::vector<EdgeId>& ids,
-                                      const std::vector<EdgeId>& old_forest,
                                       bool from_scratch) {
   MsfResult r = opts_.team != nullptr
                     ? core::minimum_spanning_forest_of_candidates(
                           *opts_.team, candidates, ids, opts_.msf)
                     : core::minimum_spanning_forest_of_candidates(
                           candidates, ids, opts_.msf);
-  forest_ = std::move(r.edge_ids);
-  std::sort(forest_.begin(), forest_.end());
+  drop_ordered();
+  std::sort(r.edge_ids.begin(), r.edge_ids.end());
+  const std::vector<EdgeId> old_forest =
+      std::exchange(forest_, std::move(r.edge_ids));
   trees_ = r.num_trees;
   recompute_weight();
 
   MsfDelta d = snapshot_delta(old_forest);
   d.candidate_edges = candidates.edges.size();
   d.recomputed_from_scratch = from_scratch;
+  return d;
+}
+
+MsfDelta DynamicMsf::commit(std::vector<EdgeId> removed,
+                            std::vector<EdgeId> added) {
+  if (!removed.empty() || !added.empty()) {
+    std::vector<EdgeId> next;
+    next.reserve(forest_.size() - removed.size() + added.size());
+    auto r = removed.begin();
+    auto a = added.begin();
+    for (const EdgeId id : forest_) {
+      if (r != removed.end() && *r == id) {
+        ++r;
+        continue;
+      }
+      while (a != added.end() && *a < id) next.push_back(*a++);
+      next.push_back(id);
+    }
+    next.insert(next.end(), a, added.end());
+    forest_ = std::move(next);
+    trees_ = static_cast<std::size_t>(store_.num_vertices()) - forest_.size();
+    recompute_weight();
+  }
+  MsfDelta d;
+  d.forest_added = std::move(added);
+  d.forest_removed = std::move(removed);
+  d.total_weight = weight_;
+  d.num_trees = trees_;
+  d.live_edges = store_.num_live();
   return d;
 }
 

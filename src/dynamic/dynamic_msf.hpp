@@ -13,10 +13,16 @@
 namespace smp::dynamic {
 
 struct DynamicMsfOptions {
-  /// Backend for every (re)solve: algorithm, threads, seed, budget,
-  /// sequential fallback — the full static engine rides along, including
-  /// the fused ThreadTeam regions and FaultInjector checkpoints.
-  /// Instrumentation out-pointers are honored per solve.
+  /// Backend for every solve: algorithm, threads, seed, budget, sequential
+  /// fallback — the full static engine rides along, including the fused
+  /// ThreadTeam regions and FaultInjector checkpoints.  Under the default
+  /// Algorithm::kChampion ("the fastest engine for the input") a sparsified
+  /// batch is not solved but applied by the forest-ordered Kruskal pass (see
+  /// DynamicMsf); the first solve, recompute() and scratch-crossover batches
+  /// still solve, and an explicitly named algorithm solves every candidate
+  /// set.  Instrumentation out-pointers are honored per solve, and the
+  /// Kruskal pass adds its candidate sort to step_times->rank_build (part
+  /// of `other`) and its union-find scan to step_times->connect.
   core::MsfOptions msf;
   /// Crossover heuristic: when a batch touches at least this fraction of
   /// the live edges (insertions + deletions vs. live count), skip the
@@ -43,18 +49,26 @@ struct DynamicMsfOptions {
 ///    a non-tree edge of G is the heaviest on a cycle through forest edges,
 ///    and stays so in any supergraph, so the candidate set is the ~n−1
 ///    forest edges plus the batch — independent of m.
-///  * Deletions drop the dead edges, label the split forest components with
-///    the hook-and-jump connected-components pass, and promote candidates
-///    from the retained non-tree edges whose endpoints now lie in different
-///    components (every other retained non-tree edge still closes a
-///    surviving forest cycle it is the maximum of, so it cannot enter).
-///  * The candidate set — retained forest ∪ batch insertions ∪ replacement
-///    candidates, in ascending store-id order — goes to
-///    core::minimum_spanning_forest_of_candidates, so weight ties resolve
-///    exactly as a from-scratch run would and the maintained forest is
-///    bit-identical (edge ids and weight) to MSF(live graph) after every
-///    batch, for every backend and thread count.
-///  * An insert-only batch given a ForestOracle skips the solve: the
+///  * Deletions drop the dead edges, label the split forest's components
+///    with a sequential union-find, and promote candidates from the retained
+///    non-tree edges whose endpoints now carry different labels (every other
+///    retained non-tree edge still closes a surviving forest cycle it is the
+///    maximum of, so it cannot enter).
+///  * Under the default backend (Algorithm::kChampion) the candidate set —
+///    retained forest ∪ batch insertions ∪ replacement candidates — is
+///    decided by one Kruskal pass instead of a solve.  The forest is kept as
+///    packed ⟨weight, store id, u, v⟩ records in WeightOrder (built on the
+///    first batch that needs it), so only the new candidates are sorted;
+///    they are merged into the ordered forest under a fresh union-find, and
+///    the scan writes the next ordered forest as it goes.  A forest record
+///    whose endpoints are already joined leaves the forest, a candidate that
+///    joins two trees enters it.
+///  * Any other backend hands the candidate set, in ascending store-id
+///    order, to core::minimum_spanning_forest_of_candidates.  Both routes
+///    break weight ties by store id exactly as a from-scratch run would, so
+///    the maintained forest is bit-identical (edge ids and weight) to
+///    MSF(live graph) after every batch, for every backend and thread count.
+///  * An insert-only batch given a ForestOracle skips both: the
 ///    batch endpoints, closed under the LCAs of DFS-adjacent pairs, span a
 ///    compressed path tree whose edges each stand for one forest path,
 ///    labelled with that path's bottleneck edge.  Kruskal over those
@@ -65,8 +79,9 @@ struct DynamicMsfOptions {
 ///    same ⟨weight, store-id⟩ order, so the result is the same forest the
 ///    solve would give.
 ///
-/// Not thread-safe (one writer); the solve itself parallelizes internally
-/// per DynamicMsfOptions::msf.threads.
+/// Not thread-safe (one writer); solves parallelize internally per
+/// DynamicMsfOptions::msf.threads (or the team), and the Kruskal pass runs
+/// its O(m) replacement sweep on DynamicMsfOptions::team when one is set.
 class DynamicMsf {
  public:
   /// Starts from `initial` (store ids = positions in initial.edges) and
@@ -99,18 +114,19 @@ class DynamicMsf {
   /// any mutation on a bad batch.  Returns what changed.
   ///
   /// `oracle` (optional) must index the forest as it is at batch entry.  An
-  /// insert-only batch that would take the sparsified solve is then applied
+  /// insert-only batch that would take the sparsified path is then applied
   /// by path-max instead, with an identical result and delta; every other
-  /// batch, and any oracle whose forest size differs from ours, solves.
+  /// batch, and any oracle whose forest size differs from ours, takes the
+  /// sparsified path (the Kruskal pass or a candidate solve, see above).
   MsfDelta apply_batch(std::span<const graph::WEdge> insertions,
                        std::span<const graph::EdgeId> deletions,
                        const ForestOracle* oracle = nullptr);
 
   /// Solves the whole live graph from scratch and commits the result.
-  /// Exception semantics of apply_batch: if the *solver* fails mid-batch
-  /// (budget cancellation, deadline, OOM with fallback disabled), the store
-  /// mutations persist but the forest is stale — call recompute() to repair
-  /// before trusting accessors again.
+  /// Exception semantics of apply_batch: if the *solver* or the Kruskal pass
+  /// fails mid-batch (budget cancellation or deadline at a checkpoint, OOM
+  /// with fallback disabled), the store mutations persist but the forest is
+  /// stale — call recompute() to repair before trusting accessors again.
   MsfDelta recompute();
 
   /// Compacts the underlying store (drops every tombstoned slot, renumbering
@@ -148,17 +164,47 @@ class DynamicMsf {
   [[nodiscard]] graph::MsfResult forest() const;
 
  private:
+  /// One forest edge or candidate as the Kruskal pass reads it: packed, so
+  /// the scan never goes back to the store.
+  struct Record {
+    graph::Weight w;
+    graph::EdgeId id;
+    graph::VertexId u, v;
+  };
+  /// WeightOrder on records.
+  static bool before(const Record& a, const Record& b) {
+    return graph::WeightOrder{a.w, a.id} < graph::WeightOrder{b.w, b.id};
+  }
+  [[nodiscard]] Record record(graph::EdgeId id) const {
+    const graph::WEdge& e = store_.edge(id);
+    return Record{e.w, id, e.u, e.v};
+  }
+
   /// Solve `candidates`/`ids`, commit the new forest, and diff it against
-  /// `old_forest` into a delta.
+  /// the old one into a delta.
   MsfDelta solve_and_commit(const graph::EdgeList& candidates,
                             const std::vector<graph::EdgeId>& ids,
-                            const std::vector<graph::EdgeId>& old_forest,
                             bool from_scratch);
   /// The insert-only batch [first_new, store size) by path-max over
   /// `oracle`; commits like solve_and_commit.
   MsfDelta apply_by_path_max(const ForestOracle& oracle,
-                             graph::EdgeId first_new,
-                             const std::vector<graph::EdgeId>& old_forest);
+                             graph::EdgeId first_new);
+  /// The batch [first_new, store size), after the deletion of the forest
+  /// edges `cut` (ascending), by one Kruskal pass over the ordered forest.
+  MsfDelta apply_by_kruskal(graph::EdgeId first_new,
+                            std::vector<graph::EdgeId> cut);
+  /// Live edges below `end` whose endpoints carry different `label`s, in
+  /// ascending store-id order (swept on the team when one is set).
+  std::vector<Record> crossing_records(
+      graph::EdgeId end, const std::vector<graph::VertexId>& label) const;
+  /// Builds ordered_ from forest_ unless it is current.
+  void build_ordered();
+  void drop_ordered();
+  /// Commits the forest minus `removed` plus `added` (both ascending,
+  /// `removed` ⊆ forest, `added` disjoint from it); the delta is exactly
+  /// those two lists.
+  MsfDelta commit(std::vector<graph::EdgeId> removed,
+                  std::vector<graph::EdgeId> added);
   MsfDelta snapshot_delta(const std::vector<graph::EdgeId>& old_forest) const;
   void recompute_weight();
 
@@ -168,6 +214,11 @@ class DynamicMsf {
   graph::Weight weight_ = 0;
   std::size_t trees_ = 0;
   std::uint64_t path_max_batches_ = 0;
+  /// forest_ as records in WeightOrder, valid while ordered_ready_.
+  std::vector<Record> ordered_;
+  /// The Kruskal scan's output buffer, swapped with ordered_ on commit.
+  std::vector<Record> ordered_next_;
+  bool ordered_ready_ = false;
 };
 
 }  // namespace smp::dynamic

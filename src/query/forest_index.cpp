@@ -123,7 +123,7 @@ void ForestIndex::build(ThreadTeam& team, Body& b, graph::VertexId n,
   arcs.shrink_to_fit();
 
   // 3. Deterministic component labels; the root of each component is its
-  // minimum vertex id (atomic write-min).
+  // minimum vertex id.
   core::CcResult cc = core::connected_components(team, fel);
   b.comp = std::move(cc.label);
   stats_.num_components = cc.num_components;

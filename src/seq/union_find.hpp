@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 namespace smp::seq {
@@ -49,6 +50,50 @@ class UnionFind {
   std::vector<std::uint32_t> parent_;
   std::vector<std::uint8_t> rank_;
   std::size_t num_sets_;
+};
+
+/// Disjoint-set forest that links the larger root under the smaller one,
+/// with path halving.  Every root is its set's minimum element, so the
+/// flattened labels depend only on the partition, never on the order of the
+/// unions — the sequential counterpart of AtomicUnionFind.
+class MinRootUnionFind {
+ public:
+  explicit MinRootUnionFind(std::size_t n) : parent_(n) {
+    std::iota(parent_.begin(), parent_.end(), std::uint32_t{0});
+  }
+
+  [[nodiscard]] std::uint32_t find(std::uint32_t x) {
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];  // path halving
+      x = parent_[x];
+    }
+    return x;
+  }
+
+  /// Merge the sets of a and b; returns false if already joined.
+  bool unite(std::uint32_t a, std::uint32_t b) {
+    a = find(a);
+    b = find(b);
+    if (a == b) return false;
+    if (a < b) {
+      parent_[b] = a;
+    } else {
+      parent_[a] = b;
+    }
+    return true;
+  }
+
+  /// Points every element straight at its root (the set minimum) and hands
+  /// the array over as labels; the structure is empty afterwards.
+  [[nodiscard]] std::vector<std::uint32_t> flatten() && {
+    for (std::uint32_t x = 0; x < parent_.size(); ++x) {
+      parent_[x] = parent_[parent_[x]];  // parent_[x] <= x is already flat
+    }
+    return std::move(parent_);
+  }
+
+ private:
+  std::vector<std::uint32_t> parent_;
 };
 
 }  // namespace smp::seq

@@ -269,7 +269,7 @@ std::shared_ptr<const core::CcResult> snapshot_cc(const SessionSnapshot& snap) {
   if (snap.cc != nullptr) return snap.cc;
   EdgeList fg(snap.view.num_vertices());
   fg.edges = *fe;
-  auto cc = std::make_shared<core::CcResult>(core::connected_components(fg, 1));
+  auto cc = std::make_shared<core::CcResult>(core::connected_components(fg));
   snap.cc = cc;
   return cc;
 }

@@ -6,6 +6,9 @@
 #include "core/connected_components.hpp"
 #include "graph/generators.hpp"
 #include "graph/stats.hpp"
+#include "pprim/permutation.hpp"
+#include "pprim/rng.hpp"
+#include "pprim/thread_team.hpp"
 #include "seq/union_find.hpp"
 
 namespace {
@@ -35,18 +38,66 @@ std::vector<VertexId> reference_labels(const EdgeList& g) {
   return lbl;
 }
 
+/// Exact labels: each component is numbered by the rank of its minimum
+/// vertex among all component minima.
+std::vector<VertexId> min_id_labels(const EdgeList& g) {
+  seq::UnionFind uf(g.num_vertices);
+  for (const auto& e : g.edges) uf.unite(e.u, e.v);
+  std::vector<VertexId> min_of(g.num_vertices, kInvalidVertex);
+  for (VertexId v = 0; v < g.num_vertices; ++v) {
+    const VertexId r = uf.find(v);
+    min_of[r] = std::min(min_of[r], v);
+  }
+  std::vector<VertexId> dense(g.num_vertices, kInvalidVertex);
+  std::vector<VertexId> label(g.num_vertices);
+  VertexId next = 0;
+  for (VertexId v = 0; v < g.num_vertices; ++v) {
+    const VertexId m = min_of[uf.find(v)];
+    if (dense[m] == kInvalidVertex) dense[m] = next++;
+    label[v] = dense[m];
+  }
+  return label;
+}
+
+/// Deep forests over 2^16 vertices in shuffled vertex and edge order: a
+/// path, a star, and a path plus a star plus isolated vertices.
+std::vector<EdgeList> deep_forests() {
+  constexpr VertexId kN = VertexId{1} << 16;
+  const std::vector<std::uint32_t> perm = random_permutation(kN, 17);
+  Rng rng(23);
+  std::vector<EdgeList> out(3, EdgeList(kN));
+  EdgeList& path = out[0];
+  for (VertexId i = 1; i < kN; ++i) path.add_edge(perm[i - 1], perm[i], 1.0);
+  EdgeList& star = out[1];
+  const VertexId hub = perm[kN / 2];
+  for (VertexId v = 0; v < kN; ++v) {
+    if (v != hub) star.add_edge(v, hub, 1.0);
+  }
+  EdgeList& mixed = out[2];
+  for (VertexId i = 1; i < kN / 3; ++i) mixed.add_edge(perm[i - 1], perm[i], 1.0);
+  for (VertexId i = kN / 3 + 1; i < 2 * (kN / 3); ++i) {
+    mixed.add_edge(perm[kN / 3], perm[i], 1.0);
+  }
+  for (EdgeList& g : out) {
+    for (std::size_t i = g.edges.size(); i > 1; --i) {
+      std::swap(g.edges[i - 1], g.edges[rng.next_below(i)]);
+    }
+  }
+  return out;
+}
+
 class CcThreads : public ::testing::TestWithParam<int> {};
 
 TEST_P(CcThreads, MatchesUnionFindOnZoo) {
   const int threads = GetParam();
-  const EdgeList graphs[] = {
-      random_graph(5000, 3000, 1),   // fragmented
-      random_graph(5000, 25000, 2),  // near-connected
-      mesh2d_p(60, 60, 0.5, 3),
-      structured_graph(0, 1024, 4),
-      geometric_knn(2000, 4, 5),
-      EdgeList(100),  // no edges at all
-  };
+  std::vector<EdgeList> graphs = deep_forests();
+  graphs.push_back(random_graph(5000, 3000, 1));   // fragmented
+  graphs.push_back(random_graph(5000, 25000, 2));  // near-connected
+  graphs.push_back(mesh2d_p(60, 60, 0.5, 3));
+  graphs.push_back(structured_graph(0, 1024, 4));
+  graphs.push_back(geometric_knn(2000, 4, 5));
+  graphs.push_back(EdgeList(100));  // no edges at all
+  ThreadTeam team(threads);
   for (const auto& g : graphs) {
     const auto cc = core::connected_components(g, threads);
     ASSERT_EQ(cc.label.size(), g.num_vertices);
@@ -54,18 +105,24 @@ TEST_P(CcThreads, MatchesUnionFindOnZoo) {
     EXPECT_TRUE(same_partition(cc.label, reference_labels(g)));
     // Labels are dense in [0, num_components).
     for (const VertexId l : cc.label) ASSERT_LT(l, cc.num_components);
+    EXPECT_EQ(cc.label, min_id_labels(g));
+    EXPECT_EQ(core::connected_components(team, g).label, cc.label);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, CcThreads, ::testing::Values(1, 2, 4, 8));
 
 TEST(Cc, DeterministicAcrossThreadCounts) {
-  const EdgeList g = random_graph(10000, 15000, 9);
-  const auto base = core::connected_components(g, 1);
-  for (const int threads : {2, 4, 8}) {
-    const auto cc = core::connected_components(g, threads);
-    EXPECT_EQ(cc.label, base.label) << "hook-to-smaller makes labels "
-                                       "scheduling-independent";
+  std::vector<EdgeList> graphs = deep_forests();
+  graphs.push_back(random_graph(10000, 15000, 9));
+  for (const auto& g : graphs) {
+    const auto base = core::connected_components(g, 1);
+    EXPECT_EQ(base.label, min_id_labels(g));
+    for (const int threads : {2, 4, 8}) {
+      const auto cc = core::connected_components(g, threads);
+      EXPECT_EQ(cc.label, base.label) << "hook-to-smaller makes labels "
+                                         "scheduling-independent";
+    }
   }
 }
 

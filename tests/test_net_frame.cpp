@@ -198,7 +198,8 @@ TEST(NetFrame, BatchFrameCarriesManyMessagesInOrder) {
     BinRequest r;
     r.id = static_cast<std::uint64_t>(100 + i);
     r.req.op = serve::Op::kWeight;
-    r.req.session = "s" + std::to_string(i);
+    r.req.session = "s";
+    r.req.session += std::to_string(i);
     std::string m;
     encode_request(m, r);
     msgs.push_back(std::move(m));

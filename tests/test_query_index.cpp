@@ -100,8 +100,8 @@ TEST_P(ForestIndexP, PathMaxAndConnMatchBruteForce) {
   const int p = GetParam();
   ThreadTeam team(p);
   // Sparse enough that the forest has several components.
-  for (const auto [n, m] : {std::pair<VertexId, EdgeId>{60, 40},
-                            {200, 600}, {400, 300}}) {
+  for (const auto& [n, m] : {std::pair<VertexId, EdgeId>{60, 40},
+                             {200, 600}, {400, 300}}) {
     const EdgeList g = random_graph(n, m, 42 + n);
     dynamic::DynamicMsf d(g, dyn_opts(team, 1));
     const query::ForestIndex idx(

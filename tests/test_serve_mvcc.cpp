@@ -211,11 +211,19 @@ TEST_P(ServeMvccP, PinnedReadersSeeScratchIdenticalStateUnderWriters) {
   std::atomic<int> write_failures{0};
   std::atomic<int> verified{0};
   std::atomic<int> retired_hits{0};
+  // Writers start once each reader has verified one epoch: 60 writes can
+  // finish in about a millisecond, sooner than a loaded host schedules a
+  // new thread, and a reader that first runs after writers_done verifies
+  // nothing.
+  std::atomic<int> readers_ready{0};
 
   std::vector<std::thread> threads;
   for (int wi = 0; wi < 2; ++wi) {
     threads.emplace_back([&, wi] {
       Rng rng(700 + static_cast<std::uint64_t>(wi));
+      while (readers_ready.load(std::memory_order_acquire) < 2) {
+        std::this_thread::yield();
+      }
       for (int i = 0; i < 30; ++i) {
         Request ins = make(Op::kInsert, "g");
         const auto u = static_cast<VertexId>(rng.next_below(kN));
@@ -229,6 +237,17 @@ TEST_P(ServeMvccP, PinnedReadersSeeScratchIdenticalStateUnderWriters) {
   for (int ri = 0; ri < 2; ++ri) {
     threads.emplace_back([&, ri] {
       Rng rng(300 + static_cast<std::uint64_t>(ri));
+      // Also counts the reader as ready when a failed ASSERT returns early,
+      // so the writers never wait on it forever.
+      struct Ready {
+        std::atomic<int>& count;
+        bool marked = false;
+        void mark() {
+          if (!marked) count.fetch_add(1, std::memory_order_release);
+          marked = true;
+        }
+        ~Ready() { mark(); }
+      } ready{readers_ready};
       while (!writers_done.load(std::memory_order_acquire)) {
         // Grab the latest epoch's snapshot, then pin that epoch explicitly
         // for everything that follows: whatever the writers do next, these
@@ -282,6 +301,7 @@ TEST_P(ServeMvccP, PinnedReadersSeeScratchIdenticalStateUnderWriters) {
           ASSERT_EQ(cr.connected, uf.connected(u, v)) << u << "-" << v;
         }
         ++verified;
+        ready.mark();
       }
     });
   }
