@@ -15,7 +15,8 @@
 // and the find-min layer facts: which kernel ran (mode + SIMD ISA) and how
 // many arcs Bor-FAL's live-arc pruning retired.  Every density block ends
 // with a determinism check — the Bor-FAL forest must be bit-identical
-// across p ∈ {1,2,4,8} × {scan,simd}; a mismatch aborts the bench.
+// across p ∈ {1,2,4,8} × {scan,simd}, and Champion's across p; a mismatch
+// aborts the bench.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -35,32 +36,14 @@ namespace {
 
 /// Sorted forest edge ids of one solve — the bit-identical-forest witness.
 std::vector<EdgeId> forest_ids(const EdgeList& g, core::Algorithm alg,
-                               int threads, core::FindMinMode mode,
-                               core::CompactSortMode sort,
-                               double live_threshold = 0) {
+                               int threads, core::FindMinMode mode) {
   core::MsfOptions opts;
   opts.algorithm = alg;
   opts.threads = threads;
   opts.find_min = mode;
-  opts.compact_sort = sort;
-  opts.compact_live_threshold = live_threshold;
   auto r = core::minimum_spanning_forest(g, opts);
   std::sort(r.edge_ids.begin(), r.edge_ids.end());
   return r.edge_ids;
-}
-
-/// Per-iteration strategy trace as a compact JSON array, e.g.
-/// ["defer","defer","hash"].
-std::string strategies_json(const std::vector<core::IterationStat>& stats) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < stats.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += '"';
-    out += core::to_string(stats[i].strategy);
-    out += '"';
-  }
-  out += "]";
-  return out;
 }
 
 }  // namespace
@@ -115,7 +98,7 @@ int main(int argc, char** argv) {
           core::resolve_find_min_mode(core::FindMinMode::kAuto, g.num_edges());
       double live_last = 1.0;
       if (!best_iters.empty()) live_last = best_iters.back().live_fraction;
-      char buf[2048];
+      char buf[1024];
       std::snprintf(
           buf, sizeof buf,
           "{\"density\": %d, \"n\": %u, \"m\": %llu, \"alg\": \"%s\", "
@@ -125,12 +108,7 @@ int main(int argc, char** argv) {
           "\"iterations\": %llu, \"regions\": %llu, "
           "\"regions_per_iteration\": %.4f, "
           "\"find_min_mode\": \"%s\", \"simd_kernel\": \"%s\", "
-          "\"find_min_pruned_arcs\": %llu, "
-          "\"deferred_iterations\": %llu, \"hash_compacts\": %llu, "
-          "\"sort_compacts\": %llu, \"merge_rebuilds\": %llu, "
-          "\"hash_keys\": %llu, \"hash_probe_steps\": %llu, "
-          "\"hash_max_probe\": %llu, \"live_fraction_last\": %.4f, "
-          "\"strategies\": %s}",
+          "\"find_min_pruned_arcs\": %llu, \"live_fraction_last\": %.4f}",
           density, g.num_vertices, static_cast<unsigned long long>(g.num_edges()),
           name.c_str(), args.max_threads, best.find_min, best.connect,
           best.compact, best.other, best.rank_build, best.arc_build,
@@ -139,32 +117,22 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(best_ps.regions),
           best_ps.regions_per_iteration(),
           std::string(core::to_string(resolved)).c_str(), simd_isa_name(),
-          static_cast<unsigned long long>(best.pruned_arcs),
-          static_cast<unsigned long long>(best_ps.deferred_iterations),
-          static_cast<unsigned long long>(best_ps.hash_compacts),
-          static_cast<unsigned long long>(best_ps.sort_compacts),
-          static_cast<unsigned long long>(best_ps.merge_rebuilds),
-          static_cast<unsigned long long>(best_ps.hash_keys),
-          static_cast<unsigned long long>(best_ps.hash_probe_steps),
-          static_cast<unsigned long long>(best_ps.hash_max_probe), live_last,
-          strategies_json(best_iters).c_str());
+          static_cast<unsigned long long>(best.pruned_arcs), live_last);
       sink.add(buf);
     }
 
-    // Determinism gate: neither the accelerated find-min nor any compact
-    // strategy may change the forest.  Compare Bor-FAL across p ∈ {1,2,4,8}
-    // and both kernels, plus champion across p and every compact-sort mode,
-    // against the single-threaded seed scan; any drift is a correctness bug,
-    // so fail the whole bench rather than record timings for a wrong answer.
+    // Determinism gate: neither the accelerated find-min nor the thread
+    // count may change the forest.  Compare Bor-FAL across p ∈ {1,2,4,8} and
+    // both kernels, plus Champion across p, against the single-threaded seed
+    // scan; any drift is a correctness bug, so fail the whole bench rather
+    // than record timings for a wrong answer.
     const std::vector<EdgeId> ref =
-        forest_ids(g, core::Algorithm::kBorFAL, 1, core::FindMinMode::kScan,
-                   core::CompactSortMode::kAuto);
+        forest_ids(g, core::Algorithm::kBorFAL, 1, core::FindMinMode::kScan);
     int configs = 0;
     for (const int p : {1, 2, 4, 8}) {
       for (const auto mode : {core::FindMinMode::kScan, core::FindMinMode::kSimd}) {
         ++configs;
-        if (forest_ids(g, core::Algorithm::kBorFAL, p, mode,
-                       core::CompactSortMode::kAuto) != ref) {
+        if (forest_ids(g, core::Algorithm::kBorFAL, p, mode) != ref) {
           std::fprintf(stderr,
                        "FAIL: Bor-FAL forest differs at p=%d find-min=%s "
                        "(density %d)\n",
@@ -172,21 +140,12 @@ int main(int argc, char** argv) {
           return 1;
         }
       }
-      // The explicit threshold pins the champion onto the deferred engine
-      // (its default routes to Bor-FAL) so every compact mode runs at scale.
-      for (const auto sort :
-           {core::CompactSortMode::kRadix, core::CompactSortMode::kSample,
-            core::CompactSortMode::kHash}) {
-        ++configs;
-        if (forest_ids(g, core::Algorithm::kChampion, p,
-                       core::FindMinMode::kAuto, sort,
-                       /*live_threshold=*/0.5) != ref) {
-          std::fprintf(stderr,
-                       "FAIL: champion forest differs at p=%d compact-sort=%d "
-                       "(density %d)\n",
-                       p, static_cast<int>(sort), density);
-          return 1;
-        }
+      ++configs;
+      if (forest_ids(g, core::Algorithm::kChampion, p,
+                     core::FindMinMode::kAuto) != ref) {
+        std::fprintf(stderr, "FAIL: champion forest differs at p=%d (density %d)\n",
+                     p, density);
+        return 1;
       }
     }
     std::printf(

@@ -44,10 +44,8 @@ int main(int argc, char** argv) {
   const CalibrationResult cal = auto_calibrate(/*apply=*/false);
   sink.add_meta("calibration", calibration_json(cal));
   std::printf("machine: %s\n", machine_profile_json().c_str());
-  std::printf("calibration (%.3fs): parallel_for=%zu sample_sort=%zu "
-              "hash_seq=%zu\n\n",
-              cal.elapsed_s, cal.parallel_for_cutoff, cal.sample_sort_cutoff,
-              cal.compact_hash_seq_cutoff);
+  std::printf("calibration (%.3fs): parallel_for=%zu sample_sort=%zu\n\n",
+              cal.elapsed_s, cal.parallel_for_cutoff, cal.sample_sort_cutoff);
 
   std::vector<int> thread_counts;
   for (int p = 1; p <= args.max_threads; p *= 2) thread_counts.push_back(p);
@@ -131,14 +129,12 @@ int main(int argc, char** argv) {
       opts.seed = args.seed;
       double s_def, s_cal;
       {
-        ScopedTuning st(kDefaultParallelForCutoff, kDefaultSampleSortCutoff,
-                        kCompactHashSeqCutoff);
+        ScopedTuning st(kDefaultParallelForCutoff, kDefaultSampleSortCutoff);
         s_def = bench::time_best_of(
             args.reps, [&] { (void)core::minimum_spanning_forest(decoded, opts); });
       }
       {
-        ScopedTuning st(cal.parallel_for_cutoff, cal.sample_sort_cutoff,
-                        cal.compact_hash_seq_cutoff);
+        ScopedTuning st(cal.parallel_for_cutoff, cal.sample_sort_cutoff);
         s_cal = bench::time_best_of(
             args.reps, [&] { (void)core::minimum_spanning_forest(decoded, opts); });
       }

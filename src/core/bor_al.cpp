@@ -2,14 +2,11 @@
 #include <memory>
 #include <vector>
 
-#include "core/atomic_min.hpp"
-#include "core/deferred_el.hpp"
 #include "core/detail.hpp"
 #include "core/find_min.hpp"
 #include "core/hook_jump.hpp"
 #include "core/msf.hpp"
 #include "pprim/arena.hpp"
-#include "pprim/cacheline.hpp"
 #include "pprim/fault.hpp"
 #include "pprim/parallel_for.hpp"
 #include "pprim/prefix_sum.hpp"
@@ -97,16 +94,14 @@ struct MergeCursor {
   EdgeId end;
 };
 
-/// K-way merge of one supervertex's member adjacency slices (§2.2 steps d/e),
+/// K-way merge of one supervertex's member adjacency lists (§2.2 steps d/e),
 /// dropping internal arcs and all but the lightest arc per neighboring
-/// supervertex.  `label` maps each arc target to its supervertex; member v's
-/// (sorted) slice is adj.arcs[adj.offsets[v] .. slice_end[v]) — the eager
-/// loop passes the full lists, the deferred loop passes live watermarks.
-/// With `out == nullptr` this is the count pass.
+/// supervertex.  `label` maps each arc target to its supervertex; each
+/// member's list is already sorted by (label, WeightOrder).  With
+/// `out == nullptr` this is the count pass.
 void merge_group_slices(const AdjGraph& adj, std::span<const VertexId> order,
                         std::span<const EdgeId> group_start,
-                        std::span<const VertexId> label,
-                        std::span<const EdgeId> slice_end, Scratch& scratch,
+                        std::span<const VertexId> label, Scratch& scratch,
                         int tid, VertexId s, AdjArc* out, EdgeId* count) {
   const auto arc_less = [&](const AdjArc& x, const AdjArc& y) {
     const VertexId lx = label[x.target];
@@ -127,7 +122,7 @@ void merge_group_slices(const AdjGraph& adj, std::span<const VertexId> order,
   for (EdgeId gi = gs; gi < ge; ++gi) {
     const VertexId member = order[gi];
     const EdgeId lo = adj.offsets[member];
-    const EdgeId hi = slice_end[member];
+    const EdgeId hi = adj.offsets[member + 1];
     if (lo < hi) heap[hn++] = {lo, hi};
   }
   for (std::size_t i = hn / 2; i-- > 0;) {  // heapify (sift down)
@@ -304,9 +299,8 @@ MsfResult bor_al_impl(ThreadTeam& team, const EdgeList& g, const MsfOptions& opt
       const auto merge_group = [&](int tid, VertexId s, AdjArc* out, EdgeId* count) {
         merge_group_slices(
             adj, order, group_start,
-            std::span<const VertexId>(parent.data(), cur_n),
-            std::span<const EdgeId>(adj.offsets.data() + 1, cur_n), scratch,
-            tid, s, out, count);
+            std::span<const VertexId>(parent.data(), cur_n), scratch, tid, s,
+            out, count);
       };
       for_range_dynamic(ctx, count_cursor, next_n, 16, [&](std::size_t s) {
         merge_group(ctx.tid(), static_cast<VertexId>(s), nullptr, &new_size[s]);
@@ -348,317 +342,9 @@ MsfResult bor_al_impl(ThreadTeam& team, const EdgeList& g, const MsfOptions& opt
   return res;
 }
 
-/// Deferred-compaction Bor-AL/ALM: the adjacency structure stays in the
-/// vertex space of the last full rebuild ("base" space).  Per-vertex live
-/// watermarks shrink each base vertex's slice in place — internal
-/// (self-loop) arcs are swapped past live_end[v] during the find-min scan —
-/// and a labels[] indirection composed per contraction maps base vertices to
-/// current supervertices.  The expensive five-step §2.2 rebuild runs only
-/// when the live fraction sinks below the threshold, and then merges the
-/// LIVE slice prefixes only.
-///
-/// find-min races one packed ⟨rank, base-target⟩ key per supervertex
-/// (multiple base vertices share a supervertex, so unlike the eager loop the
-/// per-slice argmin alone is not enough); hence this path requires the
-/// packed find-min.  No dominated-parallel filter here: a parallel arc lives
-/// in some other base vertex's slice and retiring it would race that slice's
-/// single owner — the merge rebuild removes parallels instead.
-MsfResult bor_al_deferred_impl(ThreadTeam& team, const EdgeList& g,
-                               const MsfOptions& opts, ThreadArenas* arenas) {
-  StepTimes st;
-  WallTimer phase;
-
-  AdjGraph adj = build_adj(g);
-  Scratch scratch(arenas);
-  const int p = team.size();
-
-  std::vector<std::uint32_t> rank_to_edge;
-  WallTimer ranks;
-  const std::vector<std::uint32_t> rank =
-      build_weight_ranks(team, g, &rank_to_edge);
-  st.rank_build += ranks.elapsed_s();
-
-  detail::EdgeCollector collector(p);
-  std::vector<std::uint64_t> best_keys(adj.n);
-  std::vector<VertexId> parent(adj.n);
-  std::vector<VertexId> labels(adj.n);
-  for (VertexId x = 0; x < adj.n; ++x) labels[x] = x;
-  std::vector<EdgeId> live_end(adj.n);
-  for (VertexId v = 0; v < adj.n; ++v) live_end[v] = adj.offsets[v + 1];
-  std::vector<Padded<std::uint64_t>> pruned_partial(
-      static_cast<std::size_t>(p));
-  ComponentsScratch comp_scratch;
-  SampleSortScratch<VertexId> order_sort;
-  ScanScratch<EdgeId> size_scan;
-  std::vector<VertexId> order;
-  std::vector<EdgeId> group_start;
-  std::vector<EdgeId> new_size;
-  std::atomic<bool> any{false};
-  std::atomic<std::size_t> scan_cursor{0};
-  std::atomic<std::size_t> sort_cursor{0};
-  std::atomic<std::size_t> count_cursor{0};
-  std::atomic<std::size_t> fill_cursor{0};
-  size_scan.ensure(p);
-  EdgeId live_total = adj.arcs.size();
-  VertexId cur_n = adj.n;
-  PhaseStats local_ps;
-  st.other += phase.elapsed_s();
-
-  while (!adj.arcs.empty()) {
-    iteration_checkpoint(opts, "Bor-AL iteration");
-    if (opts.iteration_stats) {
-      IterationStat is;
-      is.vertices = cur_n;
-      is.directed_edges = live_total;
-      is.live_fraction = static_cast<double>(live_total) /
-                         static_cast<double>(adj.arcs.size());
-      is.strategy = CompactStrategy::kDefer;
-      opts.iteration_stats->push_back(is);
-    }
-    const std::uint64_t regions_before = team.regions_started();
-    const VertexId base_n = adj.n;
-    any.store(false, std::memory_order_relaxed);
-    scan_cursor.store(0, std::memory_order_relaxed);
-    sort_cursor.store(0, std::memory_order_relaxed);
-    count_cursor.store(0, std::memory_order_relaxed);
-    fill_cursor.store(0, std::memory_order_relaxed);
-    order.resize(base_n);
-    VertexId next_n_shared = 0;
-    CompactStrategy strat = CompactStrategy::kDefer;
-    AdjGraph next;
-
-    team.run([&](TeamCtx& ctx) {
-      WallTimer t0;
-      const auto t = static_cast<std::size_t>(ctx.tid());
-      // --- find-min: prune + publish over live slices ----------------------
-      if (ctx.tid() == 0) fault_point("bor-al.find-min");
-      for_range(ctx, cur_n, [&](std::size_t s) { best_keys[s] = kEmptyKey; });
-      ctx.barrier();
-      std::uint64_t pruned = 0;
-      for_range_dynamic(ctx, scan_cursor, base_n, 64, [&](std::size_t v) {
-        // Single owner: only this call touches v's slice this iteration.
-        const VertexId s = labels[v];
-        const EdgeId lo = adj.offsets[v];
-        EdgeId end = live_end[v];
-        std::uint64_t kmin = kEmptyKey;
-        EdgeId i = lo;
-        while (i < end) {
-          const AdjArc& a = adj.arcs[i];
-          if (labels[a.target] == s) {
-            --end;
-            std::swap(adj.arcs[i], adj.arcs[end]);
-            ++pruned;
-            continue;
-          }
-          const std::uint64_t k = pack_key(rank[a.orig], a.target);
-          if (k < kmin) kmin = k;
-          ++i;
-        }
-        live_end[v] = end;
-        if (kmin != kEmptyKey) atomic_min_u64(best_keys[s], kmin);
-      });
-      pruned_partial[t].value = pruned;
-      ctx.barrier();
-      if (ctx.tid() == 0) {
-        std::uint64_t total_pruned = 0;
-        for (int t2 = 0; t2 < p; ++t2) {
-          total_pruned += pruned_partial[static_cast<std::size_t>(t2)].value;
-        }
-        st.pruned_arcs += total_pruned;
-        live_total -= total_pruned;
-      }
-
-      // --- connect-components ---------------------------------------------
-      if (ctx.tid() == 0) {
-        st.find_min += t0.elapsed_s();
-        t0.reset();
-        fault_point("bor-al.connect");
-      }
-      fault_point("bor-al.connect.region");
-      bool local_any = false;
-      for_range(ctx, cur_n, [&](std::size_t s) {
-        const std::uint64_t bk = best_keys[s];
-        if (bk == kEmptyKey) {
-          parent[s] = static_cast<VertexId>(s);
-          return;
-        }
-        local_any = true;
-        // Payload is the target BASE vertex (stable under prune swaps).
-        const VertexId other = labels[key_index(bk)];
-        parent[s] = other;
-        // Same undirected edge ⇔ same weight rank (ranks are unique).
-        const std::uint64_t ob = best_keys[other];
-        const bool other_also_chose =
-            ob != kEmptyKey && key_rank(ob) == key_rank(bk);
-        if (!(other_also_chose && other < s)) {
-          collector.add(ctx.tid(), rank_to_edge[key_rank(bk)]);
-        }
-      });
-      if (local_any) any.store(true, std::memory_order_relaxed);
-      ctx.barrier();
-      // Uniform exit decision: nobody writes `any` past the barrier.
-      if (!any.load(std::memory_order_relaxed)) {
-        if (ctx.tid() == 0) st.connect += t0.elapsed_s();
-        return;  // every component fully contracted
-      }
-      pointer_jump_components_in_region(
-          ctx, std::span<VertexId>(parent.data(), cur_n), comp_scratch);
-      const VertexId next_n = densify_labels_in_region(
-          ctx, std::span<VertexId>(parent.data(), cur_n), comp_scratch);
-
-      // --- compact-graph decision -----------------------------------------
-      if (ctx.tid() == 0) {
-        next_n_shared = next_n;
-        st.connect += t0.elapsed_s();
-        t0.reset();
-        fault_point("bor-al.compact");
-      }
-      fault_point("bor-al.compact.region");
-      if (next_n == 1) {
-        // Fully contracted: no cross arc can remain, skip the probe.
-        if (ctx.tid() == 0) st.compact += t0.elapsed_s();
-        return;
-      }
-      // Uniform: live_total was written by tid 0 before the post-find-min
-      // barrier, next_n is returned on every thread.
-      const bool full_rebuild =
-          detail::want_full_compact(opts, live_total, adj.arcs.size());
-      // Compose the indirection: base vertex → new supervertex.
-      for_range(ctx, base_n, [&](std::size_t x) {
-        labels[x] = parent[labels[x]];
-      });
-      if (!full_rebuild) {
-        if (ctx.tid() == 0) {
-          strat = CompactStrategy::kDefer;
-          st.compact += t0.elapsed_s();
-        }
-        return;
-      }
-
-      // Five-step §2.2 rebuild over the live slice prefixes, grouping by the
-      // just-composed labels so the result lands in the new vertex space.
-      // (a) Sort the base vertex array by new supervertex label.
-      for_range(ctx, base_n, [&](std::size_t v) {
-        order[v] = static_cast<VertexId>(v);
-      });
-      ctx.barrier();  // also publishes the label composition above
-      sample_sort_in_region(ctx, order, order_sort, [&](VertexId a, VertexId b) {
-        return labels[a] != labels[b] ? labels[a] < labels[b] : a < b;
-      });
-      // (b) Sort each base vertex's LIVE slice by neighbor supervertex.
-      const auto arc_less = [&](const AdjArc& x, const AdjArc& y) {
-        const VertexId lx = labels[x.target];
-        const VertexId ly = labels[y.target];
-        return lx != ly ? lx < ly : x.order() < y.order();
-      };
-      for_range_dynamic(ctx, sort_cursor, base_n, 64, [&](std::size_t v) {
-        const EdgeId lo = adj.offsets[v];
-        const EdgeId len = live_end[v] - lo;
-        std::span<AdjArc> list(adj.arcs.data() + lo, len);
-        std::unique_ptr<AdjArc[]> owned;
-        std::span<AdjArc> buf;
-        if (len > kInsertionSortCutoff) {
-          buf = scratch.get<AdjArc>(ctx.tid(), len, owned);
-        }
-        seq_sort(list, buf, arc_less);
-      });
-      if (ctx.tid() == 0) {
-        group_start.resize(static_cast<std::size_t>(next_n) + 1);
-        new_size.resize(static_cast<std::size_t>(next_n) + 1);
-      }
-      ctx.barrier();
-      // (c) Group boundaries along `order`.
-      for_range(ctx, base_n, [&](std::size_t i) {
-        if (i == 0 || labels[order[i]] != labels[order[i - 1]]) {
-          group_start[labels[order[i]]] = i;
-        }
-      });
-      if (ctx.tid() == 0) {
-        group_start[next_n] = base_n;
-        new_size[next_n] = 0;
-      }
-      ctx.barrier();
-      // (d) Count pass over live prefixes.
-      const auto merge_group = [&](int tid, VertexId s, AdjArc* out,
-                                   EdgeId* count) {
-        merge_group_slices(adj, order, group_start,
-                           std::span<const VertexId>(labels.data(), base_n),
-                           std::span<const EdgeId>(live_end.data(), base_n),
-                           scratch, tid, s, out, count);
-      };
-      for_range_dynamic(ctx, count_cursor, next_n, 16, [&](std::size_t s) {
-        merge_group(ctx.tid(), static_cast<VertexId>(s), nullptr, &new_size[s]);
-      });
-      ctx.barrier();
-      const EdgeId new_arc_count = prefix_sum_in_region(
-          ctx, std::span<EdgeId>(new_size.data(), next_n + 1), size_scan);
-      // (e) Fill pass into the fresh adjacency arrays.
-      if (ctx.tid() == 0) {
-        next.n = next_n;
-        next.offsets.assign(new_size.begin(), new_size.begin() + next_n + 1);
-        next.offsets.back() = new_arc_count;
-        next.arcs.resize(new_arc_count);
-      }
-      ctx.barrier();
-      for_range_dynamic(ctx, fill_cursor, next_n, 16, [&](std::size_t s) {
-        EdgeId written = 0;
-        merge_group(ctx.tid(), static_cast<VertexId>(s),
-                    next.arcs.data() + next.offsets[s], &written);
-      });
-      ctx.barrier();  // fill reads labels; reset them only after
-      // Reset the indirection to the identity over the new vertex space.
-      for_range(ctx, next_n, [&](std::size_t x) {
-        labels[x] = static_cast<VertexId>(x);
-      });
-      if (ctx.tid() == 0) {
-        strat = CompactStrategy::kMerge;
-        st.compact += t0.elapsed_s();
-      }
-    });
-
-    local_ps.iterations += 1;
-    local_ps.regions += team.regions_started() - regions_before;
-    if (opts.iteration_stats) opts.iteration_stats->back().strategy = strat;
-    switch (strat) {
-      case CompactStrategy::kDefer:
-        local_ps.deferred_iterations += 1;
-        break;
-      case CompactStrategy::kMerge:
-        local_ps.merge_rebuilds += 1;
-        adj = std::move(next);
-        labels.resize(next_n_shared);
-        live_end.resize(next_n_shared);
-        for (VertexId v = 0; v < next_n_shared; ++v) {
-          live_end[v] = adj.offsets[v + 1];
-        }
-        live_total = adj.arcs.size();
-        scratch.next_iteration();
-        break;
-      default:
-        break;
-    }
-    if (!any.load(std::memory_order_relaxed)) break;
-    if (next_n_shared == 1) break;
-    cur_n = next_n_shared;
-  }
-
-  phase.reset();
-  MsfResult res = detail::assemble_result(team, g, collector.gather());
-  st.assembly += phase.elapsed_s();
-  st.other += st.assembly;
-  if (opts.step_times) *opts.step_times += st;
-  if (opts.phase_stats) *opts.phase_stats += local_ps;
-  return res;
-}
-
 }  // namespace
 
 MsfResult bor_al_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts) {
-  if (detail::deferred_compact_enabled(
-          opts, resolve_find_min_mode(opts.find_min, g.edges.size()) ==
-                    FindMinMode::kSimd)) {
-    return bor_al_deferred_impl(team, g, opts, nullptr);
-  }
   return bor_al_impl(team, g, opts, nullptr);
 }
 
@@ -669,11 +355,6 @@ MsfResult bor_alm_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opt
   const std::size_t cap =
       opts.budget != nullptr ? opts.budget->memory_cap() : 0;
   ThreadArenas arenas(team.size(), std::size_t{1} << 20, cap);
-  if (detail::deferred_compact_enabled(
-          opts, resolve_find_min_mode(opts.find_min, g.edges.size()) ==
-                    FindMinMode::kSimd)) {
-    return bor_al_deferred_impl(team, g, opts, &arenas);
-  }
   return bor_al_impl(team, g, opts, &arenas);
 }
 

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/atomic_min.hpp"
-#include "core/deferred_el.hpp"
 #include "core/detail.hpp"
 #include "core/find_min.hpp"
 #include "core/hook_jump.hpp"
@@ -45,20 +44,6 @@ using graph::VertexId;
 /// semantics, and a throw there poisons the barrier so the whole team
 /// unwinds).
 MsfResult bor_el_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts) {
-  // Deferred compaction (the default on the packed find-min path) runs the
-  // same edge-list algorithm through the shared watermark engine; the eager
-  // loop below is the reference and the FindMinMode::kScan / opted-out path.
-  if (detail::deferred_compact_enabled(
-          opts, resolve_find_min_mode(opts.find_min, g.edges.size()) ==
-                    FindMinMode::kSimd)) {
-    static constexpr detail::DeferredElConfig cfg{
-        "bor-el.find-min",       "bor-el.connect",
-        "bor-el.connect.region", "bor-el.compact",
-        "bor-el.compact.region", "Bor-EL iteration",
-        /*prefer_hash=*/false};
-    return detail::deferred_el_msf(team, g, opts, cfg);
-  }
-
   const VertexId n = g.num_vertices;
   StepTimes st;
   WallTimer phase;

@@ -98,7 +98,6 @@ std::vector<EdgeId> packed_boruvka_loop(ThreadTeam& team, PackedSolveInput in,
           num_arcs > 0
               ? static_cast<double>(live_total) / static_cast<double>(num_arcs)
               : 1.0;
-      is.strategy = CompactStrategy::kPointer;  // contraction never rebuilds
       opts.iteration_stats->push_back(is);
     }
     const std::uint64_t regions_before = team.regions_started();
@@ -318,7 +317,6 @@ MsfResult bor_fal_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opt
       is.vertices = cur_n;
       is.directed_edges = num_arcs;
       is.live_fraction = 1.0;
-      is.strategy = CompactStrategy::kPointer;  // contraction never rebuilds
       opts.iteration_stats->push_back(is);
     }
     const std::uint64_t regions_before = team.regions_started();

@@ -10,7 +10,6 @@
 #include "core/find_min.hpp"
 #include "graph/edge_list.hpp"
 #include "pprim/timer.hpp"
-#include "pprim/tuning.hpp"
 #include "seq/seq_msf.hpp"
 
 namespace smp::core {
@@ -24,9 +23,9 @@ using graph::Weight;
 
 namespace {
 
-/// Whether the streaming Bor-FAL engine serves this request.  kChampion's
-/// sparse-graph pick IS Bor-FAL-with-packed-keys (see champion.cpp), so both
-/// stream; every other algorithm keeps its own arc layout and goes eager.
+/// Whether the streaming Bor-FAL engine serves this request.  kChampion runs
+/// the Bor-FAL engine, so both stream; every other algorithm keeps its own
+/// arc layout and goes eager.
 [[nodiscard]] bool streamable(const MsfOptions& opts, std::size_t m) {
   if (opts.algorithm != Algorithm::kBorFAL &&
       opts.algorithm != Algorithm::kChampion) {
@@ -79,7 +78,6 @@ MsfResult solve_with(ThreadTeam* external_team, const CompressedCsr& g,
   // per-edge scan of validate_request has nothing left to check.
   validate_request(EdgeList{}, opts);
   iteration_checkpoint(opts, "request start");
-  ScopedTuning tuning(opts.parallel_for_cutoff, opts.sample_sort_cutoff);
 
   try {
     if (streamable(opts, g.num_edges())) {

@@ -39,7 +39,6 @@ std::size_t CompactScratch::footprint_bytes() const {
        sizeof(DirEdge);
   b += (sample.counts.capacity() + sample.piece_begin.capacity()) *
        sizeof(std::size_t);
-  b += hash.footprint_bytes();
   b += winner_cap * sizeof(std::atomic<EdgeId>);
   return b;
 }
@@ -49,8 +48,7 @@ void CompactScratch::maybe_release(std::size_t need) {
   // the current arc count is a small fraction of that, re-allocating at the
   // new scale is cheaper than pinning the peak slabs until solve end.
   const std::size_t retained =
-      std::max({keep.capacity(), filtered.capacity(), out.capacity(),
-                hash.part.capacity()});
+      std::max({keep.capacity(), filtered.capacity(), out.capacity()});
   if (retained < kShrinkFloor) return;
   if (need >= retained / kShrinkDivisor) return;
   std::vector<EdgeId>().swap(keep);
@@ -59,7 +57,6 @@ void CompactScratch::maybe_release(std::size_t need) {
   std::vector<DirEdge>().swap(out);
   radix = RadixSortScratch<DirEdge>{};
   sample = SampleSortScratch<DirEdge>{};
-  hash.release();
   winner.reset();
   winner_cap = 0;
 }
@@ -97,31 +94,12 @@ void compact_arcs_in_region(TeamCtx& ctx, std::vector<DirEdge>& arcs,
 
   constexpr bool kPackable = sizeof(VertexId) <= 4;
 
-  // Hash mode resolves duplicate ⟨u, v⟩ pairs without sorting at all: one
-  // stable bucket scatter plus L2-resident open-addressing tables keep the
-  // WeightOrder-minimal arc per pair.  The output is deduplicated but not
-  // pair-sorted — no Borůvka loop depends on arc order.
-  if (mode == CompactSortMode::kHash && kPackable) {
-    radix_hash_dedup_in_region(
-        ctx, s.filtered, s.hash,
-        [](const DirEdge& e) {
-          return (static_cast<std::uint64_t>(e.u) << 32) |
-                 static_cast<std::uint64_t>(e.v);
-        },
-        [](const DirEdge& a, const DirEdge& b) { return a.order() < b.order(); },
-        ctx.tid() == 0 ? &s.hash_stats : nullptr);
-    if (ctx.tid() == 0) arcs.swap(s.filtered);
-    ctx.barrier();
-    return;
-  }
-
   // Sort so that multi-edges between the same supervertex pair become
   // consecutive.  When ⟨u, v⟩ packs into a 64-bit integer (always with a
   // 32-bit VertexId), LSD radix sort beats the comparison sample sort.
   const bool use_radix =
       mode == CompactSortMode::kRadix ||
-      (mode == CompactSortMode::kAuto && kPackable) ||
-      (mode == CompactSortMode::kHash && !kPackable);
+      (mode == CompactSortMode::kAuto && kPackable);
   if (use_radix) {
     radix_sort_in_region(ctx, s.filtered, s.radix, [](const DirEdge& e) {
       return (static_cast<std::uint64_t>(e.u) << 32) |

@@ -14,7 +14,6 @@
 #include "pprim/parallel_for.hpp"
 #include "pprim/partition.hpp"
 #include "pprim/prefix_sum.hpp"
-#include "pprim/radix_hash_map.hpp"
 #include "pprim/radix_sort.hpp"
 #include "pprim/sample_sort.hpp"
 #include "pprim/thread_team.hpp"
@@ -114,8 +113,6 @@ struct CompactScratch {
   std::vector<DirEdge> out;
   RadixSortScratch<DirEdge> radix;
   SampleSortScratch<DirEdge> sample;
-  RadixHashMapScratch<DirEdge> hash;
-  HashDedupStats hash_stats;
   ScanScratch<graph::EdgeId> scan;
   /// Per-⟨u,v⟩-group index of the lightest arc (radix path only; atomics are
   /// not movable, hence the manual grow-only buffer instead of a vector).

@@ -21,18 +21,14 @@ struct DirEdge {
 /// kAuto packs ⟨u, v⟩ into one uint64_t and dispatches to the parallel LSD
 /// radix sort whenever VertexId fits 32 bits (always, with the current
 /// 32-bit VertexId), falling back to comparison sample sort otherwise.
-/// kHash skips sorting entirely: duplicate ⟨u, v⟩ pairs are resolved in a
-/// cache-aware radix hash map (pprim/radix_hash_map.hpp) and the output is
-/// deduplicated but NOT pair-sorted — callers that need sorted arcs (none of
-/// the Borůvka loops do; the forest never depends on arc order) must pin a
-/// sort mode.  The explicit modes pin one path for ablation benches; all
-/// modes keep exactly the lightest arc of every ⟨u, v⟩ group under the
-/// WeightOrder total order, so every downstream forest is bit-identical.
+/// kSample is the paper's compact (§2.1).  The explicit modes pin one path
+/// for ablation benches; all modes keep exactly the lightest arc of every
+/// ⟨u, v⟩ group under the WeightOrder total order, so every downstream
+/// forest is bit-identical.
 enum class CompactSortMode {
   kAuto,
   kRadix,
   kSample,
-  kHash,
 };
 
 /// Sample-sort key for compact-graph: supervertex of the first endpoint is

@@ -10,7 +10,6 @@
 #include "core/sample_filter.hpp"
 #include "pprim/partition.hpp"
 #include "pprim/thread_team.hpp"
-#include "pprim/tuning.hpp"
 #include "seq/seq_msf.hpp"
 
 namespace smp::core {
@@ -43,36 +42,6 @@ std::string_view to_string(Algorithm a) {
       return "Bor-UF";
     case Algorithm::kChampion:
       return "Champion";
-  }
-  return "?";
-}
-
-std::string_view to_string(DeferredCompactMode m) {
-  switch (m) {
-    case DeferredCompactMode::kAuto:
-      return "auto";
-    case DeferredCompactMode::kOn:
-      return "on";
-    case DeferredCompactMode::kOff:
-      return "off";
-  }
-  return "?";
-}
-
-std::string_view to_string(CompactStrategy s) {
-  switch (s) {
-    case CompactStrategy::kEager:
-      return "eager";
-    case CompactStrategy::kDefer:
-      return "defer";
-    case CompactStrategy::kHash:
-      return "hash";
-    case CompactStrategy::kSort:
-      return "sort";
-    case CompactStrategy::kMerge:
-      return "merge";
-    case CompactStrategy::kPointer:
-      return "pointer";
   }
   return "?";
 }
@@ -200,7 +169,7 @@ graph::MsfResult dispatch_parallel(ThreadTeam& team, const graph::EdgeList& g,
     case Algorithm::kBorUF:
       return bor_uf_msf(team, g);
     case Algorithm::kChampion:
-      return champion_msf(team, g, opts);
+      return bor_fal_msf(team, g, opts);
     default:
       throw Error(ErrorCode::kInvalidInput, "unreachable algorithm dispatch");
   }
@@ -213,9 +182,6 @@ graph::MsfResult solve_with(ThreadTeam* external_team, const graph::EdgeList& g,
   validate_options(opts);
   validate_edges(external_team, g);
   iteration_checkpoint(opts, "request start");
-  // Cutoff-ablation overrides (0 = keep the process-global tuning value);
-  // restored when the solve returns or unwinds.
-  ScopedTuning tuning(opts.parallel_for_cutoff, opts.sample_sort_cutoff);
   try {
     switch (opts.algorithm) {
       case Algorithm::kSeqPrim:

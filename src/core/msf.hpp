@@ -32,8 +32,10 @@ enum class Algorithm {
   kFilterKruskal,  ///< cycle-property filtering (§3's hinted approach)
   kSampleFilter,   ///< Cole–Klein–Tarjan random sampling + filtering
   kBorUF,          ///< Borůvka over a lock-free union-find (GBBS/Galois style)
-  kChampion,       ///< auto-tuned pipeline: deferred compaction + per-iteration
-                   ///< strategy choice (defer / hash dedup / sort compact)
+  kChampion,       ///< the library default: runs the Bor-FAL engine, whose
+                   ///< vertex-parallel find-min beats the edge-parallel
+                   ///< variants; DynamicMsf keys its forest-ordered batch
+                   ///< pass on it
 };
 
 [[nodiscard]] std::string_view to_string(Algorithm a);
@@ -64,32 +66,6 @@ enum class FindMinMode { kAuto, kScan, kSimd };
 
 [[nodiscard]] std::string_view to_string(FindMinMode m);
 
-/// Whether the edge-list variants defer compact-graph behind live-prefix
-/// watermarks (Bor-FAL's filter-on-the-fly ported to Bor-EL/AL/ALM): dead
-/// arcs are dropped during the find-min scan and the full dedup/relabel only
-/// runs when the live-edge fraction sinks below the compact_live_threshold.
-/// kAuto enables deferral whenever the packed find-min path is available
-/// (the watermark scan needs the uint64 ⟨rank, payload⟩ keys); kOff pins the
-/// paper's eager compact-every-iteration behaviour for A/B benches.  Both
-/// settings produce bit-identical forests.
-enum class DeferredCompactMode { kAuto, kOn, kOff };
-
-[[nodiscard]] std::string_view to_string(DeferredCompactMode m);
-
-/// What an iteration's compact-graph step actually did — recorded per
-/// iteration in IterationStat and counted in PhaseStats so BENCH_07 can
-/// explain *why* the champion picked each path.
-enum class CompactStrategy {
-  kEager,  ///< eager per-iteration sort compact (paper reference path)
-  kDefer,  ///< deferred: labels composed in place, no arc-array rebuild
-  kHash,   ///< full compact via the radix hash-map dedup
-  kSort,   ///< full compact via radix/sample sort
-  kMerge,  ///< Bor-AL/ALM k-way-merge adjacency rebuild
-  kPointer,  ///< Bor-FAL pointer contraction (never rebuilds arc storage)
-};
-
-[[nodiscard]] std::string_view to_string(CompactStrategy s);
-
 /// Wall-clock seconds spent in each step of the Borůvka iteration — the
 /// instrumentation behind the Fig. 2 breakdown.
 struct StepTimes {
@@ -103,10 +79,9 @@ struct StepTimes {
   double rank_build = 0;
   double arc_build = 0;
   double assembly = 0;
-  /// Arcs permanently retired from a live-arc working set across all
-  /// iterations — Bor-FAL's prune as well as the deferred-compaction
-  /// watermark prunes of Bor-EL/AL/ALM and the champion (0 under
-  /// FindMinMode::kScan and for eager algorithms).
+  /// Arcs permanently retired from Bor-FAL's live-arc working set across
+  /// all iterations (0 under FindMinMode::kScan and for the eager
+  /// algorithms).
   std::uint64_t pruned_arcs = 0;
 
   [[nodiscard]] double total() const { return find_min + connect + compact + other; }
@@ -131,15 +106,6 @@ struct StepTimes {
 struct PhaseStats {
   std::uint64_t iterations = 0;  ///< Borůvka iterations / MST-BC rounds
   std::uint64_t regions = 0;     ///< SPMD regions started inside those iterations
-  // Compact-strategy accounting (deferred engines and the champion):
-  std::uint64_t deferred_iterations = 0;  ///< iterations that skipped the full compact
-  std::uint64_t hash_compacts = 0;   ///< full compacts resolved by hash dedup
-  std::uint64_t sort_compacts = 0;   ///< full compacts resolved by sorting
-  std::uint64_t merge_rebuilds = 0;  ///< Bor-AL/ALM k-way-merge rebuilds
-  // Radix hash-map probe statistics (see pprim/radix_hash_map.hpp):
-  std::uint64_t hash_keys = 0;         ///< elements inserted across all dedups
-  std::uint64_t hash_probe_steps = 0;  ///< probe advances past the home slot
-  std::uint64_t hash_max_probe = 0;    ///< longest single probe chain
 
   [[nodiscard]] double regions_per_iteration() const {
     return iterations == 0
@@ -150,14 +116,6 @@ struct PhaseStats {
   PhaseStats& operator+=(const PhaseStats& o) {
     iterations += o.iterations;
     regions += o.regions;
-    deferred_iterations += o.deferred_iterations;
-    hash_compacts += o.hash_compacts;
-    sort_compacts += o.sort_compacts;
-    merge_rebuilds += o.merge_rebuilds;
-    hash_keys += o.hash_keys;
-    hash_probe_steps += o.hash_probe_steps;
-    hash_max_probe = hash_max_probe > o.hash_max_probe ? hash_max_probe
-                                                       : o.hash_max_probe;
     return *this;
   }
 };
@@ -167,10 +125,9 @@ struct IterationStat {
   graph::VertexId vertices = 0;    ///< supervertices at iteration start
   graph::EdgeId directed_edges = 0;  ///< live directed edges (the "2m" column)
   /// Live arcs divided by arc-array size at iteration start (1.0 for the
-  /// eager paths, which rebuild the array every iteration).
+  /// eager paths, which rebuild the array every iteration; Bor-FAL's pruned
+  /// prefixes drive it below 1).
   double live_fraction = 1.0;
-  /// What compact-graph did this iteration.
-  CompactStrategy strategy = CompactStrategy::kEager;
 };
 
 struct MsfOptions {
@@ -187,18 +144,8 @@ struct MsfOptions {
   StepTimes* step_times = nullptr;
   std::vector<IterationStat>* iteration_stats = nullptr;
   PhaseStats* phase_stats = nullptr;
-  /// compact-graph sort dispatch (kAuto = packed-key radix when possible;
-  /// the champion resolves kAuto to the hash dedup instead).
+  /// compact-graph sort dispatch (kAuto = packed-key radix when possible).
   CompactSortMode compact_sort = CompactSortMode::kAuto;
-  /// Deferred-compaction dispatch for Bor-EL/AL/ALM and the champion
-  /// (kAuto = deferred whenever the packed find-min path is available).
-  DeferredCompactMode deferred_compact = DeferredCompactMode::kAuto;
-  /// Live-edge fraction below which a deferred engine runs the full compact;
-  /// 0 keeps kDefaultCompactLiveThreshold (pprim/tuning.hpp).
-  double compact_live_threshold = 0;
-  /// Arcs per chunk of the deferred find-min scan (the watermark/ownership
-  /// granule); 0 keeps kDefaultDeferredChunkArcs.
-  std::size_t compact_chunk = 0;
   /// find-min scan dispatch (kAuto = packed-key SIMD path when possible).
   FindMinMode find_min = FindMinMode::kAuto;
   /// Find-min contention-cutoff overrides; 0 keeps the defaults in
@@ -208,11 +155,6 @@ struct MsfOptions {
   int find_min_local_best_threads = 0;
   std::size_t find_min_local_best_cutoff = 0;
   std::size_t find_min_prune_block = 0;
-  /// Sequential-cutoff overrides for the cutoff-ablation benches; 0 keeps
-  /// the process-global tuning value (see pprim/tuning.hpp).  Applied for
-  /// the duration of the minimum_spanning_forest call.
-  std::size_t parallel_for_cutoff = 0;
-  std::size_t sample_sort_cutoff = 0;
   /// Optional execution budget (cancellation token, deadline, arena memory
   /// cap), checked at per-iteration checkpoints; may be nullptr.  The budget
   /// outlives the call and may be shared with a canceller thread.
@@ -295,15 +237,5 @@ graph::MsfResult mst_bc_msf(ThreadTeam& team, const graph::EdgeList& g,
 /// that the paper's algorithms are implicitly measured against.
 graph::MsfResult par_kruskal_msf(ThreadTeam& team, const graph::EdgeList& g,
                                  const MsfOptions& opts = {});
-
-/// The auto-tuned champion pipeline (the `solve` default): Bor-EL's edge
-/// list under deferred compaction, choosing per iteration between deferring
-/// (label composition only), the radix hash-map dedup, and a sort compact,
-/// from the measured live fraction and the working-set size.  Falls back to
-/// Bor-FAL when the packed find-min path is unavailable (m > 2^31 or a
-/// pinned FindMinMode::kScan).  Forests are bit-identical to every other
-/// variant.
-graph::MsfResult champion_msf(ThreadTeam& team, const graph::EdgeList& g,
-                              const MsfOptions& opts = {});
 
 }  // namespace smp::core

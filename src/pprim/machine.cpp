@@ -102,14 +102,6 @@ CalibrationResult auto_calibrate(bool apply) {
   const MachineProfile& mp = machine_profile();
   CalibrationResult r;
 
-  // Hash-dedup sequential gate: a sequential probe table of n keys occupies
-  // ~2n slots x 16 B (key + value); keep it inside the measured L2 so the
-  // single-threaded path never thrashes, and never gate lower than the
-  // compile-time default.
-  const std::size_t l2 = mp.l2_bytes ? mp.l2_bytes : (1u << 20);
-  r.compact_hash_seq_cutoff = std::clamp(l2 / 32, kCompactHashSeqCutoff,
-                                         std::size_t{1} << 17);
-
   if (mp.available_threads <= 1) {
     // One usable CPU: forking a team is pure overhead at every size the
     // micro-bench could measure, and oversubscribed teams (threads > 1 on
@@ -170,7 +162,6 @@ CalibrationResult auto_calibrate(bool apply) {
   if (apply) {
     set_parallel_for_cutoff(r.parallel_for_cutoff);
     set_sample_sort_cutoff(r.sample_sort_cutoff);
-    set_compact_hash_seq_cutoff(r.compact_hash_seq_cutoff);
     r.applied = true;
   }
   r.elapsed_s = seconds_since(t0);
@@ -181,7 +172,6 @@ std::string calibration_json(const CalibrationResult& r) {
   std::ostringstream os;
   os << "{\"parallel_for_cutoff\": " << r.parallel_for_cutoff
      << ", \"sample_sort_cutoff\": " << r.sample_sort_cutoff
-     << ", \"compact_hash_seq_cutoff\": " << r.compact_hash_seq_cutoff
      << ", \"elapsed_s\": " << r.elapsed_s
      << ", \"applied\": " << (r.applied ? "true" : "false") << "}";
   return os.str();

@@ -36,14 +36,12 @@ struct MachineProfile {
 struct CalibrationResult {
   std::size_t parallel_for_cutoff = 0;
   std::size_t sample_sort_cutoff = 0;
-  std::size_t compact_hash_seq_cutoff = 0;
   double elapsed_s = 0;  ///< wall time the calibration pass itself took
   bool applied = false;  ///< cutoffs were installed via set_*()
 };
 
 /// Micro-calibration pass: measures where forking a team actually beats the
-/// inline loop and where sample sort beats std::sort ON THIS MACHINE, and
-/// derives the hash-dedup sequential gate from the measured L2 size, instead
+/// inline loop and where sample sort beats std::sort ON THIS MACHINE, instead
 /// of trusting the compile-time defaults (which were tuned blind — see
 /// ROADMAP).  Costs well under a second; deterministic work items (seeded
 /// LCG), timing-dependent *thresholds*.  With `apply` the winning cutoffs are

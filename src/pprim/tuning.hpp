@@ -7,8 +7,8 @@ namespace smp {
 
 /// Central home of the sequential-cutoff constants that used to be hard-coded
 /// in the primitives.  The values are process-global so every primitive (and
-/// every team) sees the same thresholds; benches override them through
-/// ScopedTuning (or MsfOptions) for cutoff-ablation runs.
+/// every team) sees the same thresholds; calibration and the cutoff-ablation
+/// benches override them through ScopedTuning.
 ///
 /// Changing a cutoff while a parallel region is executing is not supported:
 /// the primitives read these on every thread to pick the sequential-vs-
@@ -28,7 +28,7 @@ inline constexpr std::size_t kDefaultSampleSortCutoff = std::size_t{1} << 15;
 /// hold — small teams don't contend enough to amortize the p·cur_n merge,
 /// and large cur_n makes the per-thread arrays themselves the cost.
 /// Overridable per solve via MsfOptions::find_min_local_best_{threads,cutoff}
-/// (0 = these defaults), like the compact-sort cutoffs.
+/// (0 = these defaults).
 inline constexpr int kFindMinLocalBestThreads = 4;
 inline constexpr std::size_t kFindMinLocalBestCutoff = 4096;
 /// Vertices per dynamic-scheduling chunk of the Bor-FAL prune+scan loop.
@@ -37,37 +37,9 @@ inline constexpr std::size_t kFindMinLocalBestCutoff = 4096;
 /// Overridable via MsfOptions::find_min_prune_block.
 inline constexpr std::size_t kFindMinPruneBlock = 64;
 
-/// Compact-graph deferral knobs (see core/deferred_el.hpp).  The deferred
-/// engines skip the full dedup/relabel while the live-edge fraction (arcs
-/// that survived self-loop/dominated-parallel pruning divided by the arc
-/// array size) stays at or above this threshold; below it, a full compact
-/// pays for itself by shrinking every later scan.  Overridable per solve via
-/// MsfOptions::compact_live_threshold.
-inline constexpr double kDefaultCompactLiveThreshold = 0.25;
-/// Arcs per dynamic-scheduling chunk of the deferred find-min scan; one
-/// chunk is also the exclusive ownership unit that makes dominated-parallel
-/// kill slots stable (see deferred_el.cpp).  Overridable via
-/// MsfOptions::compact_chunk.
-inline constexpr std::size_t kDefaultDeferredChunkArcs = 4096;
-/// Below this many live arcs a full compact is never worth the relabel
-/// traffic — the deferred engines just keep scanning the remnant in place.
-inline constexpr std::size_t kDeferredMinCompactArcs = std::size_t{1} << 14;
-/// Below this many elements the radix hash-map dedup runs single-threaded on
-/// tid 0.  The gate reads the input size ONLY (never the team size) so the
-/// dedup output is bit-identical across p.
-inline constexpr std::size_t kCompactHashSeqCutoff = std::size_t{1} << 13;
-/// Target elements per hash bucket: at 2x slots a bucket's probe table is
-/// ~8k slots of 8-byte keys plus values, comfortably L2-resident.
-inline constexpr std::size_t kCompactHashBucketTarget = 4096;
-/// log2 size of the per-thread direct-mapped dominated-parallel filter used
-/// by the deferred find-min scan (2^11 entries x 24 B = 48 KiB, L1-adjacent).
-inline constexpr int kDominatedTableBits = 11;
-
 namespace tuning_detail {
 inline std::atomic<std::size_t> g_parallel_for_cutoff{kDefaultParallelForCutoff};
 inline std::atomic<std::size_t> g_sample_sort_cutoff{kDefaultSampleSortCutoff};
-inline std::atomic<std::size_t> g_compact_hash_seq_cutoff{
-    kCompactHashSeqCutoff};
 }  // namespace tuning_detail
 
 [[nodiscard]] inline std::size_t parallel_for_cutoff() {
@@ -76,43 +48,27 @@ inline std::atomic<std::size_t> g_compact_hash_seq_cutoff{
 [[nodiscard]] inline std::size_t sample_sort_cutoff() {
   return tuning_detail::g_sample_sort_cutoff.load(std::memory_order_relaxed);
 }
-/// Runtime value of the radix hash-map's sequential gate (see
-/// kCompactHashSeqCutoff).  Still read per input size only, never per team
-/// size, so dedup output stays bit-identical across p for any fixed setting;
-/// machine auto-calibration re-derives it from the measured L2 size.
-[[nodiscard]] inline std::size_t compact_hash_seq_cutoff() {
-  return tuning_detail::g_compact_hash_seq_cutoff.load(
-      std::memory_order_relaxed);
-}
-
 inline void set_parallel_for_cutoff(std::size_t n) {
   tuning_detail::g_parallel_for_cutoff.store(n, std::memory_order_relaxed);
 }
 inline void set_sample_sort_cutoff(std::size_t n) {
   tuning_detail::g_sample_sort_cutoff.store(n, std::memory_order_relaxed);
 }
-inline void set_compact_hash_seq_cutoff(std::size_t n) {
-  tuning_detail::g_compact_hash_seq_cutoff.store(n, std::memory_order_relaxed);
-}
 
-/// RAII override of the global cutoffs.  A zero value means "keep the current
-/// setting" (the MsfOptions convention); the previous values are restored on
-/// destruction, so nested solves with different overrides compose.
+/// RAII override of the global cutoffs for calibration and cutoff-ablation
+/// runs.  A zero value means "keep the current setting"; the previous values
+/// are restored on destruction.  Solves never construct one: they only read
+/// the globals, so a solve cannot revert a calibration applied beside it.
 class ScopedTuning {
  public:
-  ScopedTuning(std::size_t pf_cutoff, std::size_t ss_cutoff,
-               std::size_t hash_seq_cutoff = 0)
-      : saved_pf_(parallel_for_cutoff()),
-        saved_ss_(sample_sort_cutoff()),
-        saved_hash_(compact_hash_seq_cutoff()) {
+  ScopedTuning(std::size_t pf_cutoff, std::size_t ss_cutoff)
+      : saved_pf_(parallel_for_cutoff()), saved_ss_(sample_sort_cutoff()) {
     if (pf_cutoff != 0) set_parallel_for_cutoff(pf_cutoff);
     if (ss_cutoff != 0) set_sample_sort_cutoff(ss_cutoff);
-    if (hash_seq_cutoff != 0) set_compact_hash_seq_cutoff(hash_seq_cutoff);
   }
   ~ScopedTuning() {
     set_parallel_for_cutoff(saved_pf_);
     set_sample_sort_cutoff(saved_ss_);
-    set_compact_hash_seq_cutoff(saved_hash_);
   }
 
   ScopedTuning(const ScopedTuning&) = delete;
@@ -121,7 +77,6 @@ class ScopedTuning {
  private:
   std::size_t saved_pf_;
   std::size_t saved_ss_;
-  std::size_t saved_hash_;
 };
 
 }  // namespace smp

@@ -348,15 +348,12 @@ TEST(Machine, ProfileIsSaneAndCached) {
 TEST(Machine, CalibrateWithoutApplyLeavesGlobalsAlone) {
   const std::size_t pf = parallel_for_cutoff();
   const std::size_t ss = sample_sort_cutoff();
-  const std::size_t hs = compact_hash_seq_cutoff();
   const CalibrationResult cal = auto_calibrate(/*apply=*/false);
   EXPECT_FALSE(cal.applied);
   EXPECT_GT(cal.parallel_for_cutoff, 0u);
   EXPECT_GT(cal.sample_sort_cutoff, 0u);
-  EXPECT_GT(cal.compact_hash_seq_cutoff, 0u);
   EXPECT_EQ(parallel_for_cutoff(), pf);
   EXPECT_EQ(sample_sort_cutoff(), ss);
-  EXPECT_EQ(compact_hash_seq_cutoff(), hs);
   const std::string j = calibration_json(cal);
   EXPECT_NE(j.find("\"parallel_for_cutoff\""), std::string::npos);
   EXPECT_NE(j.find("\"applied\": false"), std::string::npos);
@@ -372,13 +369,11 @@ TEST(Machine, CalibratedCutoffsNeverChangeTheForest) {
   opts.threads = 4;
   MsfResult def, calr;
   {
-    ScopedTuning st(kDefaultParallelForCutoff, kDefaultSampleSortCutoff,
-                    kCompactHashSeqCutoff);
+    ScopedTuning st(kDefaultParallelForCutoff, kDefaultSampleSortCutoff);
     def = core::minimum_spanning_forest(g, opts);
   }
   {
-    ScopedTuning st(cal.parallel_for_cutoff, cal.sample_sort_cutoff,
-                    cal.compact_hash_seq_cutoff);
+    ScopedTuning st(cal.parallel_for_cutoff, cal.sample_sort_cutoff);
     calr = core::minimum_spanning_forest(g, opts);
   }
   EXPECT_EQ(test::sorted_ids(def), test::sorted_ids(calr));

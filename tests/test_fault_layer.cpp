@@ -172,10 +172,6 @@ TEST_F(FaultInjection, BadAllocInEveryParallelAlgorithmIsCatchable) {
     core::MsfOptions opts;
     opts.threads = 4;
     opts.bc_base_size = 32;  // keep MST-BC in its parallel phase
-    // Deferred compaction only touches Bor-ALM's arenas during a full
-    // rebuild; an aggressive live threshold forces one on this small graph
-    // so the arena.alloc site still fires on the deferred default path.
-    opts.compact_live_threshold = 0.99;
     FaultInjector::arm(c.site, FaultKind::kBadAlloc);
     EXPECT_THROW((void)c.entry(team, g, opts), std::bad_alloc) << c.name;
     EXPECT_GE(FaultInjector::hits(c.site), 1u) << c.name;
@@ -394,9 +390,6 @@ TEST(Fallback, MemoryCapDegradesToValidatedKruskalForest) {
   opts.algorithm = core::Algorithm::kBorALM;
   opts.threads = 4;
   opts.budget = &budget;
-  // Force an early full rebuild so the deferred path draws on the (capped)
-  // arenas; deferral alone would never allocate from them on this graph.
-  opts.compact_live_threshold = 0.99;
   const auto r = core::minimum_spanning_forest(g, opts);
   EXPECT_TRUE(r.degraded_to_sequential);
   EXPECT_EQ(test::sorted_ids(r), test::sorted_ids(seq::kruskal_msf(g)));
@@ -413,7 +406,6 @@ TEST(Fallback, DisabledFallbackSurfacesOutOfMemory) {
   opts.algorithm = core::Algorithm::kBorALM;
   opts.threads = 4;
   opts.budget = &budget;
-  opts.compact_live_threshold = 0.99;  // see MemoryCapDegrades above
   opts.allow_sequential_fallback = false;
   try {
     (void)core::minimum_spanning_forest(g, opts);

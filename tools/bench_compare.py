@@ -12,12 +12,9 @@ fig2 family (baseline has per-algorithm timing records — BENCH_07):
     sub-millisecond smoke timings from tripping it on noise.
   * A Bor-FAL record claims the packed-key kernel ("simd") but reports zero
     pruned arcs — live-arc pruning silently stopped working.
-  * Bor-EL's compact-graph share of its own total exceeds
-    --max-el-compact-share (default 60%): deferred compaction broke and the
-    pre-PR-7 compact-graph wall (~85% of total at density 10) is back.
   * The champion pipeline's total exceeds the best paper variant's total on
     the same graph by more than --champion-tolerance (default 10%) plus an
-    absolute slack: the auto-tuner is picking losing strategies.
+    absolute slack: the default engine no longer beats the paper's variants.
   * A forest-identity check record is missing or not identical.
 
 query family (baseline has query_rebuild / query_op records — BENCH_08):
@@ -348,24 +345,13 @@ def gate_fig2(base_doc, cur_doc, args, failures):
                 f"Bor-FAL density={density} n={n}: simd mode but 0 pruned arcs "
                 "(live-arc pruning is dead)")
 
-    # Compact-graph gates run on the current document alone: they are
-    # absolute properties of this run, not relative to the baseline.
+    # The champion gate runs on the current document alone: it is an
+    # absolute property of this run, not relative to the baseline.
     paper_variants = ("Bor-EL", "Bor-AL", "Bor-ALM", "Bor-FAL")
     by_graph = {}
     for (alg, density, n), c in cur.items():
         by_graph.setdefault((density, n), {})[alg] = c
     for (density, n), algs in sorted(by_graph.items()):
-        el = algs.get("Bor-EL")
-        if el is not None and el["total"] > 0:
-            share = el["compact"] / el["total"]
-            verdict = "OK" if share <= args.max_el_compact_share else "REGRESSED"
-            print(f"  Bor-EL density={density} n={n}: compact share "
-                  f"{share:.3f} (limit {args.max_el_compact_share:.2f}) {verdict}")
-            if share > args.max_el_compact_share:
-                failures.append(
-                    f"Bor-EL density={density} n={n}: compact share {share:.3f} "
-                    f"exceeds {args.max_el_compact_share:.0%} — the "
-                    "compact-graph wall is back")
         champ = algs.get("Champion")
         best_variant = min((algs[a]["total"] for a in paper_variants if a in algs),
                            default=None)
@@ -446,8 +432,6 @@ def main():
     ap.add_argument("current")
     ap.add_argument("--tolerance", type=float, default=0.15,
                     help="allowed relative growth of Bor-FAL's find-min share")
-    ap.add_argument("--max-el-compact-share", type=float, default=0.60,
-                    help="hard cap on Bor-EL's compact share of its total")
     ap.add_argument("--champion-tolerance", type=float, default=0.10,
                     help="allowed champion slowdown vs the best paper variant")
     ap.add_argument("--query-tolerance", type=float, default=0.50,

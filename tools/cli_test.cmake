@@ -9,6 +9,7 @@ function(run_cli expect_rc out_var)
     message(FATAL_ERROR "smpmsf ${ARGN} exited ${rc} (want ${expect_rc}): ${out}${err}")
   endif()
   set(${out_var} "${out}" PARENT_SCOPE)
+  set(cli_err "${err}" PARENT_SCOPE)
 endfunction()
 
 run_cli(0 out gen --type random --n 5000 --m 20000 --seed 7 -o ${WORK}/g.gr)
@@ -42,10 +43,8 @@ run_cli(0 out solve --alg filter-kruskal --validate ${WORK}/g.gr)
 # Execution-budget flags: a generous timeout still solves; degradation under
 # a tiny memory cap still yields a valid forest (and says so).
 run_cli(0 out solve --alg bor-el --threads 4 --timeout 600 --validate ${WORK}/g.gr)
-# The aggressive live threshold forces an early full rebuild so the deferred
-# default still draws on the (capped) arenas.
 run_cli(0 out solve --alg bor-alm --threads 4 --mem-cap 8192
-        --compact-live-threshold 0.99 --validate ${WORK}/g.gr)
+        --validate ${WORK}/g.gr)
 string(FIND "${out}" "degraded to sequential" pos)
 if(pos EQUAL -1)
   message(FATAL_ERROR "mem-cap solve did not report degradation: ${out}")
@@ -80,9 +79,26 @@ run_cli(2 out solve --mode dynamic ${WORK}/g.gr)  # missing --update-trace: usag
 run_cli(2 out bogus-command)
 run_cli(5 out solve --alg bor-fal --threads 4 --timeout 0 ${WORK}/g.gr)
 run_cli(6 out solve --alg bor-alm --threads 4 --mem-cap 8192
-        --compact-live-threshold 0.99 --no-fallback ${WORK}/g.gr)
+        --no-fallback ${WORK}/g.gr)
 # A trace deleting a dead edge is invalid input: the graph is simple after
 # canonicalized load, so the second delete of {1,2} must fail whether or not
 # the pair existed initially.
 file(WRITE ${WORK}/bad_trace.txt "d 1 2\nd 1 2\n")
 run_cli(3 out solve --mode dynamic --update-trace ${WORK}/bad_trace.txt ${WORK}/g.gr)
+# Flags a subcommand does not read (--compact-live-threshold is not a solve
+# flag), and numbers that do not parse in full, are usage errors (exit 2)
+# naming the flag — never silently ignored or truncated.
+run_cli(2 out solve --compact-live-threshold 0.5 ${WORK}/g.gr)
+string(FIND "${cli_err}" "unknown flag --compact-live-threshold" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "removed flag not named in the usage error: ${cli_err}")
+endif()
+run_cli(2 out solve --bogus 1 ${WORK}/g.gr)
+run_cli(2 out solve --timeout banana ${WORK}/g.gr)
+string(FIND "${cli_err}" "--timeout" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "malformed --timeout not named in the usage error: ${cli_err}")
+endif()
+run_cli(2 out solve --threads 4x ${WORK}/g.gr)
+run_cli(2 out gen --type random --n 1e3 --m 3000 -o ${WORK}/bad.gr)
+run_cli(3 out solve --compact-sort hash ${WORK}/g.gr)

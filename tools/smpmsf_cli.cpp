@@ -8,9 +8,7 @@
 //                [--stats-json FILE] [--find-min auto|scan|simd]
 //                [--find-min-local-best-threads N]
 //                [--find-min-local-best-cutoff N] [--find-min-prune-block N]
-//                [--compact-sort auto|radix|sample|hash]
-//                [--deferred-compact auto|on|off]
-//                [--compact-live-threshold X] [--compact-chunk N]
+//                [--compact-sort auto|radix|sample]
 //                [--mode static|dynamic] [--batch-size N] [--update-trace FILE]
 //                FILE
 //   smpmsf cc [--threads P] FILE
@@ -28,24 +26,29 @@
 //   d <u> <v>             delete the canonical (lightest, then oldest) live
 //                         edge with these endpoints
 //
-// Flags accept both "--key value" and "--key=value".  Unknown --alg /
-// --mode / --find-min / trace operations are invalid input (exit 3), with
-// the accepted values listed.
+// Flags accept both "--key value" and "--key=value".  A flag the subcommand
+// does not read, or a malformed number, is a usage error (exit 2).  Unknown
+// --alg / --mode / --find-min / trace operations are invalid input (exit 3),
+// with the accepted values listed.
 //
 // Exit codes: 0 success, 1 runtime/validation failure, 2 usage, then one per
 // smp::ErrorCode class — 3 invalid input, 4 cancelled, 5 deadline exceeded,
 // 6 out of memory.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <cmath>
 #include <fstream>
+#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <unordered_set>
 
 #include "core/connected_components.hpp"
@@ -85,10 +88,8 @@ using namespace smp::graph;
                "               [--find-min auto|scan|simd]"
                " [--find-min-local-best-threads N]"
                " [--find-min-local-best-cutoff N] [--find-min-prune-block N]\n"
-               "               [--compact-sort auto|radix|sample|hash]"
-               " [--deferred-compact auto|on|off]"
-               " [--compact-live-threshold X] [--compact-chunk N]\n"
-               "               [--mode static|dynamic] [--batch-size N]"
+               "               [--compact-sort auto|radix|sample]"
+               " [--mode static|dynamic] [--batch-size N]"
                " [--update-trace FILE]\n"
                "               [--graph-format auto|edges|compressed]"
                " [--auto-tune] FILE\n"
@@ -155,19 +156,9 @@ core::CompactSortMode parse_compact_sort(const std::string& s) {
   if (s == "auto") return core::CompactSortMode::kAuto;
   if (s == "radix") return core::CompactSortMode::kRadix;
   if (s == "sample") return core::CompactSortMode::kSample;
-  if (s == "hash") return core::CompactSortMode::kHash;
   throw smp::Error(
       smp::ErrorCode::kInvalidInput,
-      "unknown compact-sort mode '" + s + "' (valid: auto radix sample hash)");
-}
-
-core::DeferredCompactMode parse_deferred_compact(const std::string& s) {
-  if (s == "auto") return core::DeferredCompactMode::kAuto;
-  if (s == "on") return core::DeferredCompactMode::kOn;
-  if (s == "off") return core::DeferredCompactMode::kOff;
-  throw smp::Error(smp::ErrorCode::kInvalidInput,
-                   "unknown deferred-compact mode '" + s +
-                       "' (valid: auto on off)");
+      "unknown compact-sort mode '" + s + "' (valid: auto radix sample)");
 }
 
 bool ends_with(const std::string& s, const char* suffix) {
@@ -212,40 +203,64 @@ struct Flags {
     }
     return false;
   }
-  [[nodiscard]] std::uint64_t num(const char* key, std::uint64_t fallback) const {
-    const auto v = get(key);
-    return v ? std::strtoull(v->c_str(), nullptr, 10) : fallback;
-  }
-  [[nodiscard]] std::optional<double> real(const char* key) const {
+  /// The whole value of `key` parsed as a decimal T, or a usage error: "",
+  /// "-1" (for an unsigned T), "4x", "1e3" and "banana" never parse as a
+  /// prefix or wrap around.
+  template <class T>
+  [[nodiscard]] std::optional<T> parsed(const char* key) const {
     const auto v = get(key);
     if (!v) return std::nullopt;
-    return std::strtod(v->c_str(), nullptr);
+    T x{};
+    const char* end = v->data() + v->size();
+    const auto [ptr, ec] = std::from_chars(v->data(), end, x);
+    bool ok = ec == std::errc{} && ptr == end;
+    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(x);
+    if (!ok) {
+      usage(("malformed number for " + std::string(key) + ": '" + *v + "'")
+                .c_str());
+    }
+    return x;
+  }
+  [[nodiscard]] std::uint64_t num(const char* key, std::uint64_t fallback) const {
+    return parsed<std::uint64_t>(key).value_or(fallback);
+  }
+  [[nodiscard]] std::optional<double> real(const char* key) const {
+    return parsed<double>(key);
   }
 };
 
-Flags parse(int argc, char** argv, int from) {
+/// Parses argv[from..] against the flags one subcommand reads (`accepted`,
+/// switches included); any other flag is a usage error naming it.
+Flags parse(int argc, char** argv, int from,
+            std::initializer_list<std::string_view> accepted) {
   Flags f;
   static const char* kSwitches[] = {"--validate", "--steps", "--no-fallback",
                                     "--auto-tune"};
+  const auto check = [&](const std::string& key) {
+    if (std::find(accepted.begin(), accepted.end(), key) == accepted.end()) {
+      usage(("unknown flag " + key + " for " + argv[from - 1]).c_str());
+    }
+  };
   for (int i = from; i < argc; ++i) {
     const std::string a = argv[i];
-    bool is_switch = false;
-    for (const char* s : kSwitches) {
-      if (a == s) {
-        f.switches.push_back(a);
-        is_switch = true;
-      }
+    if (std::find(std::begin(kSwitches), std::end(kSwitches), a) !=
+        std::end(kSwitches)) {
+      check(a);
+      f.switches.push_back(a);
+      continue;
     }
-    if (is_switch) continue;
     if (a.rfind("--", 0) == 0 || a == "-o") {
       // "--key=value" and "--key value" are equivalent.
       const std::size_t eq = a.find('=');
       if (eq != std::string::npos) {
+        check(a.substr(0, eq));
         f.kv.emplace_back(a.substr(0, eq), a.substr(eq + 1));
         continue;
       }
+      const std::string key = a == "-o" ? "--out" : a;
+      check(key);
       if (i + 1 >= argc) usage(("missing value for " + a).c_str());
-      f.kv.emplace_back(a == "-o" ? "--out" : a, argv[++i]);
+      f.kv.emplace_back(key, argv[++i]);
     } else {
       f.positional.push_back(a);
     }
@@ -507,28 +522,6 @@ void write_stats_json(const std::string& path, const std::string& alg,
                 static_cast<unsigned long long>(pstats.regions),
                 pstats.regions_per_iteration());
   os << buf;
-  // Compact-graph strategy mix (deferred-compaction engines only; all-zero
-  // for eager algorithms) plus the radix hash-map's probe statistics.
-  std::snprintf(buf, sizeof buf,
-                ", \"compact\": {\"deferred_iterations\": %llu"
-                ", \"hash_compacts\": %llu, \"sort_compacts\": %llu"
-                ", \"merge_rebuilds\": %llu",
-                static_cast<unsigned long long>(pstats.deferred_iterations),
-                static_cast<unsigned long long>(pstats.hash_compacts),
-                static_cast<unsigned long long>(pstats.sort_compacts),
-                static_cast<unsigned long long>(pstats.merge_rebuilds));
-  os << buf;
-  std::snprintf(
-      buf, sizeof buf,
-      ", \"hash\": {\"keys\": %llu, \"probe_steps\": %llu"
-      ", \"max_probe\": %llu, \"probe_steps_per_key\": %.3f}}",
-      static_cast<unsigned long long>(pstats.hash_keys),
-      static_cast<unsigned long long>(pstats.hash_probe_steps),
-      static_cast<unsigned long long>(pstats.hash_max_probe),
-      pstats.hash_keys != 0 ? static_cast<double>(pstats.hash_probe_steps) /
-                                  static_cast<double>(pstats.hash_keys)
-                            : 0.0);
-  os << buf;
   std::snprintf(buf, sizeof buf,
                 ", \"step_times\": {\"find_min\": %.6f, \"connect\": %.6f"
                 ", \"compact\": %.6f, \"other\": %.6f, \"rank_build\": %.6f"
@@ -585,26 +578,14 @@ int cmd_solve(const Flags& f) {
   opts.find_min_prune_block =
       static_cast<std::size_t>(f.num("--find-min-prune-block", 0));
   opts.compact_sort = parse_compact_sort(f.get("--compact-sort").value_or("auto"));
-  opts.deferred_compact =
-      parse_deferred_compact(f.get("--deferred-compact").value_or("auto"));
-  if (const auto thr = f.real("--compact-live-threshold")) {
-    if (*thr <= 0 || *thr > 1) {
-      throw smp::Error(smp::ErrorCode::kInvalidInput,
-                       "--compact-live-threshold must be in (0, 1]");
-    }
-    opts.compact_live_threshold = *thr;
-  }
-  opts.compact_chunk = static_cast<std::size_t>(f.num("--compact-chunk", 0));
 
   // --auto-tune: measure this machine's crossover points and install them as
   // the process-global cutoffs before solving (see pprim/machine.hpp).
   if (f.has("--auto-tune")) {
     const auto cal = smp::auto_calibrate();
     std::printf(
-        "auto-tune: parallel-for cutoff %zu, sample-sort cutoff %zu,"
-        " hash-seq cutoff %zu (%.3fs)\n",
-        cal.parallel_for_cutoff, cal.sample_sort_cutoff,
-        cal.compact_hash_seq_cutoff, cal.elapsed_s);
+        "auto-tune: parallel-for cutoff %zu, sample-sort cutoff %zu (%.3fs)\n",
+        cal.parallel_for_cutoff, cal.sample_sort_cutoff, cal.elapsed_s);
   }
 
   // Asking for more threads than the machine has is legal (the paper's
@@ -638,7 +619,7 @@ int cmd_solve(const Flags& f) {
     budget.set_deadline_after(*timeout);
     have_budget = true;
   }
-  if (const auto cap = f.get("--mem-cap")) {
+  if (f.get("--mem-cap")) {
     budget.set_memory_cap(f.num("--mem-cap", 0));
     have_budget = true;
   }
@@ -717,13 +698,24 @@ int cmd_cc(const Flags& f) {
 int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string cmd = argv[1];
-  const Flags f = parse(argc, argv, 2);
   try {
-    if (cmd == "gen") return cmd_gen(f);
-    if (cmd == "info") return cmd_info(f);
-    if (cmd == "convert") return cmd_convert(f);
-    if (cmd == "solve") return cmd_solve(f);
-    if (cmd == "cc") return cmd_cc(f);
+    if (cmd == "gen") {
+      return cmd_gen(parse(argc, argv, 2,
+                           {"--type", "--n", "--m", "--k", "--seed", "--out"}));
+    }
+    if (cmd == "info") return cmd_info(parse(argc, argv, 2, {}));
+    if (cmd == "convert") return cmd_convert(parse(argc, argv, 2, {}));
+    if (cmd == "solve") {
+      return cmd_solve(parse(
+          argc, argv, 2,
+          {"--alg", "--threads", "--seed", "--timeout", "--mem-cap",
+           "--no-fallback", "--validate", "--steps", "--stats-json",
+           "--find-min", "--find-min-local-best-threads",
+           "--find-min-local-best-cutoff", "--find-min-prune-block",
+           "--compact-sort", "--mode", "--batch-size", "--update-trace",
+           "--graph-format", "--auto-tune"}));
+    }
+    if (cmd == "cc") return cmd_cc(parse(argc, argv, 2, {"--threads"}));
     usage(("unknown command " + cmd).c_str());
   } catch (const smp::Error& ex) {
     std::fprintf(stderr, "error: %s\n", ex.what());

@@ -250,9 +250,9 @@ int main(int argc, char** argv) {
     if (auto_tune) {
       const auto cal = smp::auto_calibrate();
       std::printf("smpmsf-server: auto-tune parallel-for=%zu sample-sort=%zu"
-                  " hash-seq=%zu (%.3fs)\n",
+                  " (%.3fs)\n",
                   cal.parallel_for_cutoff, cal.sample_sort_cutoff,
-                  cal.compact_hash_seq_cutoff, cal.elapsed_s);
+                  cal.elapsed_s);
     }
 
     serve::ServiceCore core(opts);
