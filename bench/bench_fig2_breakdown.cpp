@@ -60,9 +60,9 @@ int main(int argc, char** argv) {
     const auto m = static_cast<EdgeId>(density) * n;
     const EdgeList g = random_graph(n, m, args.seed + static_cast<std::uint64_t>(density));
     bench::banner("Fig 2 / random", g);
-    std::printf("  %-8s %10s %10s %10s %10s %10s %10s %10s %10s %6s %8s\n",
+    std::printf("  %-8s %10s %10s %10s %10s %10s %10s %10s %10s %10s %6s %8s\n",
                 "alg", "find-min", "connect", "compact", "other", "(rank)",
-                "(arcs)", "(assembly)", "total", "iters", "reg/iter");
+                "(arcs)", "(assembly)", "(filter)", "total", "iters", "reg/iter");
     for (const auto alg : algs) {
       core::StepTimes best{};
       core::PhaseStats best_ps{};
@@ -88,10 +88,10 @@ int main(int argc, char** argv) {
       }
       const std::string name(core::to_string(alg));
       std::printf("  %-8s %9.3fs %9.3fs %9.3fs %9.3fs %9.3fs %9.3fs %9.3fs "
-                  "%9.3fs %6llu %8.2f\n",
+                  "%9.3fs %9.3fs %6llu %8.2f\n",
                   name.c_str(), best.find_min, best.connect, best.compact,
                   best.other, best.rank_build, best.arc_build, best.assembly,
-                  best.total(),
+                  best.filter, best.total(),
                   static_cast<unsigned long long>(best_ps.iterations),
                   best_ps.regions_per_iteration());
       const core::FindMinMode resolved =
@@ -104,7 +104,8 @@ int main(int argc, char** argv) {
           "{\"density\": %d, \"n\": %u, \"m\": %llu, \"alg\": \"%s\", "
           "\"threads\": %d, \"find_min\": %.6f, \"connect\": %.6f, "
           "\"compact\": %.6f, \"other\": %.6f, \"rank_build\": %.6f, "
-          "\"arc_build\": %.6f, \"assembly\": %.6f, \"total\": %.6f, "
+          "\"arc_build\": %.6f, \"assembly\": %.6f, \"filter\": %.6f, "
+          "\"total\": %.6f, "
           "\"iterations\": %llu, \"regions\": %llu, "
           "\"regions_per_iteration\": %.4f, "
           "\"find_min_mode\": \"%s\", \"simd_kernel\": \"%s\", "
@@ -112,7 +113,7 @@ int main(int argc, char** argv) {
           density, g.num_vertices, static_cast<unsigned long long>(g.num_edges()),
           name.c_str(), args.max_threads, best.find_min, best.connect,
           best.compact, best.other, best.rank_build, best.arc_build,
-          best.assembly, best.total(),
+          best.assembly, best.filter, best.total(),
           static_cast<unsigned long long>(best_ps.iterations),
           static_cast<unsigned long long>(best_ps.regions),
           best_ps.regions_per_iteration(),

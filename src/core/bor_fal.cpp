@@ -60,7 +60,8 @@ namespace {
 
 /// The packed Borůvka loop itself; bor_fal_packed_engine wraps it.
 std::vector<EdgeId> packed_boruvka_loop(ThreadTeam& team, PackedSolveInput in,
-                                        const MsfOptions& opts, StepTimes& st) {
+                                        const MsfOptions& opts, StepTimes& st,
+                                        std::vector<VertexId>* labels_out) {
   const VertexId n = in.n;
   const int p = team.size();
   const int lb_threads = find_min_local_best_threads(opts);
@@ -240,6 +241,9 @@ std::vector<EdgeId> packed_boruvka_loop(ThreadTeam& team, PackedSolveInput in,
     }
     if (!any.load(std::memory_order_relaxed)) break;
   }
+  // The exit iteration contracted nothing, so the labels are still the
+  // dense ones of the last contraction: one per component.
+  if (labels_out != nullptr) *labels_out = fal.release_labels();
   return collector.gather();
 }
 
@@ -247,14 +251,15 @@ std::vector<EdgeId> packed_boruvka_loop(ThreadTeam& team, PackedSolveInput in,
 
 std::vector<EdgeId> bor_fal_packed_engine(ThreadTeam& team,
                                           PackedSolveInput in,
-                                          const MsfOptions& opts,
-                                          StepTimes& st) {
+                                          const MsfOptions& opts, StepTimes& st,
+                                          std::vector<VertexId>* labels) {
   // Whatever the loop does outside its timed steps — scratch set-up,
   // per-iteration checkpoints, the id gather, freeing the consumed input —
   // is set-up and teardown, so `other` takes it.
   WallTimer wall;
   const double steps_before = st.total();
-  std::vector<EdgeId> ids = packed_boruvka_loop(team, std::move(in), opts, st);
+  std::vector<EdgeId> ids =
+      packed_boruvka_loop(team, std::move(in), opts, st, labels);
   st.other += wall.elapsed_s() - (st.total() - steps_before);
   return ids;
 }

@@ -22,7 +22,7 @@ using graph::MsfResult;
 using graph::VertexId;
 using graph::WeightOrder;
 
-MsfResult bor_uf_msf(ThreadTeam& team, const EdgeList& g) {
+MsfResult bor_uf_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts) {
   const VertexId n = g.num_vertices;
   MsfResult res;
   if (n == 0) return res;
@@ -49,6 +49,7 @@ MsfResult bor_uf_msf(ThreadTeam& team, const EdgeList& g) {
   // instead of paying four fork/joins.  The progress flag is raised before a
   // barrier and read after it, so every thread takes the same exit branch.
   while (!live.empty()) {
+    iteration_checkpoint(opts, "Bor-UF round");
     const std::size_t m = live.size();
     if (keep_flags.size() < m) keep_flags.resize(m);
     any.store(false, std::memory_order_relaxed);

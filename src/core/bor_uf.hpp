@@ -1,5 +1,6 @@
 #pragma once
 
+#include "core/msf.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/msf_result.hpp"
 #include "pprim/thread_team.hpp"
@@ -14,8 +15,10 @@ namespace smp::core {
 /// an AtomicUnionFind, find-min races atomic write-mins keyed by *current
 /// root*, and each iteration merely filters the live edge array in parallel.
 /// Included as an extension so the benches can situate the 2004 designs
-/// against their modern successor on identical inputs.
-graph::MsfResult bor_uf_msf(ThreadTeam& team, const graph::EdgeList& g);
+/// against their modern successor on identical inputs.  `opts.budget` is
+/// checked once per round.
+graph::MsfResult bor_uf_msf(ThreadTeam& team, const graph::EdgeList& g,
+                            const MsfOptions& opts = {});
 
 /// Convenience overload owning a temporary team.
 graph::MsfResult bor_uf_msf(const graph::EdgeList& g, int threads = 1);

@@ -1,0 +1,259 @@
+#include "core/champion.hpp"
+
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "core/bor_fal_packed.hpp"
+#include "core/detail.hpp"
+#include "core/find_min.hpp"
+#include "graph/compressed_csr.hpp"
+#include "pprim/cacheline.hpp"
+#include "pprim/fault.hpp"
+#include "pprim/partition.hpp"
+#include "pprim/timer.hpp"
+
+namespace smp::core {
+
+using graph::CompressedCsr;
+using graph::EdgeId;
+using graph::EdgeList;
+using graph::MsfResult;
+using graph::VertexId;
+using graph::WEdge;
+using graph::Weight;
+
+namespace {
+
+/// Strided sample size for the pivot pick.  Its rank error (about one over
+/// the square root of the sampled light count) moves the light set by a
+/// percent or so; the pick itself is one nth_element.
+constexpr std::size_t kPivotSamples = std::size_t{1} << 14;
+
+/// An edge's place in the rank sort's order: WeightOrder as integers.
+using OrderKey = std::pair<std::uint64_t, EdgeId>;
+
+[[nodiscard]] std::size_t light_target(VertexId n) {
+  return static_cast<std::size_t>(kChampionLightPerVertex * static_cast<double>(n));
+}
+
+/// The pivot: the sampled edge whose sample rank matches `target` of m.
+template <class WeightAt>
+OrderKey pick_pivot(std::size_t m, std::size_t target, WeightAt w_at) {
+  const std::size_t s = std::min(m, kPivotSamples);
+  std::vector<OrderKey> sample(s);
+  for (std::size_t i = 0; i < s; ++i) {
+    const EdgeId e = i * m / s;
+    sample[i] = {monotone_weight_bits(w_at(e)), e};
+  }
+  const auto nth = sample.begin() + static_cast<std::ptrdiff_t>(target * s / m);
+  std::nth_element(sample.begin(), nth, sample.end());
+  return *nth;
+}
+
+/// One gathered sub-solve: edges over `n` vertices as flat arrays, with
+/// their input ids in ascending order.  The arrays are never zero-filled:
+/// the gathers write every slot.
+struct SubGraph {
+  VertexId n = 0;
+  std::size_t m = 0;
+  std::unique_ptr<VertexId[]> u;
+  std::unique_ptr<VertexId[]> v;
+  std::unique_ptr<Weight[]> w;
+  std::unique_ptr<EdgeId[]> ids;
+
+  void allocate(std::size_t count) {
+    m = count;
+    u = std::make_unique_for_overwrite<VertexId[]>(m);
+    v = std::make_unique_for_overwrite<VertexId[]>(m);
+    w = std::make_unique_for_overwrite<Weight[]>(m);
+    ids = std::make_unique_for_overwrite<EdgeId[]>(m);
+  }
+  void put(std::size_t at, EdgeId e, const WEdge& edge) {
+    u[at] = edge.u;
+    v[at] = edge.v;
+    w[at] = edge.w;
+    ids[at] = e;
+  }
+};
+
+/// Team-parallel ordered gather over input ids [0, m): every edge for which
+/// keep(e, edge, out) returns true lands in the sub-graph as `out`, in
+/// ascending id order.  Count per block, scan, scatter: each thread walks
+/// its own id block twice, and nothing but the result is written.
+/// Fork-join.
+template <class Walk, class Keep>
+SubGraph gather_edges(ThreadTeam& team, VertexId n, std::size_t m, Walk walk,
+                      Keep keep) {
+  SubGraph sub;
+  sub.n = n;
+  std::vector<Padded<std::size_t>> count(static_cast<std::size_t>(team.size()));
+  team.run([&](TeamCtx& ctx) {
+    const auto t = static_cast<std::size_t>(ctx.tid());
+    const IndexRange r = block_range(m, ctx.tid(), ctx.nthreads());
+    WEdge out;
+    std::size_t c = 0;
+    walk(EdgeId{r.begin}, EdgeId{r.end},
+         [&](EdgeId e, const WEdge& edge) { c += keep(e, edge, out) ? 1 : 0; });
+    count[t].value = c;
+    ctx.barrier();
+    if (t == 0) {
+      std::size_t total = 0;
+      for (const auto& x : count) total += x.value;
+      sub.allocate(total);
+    }
+    ctx.barrier();
+    std::size_t at = 0;
+    for (std::size_t t2 = 0; t2 < t; ++t2) at += count[t2].value;
+    walk(EdgeId{r.begin}, EdgeId{r.end}, [&](EdgeId e, const WEdge& edge) {
+      if (keep(e, edge, out)) sub.put(at++, e, out);
+    });
+  });
+  return sub;
+}
+
+/// gather_edges for a sparse keep set whose test is the expensive part: one
+/// walk per block into per-thread buffers, then a scan and a copy, so each
+/// edge is tested once.
+template <class Walk, class Keep>
+SubGraph gather_sparse(ThreadTeam& team, VertexId n, std::size_t m, Walk walk,
+                       Keep keep) {
+  SubGraph sub;
+  sub.n = n;
+  const auto p = static_cast<std::size_t>(team.size());
+  std::vector<Padded<std::vector<std::pair<EdgeId, WEdge>>>> kept(p);
+  team.run([&](TeamCtx& ctx) {
+    const auto t = static_cast<std::size_t>(ctx.tid());
+    auto& mine = kept[t].value;
+    const IndexRange r = block_range(m, ctx.tid(), ctx.nthreads());
+    WEdge out;
+    walk(EdgeId{r.begin}, EdgeId{r.end}, [&](EdgeId e, const WEdge& edge) {
+      if (keep(e, edge, out)) mine.emplace_back(e, out);
+    });
+    ctx.barrier();
+    if (t == 0) {
+      std::size_t total = 0;
+      for (const auto& k : kept) total += k.value.size();
+      sub.allocate(total);
+    }
+    ctx.barrier();
+    std::size_t at = 0;
+    for (std::size_t t2 = 0; t2 < t; ++t2) at += kept[t2].value.size();
+    for (const auto& [e, edge] : mine) sub.put(at++, e, edge);
+  });
+  return sub;
+}
+
+/// One engine pass over a sub-graph: its rank sort and arc build, then the
+/// Borůvka loop.  Returns the forest as input ids.
+std::vector<EdgeId> engine_pass(ThreadTeam& team, const SubGraph& sub,
+                                const MsfOptions& opts, StepTimes& st,
+                                std::vector<VertexId>* labels = nullptr) {
+  PackedSolveInput in;
+  in.n = sub.n;
+  WallTimer phase;
+  {
+    const std::vector<std::uint32_t> rank = build_weight_ranks(
+        team, std::span<const Weight>(sub.w.get(), sub.m), &in.rank_to_edge);
+    st.rank_build += phase.elapsed_s();
+    phase.reset();
+    build_packed_arcs(team, std::span<const VertexId>(sub.u.get(), sub.m),
+                      std::span<const VertexId>(sub.v.get(), sub.m), sub.n,
+                      rank, in.offsets, in.keys);
+    st.arc_build += phase.elapsed_s();
+  }  // the keys carry the ranks from here on
+  std::vector<EdgeId> ids =
+      bor_fal_packed_engine(team, std::move(in), opts, st, labels);
+  for (EdgeId& id : ids) id = sub.ids[id];
+  return ids;
+}
+
+/// The five-step stage of champion.hpp over any edge source: `w_at(e)` is
+/// edge e's weight, `walk(begin, end, fn)` calls fn(e, edge) for every edge
+/// e in [begin, end) in ascending order.
+template <class WeightAt, class Walk>
+MsfResult filtered_solve(ThreadTeam& team, VertexId n, std::size_t m,
+                         WeightAt w_at, Walk walk, const MsfOptions& opts) {
+  StepTimes st;
+  WallTimer wall;
+  WallTimer phase;
+
+  // 1–2. Pivot pick and light gather.
+  const OrderKey pivot = pick_pivot(m, light_target(n), w_at);
+  SubGraph sub = gather_edges(
+      team, n, m, walk, [&](EdgeId e, const WEdge& edge, WEdge& out) {
+        out = edge;
+        return !(pivot < OrderKey{monotone_weight_bits(edge.w), e});
+      });
+  st.filter += phase.elapsed_s();
+
+  // 3. Light pass.
+  std::vector<VertexId> label;
+  std::vector<EdgeId> ids = engine_pass(team, sub, opts, st, &label);
+  iteration_checkpoint(opts, "Champion filter");
+
+  // 4. Survivor filter: light edges never survive (their endpoints share a
+  // light component), so the label test alone drops every filtered edge.
+  phase.reset();
+  fault_point("champion.filter");
+  sub = gather_sparse(team, static_cast<VertexId>(n - ids.size()), m, walk,
+                      [&](EdgeId, const WEdge& edge, WEdge& out) {
+                        out = WEdge{label[edge.u], label[edge.v], edge.w};
+                        return out.u != out.v;
+                      });
+  std::vector<VertexId>().swap(label);
+  st.filter += phase.elapsed_s();
+
+  // 5. Survivor pass, then one assembly over both id sets.
+  const std::vector<EdgeId> heavy_ids = engine_pass(team, sub, opts, st);
+  ids.insert(ids.end(), heavy_ids.begin(), heavy_ids.end());
+  sub = SubGraph{};
+  phase.reset();
+  MsfResult res = detail::assemble_result(team, n, m, std::move(ids), walk);
+  st.assembly += phase.elapsed_s();
+
+  // `other` takes everything outside the engines' timed steps: the filter,
+  // both prologues, the assembly and the checkpoints.
+  st.other += wall.elapsed_s() - st.total();
+  if (opts.step_times) *opts.step_times += st;
+  return res;
+}
+
+}  // namespace
+
+bool champion_filters(VertexId n, std::size_t m, FindMinMode mode) {
+  return resolve_find_min_mode(mode, m) == FindMinMode::kSimd &&
+         2 * light_target(n) < m;
+}
+
+MsfResult champion_msf(ThreadTeam& team, const EdgeList& g,
+                       const MsfOptions& opts) {
+  const std::size_t m = g.edges.size();
+  if (!champion_filters(g.num_vertices, m, opts.find_min)) {
+    return bor_fal_msf(team, g, opts);
+  }
+  return filtered_solve(
+      team, g.num_vertices, m, [&](EdgeId e) { return g.edges[e].w; },
+      [&](EdgeId begin, EdgeId end, auto&& fn) {
+        for (EdgeId e = begin; e < end; ++e) fn(e, g.edges[e]);
+      },
+      opts);
+}
+
+MsfResult champion_filtered_msf(ThreadTeam& team, const CompressedCsr& g,
+                                const MsfOptions& opts) {
+  const Weight* const weights = g.weights();
+  return filtered_solve(
+      team, g.num_vertices(), g.num_edges(), [&](EdgeId e) { return weights[e]; },
+      [&](EdgeId begin, EdgeId end, auto&& fn) {
+        g.for_each_edge(begin, end, [&](EdgeId e, VertexId u, VertexId v, Weight w) {
+          fn(e, WEdge{u, v, w});
+        });
+      },
+      opts);
+}
+
+}  // namespace smp::core

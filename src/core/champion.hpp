@@ -1,0 +1,58 @@
+#pragma once
+
+#include <cstddef>
+
+#include "core/msf.hpp"
+#include "graph/edge_list.hpp"
+#include "graph/msf_result.hpp"
+#include "pprim/thread_team.hpp"
+
+namespace smp::graph {
+class CompressedCsr;
+}
+
+namespace smp::core {
+
+/// Champion (Algorithm::kChampion, the library default): Bor-FAL's packed
+/// engine behind a heavy-edge filter, the Filter-Borůvka of Sanders and
+/// Schimek and the early heavy-edge exclusion §3 of the paper conjectures.
+///
+///   1. From a fixed strided sample of the edges, pick a pivot in the rank
+///      sort's own order ⟨monotone_weight_bits(w), id⟩ so that about
+///      kChampionLightPerVertex · n edges are ≤ it ("light").
+///   2. Gather the light edges on the team, in ascending id order.
+///   3. Run the engine on them; it hands back its final vertex →
+///      supervertex labels, one dense label per light component.
+///   4. In one team pass keep every edge whose endpoint labels differ — all
+///      of them heavy — relabelled to ⟨label u, label v⟩.  Every dropped
+///      heavy edge closes a cycle of lighter edges, so it is in no MSF.
+///   5. Run the engine on those survivors over the contracted vertex set,
+///      and assemble the result once from both passes' ids.
+///
+/// Both sub-solves keep ids ascending, so their local ⟨weight, index⟩ order
+/// agrees with the input's WeightOrder and the forest is the unique MSF,
+/// bit-identical to Bor-FAL's and Kruskal's.  When the light set would be
+/// at least half the edges (m ≤ 2 · kChampionLightPerVertex · n), or the
+/// packed engine does not apply (FindMinMode::kScan, m > 2^31), Champion is
+/// exactly Bor-FAL.
+inline constexpr double kChampionLightPerVertex = 2.0;
+
+/// Whether Champion runs its filter stage on n vertices and m edges under
+/// find-min mode `mode` (see above).
+[[nodiscard]] bool champion_filters(graph::VertexId n, std::size_t m,
+                                    FindMinMode mode);
+
+/// Champion over an edge list: the filter stage or, when it does not apply,
+/// bor_fal_msf.
+graph::MsfResult champion_msf(ThreadTeam& team, const graph::EdgeList& g,
+                              const MsfOptions& opts = {});
+
+/// The filter stage over a compressed CSR (core/compressed_solve.cpp calls
+/// it when champion_filters holds): the same five steps through the row
+/// walk, with pivot weights read from the flat weight section.  Result ids
+/// are compressed edge ids.
+graph::MsfResult champion_filtered_msf(ThreadTeam& team,
+                                       const graph::CompressedCsr& g,
+                                       const MsfOptions& opts = {});
+
+}  // namespace smp::core

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/bor_fal_packed.hpp"
+#include "core/champion.hpp"
 #include "core/detail.hpp"
 #include "core/find_min.hpp"
 #include "graph/edge_list.hpp"
@@ -37,8 +38,13 @@ namespace {
 /// Streaming solve: ranks from the flat weight section, packed arcs straight
 /// from the varint rows, and a parallel row walk that materializes just the
 /// forest edges (detail::assemble_result over the implicit edge-id order).
+/// Champion runs its filter stage over the same row walk when it applies.
 MsfResult solve_streaming(ThreadTeam& team, const CompressedCsr& g,
                           const MsfOptions& opts) {
+  if (opts.algorithm == Algorithm::kChampion &&
+      champion_filters(g.num_vertices(), g.num_edges(), opts.find_min)) {
+    return champion_filtered_msf(team, g, opts);
+  }
   StepTimes st;
   WallTimer phase;
   const std::size_t m = g.num_edges();

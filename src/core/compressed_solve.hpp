@@ -16,12 +16,15 @@ namespace smp::core {
 /// edge-for-edge and bit-for-bit.
 ///
 /// Dispatch: when the packed find-min path applies (m <= 2^31, mode not
-/// kScan) and the algorithm contracts via Bor-FAL (kBorFAL, or kChampion
-/// whose sparse-graph pick is Bor-FAL), the solve STREAMS: weight ranks come
+/// kScan) and the algorithm contracts via Bor-FAL (kBorFAL, or kChampion,
+/// which runs the Bor-FAL engine), the solve STREAMS: weight ranks come
 /// from the flat f64 section, the packed ⟨rank, target⟩ arcs are scattered
 /// straight out of the varint rows (build_packed_arcs over CompressedCsr),
 /// and result assembly is one more row walk — no EdgeList or CsrGraph is
 /// ever materialized, so peak memory stays ~20 B/edge past the graph itself.
+/// kChampion runs its heavy-edge filter stage (core/champion.hpp) over the
+/// same row walk when the stage applies: only the light edges and the
+/// survivors are ever gathered, as flat arrays.
 /// Anything else (kScan A/B runs, the non-FAL algorithms, oversized m) falls
 /// back to eager decode_edge_list() + the standard dispatcher, trading
 /// memory for generality.

@@ -25,11 +25,12 @@ constexpr std::size_t kBaseSize = 1024;
 struct Ctx {
   ThreadTeam& team;
   const EdgeList& g;
+  const MsfOptions& opts;
   seq::UnionFind uf;
   std::vector<EdgeId> out_ids;
 
-  Ctx(ThreadTeam& t, const EdgeList& graph)
-      : team(t), g(graph), uf(graph.num_vertices) {}
+  Ctx(ThreadTeam& t, const EdgeList& graph, const MsfOptions& o)
+      : team(t), g(graph), opts(o), uf(graph.num_vertices) {}
 
   [[nodiscard]] WeightOrder key(EdgeId i) const { return {g.edges[i].w, i}; }
 
@@ -86,6 +87,7 @@ struct Ctx {
   }
 
   void solve(std::vector<EdgeId>& ids) {
+    iteration_checkpoint(opts, "Filter-Kruskal level");
     if (ids.size() <= kBaseSize) {
       base_case(ids);
       return;
@@ -117,8 +119,9 @@ struct Ctx {
 
 }  // namespace
 
-MsfResult filter_kruskal_msf(ThreadTeam& team, const EdgeList& g) {
-  Ctx ctx(team, g);
+MsfResult filter_kruskal_msf(ThreadTeam& team, const EdgeList& g,
+                             const MsfOptions& opts) {
+  Ctx ctx(team, g, opts);
   std::vector<EdgeId> ids(g.edges.size());
   for (EdgeId i = 0; i < g.edges.size(); ++i) ids[i] = i;
   ctx.solve(ids);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include "core/msf.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/msf_result.hpp"
 #include "pprim/thread_team.hpp"
@@ -18,8 +19,10 @@ namespace smp::core {
 /// before recursing on what is left.
 ///
 /// The filter pass (the dominant cost on dense inputs) runs on the team's
-/// threads; union-find updates stay sequential.
-graph::MsfResult filter_kruskal_msf(ThreadTeam& team, const graph::EdgeList& g);
+/// threads; union-find updates stay sequential.  `opts.budget` is checked
+/// once per recursion level.
+graph::MsfResult filter_kruskal_msf(ThreadTeam& team, const graph::EdgeList& g,
+                                    const MsfOptions& opts = {});
 
 /// Convenience overload owning a temporary team.
 graph::MsfResult filter_kruskal_msf(const graph::EdgeList& g, int threads = 1);

@@ -414,6 +414,19 @@ void build_packed_arcs(ThreadTeam& team, const graph::EdgeList& g,
       offsets, keys);
 }
 
+void build_packed_arcs(ThreadTeam& team, std::span<const VertexId> u,
+                       std::span<const VertexId> v, VertexId n,
+                       std::span<const std::uint32_t> rank,
+                       std::vector<EdgeId>& offsets,
+                       std::unique_ptr<std::uint64_t[]>& keys) {
+  build_packed_arcs_impl(
+      team, n, u.size(), rank,
+      [&](EdgeId begin, EdgeId end, auto&& fn) {
+        for (EdgeId e = begin; e < end; ++e) fn(e, u[e], v[e]);
+      },
+      offsets, keys);
+}
+
 void build_packed_arcs(const graph::EdgeList& g, VertexId n,
                        std::span<const std::uint32_t> rank,
                        std::vector<EdgeId>& offsets,

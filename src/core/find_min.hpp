@@ -143,6 +143,15 @@ void build_packed_arcs(ThreadTeam& team, const graph::EdgeList& g,
                        std::vector<graph::EdgeId>& offsets,
                        std::unique_ptr<std::uint64_t[]>& keys);
 
+/// Same build over bare endpoint arrays: edge e joins u[e] and v[e]
+/// (Champion's sub-solves gather their edges as flat arrays, never as an
+/// EdgeList).
+void build_packed_arcs(ThreadTeam& team, std::span<const graph::VertexId> u,
+                       std::span<const graph::VertexId> v, graph::VertexId n,
+                       std::span<const std::uint32_t> rank,
+                       std::vector<graph::EdgeId>& offsets,
+                       std::unique_ptr<std::uint64_t[]>& keys);
+
 /// One-thread build_packed_arcs (identical output).
 void build_packed_arcs(const graph::EdgeList& g, graph::VertexId n,
                        std::span<const std::uint32_t> rank,

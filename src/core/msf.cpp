@@ -6,6 +6,7 @@
 #include <string>
 
 #include "core/bor_uf.hpp"
+#include "core/champion.hpp"
 #include "core/filter_kruskal.hpp"
 #include "core/sample_filter.hpp"
 #include "pprim/partition.hpp"
@@ -163,13 +164,13 @@ graph::MsfResult dispatch_parallel(ThreadTeam& team, const graph::EdgeList& g,
     case Algorithm::kParKruskal:
       return par_kruskal_msf(team, g, opts);
     case Algorithm::kFilterKruskal:
-      return filter_kruskal_msf(team, g);
+      return filter_kruskal_msf(team, g, opts);
     case Algorithm::kSampleFilter:
-      return sample_filter_msf(team, g, opts.seed);
+      return sample_filter_msf(team, g, opts);
     case Algorithm::kBorUF:
-      return bor_uf_msf(team, g);
+      return bor_uf_msf(team, g, opts);
     case Algorithm::kChampion:
-      return bor_fal_msf(team, g, opts);
+      return champion_msf(team, g, opts);
     default:
       throw Error(ErrorCode::kInvalidInput, "unreachable algorithm dispatch");
   }

@@ -32,10 +32,11 @@ enum class Algorithm {
   kFilterKruskal,  ///< cycle-property filtering (§3's hinted approach)
   kSampleFilter,   ///< Cole–Klein–Tarjan random sampling + filtering
   kBorUF,          ///< Borůvka over a lock-free union-find (GBBS/Galois style)
-  kChampion,       ///< the library default: runs the Bor-FAL engine, whose
-                   ///< vertex-parallel find-min beats the edge-parallel
-                   ///< variants; DynamicMsf keys its forest-ordered batch
-                   ///< pass on it
+  kChampion,       ///< the library default: Bor-FAL behind a heavy-edge
+                   ///< filter (core/champion.hpp) — solve the lightest ~2n
+                   ///< edges, drop every heavier edge inside one light
+                   ///< component, finish on the contracted survivors;
+                   ///< DynamicMsf keys its forest-ordered batch pass on it
 };
 
 [[nodiscard]] std::string_view to_string(Algorithm a);
@@ -74,11 +75,15 @@ struct StepTimes {
   double compact = 0;
   double other = 0;  ///< setup, result assembly, base-case solve (MST-BC)
   /// Named parts OF `other` (already counted there, so total() and `other`
-  /// are unchanged): the weight-rank sort, the packed-arc build, and the
-  /// final result assembly.  Engines without a step leave it at 0.
+  /// are unchanged): the weight-rank sort, the packed-arc build, the final
+  /// result assembly, and Champion's heavy-edge filter stage (pivot pick,
+  /// light-edge gather, survivor filter).  Engines without a step leave it
+  /// at 0.  Champion runs the Bor-FAL engine twice, so its rank_build,
+  /// arc_build and the four step totals add up both passes.
   double rank_build = 0;
   double arc_build = 0;
   double assembly = 0;
+  double filter = 0;
   /// Arcs permanently retired from Bor-FAL's live-arc working set across
   /// all iterations (0 under FindMinMode::kScan and for the eager
   /// algorithms).
@@ -94,6 +99,7 @@ struct StepTimes {
     rank_build += o.rank_build;
     arc_build += o.arc_build;
     assembly += o.assembly;
+    filter += o.filter;
     pruned_arcs += o.pruned_arcs;
     return *this;
   }
@@ -103,6 +109,10 @@ struct StepTimes {
 /// regions each algorithm iteration forked.  A fused algorithm runs one
 /// persistent region per Borůvka iteration (regions_per_iteration() == 1);
 /// anything larger means the iteration still pays extra fork/join wake-ups.
+/// Champion's two engine passes (light edges, then survivors) both add to
+/// the same counters, as they do to MsfOptions::iteration_stats (the light
+/// pass's rows first); its filter regions run between iterations and count
+/// in neither.
 struct PhaseStats {
   std::uint64_t iterations = 0;  ///< Borůvka iterations / MST-BC rounds
   std::uint64_t regions = 0;     ///< SPMD regions started inside those iterations

@@ -23,6 +23,8 @@ struct SortRec {
   EdgeId id;
 };
 
+constexpr std::size_t kSweepCheck = std::size_t{1} << 16;
+
 }  // namespace
 
 /// Parallel-sort Kruskal: the sort — Kruskal's asymptotic bottleneck — runs
@@ -47,7 +49,11 @@ MsfResult par_kruskal_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions&
   phase.reset();
   MsfResult res;
   seq::UnionFind uf(g.num_vertices);
-  for (const SortRec& r : order) {
+  for (std::size_t i = 0; i < m; ++i) {
+    // The sweep is this algorithm's one long sequential round: check the
+    // budget as it starts and every kSweepCheck edges after.
+    if (i % kSweepCheck == 0) iteration_checkpoint(opts, "Par-Kruskal sweep");
+    const SortRec& r = order[i];
     const auto& e = g.edges[r.id];
     if (uf.unite(e.u, e.v)) {
       res.edges.push_back(e);

@@ -39,7 +39,9 @@ std::vector<EdgeId> kruskal_subset(const EdgeList& g, std::vector<EdgeId> ids) {
 }
 
 std::vector<EdgeId> solve(ThreadTeam& team, const EdgeList& g,
-                          std::vector<EdgeId> ids, Rng& rng, int depth) {
+                          const MsfOptions& opts, std::vector<EdgeId> ids,
+                          Rng& rng, int depth) {
+  iteration_checkpoint(opts, "Sample-Filter level");
   // Base: once the edge count is within a small factor of n, sampling stops
   // paying — Kruskal directly.
   if (depth == 0 ||
@@ -63,7 +65,8 @@ std::vector<EdgeId> solve(ThreadTeam& team, const EdgeList& g,
   }
 
   // MSF of the sample.
-  std::vector<EdgeId> forest_ids = solve(team, g, std::move(sampled), rng, depth - 1);
+  std::vector<EdgeId> forest_ids =
+      solve(team, g, opts, std::move(sampled), rng, depth - 1);
 
   // Filter the unsampled edges against the sample forest: keep an edge iff
   // it bridges two sample trees or beats the heaviest path edge (i.e. it is
@@ -101,16 +104,19 @@ std::vector<EdgeId> solve(ThreadTeam& team, const EdgeList& g,
   }
 
   // In expectation |keep| = O(n): finish with Kruskal.
+  iteration_checkpoint(opts, "Sample-Filter level");
   return kruskal_subset(g, std::move(keep));
 }
 
 }  // namespace
 
-MsfResult sample_filter_msf(ThreadTeam& team, const EdgeList& g, std::uint64_t seed) {
+MsfResult sample_filter_msf(ThreadTeam& team, const EdgeList& g,
+                            const MsfOptions& opts) {
   std::vector<EdgeId> ids(g.edges.size());
   for (EdgeId i = 0; i < g.edges.size(); ++i) ids[i] = i;
-  Rng rng(seed);
-  std::vector<EdgeId> msf_ids = solve(team, g, std::move(ids), rng, /*depth=*/8);
+  Rng rng(opts.seed);
+  std::vector<EdgeId> msf_ids =
+      solve(team, g, opts, std::move(ids), rng, /*depth=*/8);
 
   MsfResult res;
   res.edge_ids = std::move(msf_ids);
@@ -126,7 +132,9 @@ MsfResult sample_filter_msf(ThreadTeam& team, const EdgeList& g, std::uint64_t s
 
 MsfResult sample_filter_msf(const EdgeList& g, int threads, std::uint64_t seed) {
   ThreadTeam team(threads);
-  return sample_filter_msf(team, g, seed);
+  MsfOptions opts;
+  opts.seed = seed;
+  return sample_filter_msf(team, g, opts);
 }
 
 }  // namespace smp::core

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "core/msf.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/msf_result.hpp"
 #include "pprim/thread_team.hpp"
@@ -17,9 +18,11 @@ namespace smp::core {
 /// drop every unsampled edge that is F-heavy (checked with ForestPathMax in
 /// a parallel pass); solve the survivors — in expectation only O(n) of them
 /// — with Kruskal.  Randomness affects only the running time, never the
-/// result: the returned forest is the unique MSF under WeightOrder.
+/// result: the returned forest is the unique MSF under WeightOrder.  The
+/// coin flips are seeded from `opts.seed`; `opts.budget` is checked once per
+/// recursion level and before each level's final Kruskal.
 graph::MsfResult sample_filter_msf(ThreadTeam& team, const graph::EdgeList& g,
-                                   std::uint64_t seed = 1);
+                                   const MsfOptions& opts = {});
 
 /// Convenience overload owning a temporary team.
 graph::MsfResult sample_filter_msf(const graph::EdgeList& g, int threads = 1,

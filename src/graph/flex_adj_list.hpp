@@ -38,6 +38,8 @@ class FlexAdjList {
   /// Current supervertex of an original vertex (the lookup table).
   [[nodiscard]] VertexId super_of(VertexId orig) const { return label_[orig]; }
   [[nodiscard]] std::span<const VertexId> labels() const { return label_; }
+  /// Moves the lookup table out (the structure is spent afterwards).
+  [[nodiscard]] std::vector<VertexId> release_labels() { return std::move(label_); }
 
   /// Live-arc working set (packed-key find-min acceleration): for each
   /// original vertex x, only the arc slots in [csr.offsets()[x],

@@ -30,10 +30,12 @@ EdgeList random_graph(VertexId n, EdgeId m, std::uint64_t seed) {
   // terminates in one or two rounds.
   // Drawing exactly the missing count each round (never more) keeps the
   // final set uniform over m-subsets: it is the LEDA "add random edges,
-  // skip duplicates" process in batches.
+  // skip duplicates" process in batches.  A top-up round sorts only its new
+  // keys and merges them into the already sorted, already unique prefix.
   std::vector<std::uint64_t> keys;
   keys.reserve(static_cast<std::size_t>(m));
   while (keys.size() < m) {
+    const auto sorted = static_cast<std::ptrdiff_t>(keys.size());
     const EdgeId need = m - static_cast<EdgeId>(keys.size());
     for (EdgeId i = 0; i < need; ++i) {
       const auto u = static_cast<VertexId>(rng.next_below(n));
@@ -41,7 +43,8 @@ EdgeList random_graph(VertexId n, EdgeId m, std::uint64_t seed) {
       if (v >= u) ++v;  // uniform over v != u
       keys.push_back(pair_key(u, v));
     }
-    std::sort(keys.begin(), keys.end());
+    std::sort(keys.begin() + sorted, keys.end());
+    std::inplace_merge(keys.begin(), keys.begin() + sorted, keys.end());
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   }
 

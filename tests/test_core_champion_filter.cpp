@@ -1,0 +1,268 @@
+// Champion's heavy-edge filter stage (core/champion.hpp): the forest must be
+// the unique MSF, bit for bit, whichever side of the skip threshold the
+// input falls on and however the pivot splits ties.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <bit>
+#include <cstdint>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "core/champion.hpp"
+#include "core/compressed_solve.hpp"
+#include "core/error.hpp"
+#include "core/msf.hpp"
+#include "graph/compressed_csr.hpp"
+#include "graph/generators.hpp"
+#include "pprim/fault.hpp"
+#include "pprim/rng.hpp"
+#include "pprim/thread_team.hpp"
+#include "seq/seq_msf.hpp"
+#include "test_util.hpp"
+
+namespace {
+
+using namespace smp;
+using namespace smp::graph;
+
+// Densities m/n; the stage runs above 2 · kChampionLightPerVertex.
+constexpr int kDensities[] = {1, 2, 4, 10, 64};
+
+/// Kruskal's forest with its weight summed in ascending id order — the order
+/// every Borůvka engine's assembly sums in (Kruskal itself sums in weight
+/// order, which can round differently).
+struct Reference {
+  std::vector<EdgeId> ids;
+  std::uint64_t weight_bits = 0;
+  std::size_t num_trees = 0;
+};
+
+Reference kruskal_reference(const EdgeList& g) {
+  const MsfResult k = seq::kruskal_msf(g);
+  Reference ref;
+  ref.ids = test::sorted_ids(k);
+  double w = 0;
+  for (const EdgeId id : ref.ids) w += g.edges[id].w;
+  ref.weight_bits = std::bit_cast<std::uint64_t>(w);
+  ref.num_trees = k.num_trees;
+  return ref;
+}
+
+MsfResult solve(const EdgeList& g, core::Algorithm alg, int p) {
+  core::MsfOptions opts;
+  opts.algorithm = alg;
+  opts.threads = p;
+  return core::minimum_spanning_forest(g, opts);
+}
+
+/// Champion and Bor-FAL against Kruskal at p ∈ {1, 2, 4}: edge ids,
+/// num_trees and the bits of total_weight.
+void expect_identical(const EdgeList& g, const std::string& what) {
+  const Reference ref = kruskal_reference(g);
+  for (const int p : {1, 2, 4}) {
+    const MsfResult champ = solve(g, core::Algorithm::kChampion, p);
+    const MsfResult fal = solve(g, core::Algorithm::kBorFAL, p);
+    const std::string at = what + " p=" + std::to_string(p);
+    EXPECT_EQ(champ.edge_ids, ref.ids) << at;  // already ascending
+    EXPECT_EQ(fal.edge_ids, champ.edge_ids) << at;
+    EXPECT_EQ(champ.num_trees, ref.num_trees) << at;
+    EXPECT_EQ(fal.num_trees, champ.num_trees) << at;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(champ.total_weight), ref.weight_bits) << at;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fal.total_weight), ref.weight_bits) << at;
+    EXPECT_FALSE(champ.degraded_to_sequential) << at;
+  }
+}
+
+/// n vertices, m distinct random pairs, weights from `weight(rng)`.
+template <class WeightFn>
+EdgeList reweighted(VertexId n, EdgeId m, std::uint64_t seed, WeightFn weight) {
+  EdgeList g = random_graph(n, m, seed);
+  Rng rng(seed ^ 0x5eedULL);
+  for (WEdge& e : g.edges) e.w = weight(rng);
+  return g;
+}
+
+TEST(ChampionFilter, SkipThresholdFollowsTheLightTarget) {
+  const auto skip_at = static_cast<std::size_t>(2 * core::kChampionLightPerVertex * 1000);
+  EXPECT_FALSE(core::champion_filters(1000, skip_at, core::FindMinMode::kAuto));
+  EXPECT_TRUE(core::champion_filters(1000, skip_at + 1, core::FindMinMode::kAuto));
+  EXPECT_TRUE(core::champion_filters(1000, skip_at + 1, core::FindMinMode::kSimd));
+  // The scan kernel is Bor-FAL's A/B baseline: Champion runs it unfiltered.
+  EXPECT_FALSE(core::champion_filters(1000, skip_at + 1, core::FindMinMode::kScan));
+  EXPECT_FALSE(core::champion_filters(0, 0, core::FindMinMode::kAuto));
+}
+
+TEST(ChampionFilter, MatchesKruskalAndBorFalAcrossDensities) {
+  for (const int d : kDensities) {
+    const VertexId n = d >= 64 ? 600 : 3000;
+    const EdgeList g = random_graph(n, static_cast<EdgeId>(d) * n, 900 + d);
+    expect_identical(g, "m/n=" + std::to_string(d));
+  }
+}
+
+TEST(ChampionFilter, BothSidesOfTheSkipThreshold) {
+  const VertexId n = 2500;
+  const auto at = static_cast<EdgeId>(2 * core::kChampionLightPerVertex * n);
+  for (const EdgeId m : {at - 1, at, at + 1, at + 2}) {
+    const EdgeList g = random_graph(n, m, 77 + m);
+    expect_identical(g, "m=" + std::to_string(m));
+  }
+}
+
+TEST(ChampionFilter, AllEqualWeights) {
+  // One weight class: the pivot is decided by edge id alone.
+  const EdgeList g = reweighted(1500, 30000, 31, [](Rng&) { return 0.5; });
+  expect_identical(g, "all-equal");
+}
+
+TEST(ChampionFilter, SignedZeroWeights) {
+  // -0.0 and +0.0 compare equal, so ids must break every one of their ties
+  // whichever sign bit each copy carries.
+  const EdgeList g = reweighted(1500, 20000, 32, [](Rng& r) {
+    const std::uint64_t k = r.next_below(4);
+    return k == 0 ? -0.0 : k == 1 ? 0.0 : static_cast<double>(k);
+  });
+  expect_identical(g, "signed-zero");
+}
+
+TEST(ChampionFilter, TiesStraddlingThePivot) {
+  // Eight weight classes over 15n edges: the ~2n-th lightest edge lies deep
+  // inside a tie class, so part of that class is light and part heavy.
+  const EdgeList g = reweighted(2000, 30000, 33, [](Rng& r) {
+    return static_cast<double>(r.next_below(8));
+  });
+  expect_identical(g, "straddling ties");
+}
+
+TEST(ChampionFilter, ManyLightComponentsAndIsolatedVertices) {
+  // 60 dense clusters of 20 vertices with light internal edges, joined by
+  // heavier cross edges, plus 1200 vertices no edge touches: the light pass
+  // leaves many components, and the isolated vertices stay trees of their own.
+  constexpr VertexId kClusters = 60;
+  constexpr VertexId kSize = 20;
+  const VertexId n = kClusters * kSize + 1200;
+  EdgeList g(n);
+  Rng rng(34);
+  for (VertexId c = 0; c < kClusters; ++c) {
+    for (VertexId a = 0; a < kSize; ++a) {
+      for (VertexId b = a + 1; b < kSize; ++b) {
+        g.add_edge(c * kSize + a, c * kSize + b, rng.next_double());
+      }
+    }
+  }
+  for (int i = 0; i < 3000; ++i) {
+    const auto c1 = static_cast<VertexId>(rng.next_below(kClusters));
+    const auto c2 = static_cast<VertexId>(rng.next_below(kClusters));
+    if (c1 == c2) continue;
+    g.add_edge(c1 * kSize + static_cast<VertexId>(rng.next_below(kSize)),
+               c2 * kSize + static_cast<VertexId>(rng.next_below(kSize)),
+               1.0 + rng.next_double());
+  }
+  ASSERT_TRUE(core::champion_filters(n, g.edges.size(), core::FindMinMode::kAuto));
+  expect_identical(g, "clusters");
+  EXPECT_GE(solve(g, core::Algorithm::kChampion, 2).num_trees, 1200u);
+}
+
+TEST(ChampionFilter, CompressedMatchesUncompressed) {
+  for (const int d : kDensities) {
+    const VertexId n = d >= 64 ? 600 : 2000;
+    const EdgeList g = random_graph(n, static_cast<EdgeId>(d) * n, 950 + d);
+    const CompressedCsr cz = CompressedCsr::build(g);
+    const EdgeList decoded = cz.decode_edge_list();
+    for (const int p : {1, 2, 4}) {
+      core::MsfOptions opts;
+      opts.threads = p;
+      const MsfResult rc = core::minimum_spanning_forest_compressed(cz, opts);
+      const MsfResult ru = core::minimum_spanning_forest(decoded, opts);
+      const std::string at = "m/n=" + std::to_string(d) + " p=" + std::to_string(p);
+      EXPECT_EQ(rc.edge_ids, ru.edge_ids) << at;
+      EXPECT_EQ(rc.edges, ru.edges) << at;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(rc.total_weight),
+                std::bit_cast<std::uint64_t>(ru.total_weight))
+          << at;
+      EXPECT_EQ(rc.num_trees, ru.num_trees) << at;
+      EXPECT_EQ(test::sorted_ids(ru), kruskal_reference(decoded).ids) << at;
+    }
+  }
+}
+
+TEST(ChampionFilter, InstrumentationAddsUpBothEnginePasses) {
+  const EdgeList g = random_graph(20000, 200000, 35);
+  core::StepTimes st;
+  core::PhaseStats ps;
+  std::vector<core::IterationStat> iters;
+  core::MsfOptions opts;
+  opts.threads = 3;
+  opts.step_times = &st;
+  opts.phase_stats = &ps;
+  opts.iteration_stats = &iters;
+  (void)core::minimum_spanning_forest(g, opts);
+  EXPECT_GT(st.filter, 0.0);
+  EXPECT_GT(st.rank_build, 0.0);
+  EXPECT_GT(st.arc_build, 0.0);
+  EXPECT_GT(st.assembly, 0.0);
+  EXPECT_LE(st.filter + st.rank_build + st.arc_build + st.assembly, st.other);
+  // The light pass starts on every vertex; the survivor pass on far fewer.
+  ASSERT_GE(iters.size(), 2u);
+  EXPECT_EQ(iters.front().vertices, g.num_vertices);
+  EXPECT_LT(iters.front().directed_edges, g.edges.size());  // ≈ 2 · 2n arcs
+  EXPECT_EQ(ps.iterations, iters.size());
+  EXPECT_EQ(ps.regions_per_iteration(), 1.0);
+
+  // Skipped stage: exactly Bor-FAL, no filter time.
+  const EdgeList sparse = random_graph(20000, 60000, 36);
+  core::StepTimes skipped;
+  opts.step_times = &skipped;
+  opts.phase_stats = nullptr;
+  opts.iteration_stats = nullptr;
+  (void)core::minimum_spanning_forest(sparse, opts);
+  EXPECT_EQ(skipped.filter, 0.0);
+  EXPECT_GT(skipped.rank_build, 0.0);
+}
+
+class ChampionFilterFault : public ::testing::Test {
+ protected:
+  void TearDown() override { FaultInjector::disarm_all(); }
+};
+
+TEST_F(ChampionFilterFault, BadAllocUnwindsAndDegradesToKruskal) {
+  const EdgeList g = random_graph(3000, 30000, 37);
+  const Reference ref = kruskal_reference(g);
+  ThreadTeam team(4);
+  FaultInjector::arm("champion.filter", FaultKind::kBadAlloc);
+  EXPECT_THROW((void)core::champion_msf(team, g), std::bad_alloc);
+  EXPECT_EQ(FaultInjector::hits("champion.filter"), 1u);
+  FaultInjector::disarm_all();
+  // The same team solves cleanly afterwards.
+  EXPECT_EQ(core::champion_msf(team, g).edge_ids, ref.ids);
+
+  // Through the dispatcher the failure degrades, exactly as for Bor-FAL.
+  FaultInjector::arm("champion.filter", FaultKind::kBadAlloc);
+  core::MsfOptions opts;
+  opts.threads = 4;
+  const MsfResult r = core::minimum_spanning_forest(g, opts);
+  EXPECT_TRUE(r.degraded_to_sequential);
+  EXPECT_EQ(test::sorted_ids(r), ref.ids);
+}
+
+TEST_F(ChampionFilterFault, DeadlineTripsInsideTheStage) {
+  const EdgeList g = random_graph(3000, 30000, 38);
+  ExecutionBudget budget;
+  budget.set_deadline_after(0);
+  core::MsfOptions opts;
+  opts.budget = &budget;
+  ThreadTeam team(4);
+  try {
+    (void)core::champion_msf(team, g, opts);
+    FAIL() << "expected kDeadlineExceeded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kDeadlineExceeded);
+  }
+  std::atomic<int> ran{0};
+  team.run([&](TeamCtx&) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 4);
+}
+
+}  // namespace

@@ -362,6 +362,40 @@ TEST(Budget, CancelMidBoruvkaReturnsCancelledWithTeamJoined) {
   canceller.join();
 }
 
+TEST(Budget, CancelMidRunStopsExtensionsAndChampion) {
+  // Each algorithm must check the budget while it runs, not only at the
+  // dispatcher's "request start": a watcher cancels a quarter of the way
+  // into the time an uncancelled run of the same solve took.  The
+  // dispatcher-owned team is joined before the error escapes (a hung worker
+  // would hang this test).
+  const EdgeList g = random_graph(100000, 1000000, 21);
+  for (const auto alg :
+       {core::Algorithm::kParKruskal, core::Algorithm::kFilterKruskal,
+        core::Algorithm::kSampleFilter, core::Algorithm::kBorUF,
+        core::Algorithm::kChampion}) {
+    core::MsfOptions opts;
+    opts.algorithm = alg;
+    opts.threads = 4;
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)core::minimum_spanning_forest(g, opts);
+    const auto full = std::chrono::steady_clock::now() - t0;
+
+    ExecutionBudget budget;
+    opts.budget = &budget;
+    std::thread canceller([&] {
+      std::this_thread::sleep_for(full / 4);
+      budget.request_cancel();
+    });
+    try {
+      (void)core::minimum_spanning_forest(g, opts);
+      ADD_FAILURE() << core::to_string(alg) << ": expected cancellation";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCancelled) << core::to_string(alg);
+    }
+    canceller.join();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Memory cap: arena ledger and graceful degradation
 

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "graph/generators.hpp"
 #include "graph/stats.hpp"
@@ -45,6 +46,48 @@ TEST(RandomGraph, NearCompleteDensityStillExact) {
   const EdgeList g = random_graph(50, 1200, 5);
   EXPECT_EQ(g.num_edges(), 1200u);
   EXPECT_TRUE(is_simple(g));
+}
+
+// FNV-1a over every edge's u, v and weight bytes, in edge order.
+std::uint64_t fnv1a(const EdgeList& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& e : g.edges) {
+    mix(&e.u, sizeof e.u);
+    mix(&e.v, sizeof e.v);
+    mix(&e.w, sizeof e.w);
+  }
+  return h;
+}
+
+TEST(RandomGraph, ByteIdenticalToPinnedHashes) {
+  // Pinned from the sort-everything top-up; the merge top-up must draw and
+  // keep the very same edges.  64 vertices / 2000 of 2016 possible edges
+  // takes many top-up rounds.
+  struct Case {
+    VertexId n;
+    EdgeId m;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {4096, 40960, 1, 0xb3e91b2e211daf10ULL},
+      {4096, 40960, 2, 0xb61d5b82112facb9ULL},
+      {4096, 40960, 7919, 0x1bacb57b8057c10dULL},
+      {64, 2000, 1, 0x2dd1d268471f312fULL},
+      {64, 2000, 2, 0x3be951298714f1aeULL},
+      {64, 2000, 7919, 0xc0917031638309b9ULL},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(fnv1a(random_graph(c.n, c.m, c.seed)), c.hash)
+        << "n=" << c.n << " m=" << c.m << " seed=" << c.seed;
+  }
 }
 
 TEST(RandomGraph, RejectsImpossibleRequests) {

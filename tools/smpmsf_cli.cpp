@@ -525,9 +525,10 @@ void write_stats_json(const std::string& path, const std::string& alg,
   std::snprintf(buf, sizeof buf,
                 ", \"step_times\": {\"find_min\": %.6f, \"connect\": %.6f"
                 ", \"compact\": %.6f, \"other\": %.6f, \"rank_build\": %.6f"
-                ", \"arc_build\": %.6f, \"assembly\": %.6f, \"total\": %.6f}",
+                ", \"arc_build\": %.6f, \"assembly\": %.6f, \"filter\": %.6f"
+                ", \"total\": %.6f}",
                 steps.find_min, steps.connect, steps.compact, steps.other,
-                steps.rank_build, steps.arc_build, steps.assembly,
+                steps.rank_build, steps.arc_build, steps.assembly, steps.filter,
                 steps.total());
   os << buf;
   std::snprintf(buf, sizeof buf,
@@ -664,9 +665,9 @@ int cmd_solve(const Flags& f) {
   }
   if (f.has("--steps")) {
     std::printf("steps: find-min %.3fs connect %.3fs compact %.3fs other %.3fs"
-                " (rank %.3fs arcs %.3fs assembly %.3fs)\n",
+                " (rank %.3fs arcs %.3fs assembly %.3fs filter %.3fs)\n",
                 steps.find_min, steps.connect, steps.compact, steps.other,
-                steps.rank_build, steps.arc_build, steps.assembly);
+                steps.rank_build, steps.arc_build, steps.assembly, steps.filter);
   }
   if (f.has("--validate")) {
     // Full check: structure (membership/acyclicity/maximality) plus the
