@@ -28,10 +28,13 @@ using graph::VertexId;
 using graph::WeightOrder;
 
 /// Bor-FAL (§2.3): the flexible adjacency list keeps the original edge
-/// arrays intact forever.  compact-graph degenerates to a small sort of the
-/// supervertices plus O(n) pointer appends and a lookup-table update; in
-/// exchange, the paper's find-min rescans all m edges every iteration,
-/// filtering self-loops and multi-edges through the lookup table.
+/// arrays intact forever.  In exchange, the paper's find-min rescans all m
+/// edges every iteration, filtering self-loops and multi-edges through the
+/// vertex → supervertex lookup table.  §2.3's compact-graph also sorts the
+/// supervertices and appends member adjacency lists for a find-min that
+/// walks supervertices; both find-mins here walk original vertices x and
+/// publish into labels[x]'s slot, so compact-graph is the lookup-table
+/// update alone — one O(n) pass, no sort.
 ///
 /// The packed-key path (FindMinMode::kSimd, the kAuto default) removes that
 /// rescan tax with the shared find-min layer (core/find_min.hpp): each arc
@@ -48,7 +51,7 @@ using graph::WeightOrder;
 /// the seed kernel exactly, as the A/B baseline.
 ///
 /// Each Borůvka iteration runs as ONE persistent SPMD region (find-min,
-/// connect-components, and the pointer-based contraction all synchronize via
+/// connect-components, and the lookup-table contraction all synchronize via
 /// ctx.barrier()).  The no-progress exit is decided uniformly: every thread
 /// reads the shared `any` flag after the connect barrier and leaves the
 /// region together; the orchestrator then breaks out of the loop.
@@ -81,7 +84,6 @@ std::vector<EdgeId> packed_boruvka_loop(ThreadTeam& team, PackedSolveInput in,
   LocalBestScratch local_best;
   std::vector<VertexId> parent(n);
   ComponentsScratch comp_scratch;
-  FlexAdjList::ContractScratch contract_scratch;
   std::atomic<bool> any{false};
   std::atomic<std::size_t> scan_cursor{0};
   EdgeId live_total = num_arcs;
@@ -222,15 +224,14 @@ std::vector<EdgeId> packed_boruvka_loop(ThreadTeam& team, PackedSolveInput in,
       const VertexId next_n = densify_labels_in_region(
           ctx, std::span<VertexId>(parent.data(), cur_n), comp_scratch);
 
-      // --- compact-graph: sort + pointer ops + lookup-table update --------
+      // --- compact-graph: the lookup-table update -------------------------
       if (ctx.tid() == 0) {
         st.connect += t0.elapsed_s();
         t0.reset();
         fault_point("bor-fal.compact");
       }
       fault_point("bor-fal.compact.region");
-      fal.contract(ctx, std::span<const VertexId>(parent.data(), cur_n), next_n,
-                   contract_scratch);
+      fal.contract(ctx, std::span<const VertexId>(parent.data(), cur_n), next_n);
       if (ctx.tid() == 0) st.compact += t0.elapsed_s();
     });
 
@@ -295,8 +296,6 @@ MsfResult bor_fal_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opt
 
   // Scan path (FindMinMode::kScan): the seed kernel, kept verbatim as the
   // A/B baseline — full CSR, all m edges checked every iteration.
-  const std::size_t prune_block = find_min_prune_block(opts);
-  (void)prune_block;
   const CsrGraph csr(g);
   const auto& offsets = csr.offsets();
   const EdgeId num_arcs = offsets.back();
@@ -309,7 +308,6 @@ MsfResult bor_fal_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opt
   std::vector<std::atomic<EdgeId>> best(n);  // per supervertex arc id
   std::vector<VertexId> parent(n);
   ComponentsScratch comp_scratch;
-  FlexAdjList::ContractScratch contract_scratch;
   std::atomic<bool> any{false};
   st.other += phase.elapsed_s();
 
@@ -387,15 +385,14 @@ MsfResult bor_fal_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opt
       const VertexId next_n = densify_labels_in_region(
           ctx, std::span<VertexId>(parent.data(), cur_n), comp_scratch);
 
-      // --- compact-graph: sort + pointer ops + lookup-table update --------
+      // --- compact-graph: the lookup-table update -------------------------
       if (ctx.tid() == 0) {
         st.connect += t0.elapsed_s();
         t0.reset();
         fault_point("bor-fal.compact");
       }
       fault_point("bor-fal.compact.region");
-      fal.contract(ctx, std::span<const VertexId>(parent.data(), cur_n), next_n,
-                   contract_scratch);
+      fal.contract(ctx, std::span<const VertexId>(parent.data(), cur_n), next_n);
       if (ctx.tid() == 0) st.compact += t0.elapsed_s();
     });
 
