@@ -7,18 +7,20 @@
 //     forest; the acceptance gate is rebuild_s <= 1.0 x apply_s (the index
 //     rides along with the solve it follows instead of dominating it).
 //   * op rows: p50/p95/p99 over per-op wall times — pathmax/conn answered
-//     from the immutable index, cut split into cold (first call builds the
-//     dendrogram) and warm, topk scanning the live store with the SIMD
+//     from the immutable index, cut split into the first call (cold
+//     caches) and warm calls, topk scanning the live store with the SIMD
 //     argmin skim.
 //   * identity row: every sampled pathmax answer is checked against a
-//     naive parent-pointer climb (independent of the skip tables) and conn
-//     against root comparison; any mismatch fails the bench.
+//     parent-pointer climb over a BFS of the forest edge list (independent
+//     of the index's dendrogram) and conn against root comparison; any
+//     mismatch fails the bench.
 //
 // --json writes BENCH_08.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <optional>
+#include <queue>
 #include <random>
 #include <vector>
 
@@ -117,19 +119,16 @@ int main(int argc, char** argv) {
   const query::ForestIndex idx(
       team, d.store(), std::span<const EdgeId>(d.forest_edge_ids()), version);
   const auto& st = idx.stats();
-  std::printf("  index: %zu forest edges, %zu components, depth %u, "
-              "%u levels, built in %.4f s\n",
-              st.num_forest_edges, st.num_components, st.max_depth, st.levels,
-              st.build_seconds);
+  std::printf("  index: %zu forest edges, %zu components, built in %.4f s\n",
+              st.num_forest_edges, st.num_components, st.build_seconds);
   {
     char rec[320];
     std::snprintf(
         rec, sizeof rec,
         "{\"tag\": \"query_index\", \"n\": %llu, \"forest_edges\": %zu, "
-        "\"components\": %zu, \"max_depth\": %u, \"levels\": %u, "
-        "\"build_s\": %.5f}",
+        "\"components\": %zu, \"build_s\": %.5f}",
         static_cast<unsigned long long>(n), st.num_forest_edges,
-        st.num_components, st.max_depth, st.levels, st.build_seconds);
+        st.num_components, st.build_seconds);
     sink.add(rec);
   }
 
@@ -173,8 +172,7 @@ int main(int argc, char** argv) {
     report_op(sink, "conn", n, std::move(lat));
   }
   {
-    // Cold = the first cut (pays the dendrogram build), then warm cuts
-    // across sweeping thresholds.
+    // Cold = the first cut, then warm cuts across sweeping thresholds.
     std::vector<double> cold(1);
     const auto t0 = Clock::now();
     volatile std::size_t k0 = idx.cut(0.5).num_clusters;
@@ -211,16 +209,38 @@ int main(int argc, char** argv) {
     report_op(sink, "topk10", n, std::move(lat));
   }
 
-  // --- identity: skip-table answers vs. a naive parent-pointer climb ---
-  // Parent-edge weight/id per vertex, recovered from the forest edge list
-  // (independent of the packed-key tables the fast path uses).
-  std::vector<Weight> pw(n, 0);
-  std::vector<EdgeId> pid(n, kInvalidEdge);
+  // --- identity: index answers vs. a naive parent-pointer climb ---
+  // Parent pointers, depths and parent-edge weight/id per vertex from a BFS
+  // of each tree over the forest edge list, rooted at its least vertex.
+  std::vector<std::vector<std::size_t>> adj(n);
   for (std::size_t i = 0; i < idx.num_forest_edges(); ++i) {
     const WEdge& e = idx.forest_edge(i);
-    const VertexId child = idx.parent(e.u) == e.v ? e.u : e.v;
-    pw[child] = e.w;
-    pid[child] = idx.forest_id(i);
+    adj[e.u].push_back(i);
+    adj[e.v].push_back(i);
+  }
+  std::vector<VertexId> parent(n, kInvalidVertex);
+  std::vector<std::uint32_t> depth(n, 0);
+  std::vector<Weight> pw(n, 0);
+  std::vector<EdgeId> pid(n, kInvalidEdge);
+  std::queue<VertexId> bfs;
+  for (VertexId r = 0; r < n; ++r) {
+    if (parent[r] != kInvalidVertex) continue;
+    parent[r] = r;
+    bfs.push(r);
+    while (!bfs.empty()) {
+      const VertexId x = bfs.front();
+      bfs.pop();
+      for (const std::size_t i : adj[x]) {
+        const WEdge& e = idx.forest_edge(i);
+        const VertexId y = e.u == x ? e.v : e.u;
+        if (parent[y] != kInvalidVertex) continue;
+        parent[y] = x;
+        depth[y] = depth[x] + 1;
+        pw[y] = e.w;
+        pid[y] = idx.forest_id(i);
+        bfs.push(y);
+      }
+    }
   }
   const std::size_t pairs = std::min<std::size_t>(q_ops, 2000);
   std::size_t mismatches = 0;
@@ -228,8 +248,8 @@ int main(int argc, char** argv) {
     VertexId a = us[i], b = vs[i];
     // Naive root check.
     VertexId ra = a, rb = b;
-    while (idx.parent(ra) != ra) ra = idx.parent(ra);
-    while (idx.parent(rb) != rb) rb = idx.parent(rb);
+    while (parent[ra] != ra) ra = parent[ra];
+    while (parent[rb] != rb) rb = parent[rb];
     const bool conn_naive = ra == rb;
     if (conn_naive != idx.connected(a, b)) {
       ++mismatches;
@@ -251,19 +271,19 @@ int main(int argc, char** argv) {
         has = true;
       }
     };
-    while (idx.depth(a) > idx.depth(b)) {
+    while (depth[a] > depth[b]) {
       consider(a);
-      a = idx.parent(a);
+      a = parent[a];
     }
-    while (idx.depth(b) > idx.depth(a)) {
+    while (depth[b] > depth[a]) {
       consider(b);
-      b = idx.parent(b);
+      b = parent[b];
     }
     while (a != b) {
       consider(a);
       consider(b);
-      a = idx.parent(a);
-      b = idx.parent(b);
+      a = parent[a];
+      b = parent[b];
     }
     if (pm.edge_id != bi || pm.weight != bw) ++mismatches;
   }

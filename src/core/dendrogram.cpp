@@ -1,8 +1,10 @@
 #include "core/dendrogram.hpp"
 
-#include <algorithm>
+#include <limits>
 #include <numeric>
 
+#include "core/find_min.hpp"
+#include "pprim/parallel_for.hpp"
 #include "seq/union_find.hpp"
 
 namespace smp::core {
@@ -12,67 +14,116 @@ using graph::kInvalidVertex;
 using graph::MsfResult;
 using graph::VertexId;
 using graph::Weight;
-using graph::WeightOrder;
+using graph::WEdge;
+
+namespace {
+constexpr std::uint32_t kNoJunction = std::numeric_limits<std::uint32_t>::max();
+}  // namespace
 
 Dendrogram::Dendrogram(VertexId num_vertices, const MsfResult& msf)
     : n_(num_vertices) {
   const std::size_t k = msf.edges.size();
-  parent_.assign(static_cast<std::size_t>(n_) + k, kInvalidVertex);
-  merge_height_.reserve(k);
+  std::vector<std::size_t> by_id(k);
+  std::iota(by_id.begin(), by_id.end(), std::size_t{0});
+  std::sort(by_id.begin(), by_id.end(), [&](std::size_t a, std::size_t b) {
+    return msf.edge_ids[a] < msf.edge_ids[b];
+  });
+  std::vector<WEdge> edges(k);
+  std::vector<EdgeId> ids(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    edges[i] = msf.edges[by_id[i]];
+    ids[i] = msf.edge_ids[by_id[i]];
+  }
+  ThreadTeam team(1);
+  build(team, edges, ids);
+}
 
-  // Kruskal order over the forest edges (ties by edge id, as everywhere).
-  std::vector<std::size_t> order(k);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return WeightOrder{msf.edges[a].w, msf.edge_ids[a]} <
-           WeightOrder{msf.edges[b].w, msf.edge_ids[b]};
+Dendrogram::Dendrogram(ThreadTeam& team, VertexId num_vertices,
+                       std::span<const WEdge> edges,
+                       std::span<const EdgeId> ids)
+    : n_(num_vertices) {
+  build(team, edges, ids);
+}
+
+void Dendrogram::build(ThreadTeam& team, std::span<const WEdge> edges,
+                       std::span<const EdgeId> ids) {
+  const std::size_t k = edges.size();
+  std::vector<Weight> w(k);
+  parallel_for(team, k, [&](std::size_t i) { w[i] = edges[i].w; });
+  // Ranks break weight ties by input position, i.e. by store id.
+  (void)build_weight_ranks(team, w, &merge_edge_);
+  merge_height_.resize(k);
+  merge_id_.resize(k);
+  parallel_for(team, k, [&](std::size_t i) {
+    merge_height_[i] = w[merge_edge_[i]];
+    merge_id_[i] = ids[merge_edge_[i]];
   });
 
-  // cluster_node[r]: current dendrogram node representing root r's cluster.
-  std::vector<VertexId> cluster_node(n_);
-  std::iota(cluster_node.begin(), cluster_node.end(), VertexId{0});
+  // Kruskal over the forest (its edges never close a cycle): the merged
+  // list is u's followed by v's, and the junction after u's tail records
+  // the merge.
+  std::vector<VertexId> head(n_);
+  std::vector<VertexId> tail(n_);
+  std::vector<VertexId> next(n_, kInvalidVertex);
+  std::vector<std::uint32_t> after(n_, kNoJunction);
+  std::iota(head.begin(), head.end(), VertexId{0});
+  std::iota(tail.begin(), tail.end(), VertexId{0});
   seq::UnionFind uf(n_);
-  for (const std::size_t i : order) {
-    const auto& e = msf.edges[i];
-    const VertexId ru = uf.find(e.u);
-    const VertexId rv = uf.find(e.v);
-    // MSF edges never close a cycle.
-    const auto merge_node = static_cast<VertexId>(n_ + merge_height_.size());
-    parent_[cluster_node[ru]] = merge_node;
-    parent_[cluster_node[rv]] = merge_node;
-    merge_height_.push_back(e.w);
-    uf.unite(ru, rv);
-    cluster_node[uf.find(ru)] = merge_node;
+  for (std::size_t i = 0; i < k; ++i) {
+    const WEdge& e = edges[merge_edge_[i]];
+    const VertexId a = uf.find(e.u);
+    const VertexId b = uf.find(e.v);
+    next[tail[a]] = head[b];
+    after[tail[a]] = static_cast<std::uint32_t>(i);
+    uf.unite(a, b);
+    const VertexId r = uf.find(a);
+    head[r] = head[a];
+    tail[r] = tail[b];
+  }
+
+  // Lay the runs out by ascending root id.
+  pos_.resize(n_);
+  run_.resize(n_);
+  std::vector<std::uint32_t> junction(n_);
+  std::uint32_t p = 0;
+  for (VertexId r = 0; r < n_; ++r) {
+    if (uf.parent_of(r) != r) continue;
+    const std::uint32_t start = p;
+    for (VertexId x = head[r]; x != kInvalidVertex; x = next[x]) {
+      pos_[x] = p;
+      run_[x] = start;
+      junction[p++] = after[x];
+    }
+  }
+
+  table_.push_back(std::move(junction));
+  for (std::size_t len = 2; len < n_; len *= 2) {
+    const std::vector<std::uint32_t>& prev = table_.back();
+    std::vector<std::uint32_t> cur(prev.size() - len / 2);
+    parallel_for(team, cur.size(), [&](std::size_t i) {
+      cur[i] = std::max(prev[i], prev[i + len / 2]);
+    });
+    table_.push_back(std::move(cur));
   }
 }
 
 std::vector<VertexId> Dendrogram::labels_keeping(std::size_t merges_kept,
                                                  std::size_t* num_clusters) const {
-  // Keep leaves plus the first `merges_kept` merge nodes; a node is a
-  // cluster root if it has no kept parent.  Resolve each leaf upward.
-  const std::size_t total = parent_.size();
-  const std::size_t kept_limit = static_cast<std::size_t>(n_) + merges_kept;
-  std::vector<VertexId> top(total, kInvalidVertex);
-  // Merge nodes were appended in ascending height, so node ids below
-  // kept_limit are exactly the kept ones; process top-down (descending id)
-  // so `top` of a parent is final before its children ask.
-  const auto top_of = [&](VertexId node) {
-    const VertexId p = parent_[node];
-    if (p == kInvalidVertex || p >= kept_limit) return node;
-    return top[p];
-  };
-  for (std::size_t node = total; node-- > 0;) {
-    top[node] = top_of(static_cast<VertexId>(node));
+  // One segment per cluster: a new one starts after every junction whose
+  // merge is undone (and after every run).
+  std::vector<VertexId> seg(n_);
+  VertexId s = 0;
+  for (std::size_t p = 0; p < n_; ++p) {
+    seg[p] = s;
+    if (table_[0][p] >= merges_kept) ++s;
   }
-
-  // Densify cluster roots into labels.
+  std::vector<VertexId> dense(s, kInvalidVertex);
   std::vector<VertexId> label(n_);
-  std::vector<VertexId> dense(total, kInvalidVertex);
   VertexId next = 0;
   for (VertexId v = 0; v < n_; ++v) {
-    const VertexId root = top[v];
-    if (dense[root] == kInvalidVertex) dense[root] = next++;
-    label[v] = dense[root];
+    VertexId& d = dense[seg[pos_[v]]];
+    if (d == kInvalidVertex) d = next++;
+    label[v] = d;
   }
   if (num_clusters != nullptr) *num_clusters = next;
   return label;
@@ -88,8 +139,7 @@ std::vector<VertexId> Dendrogram::cut_at(Weight threshold,
 
 std::vector<VertexId> Dendrogram::cut_into(std::size_t k,
                                            std::size_t* num_clusters) const {
-  // With c initial components and j merges kept, clusters = n - ... easier:
-  // every merge reduces the cluster count by one from n.
+  // Every merge reduces the cluster count by one from n.
   const std::size_t clusters_all_kept = static_cast<std::size_t>(n_) - num_merges();
   const std::size_t want = std::max(k, clusters_all_kept);
   const std::size_t kept =

@@ -90,7 +90,7 @@ DynamicMsf::DynamicMsf(EdgeStore store, std::vector<EdgeId> forest,
 
 MsfDelta DynamicMsf::apply_batch(std::span<const WEdge> insertions,
                                  std::span<const EdgeId> deletions,
-                                 const ForestOracle* oracle) {
+                                 const core::Dendrogram* oracle) {
   // ---- Validate the whole batch before mutating anything (a bad batch
   // must not leave the store half-applied). ----
   for (const auto& e : insertions) store_.validate_edge(e.u, e.v, e.w);
@@ -145,7 +145,7 @@ MsfDelta DynamicMsf::apply_batch(std::span<const WEdge> insertions,
     return solve_and_commit(all, ids, /*from_scratch=*/true);
   }
   if (cut.empty() && oracle != nullptr &&
-      oracle->num_forest_edges() == forest_.size()) {
+      oracle->num_merges() == forest_.size()) {
     return apply_by_path_max(*oracle, first_new);
   }
   if (opts_.msf.algorithm == core::Algorithm::kChampion) {
@@ -352,40 +352,32 @@ void DynamicMsf::drop_ordered() {
   ordered_ready_ = false;
 }
 
-MsfDelta DynamicMsf::apply_by_path_max(const ForestOracle& oracle,
+MsfDelta DynamicMsf::apply_by_path_max(const core::Dendrogram& oracle,
                                         EdgeId first_new) {
   const EdgeId last = store_.size();
-  // Compressed path tree: the batch endpoints in (tree, preorder) order,
-  // closed under the LCAs of adjacent same-tree pairs.  In that closed,
-  // ordered set the tree parent of each vertex is its LCA with its
-  // predecessor.
-  const auto key = [&](VertexId x) {
-    return (std::uint64_t{oracle.component(x)} << 32) | oracle.tin(x);
+  // The batch endpoints in leaf order.  Along it, the heaviest junction
+  // between two endpoints of one run is their forest bottleneck, so the
+  // chain of adjacent same-run pairs, each labelled with its range-max
+  // edge, has the forest's bottleneck distances; adjacent ranges are
+  // disjoint, so no forest edge labels two pairs.
+  const auto by_pos = [&](VertexId a, VertexId b) {
+    return oracle.pos(a) < oracle.pos(b);
   };
-  const auto by_key = [&](VertexId a, VertexId b) { return key(a) < key(b); };
   std::vector<VertexId> pts;
-  pts.reserve(4 * static_cast<std::size_t>(last - first_new));
+  pts.reserve(2 * static_cast<std::size_t>(last - first_new));
   for (EdgeId id = first_new; id < last; ++id) {
     pts.push_back(store_.edge(id).u);
     pts.push_back(store_.edge(id).v);
   }
-  std::sort(pts.begin(), pts.end(), by_key);
-  pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
-  const std::size_t endpoints = pts.size();
-  for (std::size_t i = 1; i < endpoints; ++i) {
-    if (oracle.component(pts[i - 1]) == oracle.component(pts[i])) {
-      pts.push_back(oracle.lca(pts[i - 1], pts[i]));
-    }
-  }
-  std::sort(pts.begin(), pts.end(), by_key);
+  std::sort(pts.begin(), pts.end(), by_pos);
   pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
   const auto slot = [&](VertexId x) {
     return static_cast<std::uint32_t>(
-        std::lower_bound(pts.begin(), pts.end(), x, by_key) - pts.begin());
+        std::lower_bound(pts.begin(), pts.end(), x, by_pos) - pts.begin());
   };
 
-  // Kruskal candidates under ⟨weight, store id⟩: each compressed edge
-  // carries its path's bottleneck forest edge, each batch edge itself.
+  // Kruskal candidates under ⟨weight, store id⟩: each chain edge carries
+  // its bottleneck forest edge, each batch edge itself.
   struct Cand {
     graph::WeightOrder order;
     std::uint32_t a, b;
@@ -394,11 +386,11 @@ MsfDelta DynamicMsf::apply_by_path_max(const ForestOracle& oracle,
   std::vector<Cand> cands;
   cands.reserve(pts.size() + static_cast<std::size_t>(last - first_new));
   for (std::size_t i = 1; i < pts.size(); ++i) {
-    if (oracle.component(pts[i - 1]) != oracle.component(pts[i])) continue;
-    const VertexId parent = oracle.lca(pts[i - 1], pts[i]);
-    const EdgeId bottleneck = oracle.bottleneck(pts[i], parent);
-    cands.push_back(Cand{{store_.edge(bottleneck).w, bottleneck},
-                         static_cast<std::uint32_t>(i), slot(parent), false});
+    if (!oracle.connected(pts[i - 1], pts[i])) continue;
+    const std::uint32_t j = oracle.path_max(pts[i - 1], pts[i]);
+    cands.push_back(Cand{{oracle.merge_height(j), oracle.merge_id(j)},
+                         static_cast<std::uint32_t>(i - 1),
+                         static_cast<std::uint32_t>(i), false});
   }
   for (EdgeId id = first_new; id < last; ++id) {
     const WEdge& e = store_.edge(id);

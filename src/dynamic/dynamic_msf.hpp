@@ -3,10 +3,10 @@
 #include <span>
 #include <vector>
 
+#include "core/dendrogram.hpp"
 #include "core/msf.hpp"
 #include "dynamic/delta.hpp"
 #include "dynamic/edge_store.hpp"
-#include "dynamic/forest_oracle.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/msf_result.hpp"
 
@@ -68,16 +68,16 @@ struct DynamicMsfOptions {
 ///    break weight ties by store id exactly as a from-scratch run would, so
 ///    the maintained forest is bit-identical (edge ids and weight) to
 ///    MSF(live graph) after every batch, for every backend and thread count.
-///  * An insert-only batch given a ForestOracle skips both: the
-///    batch endpoints, closed under the LCAs of DFS-adjacent pairs, span a
-///    compressed path tree whose edges each stand for one forest path,
-///    labelled with that path's bottleneck edge.  Kruskal over those
-///    ≤ 4k labelled edges plus the k batch edges decides everything
-///    (Anderson–Blelloch–Tangwongsan, "Work-efficient batch-incremental
-///    minimum spanning trees"): a dropped path label removes its bottleneck
-///    from the forest, a kept batch edge enters it.  The total order is the
-///    same ⟨weight, store-id⟩ order, so the result is the same forest the
-///    solve would give.
+///  * An insert-only batch given a core::Dendrogram of the forest skips
+///    both: the batch endpoints in leaf order, each same-tree adjacent pair
+///    joined by an edge labelled with the heaviest forest edge between
+///    them (the range-max junction), realise the forest's bottleneck
+///    distances between endpoints.  Kruskal over those < 2k labelled edges
+///    plus the k batch edges decides everything (Anderson–Blelloch–
+///    Tangwongsan, "Work-efficient batch-incremental minimum spanning
+///    trees"): a dropped label removes its edge from the forest, a kept
+///    batch edge enters it.  The total order is the same ⟨weight, store-id⟩
+///    order, so the result is the same forest the solve would give.
 ///
 /// Not thread-safe (one writer); solves parallelize internally per
 /// DynamicMsfOptions::msf.threads (or the team), and the Kruskal pass runs
@@ -113,14 +113,17 @@ class DynamicMsf {
   /// validated like EdgeStore::insert.  Throws Error{kInvalidInput} before
   /// any mutation on a bad batch.  Returns what changed.
   ///
-  /// `oracle` (optional) must index the forest as it is at batch entry.  An
-  /// insert-only batch that would take the sparsified path is then applied
-  /// by path-max instead, with an identical result and delta; every other
-  /// batch, and any oracle whose forest size differs from ours, takes the
-  /// sparsified path (the Kruskal pass or a candidate solve, see above).
+  /// `oracle` (optional) must be the dendrogram of the forest as it is at
+  /// batch entry; the edge count is checked, the rest is trusted (the
+  /// serving layer passes one only when its version equals the session's
+  /// committed version).  An insert-only batch that would take the
+  /// sparsified path is then applied by path-max instead, with an identical
+  /// result and delta; every other batch, and any oracle whose forest size
+  /// differs from ours, takes the sparsified path (the Kruskal pass or a
+  /// candidate solve, see above).
   MsfDelta apply_batch(std::span<const graph::WEdge> insertions,
                        std::span<const graph::EdgeId> deletions,
-                       const ForestOracle* oracle = nullptr);
+                       const core::Dendrogram* oracle = nullptr);
 
   /// Solves the whole live graph from scratch and commits the result.
   /// Exception semantics of apply_batch: if the *solver* or the Kruskal pass
@@ -187,7 +190,7 @@ class DynamicMsf {
                             bool from_scratch);
   /// The insert-only batch [first_new, store size) by path-max over
   /// `oracle`; commits like solve_and_commit.
-  MsfDelta apply_by_path_max(const ForestOracle& oracle,
+  MsfDelta apply_by_path_max(const core::Dendrogram& oracle,
                              graph::EdgeId first_new);
   /// The batch [first_new, store size), after the deletion of the forest
   /// edges `cut` (ascending), by one Kruskal pass over the ordered forest.

@@ -1302,7 +1302,8 @@ void ServiceCore::flush_writes(Session& s) {
         const std::uint64_t by_path_max = s.msf->path_max_batches();
         {
           std::lock_guard<std::mutex> solver(s.home->solver_mu);
-          s.msf->apply_batch(ins, del, oracle.get());
+          s.msf->apply_batch(ins, del,
+                             oracle ? &oracle->dendrogram() : nullptr);
         }
         s.msf->set_budget(nullptr);
         if (insert_only) {

@@ -276,7 +276,7 @@ TEST(DynamicForestKruskal, PathMaxBatchThatChangesTheForestDropsTheOrder) {
     const ForestIndex idx(team, t.kruskal->store(),
                           t.kruskal->forest_edge_ids(), ++version);
     const std::uint64_t before = t.kruskal->path_max_batches();
-    const MsfDelta a = t.kruskal->apply_batch(ins, {}, &idx);
+    const MsfDelta a = t.kruskal->apply_batch(ins, {}, &idx.dendrogram());
     const MsfDelta b = t.solver->apply_batch(ins, {});
     ASSERT_EQ(t.kruskal->path_max_batches(), before + 1);
     expect_same_delta(a, b);

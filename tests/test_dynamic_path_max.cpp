@@ -1,8 +1,9 @@
-// Insert-only batches by path-max: DynamicMsf::apply_batch given a
-// ForestOracle (a query::ForestIndex of the current forest) must commit the
-// forest, weight, tree count and MsfDelta the sparsified solve commits, bit
-// for bit — on weight ties decided by store id, parallel edges, endpoints in
-// one tree or across trees, and from an edgeless start.
+// Insert-only batches by path-max: DynamicMsf::apply_batch given the
+// core::Dendrogram of a query::ForestIndex of the current forest must commit
+// the forest, weight, tree count and MsfDelta the sparsified solve commits,
+// bit for bit — on weight ties decided by store id, parallel edges,
+// endpoints in one tree or across trees, path- and star-shaped forests, many
+// small trees beside isolated vertices, and from an edgeless start.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -51,14 +52,18 @@ void expect_same_state(const DynamicMsf& a, const DynamicMsf& b) {
   EXPECT_EQ(a.store().size(), b.store().size());
 }
 
+/// Initial graph layout: random edges inside clusters, or a fixed tree.
+enum class Topology { kClusters, kPath, kStar };
+
 /// Input shapes for one differential run.
 struct Shape {
   const char* name;
   VertexId n;
-  std::size_t initial_edges;  ///< 0 = edgeless start
+  std::size_t initial_edges;  ///< kClusters only; 0 = edgeless start
   VertexId clusters;          ///< initial edges stay inside clusters
   std::uint64_t weight_levels;  ///< few levels = many ties
   bool parallel;              ///< batches repeat existing endpoint pairs
+  Topology topology = Topology::kClusters;
 };
 
 WEdge random_edge(Rng& rng, VertexId lo, VertexId hi, std::uint64_t levels) {
@@ -79,6 +84,12 @@ void run_differential(const Shape& shape, std::size_t k, std::uint64_t seed) {
     const VertexId c = static_cast<VertexId>(rng.next_below(shape.clusters));
     const WEdge e = random_edge(rng, c * per, (c + 1) * per, shape.weight_levels);
     g.add_edge(e.u, e.v, e.w);
+  }
+  if (shape.topology != Topology::kClusters) {
+    for (VertexId x = 1; x < shape.n; ++x) {
+      const VertexId y = shape.topology == Topology::kPath ? x - 1 : 0;
+      g.add_edge(y, x, static_cast<Weight>(rng.next_below(shape.weight_levels)));
+    }
   }
   DynamicMsf solved(g, opts());
   DynamicMsf indexed(g, opts());
@@ -104,7 +115,7 @@ void run_differential(const Shape& shape, std::size_t k, std::uint64_t seed) {
                           ++version);
     const std::uint64_t before = indexed.path_max_batches();
     const MsfDelta want = solved.apply_batch(batch, {});
-    const MsfDelta got = indexed.apply_batch(batch, {}, &idx);
+    const MsfDelta got = indexed.apply_batch(batch, {}, &idx.dendrogram());
     ASSERT_EQ(indexed.path_max_batches(), before + 1);
     EXPECT_EQ(solved.path_max_batches(), 0u);
     expect_same_delta(got, want);
@@ -128,6 +139,10 @@ TEST(DynamicPathMax, BitIdenticalToSolvePath) {
       {"parallel", 60, 200, 1, 4, true},
       {"cross-tree", 200, 300, 5, 50, false},
       {"edgeless", 90, 0, 1, 6, false},
+      {"path", 150, 0, 1, 4, false, Topology::kPath},
+      {"star", 100, 0, 1, 50, true, Topology::kStar},
+      {"ties4", 200, 800, 1, 4, true},
+      {"isolated", 240, 60, 60, 1000, false},
   };
   for (const Shape& shape : shapes) {
     for (const std::size_t k : {1u, 2u, 7u, 64u}) {
@@ -149,47 +164,16 @@ TEST(DynamicPathMax, StaleOracleFallsBackToSolve) {
   const ForestIndex stale(team, d.store(), older, 1);
   DynamicMsf ref(g, opts());
   const std::vector<WEdge> batch{{0, 7, 0.5}};
-  expect_same_delta(d.apply_batch(batch, {}, &stale), ref.apply_batch(batch, {}));
+  expect_same_delta(d.apply_batch(batch, {}, &stale.dendrogram()),
+                    ref.apply_batch(batch, {}));
   EXPECT_EQ(d.path_max_batches(), 0u);
   expect_same_state(d, ref);
   // Deletions always solve, oracle or not.
   const ForestIndex fresh(team, d.store(), d.forest_edge_ids(), 2);
   const std::vector<EdgeId> del{d.forest_edge_ids().front()};
-  expect_same_delta(d.apply_batch(batch, del, &fresh), ref.apply_batch(batch, del));
+  expect_same_delta(d.apply_batch(batch, del, &fresh.dendrogram()),
+                    ref.apply_batch(batch, del));
   EXPECT_EQ(d.path_max_batches(), 0u);
-}
-
-TEST(DynamicPathMax, LcaMatchesParentWalk) {
-  Rng rng(5);
-  EdgeList g(300);
-  for (int i = 0; i < 500; ++i) {
-    const WEdge e = random_edge(rng, 0, 300, 1000);
-    g.add_edge(e.u, e.v, e.w);
-  }
-  DynamicMsf d(g, opts());
-  ThreadTeam team(2);
-  const ForestIndex idx(team, d.store(), d.forest_edge_ids(), 1);
-  const auto naive = [&](VertexId u, VertexId v) {
-    while (idx.depth(u) > idx.depth(v)) u = idx.parent(u);
-    while (idx.depth(v) > idx.depth(u)) v = idx.parent(v);
-    while (u != v) {
-      u = idx.parent(u);
-      v = idx.parent(v);
-    }
-    return u;
-  };
-  int checked = 0;
-  for (VertexId u = 0; u < 300; u += 3) {
-    for (VertexId v = 1; v < 300; v += 7) {
-      if (!idx.connected(u, v)) continue;
-      ASSERT_EQ(idx.lca(u, v), naive(u, v)) << u << " " << v;
-      if (u != v) {
-        EXPECT_EQ(idx.bottleneck(u, v), idx.path_max(u, v).edge_id);
-      }
-      ++checked;
-    }
-  }
-  EXPECT_GT(checked, 100);
 }
 
 }  // namespace

@@ -1,18 +1,21 @@
 // ForestIndex: randomized property tests against brute force.  Path-max is
 // checked against a BFS walk over the forest adjacency (independent of the
-// skip tables), connectivity against a union-find over the live edges, cut
+// dendrogram), connectivity against a union-find over the live edges, cut
 // against a union-find restricted to edges with weight <= lambda, and topk
 // against a full sort of the live store — across thread counts, after
-// apply_batch refreshes, and on disconnected inputs.
+// apply_batch refreshes, and on path, star, tie-heavy and disconnected
+// inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <queue>
 #include <random>
 #include <span>
 #include <vector>
 
+#include "core/dendrogram.hpp"
 #include "dynamic/dynamic_msf.hpp"
 #include "graph/generators.hpp"
 #include "graph/types.hpp"
@@ -87,6 +90,38 @@ NaivePathMax naive_path_max(const query::ForestIndex& idx, VertexId n,
   return r;
 }
 
+/// Forest shapes beyond random graphs: a path (one tree of depth n - 1), a
+/// star, four distinct weights only (heavy ties, two of them exactly on cut
+/// thresholds), and many small trees beside isolated vertices.
+std::vector<EdgeList> shaped_graphs() {
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> wgt(0.0, 1.0);
+  std::vector<EdgeList> out;
+  EdgeList path(300);
+  EdgeList star(300);
+  for (VertexId x = 1; x < 300; ++x) {
+    path.add_edge(x - 1, x, wgt(rng));
+    star.add_edge(0, x, wgt(rng));
+  }
+  out.push_back(std::move(path));
+  out.push_back(std::move(star));
+  EdgeList ties = random_graph(300, 900, 5);
+  for (WEdge& e : ties.edges) e.w = std::floor(e.w * 4) / 4;
+  out.push_back(std::move(ties));
+  // Clusters of five vertices; every third cluster stays edgeless.
+  EdgeList comps(400);
+  std::uniform_int_distribution<VertexId> member(0, 4);
+  for (VertexId c = 0; c < 80; ++c) {
+    if (c % 3 == 0) continue;
+    for (int i = 0; i < 6; ++i) {
+      const VertexId u = 5 * c + member(rng), v = 5 * c + member(rng);
+      if (u != v) comps.add_edge(u, v, wgt(rng));
+    }
+  }
+  out.push_back(std::move(comps));
+  return out;
+}
+
 dynamic::DynamicMsfOptions dyn_opts(ThreadTeam& team, std::uint64_t seed) {
   dynamic::DynamicMsfOptions o;
   o.team = &team;
@@ -99,10 +134,14 @@ class ForestIndexP : public ::testing::TestWithParam<int> {};
 TEST_P(ForestIndexP, PathMaxAndConnMatchBruteForce) {
   const int p = GetParam();
   ThreadTeam team(p);
-  // Sparse enough that the forest has several components.
+  // The random ones sparse enough that the forest has several components.
+  std::vector<EdgeList> inputs = shaped_graphs();
   for (const auto& [n, m] : {std::pair<VertexId, EdgeId>{60, 40},
                              {200, 600}, {400, 300}}) {
-    const EdgeList g = random_graph(n, m, 42 + n);
+    inputs.push_back(random_graph(n, m, 42 + n));
+  }
+  for (const EdgeList& g : inputs) {
+    const VertexId n = g.num_vertices;
     dynamic::DynamicMsf d(g, dyn_opts(team, 1));
     const query::ForestIndex idx(
         team, d.store(), std::span<const EdgeId>(d.forest_edge_ids()), 1);
@@ -132,37 +171,60 @@ TEST_P(ForestIndexP, PathMaxAndConnMatchBruteForce) {
 
 TEST_P(ForestIndexP, BuildIsDeterministicAcrossThreadCounts) {
   const int p = GetParam();
-  const EdgeList g = random_graph(500, 1500, 99);
-  ThreadTeam ref_team(1);
-  dynamic::DynamicMsf ref_d(g, dyn_opts(ref_team, 3));
-  const query::ForestIndex ref(
-      ref_team, ref_d.store(),
-      std::span<const EdgeId>(ref_d.forest_edge_ids()), 5);
+  // The large input takes the team paths of the weight sort and the
+  // range-max table; the small one is checked on every pair and every cut.
+  for (const auto& [n, m] : {std::pair<VertexId, EdgeId>{500, 1500},
+                             {40000, 120000}}) {
+    const EdgeList g = random_graph(n, m, 99);
+    ThreadTeam ref_team(1);
+    dynamic::DynamicMsf ref_d(g, dyn_opts(ref_team, 3));
+    const query::ForestIndex ref(
+        ref_team, ref_d.store(),
+        std::span<const EdgeId>(ref_d.forest_edge_ids()), 5);
 
-  ThreadTeam team(p);
-  dynamic::DynamicMsf d(g, dyn_opts(team, 3));
-  const query::ForestIndex idx(
-      team, d.store(), std::span<const EdgeId>(d.forest_edge_ids()), 5);
+    ThreadTeam team(p);
+    dynamic::DynamicMsf d(g, dyn_opts(team, 3));
+    const query::ForestIndex idx(
+        team, d.store(), std::span<const EdgeId>(d.forest_edge_ids()), 5);
 
-  ASSERT_EQ(idx.num_vertices(), ref.num_vertices());
-  ASSERT_EQ(idx.num_forest_edges(), ref.num_forest_edges());
-  EXPECT_EQ(idx.tour(), ref.tour());
-  for (VertexId v = 0; v < idx.num_vertices(); ++v) {
-    EXPECT_EQ(idx.component(v), ref.component(v));
-    EXPECT_EQ(idx.parent(v), ref.parent(v));
-    EXPECT_EQ(idx.depth(v), ref.depth(v));
-    EXPECT_EQ(idx.tin(v), ref.tin(v));
-    EXPECT_EQ(idx.tout(v), ref.tout(v));
-  }
-  std::mt19937_64 rng(11);
-  std::uniform_int_distribution<VertexId> vtx(0, 499);
-  for (int t = 0; t < 200; ++t) {
-    const VertexId u = vtx(rng), v = vtx(rng);
-    const auto a = idx.path_max(u, v);
-    const auto b = ref.path_max(u, v);
-    EXPECT_EQ(a.connected, b.connected);
-    EXPECT_EQ(a.edge_id, b.edge_id);
-    EXPECT_EQ(a.weight, b.weight);
+    ASSERT_EQ(idx.num_vertices(), ref.num_vertices());
+    ASSERT_EQ(idx.num_forest_edges(), ref.num_forest_edges());
+    const core::Dendrogram& a = idx.dendrogram();
+    const core::Dendrogram& b = ref.dendrogram();
+    for (VertexId v = 0; v < n; ++v) {
+      ASSERT_EQ(a.pos(v), b.pos(v)) << "v=" << v;
+      ASSERT_EQ(a.run(v), b.run(v)) << "v=" << v;
+    }
+    const auto same_path_max = [&](VertexId u, VertexId v) {
+      const auto x = idx.path_max(u, v);
+      const auto y = ref.path_max(u, v);
+      return x.connected == y.connected && x.edge_id == y.edge_id &&
+             x.weight == y.weight;
+    };
+    const bool all_pairs = n <= 500;
+    if (all_pairs) {
+      for (VertexId u = 0; u < n; ++u) {
+        for (VertexId v = 0; v < n; ++v) {
+          ASSERT_TRUE(same_path_max(u, v)) << "u=" << u << " v=" << v;
+        }
+      }
+    } else {
+      std::mt19937_64 rng(11);
+      std::uniform_int_distribution<VertexId> vtx(0, n - 1);
+      for (int t = 0; t < 200000; ++t) {
+        const VertexId u = vtx(rng), v = vtx(rng);
+        ASSERT_TRUE(same_path_max(u, v)) << "u=" << u << " v=" << v;
+      }
+    }
+    const std::size_t stride = all_pairs ? 1 : 997;
+    for (std::size_t i = 0; i < a.num_merges(); i += stride) {
+      std::vector<VertexId> la, lb;
+      const auto ca = idx.cut(a.merge_height(i), &la);
+      const auto cb = ref.cut(a.merge_height(i), &lb);
+      ASSERT_EQ(ca.num_clusters, cb.num_clusters) << "merge " << i;
+      ASSERT_EQ(ca.labels_digest, cb.labels_digest) << "merge " << i;
+      ASSERT_EQ(la, lb) << "merge " << i;
+    }
   }
 }
 
@@ -253,41 +315,44 @@ TEST(QueryIndex, EmptyForest) {
 
 TEST(QueryIndex, CutMatchesThresholdUnionFind) {
   ThreadTeam team(4);
-  const VertexId n = 250;
-  const EdgeList g = random_graph(n, 700, 31);
-  dynamic::DynamicMsf d(g, dyn_opts(team, 1));
-  const query::ForestIndex idx(
-      team, d.store(), std::span<const EdgeId>(d.forest_edge_ids()), 1);
+  std::vector<EdgeList> inputs = shaped_graphs();
+  inputs.push_back(random_graph(250, 700, 31));
+  for (const EdgeList& g : inputs) {
+    const VertexId n = g.num_vertices;
+    dynamic::DynamicMsf d(g, dyn_opts(team, 1));
+    const query::ForestIndex idx(
+        team, d.store(), std::span<const EdgeId>(d.forest_edge_ids()), 1);
 
-  for (const double lambda : {0.0, 0.05, 0.2, 0.5, 0.9, 1.0}) {
-    // Single linkage at lambda == components of the graph restricted to
-    // edges with weight <= lambda.
-    UnionFind uf(n);
-    for (const WEdge& e : g.edges) {
-      if (e.w <= lambda) uf.unite(e.u, e.v);
-    }
-    std::vector<VertexId> roots;
-    for (VertexId v = 0; v < n; ++v) roots.push_back(uf.find(v));
-    std::vector<VertexId> uniq = roots;
-    std::sort(uniq.begin(), uniq.end());
-    uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
+    for (const double lambda : {0.0, 0.05, 0.2, 0.5, 0.9, 1.0}) {
+      // Single linkage at lambda == components of the graph restricted to
+      // edges with weight <= lambda.
+      UnionFind uf(n);
+      for (const WEdge& e : g.edges) {
+        if (e.w <= lambda) uf.unite(e.u, e.v);
+      }
+      std::vector<VertexId> roots;
+      for (VertexId v = 0; v < n; ++v) roots.push_back(uf.find(v));
+      std::vector<VertexId> uniq = roots;
+      std::sort(uniq.begin(), uniq.end());
+      uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
 
-    std::vector<VertexId> labels;
-    const auto cut = idx.cut(lambda, &labels);
-    EXPECT_EQ(cut.num_clusters, uniq.size()) << "lambda=" << lambda;
-    ASSERT_EQ(labels.size(), static_cast<std::size_t>(n));
-    EXPECT_EQ(cut.labels_digest,
-              query::labels_digest(std::span<const VertexId>(labels)));
-    // Partition equivalence: same label <=> same union-find root.
-    std::vector<VertexId> label_of_root(n, kInvalidVertex);
-    std::vector<VertexId> root_of_label(n, kInvalidVertex);
-    for (VertexId v = 0; v < n; ++v) {
-      VertexId& lr = label_of_root[roots[v]];
-      if (lr == kInvalidVertex) lr = labels[v];
-      EXPECT_EQ(lr, labels[v]) << "lambda=" << lambda << " v=" << v;
-      VertexId& rl = root_of_label[labels[v]];
-      if (rl == kInvalidVertex) rl = roots[v];
-      EXPECT_EQ(rl, roots[v]) << "lambda=" << lambda << " v=" << v;
+      std::vector<VertexId> labels;
+      const auto cut = idx.cut(lambda, &labels);
+      EXPECT_EQ(cut.num_clusters, uniq.size()) << "lambda=" << lambda;
+      ASSERT_EQ(labels.size(), static_cast<std::size_t>(n));
+      EXPECT_EQ(cut.labels_digest,
+                query::labels_digest(std::span<const VertexId>(labels)));
+      // Partition equivalence: same label <=> same union-find root.
+      std::vector<VertexId> label_of_root(n, kInvalidVertex);
+      std::vector<VertexId> root_of_label(n, kInvalidVertex);
+      for (VertexId v = 0; v < n; ++v) {
+        VertexId& lr = label_of_root[roots[v]];
+        if (lr == kInvalidVertex) lr = labels[v];
+        EXPECT_EQ(lr, labels[v]) << "lambda=" << lambda << " v=" << v;
+        VertexId& rl = root_of_label[labels[v]];
+        if (rl == kInvalidVertex) rl = roots[v];
+        EXPECT_EQ(rl, roots[v]) << "lambda=" << lambda << " v=" << v;
+      }
     }
   }
 }

@@ -15,10 +15,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/dendrogram.hpp"
 #include "core/msf.hpp"
 #include "pprim/rng.hpp"
 #include "query/forest_index.hpp"
+#include "seq/union_find.hpp"
 #include "serve/service_core.hpp"
 
 namespace {
@@ -140,26 +140,24 @@ TEST(ServeStress, EverySnapshotIsBitIdenticalToScratch) {
 
 /// Brute-force reference for one snapshot's query answers, computed from a
 /// *scratch solve* of the snapshot's live graph (independent of the forest
-/// the service maintained and of the ForestIndex skip tables).
+/// the service maintained and of the ForestIndex it answers from).
 struct QueryReference {
   VertexId n = 0;
   std::unordered_map<EdgeId, WEdge> edge_of;              ///< store id -> edge
+  std::vector<std::pair<EdgeId, WEdge>> forest;           ///< scratch forest
   std::vector<std::vector<std::pair<VertexId, EdgeId>>> adj;  ///< forest
 
   QueryReference(const SnapshotData& snap, const core::MsfOptions& opts)
-      : n(snap.live.num_vertices),
-        adj(snap.live.num_vertices),
-        // forest_ is declared before dend so sorted_forest may fill it here.
-        dend(snap.live.num_vertices,
-             sorted_forest(snap, core::minimum_spanning_forest_of_candidates(
-                                     snap.live, snap.live_ids, opts))) {
+      : n(snap.live.num_vertices), adj(snap.live.num_vertices) {
     edge_of.reserve(snap.live_ids.size());
     for (std::size_t i = 0; i < snap.live_ids.size(); ++i) {
       edge_of[snap.live_ids[i]] = snap.live.edges[i];
     }
-    // The dendrogram ctor above consumed the scratch forest; rebuild the
-    // adjacency from the same sorted edge set for pathmax walks.
-    for (const auto& [id, e] : forest_) {
+    const MsfResult ref = core::minimum_spanning_forest_of_candidates(
+        snap.live, snap.live_ids, opts);
+    for (const EdgeId id : ref.edge_ids) {
+      const WEdge& e = edge_of.at(id);
+      forest.push_back({id, e});
       adj[e.u].push_back({e.v, id});
       adj[e.v].push_back({e.u, id});
     }
@@ -198,32 +196,24 @@ struct QueryReference {
     return {true, best, bw};
   }
 
- private:
-  std::vector<std::pair<EdgeId, WEdge>> forest_;
-
- public:
-  core::Dendrogram dend;
-
- private:
-  /// The scratch forest ascending by store id — the same edge order the
-  /// ForestIndex feeds its dendrogram, so cut labels are comparable
-  /// bit-for-bit.
-  MsfResult sorted_forest(const SnapshotData& snap, const MsfResult& ref) {
-    std::unordered_map<EdgeId, WEdge> by_id;
-    by_id.reserve(snap.live_ids.size());
-    for (std::size_t i = 0; i < snap.live_ids.size(); ++i) {
-      by_id[snap.live_ids[i]] = snap.live.edges[i];
+  /// Single linkage at `lambda`: components of the scratch forest's edges
+  /// with w <= lambda, labelled by first occurrence over vertex id.
+  [[nodiscard]] std::vector<VertexId> cut(Weight lambda,
+                                          std::size_t* clusters) const {
+    seq::UnionFind uf(n);
+    for (const auto& [id, e] : forest) {
+      if (e.w <= lambda) uf.unite(e.u, e.v);
     }
-    for (const EdgeId id : ref.edge_ids) forest_.push_back({id, by_id.at(id)});
-    std::sort(forest_.begin(), forest_.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    MsfResult out;
-    for (const auto& [id, e] : forest_) {
-      out.edges.push_back(e);
-      out.edge_ids.push_back(id);
+    std::vector<VertexId> label_of_root(n, kInvalidVertex);
+    std::vector<VertexId> labels(n);
+    VertexId next = 0;
+    for (VertexId v = 0; v < n; ++v) {
+      VertexId& l = label_of_root[uf.find(v)];
+      if (l == kInvalidVertex) l = next++;
+      labels[v] = l;
     }
-    out.num_trees = ref.num_trees;
-    return out;
+    *clusters = next;
+    return labels;
   }
 };
 
@@ -263,7 +253,7 @@ bool check_queries(ServiceCore& svc, const core::MsfOptions& opts,
   EXPECT_EQ(cn.connected, found);
 
   std::size_t ref_clusters = 0;
-  const std::vector<VertexId> labels = ref.dend.cut_at(0.5, &ref_clusters);
+  const std::vector<VertexId> labels = ref.cut(0.5, &ref_clusters);
   EXPECT_EQ(cut.clusters, ref_clusters);
   EXPECT_EQ(cut.cut_digest,
             query::labels_digest(std::span<const VertexId>(labels)));
