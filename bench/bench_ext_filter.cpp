@@ -8,7 +8,6 @@
 
 #include "common.hpp"
 #include "core/filter_kruskal.hpp"
-#include "core/sample_filter.hpp"
 #include "graph/generators.hpp"
 #include "seq/seq_msf.hpp"
 
@@ -19,8 +18,8 @@ int main(int argc, char** argv) {
   const bench::Args args = bench::parse_args(argc, argv);
   const auto n = static_cast<VertexId>(args.size(100000, 1000000));
 
-  std::printf("%-10s %12s %12s %14s %14s %14s %10s\n", "m/n", "Kruskal",
-              "Boruvka", "FilterK(p=1)", "FilterK(p=4)", "SampleF(p=4)", "K/FK1");
+  std::printf("%-10s %12s %12s %14s %14s %10s\n", "m/n", "Kruskal",
+              "Boruvka", "FilterK(p=1)", "FilterK(p=4)", "K/FK1");
   for (const int density : {1, 2, 4, 8, 16, 32}) {
     const auto m = static_cast<EdgeId>(density) * n;
     const EdgeList g =
@@ -33,10 +32,8 @@ int main(int argc, char** argv) {
         bench::time_best_of(args.reps, [&] { (void)core::filter_kruskal_msf(g, 1); });
     const double tf4 =
         bench::time_best_of(args.reps, [&] { (void)core::filter_kruskal_msf(g, 4); });
-    const double tsf = bench::time_best_of(
-        args.reps, [&] { (void)core::sample_filter_msf(g, 4, args.seed); });
-    std::printf("%-10d %11.3fs %11.3fs %13.3fs %13.3fs %13.3fs %9.2fx\n", density,
-                tk, tb, tf1, tf4, tsf, tk / tf1);
+    std::printf("%-10d %11.3fs %11.3fs %13.3fs %13.3fs %9.2fx\n", density,
+                tk, tb, tf1, tf4, tk / tf1);
   }
   return 0;
 }

@@ -57,7 +57,6 @@
 #include "persist/wal.hpp"
 #include "serve/service_core.hpp"
 #include "serve/uds_client.hpp"
-#include "serve/uds_server.hpp"
 
 using namespace smp;
 using namespace smp::graph;
@@ -558,24 +557,20 @@ ScaleResult run_scale_config(const std::string& transport, int shards,
     }
   }
 
-  std::unique_ptr<UdsServer> uds;
-  std::unique_ptr<net::TcpServer> tcp;
+  // One server either way: a unix path and no TCP listener, or the reverse.
+  net::TcpServerOptions server_opts;
   std::string socket_path;
-  std::uint16_t port = 0;
   if (transport == "uds") {
     socket_path = (std::filesystem::temp_directory_path() /
                    ("bench_serve_scale_" + std::to_string(::getpid()) +
                     ".sock"))
                       .string();
-    uds = std::make_unique<UdsServer>(
-        svc, UdsServerOptions{.socket_path = socket_path});
-    uds->start();
-  } else {
-    tcp = std::make_unique<net::TcpServer>(svc,
-                                           net::TcpServerOptions{.port = 0});
-    tcp->start();
-    port = tcp->port();
+    server_opts.port = std::nullopt;
+    server_opts.unix_path = socket_path;
   }
+  net::TcpServer server(svc, server_opts);
+  server.start();
+  const std::uint16_t port = server.port();
 
   using Clock = std::chrono::steady_clock;
   std::vector<ScaleResult> per_client(static_cast<std::size_t>(clients));
@@ -605,8 +600,7 @@ ScaleResult run_scale_config(const std::string& transport, int shards,
     total.write_us.insert(total.write_us.end(), r.write_us.begin(),
                           r.write_us.end());
   }
-  if (uds != nullptr) uds->stop();
-  if (tcp != nullptr) tcp->stop();
+  server.stop();
   svc.shutdown();
   return total;
 }

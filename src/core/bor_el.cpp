@@ -60,8 +60,6 @@ MsfResult bor_el_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
   const int p = team.size();
   const FindMinMode mode = resolve_find_min_mode(opts.find_min, g.edges.size());
   const bool packed = mode == FindMinMode::kSimd;
-  const int lb_threads = find_min_local_best_threads(opts);
-  const std::size_t lb_cutoff = find_min_local_best_cutoff(opts);
 
   detail::EdgeCollector collector(team.size());
   std::vector<std::atomic<EdgeId>> best;  // scan path: per vertex arc id
@@ -91,7 +89,8 @@ MsfResult bor_el_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
     const std::size_t m = arcs.size();
     VertexId next_n = 0;
     const bool local_best_on =
-        packed && p > 1 && p >= lb_threads && cur_n <= lb_cutoff;
+        packed && p > 1 && p >= kFindMinLocalBestThreads &&
+        cur_n <= kFindMinLocalBestCutoff;
 
     team.run([&](TeamCtx& ctx) {
       WallTimer t0;

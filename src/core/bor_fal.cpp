@@ -67,9 +67,6 @@ std::vector<EdgeId> packed_boruvka_loop(ThreadTeam& team, PackedSolveInput in,
                                         std::vector<VertexId>* labels_out) {
   const VertexId n = in.n;
   const int p = team.size();
-  const int lb_threads = find_min_local_best_threads(opts);
-  const std::size_t lb_cutoff = find_min_local_best_cutoff(opts);
-  const std::size_t prune_block = find_min_prune_block(opts);
 
   const std::vector<EdgeId>& offsets = in.offsets;
   const std::unique_ptr<std::uint64_t[]> keys = std::move(in.keys);
@@ -107,7 +104,8 @@ std::vector<EdgeId> packed_boruvka_loop(ThreadTeam& team, PackedSolveInput in,
     any.store(false, std::memory_order_relaxed);
     scan_cursor.store(0, std::memory_order_relaxed);
     const bool local_best_on =
-        !first_iter && p > 1 && p >= lb_threads && cur_n <= lb_cutoff;
+        !first_iter && p > 1 && p >= kFindMinLocalBestThreads &&
+        cur_n <= kFindMinLocalBestCutoff;
 
     team.run([&](TeamCtx& ctx) {
       WallTimer t0;
@@ -122,7 +120,8 @@ std::vector<EdgeId> packed_boruvka_loop(ThreadTeam& team, PackedSolveInput in,
         // to original vertex x alone — a pure streaming SIMD argmin per
         // adjacency block, with plain stores instead of atomics and no
         // separate sentinel-init pass.
-        for_range_dynamic(ctx, scan_cursor, n, prune_block, [&](std::size_t x) {
+        for_range_dynamic(ctx, scan_cursor, n, kFindMinPruneBlock,
+                          [&](std::size_t x) {
           const EdgeId lo = offsets[x];
           const EdgeId end = offsets[x + 1];
           best_keys[x] = end == lo
@@ -147,7 +146,8 @@ std::vector<EdgeId> packed_boruvka_loop(ThreadTeam& team, PackedSolveInput in,
         // prefix, then one SIMD argmin over the survivors and a single
         // publish into the owning supervertex's slot.  Dynamic chunks: live
         // prefix lengths skew wildly after a few contractions.
-        for_range_dynamic(ctx, scan_cursor, n, prune_block, [&](std::size_t x) {
+        for_range_dynamic(ctx, scan_cursor, n, kFindMinPruneBlock,
+                          [&](std::size_t x) {
           const VertexId s = labels[x];
           const EdgeId lo = offsets[x];
           EdgeId end = live_end[x];

@@ -84,21 +84,6 @@ inline constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
   return find_min_packable(num_edges) ? FindMinMode::kSimd : FindMinMode::kScan;
 }
 
-/// MsfOptions knob resolution (0 = the pprim/tuning.hpp default).
-[[nodiscard]] inline int find_min_local_best_threads(const MsfOptions& o) {
-  return o.find_min_local_best_threads > 0 ? o.find_min_local_best_threads
-                                           : kFindMinLocalBestThreads;
-}
-[[nodiscard]] inline std::size_t find_min_local_best_cutoff(
-    const MsfOptions& o) {
-  return o.find_min_local_best_cutoff > 0 ? o.find_min_local_best_cutoff
-                                          : kFindMinLocalBestCutoff;
-}
-[[nodiscard]] inline std::size_t find_min_prune_block(const MsfOptions& o) {
-  return o.find_min_prune_block > 0 ? o.find_min_prune_block
-                                    : kFindMinPruneBlock;
-}
-
 /// rank[e] ∈ [0, m): position of input edge e under the WeightOrder total
 /// order.  Stable parallel LSD radix sort of the input indices keyed by
 /// monotone_weight_bits — stability is what breaks weight ties by input

@@ -8,7 +8,6 @@
 #include "core/bor_uf.hpp"
 #include "core/champion.hpp"
 #include "core/filter_kruskal.hpp"
-#include "core/sample_filter.hpp"
 #include "pprim/partition.hpp"
 #include "pprim/thread_team.hpp"
 #include "seq/seq_msf.hpp"
@@ -33,18 +32,26 @@ std::string_view to_string(Algorithm a) {
       return "Kruskal";
     case Algorithm::kSeqBoruvka:
       return "Boruvka";
-    case Algorithm::kParKruskal:
-      return "Par-Kruskal";
     case Algorithm::kFilterKruskal:
       return "Filter-Kruskal";
-    case Algorithm::kSampleFilter:
-      return "Sample-Filter";
     case Algorithm::kBorUF:
       return "Bor-UF";
     case Algorithm::kChampion:
       return "Champion";
   }
   return "?";
+}
+
+Algorithm parse_algorithm(std::string_view name) {
+  std::string valid;
+  for (const AlgorithmName& row : kAlgorithmNames) {
+    if (name == row.name) return row.alg;
+    if (!valid.empty()) valid += ' ';
+    valid += row.name;
+  }
+  throw Error(ErrorCode::kInvalidInput, "unknown algorithm '" +
+                                            std::string(name) + "' (valid: " +
+                                            valid + ")");
 }
 
 namespace {
@@ -59,9 +66,7 @@ namespace {
     case Algorithm::kSeqPrim:
     case Algorithm::kSeqKruskal:
     case Algorithm::kSeqBoruvka:
-    case Algorithm::kParKruskal:
     case Algorithm::kFilterKruskal:
-    case Algorithm::kSampleFilter:
     case Algorithm::kBorUF:
     case Algorithm::kChampion:
       return true;
@@ -161,12 +166,8 @@ graph::MsfResult dispatch_parallel(ThreadTeam& team, const graph::EdgeList& g,
       return bor_fal_msf(team, g, opts);
     case Algorithm::kMstBC:
       return mst_bc_msf(team, g, opts);
-    case Algorithm::kParKruskal:
-      return par_kruskal_msf(team, g, opts);
     case Algorithm::kFilterKruskal:
       return filter_kruskal_msf(team, g, opts);
-    case Algorithm::kSampleFilter:
-      return sample_filter_msf(team, g, opts);
     case Algorithm::kBorUF:
       return bor_uf_msf(team, g, opts);
     case Algorithm::kChampion:

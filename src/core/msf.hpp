@@ -27,19 +27,43 @@ enum class Algorithm {
   kSeqPrim,
   kSeqKruskal,
   kSeqBoruvka,
-  // Extensions beyond the paper (see DESIGN.md):
-  kParKruskal,     ///< Kruskal with a parallel sample sort of the edges
-  kFilterKruskal,  ///< cycle-property filtering (§3's hinted approach)
-  kSampleFilter,   ///< Cole–Klein–Tarjan random sampling + filtering
-  kBorUF,          ///< Borůvka over a lock-free union-find (GBBS/Galois style)
-  kChampion,       ///< the library default: Bor-FAL behind a heavy-edge
-                   ///< filter (core/champion.hpp) — solve the lightest ~2n
-                   ///< edges, drop every heavier edge inside one light
-                   ///< component, finish on the contracted survivors;
-                   ///< DynamicMsf keys its forest-ordered batch pass on it
+  // Extensions beyond the paper (see DESIGN.md).  Their ids are pinned:
+  // the ids of removed algorithms (8, 10) are never reused, so an id an
+  // older build logged or printed still names the same algorithm.
+  kFilterKruskal = 9,  ///< cycle-property filtering (§3's hinted approach)
+  kBorUF = 11,  ///< Borůvka over a lock-free union-find (GBBS/Galois style)
+  kChampion,    ///< the library default: Bor-FAL behind a heavy-edge
+                ///< filter (core/champion.hpp) — solve the lightest ~2n
+                ///< edges, drop every heavier edge inside one light
+                ///< component, finish on the contracted survivors;
+                ///< DynamicMsf keys its forest-ordered batch pass on it
 };
 
 [[nodiscard]] std::string_view to_string(Algorithm a);
+
+/// The command-line / server spelling of every Algorithm — the one table
+/// every front end parses through, in the order usage lines list them.
+struct AlgorithmName {
+  std::string_view name;
+  Algorithm alg;
+};
+inline constexpr AlgorithmName kAlgorithmNames[] = {
+    {"champion", Algorithm::kChampion},
+    {"bor-el", Algorithm::kBorEL},
+    {"bor-al", Algorithm::kBorAL},
+    {"bor-alm", Algorithm::kBorALM},
+    {"bor-fal", Algorithm::kBorFAL},
+    {"mst-bc", Algorithm::kMstBC},
+    {"bor-uf", Algorithm::kBorUF},
+    {"filter-kruskal", Algorithm::kFilterKruskal},
+    {"prim", Algorithm::kSeqPrim},
+    {"kruskal", Algorithm::kSeqKruskal},
+    {"boruvka", Algorithm::kSeqBoruvka},
+};
+
+/// Looks `name` up in kAlgorithmNames.  Throws Error{kInvalidInput}
+/// "unknown algorithm 'X' (valid: champion bor-el ...)" otherwise.
+[[nodiscard]] Algorithm parse_algorithm(std::string_view name);
 
 /// The paper's five parallel algorithms, for iteration in tests/benches.
 inline constexpr Algorithm kParallelAlgorithms[] = {
@@ -48,8 +72,7 @@ inline constexpr Algorithm kParallelAlgorithms[] = {
 
 /// Extension algorithms (not part of the paper's evaluation).
 inline constexpr Algorithm kExtensionAlgorithms[] = {
-    Algorithm::kParKruskal, Algorithm::kFilterKruskal, Algorithm::kSampleFilter,
-    Algorithm::kBorUF, Algorithm::kChampion};
+    Algorithm::kFilterKruskal, Algorithm::kBorUF, Algorithm::kChampion};
 
 /// How the find-min step scans for each supervertex's lightest arc.
 ///
@@ -158,13 +181,6 @@ struct MsfOptions {
   CompactSortMode compact_sort = CompactSortMode::kAuto;
   /// find-min scan dispatch (kAuto = packed-key SIMD path when possible).
   FindMinMode find_min = FindMinMode::kAuto;
-  /// Find-min contention-cutoff overrides; 0 keeps the defaults in
-  /// pprim/tuning.hpp (kFindMinLocalBestThreads / kFindMinLocalBestCutoff /
-  /// kFindMinPruneBlock).  Setting find_min_local_best_threads above the
-  /// team size disables the local-best reduction entirely.
-  int find_min_local_best_threads = 0;
-  std::size_t find_min_local_best_cutoff = 0;
-  std::size_t find_min_prune_block = 0;
   /// Optional execution budget (cancellation token, deadline, arena memory
   /// cap), checked at per-iteration checkpoints; may be nullptr.  The budget
   /// outlives the call and may be shared with a canceller thread.
@@ -241,11 +257,5 @@ graph::MsfResult bor_fal_msf(ThreadTeam& team, const graph::EdgeList& g,
                              const MsfOptions& opts = {});
 graph::MsfResult mst_bc_msf(ThreadTeam& team, const graph::EdgeList& g,
                             const MsfOptions& opts = {});
-
-/// Kruskal with a parallel sample sort of the edge array (the union-find
-/// scan stays sequential) — the natural "just parallelize the sort" baseline
-/// that the paper's algorithms are implicitly measured against.
-graph::MsfResult par_kruskal_msf(ThreadTeam& team, const graph::EdgeList& g,
-                                 const MsfOptions& opts = {});
 
 }  // namespace smp::core

@@ -5,15 +5,20 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <deque>
 #include <unordered_map>
 #include <utility>
 
 #include "core/error.hpp"
 #include "net/frame.hpp"
+#include "serve/protocol.hpp"
 #include "serve/service_core.hpp"
 
 #ifdef __linux__
@@ -126,6 +131,11 @@ class Poller {
 #endif
 };
 
+constexpr int kListenBacklog = 128;
+/// A connection whose unsent response backlog exceeds this is dropped: the
+/// peer has stopped reading and buffering further is unbounded risk.
+constexpr std::size_t kMaxOutboundBytes = std::size_t{64} << 20;
+
 serve::Response protocol_error(const std::string& detail) {
   serve::Response r;
   r.status = serve::Status::kInvalidInput;
@@ -133,25 +143,105 @@ serve::Response protocol_error(const std::string& detail) {
   return r;
 }
 
+sockaddr_un make_unix_addr(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (path.size() >= sizeof addr.sun_path) {
+    throw Error(ErrorCode::kInvalidInput,
+                "socket path must be 1.." +
+                    std::to_string(sizeof addr.sun_path - 1) + " bytes: '" +
+                    path + "'");
+  }
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  return addr;
+}
+
+/// True when a daemon is actually accepting on `addr` (as opposed to a
+/// stale socket file left by a crash).  Probes with the `health` verb
+/// instead of a bare connect: a refused connect is the definitive stale
+/// signal, a protocol-shaped reply ("ok ..." from this version, "err ..."
+/// from an older daemon that predates the verb) is definitive liveness, and
+/// anything ambiguous (timeout, send failure) stays conservative — never
+/// clobber a path that might be serving.
+bool unix_socket_is_live(const sockaddr_un& addr) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return true;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+      0) {
+    ::close(fd);
+    return false;
+  }
+  timeval tv{};
+  tv.tv_usec = 500 * 1000;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  bool live = true;
+  static constexpr char kProbe[] = "health\n";
+  if (::send(fd, kProbe, sizeof kProbe - 1, MSG_NOSIGNAL) ==
+      static_cast<ssize_t>(sizeof kProbe - 1)) {
+    char buf[256];
+    const ssize_t n = ::recv(fd, buf, sizeof buf - 1, 0);
+    if (n >= 2) {
+      live = std::strncmp(buf, "ok", 2) == 0 || std::strncmp(buf, "er", 2) == 0;
+    }
+  }
+  ::close(fd);
+  return live;
+}
+
 }  // namespace
 
 struct TcpServer::Conn {
   int fd = -1;
+  bool lines = false;          // codec, fixed by the accepting listener
   std::size_t owner_slot = 0;  // index into threads_, fixed at accept time
   std::string client_id;
   // Input side: owner-thread only.
   std::string in;
   std::size_t in_off = 0;
-  bool closing = false;  // owner-thread bookkeeping mirror of closing_any
+  bool closing = false;     // owner-thread bookkeeping mirror of closing_any
+  bool read_eof = false;    // the peer will send nothing more
+  bool want_write = false;  // EPOLLOUT registered
+  bool shutdown_requested = false;  // wake wait() once this conn closes
   // Output side: shared with dispatcher callbacks.
   std::mutex out_mu;
   std::string out;
   std::size_t out_off = 0;
-  bool want_write = false;  // owner-thread only: EPOLLOUT registered
+  // Line codec only: replies not yet released, oldest first; slot i holds
+  // the reply to request number head_seq + i.  Filled slots leave from the
+  // front, so replies go out in request order.
+  std::deque<std::optional<std::string>> reorder;
+  std::uint64_t head_seq = 0;
   std::atomic<bool> in_processing{false};
   std::atomic<bool> closed{false};
   std::atomic<bool> closing_any{false};  // quit/shutdown/EOF seen
   std::atomic<std::uint64_t> outstanding{0};
+
+  /// Line codec: claims the reply slot of the next request (owner thread,
+  /// called in request order).
+  std::uint64_t reserve() {
+    std::lock_guard<std::mutex> lk(out_mu);
+    reorder.emplace_back();
+    return head_seq + reorder.size() - 1;
+  }
+
+  /// Queues reply bytes: frames go out as they complete; a line reply fills
+  /// slot `seq` and releases every filled slot at the front.  False when
+  /// the connection is already closed.
+  bool put(std::uint64_t seq, std::string bytes) {
+    std::lock_guard<std::mutex> lk(out_mu);
+    if (closed.load(std::memory_order_relaxed)) return false;
+    if (!lines) {
+      out += bytes;
+      return true;
+    }
+    reorder[seq - head_seq] = std::move(bytes);
+    while (!reorder.empty() && reorder.front().has_value()) {
+      out += *reorder.front();
+      reorder.pop_front();
+      ++head_seq;
+    }
+    return true;
+  }
 };
 
 struct TcpServer::IoThread {
@@ -197,42 +287,115 @@ struct TcpServer::IoThread {
   }
 
   void mark_dirty(const std::shared_ptr<Conn>& c) {
-    std::lock_guard<std::mutex> lk(pending_mu);
-    dirty.push_back(c);
+    {
+      std::lock_guard<std::mutex> lk(pending_mu);
+      dirty.push_back(c);
+    }
+    wake();
   }
+
+  /// Queues a reply for `c` (see Conn::put).  Outside the owner's own
+  /// processing pass the owner is woken to flush it.  Touches no TcpServer
+  /// state: dispatcher callbacks may run this after stop().
+  void post(const std::shared_ptr<Conn>& c, std::uint64_t seq,
+            std::string bytes) {
+    if (c->put(seq, std::move(bytes)) &&
+        !c->in_processing.load(std::memory_order_acquire)) {
+      mark_dirty(c);
+    }
+  }
+
+  /// A submitted request has answered: a closing connection may now be
+  /// able to close.
+  void complete(const std::shared_ptr<Conn>& c) {
+    c->outstanding.fetch_sub(1, std::memory_order_acq_rel);
+    if (c->closing_any.load(std::memory_order_acquire)) mark_dirty(c);
+  }
+
+  /// Re-registers `c`'s interest: input until the peer's EOF, output while
+  /// a backlog waits.
+  void watch(const Conn& c) { poller.mod(c.fd, !c.read_eof, c.want_write); }
 };
 
 TcpServer::TcpServer(serve::ServiceCore& core, TcpServerOptions opts)
-    : core_(core), opts_(opts) {
+    : core_(core), opts_(std::move(opts)) {
   if (opts_.io_threads < 1) opts_.io_threads = 1;
 }
 
 TcpServer::~TcpServer() { stop(); }
 
-void TcpServer::start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0)
-    throw Error(ErrorCode::kInvalidInput, "tcp: socket() failed");
+void TcpServer::bind_tcp(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) throw Error(ErrorCode::kInvalidInput, "tcp: socket() failed");
   int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(opts_.port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(listen_fd_, opts_.listen_backlog) != 0) {
+  addr.sin_port = htons(port);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
+      ::listen(fd, kListenBacklog) != 0) {
     const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    ::close(fd);
     throw Error(ErrorCode::kInvalidInput,
-                "tcp: cannot listen on port " + std::to_string(opts_.port) +
-                    ": " + std::strerror(err));
+                "tcp: cannot listen on port " + std::to_string(port) + ": " +
+                    std::strerror(err));
   }
   sockaddr_in bound{};
   socklen_t blen = sizeof bound;
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &blen);
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &blen);
   port_ = ntohs(bound.sin_port);
-  set_nonblocking(listen_fd_);
+  listeners_.push_back({fd, false});
+}
+
+void TcpServer::bind_unix() {
+  const std::string& path = opts_.unix_path;
+  const sockaddr_un addr = make_unix_addr(path);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) throw Error(ErrorCode::kInvalidInput, "uds: socket() failed");
+  const auto bind_path = [&] {
+    return ::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) ==
+           0;
+  };
+  if (!bind_path()) {
+    if (errno != EADDRINUSE || unix_socket_is_live(addr)) {
+      ::close(fd);
+      throw Error(ErrorCode::kInvalidInput,
+                  "cannot bind '" + path + "' (another daemon live on it?)");
+    }
+    // Stale socket file from a crashed daemon: reclaim the path.
+    ::unlink(path.c_str());
+    if (!bind_path()) {
+      const int err = errno;
+      ::close(fd);
+      throw Error(ErrorCode::kInvalidInput,
+                  "cannot bind '" + path + "': " + std::strerror(err));
+    }
+  }
+  if (::listen(fd, kListenBacklog) != 0) {
+    const int err = errno;
+    ::close(fd);
+    ::unlink(path.c_str());
+    throw Error(ErrorCode::kInvalidInput,
+                "cannot listen on '" + path + "': " + std::strerror(err));
+  }
+  listeners_.push_back({fd, true});
+}
+
+void TcpServer::start() {
+  if (!opts_.port.has_value() && opts_.unix_path.empty()) {
+    throw Error(ErrorCode::kInvalidInput,
+                "no listener: need a tcp port or a unix socket path");
+  }
+  try {
+    if (opts_.port.has_value()) bind_tcp(*opts_.port);
+    if (!opts_.unix_path.empty()) bind_unix();
+  } catch (...) {
+    for (const Listener& l : listeners_) ::close(l.fd);
+    listeners_.clear();
+    throw;
+  }
+  for (const Listener& l : listeners_) set_nonblocking(l.fd);
 
   threads_.reserve(static_cast<std::size_t>(opts_.io_threads));
   for (int i = 0; i < opts_.io_threads; ++i) {
@@ -243,7 +406,9 @@ void TcpServer::start() {
   for (int i = 0; i < opts_.io_threads; ++i) {
     IoThread& io = *threads_[static_cast<std::size_t>(i)];
     io.poller.add(io.wake_r, true, false);
-    if (i == 0) io.poller.add(listen_fd_, true, false);
+    if (i == 0) {
+      for (const Listener& l : listeners_) io.poller.add(l.fd, true, false);
+    }
     io.th = std::thread([this, &io, i] { io_loop(io, i == 0); });
   }
   {
@@ -251,7 +416,8 @@ void TcpServer::start() {
     started_ = true;
     stopped_ = false;
   }
-  core_.add_listener("tcp:" + std::to_string(port_));
+  if (!opts_.unix_path.empty()) core_.add_listener("uds:" + opts_.unix_path);
+  if (opts_.port.has_value()) core_.add_listener("tcp:" + std::to_string(port_));
 }
 
 void TcpServer::wait() {
@@ -274,7 +440,6 @@ void TcpServer::stop() {
     }
     stopped_ = true;
   }
-  stopping_.store(true, std::memory_order_release);
   for (auto& io : threads_) {
     io->stop.store(true, std::memory_order_release);
     io->wake();
@@ -282,15 +447,19 @@ void TcpServer::stop() {
   for (auto& io : threads_) {
     if (io->th.joinable()) io->th.join();
   }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  for (const Listener& l : listeners_) ::close(l.fd);
+  listeners_.clear();
+  if (opts_.port.has_value()) {
+    core_.remove_listener("tcp:" + std::to_string(port_));
   }
-  core_.remove_listener("tcp:" + std::to_string(port_));
+  if (!opts_.unix_path.empty()) {
+    ::unlink(opts_.unix_path.c_str());
+    core_.remove_listener("uds:" + opts_.unix_path);
+  }
   notify_stop_wait();
 }
 
-void TcpServer::io_loop(IoThread& io, bool is_listener) {
+void TcpServer::io_loop(IoThread& io, bool owns_listeners) {
   std::vector<Poller::Ev> events;
   std::vector<std::shared_ptr<Conn>> batch;
   while (!io.stop.load(std::memory_order_acquire)) {
@@ -320,18 +489,29 @@ void TcpServer::io_loop(IoThread& io, bool is_listener) {
         io.drain_wake();
         continue;
       }
-      if (is_listener && ev.fd == listen_fd_) {
-        accept_ready(io);
-        continue;
+      if (owns_listeners) {
+        const auto l = std::find_if(
+            listeners_.begin(), listeners_.end(),
+            [&](const Listener& x) { return x.fd == ev.fd; });
+        if (l != listeners_.end()) {
+          accept_ready(*l);
+          continue;
+        }
       }
       auto it = io.conns.find(ev.fd);
       if (it == io.conns.end()) continue;
       std::shared_ptr<Conn> conn = it->second;
       if (ev.in) handle_readable(io, conn);
-      if (!conn->closed.load(std::memory_order_acquire) && ev.out)
-        flush(io, conn);
-      if (!conn->closed.load(std::memory_order_acquire) && ev.err && !ev.in)
+      if (conn->closed.load(std::memory_order_acquire)) continue;
+      if (ev.out) flush(io, conn);
+      if (conn->closed.load(std::memory_order_acquire) || !ev.err) continue;
+      if (!ev.in) {
         close_conn(io, conn);
+      } else if (conn->read_eof) {
+        // Hung up while replies are still outstanding: stop polling a
+        // level-triggered hang-up; the completions' flush closes it.
+        io.poller.del(conn->fd);
+      }
     }
   }
   // Shutdown: drop every connection this thread owns.
@@ -341,21 +521,21 @@ void TcpServer::io_loop(IoThread& io, bool is_listener) {
   for (auto& c : all) close_conn(io, c);
 }
 
-void TcpServer::accept_ready(IoThread& io) {
-  (void)io;
+void TcpServer::accept_ready(const Listener& l) {
   for (;;) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
+    int fd = ::accept(l.fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return;  // EAGAIN or a transient accept error: try again on next event
     }
     set_nonblocking(fd);
-    set_nodelay(fd);
+    if (!l.lines) set_nodelay(fd);
     auto conn = std::make_shared<Conn>();
     conn->fd = fd;
+    conn->lines = l.lines;
     conn->client_id =
-        "tcp:" + std::to_string(next_client_.fetch_add(1,
-                                                       std::memory_order_relaxed));
+        (l.lines ? "uds#" : "tcp:") +
+        std::to_string(next_client_.fetch_add(1, std::memory_order_relaxed));
     const std::size_t slot =
         next_io_.fetch_add(1, std::memory_order_relaxed) % threads_.size();
     conn->owner_slot = slot;
@@ -389,18 +569,36 @@ void TcpServer::handle_readable(IoThread& io, const std::shared_ptr<Conn>& conn)
   }
 
   conn->in_processing.store(true, std::memory_order_release);
-  process_input(io, conn);
+  if (conn->lines) {
+    process_lines(conn);
+  } else {
+    process_frames(conn);
+  }
   conn->in_processing.store(false, std::memory_order_release);
+  // Compact the consumed prefix so the buffer does not grow without bound.
+  if (conn->in_off == conn->in.size()) {
+    conn->in.clear();
+    conn->in_off = 0;
+  } else if (conn->in_off > 65536) {
+    conn->in.erase(0, conn->in_off);
+    conn->in_off = 0;
+  }
 
   if (peer_eof) {
-    conn->closing = true;
-    conn->closing_any.store(true, std::memory_order_release);
+    conn->read_eof = true;
+    begin_close(conn);
+    io.watch(*conn);
   }
   flush(io, conn);
 }
 
-void TcpServer::process_input(IoThread& io, const std::shared_ptr<Conn>& conn) {
-  auto owner = threads_[static_cast<std::size_t>(io.id)];
+void TcpServer::begin_close(const std::shared_ptr<Conn>& conn) {
+  conn->closing = true;
+  conn->closing_any.store(true, std::memory_order_release);
+}
+
+void TcpServer::process_frames(const std::shared_ptr<Conn>& conn) {
+  IoThread& owner = *threads_[conn->owner_slot];
   auto respond_error = [&](const std::string& detail) {
     BinResponse br;
     br.id = 0;
@@ -408,8 +606,7 @@ void TcpServer::process_input(IoThread& io, const std::shared_ptr<Conn>& conn) {
     br.resp = protocol_error(detail);
     std::string frame;
     encode_response_frame(frame, br);
-    std::lock_guard<std::mutex> lk(conn->out_mu);
-    if (!conn->closed.load(std::memory_order_relaxed)) conn->out += frame;
+    owner.post(conn, 0, std::move(frame));
   };
 
   while (!conn->closing) {
@@ -422,8 +619,7 @@ void TcpServer::process_input(IoThread& io, const std::shared_ptr<Conn>& conn) {
       // The stream cannot be resynchronised; answer, then close after the
       // flush drains the error.
       respond_error(err);
-      conn->closing = true;
-      conn->closing_any.store(true, std::memory_order_release);
+      begin_close(conn);
       ::shutdown(conn->fd, SHUT_RD);
       break;
     }
@@ -436,15 +632,54 @@ void TcpServer::process_input(IoThread& io, const std::shared_ptr<Conn>& conn) {
     for (BinRequest& m : msgs) dispatch_message(conn, std::move(m));
     if (!ok) respond_error(err);
   }
+}
 
-  // Compact the consumed prefix so the buffer does not grow without bound.
-  if (conn->in_off == conn->in.size()) {
-    conn->in.clear();
-    conn->in_off = 0;
-  } else if (conn->in_off > 65536) {
-    conn->in.erase(0, conn->in_off);
-    conn->in_off = 0;
+void TcpServer::process_lines(const std::shared_ptr<Conn>& conn) {
+  while (!conn->closing) {
+    const std::size_t nl = conn->in.find('\n', conn->in_off);
+    const std::size_t end = nl == std::string::npos ? conn->in.size() : nl;
+    if (end - conn->in_off > kMaxLine) {
+      threads_[conn->owner_slot]->post(
+          conn, conn->reserve(), "err invalid_input request line too long\n");
+      begin_close(conn);
+      ::shutdown(conn->fd, SHUT_RD);
+      break;
+    }
+    if (nl == std::string::npos) break;
+    std::string line = conn->in.substr(conn->in_off, nl - conn->in_off);
+    conn->in_off = nl + 1;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (!line.empty()) dispatch_line(conn, line);
   }
+}
+
+void TcpServer::dispatch_line(const std::shared_ptr<Conn>& conn,
+                              const std::string& line) {
+  std::shared_ptr<IoThread> owner = threads_[conn->owner_slot];
+  const std::uint64_t seq = conn->reserve();
+  serve::WireRequest wr;
+  try {
+    wr = serve::parse_line(line);
+  } catch (const Error& e) {
+    owner->post(conn, seq, std::string("err invalid_input ") + e.what() + "\n");
+    return;
+  }
+  if (wr.quit || wr.shutdown) {
+    // Released after every earlier reply, like any other slot.
+    owner->post(conn, seq, "ok\n");
+    conn->shutdown_requested = wr.shutdown;
+    begin_close(conn);
+    return;
+  }
+  // Per-connection client identity for the rate limiter.
+  wr.req.client_id = conn->client_id;
+  const serve::Op op = wr.req.op;
+  conn->outstanding.fetch_add(1, std::memory_order_acq_rel);
+  core_.submit(std::move(wr.req),
+               [conn, owner, seq, op](serve::Response r) {
+                 owner->post(conn, seq, serve::render_response(op, r));
+                 owner->complete(conn);
+               });
 }
 
 void TcpServer::dispatch_message(const std::shared_ptr<Conn>& conn,
@@ -452,40 +687,24 @@ void TcpServer::dispatch_message(const std::shared_ptr<Conn>& conn,
   // The owner handle outlives the server via shared_ptr, so dispatcher
   // callbacks completing after stop() still have a valid wake target.
   std::shared_ptr<IoThread> owner = threads_[conn->owner_slot];
-
-  auto append_response = [](const std::shared_ptr<Conn>& c,
-                            const std::shared_ptr<IoThread>& own,
-                            BinResponse&& br) {
+  const auto post = [&](serve::Op op, serve::Response resp) {
+    BinResponse br;
+    br.id = msg.id;
+    br.op = op;
+    br.resp = std::move(resp);
     std::string frame;
     encode_response_frame(frame, br);
-    {
-      std::lock_guard<std::mutex> lk(c->out_mu);
-      if (c->closed.load(std::memory_order_relaxed)) return;
-      c->out += frame;
-    }
-    if (!c->in_processing.load(std::memory_order_acquire)) {
-      own->mark_dirty(c);
-      own->wake();
-    }
+    owner->post(conn, 0, std::move(frame));
   };
 
   if (msg.quit || msg.shutdown) {
-    BinResponse br;
-    br.id = msg.id;
-    br.op = serve::Op::kPing;
-    br.resp.status = serve::Status::kOk;
-    append_response(conn, owner, std::move(br));
-    conn->closing = true;
-    conn->closing_any.store(true, std::memory_order_release);
-    if (msg.shutdown) notify_stop_wait();
+    post(serve::Op::kPing, serve::Response{});
+    conn->shutdown_requested = msg.shutdown;
+    begin_close(conn);
     return;
   }
   if (msg.req.op == serve::Op::kSnapshot) {
-    BinResponse br;
-    br.id = msg.id;
-    br.op = serve::Op::kSnapshot;
-    br.resp = protocol_error("snapshot is in-process only");
-    append_response(conn, owner, std::move(br));
+    post(serve::Op::kSnapshot, protocol_error("snapshot is in-process only"));
     return;
   }
 
@@ -493,19 +712,16 @@ void TcpServer::dispatch_message(const std::shared_ptr<Conn>& conn,
   const std::uint64_t id = msg.id;
   const serve::Op op = msg.req.op;
   conn->outstanding.fetch_add(1, std::memory_order_acq_rel);
-  core_.submit(std::move(msg.req),
-               [conn, owner, id, op, append_response](serve::Response r) {
-                 BinResponse br;
-                 br.id = id;
-                 br.op = op;
-                 br.resp = std::move(r);
-                 append_response(conn, owner, std::move(br));
-                 conn->outstanding.fetch_sub(1, std::memory_order_acq_rel);
-                 if (conn->closing_any.load(std::memory_order_acquire)) {
-                   owner->mark_dirty(conn);
-                   owner->wake();
-                 }
-               });
+  core_.submit(std::move(msg.req), [conn, owner, id, op](serve::Response r) {
+    BinResponse br;
+    br.id = id;
+    br.op = op;
+    br.resp = std::move(r);
+    std::string frame;
+    encode_response_frame(frame, br);
+    owner->post(conn, 0, std::move(frame));
+    owner->complete(conn);
+  });
 }
 
 void TcpServer::flush(IoThread& io, const std::shared_ptr<Conn>& conn) {
@@ -532,7 +748,7 @@ void TcpServer::flush(IoThread& io, const std::shared_ptr<Conn>& conn) {
       conn->out.clear();
       conn->out_off = 0;
       drained = true;
-    } else if (conn->out.size() - conn->out_off > opts_.max_outbound_bytes) {
+    } else if (conn->out.size() - conn->out_off > kMaxOutboundBytes) {
       over_budget = true;
     }
   }
@@ -540,12 +756,9 @@ void TcpServer::flush(IoThread& io, const std::shared_ptr<Conn>& conn) {
     close_conn(io, conn);
     return;
   }
-  if (!drained && !conn->want_write) {
-    conn->want_write = true;
-    io.poller.mod(conn->fd, true, true);
-  } else if (drained && conn->want_write) {
-    conn->want_write = false;
-    io.poller.mod(conn->fd, true, false);
+  if (drained == conn->want_write) {
+    conn->want_write = !drained;
+    io.watch(*conn);
   }
   if (drained && conn->closing &&
       conn->outstanding.load(std::memory_order_acquire) == 0) {
@@ -554,10 +767,15 @@ void TcpServer::flush(IoThread& io, const std::shared_ptr<Conn>& conn) {
 }
 
 void TcpServer::close_conn(IoThread& io, const std::shared_ptr<Conn>& conn) {
-  if (conn->closed.exchange(true, std::memory_order_acq_rel)) return;
+  {
+    // Under out_mu so a late completion never fills a slot after close.
+    std::lock_guard<std::mutex> lk(conn->out_mu);
+    if (conn->closed.exchange(true, std::memory_order_acq_rel)) return;
+  }
   io.poller.del(conn->fd);
   ::close(conn->fd);
   io.conns.erase(conn->fd);
+  if (conn->shutdown_requested) notify_stop_wait();
 }
 
 }  // namespace smp::net

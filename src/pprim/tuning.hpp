@@ -27,14 +27,11 @@ inline constexpr std::size_t kDefaultSampleSortCutoff = std::size_t{1} << 15;
 /// would otherwise hammer through the coherence protocol.  Both bounds must
 /// hold — small teams don't contend enough to amortize the p·cur_n merge,
 /// and large cur_n makes the per-thread arrays themselves the cost.
-/// Overridable per solve via MsfOptions::find_min_local_best_{threads,cutoff}
-/// (0 = these defaults).
 inline constexpr int kFindMinLocalBestThreads = 4;
 inline constexpr std::size_t kFindMinLocalBestCutoff = 4096;
 /// Vertices per dynamic-scheduling chunk of the Bor-FAL prune+scan loop.
 /// Live-arc counts skew heavily after a few contractions, so static blocks
 /// load-imbalance; 64 vertices keeps the cursor traffic negligible.
-/// Overridable via MsfOptions::find_min_prune_block.
 inline constexpr std::size_t kFindMinPruneBlock = 64;
 
 namespace tuning_detail {

@@ -269,6 +269,40 @@ TEST(AlgorithmNames, AllDistinct) {
   EXPECT_EQ(core::to_string(core::Algorithm::kSeqBoruvka), "Boruvka");
 }
 
+TEST(AlgorithmNames, ParseCoversEveryAlgorithmOnce) {
+  // Every front end parses --alg through kAlgorithmNames, so a missing row
+  // is an algorithm no tool can select (the server once lacked champion).
+  const core::Algorithm all[] = {
+      core::Algorithm::kBorEL,        core::Algorithm::kBorAL,
+      core::Algorithm::kBorALM,       core::Algorithm::kBorFAL,
+      core::Algorithm::kMstBC,        core::Algorithm::kSeqPrim,
+      core::Algorithm::kSeqKruskal,   core::Algorithm::kSeqBoruvka,
+      core::Algorithm::kFilterKruskal, core::Algorithm::kBorUF,
+      core::Algorithm::kChampion};
+  ASSERT_EQ(std::size(core::kAlgorithmNames), std::size(all));
+  for (const core::Algorithm a : all) {
+    int rows = 0;
+    for (const core::AlgorithmName& row : core::kAlgorithmNames) {
+      if (row.alg != a) continue;
+      ++rows;
+      EXPECT_EQ(core::parse_algorithm(row.name), a) << row.name;
+    }
+    EXPECT_EQ(rows, 1) << core::to_string(a);
+  }
+  EXPECT_EQ(core::parse_algorithm("champion"), core::Algorithm::kChampion);
+  for (const char* removed : {"sample-filter", "par-kruskal", ""}) {
+    try {
+      (void)core::parse_algorithm(removed);
+      ADD_FAILURE() << "accepted '" << removed << "'";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
+      EXPECT_NE(std::string(e.what()).find("(valid: champion bor-el"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Dispatcher, RoutesSequentialAlgorithms) {
   const EdgeList g = random_graph(300, 900, 8);
   const auto ref = test::sorted_ids(core::minimum_spanning_forest(

@@ -102,9 +102,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(core::Algorithm::kBorEL, core::Algorithm::kBorAL,
                           core::Algorithm::kBorALM, core::Algorithm::kBorFAL,
-                          core::Algorithm::kMstBC, core::Algorithm::kParKruskal,
+                          core::Algorithm::kMstBC,
                           core::Algorithm::kFilterKruskal,
-                          core::Algorithm::kSampleFilter,
                           core::Algorithm::kBorUF,
                           core::Algorithm::kChampion),
         ::testing::Values(Family::kRandomSparse, Family::kRandomDense,

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
 #include <random>
 #include <stdexcept>
 #include <vector>
@@ -25,8 +24,8 @@ using namespace smp;
 using namespace smp::graph;
 
 MsfResult solve(const EdgeList& g, core::Algorithm alg, int threads,
-                core::FindMinMode mode, core::MsfOptions extra = {}) {
-  core::MsfOptions opts = extra;
+                core::FindMinMode mode) {
+  core::MsfOptions opts;
   opts.algorithm = alg;
   opts.threads = threads;
   opts.bc_base_size = 32;
@@ -81,26 +80,21 @@ TEST(FindMin, BitIdenticalForestsAcrossModesAndThreads) {
 }
 
 TEST(FindMin, TuningKnobsDoNotChangeTheForest) {
-  const EdgeList g = random_graph(3000, 12000, 21);
+  // The team size picks the local-best branch: on a graph with at most
+  // kFindMinLocalBestCutoff vertices, p = 4 merges per-thread slabs and
+  // p = 2 publishes through the shared atomic write-min.
+  constexpr VertexId kN = 3000;
+  static_assert(kN <= kFindMinLocalBestCutoff);
+  static_assert(2 < kFindMinLocalBestThreads && kFindMinLocalBestThreads <= 4);
+  const EdgeList g = random_graph(kN, 12000, 21);
   const auto baseline =
       test::sorted_ids(solve(g, core::Algorithm::kBorFAL, 1,
                              core::FindMinMode::kScan));
   for (const auto alg : {core::Algorithm::kBorFAL, core::Algorithm::kBorEL}) {
-    core::MsfOptions force_local_best;
-    force_local_best.find_min_local_best_threads = 1;
-    force_local_best.find_min_local_best_cutoff =
-        std::numeric_limits<std::size_t>::max();
-    core::MsfOptions no_local_best;
-    no_local_best.find_min_local_best_threads = 9999;
-    core::MsfOptions tiny_blocks;
-    tiny_blocks.find_min_prune_block = 1;
-    core::MsfOptions huge_blocks;
-    huge_blocks.find_min_prune_block = 4096;
-    for (const auto& extra :
-         {force_local_best, no_local_best, tiny_blocks, huge_blocks}) {
-      const auto ids = test::sorted_ids(
-          solve(g, alg, 4, core::FindMinMode::kSimd, extra));
-      EXPECT_EQ(ids, baseline) << core::to_string(alg);
+    for (const int p : {2, 4}) {
+      const auto ids =
+          test::sorted_ids(solve(g, alg, p, core::FindMinMode::kSimd));
+      EXPECT_EQ(ids, baseline) << core::to_string(alg) << " p=" << p;
     }
   }
 }

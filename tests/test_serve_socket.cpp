@@ -1,6 +1,8 @@
-// End-to-end over the real AF_UNIX transport: UdsServer + UdsClient against
-// a live ServiceCore — concurrent clients on one session, pipelined write
-// coalescing, stale-socket recovery, wire shutdown.
+// End-to-end over the real AF_UNIX transport: the line codec of
+// net::TcpServer + UdsClient against a live ServiceCore — concurrent clients
+// on one session, pipelined write coalescing, in-order replies, the line
+// cap, stale-socket recovery, wire shutdown, and both listeners on one
+// server.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -9,14 +11,18 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/error.hpp"
+#include "net/tcp_client.hpp"
+#include "net/tcp_server.hpp"
 #include "serve/service_core.hpp"
 #include "serve/uds_client.hpp"
-#include "serve/uds_server.hpp"
 
 namespace {
 
@@ -28,10 +34,34 @@ std::string unique_socket_path(const char* tag) {
          ".sock";
 }
 
+/// A server with only the AF_UNIX line-protocol listener.
+net::TcpServerOptions unix_only(const std::string& path) {
+  return {.port = std::nullopt, .unix_path = path};
+}
+
+int connect_unix(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+          0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+std::ptrdiff_t thread_count() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator{});
+}
+
 TEST(ServeSocket, RequestResponseRoundTrip) {
   const std::string path = unique_socket_path("rt");
   ServiceCore core;
-  UdsServer server(core, {.socket_path = path});
+  net::TcpServer server(core, unix_only(path));
   server.start();
   {
     UdsClient c(path);
@@ -65,7 +95,7 @@ TEST(ServeSocket, ConcurrentClientsShareOneSession) {
   opts.dispatchers = 4;
   opts.coalesce_window_s = 0.02;
   ServiceCore core(opts);
-  UdsServer server(core, {.socket_path = path});
+  net::TcpServer server(core, unix_only(path));
   server.start();
   {
     UdsClient admin(path);
@@ -117,7 +147,7 @@ TEST(ServeSocket, PipelinedBurstCoalesces) {
   opts.dispatchers = 4;
   opts.coalesce_window_s = 0.02;
   ServiceCore core(opts);
-  UdsServer server(core, {.socket_path = path});
+  net::TcpServer server(core, unix_only(path));
   server.start();
   {
     UdsClient c(path);
@@ -163,7 +193,7 @@ TEST(ServeSocket, StaleSocketFileIsReclaimedLiveOneIsNot) {
     ::close(fd);
   }
   ServiceCore core;
-  UdsServer server(core, {.socket_path = path});
+  net::TcpServer server(core, unix_only(path));
   server.start();  // must detect the stale file and reclaim the path
   {
     UdsClient c(path);
@@ -171,7 +201,7 @@ TEST(ServeSocket, StaleSocketFileIsReclaimedLiveOneIsNot) {
   }
   // A second daemon on the now-live path must refuse instead of stealing it.
   ServiceCore core2;
-  UdsServer server2(core2, {.socket_path = path});
+  net::TcpServer server2(core2, unix_only(path));
   EXPECT_THROW(server2.start(), Error);
   server.stop();
   core.shutdown();
@@ -181,7 +211,7 @@ TEST(ServeSocket, StaleSocketFileIsReclaimedLiveOneIsNot) {
 TEST(ServeSocket, WireShutdownWakesWait) {
   const std::string path = unique_socket_path("sd");
   ServiceCore core;
-  UdsServer server(core, {.socket_path = path});
+  net::TcpServer server(core, unix_only(path));
   server.start();
   std::thread waiter([&] { server.wait(); });
   {
@@ -190,6 +220,132 @@ TEST(ServeSocket, WireShutdownWakesWait) {
   }
   waiter.join();  // the verb must unblock wait()
   server.stop();
+  core.shutdown();
+}
+
+TEST(ServeSocket, PipelinedReadsWaitBehindACoalescingWrite) {
+  const std::string path = unique_socket_path("ord");
+  ServeOptions opts;
+  opts.coalesce_window_s = 0.05;
+  ServiceCore core(opts);
+  net::TcpServer server(core, unix_only(path));
+  server.start();
+  {
+    UdsClient c(path);
+    ASSERT_EQ(c.request("open g n=10").front().rfind("ok", 0), 0u);
+    // One write: a write that waits out the coalesce window on its shard,
+    // then 32 reads the core answers inline on the I/O thread long before
+    // it.  The line protocol has no ids, so the replies must still come
+    // back in request order.
+    std::vector<std::string> lines = {"insert g 1 2 1.5"};
+    for (int i = 0; i < 32; ++i) {
+      lines.push_back(i % 2 == 0 ? "ping" : "connected g 3 4");
+    }
+    std::string burst;
+    for (const std::string& line : lines) burst += line + "\n";
+    burst.pop_back();  // send_line appends the last newline
+    const std::uint64_t inline_before = core.metrics().reads_inline.load();
+    c.send_line(burst);
+    EXPECT_EQ(c.read_response(lines[0]).front(),
+              "ok applied=1 coalesced=1 weight=1.5 trees=9 forest=1 live=1");
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+      EXPECT_EQ(c.read_response(lines[i]).front(),
+                lines[i] == "ping" ? "ok" : "ok connected=0")
+          << "reply " << i;
+    }
+    EXPECT_GE(core.metrics().reads_inline.load() - inline_before, 16u);
+  }
+  server.stop();
+  core.shutdown();
+}
+
+TEST(ServeSocket, OverlongLineIsRefusedAndOnlyItsConnectionCloses) {
+  const std::string path = unique_socket_path("long");
+  ServiceCore core;
+  net::TcpServer server(core, unix_only(path));
+  server.start();
+  {
+    UdsClient bystander(path);
+    EXPECT_EQ(bystander.request("ping").front(), "ok");
+
+    const int fd = connect_unix(path);
+    ASSERT_GE(fd, 0);
+    // No newline: the server must give up at the cap instead of buffering
+    // the line without bound.  Once it refuses, further sends fail (EPIPE).
+    const std::string chunk(4096, 'x');
+    std::size_t sent = 0;
+    while (sent <= net::TcpServer::kMaxLine + chunk.size()) {
+      const ssize_t n = ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+    EXPECT_GT(sent, net::TcpServer::kMaxLine);
+    std::string reply;
+    char buf[256];
+    for (;;) {
+      const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+      if (n <= 0) break;  // EOF (or a reset for the unread tail): closed
+      reply.append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    EXPECT_EQ(reply, "err invalid_input request line too long\n");
+
+    EXPECT_EQ(bystander.request("ping").front(), "ok");
+    UdsClient late(path);
+    EXPECT_EQ(late.request("ping").front(), "ok");
+  }
+  server.stop();
+  core.shutdown();
+}
+
+TEST(ServeSocket, ClientsAddNoThreads) {
+  const std::string path = unique_socket_path("thr");
+  ServiceCore core;
+  net::TcpServer server(core, unix_only(path));
+  server.start();
+  {
+    UdsClient first(path);
+    ASSERT_EQ(first.request("ping").front(), "ok");
+    const std::ptrdiff_t idle = thread_count();
+    std::vector<std::unique_ptr<UdsClient>> clients;
+    for (int i = 0; i < 8; ++i) {
+      clients.push_back(std::make_unique<UdsClient>(path));
+      ASSERT_EQ(clients.back()->request("ping").front(), "ok");
+    }
+    // Connections live on the fixed I/O pool, never on threads of their own
+    // (at most equal: a thread an earlier test in this process joined may
+    // still be leaving /proc/self/task).
+    EXPECT_LE(thread_count(), idle);
+  }
+  server.stop();
+  core.shutdown();
+}
+
+TEST(ServeSocket, OneServerHoldsBothListeners) {
+  const std::string path = unique_socket_path("both");
+  ServiceCore core;
+  net::TcpServer server(core, {.port = 0, .unix_path = path});
+  server.start();
+  ASSERT_NE(server.port(), 0);
+  std::thread waiter([&] { server.wait(); });
+  {
+    net::TcpClient tcp("127.0.0.1", server.port());
+    Request ping;
+    ping.op = Op::kPing;
+    EXPECT_EQ(tcp.call(ping).status, Status::kOk);
+
+    UdsClient uds(path);
+    const std::string health = uds.request("health").front();
+    EXPECT_NE(health.find("uds:" + path), std::string::npos) << health;
+    EXPECT_NE(health.find("tcp:" + std::to_string(server.port())),
+              std::string::npos)
+        << health;
+    // A shutdown over UDS wakes the one wait() that covers both listeners.
+    EXPECT_EQ(uds.request("shutdown").front(), "ok");
+  }
+  waiter.join();
+  server.stop();
+  EXPECT_FALSE(std::filesystem::exists(path));  // stop() unlinks the socket
   core.shutdown();
 }
 

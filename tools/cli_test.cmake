@@ -1,5 +1,6 @@
 # End-to-end test of the smpmsf CLI: generate → info → convert → solve →
-# solve --validate, checking exit codes and key output.
+# solve --validate, checking exit codes and key output; then the server's
+# --alg parsing.
 file(MAKE_DIRECTORY ${WORK})
 
 function(run_cli expect_rc out_var)
@@ -37,7 +38,7 @@ if(NOT wa STREQUAL wb)
 endif()
 
 run_cli(0 out cc ${WORK}/g.gr)
-run_cli(0 out solve --alg sample-filter --threads 2 --validate ${WORK}/g.gr)
+run_cli(0 out solve --alg filter-kruskal --threads 2 --validate ${WORK}/g.gr)
 run_cli(0 out solve --alg filter-kruskal --validate ${WORK}/g.gr)
 
 # Execution-budget flags: a generous timeout still solves; degradation under
@@ -73,6 +74,14 @@ run_cli(0 out solve --mode static --alg bor-fal ${WORK}/g.gr)
 # Error paths, one per exit code class.  Unknown enum values are invalid
 # input (exit 3) and must list the accepted spellings.
 run_cli(3 out solve --alg no-such-alg ${WORK}/g.gr)
+# Removed algorithms are unknown names like any other.
+foreach(removed sample-filter par-kruskal)
+  run_cli(3 out solve --alg ${removed} ${WORK}/g.gr)
+  string(FIND "${cli_err}" "unknown algorithm '${removed}' (valid: " pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "--alg ${removed}: no valid-list diagnostic: ${cli_err}")
+  endif()
+endforeach()
 run_cli(3 out solve --mode no-such-mode ${WORK}/g.gr)
 run_cli(3 out solve --mode dynamic --update-trace ${WORK}/does-not-exist.txt ${WORK}/g.gr)
 run_cli(2 out solve --mode dynamic ${WORK}/g.gr)  # missing --update-trace: usage
@@ -102,3 +111,19 @@ endif()
 run_cli(2 out solve --threads 4x ${WORK}/g.gr)
 run_cli(2 out gen --type random --n 1e3 --m 3000 -o ${WORK}/bad.gr)
 run_cli(3 out solve --compact-sort hash ${WORK}/g.gr)
+
+# The server parses --alg through the same table as the CLI.  Parsing stops
+# at the first bad argument, so `--alg champion --listen bogus:` reaching
+# the listen-spec usage error (exit 2) shows champion was accepted.
+execute_process(COMMAND ${SERVER} --alg champion --listen bogus:1
+                OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "bad listen spec")
+  message(FATAL_ERROR "server rejected --alg champion (exit ${rc}): ${err}")
+endif()
+foreach(removed sample-filter par-kruskal)
+  execute_process(COMMAND ${SERVER} --alg ${removed} --listen bogus:1
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 3 OR NOT err MATCHES "unknown algorithm '${removed}' \\(valid: ")
+    message(FATAL_ERROR "server --alg ${removed} exited ${rc}: ${err}")
+  endif()
+endforeach()

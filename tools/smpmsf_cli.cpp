@@ -6,8 +6,6 @@
 //   smpmsf solve [--alg A] [--threads P] [--seed S] [--timeout SECS]
 //                [--mem-cap BYTES] [--no-fallback] [--validate] [--steps]
 //                [--stats-json FILE] [--find-min auto|scan|simd]
-//                [--find-min-local-best-threads N]
-//                [--find-min-local-best-cutoff N] [--find-min-prune-block N]
 //                [--compact-sort auto|radix|sample]
 //                [--mode static|dynamic] [--batch-size N] [--update-trace FILE]
 //                FILE
@@ -15,8 +13,8 @@
 //
 // Graph types: random (needs --m), mesh2d, mesh2d60, mesh3d40,
 // geometric (--k), str0..str3, rmat (needs --m).
-// Algorithms: champion (default) bor-el bor-al bor-alm bor-fal mst-bc
-//             filter-kruskal sample-filter prim kruskal boruvka.
+// Algorithms: champion (default) bor-el bor-al bor-alm bor-fal mst-bc bor-uf
+//             filter-kruskal prim kruskal boruvka (core::kAlgorithmNames).
 //
 // --mode dynamic maintains the forest through a batch-dynamic update trace
 // (--update-trace, applied in batches of --batch-size ops):
@@ -55,7 +53,6 @@
 #include "core/error.hpp"
 #include "core/filter_kruskal.hpp"
 #include "core/find_min.hpp"
-#include "core/sample_filter.hpp"
 #include "core/verify_msf.hpp"
 #include "core/msf.hpp"
 #include "dynamic/dynamic_msf.hpp"
@@ -86,9 +83,7 @@ using namespace smp::graph;
                " [--timeout SECS] [--mem-cap BYTES] [--no-fallback]"
                " [--validate] [--steps] [--stats-json FILE]\n"
                "               [--find-min auto|scan|simd]"
-               " [--find-min-local-best-threads N]"
-               " [--find-min-local-best-cutoff N] [--find-min-prune-block N]\n"
-               "               [--compact-sort auto|radix|sample]"
+               " [--compact-sort auto|radix|sample]"
                " [--mode static|dynamic] [--batch-size N]"
                " [--update-trace FILE]\n"
                "               [--graph-format auto|edges|compressed]"
@@ -97,42 +92,13 @@ using namespace smp::graph;
                "formats by extension: .smpg binary, .smpz compressed csr,"
                " else DIMACS text\n"
                "types: random mesh2d mesh2d60 mesh3d40 geometric str0-str3 rmat\n"
-               "algs:  champion bor-el bor-al bor-alm bor-fal mst-bc bor-uf par-kruskal filter-kruskal sample-filter"
-               " prim kruskal boruvka\n");
-  std::exit(2);
-}
-
-/// One table drives parsing, error messages and the usage line: an enum
-/// value that is not in the table fails as invalid input (exit 3) with the
-/// accepted spellings listed — not as a generic usage error.
-constexpr struct {
-  const char* name;
-  core::Algorithm alg;
-} kAlgorithms[] = {
-    {"champion", core::Algorithm::kChampion},
-    {"bor-el", core::Algorithm::kBorEL},
-    {"bor-al", core::Algorithm::kBorAL},
-    {"bor-alm", core::Algorithm::kBorALM},
-    {"bor-fal", core::Algorithm::kBorFAL},
-    {"mst-bc", core::Algorithm::kMstBC},
-    {"bor-uf", core::Algorithm::kBorUF},
-    {"par-kruskal", core::Algorithm::kParKruskal},
-    {"filter-kruskal", core::Algorithm::kFilterKruskal},
-    {"sample-filter", core::Algorithm::kSampleFilter},
-    {"prim", core::Algorithm::kSeqPrim},
-    {"kruskal", core::Algorithm::kSeqKruskal},
-    {"boruvka", core::Algorithm::kSeqBoruvka},
-};
-
-core::Algorithm parse_algorithm(const std::string& s) {
-  std::string valid;
-  for (const auto& row : kAlgorithms) {
-    if (s == row.name) return row.alg;
-    if (!valid.empty()) valid += ' ';
-    valid += row.name;
+               "algs: ");
+  for (const core::AlgorithmName& row : core::kAlgorithmNames) {
+    std::fprintf(stderr, " %.*s", static_cast<int>(row.name.size()),
+                 row.name.data());
   }
-  throw smp::Error(smp::ErrorCode::kInvalidInput,
-                   "unknown algorithm '" + s + "' (valid: " + valid + ")");
+  std::fprintf(stderr, "\n");
+  std::exit(2);
 }
 
 enum class SolveMode { kStatic, kDynamic };
@@ -572,12 +538,6 @@ int cmd_solve(const Flags& f) {
   opts.threads = threads;
   opts.seed = seed;
   opts.find_min = parse_find_min(f.get("--find-min").value_or("auto"));
-  opts.find_min_local_best_threads =
-      static_cast<int>(f.num("--find-min-local-best-threads", 0));
-  opts.find_min_local_best_cutoff =
-      static_cast<std::size_t>(f.num("--find-min-local-best-cutoff", 0));
-  opts.find_min_prune_block =
-      static_cast<std::size_t>(f.num("--find-min-prune-block", 0));
   opts.compact_sort = parse_compact_sort(f.get("--compact-sort").value_or("auto"));
 
   // --auto-tune: measure this machine's crossover points and install them as
@@ -627,7 +587,7 @@ int cmd_solve(const Flags& f) {
   if (have_budget) opts.budget = &budget;
   opts.allow_sequential_fallback = !f.has("--no-fallback");
 
-  opts.algorithm = parse_algorithm(alg);
+  opts.algorithm = core::parse_algorithm(alg);
 
   const SolveMode mode = parse_mode(f.get("--mode").value_or("static"));
   if (mode == SolveMode::kDynamic) {
@@ -711,10 +671,8 @@ int main(int argc, char** argv) {
           argc, argv, 2,
           {"--alg", "--threads", "--seed", "--timeout", "--mem-cap",
            "--no-fallback", "--validate", "--steps", "--stats-json",
-           "--find-min", "--find-min-local-best-threads",
-           "--find-min-local-best-cutoff", "--find-min-prune-block",
-           "--compact-sort", "--mode", "--batch-size", "--update-trace",
-           "--graph-format", "--auto-tune"}));
+           "--find-min", "--compact-sort", "--mode", "--batch-size",
+           "--update-trace", "--graph-format", "--auto-tune"}));
     }
     if (cmd == "cc") return cmd_cc(parse(argc, argv, 2, {"--threads"}));
     usage(("unknown command " + cmd).c_str());

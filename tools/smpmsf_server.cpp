@@ -23,10 +23,11 @@
 //
 // Each --listen SPEC is `uds:PATH` or `tcp:PORT` (tcp:0 picks an ephemeral
 // port, printed on startup); `--socket PATH` is shorthand for
-// `--listen uds:PATH`.  Both transports share the one ServiceCore, so a
-// session opened over TCP is visible over UDS and vice versa.  --shards
-// splits the solver into N independent pools (0 auto-sizes from hardware
-// threads); --io-threads sizes the TCP event-loop pool.
+// `--listen uds:PATH`.  One net::TcpServer holds both listeners in front of
+// the one ServiceCore, so a session opened over TCP is visible over UDS and
+// vice versa.  --shards splits the solver into N independent pools (0
+// auto-sizes from hardware threads); --io-threads sizes the event-loop pool
+// that serves both listeners.
 //
 // With --data-dir every session is durable: acknowledged writes are
 // WAL-logged and group-committed under the chosen fsync policy, snapshots
@@ -41,13 +42,12 @@
 #include <pthread.h>
 #include <signal.h>
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,7 +60,6 @@
 #include "pprim/machine.hpp"
 #include "serve/request.hpp"
 #include "serve/service_core.hpp"
-#include "serve/uds_server.hpp"
 
 namespace {
 
@@ -87,40 +86,9 @@ using namespace smp;
   std::exit(2);
 }
 
-core::Algorithm parse_algorithm(const std::string& s) {
-  // The serving default is the paper's fused variant; anything the CLI
-  // accepts works here too (the core reuses the same MsfOptions).
-  static constexpr struct {
-    const char* name;
-    core::Algorithm alg;
-  } kTable[] = {
-      {"bor-el", core::Algorithm::kBorEL},
-      {"bor-al", core::Algorithm::kBorAL},
-      {"bor-alm", core::Algorithm::kBorALM},
-      {"bor-fal", core::Algorithm::kBorFAL},
-      {"mst-bc", core::Algorithm::kMstBC},
-      {"bor-uf", core::Algorithm::kBorUF},
-      {"par-kruskal", core::Algorithm::kParKruskal},
-      {"filter-kruskal", core::Algorithm::kFilterKruskal},
-      {"sample-filter", core::Algorithm::kSampleFilter},
-      {"prim", core::Algorithm::kSeqPrim},
-      {"kruskal", core::Algorithm::kSeqKruskal},
-      {"boruvka", core::Algorithm::kSeqBoruvka},
-  };
-  std::string valid;
-  for (const auto& row : kTable) {
-    if (s == row.name) return row.alg;
-    if (!valid.empty()) valid += ' ';
-    valid += row.name;
-  }
-  throw Error(ErrorCode::kInvalidInput,
-              "unknown algorithm '" + s + "' (valid: " + valid + ")");
-}
-
 struct Listeners {
-  std::string uds_path;        // empty = no UDS listener
-  bool tcp = false;
-  std::uint16_t tcp_port = 0;  // 0 = ephemeral
+  std::string uds_path;                   // empty = no UDS listener
+  std::optional<std::uint16_t> tcp_port;  // 0 = ephemeral
 };
 
 void parse_listen(const std::string& arg, Listeners& out) {
@@ -136,12 +104,11 @@ void parse_listen(const std::string& arg, Listeners& out) {
       out.uds_path = spec.substr(4);
       if (out.uds_path.empty()) usage("uds: spec needs a path");
     } else if (spec.rfind("tcp:", 0) == 0) {
-      if (out.tcp) usage("duplicate tcp: listen spec");
+      if (out.tcp_port.has_value()) usage("duplicate tcp: listen spec");
       const long port = std::strtol(spec.c_str() + 4, nullptr, 10);
       if (spec.size() == 4 || port < 0 || port > 65535) {
         usage(("bad tcp port in '" + spec + "'").c_str());
       }
-      out.tcp = true;
       out.tcp_port = static_cast<std::uint16_t>(port);
     } else {
       usage(("bad listen spec '" + spec + "' (want uds:PATH or tcp:PORT)")
@@ -177,7 +144,7 @@ int main(int argc, char** argv) {
       } else if (a == "--shards") {
         opts.shards = std::atoi(value().c_str());
       } else if (a == "--io-threads") {
-        io_threads = std::atoi(value().c_str());
+        io_threads = std::max(1, std::atoi(value().c_str()));
       } else if (a == "--queue-cap") {
         opts.queue_capacity =
             static_cast<std::size_t>(std::strtoull(value().c_str(), nullptr, 10));
@@ -186,7 +153,7 @@ int main(int argc, char** argv) {
       } else if (a == "--coalesce-window") {
         opts.coalesce_window_s = std::strtod(value().c_str(), nullptr) / 1000.0;
       } else if (a == "--alg") {
-        opts.msf.algorithm = parse_algorithm(value());
+        opts.msf.algorithm = core::parse_algorithm(value());
       } else if (a == "--seed") {
         opts.msf.seed = std::strtoull(value().c_str(), nullptr, 10);
       } else if (a == "--snapshot-ring") {
@@ -221,7 +188,7 @@ int main(int argc, char** argv) {
         usage(("unknown flag " + a).c_str());
       }
     }
-    if (listen.uds_path.empty() && !listen.tcp) {
+    if (listen.uds_path.empty() && !listen.tcp_port.has_value()) {
       usage("need --socket PATH or --listen (uds:PATH and/or tcp:PORT)");
     }
     if (!crash_at.empty()) {
@@ -280,32 +247,23 @@ int main(int argc, char** argv) {
                     name.c_str(), path.c_str(), resp.forest_edges, resp.trees);
       }
     }
-    std::unique_ptr<serve::UdsServer> uds;
-    std::unique_ptr<net::TcpServer> tcp;
-    if (!listen.uds_path.empty()) {
-      uds = std::make_unique<serve::UdsServer>(
-          core, serve::UdsServerOptions{.socket_path = listen.uds_path});
-      uds->start();
-    }
-    if (listen.tcp) {
-      tcp = std::make_unique<net::TcpServer>(
-          core,
-          net::TcpServerOptions{.port = listen.tcp_port,
-                                .io_threads = io_threads < 1 ? 1 : io_threads});
-      tcp->start();
-    }
+    net::TcpServer server(core,
+                          net::TcpServerOptions{.port = listen.tcp_port,
+                                                .io_threads = io_threads,
+                                                .unix_path = listen.uds_path});
+    server.start();
 
     std::string where;
-    if (uds != nullptr) where += "uds:" + listen.uds_path;
-    if (tcp != nullptr) {
+    if (!listen.uds_path.empty()) where += "uds:" + listen.uds_path;
+    if (listen.tcp_port.has_value()) {
       if (!where.empty()) where += ",";
-      where += "tcp:" + std::to_string(tcp->port());
+      where += "tcp:" + std::to_string(server.port());
     }
     std::printf("smpmsf-server: listening on %s (threads=%d shards=%d"
-                " dispatchers=%d queue=%zu",
+                " dispatchers=%d queue=%zu io-threads=%d",
                 where.c_str(), core.options().msf.threads, core.shard_count(),
-                core.options().dispatchers, core.options().queue_capacity);
-    if (tcp != nullptr) std::printf(" io-threads=%d", io_threads);
+                core.options().dispatchers, core.options().queue_capacity,
+                io_threads);
     if (!opts.data_dir.empty()) {
       std::printf(" data-dir=%s fsync=%s", opts.data_dir.c_str(),
                   std::string(persist::to_string(core.options().fsync)).c_str());
@@ -314,59 +272,24 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
 
     std::atomic<bool> exiting{false};
-    const auto stop_all = [&] {
-      if (uds != nullptr) uds->stop();
-      if (tcp != nullptr) tcp->stop();
-    };
     std::thread watcher([&] {
       int sig = 0;
       sigwait(&sigs, &sig);
       if (exiting.load()) return;  // woken by main for a clean wire shutdown
       std::printf("smpmsf-server: caught %s, draining\n", strsignal(sig));
       std::fflush(stdout);
-      stop_all();
+      server.stop();
     });
 
-    // A wire `shutdown` on either transport (or the watcher's stop_all)
-    // wakes the matching wait(); stopping both transports then releases the
-    // other waiter thread too.
-    {
-      std::mutex mu;
-      std::condition_variable cv;
-      bool done = false;
-      const auto wake = [&] {
-        {
-          std::lock_guard<std::mutex> lk(mu);
-          done = true;
-        }
-        cv.notify_all();
-      };
-      std::vector<std::thread> waiters;
-      if (uds != nullptr) {
-        waiters.emplace_back([&] {
-          uds->wait();
-          wake();
-        });
-      }
-      if (tcp != nullptr) {
-        waiters.emplace_back([&] {
-          tcp->wait();
-          wake();
-        });
-      }
-      {
-        std::unique_lock<std::mutex> lk(mu);
-        cv.wait(lk, [&] { return done; });
-      }
-      stop_all();
-      for (std::thread& t : waiters) t.join();
-    }
+    // A wire `shutdown` on either listener, or the watcher's stop(), wakes
+    // wait().
+    server.wait();
+    server.stop();
     exiting.store(true);
     // Unblock the watcher if the shutdown came over the wire (no-op if it
     // already consumed a real signal).
     pthread_kill(watcher.native_handle(), SIGTERM);
     watcher.join();
-    stop_all();  // idempotent
     core.shutdown();
     std::printf("smpmsf-server: stopped\n");
     return 0;
