@@ -13,7 +13,6 @@
 #include "pprim/cacheline.hpp"
 #include "pprim/fault.hpp"
 #include "pprim/parallel_for.hpp"
-#include "pprim/simd.hpp"
 #include "pprim/timer.hpp"
 
 namespace smp::core {
@@ -38,17 +37,21 @@ using graph::WeightOrder;
 ///
 /// The packed-key path (FindMinMode::kSimd, the kAuto default) removes that
 /// rescan tax with the shared find-min layer (core/find_min.hpp): each arc
-/// slot holds a uint64 ⟨weight-rank, arc⟩ key; find-min walks each original
-/// vertex's *live* prefix, block-compacting keys whose target now shares the
-/// vertex's supervertex (a permanent self-loop — contraction only merges),
-/// runs the SIMD u64_argmin over what survives, and publishes ONE
-/// atomic_min_u64 per original vertex instead of one two-word CAS per arc.
-/// When the team is large and cur_n small, the publish switches to
-/// per-thread local-best slabs merged in-region (contention-aware
-/// reduction).  Iteration k therefore scans Σ live_k arcs, not 2m, and the
-/// selected arcs are identical to the seed scan — WeightOrder is encoded in
-/// the key order — so forests stay bit-identical.  FindMinMode::kScan keeps
-/// the seed kernel exactly, as the A/B baseline.
+/// slot holds a uint64 ⟨weight-rank, target⟩ key, and each original
+/// vertex's slice is ascending by rank (build_packed_input).  The slice's
+/// lightest live arc is therefore the first one whose target lies in
+/// another supervertex.  Find-min keeps one cursor per original vertex,
+/// steps it past arcs whose target now shares the vertex's supervertex (a
+/// permanent self-loop — contraction only merges), and publishes the key at
+/// the cursor with ONE atomic_min_u64 per original vertex instead of one
+/// two-word CAS per arc.  When the team is large and cur_n small, the
+/// publish switches to per-thread local-best slabs merged in-region
+/// (contention-aware reduction).  Iteration k costs one read per vertex
+/// plus the arcs its cursors step past — O(n) per iteration and 2m over the
+/// whole solve — and the selected arcs are identical to the seed scan,
+/// since WeightOrder is encoded in the key order, so forests stay
+/// bit-identical.  FindMinMode::kScan keeps the seed kernel exactly, as
+/// the A/B baseline.
 ///
 /// Each Borůvka iteration runs as ONE persistent SPMD region (find-min,
 /// connect-components, and the lookup-table contraction all synchronize via
@@ -69,10 +72,12 @@ std::vector<EdgeId> packed_boruvka_loop(ThreadTeam& team, PackedSolveInput in,
   const int p = team.size();
 
   const std::vector<EdgeId>& offsets = in.offsets;
-  const std::unique_ptr<std::uint64_t[]> keys = std::move(in.keys);
+  const std::unique_ptr<const std::uint64_t[]> keys = std::move(in.keys);
   const std::vector<std::uint32_t>& rank_to_edge = in.rank_to_edge;
   const EdgeId num_arcs = offsets.back();
-  FlexAdjList fal(n, offsets);
+  FlexAdjList fal(n);
+  // Per original vertex: its first arc slot not yet proven dead.
+  std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
 
   detail::EdgeCollector collector(p);
   std::vector<std::uint64_t> best_keys(n);  // per supervertex key
@@ -90,7 +95,7 @@ std::vector<EdgeId> packed_boruvka_loop(ThreadTeam& team, PackedSolveInput in,
     iteration_checkpoint(opts, "Bor-FAL iteration");
     const VertexId cur_n = fal.num_super();
     if (opts.iteration_stats) {
-      // The live-arc working set (monotone non-increasing).
+      // Arcs at or after the cursors (monotone non-increasing).
       IterationStat is;
       is.vertices = cur_n;
       is.directed_edges = live_total;
@@ -116,17 +121,12 @@ std::vector<EdgeId> packed_boruvka_loop(ThreadTeam& team, PackedSolveInput in,
       std::uint64_t pruned = 0;
       if (first_iter) {
         // Iteration 1 fast path: labels are still the identity and the
-        // input has no self-loops, so no arc can prune and slot x belongs
-        // to original vertex x alone — a pure streaming SIMD argmin per
-        // adjacency block, with plain stores instead of atomics and no
-        // separate sentinel-init pass.
-        for_range_dynamic(ctx, scan_cursor, n, kFindMinPruneBlock,
-                          [&](std::size_t x) {
+        // input has no self-loops, so every arc is live, the lightest is
+        // each slice's first, and slot x belongs to original vertex x alone
+        // — plain stores instead of atomics, no sentinel-init pass.
+        for_range(ctx, n, [&](std::size_t x) {
           const EdgeId lo = offsets[x];
-          const EdgeId end = offsets[x + 1];
-          best_keys[x] = end == lo
-                             ? kEmptyKey
-                             : keys[lo + u64_argmin(keys.get() + lo, end - lo)];
+          best_keys[x] = offsets[x + 1] == lo ? kEmptyKey : keys[lo];
         });
       } else {
         if (local_best_on) {
@@ -139,31 +139,24 @@ std::vector<EdgeId> packed_boruvka_loop(ThreadTeam& team, PackedSolveInput in,
                     [&](std::size_t s) { best_keys[s] = kEmptyKey; });
         }
         ctx.barrier();
-        const auto live_end = fal.live_ends();
         std::uint64_t* mine =
             local_best_on ? local_best.slab(ctx.tid()) : nullptr;
-        // Per original vertex: compact newly dead arcs out of the live
-        // prefix, then one SIMD argmin over the survivors and a single
-        // publish into the owning supervertex's slot.  Dynamic chunks: live
-        // prefix lengths skew wildly after a few contractions.
+        // Per original vertex: step the cursor past newly dead arcs, then
+        // publish the key it rests on into the owning supervertex's slot.
+        // Dynamic chunks: the steps bunch up on the vertices whose
+        // supervertex just absorbed their neighbours.
         for_range_dynamic(ctx, scan_cursor, n, kFindMinPruneBlock,
                           [&](std::size_t x) {
           const VertexId s = labels[x];
-          const EdgeId lo = offsets[x];
-          EdgeId end = live_end[x];
-          for (EdgeId i = lo; i < end;) {
-            if (labels[key_index(keys[i])] == s) {
-              --end;
-              std::swap(keys[i], keys[end]);
-              ++pruned;
-            } else {
-              ++i;
-            }
+          const EdgeId end = offsets[x + 1];
+          const EdgeId from = cursor[x];
+          const EdgeId c = first_live_arc(keys.get(), from, end, labels, s);
+          if (c != from) {
+            cursor[x] = c;
+            pruned += c - from;
           }
-          live_end[x] = end;
-          if (end == lo) return;
-          const std::uint64_t k =
-              keys[lo + u64_argmin(keys.get() + lo, end - lo)];
+          if (c == end) return;
+          const std::uint64_t k = keys[c];
           if (mine != nullptr) {
             if (k < mine[s]) mine[s] = k;
           } else {
@@ -274,16 +267,7 @@ MsfResult bor_fal_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opt
   const FindMinMode mode = resolve_find_min_mode(opts.find_min, g.edges.size());
 
   if (mode == FindMinMode::kSimd) {
-    PackedSolveInput in;
-    in.n = n;
-    {
-      const std::vector<std::uint32_t> rank =
-          build_weight_ranks(team, g, &in.rank_to_edge);
-      st.rank_build += phase.elapsed_s();
-      WallTimer arcs;
-      build_packed_arcs(team, g, n, rank, in.offsets, in.keys);
-      st.arc_build += arcs.elapsed_s();
-    }  // the keys carry the ranks from here on
+    PackedSolveInput in = build_packed_input(team, g, st);
     st.other += phase.elapsed_s();
     std::vector<EdgeId> ids = bor_fal_packed_engine(team, std::move(in), opts, st);
     phase.reset();
@@ -299,7 +283,7 @@ MsfResult bor_fal_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opt
   const CsrGraph csr(g);
   const auto& offsets = csr.offsets();
   const EdgeId num_arcs = offsets.back();
-  FlexAdjList fal(n, offsets);
+  FlexAdjList fal(n);
   const auto& targets = csr.targets();
   const auto& weights = csr.arc_weights();
   const auto& origs = csr.arc_origs();

@@ -60,21 +60,18 @@ OrderKey pick_pivot(std::size_t m, std::size_t target, WeightAt w_at) {
 struct SubGraph {
   VertexId n = 0;
   std::size_t m = 0;
-  std::unique_ptr<VertexId[]> u;
-  std::unique_ptr<VertexId[]> v;
+  std::unique_ptr<std::uint64_t[]> ends;  // pack_ends(u, v)
   std::unique_ptr<Weight[]> w;
   std::unique_ptr<EdgeId[]> ids;
 
   void allocate(std::size_t count) {
     m = count;
-    u = std::make_unique_for_overwrite<VertexId[]>(m);
-    v = std::make_unique_for_overwrite<VertexId[]>(m);
+    ends = std::make_unique_for_overwrite<std::uint64_t[]>(m);
     w = std::make_unique_for_overwrite<Weight[]>(m);
     ids = std::make_unique_for_overwrite<EdgeId[]>(m);
   }
   void put(std::size_t at, EdgeId e, const WEdge& edge) {
-    u[at] = edge.u;
-    v[at] = edge.v;
+    ends[at] = pack_ends(edge.u, edge.v);
     w[at] = edge.w;
     ids[at] = e;
   }
@@ -152,19 +149,9 @@ SubGraph gather_sparse(ThreadTeam& team, VertexId n, std::size_t m, Walk walk,
 std::vector<EdgeId> engine_pass(ThreadTeam& team, const SubGraph& sub,
                                 const MsfOptions& opts, StepTimes& st,
                                 std::vector<VertexId>* labels = nullptr) {
-  PackedSolveInput in;
-  in.n = sub.n;
-  WallTimer phase;
-  {
-    const std::vector<std::uint32_t> rank = build_weight_ranks(
-        team, std::span<const Weight>(sub.w.get(), sub.m), &in.rank_to_edge);
-    st.rank_build += phase.elapsed_s();
-    phase.reset();
-    build_packed_arcs(team, std::span<const VertexId>(sub.u.get(), sub.m),
-                      std::span<const VertexId>(sub.v.get(), sub.m), sub.n,
-                      rank, in.offsets, in.keys);
-    st.arc_build += phase.elapsed_s();
-  }  // the keys carry the ranks from here on
+  PackedSolveInput in = build_packed_input(
+      team, sub.n, std::span<const std::uint64_t>(sub.ends.get(), sub.m),
+      std::span<const Weight>(sub.w.get(), sub.m), st);
   std::vector<EdgeId> ids =
       bor_fal_packed_engine(team, std::move(in), opts, st, labels);
   for (EdgeId& id : ids) id = sub.ids[id];

@@ -49,16 +49,7 @@ MsfResult solve_streaming(ThreadTeam& team, const CompressedCsr& g,
   WallTimer phase;
   const std::size_t m = g.num_edges();
 
-  PackedSolveInput in;
-  in.n = g.num_vertices();
-  {
-    const std::vector<std::uint32_t> rank = build_weight_ranks(
-        team, std::span<const Weight>(g.weights(), m), &in.rank_to_edge);
-    st.rank_build += phase.elapsed_s();
-    WallTimer arcs;
-    build_packed_arcs(team, g, rank, in.offsets, in.keys);
-    st.arc_build += arcs.elapsed_s();
-  }  // the keys carry the ranks from here on
+  PackedSolveInput in = build_packed_input(team, g, st);
   st.other += phase.elapsed_s();
 
   std::vector<EdgeId> ids = bor_fal_packed_engine(team, std::move(in), opts, st);

@@ -18,10 +18,11 @@ namespace smp::core {
 /// Dispatch: when the packed find-min path applies (m <= 2^31, mode not
 /// kScan) and the algorithm contracts via Bor-FAL (kBorFAL, or kChampion,
 /// which runs the Bor-FAL engine), the solve STREAMS: weight ranks come
-/// from the flat f64 section, the packed ⟨rank, target⟩ arcs are scattered
-/// straight out of the varint rows (build_packed_arcs over CompressedCsr),
-/// and result assembly is one more row walk — no EdgeList or CsrGraph is
-/// ever materialized, so peak memory stays ~20 B/edge past the graph itself.
+/// from the flat f64 section, the varint rows are decoded once into one
+/// ⟨u, v⟩ word per edge for the packed ⟨rank, target⟩ arc build
+/// (build_packed_input over CompressedCsr), and result assembly is one more
+/// row walk — no EdgeList or CsrGraph is ever materialized.  Peak memory
+/// past the graph itself is ~36 B/edge, during the packed input build.
 /// kChampion runs its heavy-edge filter stage (core/champion.hpp) over the
 /// same row walk when the stage applies: only the light edges and the
 /// survivors are ever gathered, as flat arrays.

@@ -6,6 +6,7 @@
 
 #include "graph/compressed_csr.hpp"
 #include "pprim/partition.hpp"
+#include "pprim/timer.hpp"
 
 namespace smp::core {
 
@@ -131,9 +132,8 @@ void rank_sort_pass(TeamCtx& ctx, std::size_t m, std::size_t buckets,
 /// passes (16/16/8 bits: 3 instead of 4).  Distinct weights that collide in
 /// those 40 bits are rare for real inputs; the run fix-up restores the
 /// exact order for them.
-template <class WeightAt>
-void rank_sort_packed(ThreadTeam& team, std::size_t m, WeightAt w_at,
-                      std::uint32_t* rank, std::uint32_t* rank_to_edge) {
+template <class WeightAt, class Emit>
+void rank_sort_packed(ThreadTeam& team, std::size_t m, WeightAt w_at, Emit emit) {
   auto keys = std::make_unique_for_overwrite<std::uint64_t[]>(m);
   auto keys_aux = std::make_unique_for_overwrite<std::uint64_t[]>(m);
   RankSortScratch s(team.size());
@@ -203,18 +203,15 @@ void rank_sort_packed(ThreadTeam& team, std::size_t m, WeightAt w_at,
     ctx.barrier();
 
     for (std::size_t i = r.begin; i < r.end; ++i) {
-      const auto e = static_cast<std::uint32_t>(src[i] & kRankIdxMask);
-      rank[e] = static_cast<std::uint32_t>(i);
-      if (rank_to_edge != nullptr) rank_to_edge[i] = e;
+      emit(i, static_cast<std::uint32_t>(src[i] & kRankIdxMask));
     }
   });
 }
 
 /// m > 2^24: the index no longer fits beside the weight bits, so sort
 /// 12-byte ⟨weight bits, index⟩ pairs in four 16-bit passes.
-template <class WeightAt>
-void rank_sort_wide(ThreadTeam& team, std::size_t m, WeightAt w_at,
-                    std::uint32_t* rank, std::uint32_t* rank_to_edge) {
+template <class WeightAt, class Emit>
+void rank_sort_wide(ThreadTeam& team, std::size_t m, WeightAt w_at, Emit emit) {
   auto keys = std::make_unique_for_overwrite<std::uint64_t[]>(m);
   auto keys_aux = std::make_unique_for_overwrite<std::uint64_t[]>(m);
   auto idx = std::make_unique_for_overwrite<std::uint32_t[]>(m);
@@ -252,32 +249,24 @@ void rank_sort_wide(ThreadTeam& team, std::size_t m, WeightAt w_at,
     }
     // Stable passes leave equal weight bits in input-index order, which is
     // exactly WeightOrder's tie-break.
-    for (std::size_t i = r.begin; i < r.end; ++i) {
-      rank[isrc[i]] = static_cast<std::uint32_t>(i);
-      if (rank_to_edge != nullptr) rank_to_edge[i] = isrc[i];
-    }
+    for (std::size_t i = r.begin; i < r.end; ++i) emit(i, isrc[i]);
   });
 }
 
-// Shared rank-build front end: the only thing the two public overloads
-// differ in is where weight i comes from, so the sort is templated on that
-// accessor (EdgeList AoS gather vs the compressed graph's flat weight array)
-// and instantiated twice below.  Every path runs on the caller's team; a
-// one-thread team runs the identical code inline.
-template <class WeightAt>
-std::vector<std::uint32_t> build_weight_ranks_impl(
-    ThreadTeam& team, std::size_t m, WeightAt w_at,
-    std::vector<std::uint32_t>* rank_to_edge, bool force_wide = false) {
-  std::vector<std::uint32_t> rank(m);
-  if (rank_to_edge != nullptr) rank_to_edge->resize(m);
-  std::uint32_t* const r2e =
-      rank_to_edge != nullptr ? rank_to_edge->data() : nullptr;
-  if (m == 0) return rank;
-
+/// The weight-rank sort: WeightOrder over [0, m) with `w_at(e)` edge e's
+/// weight, on the caller's team (a one-thread team runs the identical code
+/// inline).  Its final pass calls emit(r, e) once for every rank r, where e
+/// is the edge of rank r, from the thread that owns position r of the
+/// sorted order — so emit may write slot r of a rank-indexed array (and
+/// slot e of an edge-indexed one) without synchronization.
+template <class WeightAt, class Emit>
+void rank_sort(ThreadTeam& team, std::size_t m, WeightAt w_at, Emit emit,
+               bool force_wide = false) {
+  if (m == 0) return;
   if (force_wide || m > (std::size_t{1} << kRankPackedIdxBits)) {
-    rank_sort_wide(team, m, w_at, rank.data(), r2e);
+    rank_sort_wide(team, m, w_at, emit);
   } else if (m >= kRankSeqCutoff) {
-    rank_sort_packed(team, m, w_at, rank.data(), r2e);
+    rank_sort_packed(team, m, w_at, emit);
   } else {
     // ⟨weight bits, input index⟩ order; the index completes the WeightOrder
     // tie-break, so the comparison sort needs no stability.
@@ -290,37 +279,50 @@ std::vector<std::uint32_t> build_weight_ranks_impl(
     std::sort(idx.get(), idx.get() + m, [&](std::uint32_t a, std::uint32_t b) {
       return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
     });
-    for (std::size_t i = 0; i < m; ++i) {
-      rank[idx[i]] = static_cast<std::uint32_t>(i);
-    }
-    if (r2e != nullptr) std::copy(idx.get(), idx.get() + m, r2e);
+    for (std::size_t i = 0; i < m; ++i) emit(i, idx[i]);
   }
+}
+
+template <class WeightAt>
+std::vector<std::uint32_t> build_weight_ranks_impl(
+    ThreadTeam& team, std::size_t m, WeightAt w_at,
+    std::vector<std::uint32_t>* rank_to_edge) {
+  std::vector<std::uint32_t> rank(m);
+  if (rank_to_edge != nullptr) rank_to_edge->resize(m);
+  std::uint32_t* const r2e =
+      rank_to_edge != nullptr ? rank_to_edge->data() : nullptr;
+  rank_sort(team, m, w_at, [&](std::size_t r, std::uint32_t e) {
+    rank[e] = static_cast<std::uint32_t>(r);
+    if (r2e != nullptr) r2e[r] = e;
+  });
   return rank;
 }
 
-/// Shared packed-arc engine behind both build_packed_arcs overloads.
-/// `walk(begin, end, fn)` calls fn(e, u, v) for every input edge e in
-/// [begin, end) in ascending id order; `rank` is indexed by the same ids.
+/// The counting scatter behind every packed build: ends[r] holds the
+/// endpoints of the edge of rank r (pack_ends), and each edge's two arcs go
+/// to its endpoints' slices as pack_key(r, other endpoint).
 ///
-/// Each counting thread owns one contiguous edge block: it counts the
+/// Each counting thread owns one contiguous rank block: it counts the
 /// degrees of its block into a private n-slot slab, a (vertex, thread)-
 /// ordered scan turns the slabs into offsets plus per-thread cursors, and
 /// each thread scatters its own block.  Vertex x's arcs therefore land in
-/// ascending edge-id order, exactly as one sequential cursor scatter would
-/// place them.  The slabs are capped at the size of the 2m-key array they
-/// build: at most 2m / n counting threads (at least one), so a graph with
-/// n ≫ m counts on one thread instead of allocating p·n slots.
-template <class Walk>
-void build_packed_arcs_impl(ThreadTeam& team, VertexId n, EdgeId m,
-                            std::span<const std::uint32_t> rank, Walk walk,
-                            std::vector<EdgeId>& offsets,
-                            std::unique_ptr<std::uint64_t[]>& keys) {
+/// ascending rank order, exactly as one sequential cursor scatter over the
+/// ranks would place them.  The slabs are capped at the size of the 2m-key
+/// array they build: at most 2m / n counting threads (at least one), so a
+/// graph with n ≫ m counts on one thread instead of allocating p·n slots.
+/// Slab entries are 32-bit: a degree is at most m ≤ 2^31 (find_min_packable),
+/// and every cursor that is written through indexes an arc slot below
+/// 2m ≤ 2^32.  Only a cursor past its vertex's last arc can reach 2^32, and
+/// it is never used.
+void scatter_arcs(ThreadTeam& team, VertexId n, EdgeId m,
+                  const std::uint64_t* ends, std::vector<EdgeId>& offsets,
+                  std::unique_ptr<std::uint64_t[]>& keys) {
   const int p = team.size();
   const auto N = static_cast<std::size_t>(n);
   const std::size_t num_arcs = 2 * static_cast<std::size_t>(m);
   const int q = static_cast<int>(std::clamp<std::size_t>(
       N == 0 ? 1 : num_arcs / N, 1, static_cast<std::size_t>(p)));
-  auto slabs = std::make_unique_for_overwrite<EdgeId[]>(
+  auto slabs = std::make_unique_for_overwrite<std::uint32_t[]>(
       static_cast<std::size_t>(q) * N);
   std::vector<Padded<EdgeId>> partial(static_cast<std::size_t>(p));
   offsets.resize(N + 1);
@@ -329,15 +331,15 @@ void build_packed_arcs_impl(ThreadTeam& team, VertexId n, EdgeId m,
   team.run([&](TeamCtx& ctx) {
     const int t = ctx.tid();
     const bool counts = t < q;
-    EdgeId* const mine =
+    std::uint32_t* const mine =
         counts ? slabs.get() + static_cast<std::size_t>(t) * N : nullptr;
-    const IndexRange eb = counts ? block_range(m, t, q) : IndexRange{};
+    const IndexRange rb = counts ? block_range(m, t, q) : IndexRange{};
     if (counts) {
-      std::fill(mine, mine + N, EdgeId{0});
-      walk(eb.begin, eb.end, [&](EdgeId, VertexId u, VertexId v) {
-        ++mine[u];
-        ++mine[v];
-      });
+      std::fill(mine, mine + N, std::uint32_t{0});
+      for (std::size_t r = rb.begin; r < rb.end; ++r) {
+        ++mine[ends[r] >> 32];
+        ++mine[ends[r] & 0xffffffffULL];
+      }
     }
     ctx.barrier();
 
@@ -353,23 +355,59 @@ void build_packed_arcs_impl(ThreadTeam& team, VertexId n, EdgeId m,
     for (std::size_t x = vr.begin; x < vr.end; ++x) {
       offsets[x] = run;
       for (int t2 = 0; t2 < q; ++t2) {
-        EdgeId& c = slabs[static_cast<std::size_t>(t2) * N + x];
+        std::uint32_t& c = slabs[static_cast<std::size_t>(t2) * N + x];
         const EdgeId d = c;
-        c = run;
+        c = static_cast<std::uint32_t>(run);
         run += d;
       }
     }
     if (t == p - 1) offsets[N] = run;
     ctx.barrier();
 
-    if (counts) {
-      walk(eb.begin, eb.end, [&](EdgeId e, VertexId u, VertexId v) {
-        const std::uint32_t r = rank[static_cast<std::size_t>(e)];
-        keys[mine[u]++] = pack_key(r, v);
-        keys[mine[v]++] = pack_key(r, u);
-      });
+    for (std::size_t r = rb.begin; r < rb.end; ++r) {
+      const auto u = static_cast<VertexId>(ends[r] >> 32);
+      const auto v = static_cast<VertexId>(ends[r]);
+      const auto rank = static_cast<std::uint32_t>(r);
+      keys[mine[u]++] = pack_key(rank, v);
+      keys[mine[v]++] = pack_key(rank, u);
     }
   });
+}
+
+/// The one packed prologue behind every build_packed_input overload:
+/// `w_at(e)` is edge e's weight and `ends_at(e)` its pack_ends word.
+template <class WeightAt, class EndsAt>
+PackedSolveInput build_packed_input_impl(ThreadTeam& team, VertexId n,
+                                         std::size_t m, WeightAt w_at,
+                                         EndsAt ends_at, StepTimes& st,
+                                         bool force_wide = false) {
+  WallTimer phase;
+  PackedSolveInput in;
+  in.n = n;
+  in.rank_to_edge.resize(m);
+  std::uint32_t* const r2e = in.rank_to_edge.data();
+  auto ends = std::make_unique_for_overwrite<std::uint64_t[]>(m);
+  rank_sort(
+      team, m, w_at,
+      [&](std::size_t r, std::uint32_t e) {
+        r2e[r] = e;
+        ends[r] = ends_at(e);
+      },
+      force_wide);
+  st.rank_build += phase.elapsed_s();
+  phase.reset();
+  scatter_arcs(team, n, m, ends.get(), in.offsets, in.keys);
+  st.arc_build += phase.elapsed_s();
+  return in;
+}
+
+PackedSolveInput edge_list_input(ThreadTeam& team, const graph::EdgeList& g,
+                                 StepTimes& st, bool force_wide) {
+  return build_packed_input_impl(
+      team, g.num_vertices, g.edges.size(),
+      [&](std::size_t e) { return g.edges[e].w; },
+      [&](std::size_t e) { return pack_ends(g.edges[e].u, g.edges[e].v); }, st,
+      force_wide);
 }
 
 }  // namespace
@@ -390,100 +428,88 @@ std::vector<std::uint32_t> build_weight_ranks(
       rank_to_edge);
 }
 
+PackedSolveInput build_packed_input(ThreadTeam& team, const graph::EdgeList& g,
+                                    StepTimes& st) {
+  return edge_list_input(team, g, st, /*force_wide=*/false);
+}
+
+PackedSolveInput build_packed_input(ThreadTeam& team, VertexId n,
+                                    std::span<const std::uint64_t> ends,
+                                    std::span<const graph::Weight> w,
+                                    StepTimes& st) {
+  return build_packed_input_impl(
+      team, n, w.size(), [&](std::size_t e) { return w[e]; },
+      [&](std::size_t e) { return ends[e]; }, st);
+}
+
+PackedSolveInput build_packed_input(ThreadTeam& team, const graph::CompressedCsr& g,
+                                    StepTimes& st) {
+  const VertexId n = g.num_vertices();
+  const EdgeId m = g.num_edges();
+  // Decode the endpoints once (bulk varint kernel, one row range per
+  // thread) so the rank sort's final pass can gather them by edge id.
+  auto ends = std::make_unique_for_overwrite<std::uint64_t[]>(
+      static_cast<std::size_t>(m));
+  {
+    WallTimer decode;
+    auto targets = std::make_unique_for_overwrite<VertexId[]>(
+        static_cast<std::size_t>(m));
+    // Thread t decodes the whole rows that start inside its edge block.
+    const auto first_row_from = [&](EdgeId e) {
+      VertexId lo = 0;
+      VertexId hi = n;
+      while (lo < hi) {
+        const VertexId mid = lo + (hi - lo) / 2;
+        if (g.edge_offset(mid) < e) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+      return lo;
+    };
+    team.run([&](TeamCtx& ctx) {
+      const int t = ctx.tid();
+      const int p = ctx.nthreads();
+      const VertexId lo = first_row_from(block_range(m, t, p).begin);
+      const VertexId hi =
+          t + 1 == p ? n : first_row_from(block_range(m, t + 1, p).begin);
+      g.decode_targets(lo, hi, targets.get());
+      for (VertexId x = lo; x < hi; ++x) {
+        for (EdgeId e = g.edge_offset(x); e < g.edge_offset(x + 1); ++e) {
+          ends[e] = pack_ends(x, targets[e]);
+        }
+      }
+    });
+    st.arc_build += decode.elapsed_s();
+  }
+  const graph::Weight* const weights = g.weights();
+  return build_packed_input_impl(
+      team, n, static_cast<std::size_t>(m),
+      [&](std::size_t e) { return weights[e]; },
+      [&](std::size_t e) { return ends[e]; }, st);
+}
+
 namespace detail {
 
-std::vector<std::uint32_t> build_weight_ranks_wide(
-    ThreadTeam& team, std::span<const graph::Weight> weights,
-    std::vector<std::uint32_t>* rank_to_edge) {
-  return build_weight_ranks_impl(
-      team, weights.size(), [&](std::size_t i) { return weights[i]; },
-      rank_to_edge, /*force_wide=*/true);
+PackedSolveInput build_packed_input_wide(ThreadTeam& team, const graph::EdgeList& g,
+                                         StepTimes& st) {
+  return edge_list_input(team, g, st, /*force_wide=*/true);
 }
 
 }  // namespace detail
-
-void build_packed_arcs(ThreadTeam& team, const graph::EdgeList& g,
-                       VertexId n, std::span<const std::uint32_t> rank,
-                       std::vector<EdgeId>& offsets,
-                       std::unique_ptr<std::uint64_t[]>& keys) {
-  build_packed_arcs_impl(
-      team, n, g.edges.size(), rank,
-      [&](EdgeId begin, EdgeId end, auto&& fn) {
-        for (EdgeId e = begin; e < end; ++e) fn(e, g.edges[e].u, g.edges[e].v);
-      },
-      offsets, keys);
-}
-
-void build_packed_arcs(ThreadTeam& team, std::span<const VertexId> u,
-                       std::span<const VertexId> v, VertexId n,
-                       std::span<const std::uint32_t> rank,
-                       std::vector<EdgeId>& offsets,
-                       std::unique_ptr<std::uint64_t[]>& keys) {
-  build_packed_arcs_impl(
-      team, n, u.size(), rank,
-      [&](EdgeId begin, EdgeId end, auto&& fn) {
-        for (EdgeId e = begin; e < end; ++e) fn(e, u[e], v[e]);
-      },
-      offsets, keys);
-}
 
 void build_packed_arcs(const graph::EdgeList& g, VertexId n,
                        std::span<const std::uint32_t> rank,
                        std::vector<EdgeId>& offsets,
                        std::unique_ptr<std::uint64_t[]>& keys) {
+  const std::size_t m = g.edges.size();
+  auto ends = std::make_unique_for_overwrite<std::uint64_t[]>(m);
+  for (std::size_t e = 0; e < m; ++e) {
+    ends[rank[e]] = pack_ends(g.edges[e].u, g.edges[e].v);
+  }
   ThreadTeam one(1);
-  build_packed_arcs(one, g, n, rank, offsets, keys);
-}
-
-void build_packed_arcs(ThreadTeam& team, const graph::CompressedCsr& g,
-                       std::span<const std::uint32_t> rank,
-                       std::vector<EdgeId>& offsets,
-                       std::unique_ptr<std::uint64_t[]>& keys) {
-  const VertexId n = g.num_vertices();
-  const EdgeId m = g.num_edges();
-  // Decode targets once (bulk varint kernel, one row range per thread):
-  // 4 bytes/edge of scratch is the only uncompressed structure this path
-  // ever materializes — the 16-byte WEdge list never exists.
-  auto targets = std::make_unique_for_overwrite<VertexId[]>(
-      static_cast<std::size_t>(m));
-  // Thread t decodes the whole rows that start inside its edge block.
-  const auto first_row_from = [&](EdgeId e) {
-    VertexId lo = 0;
-    VertexId hi = n;
-    while (lo < hi) {
-      const VertexId mid = lo + (hi - lo) / 2;
-      if (g.edge_offset(mid) < e) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
-  };
-  team.run([&](TeamCtx& ctx) {
-    const int t = ctx.tid();
-    const int p = ctx.nthreads();
-    const VertexId lo = first_row_from(block_range(m, t, p).begin);
-    const VertexId hi =
-        t + 1 == p ? n : first_row_from(block_range(m, t + 1, p).begin);
-    g.decode_targets(lo, hi, targets.get());
-  });
-  build_packed_arcs_impl(
-      team, n, m, rank,
-      [&](EdgeId begin, EdgeId end, auto&& fn) {
-        if (begin == end) return;
-        // Edge ids follow the row walk, so a block starts mid-row at most.
-        VertexId u = g.source_of(begin);
-        EdgeId row_end = g.edge_offset(u + 1);
-        for (EdgeId e = begin; e < end; ++e) {
-          while (e == row_end) {
-            ++u;
-            row_end = g.edge_offset(u + 1);
-          }
-          fn(e, u, targets[static_cast<std::size_t>(e)]);
-        }
-      },
-      offsets, keys);
+  scatter_arcs(one, n, m, ends.get(), offsets, keys);
 }
 
 }  // namespace smp::core

@@ -39,12 +39,19 @@ namespace smp::core {
 /// same edge (its two directions) share a rank, which is what the
 /// mutual-minimum test in the connect step compares.  The payload is the
 /// algorithm's choice: Bor-EL packs the arc index; Bor-FAL packs the arc's
-/// *target vertex*, which removes the arc-array gather from its prune loop
-/// (labels[target] indexes a small cache-resident table) and recovers the
-/// input edge at selection time through the rank permutation
-/// (rank_to_edge).  The cross-thread race collapses from a two-word
-/// comparator CAS loop to atomic_min_u64, and the per-vertex inner scan
-/// becomes the branch-light u64_argmin SIMD kernel.
+/// *target vertex* and recovers the input edge at selection time through
+/// the rank permutation (rank_to_edge).  The cross-thread race collapses
+/// from a two-word comparator CAS loop to atomic_min_u64.
+///
+/// Bor-FAL's packed prologue (build_packed_input) lays every original
+/// vertex's arc slice out in ascending key order — ascending weight rank —
+/// so the slice's lightest arc into another supervertex is simply its first
+/// one whose target lies outside the vertex's supervertex.  Find-min keeps
+/// one cursor per original vertex and steps it past dead arcs
+/// (first_live_arc); an arc that is dead stays dead, because contraction
+/// only merges supervertices.  Over a whole solve the cursors step past
+/// each arc at most once, so find-min costs O(n) per iteration plus 2m in
+/// total instead of a scan of every live arc in every iteration.
 
 /// Empty best-slot sentinel: all-ones loses every unsigned min for free.
 inline constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
@@ -99,60 +106,88 @@ inline constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
     ThreadTeam& team, const graph::EdgeList& g,
     std::vector<std::uint32_t>* rank_to_edge = nullptr);
 
-/// Same sort over a flat weight array — the compressed-graph path, whose
-/// weights are already a contiguous f64 section, skips the AoS gather.
+/// Same sort over a flat weight array (the dendrogram's forest edges).
 [[nodiscard]] std::vector<std::uint32_t> build_weight_ranks(
     ThreadTeam& team, std::span<const graph::Weight> weights,
     std::vector<std::uint32_t>* rank_to_edge = nullptr);
 
+/// Bor-FAL's packed input: everything its Borůvka loop touches, with no
+/// reference to how the graph was stored — identical inputs, identical
+/// forests, whichever build_packed_input overload made it.
+struct PackedSolveInput {
+  graph::VertexId n = 0;
+  /// n + 1 arc offsets (both directions of every edge).
+  std::vector<graph::EdgeId> offsets;
+  /// One ⟨weight-rank, target⟩ key per arc slot; each vertex's slice
+  /// [offsets[x], offsets[x + 1]) is strictly ascending.
+  std::unique_ptr<std::uint64_t[]> keys;
+  /// rank -> input edge id permutation.
+  std::vector<std::uint32_t> rank_to_edge;
+};
+
+/// Packed prologue on the caller's team: the weight-rank sort, whose final
+/// pass writes rank_to_edge plus the edge's two endpoints at each rank, then
+/// one counting scatter that walks the ranks in order (per-thread rank
+/// blocks, a (vertex, thread)-ordered scan), so every slice comes out
+/// ascending by rank with no per-vertex sort.  Takes the sort's three paths
+/// (see build_weight_ranks).  Adds the two phases' wall time to
+/// `st.rank_build` and `st.arc_build`.  Fork-join.  The input must have no
+/// self-loops (an edge's two arcs would share a slice and a key).
+[[nodiscard]] PackedSolveInput build_packed_input(ThreadTeam& team,
+                                                  const graph::EdgeList& g,
+                                                  StepTimes& st);
+
+/// An edge's two endpoints in one word, as build_packed_input's flat-array
+/// overload takes them.
+[[nodiscard]] inline std::uint64_t pack_ends(graph::VertexId u,
+                                             graph::VertexId v) {
+  return (std::uint64_t{u} << 32) | v;
+}
+
+/// Same over flat arrays: edge e joins the endpoints packed in ends[e]
+/// (pack_ends) with weight w[e] — Champion's sub-solves gather their edges
+/// this way, so the sort's final pass reads one word per edge.
+[[nodiscard]] PackedSolveInput build_packed_input(
+    ThreadTeam& team, graph::VertexId n, std::span<const std::uint64_t> ends,
+    std::span<const graph::Weight> w, StepTimes& st);
+
+/// Same over the compressed CSR: ranks from its flat weight section, the
+/// endpoints decoded once from the varint rows into one ⟨u, v⟩ word per
+/// edge, which the sort's final pass gathers (the decode counts as arc
+/// build).  Equals the EdgeList overload on g.decode_edge_list(); no
+/// EdgeList or CsrGraph is materialized.
+[[nodiscard]] PackedSolveInput build_packed_input(ThreadTeam& team,
+                                                  const graph::CompressedCsr& g,
+                                                  StepTimes& st);
+
 namespace detail {
-/// The m > 2^24 path of build_weight_ranks (12-byte ⟨key, index⟩ pairs)
-/// forced at any m, so tests can check it against the packed path without
-/// a 2^24-edge input.
-[[nodiscard]] std::vector<std::uint32_t> build_weight_ranks_wide(
-    ThreadTeam& team, std::span<const graph::Weight> weights,
-    std::vector<std::uint32_t>* rank_to_edge = nullptr);
+/// build_packed_input with the rank sort's m > 2^24 path (12-byte
+/// ⟨key, index⟩ pairs) forced at any m, so tests can check it against the
+/// other paths without a 2^24-edge input.
+[[nodiscard]] PackedSolveInput build_packed_input_wide(ThreadTeam& team,
+                                                       const graph::EdgeList& g,
+                                                       StepTimes& st);
 }  // namespace detail
 
-/// Packed-path adjacency build: n + 1 offsets plus one pre-packed
-/// ⟨rank, target⟩ key per directed arc, straight from the edge list.  This
-/// replaces a full CsrGraph for Bor-FAL's packed find-min — the key array
-/// IS the adjacency structure, so the target/weight/orig arc arrays (and
-/// the separate key-packing pass over them, with its random rank gathers —
-/// here rank[e] is a sequential read) are never materialized.  Each
-/// vertex's arcs appear in ascending input-edge order, whatever the team
-/// size: per-thread degree counts over edge blocks, a (vertex, thread)-
-/// ordered scan, then each thread scatters its own block.  Fork-join.
-void build_packed_arcs(ThreadTeam& team, const graph::EdgeList& g,
-                       graph::VertexId n, std::span<const std::uint32_t> rank,
-                       std::vector<graph::EdgeId>& offsets,
-                       std::unique_ptr<std::uint64_t[]>& keys);
-
-/// Same build over bare endpoint arrays: edge e joins u[e] and v[e]
-/// (Champion's sub-solves gather their edges as flat arrays, never as an
-/// EdgeList).
-void build_packed_arcs(ThreadTeam& team, std::span<const graph::VertexId> u,
-                       std::span<const graph::VertexId> v, graph::VertexId n,
-                       std::span<const std::uint32_t> rank,
-                       std::vector<graph::EdgeId>& offsets,
-                       std::unique_ptr<std::uint64_t[]>& keys);
-
-/// One-thread build_packed_arcs (identical output).
+/// One-thread packed-arc build from per-edge ranks (rank[e] as
+/// build_weight_ranks returns it): the same offsets and keys as
+/// build_packed_input, slices ascending by rank.
 void build_packed_arcs(const graph::EdgeList& g, graph::VertexId n,
                        std::span<const std::uint32_t> rank,
                        std::vector<graph::EdgeId>& offsets,
                        std::unique_ptr<std::uint64_t[]>& keys);
 
-/// Decode-on-the-fly variant over the compressed CSR: decodes the varint
-/// rows (one row range per thread) and packs ⟨rank, target⟩ keys with the
-/// same engine, so its output equals the EdgeList overload's on the
-/// canonicalized graph.  The only uncompressed scratch is one u32 target
-/// per edge; no EdgeList or CsrGraph is ever materialized (the eager path
-/// costs 16 B/edge more).
-void build_packed_arcs(ThreadTeam& team, const graph::CompressedCsr& g,
-                       std::span<const std::uint32_t> rank,
-                       std::vector<graph::EdgeId>& offsets,
-                       std::unique_ptr<std::uint64_t[]>& keys);
+/// The cursor step of Bor-FAL's find-min: from `cursor`, the first arc slot
+/// in [cursor, end) of a rank-ascending slice whose target is not in
+/// supervertex `s` under `labels` (or `end`).  Every slot it steps past is
+/// dead for good, so the caller stores the result back as the new cursor;
+/// the key there is the slice's lightest live arc.
+[[nodiscard]] inline graph::EdgeId first_live_arc(
+    const std::uint64_t* keys, graph::EdgeId cursor, graph::EdgeId end,
+    std::span<const graph::VertexId> labels, graph::VertexId s) {
+  while (cursor < end && labels[key_index(keys[cursor])] == s) ++cursor;
+  return cursor;
+}
 
 /// Per-thread slabs for the contention-aware local-best reduction: when the
 /// team is large and cur_n small, every thread min-merges into its own slab

@@ -80,8 +80,8 @@ inline constexpr Algorithm kExtensionAlgorithms[] = {
 /// ⟨weight, orig⟩ comparator, no pruning, no packing — kept as the exact
 /// A/B baseline.  kSimd is the accelerated path: per-edge weight ranks
 /// packed with the arc index into a uint64 whose integer order equals
-/// WeightOrder, live-arc pruning (Bor-FAL), the runtime-dispatched SIMD
-/// min-scan kernel, and the contention-aware local-best reduction.  The
+/// WeightOrder, Bor-FAL's per-vertex cursors over rank-sorted arc slices,
+/// and the contention-aware local-best reduction.  The
 /// packed path needs ranks and directed-arc indices to fit 32 bits
 /// (m ≤ 2^31); kAuto picks kSimd when that holds and kScan otherwise, and a
 /// forced kSimd on an unpackable graph silently degrades to kScan.  Both
@@ -107,8 +107,9 @@ struct StepTimes {
   double arc_build = 0;
   double assembly = 0;
   double filter = 0;
-  /// Arcs permanently retired from Bor-FAL's live-arc working set across
-  /// all iterations (0 under FindMinMode::kScan and for the eager
+  /// Arcs Bor-FAL's per-vertex find-min cursors stepped past across all
+  /// iterations — each one proven a permanent self-loop, so a full solve
+  /// counts all 2m (0 under FindMinMode::kScan and for the eager
   /// algorithms).
   std::uint64_t pruned_arcs = 0;
 
@@ -158,8 +159,9 @@ struct IterationStat {
   graph::VertexId vertices = 0;    ///< supervertices at iteration start
   graph::EdgeId directed_edges = 0;  ///< live directed edges (the "2m" column)
   /// Live arcs divided by arc-array size at iteration start (1.0 for the
-  /// eager paths, which rebuild the array every iteration; Bor-FAL's pruned
-  /// prefixes drive it below 1).
+  /// eager paths, which rebuild the array every iteration).  Bor-FAL's
+  /// packed path counts the arcs at or after its per-vertex cursors — the
+  /// arcs behind them are dead — so it falls below 1 as the cursors move.
   double live_fraction = 1.0;
 };
 

@@ -6,22 +6,8 @@
 
 namespace smp::graph {
 
-FlexAdjList::FlexAdjList(const CsrGraph& csr)
-    : FlexAdjList(csr.num_vertices(), csr.offsets()) {}
-
-FlexAdjList::FlexAdjList(VertexId n, std::span<const EdgeId> offsets)
-    : offsets_(offsets), num_super_(n) {
-  label_.resize(n);
+FlexAdjList::FlexAdjList(VertexId n) : num_super_(n), label_(n) {
   std::iota(label_.begin(), label_.end(), VertexId{0});
-  live_end_.assign(offsets.begin() + 1, offsets.end());
-}
-
-EdgeId FlexAdjList::live_arcs() const {
-  EdgeId total = 0;
-  for (std::size_t x = 0; x < live_end_.size(); ++x) {
-    total += live_end_[x] - offsets_[x];
-  }
-  return total;
 }
 
 void FlexAdjList::contract(ThreadTeam& team, std::span<const VertexId> new_label,

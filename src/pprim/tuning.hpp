@@ -29,9 +29,10 @@ inline constexpr std::size_t kDefaultSampleSortCutoff = std::size_t{1} << 15;
 /// and large cur_n makes the per-thread arrays themselves the cost.
 inline constexpr int kFindMinLocalBestThreads = 4;
 inline constexpr std::size_t kFindMinLocalBestCutoff = 4096;
-/// Vertices per dynamic-scheduling chunk of the Bor-FAL prune+scan loop.
-/// Live-arc counts skew heavily after a few contractions, so static blocks
-/// load-imbalance; 64 vertices keeps the cursor traffic negligible.
+/// Vertices per dynamic-scheduling chunk of Bor-FAL's find-min cursor loop.
+/// After a contraction the cursor steps bunch up on the vertices whose
+/// supervertex absorbed their neighbours, so static blocks load-imbalance;
+/// 64 vertices keeps the shared chunk counter's traffic negligible.
 inline constexpr std::size_t kFindMinPruneBlock = 64;
 
 namespace tuning_detail {

@@ -1,6 +1,6 @@
 // The packed solve's prologue and epilogue on the caller's team: the weight
-// rank sort (both radix paths, above their cutoffs), the packed arc build
-// (EdgeList and compressed overloads), result assembly, and request
+// rank sort (both radix paths, above their cutoffs), the packed input build
+// (every overload and sort path), result assembly, and request
 // validation — each byte-identical to a plain sequential reference at every
 // team size.
 #include <gtest/gtest.h>
@@ -101,7 +101,7 @@ void reference_ranks(const std::vector<Weight>& w, std::vector<std::uint32_t>& r
 
 TEST(WeightRanks, BothRadixPathsMatchSortReferenceAcrossTeams) {
   // Above kRankSeqCutoff (2^15), so the packed radix path runs; the wide
-  // path is forced through its test entry point.
+  // path is forced through the packed input's test entry point.
   const std::size_t m = (std::size_t{1} << 17) + 13;
   const std::vector<Weight> w = rank_test_weights(m, 5);
   std::vector<std::uint32_t> want_rank, want_r2e;
@@ -133,12 +133,10 @@ TEST(WeightRanks, BothRadixPathsMatchSortReferenceAcrossTeams) {
               want_rank)
         << "p=" << p;
     EXPECT_EQ(r2e, want_r2e) << "p=" << p;
-    r2e.clear();
-    EXPECT_EQ(core::detail::build_weight_ranks_wide(
-                  team, std::span<const Weight>(w), &r2e),
-              want_rank)
+    core::StepTimes st;
+    EXPECT_EQ(core::detail::build_packed_input_wide(team, g, st).rank_to_edge,
+              want_r2e)
         << "wide p=" << p;
-    EXPECT_EQ(r2e, want_r2e) << "wide p=" << p;
   }
 }
 
@@ -162,13 +160,29 @@ TEST(WeightRanks, AllEqualWeightsRankByIndex) {
 struct PackedArcs {
   std::vector<EdgeId> offsets;
   std::vector<std::uint64_t> keys;
+  std::vector<std::uint32_t> rank_to_edge;
   friend bool operator==(const PackedArcs&, const PackedArcs&) = default;
 };
 
-/// The plain sequential cursor scatter: degrees, offsets, then every edge's
-/// two arcs in ascending edge order.
-PackedArcs reference_arcs(const EdgeList& g, std::span<const std::uint32_t> rank) {
+PackedArcs arcs_of(core::PackedSolveInput in) {
   PackedArcs out;
+  out.offsets = std::move(in.offsets);
+  out.keys.assign(in.keys.get(), in.keys.get() + out.offsets.back());
+  out.rank_to_edge = std::move(in.rank_to_edge);
+  return out;
+}
+
+/// The plain sequential reference: a stable counting sort by vertex of the
+/// edges taken in rank order — degrees, offsets, then every edge's two arcs
+/// in ascending rank.
+PackedArcs reference_arcs(const EdgeList& g) {
+  PackedArcs out;
+  std::vector<std::uint32_t> rank;
+  reference_ranks([&] {
+    std::vector<Weight> w;
+    for (const WEdge& e : g.edges) w.push_back(e.w);
+    return w;
+  }(), rank, out.rank_to_edge);
   out.offsets.assign(std::size_t{g.num_vertices} + 1, 0);
   for (const WEdge& e : g.edges) {
     ++out.offsets[e.u + 1];
@@ -179,19 +193,26 @@ PackedArcs reference_arcs(const EdgeList& g, std::span<const std::uint32_t> rank
   }
   out.keys.resize(out.offsets.back());
   std::vector<EdgeId> cursor(out.offsets.begin(), out.offsets.end() - 1);
-  for (std::size_t i = 0; i < g.edges.size(); ++i) {
-    const WEdge& e = g.edges[i];
-    out.keys[cursor[e.u]++] = core::pack_key(rank[i], e.v);
-    out.keys[cursor[e.v]++] = core::pack_key(rank[i], e.u);
+  for (std::uint32_t r = 0; r < out.rank_to_edge.size(); ++r) {
+    const WEdge& e = g.edges[out.rank_to_edge[r]];
+    out.keys[cursor[e.u]++] = core::pack_key(r, e.v);
+    out.keys[cursor[e.v]++] = core::pack_key(r, e.u);
   }
   return out;
 }
 
-PackedArcs team_arcs(ThreadTeam& team, const EdgeList& g,
-                     std::span<const std::uint32_t> rank) {
+PackedArcs team_arcs(ThreadTeam& team, const EdgeList& g) {
+  core::StepTimes st;
+  return arcs_of(core::build_packed_input(team, g, st));
+}
+
+/// The team-less build_packed_arcs from per-edge ranks (no rank_to_edge).
+PackedArcs one_thread_arcs(const EdgeList& g) {
+  ThreadTeam one(1);
+  const std::vector<std::uint32_t> rank = core::build_weight_ranks(one, g);
   PackedArcs out;
   std::unique_ptr<std::uint64_t[]> keys;
-  core::build_packed_arcs(team, g, g.num_vertices, rank, out.offsets, keys);
+  core::build_packed_arcs(g, g.num_vertices, rank, out.offsets, keys);
   out.keys.assign(keys.get(), keys.get() + out.offsets.back());
   return out;
 }
@@ -227,20 +248,16 @@ TEST(PackedArcs, TeamBuildMatchesSequentialReference) {
   const EdgeList graphs[] = {random_graph(4096, 40000, 3), star_heavy_graph(),
                              isolated_vertex_graph()};
   for (const EdgeList& g : graphs) {
-    ThreadTeam one(1);
-    const std::vector<std::uint32_t> rank = core::build_weight_ranks(one, g);
-    const PackedArcs want = reference_arcs(g, rank);
+    const PackedArcs want = reference_arcs(g);
     for (const int p : kTeamSizes) {
       ThreadTeam team(p);
-      EXPECT_TRUE(team_arcs(team, g, rank) == want)
+      EXPECT_TRUE(team_arcs(team, g) == want)
           << "n=" << g.num_vertices << " p=" << p;
     }
-    // The team-less overload is the one-thread build.
-    PackedArcs seq;
-    std::unique_ptr<std::uint64_t[]> keys;
-    core::build_packed_arcs(g, g.num_vertices, rank, seq.offsets, keys);
-    seq.keys.assign(keys.get(), keys.get() + seq.offsets.back());
-    EXPECT_TRUE(seq == want);
+    // The team-less build from per-edge ranks emits the same slices.
+    PackedArcs seq = one_thread_arcs(g);
+    seq.rank_to_edge = want.rank_to_edge;
+    EXPECT_TRUE(seq == want) << "n=" << g.num_vertices;
   }
 }
 
@@ -254,12 +271,10 @@ TEST(PackedArcs, ManyMoreVerticesThanEdges) {
     const auto b = static_cast<VertexId>((a + 1 + rng() % 1000) % g.num_vertices);
     g.edges.push_back(WEdge{a, b, static_cast<Weight>(rng() % 10)});
   }
-  ThreadTeam one(1);
-  const std::vector<std::uint32_t> rank = core::build_weight_ranks(one, g);
-  const PackedArcs want = reference_arcs(g, rank);
+  const PackedArcs want = reference_arcs(g);
   for (const int p : kTeamSizes) {
     ThreadTeam team(p);
-    EXPECT_TRUE(team_arcs(team, g, rank) == want) << "p=" << p;
+    EXPECT_TRUE(team_arcs(team, g) == want) << "p=" << p;
   }
 }
 
@@ -270,13 +285,47 @@ TEST(PackedArcs, CompressedOverloadMatchesEdgeListOverload) {
   const EdgeList canon = cz.decode_edge_list();
   for (const int p : kTeamSizes) {
     ThreadTeam team(p);
-    const std::vector<std::uint32_t> rank = core::build_weight_ranks(team, canon);
-    const PackedArcs want = team_arcs(team, canon, rank);
-    PackedArcs got;
-    std::unique_ptr<std::uint64_t[]> keys;
-    core::build_packed_arcs(team, cz, rank, got.offsets, keys);
-    got.keys.assign(keys.get(), keys.get() + got.offsets.back());
-    EXPECT_TRUE(got == want) << "p=" << p;
+    core::StepTimes st;
+    EXPECT_TRUE(arcs_of(core::build_packed_input(team, cz, st)) ==
+                team_arcs(team, canon))
+        << "p=" << p;
+  }
+}
+
+TEST(PackedArcs, EveryProloguePathEmitsAscendingSlicesAndOneInput) {
+  // Below 2^15 edges the rank sort is one std::sort; above, the packed
+  // radix path; the wide path is forced.  Each graph also goes through
+  // Champion's flat-array overload and the compressed CSR (the graphs are
+  // canonical, so the compressed edge ids are the EdgeList's).
+  for (const std::size_t m : {std::size_t{20000}, std::size_t{1} << 16}) {
+    const CompressedCsr cz =
+        CompressedCsr::build(random_graph(static_cast<VertexId>(m / 8), m, 47));
+    const EdgeList g = cz.decode_edge_list();
+    const PackedArcs want = reference_arcs(g);
+    for (VertexId x = 0; x < g.num_vertices; ++x) {
+      for (EdgeId a = want.offsets[x] + 1; a < want.offsets[x + 1]; ++a) {
+        ASSERT_LT(want.keys[a - 1], want.keys[a]) << "vertex " << x;
+      }
+    }
+    std::vector<std::uint64_t> ends;
+    std::vector<Weight> w;
+    for (const WEdge& e : g.edges) {
+      ends.push_back(core::pack_ends(e.u, e.v));
+      w.push_back(e.w);
+    }
+    for (const int p : kTeamSizes) {
+      SCOPED_TRACE(testing::Message() << "m=" << g.num_edges() << " p=" << p);
+      ThreadTeam team(p);
+      core::StepTimes st;
+      EXPECT_TRUE(arcs_of(core::build_packed_input(team, g, st)) == want);
+      EXPECT_TRUE(arcs_of(core::detail::build_packed_input_wide(team, g, st)) ==
+                  want);
+      EXPECT_TRUE(arcs_of(core::build_packed_input(team, g.num_vertices, ends,
+                                                   w, st)) == want);
+      EXPECT_TRUE(arcs_of(core::build_packed_input(team, cz, st)) == want);
+      EXPECT_GT(st.rank_build, 0.0);
+      EXPECT_GT(st.arc_build, 0.0);
+    }
   }
 }
 

@@ -1,6 +1,7 @@
-// The shared find-min layer: packed ⟨weight-rank, arc⟩ keys, Bor-FAL
-// live-arc pruning, the contention-aware local-best reduction, and the
-// runtime-dispatched SIMD min-scan kernel (pprim/simd.hpp).
+// The shared find-min layer: packed ⟨weight-rank, arc⟩ keys, Bor-FAL's
+// per-vertex cursors over rank-sorted slices, the contention-aware
+// local-best reduction, and the runtime-dispatched SIMD min-scan kernel
+// (pprim/simd.hpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,7 +11,6 @@
 
 #include "core/find_min.hpp"
 #include "core/msf.hpp"
-#include "graph/csr.hpp"
 #include "graph/flex_adj_list.hpp"
 #include "graph/generators.hpp"
 #include "pprim/fault.hpp"
@@ -149,23 +149,43 @@ TEST(FindMin, ScanModeReportsNoPruning) {
 }
 
 TEST(FindMin, ContractionNeverTouchesTheLiveArcSet) {
-  // The live-arc working set is keyed by ORIGINAL vertex; contract() merges
-  // supervertices without looking at it.
+  // The cursors are keyed by ORIGINAL vertex and only find-min moves them:
+  // contract() merges supervertices in the lookup table alone.  After each
+  // contraction, first_live_arc from the old cursor lands on the slice's
+  // lightest live arc, and every arc it stepped past is dead.
   const EdgeList g = random_graph(256, 1024, 17);
-  const CsrGraph csr(g);
-  FlexAdjList fal(csr);
-  ASSERT_EQ(fal.live_arcs(), csr.num_arcs());
-  const auto ends_before = std::vector<EdgeId>(fal.live_ends().begin(),
-                                               fal.live_ends().end());
-  // Merge pairs: new_label[s] = s / 2.
-  std::vector<VertexId> new_label(fal.num_super());
-  for (VertexId s = 0; s < fal.num_super(); ++s) new_label[s] = s / 2;
   ThreadTeam team(2);
-  fal.contract(team, new_label, fal.num_super() / 2);
-  EXPECT_EQ(std::vector<EdgeId>(fal.live_ends().begin(),
-                                fal.live_ends().end()),
-            ends_before);
-  EXPECT_EQ(fal.live_arcs(), csr.num_arcs());
+  core::StepTimes st;
+  const core::PackedSolveInput in = core::build_packed_input(team, g, st);
+  const std::uint64_t* keys = in.keys.get();
+  FlexAdjList fal(g.num_vertices);
+  std::vector<EdgeId> cursor(in.offsets.begin(), in.offsets.end() - 1);
+  const auto labels = fal.labels();
+  for (int round = 0; fal.num_super() > 1; ++round) {
+    SCOPED_TRACE(round);
+    for (VertexId x = 0; x < g.num_vertices; ++x) {
+      const VertexId s = labels[x];
+      const EdgeId end = in.offsets[x + 1];
+      const EdgeId c = core::first_live_arc(keys, cursor[x], end, labels, s);
+      std::uint64_t lightest = core::kEmptyKey;
+      for (EdgeId a = in.offsets[x]; a < end; ++a) {
+        const bool live = labels[core::key_index(keys[a])] != s;
+        if (a < c) {
+          ASSERT_FALSE(live) << "live arc behind the cursor of " << x;
+        } else if (live && keys[a] < lightest) {
+          lightest = keys[a];
+        }
+      }
+      EXPECT_EQ(c == end ? core::kEmptyKey : keys[c], lightest) << "vertex " << x;
+      cursor[x] = c;
+    }
+    // Merge pairs: new_label[s] = s / 2.  The cursors are untouched.
+    const std::vector<EdgeId> before = cursor;
+    std::vector<VertexId> new_label(fal.num_super());
+    for (VertexId s = 0; s < fal.num_super(); ++s) new_label[s] = s / 2;
+    fal.contract(team, new_label, (fal.num_super() + 1) / 2);
+    EXPECT_EQ(cursor, before);
+  }
 }
 
 TEST(FindMin, PruneFaultLeavesTeamReusable) {

@@ -1,6 +1,7 @@
 // CsrGraph and FlexAdjList representation invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -64,11 +65,12 @@ TEST(FlexAdjList, InitialStateOneMemberPerSupervertex) {
   const CsrGraph c(g);
   FlexAdjList fal(c);
   EXPECT_EQ(fal.num_super(), 100u);
-  for (VertexId v = 0; v < 100; ++v) {
-    EXPECT_EQ(fal.super_of(v), v);
-    EXPECT_EQ(fal.live_ends()[v], c.offsets()[v + 1]);
-  }
-  EXPECT_EQ(fal.live_arcs(), c.num_arcs());
+  for (VertexId v = 0; v < 100; ++v) EXPECT_EQ(fal.super_of(v), v);
+  // The structure is the lookup table alone: one label per vertex.
+  EXPECT_EQ(fal.labels().size(), 100u);
+  const FlexAdjList bare(100);
+  EXPECT_TRUE(std::equal(bare.labels().begin(), bare.labels().end(),
+                         fal.labels().begin(), fal.labels().end()));
 }
 
 TEST(FlexAdjList, ContractMergesMemberListsWithPointerOps) {
@@ -145,7 +147,6 @@ TEST(FlexAdjList, ContractComposesNonMonotoneLabels) {
     fal.contract(team, l3, 3);
     EXPECT_EQ(fal.num_super(), 3u);
     for (VertexId v = 0; v < kN; ++v) EXPECT_EQ(fal.super_of(v), l3[l2[l1[v]]]);
-    EXPECT_EQ(fal.live_arcs(), c.num_arcs());  // contraction never prunes
   }
 }
 
