@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/error.hpp"
+#include "pprim/fault.hpp"
 #include "pprim/partition.hpp"
 #include "pprim/timer.hpp"
 #include "seq/union_find.hpp"
@@ -117,72 +118,84 @@ MsfDelta DynamicMsf::apply_batch(std::span<const WEdge> insertions,
     }
   }
 
-  // ---- Deletions first: a batch's ids always name pre-batch edges. ----
+  // ---- Deletions first: a batch's ids always name pre-batch edges.  Each
+  // one was checked live above, so no erase throws. ----
   for (const EdgeId id : del) store_.erase(id);
-
-  // ---- Insertions: appended after every existing id. ----
   const EdgeId first_new = store_.size();
-  for (const auto& e : insertions) store_.insert(e.u, e.v, e.w);
 
-  // ---- Fast paths that need no solve. ----
-  if (insertions.empty() && cut.empty()) {
-    // Nothing inserted and only non-tree edges died: each dead edge was the
-    // WeightOrder-maximum of a cycle whose other edges all survive, so the
-    // forest is unchanged.  (Covers the empty batch too.)
-    return commit({}, {});
-  }
+  // ---- All or nothing: any failure from here on (an insertion's
+  // bad_alloc, a budget trip or an injected fault while deciding) rolls the
+  // store back and rethrows.  Every apply path allocates all it needs
+  // before its first write to the forest state, so that state is untouched
+  // too. ----
+  try {
+    // ---- Insertions: appended after every existing id. ----
+    for (const auto& e : insertions) store_.insert(e.u, e.v, e.w);
 
-  // ---- Crossover heuristic: a batch touching a large fraction of the
-  // graph gains nothing from sparsification — the candidate set approaches
-  // the live set while the filtering adds a components pass and a full
-  // store scan on top. ----
-  const std::size_t live = store_.num_live();
-  const std::size_t batch_ops = insertions.size() + del.size();
-  if (static_cast<double>(batch_ops) >=
-      opts_.scratch_batch_fraction * static_cast<double>(live)) {
+    // ---- Fast paths that need no solve. ----
+    if (insertions.empty() && cut.empty()) {
+      // Nothing inserted and only non-tree edges died: each dead edge was the
+      // WeightOrder-maximum of a cycle whose other edges all survive, so the
+      // forest is unchanged.  (Covers the empty batch too.)
+      return commit({}, {});
+    }
+
+    // ---- Crossover heuristic: a batch touching a large fraction of the
+    // graph gains nothing from sparsification — the candidate set approaches
+    // the live set while the filtering adds a components pass and a full
+    // store scan on top. ----
+    const std::size_t live = store_.num_live();
+    const std::size_t batch_ops = insertions.size() + del.size();
+    if (static_cast<double>(batch_ops) >=
+        opts_.scratch_batch_fraction * static_cast<double>(live)) {
+      std::vector<EdgeId> ids;
+      const EdgeList all = store_.live_graph(&ids);
+      return solve_and_commit(all, ids, /*from_scratch=*/true);
+    }
+    if (cut.empty() && oracle != nullptr &&
+        oracle->num_merges() == forest_.size()) {
+      return apply_by_path_max(*oracle, first_new);
+    }
+    if (opts_.msf.algorithm == core::Algorithm::kChampion) {
+      return apply_by_kruskal(first_new, std::move(cut));
+    }
+
+    // ---- An explicitly named backend solves the candidate set, ascending
+    // by store id: the retained forest edges, after a cut the retained
+    // non-tree edges that now cross two of its components (one *within* a
+    // component still closes a surviving forest cycle it is the maximum of,
+    // so it can never enter), and the insertions, which follow every
+    // existing id. ----
+    std::vector<EdgeId> retained;
+    retained.reserve(forest_.size() - cut.size());
+    std::set_difference(forest_.begin(), forest_.end(), cut.begin(), cut.end(),
+                        std::back_inserter(retained));
     std::vector<EdgeId> ids;
-    const EdgeList all = store_.live_graph(&ids);
-    return solve_and_commit(all, ids, /*from_scratch=*/true);
-  }
-  if (cut.empty() && oracle != nullptr &&
-      oracle->num_merges() == forest_.size()) {
-    return apply_by_path_max(*oracle, first_new);
-  }
-  if (opts_.msf.algorithm == core::Algorithm::kChampion) {
-    return apply_by_kruskal(first_new, std::move(cut));
-  }
-
-  // ---- An explicitly named backend solves the candidate set, ascending
-  // by store id: the retained forest edges, after a cut the retained
-  // non-tree edges that now cross two of its components (one *within* a
-  // component still closes a surviving forest cycle it is the maximum of,
-  // so it can never enter), and the insertions, which follow every
-  // existing id. ----
-  std::vector<EdgeId> retained;
-  retained.reserve(forest_.size() - cut.size());
-  std::set_difference(forest_.begin(), forest_.end(), cut.begin(), cut.end(),
-                      std::back_inserter(retained));
-  std::vector<EdgeId> ids;
-  if (cut.empty()) {
-    ids = std::move(retained);
-  } else {
-    seq::MinRootUnionFind uf(store_.num_vertices());
-    for (const EdgeId id : retained) {
-      uf.unite(store_.edge(id).u, store_.edge(id).v);
+    if (cut.empty()) {
+      ids = std::move(retained);
+    } else {
+      seq::MinRootUnionFind uf(store_.num_vertices());
+      for (const EdgeId id : retained) {
+        uf.unite(store_.edge(id).u, store_.edge(id).v);
+      }
+      std::vector<EdgeId> crossing;
+      const std::vector<VertexId> label = std::move(uf).flatten();
+      for (const Record& r : crossing_records(first_new, label)) {
+        crossing.push_back(r.id);
+      }
+      ids.reserve(retained.size() + crossing.size());
+      std::merge(retained.begin(), retained.end(), crossing.begin(),
+                 crossing.end(), std::back_inserter(ids));
     }
-    std::vector<EdgeId> crossing;
-    for (const Record& r : crossing_records(first_new, std::move(uf).flatten())) {
-      crossing.push_back(r.id);
-    }
-    ids.reserve(retained.size() + crossing.size());
-    std::merge(retained.begin(), retained.end(), crossing.begin(),
-               crossing.end(), std::back_inserter(ids));
+    for (EdgeId id = first_new; id < store_.size(); ++id) ids.push_back(id);
+    EdgeList cand(store_.num_vertices());
+    cand.edges.reserve(ids.size());
+    for (const EdgeId id : ids) cand.edges.push_back(store_.edge(id));
+    return solve_and_commit(cand, ids, /*from_scratch=*/false);
+  } catch (...) {
+    store_.rollback(del, first_new);
+    throw;
   }
-  for (EdgeId id = first_new; id < store_.size(); ++id) ids.push_back(id);
-  EdgeList cand(store_.num_vertices());
-  cand.edges.reserve(ids.size());
-  for (const EdgeId id : ids) cand.edges.push_back(store_.edge(id));
-  return solve_and_commit(cand, ids, /*from_scratch=*/false);
 }
 
 MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
@@ -191,6 +204,7 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
   const VertexId n = store_.num_vertices();
   const EdgeId last = store_.size();
   WallTimer sort_timer;
+  // ordered_ caches the entry forest, which a failed batch leaves in place.
   build_ordered();
   double sort_s = sort_timer.elapsed_s();
 
@@ -232,6 +246,7 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
   // ---- One union-find scan over the merge of the ordered forest (minus
   // its deleted records) and the sorted candidates. ----
   core::iteration_checkpoint(opts_.msf, "forest Kruskal scan");
+  fault_point("dynamic.kruskal-scan");
   WallTimer scan_timer;
   seq::MinRootUnionFind uf(n);
   ordered_next_.clear();
@@ -399,6 +414,8 @@ MsfDelta DynamicMsf::apply_by_path_max(const core::Dendrogram& oracle,
   std::sort(cands.begin(), cands.end(),
             [](const Cand& x, const Cand& y) { return x.order < y.order; });
 
+  core::iteration_checkpoint(opts_.msf, "path-max scan");
+  fault_point("dynamic.path-max");
   seq::MinRootUnionFind uf(pts.size());
   std::vector<EdgeId> removed;
   std::vector<EdgeId> added;
@@ -412,14 +429,14 @@ MsfDelta DynamicMsf::apply_by_path_max(const core::Dendrogram& oracle,
 
   std::sort(removed.begin(), removed.end());
   std::sort(added.begin(), added.end());
-  ++path_max_batches_;
-  // A batch that left the forest as it was keeps its ordered records (a
-  // served insert costs about a millisecond; an O(n) rebuild would show).
-  if (!removed.empty() || !added.empty()) drop_ordered();
   // The candidate set a solve would have taken: retained forest ∪ batch.
   const std::size_t candidates =
       forest_.size() + static_cast<std::size_t>(last - first_new);
   MsfDelta d = commit(std::move(removed), std::move(added));
+  ++path_max_batches_;
+  // A batch that left the forest as it was keeps its ordered records (a
+  // served insert costs about a millisecond; an O(n) rebuild would show).
+  if (d.changed_forest()) drop_ordered();
   d.candidate_edges = candidates;
   return d;
 }
@@ -447,14 +464,20 @@ MsfDelta DynamicMsf::solve_and_commit(const EdgeList& candidates,
                           *opts_.team, candidates, ids, opts_.msf)
                     : core::minimum_spanning_forest_of_candidates(
                           candidates, ids, opts_.msf);
-  drop_ordered();
   std::sort(r.edge_ids.begin(), r.edge_ids.end());
-  const std::vector<EdgeId> old_forest =
-      std::exchange(forest_, std::move(r.edge_ids));
+  // The diff allocates, so it is taken before anything is committed.
+  MsfDelta d;
+  std::set_difference(r.edge_ids.begin(), r.edge_ids.end(), forest_.begin(),
+                      forest_.end(), std::back_inserter(d.forest_added));
+  std::set_difference(forest_.begin(), forest_.end(), r.edge_ids.begin(),
+                      r.edge_ids.end(), std::back_inserter(d.forest_removed));
+  drop_ordered();
+  forest_ = std::move(r.edge_ids);
   trees_ = r.num_trees;
   recompute_weight();
-
-  MsfDelta d = snapshot_delta(old_forest);
+  d.total_weight = weight_;
+  d.num_trees = trees_;
+  d.live_edges = store_.num_live();
   d.candidate_edges = candidates.edges.size();
   d.recomputed_from_scratch = from_scratch;
   return d;
@@ -483,19 +506,6 @@ MsfDelta DynamicMsf::commit(std::vector<EdgeId> removed,
   MsfDelta d;
   d.forest_added = std::move(added);
   d.forest_removed = std::move(removed);
-  d.total_weight = weight_;
-  d.num_trees = trees_;
-  d.live_edges = store_.num_live();
-  return d;
-}
-
-MsfDelta DynamicMsf::snapshot_delta(
-    const std::vector<EdgeId>& old_forest) const {
-  MsfDelta d;
-  std::set_difference(forest_.begin(), forest_.end(), old_forest.begin(),
-                      old_forest.end(), std::back_inserter(d.forest_added));
-  std::set_difference(old_forest.begin(), old_forest.end(), forest_.begin(),
-                      forest_.end(), std::back_inserter(d.forest_removed));
   d.total_weight = weight_;
   d.num_trees = trees_;
   d.live_edges = store_.num_live();

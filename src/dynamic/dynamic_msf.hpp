@@ -121,15 +121,18 @@ class DynamicMsf {
   /// result and delta; every other batch, and any oracle whose forest size
   /// differs from ours, takes the sparsified path (the Kruskal pass or a
   /// candidate solve, see above).
+  ///
+  /// All or nothing: if anything fails after validation (budget cancellation
+  /// or deadline at a checkpoint, OOM with fallback disabled, an armed fault
+  /// point), the store is rolled back (EdgeStore::rollback) and the
+  /// exception propagates; the store, the forest and every view taken
+  /// before the call read exactly as they did before it.
   MsfDelta apply_batch(std::span<const graph::WEdge> insertions,
                        std::span<const graph::EdgeId> deletions,
                        const core::Dendrogram* oracle = nullptr);
 
-  /// Solves the whole live graph from scratch and commits the result.
-  /// Exception semantics of apply_batch: if the *solver* or the Kruskal pass
-  /// fails mid-batch (budget cancellation or deadline at a checkpoint, OOM
-  /// with fallback disabled), the store mutations persist but the forest is
-  /// stale — call recompute() to repair before trusting accessors again.
+  /// Solves the whole live graph from scratch and commits the result; a
+  /// failed solve commits nothing.
   MsfDelta recompute();
 
   /// Compacts the underlying store (drops every tombstoned slot, renumbering
@@ -183,8 +186,8 @@ class DynamicMsf {
     return Record{e.w, id, e.u, e.v};
   }
 
-  /// Solve `candidates`/`ids`, commit the new forest, and diff it against
-  /// the old one into a delta.
+  /// Solve `candidates`/`ids`, diff the result against the forest into a
+  /// delta, and commit it.
   MsfDelta solve_and_commit(const graph::EdgeList& candidates,
                             const std::vector<graph::EdgeId>& ids,
                             bool from_scratch);
@@ -205,10 +208,9 @@ class DynamicMsf {
   void drop_ordered();
   /// Commits the forest minus `removed` plus `added` (both ascending,
   /// `removed` ⊆ forest, `added` disjoint from it); the delta is exactly
-  /// those two lists.
+  /// those two lists.  Allocates before it writes anything.
   MsfDelta commit(std::vector<graph::EdgeId> removed,
                   std::vector<graph::EdgeId> added);
-  MsfDelta snapshot_delta(const std::vector<graph::EdgeId>& old_forest) const;
   void recompute_weight();
 
   EdgeStore store_;

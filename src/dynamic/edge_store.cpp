@@ -9,6 +9,7 @@
 #include <sys/mman.h>
 
 #include "core/error.hpp"
+#include "pprim/fault.hpp"
 
 namespace smp::dynamic {
 
@@ -118,6 +119,7 @@ void EdgeStore::reserve_slot() {
   // Views taken so far keep the full buffer; the writer moves on to a copy
   // of twice the capacity, so nothing a view reads is ever written again.
   const auto base = static_cast<std::size_t>(base_m_);
+  fault_point("edge-store.grow");
   buf_ = copy_slots(std::max(base + kMinSlots, 2 * slots));
 }
 
@@ -151,6 +153,16 @@ void EdgeStore::erase(EdgeId id) {
       }
     }
   }
+}
+
+void EdgeStore::rollback(std::span<const EdgeId> erased,
+                         EdgeId first_new) noexcept {
+  for (const EdgeId id : erased) buf_->set_stamp(id, SlotBuffer::kLive);
+  live_ = live_ + erased.size() - static_cast<std::size_t>(slots_ - first_new);
+  erase_clock_ -= erased.size();
+  slots_ = first_new;
+  pair_index_.clear();
+  pair_index_built_ = false;
 }
 
 StoreView EdgeStore::view() const {

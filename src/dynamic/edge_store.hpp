@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -177,6 +178,16 @@ class EdgeStore {
   /// Tombstones a live edge.  Throws Error{kInvalidInput} if `id` is out of
   /// range or already dead.
   void erase(graph::EdgeId id);
+
+  /// Undoes one batch: revives `erased` (every id erase() tombstoned since
+  /// size() was `first_new`, in erase order) and drops the slots inserted
+  /// since.  The pair index is cleared, not patched, so nothing here can
+  /// throw; find_live rebuilds it on its next call.  Views taken before the
+  /// batch read the same as before it: their slot bound is <= `first_new`
+  /// and their erase bound lies below the batch's stamps.  No view may have
+  /// been taken during the batch.
+  void rollback(std::span<const graph::EdgeId> erased,
+                graph::EdgeId first_new) noexcept;
 
   /// The canonical live edge with unordered endpoints {u, v}: minimal under
   /// ⟨weight, store-id⟩ among live parallels, or nullopt if none is live.

@@ -211,7 +211,7 @@ bool decode_response_msg(std::string_view msg, BinResponse& out,
   p.forest_edges = r.u64();
   p.live_edges = r.u64();
   p.connected = r.u8() != 0;
-  p.applied = r.u8() != 0;
+  r.u8();  // applied: ok() for writes, kept for the frame layout
   p.dedup = r.u8() != 0;
   p.pathmax_found = r.u8() != 0;
   p.coalesced = r.u64();
@@ -381,7 +381,7 @@ void encode_response(std::string& out, const BinResponse& r) {
   put_u64(out, p.forest_edges);
   put_u64(out, p.live_edges);
   put_u8(out, p.connected ? 1 : 0);
-  put_u8(out, p.applied ? 1 : 0);
+  put_u8(out, serve::is_write_shaped(r.op) && p.ok() ? 1 : 0);  // applied
   put_u8(out, p.dedup ? 1 : 0);
   put_u8(out, p.pathmax_found ? 1 : 0);
   put_u64(out, p.coalesced);

@@ -68,10 +68,8 @@ std::string MetricsRegistry::to_json(
   json += histogram_json(coalesce_size) + "}";
   std::snprintf(buf, sizeof buf,
                 ", \"deadline_exceeded\": %" PRIu64
-                ", \"solver_repairs\": %" PRIu64 ", \"compactions\": %" PRIu64
-                ", \"slots_reclaimed\": %" PRIu64,
-                u64(deadline_exceeded), u64(solver_repairs), u64(compactions),
-                u64(slots_reclaimed));
+                ", \"compactions\": %" PRIu64 ", \"slots_reclaimed\": %" PRIu64,
+                u64(deadline_exceeded), u64(compactions), u64(slots_reclaimed));
   json += buf;
   std::snprintf(buf, sizeof buf,
                 ", \"persist\": {\"wal_appends\": %" PRIu64

@@ -58,7 +58,6 @@ class MetricsRegistry {
 
   // --- budgets / maintenance ---
   std::atomic<std::uint64_t> deadline_exceeded{0};
-  std::atomic<std::uint64_t> solver_repairs{0};  ///< recompute() after a failed apply
   std::atomic<std::uint64_t> compactions{0};
   std::atomic<std::uint64_t> slots_reclaimed{0};
 
@@ -130,7 +129,6 @@ class MetricsRegistry {
     coalesce_size.reset();
     coalesce_conflicts.store(0, std::memory_order_relaxed);
     deadline_exceeded.store(0, std::memory_order_relaxed);
-    solver_repairs.store(0, std::memory_order_relaxed);
     compactions.store(0, std::memory_order_relaxed);
     slots_reclaimed.store(0, std::memory_order_relaxed);
     index_rebuilds.store(0, std::memory_order_relaxed);

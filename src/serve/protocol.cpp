@@ -96,11 +96,6 @@ void append_forest_facts(std::string& out, const Response& r) {
   out += " live=" + std::to_string(r.live_edges);
 }
 
-bool is_write_shaped(Op op) {
-  return op == Op::kInsert || op == Op::kDelete || op == Op::kRecompute ||
-         op == Op::kCompact;
-}
-
 }  // namespace
 
 WireRequest parse_line(const std::string& line) {
@@ -243,10 +238,9 @@ std::string render_response(Op op, const Response& r) {
   if (!r.ok()) {
     std::string out = "err ";
     out += to_string(r.status);
-    // A write can fail *after* its store mutation went in (deadline tripped
-    // mid-solve; the service repaired the forest).  Clients must be able to
-    // tell that from a clean rejection, so the applied bit rides along.
-    if (is_write_shaped(op)) out += r.applied ? " applied=1" : " applied=0";
+    // A failed write changes nothing, so its error line always says so
+    // (the field stays for clients that parse it).
+    if (is_write_shaped(op)) out += " applied=0";
     if (!r.detail.empty()) out += " " + r.detail;
     out += "\n";
     return out;

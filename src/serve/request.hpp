@@ -43,6 +43,13 @@ enum class Op : int {
 };
 inline constexpr int kNumOps = static_cast<int>(Op::kTopK) + 1;
 
+/// Ops that mutate a session: their error lines carry ` applied=0` and
+/// their binary frames an applied byte equal to ok().
+[[nodiscard]] constexpr bool is_write_shaped(Op op) {
+  return op == Op::kInsert || op == Op::kDelete || op == Op::kRecompute ||
+         op == Op::kCompact;
+}
+
 [[nodiscard]] constexpr std::string_view to_string(Op op) {
   switch (op) {
     case Op::kPing:
@@ -198,11 +205,9 @@ struct Response {
   std::vector<graph::WEdge> edges;  // kForestEdges payload
   std::size_t edges_total = 0;      // kForestEdges: forest size before `limit`
   // Writes: how many requests the service merged into the apply_batch that
-  // carried this one (>= 1), and whether this request's mutation reached the
-  // store (a write failing *mid-solve* is applied; one rejected up front or
-  // expired while queued is not).
+  // carried this one (>= 1).  A write's mutation reached the store iff the
+  // response is ok(): a failed write changes nothing.
   std::size_t coalesced = 0;
-  bool applied = false;
   std::size_t remapped = 0;          // kCompact: live edges renumbered
   std::vector<std::string> sessions;  // kList
   std::string stats_json;             // kStats

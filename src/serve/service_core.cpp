@@ -124,8 +124,12 @@ Response make_error(Status s, std::string detail) {
   return r;
 }
 
-Status status_of(const Error& e) {
-  switch (e.code()) {
+/// The status a failure answers with: an Error's own code, kInternal for
+/// any other exception (an unbudgeted bad_alloc, an injected logic fault).
+Status status_of(const std::exception& e) {
+  const auto* err = dynamic_cast<const Error*>(&e);
+  if (err == nullptr) return Status::kInternal;
+  switch (err->code()) {
     case ErrorCode::kCancelled:
       return Status::kCancelled;
     case ErrorCode::kDeadlineExceeded:
@@ -211,7 +215,7 @@ std::vector<std::pair<std::string, std::uint64_t>> idem_window(
 
 /// Committed-mutation bump, called under the exclusive state lock.  Every
 /// path that changes what a scratch solve of the session would return
-/// (apply / recompute / repair / compact — compaction renumbers the store
+/// (apply / recompute / compact — compaction renumbers the store
 /// ids the query index holds) goes through here, so the lock-free mirror
 /// stays in step with the locked counter.  The committer publishes an MVCC
 /// snapshot once its run of bumps is complete.
@@ -448,10 +452,8 @@ bool ServiceCore::submit(Request req, std::function<void(Response)> done) {
       try {
         finish(qr, is_query_op(qr.req.op) ? do_query(*s, qr)
                                           : do_read(*s, qr));
-      } catch (const Error& e) {
-        finish(qr, make_error(status_of(e), e.what()));
       } catch (const std::exception& e) {
-        finish(qr, make_error(Status::kInternal, e.what()));
+        finish(qr, make_error(status_of(e), e.what()));
       }
       return true;
     }
@@ -573,10 +575,8 @@ void ServiceCore::execute(QueuedRequest qr) {
         finish(qr, do_read(*s, qr));
         return;
     }
-  } catch (const Error& e) {
-    finish(qr, make_error(status_of(e), e.what()));
   } catch (const std::exception& e) {
-    finish(qr, make_error(Status::kInternal, e.what()));
+    finish(qr, make_error(status_of(e), e.what()));
   }
 }
 
@@ -584,11 +584,6 @@ void ServiceCore::publish_snapshot_locked(Session& s, bool with_index) {
   std::shared_ptr<SessionSnapshot> prev;
   {
     std::lock_guard<std::mutex> lk(s.snap_mu);
-    if (!s.snaps.empty() && s.snaps.back()->epoch == s.version) {
-      // Nothing committed since the last publish (e.g. a failed repair left
-      // the version in place) — the published epoch stays immutable.
-      return;
-    }
     if (!s.snaps.empty()) prev = s.snaps.back();
   }
   const dynamic::EdgeStore& store = s.msf->store();
@@ -1051,12 +1046,10 @@ Response ServiceCore::do_recompute(Session& s, const QueuedRequest& qr) {
     bump_version(s);
     publish_snapshot_locked(s);
     fill_forest_facts(r, *s.msf);
-    r.applied = true;
     r.epoch = s.version;
     return r;
   } catch (const Error& e) {
-    // recompute() does not mutate the store, so a budget failure leaves the
-    // previous (still valid) forest in place — nothing to repair.
+    // A failed recompute commits nothing: the previous forest stays.
     s.msf->set_budget(nullptr);
     return make_error(status_of(e), e.what());
   }
@@ -1077,7 +1070,6 @@ Response ServiceCore::do_compact(Session& s) {
   Response r;
   fill_forest_facts(r, *s.msf);
   r.remapped = after;
-  r.applied = true;
   r.lsn = lsn;
   r.epoch = s.version;
   lk.unlock();
@@ -1173,7 +1165,6 @@ void ServiceCore::flush_writes(Session& s) {
             metrics_.dedup_hits.fetch_add(1, std::memory_order_relaxed);
             Response r;
             fill_forest_facts(r, *s.msf);
-            r.applied = true;
             r.coalesced = 1;
             r.dedup = true;
             r.lsn = hit->second;
@@ -1297,119 +1288,70 @@ void ServiceCore::flush_writes(Session& s) {
           oracle = latest->index;
         }
       }
+      const std::uint64_t by_path_max = s.msf->path_max_batches();
       try {
         s.msf->set_budget(bounded ? &budget : nullptr);
-        const std::uint64_t by_path_max = s.msf->path_max_batches();
-        {
-          std::lock_guard<std::mutex> solver(s.home->solver_mu);
-          s.msf->apply_batch(ins, del,
-                             oracle ? &oracle->dendrogram() : nullptr);
-        }
-        s.msf->set_budget(nullptr);
-        if (insert_only) {
-          auto& counter = s.msf->path_max_batches() != by_path_max
-                              ? metrics_.insert_index_path
-                              : metrics_.insert_solve_fallbacks;
-          counter.fetch_add(1, std::memory_order_relaxed);
-        }
-        bump_version(s);
-        metrics_.apply_batches.fetch_add(1, std::memory_order_relaxed);
-        metrics_.coalesced_writes.fetch_add(members.size(),
-                                            std::memory_order_relaxed);
-        metrics_.coalesce_size.record(members.size());
-        // Commit: one WAL record for the whole group, appended under the
-        // same exclusive lock as the mutation so log order == store order.
-        const std::uint64_t lsn = log_applied_group(
-            s, std::move(ins), std::move(del), std::move(group_idem));
-        // Compact before the snapshot publishes so a reader that sees the
-        // write response also sees the post-compaction store.
-        maybe_compact(s);
-        // Publish the committed state as the newest MVCC epoch — from here
-        // on reads serve this (or a pinned older) snapshot.  Query-active
-        // sessions get the epoch's ForestIndex (carried, or built on the
-        // shard team) attached before it is visible — but only when no
-        // further writes are pending, so a coalesced burst pays one build
-        // at its tail, not one per group.
-        bool with_index = false;
-        if (opts_.query_index_eager &&
-            s.query_active.load(std::memory_order_relaxed) &&
-            i >= batch.size()) {
-          std::lock_guard<std::mutex> lk(s.pending_mu);
-          with_index = s.pending.empty();
-        }
-        publish_snapshot_locked(s, with_index);
-        Response base;
-        fill_forest_facts(base, *s.msf);
-        base.applied = true;
-        base.coalesced = members.size();
-        base.lsn = lsn;
-        base.epoch = s.version;
-        if (s.log != nullptr && s.log->snapshot_due()) {
-          snapshot_session_locked(s);
-        }
-        // Acks only after the commit LSN is durable.  Only the wait runs
-        // unlocked — reads proceed, the pending list refills behind us, and
-        // no other flusher can exist while s.flushing is set.
-        state.unlock();
-        if (lsn != 0) s.log->wait_durable(lsn);
-        for (const std::size_t idx : members) {
-          Response r(base);
-          r.idem_id = batch[idx].req.idem_id;
-          finish(batch[idx], std::move(r));
-        }
-        state.lock();
-      } catch (const Error& e) {
-        s.msf->set_budget(nullptr);
-        const Status st = status_of(e);
-        if (st == Status::kInvalidInput) {
-          // apply_batch validates before mutating, so nothing was applied.
-          for (const std::size_t idx : members) {
-            finish(batch[idx], make_error(st, e.what()));
-          }
-        } else {
-          // Mid-solve failure (deadline/cancel/OOM): the store mutations
-          // are in, the forest is stale.  The mutation still happened, so
-          // it is logged like a success (replay must reproduce the store);
-          // then repair with an unbudgeted recompute so later requests see
-          // a correct forest — the failed deadline must not poison the
-          // session.
-          const std::uint64_t lsn = log_applied_group(
-              s, std::move(ins), std::move(del), std::move(group_idem));
-          repair_after_failed_apply(s);
-          maybe_compact(s);
-          publish_snapshot_locked(s);
-          Response r = make_error(st, e.what());
-          r.applied = true;
-          r.coalesced = members.size();
-          r.lsn = lsn;
-          state.unlock();
-          if (lsn != 0) s.log->wait_durable(lsn);
-          for (const std::size_t idx : members) {
-            Response resp(r);
-            resp.idem_id = batch[idx].req.idem_id;
-            finish(batch[idx], std::move(resp));
-          }
-          state.lock();
-        }
+        std::lock_guard<std::mutex> solver(s.home->solver_mu);
+        s.msf->apply_batch(ins, del, oracle ? &oracle->dendrogram() : nullptr);
       } catch (const std::exception& e) {
+        // apply_batch is all or nothing: a rejected, expired or failed group
+        // left no trace, so there is nothing to log, publish or repair.
         s.msf->set_budget(nullptr);
-        const std::uint64_t lsn = log_applied_group(
-            s, std::move(ins), std::move(del), std::move(group_idem));
-        repair_after_failed_apply(s);
-        maybe_compact(s);
-        publish_snapshot_locked(s);
-        Response r = make_error(Status::kInternal, e.what());
-        r.applied = true;
-        r.lsn = lsn;
-        state.unlock();
-        if (lsn != 0) s.log->wait_durable(lsn);
-        for (const std::size_t idx : members) {
-          Response resp(r);
-          resp.idem_id = batch[idx].req.idem_id;
-          finish(batch[idx], std::move(resp));
-        }
-        state.lock();
+        const Response r = make_error(status_of(e), e.what());
+        for (const std::size_t idx : members) finish(batch[idx], r);
+        continue;
       }
+      s.msf->set_budget(nullptr);
+      if (insert_only) {
+        auto& counter = s.msf->path_max_batches() != by_path_max
+                            ? metrics_.insert_index_path
+                            : metrics_.insert_solve_fallbacks;
+        counter.fetch_add(1, std::memory_order_relaxed);
+      }
+      bump_version(s);
+      metrics_.apply_batches.fetch_add(1, std::memory_order_relaxed);
+      metrics_.coalesced_writes.fetch_add(members.size(),
+                                          std::memory_order_relaxed);
+      metrics_.coalesce_size.record(members.size());
+      // Commit: one WAL record for the whole group, appended under the
+      // same exclusive lock as the mutation so log order == store order.
+      const std::uint64_t lsn = log_applied_group(
+          s, std::move(ins), std::move(del), std::move(group_idem));
+      // Compact before the snapshot publishes so a reader that sees the
+      // write response also sees the post-compaction store.
+      maybe_compact(s);
+      // Publish the committed state as the newest MVCC epoch — from here
+      // on reads serve this (or a pinned older) snapshot.  Query-active
+      // sessions get the epoch's ForestIndex (carried, or built on the
+      // shard team) attached before it is visible — but only when no
+      // further writes are pending, so a coalesced burst pays one build
+      // at its tail, not one per group.
+      bool with_index = false;
+      if (s.query_active.load(std::memory_order_relaxed) &&
+          i >= batch.size()) {
+        std::lock_guard<std::mutex> lk(s.pending_mu);
+        with_index = s.pending.empty();
+      }
+      publish_snapshot_locked(s, with_index);
+      Response base;
+      fill_forest_facts(base, *s.msf);
+      base.coalesced = members.size();
+      base.lsn = lsn;
+      base.epoch = s.version;
+      if (s.log != nullptr && s.log->snapshot_due()) {
+        snapshot_session_locked(s);
+      }
+      // Acks only after the commit LSN is durable.  Only the wait runs
+      // unlocked — reads proceed, the pending list refills behind us, and
+      // no other flusher can exist while s.flushing is set.
+      state.unlock();
+      if (lsn != 0) s.log->wait_durable(lsn);
+      for (const std::size_t idx : members) {
+        Response r(base);
+        r.idem_id = batch[idx].req.idem_id;
+        finish(batch[idx], std::move(r));
+      }
+      state.lock();
     }
   }
 }
@@ -1625,19 +1567,6 @@ void ServiceCore::snapshot_session_locked(Session& s) {
   } catch (...) {
     // Not fatal: the WAL still covers everything; the next due snapshot
     // retries.
-  }
-}
-
-void ServiceCore::repair_after_failed_apply(Session& s) {
-  metrics_.solver_repairs.fetch_add(1, std::memory_order_relaxed);
-  try {
-    std::lock_guard<std::mutex> solver(s.home->solver_mu);
-    s.msf->recompute();
-    bump_version(s);
-  } catch (...) {
-    // Repair itself failed (true OOM): the forest stays stale.  The next
-    // successful apply/recompute will fix it; readers meanwhile see the
-    // pre-batch forest, which is the documented DynamicMsf failure surface.
   }
 }
 

@@ -56,12 +56,6 @@ struct ServeOptions {
   /// live/slots < compact_live_ratio and slots >= compact_min_slots.
   double compact_live_ratio = 0.5;
   std::size_t compact_min_slots = 4096;
-  /// Rebuild a query-active session's ForestIndex eagerly at the end of each
-  /// write flush (while no further writes are pending), so the query fast
-  /// path finds a pre-built index on the latest snapshot instead of building
-  /// lazily on the read path.  Sessions that never saw a query op never pay
-  /// this.
-  bool query_index_eager = true;
 
   // --- scale-out serving (PR 9) ---
   /// Solver shards: each shard owns a ThreadTeam, a bounded request queue
@@ -132,10 +126,9 @@ struct ServeOptions {
 ///
 /// Every request carries a deadline (its own or the default) mapped onto
 /// smp::ExecutionBudget: a slow solve returns kDeadlineExceeded at the next
-/// iteration checkpoint instead of wedging the queue.  A write that fails
-/// *mid-solve* has already mutated the store; the service repairs the
-/// forest with an unbudgeted recompute before touching the session again
-/// (response field `applied` says which side of the line a failure fell).
+/// iteration checkpoint instead of wedging the queue.  A failed write
+/// changes nothing: DynamicMsf::apply_batch rolls the store back, and the
+/// group is neither logged nor published.
 class ServiceCore {
  public:
   explicit ServiceCore(ServeOptions opts = {});
@@ -251,7 +244,6 @@ class ServiceCore {
   void enqueue_write(const std::shared_ptr<Session>& s, QueuedRequest qr);
   void flush_writes(Session& s);
   void maybe_compact(Session& s);
-  void repair_after_failed_apply(Session& s);
 
   // --- durability plumbing (all no-ops when data_dir is empty) ---
   [[nodiscard]] persist::SessionLogOptions log_options();

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -301,6 +302,14 @@ TEST(DynamicForestKruskal, ZeroDeadlineFailsTheSparsifiedBatch) {
   for (const bool cut : {false, true}) {
     SCOPED_TRACE(cut ? "cut batch" : "insert-only batch");
     DynamicMsf d(g, make_opts(core::Algorithm::kChampion, &team));
+    DynamicMsf twin(g, make_opts(core::Algorithm::kChampion, &team));
+    // Build the pair index, so the failed batch has one to undo.
+    ASSERT_EQ(d.store().find_live(0, 1), std::optional<EdgeId>(0));
+    const EdgeId size = d.store().size();
+    const std::size_t live = d.store().num_live();
+    const std::vector<EdgeId> forest = d.forest_edge_ids();
+    const Weight weight = d.total_weight();
+
     ExecutionBudget budget;
     budget.set_deadline_after(0);
     d.set_budget(&budget);
@@ -313,10 +322,25 @@ TEST(DynamicForestKruskal, ZeroDeadlineFailsTheSparsifiedBatch) {
     } catch (const Error& e) {
       EXPECT_EQ(e.code(), ErrorCode::kDeadlineExceeded);
     }
-    // The store took the batch, the forest did not; recompute repairs.
     d.set_budget(nullptr);
-    d.recompute();
+
+    // Nothing of the batch is left: the store, the forest and the pair
+    // index read as they did before it.
+    EXPECT_EQ(d.store().size(), size);
+    EXPECT_EQ(d.store().num_live(), live);
+    EXPECT_EQ(d.forest_edge_ids(), forest);
+    EXPECT_TRUE(same_bits(d.total_weight(), weight));
+    for (VertexId v = 1; v < n; ++v) {
+      EXPECT_EQ(d.store().find_live(v - 1, v), std::optional<EdgeId>(v - 1));
+    }
+    EXPECT_FALSE(d.store().find_live(0, 50).has_value());
     expect_kruskal_state(d);
+
+    // The same batch, retried, decides exactly as on a twin that never saw
+    // the failed one.
+    expect_same_delta(d.apply_batch(ins, del), twin.apply_batch(ins, del));
+    EXPECT_EQ(d.forest_edge_ids(), twin.forest_edge_ids());
+    EXPECT_EQ(d.store().find_live(0, 50), twin.store().find_live(0, 50));
   }
 }
 

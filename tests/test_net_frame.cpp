@@ -108,7 +108,6 @@ TEST(NetFrame, ResponseRoundTripPreservesEveryField) {
   in.resp.forest_edges = 8;
   in.resp.live_edges = 20;
   in.resp.connected = true;
-  in.resp.applied = true;
   in.resp.dedup = true;
   in.resp.pathmax_found = true;
   in.resp.coalesced = 4;
@@ -162,7 +161,6 @@ TEST(NetFrame, ResponseRoundTripPreservesEveryField) {
   EXPECT_EQ(r.resp.forest_edges, in.resp.forest_edges);
   EXPECT_EQ(r.resp.live_edges, in.resp.live_edges);
   EXPECT_EQ(r.resp.connected, in.resp.connected);
-  EXPECT_EQ(r.resp.applied, in.resp.applied);
   EXPECT_EQ(r.resp.dedup, in.resp.dedup);
   EXPECT_EQ(r.resp.coalesced, in.resp.coalesced);
   EXPECT_EQ(r.resp.remapped, in.resp.remapped);
@@ -190,6 +188,36 @@ TEST(NetFrame, ResponseRoundTripPreservesEveryField) {
   EXPECT_EQ(r.resp.index_status, in.resp.index_status);
   EXPECT_EQ(r.resp.index_fresh, in.resp.index_fresh);
   EXPECT_EQ(r.resp.index_rebuilds, in.resp.index_rebuilds);
+}
+
+TEST(NetFrame, AppliedByteIsOkForWrites) {
+  // The response layout keeps its applied byte: after the message kind,
+  // id, version, op, status, detail (u32 length + bytes), weight, trees,
+  // forest, live and connected, at payload offset 49 for an empty detail.
+  // A failed write changes nothing, so the byte is ok() for write ops and
+  // 0 otherwise.
+  const auto applied_byte = [](serve::Op op, serve::Status status) {
+    BinResponse in;
+    in.op = op;
+    in.resp.status = status;
+    std::string wire;
+    encode_response_frame(wire, in);
+    std::size_t off = 0;
+    std::string_view payload;
+    std::string error;
+    EXPECT_EQ(try_read_frame(wire, off, payload, error), DecodeStatus::kOk);
+    EXPECT_GT(payload.size(), 49u);
+    return static_cast<int>(payload[49]);
+  };
+  using serve::Op;
+  using serve::Status;
+  EXPECT_EQ(applied_byte(Op::kInsert, Status::kOk), 1);
+  EXPECT_EQ(applied_byte(Op::kDelete, Status::kOk), 1);
+  EXPECT_EQ(applied_byte(Op::kRecompute, Status::kOk), 1);
+  EXPECT_EQ(applied_byte(Op::kCompact, Status::kOk), 1);
+  EXPECT_EQ(applied_byte(Op::kInsert, Status::kDeadlineExceeded), 0);
+  EXPECT_EQ(applied_byte(Op::kDelete, Status::kOutOfMemory), 0);
+  EXPECT_EQ(applied_byte(Op::kWeight, Status::kOk), 0);
 }
 
 TEST(NetFrame, BatchFrameCarriesManyMessagesInOrder) {

@@ -147,7 +147,6 @@ TEST_F(NetTcpTest, EndToEndRequestResponse) {
   ins.insertions = {{0, 1, 1.5}, {1, 2, 0.5}};
   const Response r = client.call(ins);
   EXPECT_EQ(r.status, Status::kOk);
-  EXPECT_TRUE(r.applied);
   EXPECT_DOUBLE_EQ(r.weight, 2.0);
   EXPECT_GE(r.epoch, 1u);  // MVCC epoch the write committed as
 
@@ -209,10 +208,9 @@ TEST_F(NetTcpTest, PipelinedResponsesCorrelateById) {
     EXPECT_EQ(r.resp.status, Status::kOk);
     if (r.id < prev) out_of_order = true;
     prev = r.id;
-    if (std::find(write_ids.begin(), write_ids.end(), r.id) !=
-        write_ids.end()) {
-      EXPECT_TRUE(r.resp.applied);
-    }
+    const bool write = std::find(write_ids.begin(), write_ids.end(), r.id) !=
+                       write_ids.end();
+    EXPECT_EQ(r.op, write ? Op::kInsert : Op::kWeight);
   }
   // Not asserted: out_of_order depends on scheduling.  It is recorded so a
   // debugger can see the pipelining actually exercised reordering.

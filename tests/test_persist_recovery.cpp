@@ -1,6 +1,6 @@
 // Durable serving end to end: WAL + snapshot recovery through ServiceCore,
 // clean-shutdown fast path, the corrupt-log corpus recovery must refuse,
-// idempotent retries across restarts, and the failure-repair-snapshot
+// idempotent retries across restarts, and the failure-snapshot
 // interactions the chaos harness drills from outside the process.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -437,7 +437,7 @@ TEST(PersistRecovery, DropRemovesDurableStateAndSurvivesRestart) {
   EXPECT_EQ(svc.call(make(Op::kWeight, "g")).trees, 9u);
 }
 
-TEST(PersistRecovery, MidSolveFailureIsLoggedRepairedAndRecovers) {
+TEST(PersistRecovery, MidSolveFailureLeavesNoTrace) {
   TempDir dir;
   ServeOptions opts = durable_opts(dir.path);
   opts.msf.algorithm = core::Algorithm::kBorEL;
@@ -455,23 +455,27 @@ TEST(PersistRecovery, MidSolveFailureIsLoggedRepairedAndRecovers) {
       grow.insertions.push_back(WEdge{v - 1, v, 1.0 / (v + 1)});
     }
     ASSERT_EQ(svc.call(grow).status, Status::kOk);
+    before = state_of(svc, "g");
 
-    // The next apply fails *inside* the solve: the store mutation is in, so
-    // the group must be WAL-logged like a success, then the forest repaired.
+    // The next apply fails *inside* the solve: apply_batch rolls the store
+    // back, so the group is neither logged nor visible.
     FaultInjector::arm("bor-el.connect.region", FaultKind::kBadAlloc);
     const Response r = svc.call(insert_req("g", {{0, 63, 0.001}}));
     FaultInjector::disarm_all();
     EXPECT_NE(r.status, Status::kOk);
-    EXPECT_TRUE(r.applied);
-    EXPECT_EQ(r.lsn, 2u);  // the failed-mid-solve group still committed
-    EXPECT_GE(svc.metrics().solver_repairs.load(), 1u);
-
-    // The repaired forest includes the new edge.
-    before = state_of(svc, "g");
-    EXPECT_EQ(before.live, 64u);
+    EXPECT_EQ(r.lsn, 0u);
+    const SessionState after = state_of(svc, "g");
+    EXPECT_EQ(after.live, 63u);
+    EXPECT_EQ(after, before);
+    // A recompute solves whatever the store holds (and logs nothing): still
+    // the pre-failure graph.
+    ASSERT_EQ(svc.call(make(Op::kRecompute, "g")).status, Status::kOk);
+    EXPECT_EQ(state_of(svc, "g"), before);
   }
+  // Only the growing write was logged, and replaying it reproduces the
+  // state the failed write left alone.
   ServiceCore svc(opts);
-  EXPECT_EQ(svc.metrics().replayed_records.load(), 2u);
+  EXPECT_EQ(svc.metrics().replayed_records.load(), 1u);
   EXPECT_EQ(state_of(svc, "g"), before);
 }
 
@@ -491,9 +495,8 @@ TEST(PersistRecovery, DeadlineExpiryThenSnapshotStaysConsistent) {
     ASSERT_EQ(svc.call(grow).status, Status::kOk);
 
     // A tight-deadline write: it may commit in time, expire before the
-    // apply (dropped atomically), or trip mid-solve (applied + repaired +
-    // snapshotted).  Whichever way it falls, the snapshot taken immediately
-    // after the repair-recompute must reproduce exactly the served state.
+    // apply, or trip mid-solve.  It is in the store iff it answered ok, and
+    // whichever way it falls, restart reproduces exactly the served state.
     Request risky = insert_req("g", {{0, 1999, 0.5}});
     risky.deadline_s = 0.002;
     const Response r = svc.call(risky);
@@ -502,8 +505,8 @@ TEST(PersistRecovery, DeadlineExpiryThenSnapshotStaysConsistent) {
                   r.status == Status::kInternal)
           << to_string(r.status);
     }
-    ASSERT_EQ(svc.call(make(Op::kRecompute, "g")).status, Status::kOk);
     before = state_of(svc, "g");
+    EXPECT_EQ(before.live, r.ok() ? 2000u : 1999u);
   }
   ServiceCore svc(opts);
   EXPECT_EQ(state_of(svc, "g"), before);

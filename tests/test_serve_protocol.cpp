@@ -93,7 +93,6 @@ TEST(ServeProtocol, RendersHeaders) {
             "ok weight=4.5 trees=7 forest=3 live=3\n");
 
   ok.coalesced = 4;
-  ok.applied = true;
   EXPECT_EQ(render_response(Op::kInsert, ok),
             "ok applied=1 coalesced=4 weight=4.5 trees=7 forest=3 live=3\n");
 
@@ -106,10 +105,9 @@ TEST(ServeProtocol, RendersHeaders) {
   err.detail = "too slow";
   EXPECT_EQ(render_response(Op::kWeight, err),
             "err deadline_exceeded too slow\n");
-  // A write that failed mid-solve reports that its mutation is in.
-  err.applied = true;
+  // A failed write changes nothing, and its error line says so.
   EXPECT_EQ(render_response(Op::kInsert, err),
-            "err deadline_exceeded applied=1 too slow\n");
+            "err deadline_exceeded applied=0 too slow\n");
 }
 
 TEST(ServeProtocol, RendersPayloadBlocks) {
