@@ -12,8 +12,8 @@
 // Also reports the fused-execution counters: iterations, SPMD regions, and
 // regions per iteration (1.0 for the fused algorithms — each Borůvka
 // iteration is one persistent region, not one fork/join per parallel loop),
-// and the find-min layer facts: which kernel ran (mode + SIMD ISA) and how
-// many arcs Bor-FAL's live-arc pruning retired.  Every density block ends
+// and the find-min layer facts: which mode ran and how many arcs Bor-FAL's
+// live-arc pruning retired.  Every density block ends
 // with a determinism check — the Bor-FAL forest must be bit-identical
 // across p ∈ {1,2,4,8} × {scan,simd}, and Champion's across p; a mismatch
 // aborts the bench.
@@ -27,7 +27,6 @@
 #include "core/find_min.hpp"
 #include "core/msf.hpp"
 #include "graph/generators.hpp"
-#include "pprim/simd.hpp"
 
 using namespace smp;
 using namespace smp::graph;
@@ -108,7 +107,7 @@ int main(int argc, char** argv) {
           "\"total\": %.6f, "
           "\"iterations\": %llu, \"regions\": %llu, "
           "\"regions_per_iteration\": %.4f, "
-          "\"find_min_mode\": \"%s\", \"simd_kernel\": \"%s\", "
+          "\"find_min_mode\": \"%s\", "
           "\"find_min_pruned_arcs\": %llu, \"live_fraction_last\": %.4f}",
           density, g.num_vertices, static_cast<unsigned long long>(g.num_edges()),
           name.c_str(), args.max_threads, best.find_min, best.connect,
@@ -117,7 +116,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(best_ps.iterations),
           static_cast<unsigned long long>(best_ps.regions),
           best_ps.regions_per_iteration(),
-          std::string(core::to_string(resolved)).c_str(), simd_isa_name(),
+          std::string(core::to_string(resolved)).c_str(),
           static_cast<unsigned long long>(best.pruned_arcs), live_last);
       sink.add(buf);
     }

@@ -8,8 +8,8 @@
 //     rides along with the solve it follows instead of dominating it).
 //   * op rows: p50/p95/p99 over per-op wall times — pathmax/conn answered
 //     from the immutable index, cut split into the first call (cold
-//     caches) and warm calls, topk scanning the live store with the SIMD
-//     argmin skim.
+//     caches) and warm calls, topk scanning the live store in one pass
+//     against a per-thread k-th bound.
 //   * identity row: every sampled pathmax answer is checked against a
 //     parent-pointer climb over a BFS of the forest edge list (independent
 //     of the index's dendrogram) and conn against root comparison; any

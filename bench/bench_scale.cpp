@@ -7,12 +7,9 @@
 //   scale_solve    Champion solve time streaming from the compressed graph
 //                  versus the identical canonicalized uncompressed edge
 //                  list, per thread count, plus a forest bit-identity check
-//   scale_tuning   Champion solve with the compile-time default cutoffs
-//                  versus the machine auto-calibrated ones
 //
-// bench_compare.py gates all three families: structure bytes/edge <= 5.0 at
-// degree 10, compressed solve <= 1.25x uncompressed, calibrated solve never
-// > 5% slower than the defaults, forests identical.
+// bench_compare.py gates both families: structure bytes/edge <= 5.0 at
+// degree 10, compressed solve <= 1.25x uncompressed, forests identical.
 #include <cstdio>
 #include <vector>
 
@@ -23,7 +20,6 @@
 #include "graph/generators.hpp"
 #include "pprim/machine.hpp"
 #include "pprim/timer.hpp"
-#include "pprim/tuning.hpp"
 
 using namespace smp;
 using namespace smp::graph;
@@ -41,11 +37,7 @@ int main(int argc, char** argv) {
   const bench::Args args = bench::parse_args(argc, argv);
   bench::JsonSink sink;
 
-  const CalibrationResult cal = auto_calibrate(/*apply=*/false);
-  sink.add_meta("calibration", calibration_json(cal));
-  std::printf("machine: %s\n", machine_profile_json().c_str());
-  std::printf("calibration (%.3fs): parallel_for=%zu sample_sort=%zu\n\n",
-              cal.elapsed_s, cal.parallel_for_cutoff, cal.sample_sort_cutoff);
+  std::printf("machine: %s\n\n", machine_profile_json().c_str());
 
   std::vector<int> thread_counts;
   for (int p = 1; p <= args.max_threads; p *= 2) thread_counts.push_back(p);
@@ -119,35 +111,6 @@ int main(int argc, char** argv) {
                       ident ? "true" : "false");
         sink.add(buf);
       }
-    }
-
-    // --- scale_tuning: default cutoffs vs auto-calibrated. ----------------
-    {
-      core::MsfOptions opts;
-      opts.algorithm = core::Algorithm::kChampion;
-      opts.threads = args.max_threads;
-      opts.seed = args.seed;
-      double s_def, s_cal;
-      {
-        ScopedTuning st(kDefaultParallelForCutoff, kDefaultSampleSortCutoff);
-        s_def = bench::time_best_of(
-            args.reps, [&] { (void)core::minimum_spanning_forest(decoded, opts); });
-      }
-      {
-        ScopedTuning st(cal.parallel_for_cutoff, cal.sample_sort_cutoff);
-        s_cal = bench::time_best_of(
-            args.reps, [&] { (void)core::minimum_spanning_forest(decoded, opts); });
-      }
-      std::printf("  tuning p=%d: default %.3fs vs calibrated %.3fs (%.2fx)\n\n",
-                  args.max_threads, s_def, s_cal, s_cal / s_def);
-      char buf[512];
-      std::snprintf(buf, sizeof buf,
-                    "{\"tag\": \"scale_tuning\", \"n\": %u, \"m\": %llu, "
-                    "\"threads\": %d, \"default_s\": %.6f, "
-                    "\"calibrated_s\": %.6f, \"ratio\": %.4f}",
-                    cz.num_vertices(), static_cast<unsigned long long>(cm),
-                    args.max_threads, s_def, s_cal, s_cal / s_def);
-      sink.add(buf);
     }
   }
 

@@ -159,9 +159,6 @@ void JsonSink::write(const std::string& bench_name, const Args& args) const {
                (hw != 0 && args.max_threads > static_cast<int>(hw)) ? "true"
                                                                     : "false",
                smp::machine_profile_json().c_str());
-  for (const auto& [key, value] : meta_extra_) {
-    std::fprintf(f, ", \"%s\": %s", key.c_str(), value.c_str());
-  }
   std::fprintf(f, "},\n  \"records\": [\n");
   for (std::size_t i = 0; i < records_.size(); ++i) {
     std::fprintf(f, "    %s%s\n", records_[i].c_str(),

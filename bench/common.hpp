@@ -60,16 +60,10 @@ SeqBest run_sequential_baselines(const smp::graph::EdgeList& g, int reps);
 class JsonSink {
  public:
   void add(std::string record) { records_.push_back(std::move(record)); }
-  /// Splice an extra `"key": value_json` pair into the meta block (e.g. the
-  /// auto-calibration result).  `value_json` must be a complete JSON value.
-  void add_meta(std::string key, std::string value_json) {
-    meta_extra_.emplace_back(std::move(key), std::move(value_json));
-  }
   void write(const std::string& bench_name, const Args& args) const;
 
  private:
   std::vector<std::string> records_;
-  std::vector<std::pair<std::string, std::string>> meta_extra_;
 };
 
 /// The Fig. 4/5/6 harness: per parallel algorithm × thread count, wall time

@@ -196,7 +196,7 @@ MsfResult bor_el_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
       fault_point("bor-el.compact.region");
       detail::compact_arcs_in_region(
           ctx, arcs, std::span<const VertexId>(parent.data(), cur_n),
-          opts.compact_sort, compact_scratch);
+          compact_scratch);
       if (ctx.tid() == 0) st.compact += t0.elapsed_s();
     });
 

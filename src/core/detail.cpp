@@ -6,7 +6,6 @@
 #include "pprim/parallel_for.hpp"
 #include "pprim/prefix_sum.hpp"
 #include "pprim/radix_sort.hpp"
-#include "pprim/sample_sort.hpp"
 
 namespace smp::core::detail {
 
@@ -34,11 +33,6 @@ std::size_t CompactScratch::footprint_bytes() const {
   b += (radix.keys.capacity() + radix.keys_aux.capacity() +
         radix.counts.capacity() + radix.scan.capacity()) *
        sizeof(std::uint64_t);
-  b += (sample.samples.capacity() + sample.splitters.capacity() +
-        sample.aux.capacity()) *
-       sizeof(DirEdge);
-  b += (sample.counts.capacity() + sample.piece_begin.capacity()) *
-       sizeof(std::size_t);
   b += winner_cap * sizeof(std::atomic<EdgeId>);
   return b;
 }
@@ -56,14 +50,13 @@ void CompactScratch::maybe_release(std::size_t need) {
   std::vector<EdgeId>().swap(head);
   std::vector<DirEdge>().swap(out);
   radix = RadixSortScratch<DirEdge>{};
-  sample = SampleSortScratch<DirEdge>{};
   winner.reset();
   winner_cap = 0;
 }
 
 void compact_arcs_in_region(TeamCtx& ctx, std::vector<DirEdge>& arcs,
                             std::span<const VertexId> labels,
-                            CompactSortMode mode, CompactScratch& s) {
+                            CompactScratch& s) {
   const std::size_t m = arcs.size();
   const int p = ctx.nthreads();
 
@@ -92,22 +85,13 @@ void compact_arcs_in_region(TeamCtx& ctx, std::vector<DirEdge>& arcs,
   });
   ctx.barrier();
 
-  constexpr bool kPackable = sizeof(VertexId) <= 4;
-
   // Sort so that multi-edges between the same supervertex pair become
-  // consecutive.  When ⟨u, v⟩ packs into a 64-bit integer (always with a
-  // 32-bit VertexId), LSD radix sort beats the comparison sample sort.
-  const bool use_radix =
-      mode == CompactSortMode::kRadix ||
-      (mode == CompactSortMode::kAuto && kPackable);
-  if (use_radix) {
-    radix_sort_in_region(ctx, s.filtered, s.radix, [](const DirEdge& e) {
-      return (static_cast<std::uint64_t>(e.u) << 32) |
-             static_cast<std::uint64_t>(e.v);
-    });
-  } else {
-    sample_sort_in_region(ctx, s.filtered, s.sample, DirEdgeCompactLess{});
-  }
+  // consecutive: ⟨u, v⟩ packs into one 64-bit radix key.
+  static_assert(sizeof(VertexId) <= 4, "⟨u, v⟩ must pack into 64 bits");
+  radix_sort_in_region(ctx, s.filtered, s.radix, [](const DirEdge& e) {
+    return (static_cast<std::uint64_t>(e.u) << 32) |
+           static_cast<std::uint64_t>(e.v);
+  });
 
   // Mark ⟨u, v⟩ group heads and prefix-sum them into dense group ids.
   const std::size_t f = s.filtered.size();
@@ -126,57 +110,38 @@ void compact_arcs_in_region(TeamCtx& ctx, std::vector<DirEdge>& arcs,
       prefix_sum_in_region(ctx, std::span<EdgeId>(s.head.data(), f), s.scan);
   if (ctx.tid() == 0) {
     s.out.resize(uniques);
-    if (use_radix && s.winner_cap < uniques) {
+    if (s.winner_cap < uniques) {
       s.winner = std::make_unique<std::atomic<EdgeId>[]>(uniques);
       s.winner_cap = uniques;
     }
   }
   ctx.barrier();
 
-  if (use_radix) {
-    // The radix sort grouped by ⟨u, v⟩ but (being stable on the packed key
-    // alone) did not order groups by weight — resolve each group's lightest
-    // arc by atomic write-min under the WeightOrder total order, which is
-    // deterministic regardless of scheduling.
-    for_range(ctx, uniques, [&](std::size_t g) {
-      s.winner[g].store(kInvalidEdge, std::memory_order_relaxed);
-    });
-    ctx.barrier();
-    const auto better = [&](EdgeId a, EdgeId b) {
-      return s.filtered[a].order() < s.filtered[b].order();
-    };
-    for_range(ctx, f, [&](std::size_t i) {
-      // After the exclusive scan, head[i] equals the group id only at head
-      // positions; for every element the group id is the inclusive scan
-      // (head[i+1], or `uniques` at the end) minus one.
-      const EdgeId grp = (i + 1 < f ? s.head[i + 1] : uniques) - 1;
-      atomic_write_min(s.winner[grp], static_cast<EdgeId>(i), better);
-    });
-    ctx.barrier();
-    for_range(ctx, uniques, [&](std::size_t g) {
-      s.out[g] = s.filtered[s.winner[g].load(std::memory_order_relaxed)];
-    });
-  } else {
-    // The comparator sort put the lightest arc of each group first.
-    for_range(ctx, f, [&](std::size_t i) {
-      const bool is_head = (i + 1 < f ? s.head[i + 1] : uniques) != s.head[i];
-      if (is_head) s.out[s.head[i]] = s.filtered[i];
-    });
-  }
+  // The radix sort grouped by ⟨u, v⟩ but (being stable on the packed key
+  // alone) did not order groups by weight — resolve each group's lightest
+  // arc by atomic write-min under the WeightOrder total order, which is
+  // deterministic regardless of scheduling.
+  for_range(ctx, uniques, [&](std::size_t g) {
+    s.winner[g].store(kInvalidEdge, std::memory_order_relaxed);
+  });
+  ctx.barrier();
+  const auto better = [&](EdgeId a, EdgeId b) {
+    return s.filtered[a].order() < s.filtered[b].order();
+  };
+  for_range(ctx, f, [&](std::size_t i) {
+    // After the exclusive scan, head[i] equals the group id only at head
+    // positions; for every element the group id is the inclusive scan
+    // (head[i+1], or `uniques` at the end) minus one.
+    const EdgeId grp = (i + 1 < f ? s.head[i + 1] : uniques) - 1;
+    atomic_write_min(s.winner[grp], static_cast<EdgeId>(i), better);
+  });
+  ctx.barrier();
+  for_range(ctx, uniques, [&](std::size_t g) {
+    s.out[g] = s.filtered[s.winner[g].load(std::memory_order_relaxed)];
+  });
   ctx.barrier();
   if (ctx.tid() == 0) arcs.swap(s.out);
   ctx.barrier();
-}
-
-std::vector<DirEdge> compact_arcs(ThreadTeam& team, std::vector<DirEdge>&& arcs,
-                                  std::span<const VertexId> labels,
-                                  CompactSortMode mode) {
-  std::vector<DirEdge> result = std::move(arcs);
-  CompactScratch scratch;
-  team.run([&](TeamCtx& ctx) {
-    compact_arcs_in_region(ctx, result, labels, mode, scratch);
-  });
-  return result;
 }
 
 }  // namespace smp::core::detail

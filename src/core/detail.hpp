@@ -15,7 +15,6 @@
 #include "pprim/partition.hpp"
 #include "pprim/prefix_sum.hpp"
 #include "pprim/radix_sort.hpp"
-#include "pprim/sample_sort.hpp"
 #include "pprim/thread_team.hpp"
 
 namespace smp::core::detail {
@@ -112,10 +111,9 @@ struct CompactScratch {
   std::vector<graph::EdgeId> head;
   std::vector<DirEdge> out;
   RadixSortScratch<DirEdge> radix;
-  SampleSortScratch<DirEdge> sample;
   ScanScratch<graph::EdgeId> scan;
-  /// Per-⟨u,v⟩-group index of the lightest arc (radix path only; atomics are
-  /// not movable, hence the manual grow-only buffer instead of a vector).
+  /// Per-⟨u,v⟩-group index of the lightest arc (atomics are not movable,
+  /// hence the manual grow-only buffer instead of a vector).
   std::unique_ptr<std::atomic<graph::EdgeId>[]> winner;
   std::size_t winner_cap = 0;
 
@@ -143,18 +141,12 @@ struct CompactScratch {
 /// place.  All team threads call it inside an open SPMD region with
 /// identical arguments; the final barrier publishes the result.
 ///
-/// Sort dispatch (CompactSortMode::kAuto): ⟨u, v⟩ packs into one uint64_t
-/// whenever VertexId fits 32 bits, so the compact sort runs as a packed-key
-/// LSD radix sort; group minima are then resolved by atomic write-min under
-/// the WeightOrder total order — the identical deduplicated output the
-/// three-field-comparator sample sort produces.
+/// ⟨u, v⟩ packs into one uint64_t (VertexId is 32 bits), so the sort is a
+/// packed-key LSD radix sort; group minima are then resolved by atomic
+/// write-min under the WeightOrder total order — the same deduplicated
+/// output the paper's three-field comparator sort (§2.1) produces.
 void compact_arcs_in_region(TeamCtx& ctx, std::vector<DirEdge>& arcs,
                             std::span<const graph::VertexId> labels,
-                            CompactSortMode mode, CompactScratch& scratch);
-
-/// Fork-join wrapper around compact_arcs_in_region (one SPMD region).
-std::vector<DirEdge> compact_arcs(ThreadTeam& team, std::vector<DirEdge>&& arcs,
-                                  std::span<const graph::VertexId> labels,
-                                  CompactSortMode mode = CompactSortMode::kAuto);
+                            CompactScratch& scratch);
 
 }  // namespace smp::core::detail

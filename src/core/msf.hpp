@@ -6,7 +6,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/dir_edge.hpp"
 #include "core/error.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/msf_result.hpp"
@@ -179,8 +178,6 @@ struct MsfOptions {
   StepTimes* step_times = nullptr;
   std::vector<IterationStat>* iteration_stats = nullptr;
   PhaseStats* phase_stats = nullptr;
-  /// compact-graph sort dispatch (kAuto = packed-key radix when possible).
-  CompactSortMode compact_sort = CompactSortMode::kAuto;
   /// find-min scan dispatch (kAuto = packed-key SIMD path when possible).
   FindMinMode find_min = FindMinMode::kAuto;
   /// Optional execution budget (cancellation token, deadline, arena memory

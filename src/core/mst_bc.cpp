@@ -121,7 +121,7 @@ void solve_base_case(const BcGraph& g, std::vector<EdgeId>& out_ids) {
 /// source vertex whose key_offsets array is exactly the offsets array.
 void contract_rebuild_in_region(TeamCtx& ctx, BcGraph& cur,
                                 std::span<const VertexId> labels, VertexId next_n,
-                                CompactSortMode mode, RebuildScratch& s) {
+                                RebuildScratch& s) {
   if (ctx.tid() == 0) s.des.resize(cur.arcs.size());
   ctx.barrier();
   for_range(ctx, cur.n, [&](std::size_t v) {
@@ -131,7 +131,7 @@ void contract_rebuild_in_region(TeamCtx& ctx, BcGraph& cur,
     }
   });
   ctx.barrier();
-  detail::compact_arcs_in_region(ctx, s.des, labels, mode, s.compact);
+  detail::compact_arcs_in_region(ctx, s.des, labels, s.compact);
 
   const std::size_t f = s.des.size();
   if (ctx.tid() == 0) {
@@ -375,7 +375,7 @@ MsfResult mst_bc_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
       fault_point("mst-bc.compact.region");
       contract_rebuild_in_region(ctx, cur,
                                  std::span<const VertexId>(parent.data(), n),
-                                 next_n, opts.compact_sort, rebuild_scratch);
+                                 next_n, rebuild_scratch);
       if (ctx.tid() == 0) st.compact += t0.elapsed_s();
     });
 

@@ -7,8 +7,8 @@ namespace smp {
 
 /// What the process learned about its host at startup: thread counts (both
 /// what the hardware has and what the affinity mask actually grants — CI
-/// containers routinely differ), cache geometry, page size, and the SIMD
-/// kernel the dispatchers picked.  Detected once and cached; stamped into
+/// containers routinely differ), cache geometry, page size, and the varint
+/// bulk decoder's pick.  Detected once and cached; stamped into
 /// every bench JSON meta so committed baselines carry the host they were
 /// recorded on (BENCH_05/BENCH_09 were recorded 8-threads-oversubscribed on
 /// one hardware thread, which silently degenerated the scaling gates — the
@@ -21,7 +21,7 @@ struct MachineProfile {
   std::size_t l2_bytes = 0;
   std::size_t l3_bytes = 0;
   std::size_t page_bytes = 0;
-  const char* simd = "";  ///< simd_isa_name()
+  const char* simd = "";  ///< varint_bulk_isa_name(): "avx2" | "scalar"
 };
 
 /// The cached profile (probed on first call, thread-safe).
@@ -31,28 +31,5 @@ struct MachineProfile {
 /// {"hardware_threads":1,...,"simd":"avx2"} — spliced verbatim into bench
 /// meta blocks and stats dumps.
 [[nodiscard]] std::string machine_profile_json();
-
-/// What auto_calibrate() measured and (optionally) installed.
-struct CalibrationResult {
-  std::size_t parallel_for_cutoff = 0;
-  std::size_t sample_sort_cutoff = 0;
-  double elapsed_s = 0;  ///< wall time the calibration pass itself took
-  bool applied = false;  ///< cutoffs were installed via set_*()
-};
-
-/// Micro-calibration pass: measures where forking a team actually beats the
-/// inline loop and where sample sort beats std::sort ON THIS MACHINE, instead
-/// of trusting the compile-time defaults (which were tuned blind — see
-/// ROADMAP).  Costs well under a second; deterministic work items (seeded
-/// LCG), timing-dependent *thresholds*.  With `apply` the winning cutoffs are
-/// installed process-globally through pprim/tuning.hpp; forest results are
-/// unaffected by construction (cutoffs only pick execution strategies, never
-/// outputs — the bit-identity suite pins this).  On a 1-thread host the
-/// parallel cutoffs are pushed high so nothing ever pays fork overhead that
-/// cannot be repaid.
-CalibrationResult auto_calibrate(bool apply = true);
-
-/// The calibration result as a JSON object for bench meta.
-[[nodiscard]] std::string calibration_json(const CalibrationResult& r);
 
 }  // namespace smp

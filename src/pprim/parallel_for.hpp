@@ -13,7 +13,7 @@ namespace smp {
 /// block of [0, n).  `fn(i)` must be safe to run concurrently for distinct i.
 template <class Fn>
 void parallel_for(ThreadTeam& team, std::size_t n, Fn&& fn) {
-  if (team.size() == 1 || n < parallel_for_cutoff()) {
+  if (team.size() == 1 || n < kParallelForCutoff) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }

@@ -45,7 +45,7 @@ void sample_sort_in_region(TeamCtx& ctx, std::vector<T>& data,
                            SampleSortScratch<T>& s, Less less) {
   const std::size_t n = data.size();
   const int p = ctx.nthreads();
-  if (p == 1 || n < sample_sort_cutoff()) {
+  if (p == 1 || n < kSampleSortCutoff) {
     if (ctx.tid() == 0) std::sort(data.begin(), data.end(), less);
     if (p > 1) ctx.barrier();
     return;
@@ -125,7 +125,7 @@ void sample_sort_in_region(TeamCtx& ctx, std::vector<T>& data,
 /// variant instead (regions do not nest).
 template <class T, class Less>
 void sample_sort(ThreadTeam& team, std::vector<T>& data, Less less) {
-  if (team.size() == 1 || data.size() < sample_sort_cutoff()) {
+  if (team.size() == 1 || data.size() < kSampleSortCutoff) {
     std::sort(data.begin(), data.end(), less);
     return;
   }

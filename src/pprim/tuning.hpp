@@ -1,23 +1,19 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 
 namespace smp {
 
-/// Central home of the sequential-cutoff constants that used to be hard-coded
-/// in the primitives.  The values are process-global so every primitive (and
-/// every team) sees the same thresholds; calibration and the cutoff-ablation
-/// benches override them through ScopedTuning.
-///
-/// Changing a cutoff while a parallel region is executing is not supported:
-/// the primitives read these on every thread to pick the sequential-vs-
-/// parallel branch, and the branch must be uniform across the team.
+/// The primitives' sequential cutoffs and the find-min contention cutoffs,
+/// as compile-time constants.  Every thread of every team reads the same
+/// value, so the sequential-vs-parallel branch is uniform across a team, and
+/// no caller can change the tuning a running solve reads.  The cutoffs only
+/// pick execution strategies, never outputs.
 
 /// Below this many items, parallel_for runs inline on the calling thread.
-inline constexpr std::size_t kDefaultParallelForCutoff = 2048;
+inline constexpr std::size_t kParallelForCutoff = 2048;
 /// Below this many items, sample_sort degrades to a single std::sort.
-inline constexpr std::size_t kDefaultSampleSortCutoff = std::size_t{1} << 15;
+inline constexpr std::size_t kSampleSortCutoff = std::size_t{1} << 15;
 
 /// Find-min contention cutoffs (see core/find_min.hpp).  With at least this
 /// many threads AND at most kFindMinLocalBestCutoff supervertices, the
@@ -34,47 +30,5 @@ inline constexpr std::size_t kFindMinLocalBestCutoff = 4096;
 /// supervertex absorbed their neighbours, so static blocks load-imbalance;
 /// 64 vertices keeps the shared chunk counter's traffic negligible.
 inline constexpr std::size_t kFindMinPruneBlock = 64;
-
-namespace tuning_detail {
-inline std::atomic<std::size_t> g_parallel_for_cutoff{kDefaultParallelForCutoff};
-inline std::atomic<std::size_t> g_sample_sort_cutoff{kDefaultSampleSortCutoff};
-}  // namespace tuning_detail
-
-[[nodiscard]] inline std::size_t parallel_for_cutoff() {
-  return tuning_detail::g_parallel_for_cutoff.load(std::memory_order_relaxed);
-}
-[[nodiscard]] inline std::size_t sample_sort_cutoff() {
-  return tuning_detail::g_sample_sort_cutoff.load(std::memory_order_relaxed);
-}
-inline void set_parallel_for_cutoff(std::size_t n) {
-  tuning_detail::g_parallel_for_cutoff.store(n, std::memory_order_relaxed);
-}
-inline void set_sample_sort_cutoff(std::size_t n) {
-  tuning_detail::g_sample_sort_cutoff.store(n, std::memory_order_relaxed);
-}
-
-/// RAII override of the global cutoffs for calibration and cutoff-ablation
-/// runs.  A zero value means "keep the current setting"; the previous values
-/// are restored on destruction.  Solves never construct one: they only read
-/// the globals, so a solve cannot revert a calibration applied beside it.
-class ScopedTuning {
- public:
-  ScopedTuning(std::size_t pf_cutoff, std::size_t ss_cutoff)
-      : saved_pf_(parallel_for_cutoff()), saved_ss_(sample_sort_cutoff()) {
-    if (pf_cutoff != 0) set_parallel_for_cutoff(pf_cutoff);
-    if (ss_cutoff != 0) set_sample_sort_cutoff(ss_cutoff);
-  }
-  ~ScopedTuning() {
-    set_parallel_for_cutoff(saved_pf_);
-    set_sample_sort_cutoff(saved_ss_);
-  }
-
-  ScopedTuning(const ScopedTuning&) = delete;
-  ScopedTuning& operator=(const ScopedTuning&) = delete;
-
- private:
-  std::size_t saved_pf_;
-  std::size_t saved_ss_;
-};
 
 }  // namespace smp

@@ -1,7 +1,5 @@
 #include "pprim/varint.hpp"
 
-#include "pprim/simd.hpp"
-
 #if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
 #endif
@@ -87,7 +85,7 @@ namespace {
 
 bool bulk_use_avx2() {
 #if defined(__x86_64__) || defined(_M_X64)
-  static const bool ok = active_simd_isa() == SimdIsa::kAvx2 &&
+  static const bool ok = __builtin_cpu_supports("avx2") &&
                          __builtin_cpu_supports("bmi") &&
                          __builtin_cpu_supports("bmi2");
   return ok;
@@ -97,6 +95,10 @@ bool bulk_use_avx2() {
 }
 
 }  // namespace
+
+const char* varint_bulk_isa_name() {
+  return bulk_use_avx2() ? "avx2" : "scalar";
+}
 
 std::size_t varint_decode_bulk(const std::uint8_t* p, const std::uint8_t* end,
                                std::size_t count, std::uint32_t* out) {

@@ -86,7 +86,7 @@ inline bool varint_decode_u32_checked(const std::uint8_t* p,
 /// region (the encoded data itself ends earlier or exactly at `end`); the
 /// SIMD fast path needs the bound to know when wide loads are safe and
 /// falls back to the scalar loop near it.  Dispatches to AVX2+BMI2 when the
-/// CPU has both (see pprim/simd.hpp for the dispatch idiom).
+/// CPU has both, detected once per process.
 std::size_t varint_decode_bulk(const std::uint8_t* p, const std::uint8_t* end,
                                std::size_t count, std::uint32_t* out);
 
@@ -105,8 +105,11 @@ bool varint_decode_bulk_checked(const std::uint8_t* p, const std::uint8_t* end,
 bool varint_validate_region(const std::uint8_t* p, const std::uint8_t* end,
                             std::size_t count);
 
-/// Pinned-path variants exposed for the kernel unit tests, mirroring
-/// u64_argmin_scalar/_avx2.
+/// The path varint_decode_bulk dispatches to on this CPU: "avx2" or
+/// "scalar".  MachineProfile::simd reports it.
+[[nodiscard]] const char* varint_bulk_isa_name();
+
+/// Pinned-path variants exposed for the kernel unit tests.
 std::size_t varint_decode_bulk_scalar(const std::uint8_t* p,
                                       const std::uint8_t* end,
                                       std::size_t count, std::uint32_t* out);

@@ -6,7 +6,6 @@
 
 #include "core/find_min.hpp"
 #include "pprim/parallel_for.hpp"
-#include "pprim/simd.hpp"
 
 namespace smp::query {
 
@@ -107,13 +106,11 @@ std::vector<ForestIndex::TopkEdge> ForestIndex::top_k(
   std::vector<graph::VertexId> labels;
   if (lambda.has_value()) (void)cut(*lambda, &labels);
   const graph::VertexId* cl = labels.empty() ? nullptr : labels.data();
-  // Weight bits for live cluster-crossing edges, all-ones (loses every min)
-  // for the rest.
-  const auto key_of = [&](graph::EdgeId id) {
-    if (!view.is_live(id)) return core::kEmptyKey;
-    const graph::WEdge& e = view.edge(id);
-    if (cl != nullptr && cl[e.u] == cl[e.v]) return core::kEmptyKey;
-    return core::monotone_weight_bits(e.w);
+  // Only live cluster-crossing edges qualify.  Checked after the bound,
+  // which rejects almost every slot from its weight alone (a tombstoned
+  // slot keeps its edge, so reading it is safe).
+  const auto qualifies = [&](graph::EdgeId id, const graph::WEdge& e) {
+    return view.is_live(id) && (cl == nullptr || cl[e.u] != cl[e.v]);
   };
 
   const auto slots = static_cast<std::size_t>(view.size());
@@ -126,39 +123,23 @@ std::vector<ForestIndex::TopkEdge> ForestIndex::top_k(
   team.run([&](TeamCtx& ctx) {
     auto& heap = heaps[static_cast<std::size_t>(ctx.tid())];
     heap.reserve(k);
-    std::vector<std::uint64_t> keys(block);
-    const auto consider = [&](Cand c) {
-      if (heap.size() < k) {
-        heap.push_back(c);
-        std::push_heap(heap.begin(), heap.end());
-      } else if (c < heap.front()) {
-        std::pop_heap(heap.begin(), heap.end());
-        heap.back() = c;
-        std::push_heap(heap.begin(), heap.end());
-      }
-    };
+    // The heap top once the heap holds k candidates; until then it admits
+    // every finite weight (none maps to all-ones).
+    Cand bound{core::kEmptyKey, 0};
     for_range_dynamic(ctx, cursor, num_blocks, 4, [&](std::size_t b) {
-      const std::size_t lo = b * block;
-      const std::size_t hi = std::min(lo + block, slots);
-      const std::size_t bn = hi - lo;
-      for (std::size_t i = 0; i < bn; ++i) keys[i] = key_of(lo + i);
-      // SIMD skim: repeatedly pull the block's argmin; once it cannot beat
-      // the heap's bound the whole remainder of the block is out.
-      for (;;) {
-        const std::size_t a = u64_argmin(keys.data(), bn);
-        const std::uint64_t bits = keys[a];
-        if (bits == core::kEmptyKey) break;
-        const graph::EdgeId id = lo + a;
+      const std::size_t hi = std::min((b + 1) * block, slots);
+      for (std::size_t id = b * block; id < hi; ++id) {
+        const graph::WEdge& e = view.edge(id);
+        const Cand c{core::monotone_weight_bits(e.w), id};
+        if (!(c < bound) || !qualifies(id, e)) continue;
         if (heap.size() == k) {
-          const Cand& worst = heap.front();
-          if (bits > worst.bits) break;
-          if (bits == worst.bits && id > worst.id) {
-            keys[a] = core::kEmptyKey;
-            continue;
-          }
+          std::pop_heap(heap.begin(), heap.end());
+          heap.back() = c;
+        } else {
+          heap.push_back(c);
         }
-        consider(Cand{bits, id});
-        keys[a] = core::kEmptyKey;
+        std::push_heap(heap.begin(), heap.end());
+        if (heap.size() == k) bound = heap.front();
       }
     });
   });

@@ -114,10 +114,10 @@ class ForestIndex final {
   /// ascending ⟨weight, store-id⟩ order.  With `lambda` the clusters are
   /// cut(*lambda); without, every vertex is its own cluster, i.e. the k
   /// lightest live edges overall.  A view is immutable, so this needs no
-  /// lock: the MVCC read path scans its epoch's view directly.  Scans in
-  /// blocks, skimming each block with the u64_argmin SIMD kernel over
-  /// monotone weight bits so only candidates that beat the current k-th
-  /// bound are examined individually.
+  /// lock: the MVCC read path scans its epoch's view directly.  One pass
+  /// over the slots in dynamically scheduled blocks: each thread keys a slot
+  /// by its monotone weight bits, drops it unless it beats the thread's
+  /// cached k-th bound, and otherwise pushes it into its bounded heap.
   [[nodiscard]] std::vector<TopkEdge> top_k(
       ThreadTeam& team, const dynamic::StoreView& view, std::size_t k,
       std::optional<graph::Weight> lambda) const;

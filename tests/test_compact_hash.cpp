@@ -164,8 +164,7 @@ TEST(DeferredCompact, CompactScratchReleaseIsObservable) {
   core::detail::CompactScratch scratch;
   auto work = arcs;
   team.run([&](TeamCtx& ctx) {
-    core::detail::compact_arcs_in_region(ctx, work, labels,
-                                         core::CompactSortMode::kRadix, scratch);
+    core::detail::compact_arcs_in_region(ctx, work, labels, scratch);
   });
   const std::size_t peak = scratch.footprint_bytes();
   ASSERT_GT(peak, 0u);

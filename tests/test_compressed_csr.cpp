@@ -18,7 +18,6 @@
 #include "graph/compressed_csr.hpp"
 #include "graph/generators.hpp"
 #include "pprim/machine.hpp"
-#include "pprim/tuning.hpp"
 #include "pprim/varint.hpp"
 #include "test_util.hpp"
 
@@ -329,7 +328,7 @@ TEST(CompressedSolve, ScanModeFallsBackToEagerDecodeIdentically) {
 }
 
 // ---------------------------------------------------------------------------
-// Machine probing and auto-calibration.
+// Machine probing.
 
 TEST(Machine, ProfileIsSaneAndCached) {
   const MachineProfile& p = machine_profile();
@@ -338,47 +337,11 @@ TEST(Machine, ProfileIsSaneAndCached) {
   EXPECT_LE(p.available_threads, p.hardware_threads);
   EXPECT_GE(p.cache_line_bytes, 16u);
   EXPECT_GE(p.page_bytes, 512u);
-  EXPECT_NE(p.simd, nullptr);
+  EXPECT_STREQ(p.simd, varint_bulk_isa_name());  // the one ISA check
   EXPECT_EQ(&p, &machine_profile());  // cached, same object
   const std::string j = machine_profile_json();
   EXPECT_NE(j.find("\"hardware_threads\""), std::string::npos);
   EXPECT_NE(j.find("\"simd\""), std::string::npos);
-}
-
-TEST(Machine, CalibrateWithoutApplyLeavesGlobalsAlone) {
-  const std::size_t pf = parallel_for_cutoff();
-  const std::size_t ss = sample_sort_cutoff();
-  const CalibrationResult cal = auto_calibrate(/*apply=*/false);
-  EXPECT_FALSE(cal.applied);
-  EXPECT_GT(cal.parallel_for_cutoff, 0u);
-  EXPECT_GT(cal.sample_sort_cutoff, 0u);
-  EXPECT_EQ(parallel_for_cutoff(), pf);
-  EXPECT_EQ(sample_sort_cutoff(), ss);
-  const std::string j = calibration_json(cal);
-  EXPECT_NE(j.find("\"parallel_for_cutoff\""), std::string::npos);
-  EXPECT_NE(j.find("\"applied\": false"), std::string::npos);
-}
-
-TEST(Machine, CalibratedCutoffsNeverChangeTheForest) {
-  // Cutoffs pick execution strategies, never outputs: solve under the
-  // calibrated values and under the compile-time defaults, compare exactly.
-  const EdgeList g = random_graph(1500, 9000, 33);
-  const CalibrationResult cal = auto_calibrate(/*apply=*/false);
-  core::MsfOptions opts;
-  opts.algorithm = core::Algorithm::kChampion;
-  opts.threads = 4;
-  MsfResult def, calr;
-  {
-    ScopedTuning st(kDefaultParallelForCutoff, kDefaultSampleSortCutoff);
-    def = core::minimum_spanning_forest(g, opts);
-  }
-  {
-    ScopedTuning st(cal.parallel_for_cutoff, cal.sample_sort_cutoff);
-    calr = core::minimum_spanning_forest(g, opts);
-  }
-  EXPECT_EQ(test::sorted_ids(def), test::sorted_ids(calr));
-  EXPECT_EQ(def.total_weight, calr.total_weight);
-  EXPECT_EQ(def.num_trees, calr.num_trees);
 }
 
 }  // namespace

@@ -2,14 +2,10 @@
 // the hooks behind Table 1 and Fig. 2.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <string>
-#include <thread>
 
 #include "core/msf.hpp"
 #include "graph/generators.hpp"
-#include "pprim/tuning.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -182,80 +178,6 @@ TEST(PhaseStats, MstBcRoundsStayWithinRegionBudget) {
   (void)core::minimum_spanning_forest(g, opts);
   ASSERT_GT(ps.iterations, 0u);
   EXPECT_LE(ps.regions_per_iteration(), 4.0);
-}
-
-TEST(CompactSortMode, RadixSampleAndHashProduceIdenticalForests) {
-  // The packed-key radix path and the comparator sample path must yield the
-  // same deduplicated graph, hence the same forest, on every algorithm that
-  // compacts arcs.
-  const EdgeList g = random_graph(4000, 16000, 23);
-  for (const auto alg : {core::Algorithm::kBorEL, core::Algorithm::kMstBC,
-                         core::Algorithm::kChampion}) {
-    core::MsfOptions opts;
-    opts.algorithm = alg;
-    opts.threads = 4;
-    opts.compact_sort = core::CompactSortMode::kRadix;
-    const auto radix = core::minimum_spanning_forest(g, opts);
-    opts.compact_sort = core::CompactSortMode::kSample;
-    const auto sample = core::minimum_spanning_forest(g, opts);
-    EXPECT_EQ(test::sorted_ids(radix), test::sorted_ids(sample))
-        << core::to_string(alg);
-    EXPECT_DOUBLE_EQ(radix.total_weight, sample.total_weight)
-        << core::to_string(alg);
-  }
-}
-
-TEST(TuningOverrides, PerCallCutoffsRestoreGlobals) {
-  const std::size_t pf_before = parallel_for_cutoff();
-  const std::size_t ss_before = sample_sort_cutoff();
-  const EdgeList g = random_graph(2000, 8000, 24);
-  core::MsfOptions opts;
-  opts.algorithm = core::Algorithm::kBorEL;
-  opts.threads = 4;
-  graph::MsfResult tuned;
-  {
-    ScopedTuning low(64, 1024);
-    EXPECT_EQ(parallel_for_cutoff(), 64u);
-    EXPECT_EQ(sample_sort_cutoff(), 1024u);
-    tuned = core::minimum_spanning_forest(g, opts);
-  }
-  // Cutoffs only steer parallel/sequential dispatch, never the result…
-  const auto ref = core::minimum_spanning_forest(g, opts);
-  EXPECT_EQ(test::sorted_ids(tuned), test::sorted_ids(ref));
-  // …and the scoped override restores the process-wide values on exit.
-  EXPECT_EQ(parallel_for_cutoff(), pf_before);
-  EXPECT_EQ(sample_sort_cutoff(), ss_before);
-}
-
-TEST(TuningOverrides, SolveLeavesConcurrentTuningInPlace) {
-  // A solve only reads the global cutoffs.  A cutoff set by another thread
-  // while the solve runs (as auto_calibrate(true) does) must still be in
-  // place after the solve returns.
-  const std::size_t pf_before = parallel_for_cutoff();
-  const EdgeList g = random_graph(1u << 17, 1u << 20, 25);
-  int overlapped = 0;
-  for (int trial = 0; trial < 3; ++trial) {
-    std::atomic<bool> started{false};
-    std::atomic<bool> done{false};
-    std::thread solver([&] {
-      core::MsfOptions opts;
-      opts.threads = 2;
-      started.store(true);
-      (void)core::minimum_spanning_forest(g, opts);
-      done.store(true);
-    });
-    while (!started.load()) std::this_thread::yield();
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    const bool mid_solve = !done.load();
-    const std::size_t set = 777 + static_cast<std::size_t>(trial);
-    set_parallel_for_cutoff(set);
-    solver.join();
-    EXPECT_EQ(parallel_for_cutoff(), set) << "trial " << trial;
-    if (mid_solve) ++overlapped;
-  }
-  set_parallel_for_cutoff(pf_before);
-  // The check means something only if some set landed during a solve.
-  EXPECT_GT(overlapped, 0);
 }
 
 TEST(AlgorithmNames, AllDistinct) {

@@ -1,7 +1,6 @@
 // The shared find-min layer: packed ⟨weight-rank, arc⟩ keys, Bor-FAL's
-// per-vertex cursors over rank-sorted slices, the contention-aware
-// local-best reduction, and the runtime-dispatched SIMD min-scan kernel
-// (pprim/simd.hpp).
+// per-vertex cursors over rank-sorted slices, and the contention-aware
+// local-best reduction.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,7 +13,6 @@
 #include "graph/flex_adj_list.hpp"
 #include "graph/generators.hpp"
 #include "pprim/fault.hpp"
-#include "pprim/simd.hpp"
 #include "pprim/thread_team.hpp"
 #include "test_util.hpp"
 
@@ -265,115 +263,6 @@ TEST(FindMin, WeightRanksAgreeWithWeightOrder) {
       EXPECT_EQ(oi < oj, rank[i] < rank[j]) << i << " vs " << j;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// SIMD kernel: all paths return the identical lowest-index argmin.
-
-std::size_t reference_argmin(const std::vector<std::uint64_t>& v) {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    if (v[i] < v[best]) best = i;
-  }
-  return best;
-}
-
-void check_all_paths(const std::vector<std::uint64_t>& v) {
-  const std::size_t want = reference_argmin(v);
-  EXPECT_EQ(u64_argmin_scalar(v.data(), v.size()), want);
-  EXPECT_EQ(u64_argmin(v.data(), v.size()), want);
-#if defined(__x86_64__) || defined(_M_X64)
-  if (active_simd_isa() == SimdIsa::kAvx2) {
-    EXPECT_EQ(u64_argmin_avx2(v.data(), v.size()), want);
-  }
-#endif
-#if defined(__aarch64__)
-  EXPECT_EQ(u64_argmin_neon(v.data(), v.size()), want);
-#endif
-}
-
-TEST(SimdKernel, ExhaustiveSmallArrays) {
-  // Every array of length ≤ 5 over a 3-value alphabet (ties everywhere).
-  const std::uint64_t alphabet[] = {1u, 2u, ~std::uint64_t{0}};
-  for (std::size_t n = 1; n <= 5; ++n) {
-    std::vector<std::size_t> digits(n, 0);
-    for (;;) {
-      std::vector<std::uint64_t> v(n);
-      for (std::size_t i = 0; i < n; ++i) v[i] = alphabet[digits[i]];
-      check_all_paths(v);
-      std::size_t d = 0;
-      while (d < n && ++digits[d] == std::size(alphabet)) digits[d++] = 0;
-      if (d == n) break;
-    }
-  }
-}
-
-TEST(SimdKernel, BoundaryLengthsAndTailMinima) {
-  // Lengths straddling the vector width and the internal scalar cutoff;
-  // plant the unique minimum at every position including the tail.
-  for (const std::size_t n :
-       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
-        std::size_t{7}, std::size_t{8}, std::size_t{15}, std::size_t{16},
-        std::size_t{17}, std::size_t{31}, std::size_t{32}, std::size_t{33},
-        std::size_t{63}, std::size_t{64}, std::size_t{65}}) {
-    for (std::size_t pos = 0; pos < n; ++pos) {
-      std::vector<std::uint64_t> v(n, 500u);
-      v[pos] = 7u;
-      const std::size_t got = u64_argmin(v.data(), n);
-      EXPECT_EQ(got, pos) << "n=" << n;
-      check_all_paths(v);
-    }
-  }
-}
-
-TEST(SimdKernel, AllEqualKeysTieToLowestIndex) {
-  for (const std::size_t n : {std::size_t{1}, std::size_t{16}, std::size_t{37},
-                              std::size_t{128}}) {
-    const std::vector<std::uint64_t> same(n, 42u);
-    EXPECT_EQ(u64_argmin(same.data(), n), 0u);
-    const std::vector<std::uint64_t> empty_keys(n, core::kEmptyKey);
-    EXPECT_EQ(u64_argmin(empty_keys.data(), n), 0u);
-    check_all_paths(same);
-    check_all_paths(empty_keys);
-  }
-}
-
-TEST(SimdKernel, SignBitBoundaryAndRandomFuzz) {
-  // Keys straddling 2^63 catch a broken unsigned-compare emulation (AVX2
-  // only has signed 64-bit compares).  NaN-free by construction: keys are
-  // integer ranks, never raw double bits — so no NaN ordering caveats apply.
-  std::mt19937_64 rng(1234);
-  const std::uint64_t interesting[] = {
-      0u, 1u, 0x7fffffffffffffffu, 0x8000000000000000u, ~std::uint64_t{0}};
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t n = 1 + rng() % 97;
-    std::vector<std::uint64_t> v(n);
-    for (auto& x : v) {
-      x = (rng() % 3 == 0) ? interesting[rng() % std::size(interesting)]
-                           : rng();
-    }
-    check_all_paths(v);
-  }
-}
-
-TEST(SimdKernel, IsaNameMatchesActiveIsa) {
-  const char* name = simd_isa_name();
-  switch (active_simd_isa()) {
-    case SimdIsa::kAvx2:
-      EXPECT_STREQ(name, "avx2");
-      break;
-    case SimdIsa::kNeon:
-      EXPECT_STREQ(name, "neon");
-      break;
-    case SimdIsa::kScalar:
-      EXPECT_STREQ(name, "scalar");
-      break;
-  }
-#if defined(__x86_64__) || defined(_M_X64)
-  if (__builtin_cpu_supports("avx2")) {
-    EXPECT_EQ(active_simd_isa(), SimdIsa::kAvx2);
-  }
-#endif
 }
 
 }  // namespace

@@ -141,7 +141,7 @@ class SampleSortAdversarialTest
 
 TEST_P(SampleSortAdversarialTest, InRegionMatchesStdSort) {
   const auto [threads, dist] = GetParam();
-  constexpr std::size_t kN = 40000;  // > kDefaultSampleSortCutoff (1 << 15)
+  constexpr std::size_t kN = 40000;  // > kSampleSortCutoff (1 << 15)
   ThreadTeam team(threads);
   SampleSortScratch<std::uint64_t> scratch;
   for (int rep = 0; rep < 2; ++rep) {  // second rep reuses grown scratch

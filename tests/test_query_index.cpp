@@ -403,6 +403,56 @@ TEST(QueryIndex, TopkMatchesNaiveSort) {
   for (std::size_t i = 0; i < top.size(); ++i) {
     EXPECT_EQ(top[i].id, crossing[i]) << "i=" << i;
   }
+
+  // A second store spanning many 1024-slot scan blocks.  Weights come in
+  // runs of 300 consecutive store ids over 11 values, so equal-weight runs
+  // straddle block boundaries and the <weight, store id> tie-break decides
+  // which of them make the cut.
+  EdgeList big = random_graph(1500, 6000, 78);
+  for (EdgeId id = 0; id < big.edges.size(); ++id) {
+    big.edges[id].w = static_cast<double>((id / 300 * 7) % 11) / 10;
+  }
+  dynamic::DynamicMsf bd(big, dyn_opts(team, 1));
+  std::vector<EdgeId> big_dels;
+  for (EdgeId id = 5; id < big.edges.size(); id += 7) big_dels.push_back(id);
+  bd.apply_batch({}, big_dels);
+  ASSERT_GE(bd.store().size(), 5u * 1024);
+  const query::ForestIndex big_idx(
+      team, bd.store(), std::span<const EdgeId>(bd.forest_edge_ids()), 2);
+  std::vector<EdgeId> big_live;
+  for (EdgeId id = 0; id < bd.store().size(); ++id) {
+    if (bd.store().is_live(id)) big_live.push_back(id);
+  }
+  std::stable_sort(big_live.begin(), big_live.end(), [&](EdgeId a, EdgeId b) {
+    return bd.store().edge(a).w < bd.store().edge(b).w;
+  });
+  const double big_lambda = 0.35;
+  std::vector<VertexId> big_labels;
+  (void)big_idx.cut(big_lambda, &big_labels);
+  std::vector<EdgeId> big_crossing;
+  for (const EdgeId id : big_live) {
+    const WEdge& e = bd.store().edge(id);
+    if (big_labels[e.u] != big_labels[e.v]) big_crossing.push_back(id);
+  }
+  ASSERT_GT(big_crossing.size(), 1025u);
+  for (const int p : {1, 4}) {
+    ThreadTeam scan_team(p);
+    for (const std::size_t k : {std::size_t{1}, std::size_t{1023},
+                                std::size_t{1025}, big_live.size() + 50}) {
+      for (const bool cut : {false, true}) {
+        const std::vector<EdgeId>& want = cut ? big_crossing : big_live;
+        const auto got = big_idx.top_k(
+            scan_team, bd.store(), k,
+            cut ? std::optional<Weight>(big_lambda) : std::nullopt);
+        ASSERT_EQ(got.size(), std::min(k, want.size()))
+            << "p=" << p << " k=" << k << " cut=" << cut;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i].id, want[i])
+              << "p=" << p << " k=" << k << " cut=" << cut << " i=" << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(QueryIndex, LabelsDigestIsOrderSensitive) {

@@ -50,9 +50,6 @@ scale family (baseline has scale_storage / scale_solve records — BENCH_10):
   * Compressed-path solve exceeds uncompressed * (1 + --scale-tolerance)
     (default 25%) plus an absolute slack, compared within the current run so
     CI speed cancels out.
-  * Auto-calibrated cutoffs make Champion more than --calibration-tolerance
-    (default 5%) slower than the compile-time defaults, within the current
-    run: calibration must never regress.
   * A compressed_identity check record is missing or not identical.
 
 Independently of the gate families, the baseline's recorded MachineProfile
@@ -140,11 +137,6 @@ def compressed_solve_rows(doc):
             if r.get("tag") == "scale_solve"}
 
 
-def tuning_rows(doc):
-    return {r["m"]: r for r in doc.get("records", [])
-            if r.get("tag") == "scale_tuning"}
-
-
 def machine_of(doc):
     return doc.get("meta", {}).get("machine", {})
 
@@ -224,18 +216,6 @@ def gate_scale(base_doc, cur_doc, args, failures):
             failures.append(
                 f"scale_solve m={m} p={p}: compressed and uncompressed "
                 "forests differ")
-
-    # Calibration gate: auto-tuned cutoffs must never lose to the defaults.
-    for m, c in sorted(tuning_rows(cur_doc).items()):
-        limit = c["default_s"] * (1.0 + args.calibration_tolerance) + SCALE_ABS_SLACK_S
-        verdict = "OK" if c["calibrated_s"] <= limit else "REGRESSED"
-        print(f"  tuning m={m}: calibrated {c['calibrated_s']:.4f}s vs "
-              f"default {c['default_s']:.4f}s (limit {limit:.4f}s) {verdict}")
-        if c["calibrated_s"] > limit:
-            failures.append(
-                f"scale_tuning m={m}: calibrated cutoffs make Champion "
-                f"{c['calibrated_s']:.4f}s vs {c['default_s']:.4f}s default "
-                f"(> {args.calibration_tolerance:.0%} regression)")
 
     idents = identity_rows(cur_doc, "compressed_identity")
     if not idents:
@@ -448,8 +428,6 @@ def main():
                     help="cap on compressed-CSR structure bytes/edge at d=10")
     ap.add_argument("--scale-tolerance", type=float, default=0.25,
                     help="how far the compressed solve may trail uncompressed")
-    ap.add_argument("--calibration-tolerance", type=float, default=0.05,
-                    help="allowed Champion slowdown under calibrated cutoffs")
     args = ap.parse_args()
 
     base_doc = load(args.baseline)

@@ -1,6 +1,6 @@
 # End-to-end test of the smpmsf CLI: generate → info → convert → solve →
 # solve --validate, checking exit codes and key output; then the server's
-# --alg parsing.
+# flag parsing.
 file(MAKE_DIRECTORY ${WORK})
 
 function(run_cli expect_rc out_var)
@@ -110,7 +110,16 @@ if(pos EQUAL -1)
 endif()
 run_cli(2 out solve --threads 4x ${WORK}/g.gr)
 run_cli(2 out gen --type random --n 1e3 --m 3000 -o ${WORK}/bad.gr)
-run_cli(3 out solve --compact-sort hash ${WORK}/g.gr)
+# Removed flags: --compact-sort (the compact always runs the packed radix
+# sort) and --auto-tune (the cutoffs are compile-time constants).
+foreach(removed "--compact-sort;radix" "--auto-tune")
+  run_cli(2 out solve ${removed} ${WORK}/g.gr)
+  list(GET removed 0 flag)
+  string(FIND "${cli_err}" "unknown flag ${flag}" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "removed flag ${flag} not named in the usage error: ${cli_err}")
+  endif()
+endforeach()
 
 # The server parses --alg through the same table as the CLI.  Parsing stops
 # at the first bad argument, so `--alg champion --listen bogus:` reaching
@@ -125,5 +134,20 @@ foreach(removed sample-filter par-kruskal)
                   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
   if(NOT rc EQUAL 3 OR NOT err MATCHES "unknown algorithm '${removed}' \\(valid: ")
     message(FATAL_ERROR "server --alg ${removed} exited ${rc}: ${err}")
+  endif()
+endforeach()
+execute_process(COMMAND ${SERVER} --auto-tune
+                OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown flag --auto-tune")
+  message(FATAL_ERROR "server --auto-tune exited ${rc}: ${err}")
+endif()
+# The server's numeric flags parse in full: a trailing "x", a word, or a
+# negative count for an unsigned flag is a usage error naming the flag.
+foreach(bad "--threads;4x" "--shards;banana" "--queue-cap;-1")
+  list(GET bad 0 flag)
+  execute_process(COMMAND ${SERVER} ${bad} --listen bogus:1
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "malformed number for ${flag}")
+    message(FATAL_ERROR "server ${bad} exited ${rc}: ${err}")
   endif()
 endforeach()

@@ -1,0 +1,28 @@
+#pragma once
+
+// Strict parsing of the tools' numeric flag values.
+
+#include <charconv>
+#include <cmath>
+#include <optional>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
+
+namespace smp::tools {
+
+/// The whole of `v` parsed as a decimal T, or nullopt: "", "4x", "banana",
+/// "1e3" (for an integral T), "-1" (for an unsigned T), an out-of-range
+/// value and a non-finite double never parse as a prefix or wrap around.
+template <class T>
+[[nodiscard]] std::optional<T> parse_number(std::string_view v) {
+  T x{};
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, x);
+  bool ok = ec == std::errc{} && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(x);
+  if (!ok) return std::nullopt;
+  return x;
+}
+
+}  // namespace smp::tools

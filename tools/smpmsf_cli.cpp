@@ -6,7 +6,6 @@
 //   smpmsf solve [--alg A] [--threads P] [--seed S] [--timeout SECS]
 //                [--mem-cap BYTES] [--no-fallback] [--validate] [--steps]
 //                [--stats-json FILE] [--find-min auto|scan|simd]
-//                [--compact-sort auto|radix|sample]
 //                [--mode static|dynamic] [--batch-size N] [--update-trace FILE]
 //                FILE
 //   smpmsf cc [--threads P] FILE
@@ -33,7 +32,6 @@
 // smp::ErrorCode class — 3 invalid input, 4 cancelled, 5 deadline exceeded,
 // 6 out of memory.
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,7 +44,6 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <type_traits>
 #include <unordered_set>
 
 #include "core/connected_components.hpp"
@@ -64,8 +61,9 @@
 #include "graph/validate.hpp"
 #include "pprim/build_info.hpp"
 #include "pprim/machine.hpp"
-#include "pprim/simd.hpp"
 #include "pprim/timer.hpp"
+
+#include "parse_number.hpp"
 
 namespace {
 
@@ -83,11 +81,10 @@ using namespace smp::graph;
                " [--timeout SECS] [--mem-cap BYTES] [--no-fallback]"
                " [--validate] [--steps] [--stats-json FILE]\n"
                "               [--find-min auto|scan|simd]"
-               " [--compact-sort auto|radix|sample]"
                " [--mode static|dynamic] [--batch-size N]"
                " [--update-trace FILE]\n"
                "               [--graph-format auto|edges|compressed]"
-               " [--auto-tune] FILE\n"
+               " FILE\n"
                "  smpmsf cc [--threads P] FILE\n"
                "formats by extension: .smpg binary, .smpz compressed csr,"
                " else DIMACS text\n"
@@ -116,15 +113,6 @@ core::FindMinMode parse_find_min(const std::string& s) {
   if (s == "simd") return core::FindMinMode::kSimd;
   throw smp::Error(smp::ErrorCode::kInvalidInput,
                    "unknown find-min mode '" + s + "' (valid: auto scan simd)");
-}
-
-core::CompactSortMode parse_compact_sort(const std::string& s) {
-  if (s == "auto") return core::CompactSortMode::kAuto;
-  if (s == "radix") return core::CompactSortMode::kRadix;
-  if (s == "sample") return core::CompactSortMode::kSample;
-  throw smp::Error(
-      smp::ErrorCode::kInvalidInput,
-      "unknown compact-sort mode '" + s + "' (valid: auto radix sample)");
 }
 
 bool ends_with(const std::string& s, const char* suffix) {
@@ -169,19 +157,14 @@ struct Flags {
     }
     return false;
   }
-  /// The whole value of `key` parsed as a decimal T, or a usage error: "",
-  /// "-1" (for an unsigned T), "4x", "1e3" and "banana" never parse as a
-  /// prefix or wrap around.
+  /// The whole value of `key` parsed as a decimal T (tools::parse_number),
+  /// or a usage error naming `key`.
   template <class T>
   [[nodiscard]] std::optional<T> parsed(const char* key) const {
     const auto v = get(key);
     if (!v) return std::nullopt;
-    T x{};
-    const char* end = v->data() + v->size();
-    const auto [ptr, ec] = std::from_chars(v->data(), end, x);
-    bool ok = ec == std::errc{} && ptr == end;
-    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(x);
-    if (!ok) {
+    const std::optional<T> x = tools::parse_number<T>(*v);
+    if (!x) {
       usage(("malformed number for " + std::string(key) + ": '" + *v + "'")
                 .c_str());
     }
@@ -200,8 +183,7 @@ struct Flags {
 Flags parse(int argc, char** argv, int from,
             std::initializer_list<std::string_view> accepted) {
   Flags f;
-  static const char* kSwitches[] = {"--validate", "--steps", "--no-fallback",
-                                    "--auto-tune"};
+  static const char* kSwitches[] = {"--validate", "--steps", "--no-fallback"};
   const auto check = [&](const std::string& key) {
     if (std::find(accepted.begin(), accepted.end(), key) == accepted.end()) {
       usage(("unknown flag " + key + " for " + argv[from - 1]).c_str());
@@ -459,17 +441,17 @@ void write_stats_json(const std::string& path, const std::string& alg,
                 (hw != 0 && opts.threads > static_cast<int>(hw)) ? "true"
                                                                  : "false");
   os << buf;
-  // Find-min kernel facts: the mode as requested and as resolved (a forced
-  // "simd" silently degrades to "scan" when the graph is not packable), the
-  // SIMD ISA the dispatcher picked, and how many arcs live-arc pruning
-  // retired (0 in scan mode or for algorithms without pruning).
+  // Find-min facts: the mode as requested and as resolved (a forced "simd"
+  // silently degrades to "scan" when the graph is not packable), and how
+  // many arcs live-arc pruning retired (0 in scan mode or for algorithms
+  // without pruning).
   const core::FindMinMode resolved =
       core::resolve_find_min_mode(opts.find_min, num_edges);
   std::snprintf(buf, sizeof buf,
                 ", \"find_min\": {\"mode\": \"%s\", \"resolved\": \"%s\""
-                ", \"kernel\": \"%s\", \"pruned_arcs\": %llu}",
+                ", \"pruned_arcs\": %llu}",
                 std::string(core::to_string(opts.find_min)).c_str(),
-                std::string(core::to_string(resolved)).c_str(), simd_isa_name(),
+                std::string(core::to_string(resolved)).c_str(),
                 static_cast<unsigned long long>(steps.pruned_arcs));
   os << buf;
   std::snprintf(buf, sizeof buf,
@@ -538,16 +520,6 @@ int cmd_solve(const Flags& f) {
   opts.threads = threads;
   opts.seed = seed;
   opts.find_min = parse_find_min(f.get("--find-min").value_or("auto"));
-  opts.compact_sort = parse_compact_sort(f.get("--compact-sort").value_or("auto"));
-
-  // --auto-tune: measure this machine's crossover points and install them as
-  // the process-global cutoffs before solving (see pprim/machine.hpp).
-  if (f.has("--auto-tune")) {
-    const auto cal = smp::auto_calibrate();
-    std::printf(
-        "auto-tune: parallel-for cutoff %zu, sample-sort cutoff %zu (%.3fs)\n",
-        cal.parallel_for_cutoff, cal.sample_sort_cutoff, cal.elapsed_s);
-  }
 
   // Asking for more threads than the machine has is legal (the paper's
   // oversubscription runs do exactly that) but silently skews timings, so
@@ -671,8 +643,8 @@ int main(int argc, char** argv) {
           argc, argv, 2,
           {"--alg", "--threads", "--seed", "--timeout", "--mem-cap",
            "--no-fallback", "--validate", "--steps", "--stats-json",
-           "--find-min", "--compact-sort", "--mode", "--batch-size",
-           "--update-trace", "--graph-format", "--auto-tune"}));
+           "--find-min", "--mode", "--batch-size", "--update-trace",
+           "--graph-format"}));
     }
     if (cmd == "cc") return cmd_cc(parse(argc, argv, 2, {"--threads"}));
     usage(("unknown command " + cmd).c_str());

@@ -11,15 +11,13 @@
 //                 [--data-dir DIR] [--fsync always|interval|none]
 //                 [--fsync-interval MS] [--snapshot-every RECORDS]
 //                 [--snapshot-retain N] [--crash-at SITE[:SKIP]]
-//                 [--preload NAME=PATH]... [--auto-tune]
+//                 [--preload NAME=PATH]...
 //
 // --preload opens session NAME from PATH before any listener starts (the
 // server exits 3 if the open fails), so clients never observe the initial
 // solve of a big graph.  A .slab PATH is adopted as the session store's
 // mmap base layer (see dynamic/edge_slab.hpp) — the billion-edge path;
-// .smpg and DIMACS load like the open verb.  --auto-tune runs the
-// machine-calibration pass (pprim/machine.hpp) once at startup and installs
-// the measured cutoffs for every solve the server runs.
+// .smpg and DIMACS load like the open verb.
 //
 // Each --listen SPEC is `uds:PATH` or `tcp:PORT` (tcp:0 picks an ephemeral
 // port, printed on startup); `--socket PATH` is shorthand for
@@ -38,7 +36,8 @@
 // Runs in the foreground until SIGINT/SIGTERM or a client sends the
 // `shutdown` verb on either transport; either way it drains admitted
 // requests, disconnects clients, unlinks the socket and exits 0.  Exit
-// codes otherwise match the CLI: 2 usage, 3 invalid input.
+// codes otherwise match the CLI: 2 usage (an unknown flag, or a numeric
+// value that does not parse in full), 3 invalid input.
 #include <pthread.h>
 #include <signal.h>
 
@@ -57,9 +56,10 @@
 #include "net/tcp_server.hpp"
 #include "persist/wal.hpp"
 #include "pprim/fault.hpp"
-#include "pprim/machine.hpp"
 #include "serve/request.hpp"
 #include "serve/service_core.hpp"
+
+#include "parse_number.hpp"
 
 namespace {
 
@@ -80,10 +80,18 @@ using namespace smp;
                " [--fsync always|interval|none] [--fsync-interval MS]\n"
                "                     [--snapshot-every RECORDS]"
                " [--snapshot-retain N] [--crash-at SITE[:SKIP]]\n"
-               "                     [--preload NAME=PATH]... [--auto-tune]\n"
+               "                     [--preload NAME=PATH]...\n"
                "  SPEC: uds:PATH | tcp:PORT (tcp:0 = ephemeral)\n"
                "  PATH: .slab (mmap store base) | .smpg | DIMACS text\n");
   std::exit(2);
+}
+
+/// `v` parsed in full as a decimal T, or a usage error naming `flag`.
+template <class T>
+T number(const std::string& flag, const std::string& v) {
+  const std::optional<T> x = tools::parse_number<T>(v);
+  if (!x) usage(("malformed number for " + flag + ": '" + v + "'").c_str());
+  return *x;
 }
 
 struct Listeners {
@@ -105,11 +113,8 @@ void parse_listen(const std::string& arg, Listeners& out) {
       if (out.uds_path.empty()) usage("uds: spec needs a path");
     } else if (spec.rfind("tcp:", 0) == 0) {
       if (out.tcp_port.has_value()) usage("duplicate tcp: listen spec");
-      const long port = std::strtol(spec.c_str() + 4, nullptr, 10);
-      if (spec.size() == 4 || port < 0 || port > 65535) {
-        usage(("bad tcp port in '" + spec + "'").c_str());
-      }
-      out.tcp_port = static_cast<std::uint16_t>(port);
+      out.tcp_port = tools::parse_number<std::uint16_t>(spec.substr(4));
+      if (!out.tcp_port) usage(("bad tcp port in '" + spec + "'").c_str());
     } else {
       usage(("bad listen spec '" + spec + "' (want uds:PATH or tcp:PORT)")
                 .c_str());
@@ -123,7 +128,6 @@ int main(int argc, char** argv) {
   Listeners listen;
   std::string crash_at;
   int io_threads = 2;
-  bool auto_tune = false;
   std::vector<std::pair<std::string, std::string>> preloads;
   serve::ServeOptions opts;
   try {
@@ -133,46 +137,47 @@ int main(int argc, char** argv) {
         if (i + 1 >= argc) usage(("missing value for " + a).c_str());
         return argv[++i];
       };
+      const auto int_value = [&] { return number<int>(a, value()); };
+      const auto u64_value = [&] { return number<std::uint64_t>(a, value()); };
+      const auto real_value = [&] { return number<double>(a, value()); };
       if (a == "--socket") {
         listen.uds_path = value();
       } else if (a == "--listen") {
         parse_listen(value(), listen);
       } else if (a == "--threads") {
-        opts.msf.threads = std::atoi(value().c_str());
+        opts.msf.threads = int_value();
       } else if (a == "--dispatchers") {
-        opts.dispatchers = std::atoi(value().c_str());
+        opts.dispatchers = int_value();
       } else if (a == "--shards") {
-        opts.shards = std::atoi(value().c_str());
+        opts.shards = int_value();
       } else if (a == "--io-threads") {
-        io_threads = std::max(1, std::atoi(value().c_str()));
+        io_threads = std::max(1, int_value());
       } else if (a == "--queue-cap") {
-        opts.queue_capacity =
-            static_cast<std::size_t>(std::strtoull(value().c_str(), nullptr, 10));
+        opts.queue_capacity = number<std::size_t>(a, value());
       } else if (a == "--default-deadline") {
-        opts.default_deadline_s = std::strtod(value().c_str(), nullptr) / 1000.0;
+        opts.default_deadline_s = real_value() / 1000.0;
       } else if (a == "--coalesce-window") {
-        opts.coalesce_window_s = std::strtod(value().c_str(), nullptr) / 1000.0;
+        opts.coalesce_window_s = real_value() / 1000.0;
       } else if (a == "--alg") {
         opts.msf.algorithm = core::parse_algorithm(value());
       } else if (a == "--seed") {
-        opts.msf.seed = std::strtoull(value().c_str(), nullptr, 10);
+        opts.msf.seed = u64_value();
       } else if (a == "--snapshot-ring") {
-        opts.snapshot_ring = std::atoi(value().c_str());
+        opts.snapshot_ring = int_value();
       } else if (a == "--rate-limit-rps") {
-        opts.rate_limit_rps = std::strtod(value().c_str(), nullptr);
+        opts.rate_limit_rps = real_value();
       } else if (a == "--rate-limit-burst") {
-        opts.rate_limit_burst = std::strtod(value().c_str(), nullptr);
+        opts.rate_limit_burst = real_value();
       } else if (a == "--data-dir") {
         opts.data_dir = value();
       } else if (a == "--fsync") {
         opts.fsync = persist::parse_fsync_policy(value());
       } else if (a == "--fsync-interval") {
-        opts.fsync_interval_s = std::strtod(value().c_str(), nullptr) / 1000.0;
+        opts.fsync_interval_s = real_value() / 1000.0;
       } else if (a == "--snapshot-every") {
-        opts.snapshot_every_records =
-            std::strtoull(value().c_str(), nullptr, 10);
+        opts.snapshot_every_records = u64_value();
       } else if (a == "--snapshot-retain") {
-        opts.snapshot_retain = std::atoi(value().c_str());
+        opts.snapshot_retain = int_value();
       } else if (a == "--crash-at") {
         crash_at = value();
       } else if (a == "--preload") {
@@ -182,8 +187,6 @@ int main(int argc, char** argv) {
           usage(("bad --preload spec '" + spec + "' (want NAME=PATH)").c_str());
         }
         preloads.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
-      } else if (a == "--auto-tune") {
-        auto_tune = true;
       } else {
         usage(("unknown flag " + a).c_str());
       }
@@ -199,7 +202,7 @@ int main(int argc, char** argv) {
       const auto colon = crash_at.rfind(':');
       if (colon != std::string::npos) {
         site = crash_at.substr(0, colon);
-        skip = std::strtoull(crash_at.c_str() + colon + 1, nullptr, 10);
+        skip = number<std::uint64_t>("--crash-at", crash_at.substr(colon + 1));
       }
       FaultInjector::arm(site, FaultKind::kCrash, skip);
     }
@@ -213,14 +216,6 @@ int main(int argc, char** argv) {
     sigaddset(&sigs, SIGTERM);
     pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
     signal(SIGPIPE, SIG_IGN);
-
-    if (auto_tune) {
-      const auto cal = smp::auto_calibrate();
-      std::printf("smpmsf-server: auto-tune parallel-for=%zu sample-sort=%zu"
-                  " (%.3fs)\n",
-                  cal.parallel_for_cutoff, cal.sample_sort_cutoff,
-                  cal.elapsed_s);
-    }
 
     serve::ServiceCore core(opts);
     for (const std::string& note : core.recovery_notes()) {
