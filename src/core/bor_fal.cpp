@@ -66,8 +66,7 @@ namespace {
 
 /// The packed Borůvka loop itself; bor_fal_packed_engine wraps it.
 std::vector<EdgeId> packed_boruvka_loop(ThreadTeam& team, PackedSolveInput in,
-                                        const MsfOptions& opts, StepTimes& st,
-                                        std::vector<VertexId>* labels_out) {
+                                        const MsfOptions& opts, StepTimes& st) {
   const VertexId n = in.n;
   const int p = team.size();
 
@@ -235,9 +234,6 @@ std::vector<EdgeId> packed_boruvka_loop(ThreadTeam& team, PackedSolveInput in,
     }
     if (!any.load(std::memory_order_relaxed)) break;
   }
-  // The exit iteration contracted nothing, so the labels are still the
-  // dense ones of the last contraction: one per component.
-  if (labels_out != nullptr) *labels_out = fal.release_labels();
   return collector.gather();
 }
 
@@ -245,15 +241,14 @@ std::vector<EdgeId> packed_boruvka_loop(ThreadTeam& team, PackedSolveInput in,
 
 std::vector<EdgeId> bor_fal_packed_engine(ThreadTeam& team,
                                           PackedSolveInput in,
-                                          const MsfOptions& opts, StepTimes& st,
-                                          std::vector<VertexId>* labels) {
+                                          const MsfOptions& opts, StepTimes& st) {
   // Whatever the loop does outside its timed steps — scratch set-up,
   // per-iteration checkpoints, the id gather, freeing the consumed input —
   // is set-up and teardown, so `other` takes it.
   WallTimer wall;
   const double steps_before = st.total();
   std::vector<EdgeId> ids =
-      packed_boruvka_loop(team, std::move(in), opts, st, labels);
+      packed_boruvka_loop(team, std::move(in), opts, st);
   st.other += wall.elapsed_s() - (st.total() - steps_before);
   return ids;
 }

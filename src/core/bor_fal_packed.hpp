@@ -14,11 +14,10 @@ namespace smp::core {
 /// selected input-edge ids (unsorted — callers assemble the result).
 /// Accumulates phase timings into `st`; honors the budget, instrumentation
 /// and find-min knobs of `opts` exactly like bor_fal_msf's packed path —
-/// it IS bor_fal_msf's packed path.  If `labels` is non-null it receives
-/// the final vertex → supervertex map: one dense label in
-/// [0, n − |forest|) per connected component of the input.
-std::vector<graph::EdgeId> bor_fal_packed_engine(
-    ThreadTeam& team, PackedSolveInput in, const MsfOptions& opts,
-    StepTimes& st, std::vector<graph::VertexId>* labels = nullptr);
+/// it IS bor_fal_msf's packed path.
+std::vector<graph::EdgeId> bor_fal_packed_engine(ThreadTeam& team,
+                                                 PackedSolveInput in,
+                                                 const MsfOptions& opts,
+                                                 StepTimes& st);
 
 }  // namespace smp::core

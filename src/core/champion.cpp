@@ -1,6 +1,7 @@
 #include "core/champion.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -11,10 +12,13 @@
 #include "core/detail.hpp"
 #include "core/find_min.hpp"
 #include "graph/compressed_csr.hpp"
-#include "pprim/cacheline.hpp"
 #include "pprim/fault.hpp"
+#include "pprim/huge_pages.hpp"
+#include "pprim/parallel_for.hpp"
 #include "pprim/partition.hpp"
+#include "pprim/prefix_sum.hpp"
 #include "pprim/timer.hpp"
+#include "seq/union_find.hpp"
 
 namespace smp::core {
 
@@ -66,9 +70,9 @@ struct SubGraph {
 
   void allocate(std::size_t count) {
     m = count;
-    ends = std::make_unique_for_overwrite<std::uint64_t[]>(m);
-    w = std::make_unique_for_overwrite<Weight[]>(m);
-    ids = std::make_unique_for_overwrite<EdgeId[]>(m);
+    ends = make_huge_for_overwrite<std::uint64_t>(m);
+    w = make_huge_for_overwrite<Weight>(m);
+    ids = make_huge_for_overwrite<EdgeId>(m);
   }
   void put(std::size_t at, EdgeId e, const WEdge& edge) {
     ends[at] = pack_ends(edge.u, edge.v);
@@ -79,82 +83,137 @@ struct SubGraph {
 
 /// Team-parallel ordered gather over input ids [0, m): every edge for which
 /// keep(e, edge, out) returns true lands in the sub-graph as `out`, in
-/// ascending id order.  Count per block, scan, scatter: each thread walks
-/// its own id block twice, and nothing but the result is written.
-/// Fork-join.
+/// ascending id order.  Count per block, scan, scatter: the team claims
+/// the id blocks of dynamic_block_count dynamically, walks each block
+/// twice, and writes nothing but the result.  Fork-join.
 template <class Walk, class Keep>
 SubGraph gather_edges(ThreadTeam& team, VertexId n, std::size_t m, Walk walk,
                       Keep keep) {
   SubGraph sub;
   sub.n = n;
-  std::vector<Padded<std::size_t>> count(static_cast<std::size_t>(team.size()));
+  const std::size_t blocks = dynamic_block_count(m, team.size());
+  std::vector<std::size_t> at(blocks);
+  std::atomic<std::size_t> count_cursor{0};
+  std::atomic<std::size_t> put_cursor{0};
   team.run([&](TeamCtx& ctx) {
-    const auto t = static_cast<std::size_t>(ctx.tid());
-    const IndexRange r = block_range(m, ctx.tid(), ctx.nthreads());
     WEdge out;
-    std::size_t c = 0;
-    walk(EdgeId{r.begin}, EdgeId{r.end},
-         [&](EdgeId e, const WEdge& edge) { c += keep(e, edge, out) ? 1 : 0; });
-    count[t].value = c;
+    for_range_dynamic(ctx, count_cursor, blocks, 1, [&](std::size_t b) {
+      const IndexRange r = dynamic_block(m, b, blocks);
+      std::size_t c = 0;
+      walk(EdgeId{r.begin}, EdgeId{r.end},
+           [&](EdgeId e, const WEdge& edge) { c += keep(e, edge, out) ? 1 : 0; });
+      at[b] = c;
+    });
     ctx.barrier();
-    if (t == 0) {
-      std::size_t total = 0;
-      for (const auto& x : count) total += x.value;
-      sub.allocate(total);
-    }
+    if (ctx.tid() == 0) sub.allocate(exclusive_scan_seq(std::span<std::size_t>(at)));
     ctx.barrier();
-    std::size_t at = 0;
-    for (std::size_t t2 = 0; t2 < t; ++t2) at += count[t2].value;
-    walk(EdgeId{r.begin}, EdgeId{r.end}, [&](EdgeId e, const WEdge& edge) {
-      if (keep(e, edge, out)) sub.put(at++, e, out);
+    for_range_dynamic(ctx, put_cursor, blocks, 1, [&](std::size_t b) {
+      const IndexRange r = dynamic_block(m, b, blocks);
+      std::size_t pos = at[b];
+      walk(EdgeId{r.begin}, EdgeId{r.end}, [&](EdgeId e, const WEdge& edge) {
+        if (keep(e, edge, out)) sub.put(pos++, e, out);
+      });
     });
   });
   return sub;
 }
 
 /// gather_edges for a sparse keep set whose test is the expensive part: one
-/// walk per block into per-thread buffers, then a scan and a copy, so each
+/// walk per block into a per-block buffer, then a scan and a copy, so each
 /// edge is tested once.
 template <class Walk, class Keep>
 SubGraph gather_sparse(ThreadTeam& team, VertexId n, std::size_t m, Walk walk,
                        Keep keep) {
   SubGraph sub;
   sub.n = n;
-  const auto p = static_cast<std::size_t>(team.size());
-  std::vector<Padded<std::vector<std::pair<EdgeId, WEdge>>>> kept(p);
+  const std::size_t blocks = dynamic_block_count(m, team.size());
+  std::vector<std::vector<std::pair<EdgeId, WEdge>>> kept(blocks);
+  std::vector<std::size_t> at(blocks);
+  std::atomic<std::size_t> test_cursor{0};
+  std::atomic<std::size_t> copy_cursor{0};
   team.run([&](TeamCtx& ctx) {
-    const auto t = static_cast<std::size_t>(ctx.tid());
-    auto& mine = kept[t].value;
-    const IndexRange r = block_range(m, ctx.tid(), ctx.nthreads());
     WEdge out;
-    walk(EdgeId{r.begin}, EdgeId{r.end}, [&](EdgeId e, const WEdge& edge) {
-      if (keep(e, edge, out)) mine.emplace_back(e, out);
+    for_range_dynamic(ctx, test_cursor, blocks, 1, [&](std::size_t b) {
+      const IndexRange r = dynamic_block(m, b, blocks);
+      std::vector<std::pair<EdgeId, WEdge>> mine;
+      walk(EdgeId{r.begin}, EdgeId{r.end}, [&](EdgeId e, const WEdge& edge) {
+        if (keep(e, edge, out)) mine.emplace_back(e, out);
+      });
+      at[b] = mine.size();
+      kept[b] = std::move(mine);
     });
     ctx.barrier();
-    if (t == 0) {
-      std::size_t total = 0;
-      for (const auto& k : kept) total += k.value.size();
-      sub.allocate(total);
-    }
+    if (ctx.tid() == 0) sub.allocate(exclusive_scan_seq(std::span<std::size_t>(at)));
     ctx.barrier();
-    std::size_t at = 0;
-    for (std::size_t t2 = 0; t2 < t; ++t2) at += kept[t2].value.size();
-    for (const auto& [e, edge] : mine) sub.put(at++, e, edge);
+    for_range_dynamic(ctx, copy_cursor, blocks, 1, [&](std::size_t b) {
+      std::size_t pos = at[b];
+      for (const auto& [e, edge] : kept[b]) sub.put(pos++, e, edge);
+    });
   });
   return sub;
 }
 
-/// One engine pass over a sub-graph: its rank sort and arc build, then the
-/// Borůvka loop.  Returns the forest as input ids.
+/// The survivor pass over a sub-graph: its rank sort and arc build, then
+/// the Borůvka loop.  Returns the forest as input ids.
 std::vector<EdgeId> engine_pass(ThreadTeam& team, const SubGraph& sub,
-                                const MsfOptions& opts, StepTimes& st,
-                                std::vector<VertexId>* labels = nullptr) {
+                                const MsfOptions& opts, StepTimes& st) {
   PackedSolveInput in = build_packed_input(
       team, sub.n, std::span<const std::uint64_t>(sub.ends.get(), sub.m),
       std::span<const Weight>(sub.w.get(), sub.m), st);
-  std::vector<EdgeId> ids =
-      bor_fal_packed_engine(team, std::move(in), opts, st, labels);
+  std::vector<EdgeId> ids = bor_fal_packed_engine(team, std::move(in), opts, st);
   for (EdgeId& id : ids) id = sub.ids[id];
+  return ids;
+}
+
+/// Ranks between two budget checks of the light scan.
+constexpr std::size_t kLightScanCheckEvery = std::size_t{1} << 16;
+
+/// How many ranks ahead the light scan prefetches the parent slots of an
+/// edge's endpoints: the slots are random reads into an n-word array.
+constexpr std::size_t kLightScanPrefetch = 16;
+
+/// Picks per dynamically claimed chunk of the light scan's id map.
+constexpr std::size_t kLightIdMapChunk = 4096;
+
+/// The light pass: Kruskal over the light sub-graph.  One team rank sort,
+/// then one sequential union-find scan in rank order — an edge that joins
+/// two sets is a light MSF edge.  Returns those edges as input ids and
+/// leaves in `label` one dense label in [0, n − picks) per light component.
+/// The scan records ranks and a team pass maps them to input ids
+/// afterwards, which keeps two random reads per pick out of the sequential
+/// loop.  The sort adds to `st.rank_build`; the scan, the id map and the
+/// relabel to `st.connect`.
+std::vector<EdgeId> light_scan(ThreadTeam& team, const SubGraph& sub,
+                               const MsfOptions& opts, StepTimes& st,
+                               std::vector<VertexId>& label) {
+  const RankOrder order = build_rank_order(
+      team, std::span<const std::uint64_t>(sub.ends.get(), sub.m),
+      std::span<const Weight>(sub.w.get(), sub.m), st);
+  WallTimer scan;
+  fault_point("champion.light-scan");
+  const std::uint64_t* const ends = order.ends.get();
+  seq::MinRootUnionFind uf(sub.n);
+  std::vector<EdgeId> ids;
+  reserve_huge(ids, std::min<std::size_t>(sub.m, sub.n));
+  for (std::size_t r = 0; r < sub.m; ++r) {
+    if (r % kLightScanCheckEvery == 0) {
+      iteration_checkpoint(opts, "Champion light scan");
+    }
+    if (r + kLightScanPrefetch < sub.m) {
+      const std::uint64_t ahead = ends[r + kLightScanPrefetch];
+      uf.prefetch(static_cast<VertexId>(ahead >> 32));
+      uf.prefetch(static_cast<VertexId>(ahead));
+    }
+    if (uf.unite(static_cast<VertexId>(ends[r] >> 32),
+                 static_cast<VertexId>(ends[r]))) {
+      ids.push_back(r);
+    }
+  }
+  parallel_for_dynamic(team, ids.size(), kLightIdMapChunk, [&](std::size_t i) {
+    ids[i] = sub.ids[order.rank_to_edge[ids[i]]];
+  });
+  label = std::move(uf).dense_labels();
+  st.connect += scan.elapsed_s();
   return ids;
 }
 
@@ -177,9 +236,9 @@ MsfResult filtered_solve(ThreadTeam& team, VertexId n, std::size_t m,
       });
   st.filter += phase.elapsed_s();
 
-  // 3. Light pass.
+  // 3. Light pass: rank sort and Kruskal scan.
   std::vector<VertexId> label;
-  std::vector<EdgeId> ids = engine_pass(team, sub, opts, st, &label);
+  std::vector<EdgeId> ids = light_scan(team, sub, opts, st, label);
   iteration_checkpoint(opts, "Champion filter");
 
   // 4. Survivor filter: light edges never survive (their endpoints share a
@@ -202,8 +261,8 @@ MsfResult filtered_solve(ThreadTeam& team, VertexId n, std::size_t m,
   MsfResult res = detail::assemble_result(team, n, m, std::move(ids), walk);
   st.assembly += phase.elapsed_s();
 
-  // `other` takes everything outside the engines' timed steps: the filter,
-  // both prologues, the assembly and the checkpoints.
+  // `other` takes everything outside the timed steps: the filter, the light
+  // sort, the survivor prologue, the assembly and the checkpoints.
   st.other += wall.elapsed_s() - st.total();
   if (opts.step_times) *opts.step_times += st;
   return res;

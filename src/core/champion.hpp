@@ -13,16 +13,20 @@ class CompressedCsr;
 
 namespace smp::core {
 
-/// Champion (Algorithm::kChampion, the library default): Bor-FAL's packed
-/// engine behind a heavy-edge filter, the Filter-Borůvka of Sanders and
-/// Schimek and the early heavy-edge exclusion §3 of the paper conjectures.
+/// Champion (Algorithm::kChampion, the library default): a Kruskal scan of
+/// the lightest edges, then Bor-FAL's packed engine on what survives a
+/// heavy-edge filter — the Filter-Borůvka of Sanders and Schimek and the
+/// early heavy-edge exclusion §3 of the paper conjectures.
 ///
 ///   1. From a fixed strided sample of the edges, pick a pivot in the rank
 ///      sort's own order ⟨monotone_weight_bits(w), id⟩ so that about
 ///      kChampionLightPerVertex · n edges are ≤ it ("light").
 ///   2. Gather the light edges on the team, in ascending id order.
-///   3. Run the engine on them; it hands back its final vertex →
-///      supervertex labels, one dense label per light component.
+///   3. Rank-sort them on the team (build_rank_order: the packed prologue's
+///      sort without its arc scatter) and run one sequential union-find
+///      scan in rank order: every edge that joins two sets is a light MSF
+///      edge.  The sets, numbered densely, label the light components.
+///      The scan is the stage's one serial step.
 ///   4. In one team pass keep every edge whose endpoint labels differ — all
 ///      of them heavy — relabelled to ⟨label u, label v⟩.  Every dropped
 ///      heavy edge closes a cycle of lighter edges, so it is in no MSF.

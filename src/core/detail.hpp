@@ -11,6 +11,7 @@
 #include "graph/edge_list.hpp"
 #include "graph/msf_result.hpp"
 #include "pprim/cacheline.hpp"
+#include "pprim/huge_pages.hpp"
 #include "pprim/parallel_for.hpp"
 #include "pprim/partition.hpp"
 #include "pprim/prefix_sum.hpp"
@@ -50,12 +51,16 @@ class EdgeCollector {
   std::vector<Padded<std::vector<graph::EdgeId>>> slots_;
 };
 
+/// Ids per dynamically claimed chunk of assemble_result's flag pass.
+inline constexpr std::size_t kAssembleMarkChunk = 4096;
+
 /// Builds the public result from the selected input-edge ids of a graph
 /// with n vertices and m edges, in ascending id order: the canonical order
 /// that makes the result (including the floating-point sum) bit-identical
 /// across thread counts and scheduling.  The team flags the ids in an
 /// m-byte map, counts the flags per block of the id space, and emits each
-/// block's ids and edges at its scanned offset; only the total_weight sum
+/// block's ids and edges at its scanned offset; every pass claims its
+/// blocks dynamically (dynamic_block_count), and only the total_weight sum
 /// runs sequentially, in id order.  `walk(begin, end, fn)` calls
 /// fn(e, edge) for every input edge e in [begin, end) in ascending order;
 /// `ids` must be distinct and below m.  Fork-join.
@@ -66,29 +71,44 @@ graph::MsfResult assemble_result(ThreadTeam& team, graph::VertexId n,
   graph::MsfResult res;
   const std::size_t k = ids.size();
   res.edge_ids = std::move(ids);
+  reserve_huge(res.edges, k);
   res.edges.resize(k);
-  auto flags = std::make_unique_for_overwrite<std::uint8_t[]>(m);
-  std::vector<Padded<std::size_t>> at(static_cast<std::size_t>(team.size()));
+  auto flags = make_huge_for_overwrite<std::uint8_t>(m);
+  const std::size_t blocks = dynamic_block_count(m, team.size());
+  std::vector<std::size_t> at(blocks);
+  std::atomic<std::size_t> clear_cursor{0};
+  std::atomic<std::size_t> mark_cursor{0};
+  std::atomic<std::size_t> count_cursor{0};
+  std::atomic<std::size_t> emit_cursor{0};
   team.run([&](TeamCtx& ctx) {
-    const auto t = static_cast<std::size_t>(ctx.tid());
-    const IndexRange r = block_range(m, ctx.tid(), ctx.nthreads());
-    std::fill(flags.get() + r.begin, flags.get() + r.end, std::uint8_t{0});
+    for_range_dynamic(ctx, clear_cursor, blocks, 1, [&](std::size_t b) {
+      const IndexRange r = dynamic_block(m, b, blocks);
+      std::fill(flags.get() + r.begin, flags.get() + r.end, std::uint8_t{0});
+    });
     ctx.barrier();
-    for_range(ctx, k, [&](std::size_t i) { flags[res.edge_ids[i]] = 1; });
+    for_range_dynamic(ctx, mark_cursor, k, kAssembleMarkChunk,
+                      [&](std::size_t i) { flags[res.edge_ids[i]] = 1; });
     ctx.barrier();
-    std::size_t c = 0;
-    for (std::size_t e = r.begin; e < r.end; ++e) c += flags[e];
-    at[t].value = c;
+    for_range_dynamic(ctx, count_cursor, blocks, 1, [&](std::size_t b) {
+      const IndexRange r = dynamic_block(m, b, blocks);
+      std::size_t c = 0;
+      for (std::size_t e = r.begin; e < r.end; ++e) c += flags[e];
+      at[b] = c;
+    });
     ctx.barrier();
-    std::size_t pos = 0;
-    for (std::size_t t2 = 0; t2 < t; ++t2) pos += at[t2].value;
-    walk(graph::EdgeId{r.begin}, graph::EdgeId{r.end},
-         [&](graph::EdgeId e, const graph::WEdge& edge) {
-           if (flags[e] == 0) return;
-           res.edge_ids[pos] = e;
-           res.edges[pos] = edge;
-           ++pos;
-         });
+    if (ctx.tid() == 0) exclusive_scan_seq(std::span<std::size_t>(at));
+    ctx.barrier();
+    for_range_dynamic(ctx, emit_cursor, blocks, 1, [&](std::size_t b) {
+      const IndexRange r = dynamic_block(m, b, blocks);
+      std::size_t pos = at[b];
+      walk(graph::EdgeId{r.begin}, graph::EdgeId{r.end},
+           [&](graph::EdgeId e, const graph::WEdge& edge) {
+             if (flags[e] == 0) return;
+             res.edge_ids[pos] = e;
+             res.edges[pos] = edge;
+             ++pos;
+           });
+    });
   });
   for (const graph::WEdge& e : res.edges) res.total_weight += e.w;
   res.num_trees = n - res.edges.size();

@@ -1,10 +1,13 @@
 #include "core/find_min.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <utility>
 
 #include "graph/compressed_csr.hpp"
+#include "pprim/huge_pages.hpp"
+#include "pprim/parallel_for.hpp"
 #include "pprim/partition.hpp"
 #include "pprim/timer.hpp"
 
@@ -44,21 +47,39 @@ constexpr int kRankPackedIdxBits = 24;
 constexpr std::uint64_t kRankIdxMask =
     (std::uint64_t{1} << kRankPackedIdxBits) - 1;
 
-/// Team-shared state of one rank sort: a thread-major count slab of
-/// kRankBuckets counters per thread, plus per-thread partials for the
-/// bucket scan and the key OR/AND reductions.
+// Sort blocks per thread.  The team claims the blocks of every pass
+// dynamically, so a thread that stalls (descheduled on a shared host)
+// holds up one block instead of a 1/p share of each pass; each block costs
+// one kRankBuckets count slab, which caps the factor.
+constexpr std::size_t kRankBlocksPerThread = 4;
+
+/// Team-shared state of one rank sort: a block-major count slab of
+/// kRankBuckets counters per sort block, per-thread partials for the
+/// bucket scan and the key OR/AND reductions, and the shared cursors from
+/// which the team claims blocks.  A one-thread team sorts one block:
+/// there is nothing to balance.
 struct RankSortScratch {
-  explicit RankSortScratch(int p)
-      : counts(std::make_unique_for_overwrite<std::uint64_t[]>(
-            static_cast<std::size_t>(p) * kRankBuckets)),
+  RankSortScratch(int p, std::size_t m)
+      : blocks(p == 1 ? 1
+                      : std::min(m, kRankBlocksPerThread *
+                                        static_cast<std::size_t>(p))),
+        counts(std::make_unique_for_overwrite<std::uint64_t[]>(blocks * kRankBuckets)),
         partial(static_cast<std::size_t>(p)),
         key_or(static_cast<std::size_t>(p)),
         key_and(static_cast<std::size_t>(p)) {}
 
+  std::size_t blocks;
   std::unique_ptr<std::uint64_t[]> counts;
   std::vector<Padded<std::uint64_t>> partial;
   std::vector<Padded<std::uint64_t>> key_or;
   std::vector<Padded<std::uint64_t>> key_and;
+  /// Block cursors: the key build, each pass's count and scatter (reset by
+  /// tid 0 inside the pass), and the final emit (plus the packed fix-up).
+  Padded<std::atomic<std::size_t>> build_cursor;
+  Padded<std::atomic<std::size_t>> count_cursor;
+  Padded<std::atomic<std::size_t>> scatter_cursor;
+  Padded<std::atomic<std::size_t>> fixup_cursor;
+  Padded<std::atomic<std::size_t>> emit_cursor;
 
   /// Publish this thread's key OR/AND; after the barrier every thread
   /// returns the bits that vary across all m keys.  A digit that is
@@ -81,9 +102,9 @@ struct RankSortScratch {
 };
 
 /// One stable LSD counting pass over [0, m) on the whole team (the
-/// thread-local histogram plus prefix-sum scheme): each thread counts its
-/// block into its own slab, a parallel (bucket, thread)-ordered scan turns
-/// the slabs into scatter cursors, and each thread scatters its block in
+/// block-local histogram plus prefix-sum scheme): each claimed block is
+/// counted into its own slab, a parallel (bucket, block)-ordered scan turns
+/// the slabs into scatter cursors, and each claimed block is scattered in
 /// order — so equal digits keep their input order.  `digit(i)` is source
 /// element i's bucket in [0, buckets); `move(i, pos)` copies source element
 /// i to destination slot pos.  Ends behind a barrier.
@@ -92,29 +113,36 @@ void rank_sort_pass(TeamCtx& ctx, std::size_t m, std::size_t buckets,
                     RankSortScratch& s, Digit digit, Move move) {
   const int p = ctx.nthreads();
   const auto t = static_cast<std::size_t>(ctx.tid());
+  const std::size_t blocks = s.blocks;
   std::uint64_t* const counts = s.counts.get();
-  std::uint64_t* const mine = counts + t * kRankBuckets;
-  const IndexRange r = block_range(m, ctx.tid(), p);
-  std::fill(mine, mine + buckets, 0);
-  for (std::size_t i = r.begin; i < r.end; ++i) ++mine[digit(i)];
+  for_range_dynamic(ctx, s.count_cursor.value, blocks, 1, [&](std::size_t b) {
+    std::uint64_t* const mine = counts + b * kRankBuckets;
+    const IndexRange r = dynamic_block(m, b, blocks);
+    std::fill(mine, mine + buckets, 0);
+    for (std::size_t i = r.begin; i < r.end; ++i) ++mine[digit(i)];
+  });
   ctx.barrier();
+  // Every thread has drained both cursors' last use (this pass's count,
+  // the previous pass's scatter); the next use is behind two barriers.
+  if (t == 0) {
+    s.count_cursor.value.store(0, std::memory_order_relaxed);
+    s.scatter_cursor.value.store(0, std::memory_order_relaxed);
+  }
 
   // Each thread scans one bucket range across all slabs: its range total
   // first, then (behind a barrier) its exclusive base from the lower ranges.
   const IndexRange br = block_range(buckets, ctx.tid(), p);
   std::uint64_t sum = 0;
   for (std::size_t b = br.begin; b < br.end; ++b) {
-    for (int t2 = 0; t2 < p; ++t2) {
-      sum += counts[static_cast<std::size_t>(t2) * kRankBuckets + b];
-    }
+    for (std::size_t k = 0; k < blocks; ++k) sum += counts[k * kRankBuckets + b];
   }
   s.partial[t].value = sum;
   ctx.barrier();
   std::uint64_t run = 0;
   for (std::size_t t2 = 0; t2 < t; ++t2) run += s.partial[t2].value;
   for (std::size_t b = br.begin; b < br.end; ++b) {
-    for (int t2 = 0; t2 < p; ++t2) {
-      std::uint64_t& c = counts[static_cast<std::size_t>(t2) * kRankBuckets + b];
+    for (std::size_t k = 0; k < blocks; ++k) {
+      std::uint64_t& c = counts[k * kRankBuckets + b];
       const std::uint64_t v = c;
       c = run;
       run += v;
@@ -122,7 +150,11 @@ void rank_sort_pass(TeamCtx& ctx, std::size_t m, std::size_t buckets,
   }
   ctx.barrier();
 
-  for (std::size_t i = r.begin; i < r.end; ++i) move(i, mine[digit(i)]++);
+  for_range_dynamic(ctx, s.scatter_cursor.value, blocks, 1, [&](std::size_t b) {
+    std::uint64_t* const mine = counts + b * kRankBuckets;
+    const IndexRange r = dynamic_block(m, b, blocks);
+    for (std::size_t i = r.begin; i < r.end; ++i) move(i, mine[digit(i)]++);
+  });
   ctx.barrier();
 }
 
@@ -134,20 +166,22 @@ void rank_sort_pass(TeamCtx& ctx, std::size_t m, std::size_t buckets,
 /// exact order for them.
 template <class WeightAt, class Emit>
 void rank_sort_packed(ThreadTeam& team, std::size_t m, WeightAt w_at, Emit emit) {
-  auto keys = std::make_unique_for_overwrite<std::uint64_t[]>(m);
-  auto keys_aux = std::make_unique_for_overwrite<std::uint64_t[]>(m);
-  RankSortScratch s(team.size());
+  auto keys = make_huge_for_overwrite<std::uint64_t>(m);
+  auto keys_aux = make_huge_for_overwrite<std::uint64_t>(m);
+  RankSortScratch s(team.size(), m);
 
   team.run([&](TeamCtx& ctx) {
-    const IndexRange r = block_range(m, ctx.tid(), ctx.nthreads());
     std::uint64_t acc_or = 0;
     std::uint64_t acc_and = ~std::uint64_t{0};
-    for (std::size_t i = r.begin; i < r.end; ++i) {
-      const std::uint64_t k = monotone_weight_bits(w_at(i));
-      keys[i] = (k & ~kRankIdxMask) | i;
-      acc_or |= k;
-      acc_and &= k;
-    }
+    for_range_dynamic(ctx, s.build_cursor.value, s.blocks, 1, [&](std::size_t b) {
+      const IndexRange r = dynamic_block(m, b, s.blocks);
+      for (std::size_t i = r.begin; i < r.end; ++i) {
+        const std::uint64_t k = monotone_weight_bits(w_at(i));
+        keys[i] = (k & ~kRankIdxMask) | i;
+        acc_or |= k;
+        acc_and &= k;
+      }
+    });
     const std::uint64_t varying = s.varying_bits(ctx, acc_or, acc_and);
 
     std::uint64_t* src = keys.get();
@@ -167,44 +201,51 @@ void rank_sort_packed(ThreadTeam& team, std::size_t m, WeightAt w_at, Emit emit)
     // input-index order, which is correct only if the low 24 weight bits
     // agree too.  Re-sort mixed runs under the full ⟨weight bits, index⟩
     // order; runs are short and rare, so this gathers a handful of edges.
-    // Each thread owns the runs that START in its block (a run may run past
-    // the block end), finds them read-only, and writes its fixes only after
-    // a barrier, so no thread reads an element another is rewriting.
+    // Each block owns the runs that START in it (a run may run past the
+    // block end); its thread finds them read-only and writes the fixes
+    // only after a barrier, so no thread reads an element another is
+    // rewriting.
     std::vector<std::pair<std::size_t, std::uint32_t>> fixes;
     std::vector<std::pair<std::uint64_t, std::uint32_t>> run;
     const auto hi_of = [&](std::size_t i) { return src[i] & ~kRankIdxMask; };
-    for (std::size_t i = r.begin; i < r.end;) {
-      const std::uint64_t hi = hi_of(i);
-      if (i > 0 && hi_of(i - 1) == hi) {  // continues a run owned upstream
-        ++i;
-        continue;
-      }
-      std::size_t j = i + 1;
-      while (j < m && hi_of(j) == hi) ++j;
-      if (j - i > 1) {
-        run.clear();
-        bool mixed = false;
-        for (std::size_t k = i; k < j; ++k) {
-          const auto e = static_cast<std::uint32_t>(src[k] & kRankIdxMask);
-          run.emplace_back(monotone_weight_bits(w_at(e)), e);
-          mixed = mixed || run.back().first != run.front().first;
+    for_range_dynamic(ctx, s.fixup_cursor.value, s.blocks, 1, [&](std::size_t b) {
+      const IndexRange r = dynamic_block(m, b, s.blocks);
+      for (std::size_t i = r.begin; i < r.end;) {
+        const std::uint64_t hi = hi_of(i);
+        if (i > 0 && hi_of(i - 1) == hi) {  // continues a run owned upstream
+          ++i;
+          continue;
         }
-        if (mixed) {
-          std::sort(run.begin(), run.end());
+        std::size_t j = i + 1;
+        while (j < m && hi_of(j) == hi) ++j;
+        if (j - i > 1) {
+          run.clear();
+          bool mixed = false;
           for (std::size_t k = i; k < j; ++k) {
-            fixes.emplace_back(k, run[k - i].second);
+            const auto e = static_cast<std::uint32_t>(src[k] & kRankIdxMask);
+            run.emplace_back(monotone_weight_bits(w_at(e)), e);
+            mixed = mixed || run.back().first != run.front().first;
+          }
+          if (mixed) {
+            std::sort(run.begin(), run.end());
+            for (std::size_t k = i; k < j; ++k) {
+              fixes.emplace_back(k, run[k - i].second);
+            }
           }
         }
+        i = j;
       }
-      i = j;
-    }
+    });
     ctx.barrier();
     for (const auto& [pos, e] : fixes) src[pos] = (src[pos] & ~kRankIdxMask) | e;
     ctx.barrier();
 
-    for (std::size_t i = r.begin; i < r.end; ++i) {
-      emit(i, static_cast<std::uint32_t>(src[i] & kRankIdxMask));
-    }
+    for_range_dynamic(ctx, s.emit_cursor.value, s.blocks, 1, [&](std::size_t b) {
+      const IndexRange r = dynamic_block(m, b, s.blocks);
+      for (std::size_t i = r.begin; i < r.end; ++i) {
+        emit(i, static_cast<std::uint32_t>(src[i] & kRankIdxMask));
+      }
+    });
   });
 }
 
@@ -212,23 +253,25 @@ void rank_sort_packed(ThreadTeam& team, std::size_t m, WeightAt w_at, Emit emit)
 /// 12-byte ⟨weight bits, index⟩ pairs in four 16-bit passes.
 template <class WeightAt, class Emit>
 void rank_sort_wide(ThreadTeam& team, std::size_t m, WeightAt w_at, Emit emit) {
-  auto keys = std::make_unique_for_overwrite<std::uint64_t[]>(m);
-  auto keys_aux = std::make_unique_for_overwrite<std::uint64_t[]>(m);
-  auto idx = std::make_unique_for_overwrite<std::uint32_t[]>(m);
-  auto idx_aux = std::make_unique_for_overwrite<std::uint32_t[]>(m);
-  RankSortScratch s(team.size());
+  auto keys = make_huge_for_overwrite<std::uint64_t>(m);
+  auto keys_aux = make_huge_for_overwrite<std::uint64_t>(m);
+  auto idx = make_huge_for_overwrite<std::uint32_t>(m);
+  auto idx_aux = make_huge_for_overwrite<std::uint32_t>(m);
+  RankSortScratch s(team.size(), m);
 
   team.run([&](TeamCtx& ctx) {
-    const IndexRange r = block_range(m, ctx.tid(), ctx.nthreads());
     std::uint64_t acc_or = 0;
     std::uint64_t acc_and = ~std::uint64_t{0};
-    for (std::size_t i = r.begin; i < r.end; ++i) {
-      const std::uint64_t k = monotone_weight_bits(w_at(i));
-      keys[i] = k;
-      idx[i] = static_cast<std::uint32_t>(i);
-      acc_or |= k;
-      acc_and &= k;
-    }
+    for_range_dynamic(ctx, s.build_cursor.value, s.blocks, 1, [&](std::size_t b) {
+      const IndexRange r = dynamic_block(m, b, s.blocks);
+      for (std::size_t i = r.begin; i < r.end; ++i) {
+        const std::uint64_t k = monotone_weight_bits(w_at(i));
+        keys[i] = k;
+        idx[i] = static_cast<std::uint32_t>(i);
+        acc_or |= k;
+        acc_and &= k;
+      }
+    });
     const std::uint64_t varying = s.varying_bits(ctx, acc_or, acc_and);
 
     std::uint64_t* ksrc = keys.get();
@@ -249,16 +292,19 @@ void rank_sort_wide(ThreadTeam& team, std::size_t m, WeightAt w_at, Emit emit) {
     }
     // Stable passes leave equal weight bits in input-index order, which is
     // exactly WeightOrder's tie-break.
-    for (std::size_t i = r.begin; i < r.end; ++i) emit(i, isrc[i]);
+    for_range_dynamic(ctx, s.emit_cursor.value, s.blocks, 1, [&](std::size_t b) {
+      const IndexRange r = dynamic_block(m, b, s.blocks);
+      for (std::size_t i = r.begin; i < r.end; ++i) emit(i, isrc[i]);
+    });
   });
 }
 
 /// The weight-rank sort: WeightOrder over [0, m) with `w_at(e)` edge e's
 /// weight, on the caller's team (a one-thread team runs the identical code
 /// inline).  Its final pass calls emit(r, e) once for every rank r, where e
-/// is the edge of rank r, from the thread that owns position r of the
-/// sorted order — so emit may write slot r of a rank-indexed array (and
-/// slot e of an edge-indexed one) without synchronization.
+/// is the edge of rank r, from the one thread that claimed the sort block
+/// holding position r — so emit may write slot r of a rank-indexed array
+/// (and slot e of an edge-indexed one) without synchronization.
 template <class WeightAt, class Emit>
 void rank_sort(ThreadTeam& team, std::size_t m, WeightAt w_at, Emit emit,
                bool force_wide = false) {
@@ -326,7 +372,7 @@ void scatter_arcs(ThreadTeam& team, VertexId n, EdgeId m,
       static_cast<std::size_t>(q) * N);
   std::vector<Padded<EdgeId>> partial(static_cast<std::size_t>(p));
   offsets.resize(N + 1);
-  keys = std::make_unique_for_overwrite<std::uint64_t[]>(num_arcs);
+  keys = make_huge_for_overwrite<std::uint64_t>(num_arcs);
 
   team.run([&](TeamCtx& ctx) {
     const int t = ctx.tid();
@@ -374,19 +420,18 @@ void scatter_arcs(ThreadTeam& team, VertexId n, EdgeId m,
   });
 }
 
-/// The one packed prologue behind every build_packed_input overload:
-/// `w_at(e)` is edge e's weight and `ends_at(e)` its pack_ends word.
+/// The rank-sort half of every packed prologue: `w_at(e)` is edge e's
+/// weight and `ends_at(e)` its pack_ends word.
 template <class WeightAt, class EndsAt>
-PackedSolveInput build_packed_input_impl(ThreadTeam& team, VertexId n,
-                                         std::size_t m, WeightAt w_at,
-                                         EndsAt ends_at, StepTimes& st,
-                                         bool force_wide = false) {
+RankOrder rank_order_impl(ThreadTeam& team, std::size_t m, WeightAt w_at,
+                          EndsAt ends_at, StepTimes& st, bool force_wide) {
   WallTimer phase;
-  PackedSolveInput in;
-  in.n = n;
-  in.rank_to_edge.resize(m);
-  std::uint32_t* const r2e = in.rank_to_edge.data();
-  auto ends = std::make_unique_for_overwrite<std::uint64_t[]>(m);
+  RankOrder order;
+  reserve_huge(order.rank_to_edge, m);
+  order.rank_to_edge.resize(m);
+  order.ends = make_huge_for_overwrite<std::uint64_t>(m);
+  std::uint32_t* const r2e = order.rank_to_edge.data();
+  std::uint64_t* const ends = order.ends.get();
   rank_sort(
       team, m, w_at,
       [&](std::size_t r, std::uint32_t e) {
@@ -395,8 +440,22 @@ PackedSolveInput build_packed_input_impl(ThreadTeam& team, VertexId n,
       },
       force_wide);
   st.rank_build += phase.elapsed_s();
-  phase.reset();
-  scatter_arcs(team, n, m, ends.get(), in.offsets, in.keys);
+  return order;
+}
+
+/// The one packed prologue behind every build_packed_input overload: the
+/// rank order, then the arc scatter over it.
+template <class WeightAt, class EndsAt>
+PackedSolveInput build_packed_input_impl(ThreadTeam& team, VertexId n,
+                                         std::size_t m, WeightAt w_at,
+                                         EndsAt ends_at, StepTimes& st,
+                                         bool force_wide = false) {
+  RankOrder order = rank_order_impl(team, m, w_at, ends_at, st, force_wide);
+  WallTimer phase;
+  PackedSolveInput in;
+  in.n = n;
+  in.rank_to_edge = std::move(order.rank_to_edge);
+  scatter_arcs(team, n, m, order.ends.get(), in.offsets, in.keys);
   st.arc_build += phase.elapsed_s();
   return in;
 }
@@ -440,6 +499,13 @@ PackedSolveInput build_packed_input(ThreadTeam& team, VertexId n,
   return build_packed_input_impl(
       team, n, w.size(), [&](std::size_t e) { return w[e]; },
       [&](std::size_t e) { return ends[e]; }, st);
+}
+
+RankOrder build_rank_order(ThreadTeam& team, std::span<const std::uint64_t> ends,
+                           std::span<const graph::Weight> w, StepTimes& st) {
+  return rank_order_impl(
+      team, w.size(), [&](std::size_t e) { return w[e]; },
+      [&](std::size_t e) { return ends[e]; }, st, /*force_wide=*/false);
 }
 
 PackedSolveInput build_packed_input(ThreadTeam& team, const graph::CompressedCsr& g,

@@ -145,8 +145,8 @@ struct PackedSolveInput {
 }
 
 /// Same over flat arrays: edge e joins the endpoints packed in ends[e]
-/// (pack_ends) with weight w[e] — Champion's sub-solves gather their edges
-/// this way, so the sort's final pass reads one word per edge.
+/// (pack_ends) with weight w[e] — Champion gathers its sub-graphs this
+/// way, so the sort's final pass reads one word per edge.
 [[nodiscard]] PackedSolveInput build_packed_input(
     ThreadTeam& team, graph::VertexId n, std::span<const std::uint64_t> ends,
     std::span<const graph::Weight> w, StepTimes& st);
@@ -159,6 +159,22 @@ struct PackedSolveInput {
 [[nodiscard]] PackedSolveInput build_packed_input(ThreadTeam& team,
                                                   const graph::CompressedCsr& g,
                                                   StepTimes& st);
+
+/// The rank-sort half of build_packed_input alone: the edges in WeightOrder.
+struct RankOrder {
+  /// rank -> input edge id permutation.
+  std::vector<std::uint32_t> rank_to_edge;
+  /// ends[r]: the pack_ends word of the edge of rank r.
+  std::unique_ptr<std::uint64_t[]> ends;
+};
+
+/// build_packed_input's first step over flat arrays, without the arc
+/// scatter: Champion's light pass scans this order with a union-find and
+/// builds no arcs.  Adds its wall time to `st.rank_build`.  Fork-join.
+[[nodiscard]] RankOrder build_rank_order(ThreadTeam& team,
+                                         std::span<const std::uint64_t> ends,
+                                         std::span<const graph::Weight> w,
+                                         StepTimes& st);
 
 namespace detail {
 /// build_packed_input with the rank sort's m > 2^24 path (12-byte

@@ -100,8 +100,9 @@ struct StepTimes {
   /// are unchanged): the weight-rank sort, the packed-arc build, the final
   /// result assembly, and Champion's heavy-edge filter stage (pivot pick,
   /// light-edge gather, survivor filter).  Engines without a step leave it
-  /// at 0.  Champion runs the Bor-FAL engine twice, so its rank_build,
-  /// arc_build and the four step totals add up both passes.
+  /// at 0.  Champion's rank_build adds up its light sort and its survivor
+  /// pass's; arc_build and find_min are the survivor pass's alone; its
+  /// light scan counts as connect.
   double rank_build = 0;
   double arc_build = 0;
   double assembly = 0;
@@ -132,10 +133,9 @@ struct StepTimes {
 /// regions each algorithm iteration forked.  A fused algorithm runs one
 /// persistent region per Borůvka iteration (regions_per_iteration() == 1);
 /// anything larger means the iteration still pays extra fork/join wake-ups.
-/// Champion's two engine passes (light edges, then survivors) both add to
-/// the same counters, as they do to MsfOptions::iteration_stats (the light
-/// pass's rows first); its filter regions run between iterations and count
-/// in neither.
+/// Champion's counters, like its MsfOptions::iteration_stats rows, come
+/// from its survivor pass alone: the light scan runs no Borůvka iteration,
+/// and its filter regions run between iterations and count in neither.
 struct PhaseStats {
   std::uint64_t iterations = 0;  ///< Borůvka iterations / MST-BC rounds
   std::uint64_t regions = 0;     ///< SPMD regions started inside those iterations
@@ -153,7 +153,8 @@ struct PhaseStats {
   }
 };
 
-/// Per-iteration size trace (Table 1: how fast the edge list shrinks).
+/// Per-iteration size trace (Table 1: how fast the edge list shrinks); MST-BC
+/// adds one row per round.
 struct IterationStat {
   graph::VertexId vertices = 0;    ///< supervertices at iteration start
   graph::EdgeId directed_edges = 0;  ///< live directed edges (the "2m" column)

@@ -181,6 +181,14 @@ MsfResult mst_bc_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
   while (cur.n > opts.bc_base_size && !cur.arcs.empty()) {
     iteration_checkpoint(opts, "MST-BC round");
     const VertexId n = cur.n;
+    if (opts.iteration_stats) {
+      // Every round rebuilds the arc array, so all of it is live.
+      IterationStat is;
+      is.vertices = n;
+      is.directed_edges = cur.arcs.size();
+      is.live_fraction = 1.0;
+      opts.iteration_stats->push_back(is);
+    }
     const std::size_t edges_before = collector.total();
     const std::uint64_t regions_before = team.regions_started();
 

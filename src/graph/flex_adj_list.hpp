@@ -34,8 +34,6 @@ class FlexAdjList {
   /// Current supervertex of an original vertex (the lookup table).
   [[nodiscard]] VertexId super_of(VertexId orig) const { return label_[orig]; }
   [[nodiscard]] std::span<const VertexId> labels() const { return label_; }
-  /// Moves the lookup table out (the structure is spent afterwards).
-  [[nodiscard]] std::vector<VertexId> release_labels() { return std::move(label_); }
 
   /// compact-graph: merge supervertices according to `new_label`, which maps
   /// every current supervertex id to its new dense id in [0, new_n).  One

@@ -48,6 +48,24 @@ void for_range_dynamic(TeamCtx& ctx, std::atomic<std::size_t>& cursor,
   }
 }
 
+/// Blocks of an order-preserving, dynamically scheduled pass over [0, n) on
+/// `nthreads` threads: kDynamicBlocksPerThread per thread, never more than
+/// n, and one on a one-thread team, where there is nothing to balance.
+/// Block b is block_range(n, b, blocks); the team claims blocks with
+/// for_range_dynamic at chunk 1, so a thread that stalls (descheduled on a
+/// shared host) holds up one small block instead of a 1/p share of the
+/// pass, while per-block counts keep the output in block order.
+inline std::size_t dynamic_block_count(std::size_t n, int nthreads) {
+  const std::size_t want =
+      kDynamicBlocksPerThread * static_cast<std::size_t>(nthreads);
+  return nthreads == 1 || n == 0 ? 1 : (n < want ? n : want);
+}
+
+/// Block b of the `blocks` blocks of [0, n).
+inline IndexRange dynamic_block(std::size_t n, std::size_t b, std::size_t blocks) {
+  return block_range(n, static_cast<int>(b), static_cast<int>(blocks));
+}
+
 /// Dynamically scheduled parallel loop for irregular per-item cost (e.g. the
 /// per-supervertex scans of Bor-FAL whose list lengths vary wildly).  Threads
 /// grab fixed-size chunks from a shared atomic cursor.

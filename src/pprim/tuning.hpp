@@ -14,6 +14,11 @@ namespace smp {
 inline constexpr std::size_t kParallelForCutoff = 2048;
 /// Below this many items, sample_sort degrades to a single std::sort.
 inline constexpr std::size_t kSampleSortCutoff = std::size_t{1} << 15;
+/// Blocks per thread of the order-preserving passes that claim their blocks
+/// from a shared cursor (see dynamic_block_count): enough that a stalled
+/// thread's last block is a small share of the pass, few enough that the
+/// per-block counts stay a few hundred words.
+inline constexpr std::size_t kDynamicBlocksPerThread = 16;
 
 /// Find-min contention cutoffs (see core/find_min.hpp).  With at least this
 /// many threads AND at most kFindMinLocalBestCutoff supervertices, the

@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "pprim/huge_pages.hpp"
+
 namespace smp::seq {
 
 /// Disjoint-set forest with union by rank and path halving.
@@ -58,7 +60,9 @@ class UnionFind {
 /// unions — the sequential counterpart of AtomicUnionFind.
 class MinRootUnionFind {
  public:
-  explicit MinRootUnionFind(std::size_t n) : parent_(n) {
+  explicit MinRootUnionFind(std::size_t n) {
+    reserve_huge(parent_, n);
+    parent_.resize(n);
     std::iota(parent_.begin(), parent_.end(), std::uint32_t{0});
   }
 
@@ -91,6 +95,22 @@ class MinRootUnionFind {
     }
     return std::move(parent_);
   }
+
+  /// Numbers the sets densely, in ascending order of their minimum, and
+  /// hands the array over as labels in [0, number of sets); the structure
+  /// is empty afterwards.  One ascending pass: parent_[x] <= x, so x's
+  /// parent already holds its set's label when x is reached.
+  [[nodiscard]] std::vector<std::uint32_t> dense_labels() && {
+    std::uint32_t next = 0;
+    for (std::uint32_t x = 0; x < parent_.size(); ++x) {
+      const std::uint32_t p = parent_[x];
+      parent_[x] = p == x ? next++ : parent_[p];
+    }
+    return std::move(parent_);
+  }
+
+  /// Hints x's parent slot into the cache ahead of a find on x.
+  void prefetch(std::uint32_t x) const { __builtin_prefetch(&parent_[x]); }
 
  private:
   std::vector<std::uint32_t> parent_;

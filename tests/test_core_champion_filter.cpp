@@ -7,7 +7,9 @@
 #include <bit>
 #include <cstdint>
 #include <new>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/champion.hpp"
@@ -35,6 +37,7 @@ constexpr int kDensities[] = {1, 2, 4, 10, 64};
 /// order, which can round differently).
 struct Reference {
   std::vector<EdgeId> ids;
+  std::vector<WEdge> edges;  // parallel to ids
   std::uint64_t weight_bits = 0;
   std::size_t num_trees = 0;
 };
@@ -44,7 +47,10 @@ Reference kruskal_reference(const EdgeList& g) {
   Reference ref;
   ref.ids = test::sorted_ids(k);
   double w = 0;
-  for (const EdgeId id : ref.ids) w += g.edges[id].w;
+  for (const EdgeId id : ref.ids) {
+    ref.edges.push_back(g.edges[id]);
+    w += g.edges[id].w;
+  }
   ref.weight_bits = std::bit_cast<std::uint64_t>(w);
   ref.num_trees = k.num_trees;
   return ref;
@@ -82,6 +88,66 @@ EdgeList reweighted(VertexId n, EdgeId m, std::uint64_t seed, WeightFn weight) {
   Rng rng(seed ^ 0x5eedULL);
   for (WEdge& e : g.edges) e.w = weight(rng);
   return g;
+}
+
+/// `kParts` random components of `kPart` vertices each plus `kIsolated`
+/// vertices no edge touches, all over one shuffled vertex set, with
+/// m = d · n edges whose weights come from 8 values — so ties straddle the
+/// pivot and ⟨w, id⟩ decides the light set and the scan order.
+constexpr int kParts = 3;
+constexpr VertexId kPart = 400;
+constexpr VertexId kIsolated = 120;
+
+EdgeList tied_components(int d, std::uint64_t seed) {
+  const VertexId n = kParts * kPart + kIsolated;
+  std::vector<VertexId> where(n);
+  std::iota(where.begin(), where.end(), VertexId{0});
+  Rng rng(seed);
+  for (VertexId i = n - 1; i > 0; --i) {
+    std::swap(where[i], where[static_cast<VertexId>(rng.next_below(i + 1))]);
+  }
+  EdgeList g(n);
+  for (int c = 0; c < kParts; ++c) {
+    const VertexId base = static_cast<VertexId>(c) * kPart;
+    const EdgeList part = random_graph(
+        kPart, static_cast<EdgeId>(d) * n / kParts, seed + static_cast<std::uint64_t>(c));
+    for (const WEdge& e : part.edges) {
+      g.add_edge(where[base + e.u], where[base + e.v],
+                 static_cast<double>(rng.next_below(8)));
+    }
+  }
+  return g;
+}
+
+/// `r` equals Kruskal's forest of `g` field by field: the ids ascending, the
+/// edges at those ids, the bits of their ascending-id weight sum, the trees.
+void expect_kruskal_forest(const MsfResult& r, const Reference& ref,
+                           const std::string& at) {
+  EXPECT_EQ(r.edge_ids, ref.ids) << at;
+  EXPECT_EQ(r.edges, ref.edges) << at;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.total_weight), ref.weight_bits) << at;
+  EXPECT_EQ(r.num_trees, ref.num_trees) << at;
+  EXPECT_FALSE(r.degraded_to_sequential) << at;
+}
+
+TEST(ChampionFilter, LightScanMatchesKruskalOnTiedComponents) {
+  for (const int d : {6, 10, 64}) {
+    const EdgeList g = tied_components(d, 960 + static_cast<std::uint64_t>(d));
+    ASSERT_TRUE(core::champion_filters(g.num_vertices, g.edges.size(),
+                                       core::FindMinMode::kAuto));
+    const Reference ref = kruskal_reference(g);
+    ASSERT_GE(ref.num_trees, std::size_t{kParts + kIsolated});
+    const CompressedCsr cz = CompressedCsr::build(g);
+    const Reference cref = kruskal_reference(cz.decode_edge_list());
+    for (const int p : {1, 2, 4}) {
+      const std::string at = "m/n=" + std::to_string(d) + " p=" + std::to_string(p);
+      core::MsfOptions opts;
+      opts.threads = p;
+      expect_kruskal_forest(core::minimum_spanning_forest(g, opts), ref, at);
+      expect_kruskal_forest(core::minimum_spanning_forest_compressed(cz, opts),
+                            cref, at + " compressed");
+    }
+  }
 }
 
 TEST(ChampionFilter, SkipThresholdFollowsTheLightTarget) {
@@ -188,7 +254,7 @@ TEST(ChampionFilter, CompressedMatchesUncompressed) {
   }
 }
 
-TEST(ChampionFilter, InstrumentationAddsUpBothEnginePasses) {
+TEST(ChampionFilter, InstrumentationSplitsTheLightScanAndTheSurvivorPass) {
   const EdgeList g = random_graph(20000, 200000, 35);
   core::StepTimes st;
   core::PhaseStats ps;
@@ -204,10 +270,11 @@ TEST(ChampionFilter, InstrumentationAddsUpBothEnginePasses) {
   EXPECT_GT(st.arc_build, 0.0);
   EXPECT_GT(st.assembly, 0.0);
   EXPECT_LE(st.filter + st.rank_build + st.arc_build + st.assembly, st.other);
-  // The light pass starts on every vertex; the survivor pass on far fewer.
-  ASSERT_GE(iters.size(), 2u);
-  EXPECT_EQ(iters.front().vertices, g.num_vertices);
-  EXPECT_LT(iters.front().directed_edges, g.edges.size());  // ≈ 2 · 2n arcs
+  // The light scan counts as connect.
+  EXPECT_GT(st.connect, 0.0);
+  // Only the survivor pass iterates, and it starts on the light components.
+  ASSERT_FALSE(iters.empty());
+  EXPECT_LT(iters.front().vertices, g.num_vertices);
   EXPECT_EQ(ps.iterations, iters.size());
   EXPECT_EQ(ps.regions_per_iteration(), 1.0);
 
@@ -240,6 +307,26 @@ TEST_F(ChampionFilterFault, BadAllocUnwindsAndDegradesToKruskal) {
 
   // Through the dispatcher the failure degrades, exactly as for Bor-FAL.
   FaultInjector::arm("champion.filter", FaultKind::kBadAlloc);
+  core::MsfOptions opts;
+  opts.threads = 4;
+  const MsfResult r = core::minimum_spanning_forest(g, opts);
+  EXPECT_TRUE(r.degraded_to_sequential);
+  EXPECT_EQ(test::sorted_ids(r), ref.ids);
+}
+
+TEST_F(ChampionFilterFault, LightScanBadAllocUnwindsAndDegradesToKruskal) {
+  const EdgeList g = random_graph(3000, 30000, 39);
+  const Reference ref = kruskal_reference(g);
+  ThreadTeam team(4);
+  FaultInjector::arm("champion.light-scan", FaultKind::kBadAlloc);
+  EXPECT_THROW((void)core::champion_msf(team, g), std::bad_alloc);
+  EXPECT_EQ(FaultInjector::hits("champion.light-scan"), 1u);
+  FaultInjector::disarm_all();
+  // The same team solves cleanly afterwards.
+  EXPECT_EQ(core::champion_msf(team, g).edge_ids, ref.ids);
+
+  // Through the dispatcher the failure degrades to Kruskal's forest.
+  FaultInjector::arm("champion.light-scan", FaultKind::kBadAlloc);
   core::MsfOptions opts;
   opts.threads = 4;
   const MsfResult r = core::minimum_spanning_forest(g, opts);

@@ -2,6 +2,8 @@
 // permutation toggle, instrumentation, and heavy-collision stress.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/msf.hpp"
 #include "graph/generators.hpp"
 #include "seq/seq_msf.hpp"
@@ -54,7 +56,7 @@ TEST(MstBC, SingleThreadBehavesLikePrimOneRound) {
   opts.threads = 1;
   opts.bc_base_size = 1;
   std::vector<core::IterationStat> stats;
-  opts.iteration_stats = nullptr;  // MST-BC does not trace iterations
+  opts.iteration_stats = nullptr;
   const auto r = core::minimum_spanning_forest(g, opts);
   EXPECT_EQ(test::sorted_ids(r), test::sorted_ids(seq::prim_msf(g)));
   (void)stats;
@@ -102,6 +104,29 @@ TEST(MstBC, StepTimesAccumulate) {
   EXPECT_GE(st.find_min, 0.0);
   EXPECT_GE(st.connect, 0.0);
   EXPECT_GE(st.compact, 0.0);
+}
+
+TEST(MstBC, IterationStatsTraceEveryRound) {
+  const VertexId n = VertexId{1} << 14;
+  const EdgeList g = random_graph(n, EdgeId{4} * n, 13);
+  for (const int threads : {1, 4}) {
+    std::vector<core::IterationStat> iters;
+    core::PhaseStats ps;
+    core::MsfOptions opts;
+    opts.algorithm = core::Algorithm::kMstBC;
+    opts.threads = threads;
+    opts.iteration_stats = &iters;
+    opts.phase_stats = &ps;
+    (void)core::minimum_spanning_forest(g, opts);
+    ASSERT_FALSE(iters.empty()) << threads;
+    EXPECT_EQ(iters.size(), ps.iterations) << threads;
+    EXPECT_EQ(iters.front().vertices, n) << threads;
+    EXPECT_EQ(iters.front().directed_edges, 2 * g.edges.size()) << threads;
+    for (std::size_t i = 1; i < iters.size(); ++i) {
+      EXPECT_LT(iters[i].vertices, iters[i - 1].vertices) << threads << " round " << i;
+    }
+    for (const core::IterationStat& is : iters) EXPECT_EQ(is.live_fraction, 1.0);
+  }
 }
 
 TEST(MstBC, DisconnectedInput) {

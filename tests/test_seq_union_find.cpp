@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "pprim/rng.hpp"
@@ -68,6 +70,41 @@ TEST(UnionFind, RandomOperationsMatchNaiveLabels) {
       }
     }
   }
+}
+
+TEST(MinRootUnionFind, DenseLabelsNumberSetsByTheirMinimum) {
+  seq::MinRootUnionFind uf(8);
+  EXPECT_TRUE(uf.unite(5, 7));
+  EXPECT_TRUE(uf.unite(6, 1));
+  EXPECT_TRUE(uf.unite(3, 6));
+  EXPECT_TRUE(uf.unite(7, 2));
+  EXPECT_FALSE(uf.unite(1, 3));
+  // Sets {0}, {1, 3, 6}, {2, 5, 7}, {4}, numbered in order of their minimum.
+  EXPECT_EQ(std::move(uf).dense_labels(),
+            (std::vector<std::uint32_t>{0, 1, 2, 1, 3, 2, 1, 2}));
+}
+
+TEST(MinRootUnionFind, RandomDenseLabelsMatchNaiveLabels) {
+  const std::uint32_t n = 300;
+  seq::MinRootUnionFind uf(n);
+  std::vector<std::uint32_t> label(n);
+  for (std::uint32_t i = 0; i < n; ++i) label[i] = i;
+  Rng rng(98);
+  for (int op = 0; op < 250; ++op) {
+    const auto a = static_cast<std::uint32_t>(rng.next_below(n));
+    const auto b = static_cast<std::uint32_t>(rng.next_below(n));
+    EXPECT_EQ(uf.unite(a, b), label[a] != label[b]);
+    const auto from = std::max(label[a], label[b]);
+    const auto to = std::min(label[a], label[b]);
+    for (auto& l : label) {
+      if (l == from) l = to;
+    }
+  }
+  // label[x] is now the minimum of x's set; number those densely.
+  std::vector<std::uint32_t> dense(n);
+  std::uint32_t next = 0;
+  for (std::uint32_t x = 0; x < n; ++x) dense[x] = label[x] == x ? next++ : dense[label[x]];
+  EXPECT_EQ(std::move(uf).dense_labels(), dense);
 }
 
 TEST(IndexedHeap, PopsInSortedOrder) {

@@ -1,6 +1,6 @@
 # End-to-end test of the smpmsf CLI: generate → info → convert → solve →
-# solve --validate, checking exit codes and key output; then the server's
-# flag parsing.
+# solve --validate, checking exit codes and key output; then the flag
+# parsing of the server, the client and the converter.
 file(MAKE_DIRECTORY ${WORK})
 
 function(run_cli expect_rc out_var)
@@ -151,3 +151,18 @@ foreach(bad "--threads;4x" "--shards;banana" "--queue-cap;-1")
     message(FATAL_ERROR "server ${bad} exited ${rc}: ${err}")
   endif()
 endforeach()
+# So do the client's and the converter's, the client's tcp:// port included;
+# each is rejected before any connection or file is opened.
+foreach(bad "--clients;4x" "--socket;tcp://localhost:12ab")
+  list(GET bad 0 flag)
+  execute_process(COMMAND ${CLIENT} --socket ${WORK}/none.sock ${bad} -e ping
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "malformed number for ${flag}")
+    message(FATAL_ERROR "client ${bad} exited ${rc}: ${err}")
+  endif()
+endforeach()
+execute_process(COMMAND ${CONVERT} --run-edges -1 ${WORK}/g.gr ${WORK}/g.smpz
+                OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "malformed number for --run-edges")
+  message(FATAL_ERROR "convert --run-edges -1 exited ${rc}: ${err}")
+endif()

@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <system_error>
 #include <type_traits>
@@ -23,6 +24,17 @@ template <class T>
   if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(x);
   if (!ok) return std::nullopt;
   return x;
+}
+
+/// The whole of `v` parsed as a decimal T, or usage("malformed number for
+/// FLAG: 'V'"), where `usage` is the tool's exit-2 reporter and does not
+/// return.
+template <class T, class Usage>
+[[nodiscard]] T flag_number(const std::string& flag, const std::string& v,
+                            Usage usage) {
+  const std::optional<T> x = parse_number<T>(v);
+  if (!x) usage(("malformed number for " + flag + ": '" + v + "'").c_str());
+  return *x;
 }
 
 }  // namespace smp::tools

@@ -38,6 +38,7 @@
 
 #include "core/error.hpp"
 #include "net/tcp_client.hpp"
+#include "parse_number.hpp"
 #include "serve/protocol.hpp"
 #include "serve/uds_client.hpp"
 
@@ -77,11 +78,9 @@ Endpoint parse_endpoint(const std::string& target) {
   }
   ep.tcp = true;
   ep.path_or_host = rest.substr(0, colon);
-  const long port = std::strtol(rest.c_str() + colon + 1, nullptr, 10);
-  if (port < 1 || port > 65535) {
-    usage(("bad port in '" + target + "'").c_str());
-  }
-  ep.port = static_cast<std::uint16_t>(port);
+  ep.port = tools::flag_number<std::uint16_t>("--socket port",
+                                               rest.substr(colon + 1), usage);
+  if (ep.port == 0) usage(("bad port in '" + target + "'").c_str());
   return ep;
 }
 
@@ -249,11 +248,11 @@ int main(int argc, char** argv) {
     } else if (a == "--script") {
       script = value();
     } else if (a == "--clients") {
-      clients = std::atoi(value().c_str());
+      clients = tools::flag_number<int>(a, value(), usage);
     } else if (a == "--retries") {
-      retries = std::atoi(value().c_str());
+      retries = tools::flag_number<int>(a, value(), usage);
     } else if (a == "--backoff-ms") {
-      backoff_ms = std::atoi(value().c_str());
+      backoff_ms = tools::flag_number<int>(a, value(), usage);
     } else {
       usage(("unknown flag " + a).c_str());
     }

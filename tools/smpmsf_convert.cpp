@@ -29,6 +29,7 @@
 #include "core/error.hpp"
 #include "graph/compressed_csr.hpp"
 #include "graph/types.hpp"
+#include "parse_number.hpp"
 #include "pprim/timer.hpp"
 
 namespace {
@@ -382,7 +383,8 @@ int run(int argc, char** argv) {
       return argv[++i];
     };
     if (a.rfind("--run-edges", 0) == 0) {
-      run_edges = std::strtoull(value("--run-edges").c_str(), nullptr, 10);
+      run_edges = tools::flag_number<std::size_t>(
+          "--run-edges", value("--run-edges"), usage);
       if (run_edges == 0) usage("--run-edges must be >= 1");
     } else if (a.rfind("--tmp-dir", 0) == 0) {
       tmp_dir = value("--tmp-dir");

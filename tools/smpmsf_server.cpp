@@ -89,9 +89,7 @@ using namespace smp;
 /// `v` parsed in full as a decimal T, or a usage error naming `flag`.
 template <class T>
 T number(const std::string& flag, const std::string& v) {
-  const std::optional<T> x = tools::parse_number<T>(v);
-  if (!x) usage(("malformed number for " + flag + ": '" + v + "'").c_str());
-  return *x;
+  return tools::flag_number<T>(flag, v, usage);
 }
 
 struct Listeners {
