@@ -173,8 +173,6 @@ struct MsfOptions {
   std::uint64_t seed = 1;
   /// MST-BC: below this many supervertices the rest is solved sequentially.
   graph::VertexId bc_base_size = 512;
-  /// MST-BC: randomly reorder the vertex set (guarantees progress w.h.p.).
-  bool bc_permute = true;
   /// Optional out-params for instrumentation; may be nullptr.
   StepTimes* step_times = nullptr;
   std::vector<IterationStat>* iteration_stats = nullptr;

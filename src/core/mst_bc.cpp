@@ -199,15 +199,7 @@ MsfResult mst_bc_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
     std::vector<char> visited(n, 0);
     std::vector<VertexId> parent(n, kInvalidVertex);
 
-    std::vector<VertexId> perm;
-    if (opts.bc_permute) {
-      perm = random_permutation(team, n, opts.seed);
-    } else {
-      perm.resize(n);
-      parallel_for(team, n, [&](std::size_t i) {
-        perm[i] = static_cast<VertexId>(i);
-      });
-    }
+    const std::vector<VertexId> perm = random_permutation(team, n, opts.seed);
 
     std::vector<Part> parts(static_cast<std::size_t>(p));
     for (int t = 0; t < p; ++t) {

@@ -16,8 +16,7 @@ namespace smp::core {
 /// This is the core of MST *verification* by the cycle property: a spanning
 /// forest F is minimum iff every non-forest edge e = (u,v) satisfies
 /// order(e) > max-order edge on F's u–v path (with our strict total edge
-/// order).  It also powers the sample-and-filter MSF algorithm the paper's
-/// §3 discussion points at (Cole–Klein–Tarjan [8]).
+/// order); verify_msf runs that check.
 class ForestPathMax {
  public:
   /// Builds the structure over a forest on `n` vertices.  `edges[i]` must

@@ -147,7 +147,7 @@ MsfDelta DynamicMsf::apply_batch(std::span<const WEdge> insertions,
     const std::size_t live = store_.num_live();
     const std::size_t batch_ops = insertions.size() + del.size();
     if (static_cast<double>(batch_ops) >=
-        opts_.scratch_batch_fraction * static_cast<double>(live)) {
+        kScratchBatchFraction * static_cast<double>(live)) {
       std::vector<EdgeId> ids;
       const EdgeList all = store_.live_graph(&ids);
       return solve_and_commit(all, ids, /*from_scratch=*/true);

@@ -12,6 +12,14 @@
 
 namespace smp::dynamic {
 
+/// Crossover heuristic: when a batch touches at least this fraction of the
+/// live edges (insertions + deletions vs. the live count after the batch),
+/// DynamicMsf skips the sparsified candidate construction and recomputes on
+/// the whole live graph — at that size the filtered problem approaches the
+/// full one and the filtering scan is pure overhead.  bench_dynamic measures
+/// the real crossover.
+inline constexpr double kScratchBatchFraction = 0.25;
+
 struct DynamicMsfOptions {
   /// Backend for every solve: algorithm, threads, seed, budget, sequential
   /// fallback — the full static engine rides along, including the fused
@@ -24,13 +32,6 @@ struct DynamicMsfOptions {
   /// Kruskal pass adds its candidate sort to step_times->rank_build (part
   /// of `other`) and its union-find scan to step_times->connect.
   core::MsfOptions msf;
-  /// Crossover heuristic: when a batch touches at least this fraction of
-  /// the live edges (insertions + deletions vs. live count), skip the
-  /// sparsified candidate construction and recompute on the whole live
-  /// graph — at that size the filtered problem approaches the full one and
-  /// the filtering scan is pure overhead.  bench_dynamic measures the real
-  /// crossover; <= 0 forces every batch to recompute, >= 1 never does.
-  double scratch_batch_fraction = 0.25;
   /// Optional persistent thread team for every (re)solve.  When set, solves
   /// run on it (the run's p is team->size(); msf.threads is ignored) instead
   /// of spawning a team per solve — the serving layer shares one pool across

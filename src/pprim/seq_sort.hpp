@@ -10,7 +10,7 @@ namespace smp {
 /// Length at or below which insertion sort beats O(n log n) sorts.  The
 /// paper's profiling of Bor-AL found ~80% of per-vertex adjacency lists have
 /// 1–100 elements and picks insertion sort for those (§2.2); we adopt the
-/// same cutoff (tunable; see bench_ablation_sortcutoff).
+/// same cutoff.
 inline constexpr std::size_t kInsertionSortCutoff = 100;
 
 /// Classic binary insertion-free insertion sort; optimal for tiny inputs.
@@ -66,9 +66,8 @@ void merge_sort_bottomup(std::span<T> a, std::span<T> scratch, Less less) {
 /// The hybrid the paper uses for Bor-AL's per-list sorts: insertion sort for
 /// short lists, non-recursive merge sort otherwise.
 template <class T, class Less>
-void seq_sort(std::span<T> a, std::span<T> scratch, Less less,
-              std::size_t insertion_cutoff = kInsertionSortCutoff) {
-  if (a.size() <= insertion_cutoff) {
+void seq_sort(std::span<T> a, std::span<T> scratch, Less less) {
+  if (a.size() <= kInsertionSortCutoff) {
     insertion_sort(a, less);
   } else {
     merge_sort_bottomup(a, scratch, less);

@@ -1,25 +1,20 @@
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace smp::seq {
 
-/// d-ary min-heap over items identified by dense ids 0..n-1 with
+/// Binary min-heap over items identified by dense ids 0..n-1 with
 /// decrease-key — the heap behind both sequential Prim and each processor's
 /// private heap in MST-BC (Alg. 2 of the paper uses heap_insert /
 /// heap_extract_min / heap_decrease_key on exactly this structure).
 ///
-/// `Arity` trades comparisons for memory locality: wider nodes mean shorter
-/// sift-up paths (decrease-key heavy workloads like Prim) at the cost of
-/// more comparisons per sift-down; see bench_ablation_heap.
-///
 /// `Key` must be strict-weak-ordered by `Less`.
-template <class Key, class Less = std::less<Key>, unsigned Arity = 2>
+template <class Key, class Less = std::less<Key>>
 class IndexedHeap {
-  static_assert(Arity >= 2, "a heap needs at least two children per node");
  public:
   explicit IndexedHeap(std::uint32_t capacity, Less less = Less())
       : pos_(capacity, kAbsent), less_(less) {}
@@ -98,7 +93,7 @@ class IndexedHeap {
   void sift_up(std::size_t i) {
     Node nd = heap_[i];
     while (i > 0) {
-      const std::size_t parent = (i - 1) / Arity;
+      const std::size_t parent = (i - 1) / 2;
       if (!less_(nd.key, heap_[parent].key)) break;
       heap_[i] = heap_[parent];
       pos_[heap_[i].id] = static_cast<std::uint32_t>(i);
@@ -112,12 +107,10 @@ class IndexedHeap {
     Node nd = heap_[i];
     const std::size_t n = heap_.size();
     for (;;) {
-      const std::size_t first = Arity * i + 1;
-      if (first >= n) break;
-      const std::size_t last = std::min(first + Arity, n);
-      std::size_t child = first;
-      for (std::size_t c = first + 1; c < last; ++c) {
-        if (less_(heap_[c].key, heap_[child].key)) child = c;
+      std::size_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && less_(heap_[child + 1].key, heap_[child].key)) {
+        ++child;
       }
       if (!less_(heap_[child].key, nd.key)) break;
       heap_[i] = heap_[child];

@@ -1,5 +1,5 @@
 // MST-BC-specific behaviour: base-size sweep (Prim↔Borůvka spectrum),
-// permutation toggle, instrumentation, and heavy-collision stress.
+// permutation seeds, instrumentation, and heavy-collision stress.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -30,20 +30,17 @@ TEST(MstBC, BaseSizeSweepAllAgree) {
   }
 }
 
-TEST(MstBC, PermutationToggle) {
+TEST(MstBC, PermutationSeedsAllAgree) {
   const EdgeList g = mesh2d(50, 50, 6);
   const auto ref = test::sorted_ids(seq::kruskal_msf(g));
-  for (const bool permute : {true, false}) {
-    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-      core::MsfOptions opts;
-      opts.algorithm = core::Algorithm::kMstBC;
-      opts.threads = 4;
-      opts.bc_base_size = 16;
-      opts.bc_permute = permute;
-      opts.seed = seed;
-      const auto r = core::minimum_spanning_forest(g, opts);
-      EXPECT_EQ(test::sorted_ids(r), ref) << "permute=" << permute << " seed=" << seed;
-    }
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    core::MsfOptions opts;
+    opts.algorithm = core::Algorithm::kMstBC;
+    opts.threads = 4;
+    opts.bc_base_size = 16;
+    opts.seed = seed;
+    const auto r = core::minimum_spanning_forest(g, opts);
+    EXPECT_EQ(test::sorted_ids(r), ref) << "seed=" << seed;
   }
 }
 

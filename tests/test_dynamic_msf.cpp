@@ -203,13 +203,30 @@ TEST(DynamicMsf, LargeBatchCrossesOverToScratch) {
   EXPECT_EQ(d.forest_edge_ids(), ref.forest);
 }
 
-TEST(DynamicMsf, CrossoverFractionZeroAlwaysRecomputes) {
-  DynamicMsfOptions o = dyn_opts(core::Algorithm::kSeqKruskal, 1);
-  o.scratch_batch_fraction = 0.0;
-  const EdgeList g0 = random_graph(50, 120, 13);
-  DynamicMsf d(g0, o);
-  const std::vector<WEdge> one = {{0, 1, 0.001}};
-  EXPECT_TRUE(d.apply_batch(one, {}).recomputed_from_scratch);
+TEST(DynamicMsf, CrossoverThresholdIsAQuarterOfLiveAfterTheBatch) {
+  // The crossover compares the batch's ops against kScratchBatchFraction x
+  // the live count after the batch: on 300 live edges, 99 insertions stay
+  // sparsified (99 < 0.25 x 399) and 100 recompute (100 >= 0.25 x 400).
+  ASSERT_EQ(dynamic::kScratchBatchFraction, 0.25);
+  const EdgeList g0 = random_graph(100, 300, 11);
+  Rng rng(17);
+  std::vector<WEdge> ins;
+  for (int i = 0; i < 100; ++i) {
+    const auto u = static_cast<VertexId>(rng.next_below(100));
+    auto v = static_cast<VertexId>(rng.next_below(99));
+    if (v >= u) ++v;
+    ins.push_back(WEdge{u, v, rng.next_double()});
+  }
+  for (const std::size_t k : {std::size_t{99}, std::size_t{100}}) {
+    DynamicMsf d(g0, dyn_opts(core::Algorithm::kChampion, 2));
+    ASSERT_EQ(d.store().num_live(), 300u);
+    const MsfDelta delta =
+        d.apply_batch(std::span<const WEdge>(ins).first(k), {});
+    EXPECT_EQ(delta.recomputed_from_scratch, k == 100) << "batch=" << k;
+    const Reference ref = scratch_reference(d, core::Algorithm::kSeqKruskal, 1);
+    EXPECT_EQ(d.forest_edge_ids(), ref.forest) << "batch=" << k;
+    EXPECT_EQ(d.total_weight(), ref.weight) << "batch=" << k;
+  }
 }
 
 TEST(DynamicMsf, BridgeDeletionSplitsTree) {

@@ -27,10 +27,15 @@ using smp::query::ForestIndex;
 DynamicMsfOptions opts() {
   DynamicMsfOptions o;
   o.msf.threads = 2;
-  // Never cross over to a whole-graph solve: every insert-only batch below
-  // must be one the path-max path is allowed to take.
-  o.scratch_batch_fraction = 1e9;
   return o;
+}
+
+/// Whether an insert-only batch of k edges stays below the scratch crossover
+/// (k < kScratchBatchFraction x the live count after it), so the path-max
+/// path may take it.
+bool below_crossover(std::size_t k, std::size_t live_before) {
+  return static_cast<double>(k) <
+         dynamic::kScratchBatchFraction * static_cast<double>(live_before + k);
 }
 
 bool same_bits(Weight a, Weight b) { return std::memcmp(&a, &b, sizeof a) == 0; }
@@ -114,9 +119,13 @@ void run_differential(const Shape& shape, std::size_t k, std::uint64_t seed) {
     const ForestIndex idx(team, indexed.store(), indexed.forest_edge_ids(),
                           ++version);
     const std::uint64_t before = indexed.path_max_batches();
+    // Until the live graph outgrows 3k edges (from an edgeless start, say)
+    // the batch crosses over to a whole-graph solve on both sides.
+    const bool sparse = below_crossover(k, indexed.store().num_live());
     const MsfDelta want = solved.apply_batch(batch, {});
     const MsfDelta got = indexed.apply_batch(batch, {}, &idx.dendrogram());
-    ASSERT_EQ(indexed.path_max_batches(), before + 1);
+    ASSERT_EQ(indexed.path_max_batches(), before + (sparse ? 1 : 0));
+    EXPECT_EQ(got.recomputed_from_scratch, !sparse);
     EXPECT_EQ(solved.path_max_batches(), 0u);
     expect_same_delta(got, want);
     expect_same_state(indexed, solved);
@@ -131,6 +140,7 @@ void run_differential(const Shape& shape, std::size_t k, std::uint64_t seed) {
       expect_same_state(indexed, solved);
     }
   }
+  EXPECT_GT(indexed.path_max_batches(), 0u);
 }
 
 TEST(DynamicPathMax, BitIdenticalToSolvePath) {
@@ -154,8 +164,9 @@ TEST(DynamicPathMax, BitIdenticalToSolvePath) {
 }
 
 TEST(DynamicPathMax, StaleOracleFallsBackToSolve) {
-  EdgeList g(8);
-  for (VertexId i = 0; i + 1 < 8; ++i) g.add_edge(i, i + 1, 1.0 * i);
+  // 15 path edges keep both batches below the scratch crossover.
+  EdgeList g(16);
+  for (VertexId i = 0; i + 1 < 16; ++i) g.add_edge(i, i + 1, 1.0 * i);
   DynamicMsf d(g, opts());
   ThreadTeam team(1);
   // An index of a forest with one edge fewer than the one d holds.
@@ -171,8 +182,9 @@ TEST(DynamicPathMax, StaleOracleFallsBackToSolve) {
   // Deletions always solve, oracle or not.
   const ForestIndex fresh(team, d.store(), d.forest_edge_ids(), 2);
   const std::vector<EdgeId> del{d.forest_edge_ids().front()};
-  expect_same_delta(d.apply_batch(batch, del, &fresh.dendrogram()),
-                    ref.apply_batch(batch, del));
+  const MsfDelta solved = d.apply_batch(batch, del, &fresh.dendrogram());
+  expect_same_delta(solved, ref.apply_batch(batch, del));
+  EXPECT_FALSE(solved.recomputed_from_scratch);
   EXPECT_EQ(d.path_max_batches(), 0u);
 }
 

@@ -148,8 +148,6 @@ DynamicMsfOptions options(Path path, ThreadTeam* team) {
   o.msf.threads = team->size();
   o.msf.allow_sequential_fallback = false;
   o.team = team;
-  // <= 0 sends every batch to the whole-graph solve; a huge value none.
-  o.scratch_batch_fraction = path == Path::kScratch ? 0.0 : 1e9;
   return o;
 }
 
@@ -245,8 +243,12 @@ TEST(DynamicRollback, EveryApplyPathLeavesNoTrace) {
         del.push_back(forest[forest.size() / 3]);
         del.push_back(forest[forest.size() / 2]);
       }
+      // The scratch crossover takes a batch of at least kScratchBatchFraction
+      // of the live edges after it (300 + 6 ops vs 0.25 x 1194 live, still
+      // m <= 4n so Champion runs Bor-FAL); every other path a small one.
+      const std::size_t num_ins = path == Path::kScratch ? n : 6;
       std::vector<WEdge> ins;
-      for (int i = 0; i < 6; ++i) {
+      for (std::size_t i = 0; i < num_ins; ++i) {
         const auto u = static_cast<VertexId>(rng.next_below(n));
         const auto v =
             static_cast<VertexId>((u + 1 + rng.next_below(n - 1)) % n);
@@ -257,6 +259,11 @@ TEST(DynamicRollback, EveryApplyPathLeavesNoTrace) {
         idx.emplace(team, d.store(), d.forest_edge_ids(), 1);
       }
       const core::Dendrogram* oracle = idx ? &idx->dendrogram() : nullptr;
+      const std::size_t ops = ins.size() + del.size();
+      const std::size_t live_after = d.store().num_live() + ins.size() - del.size();
+      ASSERT_EQ(static_cast<double>(ops) >=
+                    dynamic::kScratchBatchFraction * static_cast<double>(live_after),
+                path == Path::kScratch);
 
       const Frozen before = freeze(d);
       const PinnedView view = pin(d);

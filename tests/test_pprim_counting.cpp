@@ -1,13 +1,11 @@
-// Parallel counting sort and parallel reduce.
+// Parallel counting sort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
 #include "pprim/counting_sort.hpp"
-#include "pprim/reduce.hpp"
 #include "pprim/rng.hpp"
 #include "pprim/thread_team.hpp"
 
@@ -68,31 +66,6 @@ TEST(CountingSort, SingleKeyDegenerate) {
                        [](const Item& x) { return x.key; }, offsets);
   EXPECT_EQ(out, in) << "stability preserves input order within one key";
   EXPECT_EQ(offsets, (std::vector<std::uint64_t>{0, in.size()}));
-}
-
-TEST(ParallelReduce, SumAndMaxMatchSerial) {
-  for (const int threads : {1, 3, 8}) {
-    ThreadTeam team(threads);
-    const std::size_t n = 100000;
-    std::vector<std::uint64_t> data(n);
-    Rng rng(5);
-    for (auto& x : data) x = rng.next_below(1000000);
-
-    const auto sum = parallel_sum<std::uint64_t>(team, n, [&](std::size_t i) {
-      return data[i];
-    });
-    EXPECT_EQ(sum, std::accumulate(data.begin(), data.end(), std::uint64_t{0}));
-
-    const auto mx = parallel_reduce<std::uint64_t>(
-        team, n, 0, [&](std::size_t i) { return data[i]; },
-        [](std::uint64_t a, std::uint64_t b) { return std::max(a, b); });
-    EXPECT_EQ(mx, *std::max_element(data.begin(), data.end()));
-  }
-}
-
-TEST(ParallelReduce, EmptyRangeGivesIdentity) {
-  ThreadTeam team(4);
-  EXPECT_EQ(parallel_sum<int>(team, 0, [](std::size_t) { return 1; }), 0);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "pprim/rng.hpp"
-#include "seq/indexed_heap.hpp"
 #include "seq/seq_msf.hpp"
 #include "test_util.hpp"
 
@@ -101,26 +100,6 @@ TEST(Golden, FixedSeedForestsNeverChange) {
   // And the reference itself is pinned: these literals are the golden part.
   EXPECT_EQ(r1.edges.size(), 999u);
   EXPECT_EQ(r2.edges.size(), 1881u);
-}
-
-TEST(HeapArity, AllAritiesPopIdenticalSequences) {
-  Rng rng(5);
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> inserts;
-  for (std::uint32_t i = 0; i < 5000; ++i) inserts.emplace_back(i, rng.next());
-
-  const auto drain = [&](auto& heap) {
-    for (const auto& [id, key] : inserts) heap.push(id, key);
-    std::vector<std::uint64_t> popped;
-    while (!heap.empty()) popped.push_back(heap.pop().key);
-    return popped;
-  };
-  seq::IndexedHeap<std::uint64_t, std::less<std::uint64_t>, 2> h2(5000);
-  seq::IndexedHeap<std::uint64_t, std::less<std::uint64_t>, 4> h4(5000);
-  seq::IndexedHeap<std::uint64_t, std::less<std::uint64_t>, 8> h8(5000);
-  const auto a = drain(h2);
-  EXPECT_EQ(drain(h4), a);
-  EXPECT_EQ(drain(h8), a);
-  EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
 }
 
 TEST(Robustness, AlternatingThreadCountsShareNoState) {

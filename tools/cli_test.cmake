@@ -110,6 +110,21 @@ if(pos EQUAL -1)
 endif()
 run_cli(2 out solve --threads 4x ${WORK}/g.gr)
 run_cli(2 out gen --type random --n 1e3 --m 3000 -o ${WORK}/bad.gr)
+# Each number parses as the type it is used as: a value that type cannot
+# hold (2^32 + 100 vertices, k = 2^32 + 6, p = 2^32 + 2) is malformed, never
+# narrowed to 100, 6 or 2.
+foreach(bad "--n;gen --type random --n 4294967396 --m 300 -o ${WORK}/bad.gr"
+            "--k;gen --type geometric --n 300 --k 4294967302 -o ${WORK}/bad.gr"
+            "--threads;solve --threads 4294967298 ${WORK}/g.gr"
+            "--threads;cc --threads 4294967298 ${WORK}/g.gr")
+  list(POP_FRONT bad flag)
+  string(REPLACE " " ";" args "${bad}")
+  run_cli(2 out ${args})
+  string(FIND "${cli_err}" "malformed number for ${flag}" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "out-of-range ${flag} not named in the usage error: ${cli_err}")
+  endif()
+endforeach()
 # Removed flags: --compact-sort (the compact always runs the packed radix
 # sort) and --auto-tune (the cutoffs are compile-time constants).
 foreach(removed "--compact-sort;radix" "--auto-tune")

@@ -44,6 +44,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <unordered_set>
 
 #include "core/connected_components.hpp"
@@ -164,14 +165,22 @@ struct Flags {
     const auto v = get(key);
     if (!v) return std::nullopt;
     const std::optional<T> x = tools::parse_number<T>(*v);
-    if (!x) {
-      usage(("malformed number for " + std::string(key) + ": '" + *v + "'")
-                .c_str());
-    }
+    if (!x) malformed(key);
     return x;
   }
-  [[nodiscard]] std::uint64_t num(const char* key, std::uint64_t fallback) const {
-    return parsed<std::uint64_t>(key).value_or(fallback);
+  /// The count `key` as the type it is used as, or `fallback` when absent: a
+  /// negative value, or one T cannot hold, is a usage error, never narrowed.
+  template <class T = std::uint64_t>
+  [[nodiscard]] T num(const char* key, std::type_identity_t<T> fallback) const {
+    const std::optional<T> x = parsed<T>(key);
+    if constexpr (std::is_signed_v<T>) {
+      if (x && *x < 0) malformed(key);
+    }
+    return x.value_or(fallback);
+  }
+  [[noreturn]] void malformed(const char* key) const {
+    usage(("malformed number for " + std::string(key) + ": '" + *get(key) + "'")
+              .c_str());
   }
   [[nodiscard]] std::optional<double> real(const char* key) const {
     return parsed<double>(key);
@@ -220,9 +229,9 @@ int cmd_gen(const Flags& f) {
   const auto type = f.get("--type");
   const auto out = f.get("--out");
   if (!type || !out) usage("gen needs --type and -o");
-  const auto n = static_cast<VertexId>(f.num("--n", 0));
-  const auto m = static_cast<EdgeId>(f.num("--m", 0));
-  const auto k = static_cast<int>(f.num("--k", 6));
+  const auto n = f.num<VertexId>("--n", 0);
+  const auto m = f.num<EdgeId>("--m", 0);
+  const auto k = f.num<int>("--k", 6);
   const std::uint64_t seed = f.num("--seed", 1);
   if (n == 0) usage("gen needs --n > 0");
 
@@ -513,7 +522,7 @@ int cmd_solve(const Flags& f) {
   const VertexId num_vertices = compressed ? cz->num_vertices() : g.num_vertices;
   const EdgeId num_edges = compressed ? cz->num_edges() : g.num_edges();
   const std::string alg = f.get("--alg").value_or("champion");
-  const int threads = static_cast<int>(f.num("--threads", 1));
+  const int threads = f.num<int>("--threads", 1);
   const std::uint64_t seed = f.num("--seed", 1);
 
   core::MsfOptions opts;
@@ -618,7 +627,7 @@ int cmd_solve(const Flags& f) {
 int cmd_cc(const Flags& f) {
   if (f.positional.size() != 1) usage("cc needs exactly one FILE");
   const EdgeList g = load(f.positional[0]);
-  const int threads = static_cast<int>(f.num("--threads", 1));
+  const int threads = f.num<int>("--threads", 1);
   WallTimer t;
   const auto cc = core::connected_components(g, threads);
   std::printf("components: %zu (%.3fs, p=%d)\n", cc.num_components, t.elapsed_s(),
