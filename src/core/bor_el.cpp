@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -17,7 +16,6 @@ namespace smp::core {
 
 using graph::EdgeId;
 using graph::EdgeList;
-using graph::kInvalidEdge;
 using graph::MsfResult;
 using graph::VertexId;
 
@@ -26,14 +24,14 @@ using graph::VertexId;
 /// supervertex(v)⟩ into one 64-bit key and radix-sorts the directed edge
 /// list, then merges self-loops and multi-edges by prefix sum.
 ///
-/// The packed-key find-min path (FindMinMode::kSimd, the kAuto default)
-/// folds each arc's ⟨weight-rank, index⟩ into one uint64 on the fly, so the
-/// per-arc race is a single atomic_min_u64 instead of the two-word
+/// find-min is the packed-key kernel of core/find_min.hpp: each arc's
+/// ⟨weight-rank, index⟩ folds into one uint64 on the fly, so the per-arc
+/// race is a single atomic_min_u64 instead of the paper's two-word
 /// comparator CAS; in late iterations with few supervertices the publish
 /// switches to per-thread local-best slabs merged in-region (the
-/// contention-aware reduction of core/find_min.hpp).  No pruning here —
-/// compact-graph already removes dead arcs physically each iteration.
-/// FindMinMode::kScan keeps the seed kernel exactly.
+/// contention-aware reduction).  No pruning here — compact-graph already
+/// removes dead arcs physically each iteration.  The ranks need m ≤ 2^31
+/// (validate_edge_count).
 ///
 /// Each Borůvka iteration runs as ONE persistent SPMD region: find-min,
 /// connect-components (pointer jumping + label densification), and
@@ -58,22 +56,13 @@ MsfResult bor_el_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
   }
 
   const int p = team.size();
-  const FindMinMode mode = resolve_find_min_mode(opts.find_min, g.edges.size());
-  const bool packed = mode == FindMinMode::kSimd;
 
   detail::EdgeCollector collector(team.size());
-  std::vector<std::atomic<EdgeId>> best;  // scan path: per vertex arc id
-  std::vector<std::uint64_t> best_keys;   // packed path: per vertex key
-  std::vector<std::uint32_t> rank;        // packed path: per input edge
+  WallTimer ranks;
+  const std::vector<std::uint32_t> rank = build_weight_ranks(team, g);
+  st.rank_build += ranks.elapsed_s();
+  std::vector<std::uint64_t> best_keys(n);  // per vertex packed key
   LocalBestScratch local_best;
-  if (packed) {
-    WallTimer ranks;
-    rank = build_weight_ranks(team, g);
-    st.rank_build += ranks.elapsed_s();
-    best_keys.resize(n);
-  } else {
-    best = std::vector<std::atomic<EdgeId>>(n);
-  }
   std::vector<VertexId> parent(n);
   ComponentsScratch comp_scratch;
   detail::CompactScratch compact_scratch;
@@ -89,51 +78,37 @@ MsfResult bor_el_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
     const std::size_t m = arcs.size();
     VertexId next_n = 0;
     const bool local_best_on =
-        packed && p > 1 && p >= kFindMinLocalBestThreads &&
+        p > 1 && p >= kFindMinLocalBestThreads &&
         cur_n <= kFindMinLocalBestCutoff;
 
     team.run([&](TeamCtx& ctx) {
       WallTimer t0;
       // --- find-min -------------------------------------------------------
       if (ctx.tid() == 0) fault_point("bor-el.find-min");
-      if (packed) {
-        if (local_best_on) {
-          if (ctx.tid() == 0) local_best.ensure(p, cur_n);
-          ctx.barrier();
-          std::uint64_t* mine = local_best.slab(ctx.tid());
-          std::fill(mine, mine + cur_n, kEmptyKey);
-        } else {
-          for_range(ctx, cur_n,
-                    [&](std::size_t v) { best_keys[v] = kEmptyKey; });
-        }
+      if (local_best_on) {
+        if (ctx.tid() == 0) local_best.ensure(p, cur_n);
         ctx.barrier();
-        std::uint64_t* mine = local_best_on ? local_best.slab(ctx.tid()) : nullptr;
-        for_range(ctx, m, [&](std::size_t i) {
-          const std::uint64_t k = pack_key(rank[arcs[i].orig], i);
-          const VertexId u = arcs[i].u;
-          if (mine != nullptr) {
-            if (k < mine[u]) mine[u] = k;
-          } else {
-            atomic_min_u64(best_keys[u], k);
-          }
-        });
-        ctx.barrier();
-        if (local_best_on) {
-          merge_local_best_in_region(
-              ctx, local_best, std::span<std::uint64_t>(best_keys.data(), cur_n));
-          ctx.barrier();
-        }
+        std::uint64_t* mine = local_best.slab(ctx.tid());
+        std::fill(mine, mine + cur_n, kEmptyKey);
       } else {
-        for_range(ctx, cur_n, [&](std::size_t v) {
-          best[v].store(kInvalidEdge, std::memory_order_relaxed);
-        });
-        ctx.barrier();
-        const auto better = [&](EdgeId a, EdgeId b) {
-          return arcs[a].order() < arcs[b].order();
-        };
-        for_range(ctx, m, [&](std::size_t i) {
-          atomic_write_min(best[arcs[i].u], static_cast<EdgeId>(i), better);
-        });
+        for_range(ctx, cur_n,
+                  [&](std::size_t v) { best_keys[v] = kEmptyKey; });
+      }
+      ctx.barrier();
+      std::uint64_t* mine = local_best_on ? local_best.slab(ctx.tid()) : nullptr;
+      for_range(ctx, m, [&](std::size_t i) {
+        const std::uint64_t k = pack_key(rank[arcs[i].orig], i);
+        const VertexId u = arcs[i].u;
+        if (mine != nullptr) {
+          if (k < mine[u]) mine[u] = k;
+        } else {
+          atomic_min_u64(best_keys[u], k);
+        }
+      });
+      ctx.barrier();
+      if (local_best_on) {
+        merge_local_best_in_region(
+            ctx, local_best, std::span<std::uint64_t>(best_keys.data(), cur_n));
         ctx.barrier();
       }
 
@@ -146,40 +121,22 @@ MsfResult bor_el_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
       fault_point("bor-el.connect.region");
       // Record chosen edges (each mutual-minimum pair exactly once) and set
       // up the pseudo-forest parent pointers.
-      if (packed) {
-        for_range(ctx, cur_n, [&](std::size_t v) {
-          const std::uint64_t bk = best_keys[v];
-          if (bk == kEmptyKey) {
-            parent[v] = static_cast<VertexId>(v);
-            return;
-          }
-          const DirEdge& e = arcs[key_index(bk)];
-          parent[v] = e.v;
-          // Same undirected edge ⇔ same weight rank (ranks are unique).
-          const std::uint64_t ob = best_keys[e.v];
-          const bool other_also_chose =
-              ob != kEmptyKey && key_rank(ob) == key_rank(bk);
-          if (!(other_also_chose && e.v < v)) {
-            collector.add(ctx.tid(), e.orig);
-          }
-        });
-      } else {
-        for_range(ctx, cur_n, [&](std::size_t v) {
-          const EdgeId b = best[v].load(std::memory_order_relaxed);
-          if (b == kInvalidEdge) {
-            parent[v] = static_cast<VertexId>(v);
-            return;
-          }
-          const DirEdge& e = arcs[b];
-          parent[v] = e.v;
-          const EdgeId ob = best[e.v].load(std::memory_order_relaxed);
-          const bool other_also_chose =
-              ob != kInvalidEdge && arcs[ob].orig == e.orig;
-          if (!(other_also_chose && e.v < v)) {
-            collector.add(ctx.tid(), e.orig);
-          }
-        });
-      }
+      for_range(ctx, cur_n, [&](std::size_t v) {
+        const std::uint64_t bk = best_keys[v];
+        if (bk == kEmptyKey) {
+          parent[v] = static_cast<VertexId>(v);
+          return;
+        }
+        const DirEdge& e = arcs[key_index(bk)];
+        parent[v] = e.v;
+        // Same undirected edge ⇔ same weight rank (ranks are unique).
+        const std::uint64_t ob = best_keys[e.v];
+        const bool other_also_chose =
+            ob != kEmptyKey && key_rank(ob) == key_rank(bk);
+        if (!(other_also_chose && e.v < v)) {
+          collector.add(ctx.tid(), e.orig);
+        }
+      });
       ctx.barrier();
       pointer_jump_components_in_region(
           ctx, std::span<VertexId>(parent.data(), cur_n), comp_scratch);

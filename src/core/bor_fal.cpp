@@ -17,41 +17,36 @@
 
 namespace smp::core {
 
-using graph::CsrGraph;
 using graph::EdgeId;
 using graph::EdgeList;
 using graph::FlexAdjList;
-using graph::kInvalidEdge;
 using graph::MsfResult;
 using graph::VertexId;
-using graph::WeightOrder;
 
 /// Bor-FAL (§2.3): the flexible adjacency list keeps the original edge
-/// arrays intact forever.  In exchange, the paper's find-min rescans all m
-/// edges every iteration, filtering self-loops and multi-edges through the
-/// vertex → supervertex lookup table.  §2.3's compact-graph also sorts the
-/// supervertices and appends member adjacency lists for a find-min that
-/// walks supervertices; both find-mins here walk original vertices x and
-/// publish into labels[x]'s slot, so compact-graph is the lookup-table
+/// arrays intact forever.  The paper's find-min pays for that by rescanning
+/// all m edges every iteration, filtering self-loops and multi-edges through
+/// the vertex → supervertex lookup table.  §2.3's compact-graph also sorts
+/// the supervertices and appends member adjacency lists for a find-min that
+/// walks supervertices; find-min here walks original vertices x and
+/// publishes into labels[x]'s slot, so compact-graph is the lookup-table
 /// update alone — one O(n) pass, no sort.
 ///
-/// The packed-key path (FindMinMode::kSimd, the kAuto default) removes that
-/// rescan tax with the shared find-min layer (core/find_min.hpp): each arc
-/// slot holds a uint64 ⟨weight-rank, target⟩ key, and each original
-/// vertex's slice is ascending by rank (build_packed_input).  The slice's
-/// lightest live arc is therefore the first one whose target lies in
-/// another supervertex.  Find-min keeps one cursor per original vertex,
-/// steps it past arcs whose target now shares the vertex's supervertex (a
-/// permanent self-loop — contraction only merges), and publishes the key at
-/// the cursor with ONE atomic_min_u64 per original vertex instead of one
-/// two-word CAS per arc.  When the team is large and cur_n small, the
-/// publish switches to per-thread local-best slabs merged in-region
-/// (contention-aware reduction).  Iteration k costs one read per vertex
-/// plus the arcs its cursors step past — O(n) per iteration and 2m over the
-/// whole solve — and the selected arcs are identical to the seed scan,
-/// since WeightOrder is encoded in the key order, so forests stay
-/// bit-identical.  FindMinMode::kScan keeps the seed kernel exactly, as
-/// the A/B baseline.
+/// find-min is the packed-key kernel of core/find_min.hpp, which removes
+/// the rescan tax: each arc slot holds a uint64 ⟨weight-rank, target⟩ key,
+/// and each original vertex's slice is ascending by rank
+/// (build_packed_input).  The slice's lightest live arc is therefore the
+/// first one whose target lies in another supervertex.  Find-min keeps one
+/// cursor per original vertex, steps it past arcs whose target now shares
+/// the vertex's supervertex (a permanent self-loop — contraction only
+/// merges), and publishes the key at the cursor with ONE atomic_min_u64 per
+/// original vertex instead of one two-word CAS per arc.  When the team is
+/// large and cur_n small, the publish switches to per-thread local-best
+/// slabs merged in-region (contention-aware reduction).  Iteration k costs
+/// one read per vertex plus the arcs its cursors step past — O(n) per
+/// iteration and 2m over the whole solve.  WeightOrder is encoded in the
+/// key order, so the selected arcs are the rescan's and the forest is the
+/// unique MSF.  The keys need m ≤ 2^31 (validate_edge_count).
 ///
 /// Each Borůvka iteration runs as ONE persistent SPMD region (find-min,
 /// connect-components, and the lookup-table contraction all synchronize via
@@ -59,7 +54,7 @@ using graph::WeightOrder;
 /// reads the shared `any` flag after the connect barrier and leaves the
 /// region together; the orchestrator then breaks out of the loop.
 ///
-/// The packed loop lives in bor_fal_packed_engine so the compressed-CSR
+/// The loop lives in bor_fal_packed_engine so the compressed-CSR
 /// streaming path (core/compressed_solve.cpp) can drive the identical
 /// engine from decoded varint rows without ever materializing an EdgeList.
 namespace {
@@ -254,136 +249,13 @@ std::vector<EdgeId> bor_fal_packed_engine(ThreadTeam& team,
 }
 
 MsfResult bor_fal_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts) {
-  const VertexId n = g.num_vertices;
   StepTimes st;
   WallTimer phase;
-
-  const int p = team.size();
-  const FindMinMode mode = resolve_find_min_mode(opts.find_min, g.edges.size());
-
-  if (mode == FindMinMode::kSimd) {
-    PackedSolveInput in = build_packed_input(team, g, st);
-    st.other += phase.elapsed_s();
-    std::vector<EdgeId> ids = bor_fal_packed_engine(team, std::move(in), opts, st);
-    phase.reset();
-    MsfResult res = detail::assemble_result(team, g, std::move(ids));
-    st.assembly += phase.elapsed_s();
-    st.other += st.assembly;
-    if (opts.step_times) *opts.step_times += st;
-    return res;
-  }
-
-  // Scan path (FindMinMode::kScan): the seed kernel, kept verbatim as the
-  // A/B baseline — full CSR, all m edges checked every iteration.
-  const CsrGraph csr(g);
-  const auto& offsets = csr.offsets();
-  const EdgeId num_arcs = offsets.back();
-  FlexAdjList fal(n);
-  const auto& targets = csr.targets();
-  const auto& weights = csr.arc_weights();
-  const auto& origs = csr.arc_origs();
-
-  detail::EdgeCollector collector(p);
-  std::vector<std::atomic<EdgeId>> best(n);  // per supervertex arc id
-  std::vector<VertexId> parent(n);
-  ComponentsScratch comp_scratch;
-  std::atomic<bool> any{false};
+  PackedSolveInput in = build_packed_input(team, g, st);
   st.other += phase.elapsed_s();
-
-  for (;;) {
-    iteration_checkpoint(opts, "Bor-FAL iteration");
-    const VertexId cur_n = fal.num_super();
-    if (opts.iteration_stats) {
-      // m never shrinks under lazy filtering — always 2m.
-      IterationStat is;
-      is.vertices = cur_n;
-      is.directed_edges = num_arcs;
-      is.live_fraction = 1.0;
-      opts.iteration_stats->push_back(is);
-    }
-    const std::uint64_t regions_before = team.regions_started();
-    any.store(false, std::memory_order_relaxed);
-
-    team.run([&](TeamCtx& ctx) {
-      WallTimer t0;
-      // --- find-min -------------------------------------------------------
-      if (ctx.tid() == 0) fault_point("bor-fal.find-min");
-      const auto labels = fal.labels();
-      // Seed kernel: all m edges checked every iteration, each processor
-      // covering O(m/p), racing two-word atomic write-mins per arc.
-      for_range(ctx, cur_n, [&](std::size_t s) {
-        best[s].store(kInvalidEdge, std::memory_order_relaxed);
-      });
-      ctx.barrier();
-      const auto better = [&](EdgeId a, EdgeId b) {
-        return WeightOrder{weights[a], origs[a]} <
-               WeightOrder{weights[b], origs[b]};
-      };
-      for_range(ctx, n, [&](std::size_t x) {
-        const VertexId s = labels[x];
-        for (EdgeId a = offsets[x]; a < offsets[x + 1]; ++a) {
-          if (labels[targets[a]] == s) continue;  // supervertex self-loop
-          atomic_write_min(best[s], a, better);
-        }
-      });
-      ctx.barrier();
-
-      // --- connect-components ---------------------------------------------
-      if (ctx.tid() == 0) {
-        st.find_min += t0.elapsed_s();
-        t0.reset();
-        fault_point("bor-fal.connect");
-      }
-      fault_point("bor-fal.connect.region");
-      bool local_any = false;
-      for_range(ctx, cur_n, [&](std::size_t s) {
-        const EdgeId b = best[s].load(std::memory_order_relaxed);
-        if (b == kInvalidEdge) {
-          parent[s] = static_cast<VertexId>(s);
-          return;
-        }
-        local_any = true;
-        const VertexId other = labels[targets[b]];
-        parent[s] = other;
-        const EdgeId ob = best[other].load(std::memory_order_relaxed);
-        const bool other_also_chose =
-            ob != kInvalidEdge && origs[ob] == origs[b];
-        if (!(other_also_chose && other < s)) {
-          collector.add(ctx.tid(), origs[b]);
-        }
-      });
-      if (local_any) any.store(true, std::memory_order_relaxed);
-      ctx.barrier();
-      // Uniform exit decision: nobody writes `any` past the barrier.
-      if (!any.load(std::memory_order_relaxed)) {
-        if (ctx.tid() == 0) st.connect += t0.elapsed_s();
-        return;  // every component fully contracted
-      }
-      pointer_jump_components_in_region(
-          ctx, std::span<VertexId>(parent.data(), cur_n), comp_scratch);
-      const VertexId next_n = densify_labels_in_region(
-          ctx, std::span<VertexId>(parent.data(), cur_n), comp_scratch);
-
-      // --- compact-graph: the lookup-table update -------------------------
-      if (ctx.tid() == 0) {
-        st.connect += t0.elapsed_s();
-        t0.reset();
-        fault_point("bor-fal.compact");
-      }
-      fault_point("bor-fal.compact.region");
-      fal.contract(ctx, std::span<const VertexId>(parent.data(), cur_n), next_n);
-      if (ctx.tid() == 0) st.compact += t0.elapsed_s();
-    });
-
-    if (opts.phase_stats) {
-      opts.phase_stats->iterations += 1;
-      opts.phase_stats->regions += team.regions_started() - regions_before;
-    }
-    if (!any.load(std::memory_order_relaxed)) break;
-  }
-
+  std::vector<EdgeId> ids = bor_fal_packed_engine(team, std::move(in), opts, st);
   phase.reset();
-  MsfResult res = detail::assemble_result(team, g, collector.gather());
+  MsfResult res = detail::assemble_result(team, g, std::move(ids));
   st.assembly += phase.elapsed_s();
   st.other += st.assembly;
   if (opts.step_times) *opts.step_times += st;

@@ -270,15 +270,14 @@ MsfResult filtered_solve(ThreadTeam& team, VertexId n, std::size_t m,
 
 }  // namespace
 
-bool champion_filters(VertexId n, std::size_t m, FindMinMode mode) {
-  return resolve_find_min_mode(mode, m) == FindMinMode::kSimd &&
-         2 * light_target(n) < m;
+bool champion_filters(VertexId n, std::size_t m) {
+  return 2 * light_target(n) < m;
 }
 
 MsfResult champion_msf(ThreadTeam& team, const EdgeList& g,
                        const MsfOptions& opts) {
   const std::size_t m = g.edges.size();
-  if (!champion_filters(g.num_vertices, m, opts.find_min)) {
+  if (!champion_filters(g.num_vertices, m)) {
     return bor_fal_msf(team, g, opts);
   }
   return filtered_solve(

@@ -36,15 +36,14 @@ namespace smp::core {
 /// Both sub-solves keep ids ascending, so their local ⟨weight, index⟩ order
 /// agrees with the input's WeightOrder and the forest is the unique MSF,
 /// bit-identical to Bor-FAL's and Kruskal's.  When the light set would be
-/// at least half the edges (m ≤ 2 · kChampionLightPerVertex · n), or the
-/// packed engine does not apply (FindMinMode::kScan, m > 2^31), Champion is
-/// exactly Bor-FAL.
+/// at least half the edges (m ≤ 2 · kChampionLightPerVertex · n), Champion
+/// is exactly Bor-FAL.  Like Bor-FAL it accepts at most 2^31 edges
+/// (validate_edge_count).
 inline constexpr double kChampionLightPerVertex = 2.0;
 
-/// Whether Champion runs its filter stage on n vertices and m edges under
-/// find-min mode `mode` (see above).
-[[nodiscard]] bool champion_filters(graph::VertexId n, std::size_t m,
-                                    FindMinMode mode);
+/// Whether Champion runs its filter stage on n vertices and m edges (see
+/// above).
+[[nodiscard]] bool champion_filters(graph::VertexId n, std::size_t m);
 
 /// Champion over an edge list: the filter stage or, when it does not apply,
 /// bor_fal_msf.

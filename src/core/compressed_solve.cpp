@@ -27,12 +27,8 @@ namespace {
 /// Whether the streaming Bor-FAL engine serves this request.  kChampion runs
 /// the Bor-FAL engine, so both stream; every other algorithm keeps its own
 /// arc layout and goes eager.
-[[nodiscard]] bool streamable(const MsfOptions& opts, std::size_t m) {
-  if (opts.algorithm != Algorithm::kBorFAL &&
-      opts.algorithm != Algorithm::kChampion) {
-    return false;
-  }
-  return resolve_find_min_mode(opts.find_min, m) == FindMinMode::kSimd;
+[[nodiscard]] bool streamable(Algorithm alg) {
+  return alg == Algorithm::kBorFAL || alg == Algorithm::kChampion;
 }
 
 /// Streaming solve: ranks from the flat weight section, packed arcs straight
@@ -42,7 +38,7 @@ namespace {
 MsfResult solve_streaming(ThreadTeam& team, const CompressedCsr& g,
                           const MsfOptions& opts) {
   if (opts.algorithm == Algorithm::kChampion &&
-      champion_filters(g.num_vertices(), g.num_edges(), opts.find_min)) {
+      champion_filters(g.num_vertices(), g.num_edges())) {
     return champion_filtered_msf(team, g, opts);
   }
   StepTimes st;
@@ -74,10 +70,11 @@ MsfResult solve_with(ThreadTeam* external_team, const CompressedCsr& g,
   // time (no self-loops, in-range monotone targets, finite weights), so the
   // per-edge scan of validate_request has nothing left to check.
   validate_request(EdgeList{}, opts);
+  validate_edge_count(opts.algorithm, g.num_edges());
   iteration_checkpoint(opts, "request start");
 
   try {
-    if (streamable(opts, g.num_edges())) {
+    if (streamable(opts.algorithm)) {
       if (external_team != nullptr) return solve_streaming(*external_team, g, opts);
       ThreadTeam team(opts.threads);
       return solve_streaming(team, g, opts);

@@ -13,18 +13,6 @@
 
 namespace smp::core {
 
-std::string_view to_string(FindMinMode m) {
-  switch (m) {
-    case FindMinMode::kAuto:
-      return "auto";
-    case FindMinMode::kScan:
-      return "scan";
-    case FindMinMode::kSimd:
-      return "simd";
-  }
-  return "?";
-}
-
 namespace {
 
 using graph::EdgeId;

@@ -21,7 +21,7 @@ class CompressedCsr;
 
 namespace smp::core {
 
-/// Shared find-min layer (FindMinMode::kSimd / kAuto).
+/// Shared find-min layer: the one find-min of Bor-EL, Bor-FAL and Champion.
 ///
 /// The packed-key scheme: a 64-bit weight cannot share a word with a 64-bit
 /// tie-break index, so instead of the weight itself each input edge carries
@@ -79,16 +79,10 @@ inline constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 }
 
 /// Whether the packed path can represent this graph: m ≤ 2^31 keeps every
-/// rank below 2^32 and every directed-arc index (< 2m) within 32 bits.
+/// rank below 2^32 and every directed-arc index (< 2m) within 32 bits.  The
+/// edge bound of Bor-EL, Bor-FAL and Champion (validate_edge_count).
 [[nodiscard]] inline bool find_min_packable(std::size_t num_edges) {
   return num_edges <= (std::size_t{1} << 31);
-}
-
-/// Resolve the requested mode against the graph (see FindMinMode).
-[[nodiscard]] inline FindMinMode resolve_find_min_mode(FindMinMode requested,
-                                                       std::size_t num_edges) {
-  if (requested == FindMinMode::kScan) return FindMinMode::kScan;
-  return find_min_packable(num_edges) ? FindMinMode::kSimd : FindMinMode::kScan;
 }
 
 /// rank[e] ∈ [0, m): position of input edge e under the WeightOrder total

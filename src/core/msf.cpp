@@ -8,6 +8,7 @@
 #include "core/bor_uf.hpp"
 #include "core/champion.hpp"
 #include "core/filter_kruskal.hpp"
+#include "core/find_min.hpp"
 #include "pprim/partition.hpp"
 #include "pprim/thread_team.hpp"
 #include "seq/seq_msf.hpp"
@@ -74,20 +75,6 @@ namespace {
   return false;
 }
 
-[[nodiscard]] bool known_find_min_mode(FindMinMode m) {
-  switch (m) {
-    case FindMinMode::kAuto:
-    case FindMinMode::kScan:
-    case FindMinMode::kSimd:
-      return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-namespace {
-
 // Below this many edges the endpoint check stays on the calling thread: a
 // team region costs more than the scan.
 constexpr std::size_t kParallelValidateCutoff = std::size_t{1} << 16;
@@ -97,11 +84,6 @@ void validate_options(const MsfOptions& opts) {
     throw Error(ErrorCode::kInvalidInput,
                 "unknown algorithm id " +
                     std::to_string(static_cast<int>(opts.algorithm)));
-  }
-  if (!known_find_min_mode(opts.find_min)) {
-    throw Error(ErrorCode::kInvalidInput,
-                "unknown find-min mode id " +
-                    std::to_string(static_cast<int>(opts.find_min)));
   }
   if (opts.threads < 1) {
     throw Error(ErrorCode::kInvalidInput,
@@ -146,7 +128,19 @@ void validate_edges(ThreadTeam* team, const graph::EdgeList& g) {
 
 void validate_request(const graph::EdgeList& g, const MsfOptions& opts) {
   validate_options(opts);
+  validate_edge_count(opts.algorithm, g.edges.size());
   validate_edges(nullptr, g);
+}
+
+void validate_edge_count(Algorithm alg, std::size_t num_edges) {
+  const bool packed = alg == Algorithm::kBorEL || alg == Algorithm::kBorFAL ||
+                      alg == Algorithm::kChampion;
+  if (!packed || find_min_packable(num_edges)) return;
+  throw Error(ErrorCode::kInvalidInput,
+              std::string(to_string(alg)) + " handles at most 2^31 edges, got " +
+                  std::to_string(num_edges) +
+                  " (Bor-AL, Bor-ALM, MST-BC, Bor-UF, Filter-Kruskal and the "
+                  "sequential baselines have no edge limit)");
 }
 
 namespace {
@@ -182,6 +176,7 @@ graph::MsfResult dispatch_parallel(ThreadTeam& team, const graph::EdgeList& g,
 graph::MsfResult solve_with(ThreadTeam* external_team, const graph::EdgeList& g,
                             const MsfOptions& opts) {
   validate_options(opts);
+  validate_edge_count(opts.algorithm, g.edges.size());
   validate_edges(external_team, g);
   iteration_checkpoint(opts, "request start");
   try {

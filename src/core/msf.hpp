@@ -73,22 +73,6 @@ inline constexpr Algorithm kParallelAlgorithms[] = {
 inline constexpr Algorithm kExtensionAlgorithms[] = {
     Algorithm::kFilterKruskal, Algorithm::kBorUF, Algorithm::kChampion};
 
-/// How the find-min step scans for each supervertex's lightest arc.
-///
-/// kScan is the seed kernel: every arc compared under the two-word
-/// ⟨weight, orig⟩ comparator, no pruning, no packing — kept as the exact
-/// A/B baseline.  kSimd is the accelerated path: per-edge weight ranks
-/// packed with the arc index into a uint64 whose integer order equals
-/// WeightOrder, Bor-FAL's per-vertex cursors over rank-sorted arc slices,
-/// and the contention-aware local-best reduction.  The
-/// packed path needs ranks and directed-arc indices to fit 32 bits
-/// (m ≤ 2^31); kAuto picks kSimd when that holds and kScan otherwise, and a
-/// forced kSimd on an unpackable graph silently degrades to kScan.  Both
-/// paths produce bit-identical forests.
-enum class FindMinMode { kAuto, kScan, kSimd };
-
-[[nodiscard]] std::string_view to_string(FindMinMode m);
-
 /// Wall-clock seconds spent in each step of the Borůvka iteration — the
 /// instrumentation behind the Fig. 2 breakdown.
 struct StepTimes {
@@ -109,8 +93,8 @@ struct StepTimes {
   double filter = 0;
   /// Arcs Bor-FAL's per-vertex find-min cursors stepped past across all
   /// iterations — each one proven a permanent self-loop, so a full solve
-  /// counts all 2m (0 under FindMinMode::kScan and for the eager
-  /// algorithms).
+  /// counts all 2m (0 for the eager algorithms, which drop dead arcs in
+  /// compact-graph instead).
   std::uint64_t pruned_arcs = 0;
 
   [[nodiscard]] double total() const { return find_min + connect + compact + other; }
@@ -159,9 +143,9 @@ struct IterationStat {
   graph::VertexId vertices = 0;    ///< supervertices at iteration start
   graph::EdgeId directed_edges = 0;  ///< live directed edges (the "2m" column)
   /// Live arcs divided by arc-array size at iteration start (1.0 for the
-  /// eager paths, which rebuild the array every iteration).  Bor-FAL's
-  /// packed path counts the arcs at or after its per-vertex cursors — the
-  /// arcs behind them are dead — so it falls below 1 as the cursors move.
+  /// eager paths, which rebuild the array every iteration).  Bor-FAL
+  /// counts the arcs at or after its per-vertex cursors — the arcs behind
+  /// them are dead — so it falls below 1 as the cursors move.
   double live_fraction = 1.0;
 };
 
@@ -177,8 +161,6 @@ struct MsfOptions {
   StepTimes* step_times = nullptr;
   std::vector<IterationStat>* iteration_stats = nullptr;
   PhaseStats* phase_stats = nullptr;
-  /// find-min scan dispatch (kAuto = packed-key SIMD path when possible).
-  FindMinMode find_min = FindMinMode::kAuto;
   /// Optional execution budget (cancellation token, deadline, arena memory
   /// cap), checked at per-iteration checkpoints; may be nullptr.  The budget
   /// outlives the call and may be shared with a canceller thread.
@@ -191,9 +173,20 @@ struct MsfOptions {
 };
 
 /// Validate a request before running it: endpoint ranges / self-loops in the
-/// graph, `threads >= 1`, `bc_base_size >= 1`, and a known Algorithm.
-/// Throws Error{kInvalidInput}; called by minimum_spanning_forest.
+/// graph, `threads >= 1`, `bc_base_size >= 1`, a known Algorithm, and
+/// validate_edge_count.  Throws Error{kInvalidInput}; called by
+/// minimum_spanning_forest.
 void validate_request(const graph::EdgeList& g, const MsfOptions& opts);
+
+/// The edge bound of the packed find-min.  Bor-EL, Bor-FAL and Champion pack
+/// a 32-bit weight rank beside a 32-bit arc index or target, so they accept
+/// at most 2^31 edges (find_min_packable); Bor-AL, Bor-ALM, MST-BC, Bor-UF,
+/// Filter-Kruskal and the sequential baselines have no edge limit.  Throws
+/// Error{kInvalidInput} naming the limit and the unbounded algorithms when
+/// `num_edges` exceeds the bound of `alg`.  validate_request calls it with
+/// the edge list's size, minimum_spanning_forest_compressed with the
+/// compressed graph's edge count.
+void validate_edge_count(Algorithm alg, std::size_t num_edges);
 
 /// Per-iteration cooperative checkpoint.  Called between parallel regions on
 /// the orchestrating thread only (never inside a team region), so a throw

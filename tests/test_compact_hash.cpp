@@ -205,15 +205,4 @@ TEST(Champion, MatchesPaperVariantsAcrossThreadCounts) {
   }
 }
 
-TEST(Champion, FallbackPathsMatch) {
-  // Scan find-min routes champion onto Bor-FAL's reference kernel; the
-  // forest must not change.
-  const EdgeList g = random_graph(3000, 12000, 214);
-  const auto ref = test::sorted_ids(seq::kruskal_msf(g));
-  core::MsfOptions scan;
-  scan.threads = 4;
-  scan.find_min = core::FindMinMode::kScan;
-  EXPECT_EQ(test::sorted_ids(core::minimum_spanning_forest(g, scan)), ref);
-}
-
 }  // namespace

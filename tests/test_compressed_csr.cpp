@@ -314,12 +314,11 @@ TEST(CompressedSolve, BitIdenticalForestsAcrossThreads) {
   }
 }
 
-TEST(CompressedSolve, ScanModeFallsBackToEagerDecodeIdentically) {
+TEST(CompressedSolve, NonFalAlgorithmFallsBackToEagerDecodeIdentically) {
   const EdgeList g = random_graph(800, 4000, 11);
   const CompressedCsr cz = CompressedCsr::build(g);
   core::MsfOptions opts;
-  opts.algorithm = core::Algorithm::kBorFAL;
-  opts.find_min = core::FindMinMode::kScan;  // unstreamable: eager path
+  opts.algorithm = core::Algorithm::kBorAL;  // unstreamable: eager path
   opts.threads = 2;
   const MsfResult rc = core::minimum_spanning_forest_compressed(cz, opts);
   const MsfResult ru = core::minimum_spanning_forest(cz.decode_edge_list(), opts);

@@ -133,8 +133,7 @@ void expect_kruskal_forest(const MsfResult& r, const Reference& ref,
 TEST(ChampionFilter, LightScanMatchesKruskalOnTiedComponents) {
   for (const int d : {6, 10, 64}) {
     const EdgeList g = tied_components(d, 960 + static_cast<std::uint64_t>(d));
-    ASSERT_TRUE(core::champion_filters(g.num_vertices, g.edges.size(),
-                                       core::FindMinMode::kAuto));
+    ASSERT_TRUE(core::champion_filters(g.num_vertices, g.edges.size()));
     const Reference ref = kruskal_reference(g);
     ASSERT_GE(ref.num_trees, std::size_t{kParts + kIsolated});
     const CompressedCsr cz = CompressedCsr::build(g);
@@ -152,12 +151,9 @@ TEST(ChampionFilter, LightScanMatchesKruskalOnTiedComponents) {
 
 TEST(ChampionFilter, SkipThresholdFollowsTheLightTarget) {
   const auto skip_at = static_cast<std::size_t>(2 * core::kChampionLightPerVertex * 1000);
-  EXPECT_FALSE(core::champion_filters(1000, skip_at, core::FindMinMode::kAuto));
-  EXPECT_TRUE(core::champion_filters(1000, skip_at + 1, core::FindMinMode::kAuto));
-  EXPECT_TRUE(core::champion_filters(1000, skip_at + 1, core::FindMinMode::kSimd));
-  // The scan kernel is Bor-FAL's A/B baseline: Champion runs it unfiltered.
-  EXPECT_FALSE(core::champion_filters(1000, skip_at + 1, core::FindMinMode::kScan));
-  EXPECT_FALSE(core::champion_filters(0, 0, core::FindMinMode::kAuto));
+  EXPECT_FALSE(core::champion_filters(1000, skip_at));
+  EXPECT_TRUE(core::champion_filters(1000, skip_at + 1));
+  EXPECT_FALSE(core::champion_filters(0, 0));
 }
 
 TEST(ChampionFilter, MatchesKruskalAndBorFalAcrossDensities) {
@@ -226,7 +222,7 @@ TEST(ChampionFilter, ManyLightComponentsAndIsolatedVertices) {
                c2 * kSize + static_cast<VertexId>(rng.next_below(kSize)),
                1.0 + rng.next_double());
   }
-  ASSERT_TRUE(core::champion_filters(n, g.edges.size(), core::FindMinMode::kAuto));
+  ASSERT_TRUE(core::champion_filters(n, g.edges.size()));
   expect_identical(g, "clusters");
   EXPECT_GE(solve(g, core::Algorithm::kChampion, 2).num_trees, 1200u);
 }

@@ -1,6 +1,6 @@
 // The Bor-FAL contraction trace: how many supervertices each Borůvka
-// iteration starts with, under both find-min kernels and under Champion, at
-// several team sizes, next to the forest itself.  The pinned counts come from
+// iteration starts with, under Bor-FAL and under Champion, at several team
+// sizes, next to the forest itself.  The pinned counts come from
 // §2.3's sort-and-append compact-graph, which the lookup-table update must
 // reproduce exactly.
 #include <gtest/gtest.h>
@@ -67,17 +67,6 @@ std::vector<Case> cases() {
   return out;
 }
 
-enum class Engine { kBorFalSimd, kBorFalScan, kChampion };
-
-std::string name_of(Engine e) {
-  switch (e) {
-    case Engine::kBorFalSimd: return "Bor-FAL kSimd";
-    case Engine::kBorFalScan: return "Bor-FAL kScan";
-    case Engine::kChampion: return "Champion";
-  }
-  return "?";
-}
-
 struct Trace {
   std::vector<EdgeId> ids;
   std::size_t num_trees = 0;
@@ -85,13 +74,10 @@ struct Trace {
   std::vector<VertexId> vertices;  // IterationStat::vertices, in order
 };
 
-Trace trace_of(const EdgeList& g, Engine engine, int p) {
+Trace trace_of(const EdgeList& g, core::Algorithm alg, int p) {
   core::MsfOptions opts;
   opts.threads = p;
-  opts.algorithm =
-      engine == Engine::kChampion ? core::Algorithm::kChampion : core::Algorithm::kBorFAL;
-  if (engine == Engine::kBorFalSimd) opts.find_min = core::FindMinMode::kSimd;
-  if (engine == Engine::kBorFalScan) opts.find_min = core::FindMinMode::kScan;
+  opts.algorithm = alg;
   std::vector<core::IterationStat> iters;
   core::PhaseStats phases;
   opts.iteration_stats = &iters;
@@ -110,7 +96,7 @@ struct Pinned {
   std::vector<VertexId> vertices;
 };
 
-/// Bor-FAL's trace (both kernels) and Champion's trace per case.  Champion
+/// Bor-FAL's trace and Champion's trace per case.  Champion
 /// equals Bor-FAL unless it filters (m > 4n): then its light pass is one
 /// Kruskal scan with no iterations, and it lists the survivor pass's.
 struct Expected {
@@ -148,13 +134,13 @@ TEST(ContractionTrace, BorFalAndChampionMatchKruskalAndPinnedTrace) {
     const MsfResult k = seq::kruskal_msf(c.g);
     const std::vector<EdgeId> ref_ids = test::sorted_ids(k);
     const Expected want = pinned(c.name);
-    for (const Engine engine :
-         {Engine::kBorFalSimd, Engine::kBorFalScan, Engine::kChampion}) {
+    for (const auto alg : {core::Algorithm::kBorFAL, core::Algorithm::kChampion}) {
       const Pinned& pin =
-          engine == Engine::kChampion ? want.champion : want.bor_fal;
+          alg == core::Algorithm::kChampion ? want.champion : want.bor_fal;
       for (const int p : {1, 2, 4}) {
-        SCOPED_TRACE(c.name + ", " + name_of(engine) + ", p = " + std::to_string(p));
-        const Trace t = trace_of(c.g, engine, p);
+        SCOPED_TRACE(c.name + ", " + std::string(core::to_string(alg)) +
+                     ", p = " + std::to_string(p));
+        const Trace t = trace_of(c.g, alg, p);
         EXPECT_EQ(t.ids, ref_ids);
         EXPECT_EQ(t.num_trees, k.num_trees);
         EXPECT_EQ(t.iterations, pin.iterations);

@@ -10,8 +10,8 @@ fig2 family (baseline has per-algorithm timing records — BENCH_07):
     slack.  Comparing fractions-of-total rather than raw seconds makes the
     gate robust to CI machines of different speeds; the absolute slack keeps
     sub-millisecond smoke timings from tripping it on noise.
-  * A Bor-FAL record claims the packed-key kernel ("simd") but reports zero
-    pruned arcs — live-arc pruning silently stopped working.
+  * A Bor-FAL record reports zero pruned arcs — live-arc pruning silently
+    stopped working.
   * The champion pipeline's total exceeds the best paper variant's total on
     the same graph by more than --champion-tolerance (default 10%) plus an
     absolute slack: the default engine no longer beats the paper's variants.
@@ -320,9 +320,9 @@ def gate_fig2(base_doc, cur_doc, args, failures):
             failures.append(
                 f"Bor-FAL density={density} n={n}: find-min share {c_share:.3f} "
                 f"exceeds baseline {b_share:.3f} by more than {args.tolerance:.0%}")
-        if c.get("find_min_mode") == "simd" and c.get("find_min_pruned_arcs", 0) == 0:
+        if c.get("find_min_pruned_arcs", 0) == 0:
             failures.append(
-                f"Bor-FAL density={density} n={n}: simd mode but 0 pruned arcs "
+                f"Bor-FAL density={density} n={n}: 0 pruned arcs "
                 "(live-arc pruning is dead)")
 
     # The champion gate runs on the current document alone: it is an

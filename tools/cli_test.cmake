@@ -126,8 +126,9 @@ foreach(bad "--n;gen --type random --n 4294967396 --m 300 -o ${WORK}/bad.gr"
   endif()
 endforeach()
 # Removed flags: --compact-sort (the compact always runs the packed radix
-# sort) and --auto-tune (the cutoffs are compile-time constants).
-foreach(removed "--compact-sort;radix" "--auto-tune")
+# sort), --auto-tune (the cutoffs are compile-time constants) and --find-min
+# (Bor-EL, Bor-FAL and Champion have one find-min kernel).
+foreach(removed "--compact-sort;radix" "--auto-tune" "--find-min;scan")
   run_cli(2 out solve ${removed} ${WORK}/g.gr)
   list(GET removed 0 flag)
   string(FIND "${cli_err}" "unknown flag ${flag}" pos)
@@ -135,6 +136,16 @@ foreach(removed "--compact-sort;radix" "--auto-tune")
     message(FATAL_ERROR "removed flag ${flag} not named in the usage error: ${cli_err}")
   endif()
 endforeach()
+# The stats JSON names no find-min kernel, only what Bor-FAL's cursors
+# pruned: bor-al has no packed find-min, so it reports 0 pruned arcs.
+run_cli(0 out solve --alg bor-al --stats-json ${WORK}/stats.json ${WORK}/g.gr)
+file(READ ${WORK}/stats.json stats)
+if(stats MATCHES "\"resolved\"" OR stats MATCHES "\"mode\"")
+  message(FATAL_ERROR "stats JSON names a find-min kernel: ${stats}")
+endif()
+if(NOT stats MATCHES "\"find_min\": {\"pruned_arcs\": 0}")
+  message(FATAL_ERROR "stats JSON lacks find_min.pruned_arcs: ${stats}")
+endif()
 
 # The server parses --alg through the same table as the CLI.  Parsing stops
 # at the first bad argument, so `--alg champion --listen bogus:` reaching

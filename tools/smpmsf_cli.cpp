@@ -5,9 +5,8 @@
 //   smpmsf convert IN OUT           (format chosen by extension: .smpg = binary)
 //   smpmsf solve [--alg A] [--threads P] [--seed S] [--timeout SECS]
 //                [--mem-cap BYTES] [--no-fallback] [--validate] [--steps]
-//                [--stats-json FILE] [--find-min auto|scan|simd]
-//                [--mode static|dynamic] [--batch-size N] [--update-trace FILE]
-//                FILE
+//                [--stats-json FILE] [--mode static|dynamic]
+//                [--batch-size N] [--update-trace FILE] FILE
 //   smpmsf cc [--threads P] FILE
 //
 // Graph types: random (needs --m), mesh2d, mesh2d60, mesh3d40,
@@ -25,7 +24,7 @@
 //
 // Flags accept both "--key value" and "--key=value".  A flag the subcommand
 // does not read, or a malformed number, is a usage error (exit 2).  Unknown
-// --alg / --mode / --find-min / trace operations are invalid input (exit 3),
+// --alg / --mode / trace operations are invalid input (exit 3),
 // with the accepted values listed.
 //
 // Exit codes: 0 success, 1 runtime/validation failure, 2 usage, then one per
@@ -50,7 +49,6 @@
 #include "core/connected_components.hpp"
 #include "core/error.hpp"
 #include "core/filter_kruskal.hpp"
-#include "core/find_min.hpp"
 #include "core/verify_msf.hpp"
 #include "core/msf.hpp"
 #include "dynamic/dynamic_msf.hpp"
@@ -81,8 +79,7 @@ using namespace smp::graph;
                "  smpmsf solve [--alg A] [--threads P] [--seed S]"
                " [--timeout SECS] [--mem-cap BYTES] [--no-fallback]"
                " [--validate] [--steps] [--stats-json FILE]\n"
-               "               [--find-min auto|scan|simd]"
-               " [--mode static|dynamic] [--batch-size N]"
+               "               [--mode static|dynamic] [--batch-size N]"
                " [--update-trace FILE]\n"
                "               [--graph-format auto|edges|compressed]"
                " FILE\n"
@@ -106,14 +103,6 @@ SolveMode parse_mode(const std::string& s) {
   if (s == "dynamic") return SolveMode::kDynamic;
   throw smp::Error(smp::ErrorCode::kInvalidInput,
                    "unknown mode '" + s + "' (valid: static dynamic)");
-}
-
-core::FindMinMode parse_find_min(const std::string& s) {
-  if (s == "auto") return core::FindMinMode::kAuto;
-  if (s == "scan") return core::FindMinMode::kScan;
-  if (s == "simd") return core::FindMinMode::kSimd;
-  throw smp::Error(smp::ErrorCode::kInvalidInput,
-                   "unknown find-min mode '" + s + "' (valid: auto scan simd)");
 }
 
 bool ends_with(const std::string& s, const char* suffix) {
@@ -450,17 +439,9 @@ void write_stats_json(const std::string& path, const std::string& alg,
                 (hw != 0 && opts.threads > static_cast<int>(hw)) ? "true"
                                                                  : "false");
   os << buf;
-  // Find-min facts: the mode as requested and as resolved (a forced "simd"
-  // silently degrades to "scan" when the graph is not packable), and how
-  // many arcs live-arc pruning retired (0 in scan mode or for algorithms
+  // How many arcs Bor-FAL's find-min cursors retired (0 for algorithms
   // without pruning).
-  const core::FindMinMode resolved =
-      core::resolve_find_min_mode(opts.find_min, num_edges);
-  std::snprintf(buf, sizeof buf,
-                ", \"find_min\": {\"mode\": \"%s\", \"resolved\": \"%s\""
-                ", \"pruned_arcs\": %llu}",
-                std::string(core::to_string(opts.find_min)).c_str(),
-                std::string(core::to_string(resolved)).c_str(),
+  std::snprintf(buf, sizeof buf, ", \"find_min\": {\"pruned_arcs\": %llu}",
                 static_cast<unsigned long long>(steps.pruned_arcs));
   os << buf;
   std::snprintf(buf, sizeof buf,
@@ -528,7 +509,6 @@ int cmd_solve(const Flags& f) {
   core::MsfOptions opts;
   opts.threads = threads;
   opts.seed = seed;
-  opts.find_min = parse_find_min(f.get("--find-min").value_or("auto"));
 
   // Asking for more threads than the machine has is legal (the paper's
   // oversubscription runs do exactly that) but silently skews timings, so
@@ -652,8 +632,7 @@ int main(int argc, char** argv) {
           argc, argv, 2,
           {"--alg", "--threads", "--seed", "--timeout", "--mem-cap",
            "--no-fallback", "--validate", "--steps", "--stats-json",
-           "--find-min", "--mode", "--batch-size", "--update-trace",
-           "--graph-format"}));
+           "--mode", "--batch-size", "--update-trace", "--graph-format"}));
     }
     if (cmd == "cc") return cmd_cc(parse(argc, argv, 2, {"--threads"}));
     usage(("unknown command " + cmd).c_str());
