@@ -21,42 +21,41 @@ using graph::MsfResult;
 using graph::VertexId;
 using graph::WEdge;
 
+namespace {
+
+/// Points `o.team` at a team of o.msf.threads held by `own` unless the
+/// caller gave one.
+void adopt_team(DynamicMsfOptions& o, std::unique_ptr<ThreadTeam>& own) {
+  if (o.team != nullptr) return;
+  own = std::make_unique<ThreadTeam>(o.msf.threads);
+  o.team = own.get();
+}
+
+}  // namespace
+
 DynamicMsf::DynamicMsf(const EdgeList& initial, DynamicMsfOptions opts)
     : store_(initial), opts_(std::move(opts)) {
+  adopt_team(opts_, own_team_);
   // The dispatcher re-validates the graph; this also vets the MsfOptions
-  // (threads, bc_base_size, algorithm) once, up front.
-  MsfResult r = opts_.team != nullptr
-                    ? core::minimum_spanning_forest(*opts_.team, initial,
-                                                    opts_.msf)
-                    : core::minimum_spanning_forest(initial, opts_.msf);
-  forest_ = std::move(r.edge_ids);
-  std::sort(forest_.begin(), forest_.end());
-  trees_ = r.num_trees;
-  recompute_weight();
+  // (threads, bc_base_size, algorithm) once, up front.  Store ids are the
+  // positions in initial.edges, so the result needs no id map.
+  MsfResult r = core::minimum_spanning_forest(*opts_.team, initial, opts_.msf);
+  std::sort(r.edge_ids.begin(), r.edge_ids.end());
+  commit({}, std::move(r.edge_ids));
 }
 
 DynamicMsf::DynamicMsf(EdgeStore store, DynamicMsfOptions opts)
     : store_(std::move(store)), opts_(std::move(opts)) {
-  // Candidate-set solve over the full live graph: ids come back in store id
-  // space, which for a fresh slab store is the identity.  The EdgeList copy
-  // live_graph materializes is transient — it dies with this frame while the
-  // store keeps serving from its mmap base.
-  std::vector<EdgeId> ids;
-  const EdgeList live = store_.live_graph(&ids);
-  MsfResult r =
-      opts_.team != nullptr
-          ? core::minimum_spanning_forest_of_candidates(*opts_.team, live, ids,
-                                                        opts_.msf)
-          : core::minimum_spanning_forest_of_candidates(live, ids, opts_.msf);
-  forest_ = std::move(r.edge_ids);
-  std::sort(forest_.begin(), forest_.end());
-  trees_ = r.num_trees;
-  recompute_weight();
+  adopt_team(opts_, own_team_);
+  // The live-graph copy the solve takes is transient; the store keeps
+  // serving from its mmap base.
+  recompute();
 }
 
 DynamicMsf::DynamicMsf(VertexId num_vertices, DynamicMsfOptions opts)
     : store_(num_vertices), opts_(std::move(opts)) {
   core::validate_request(EdgeList(num_vertices), opts_.msf);
+  adopt_team(opts_, own_team_);
   trees_ = num_vertices;
 }
 
@@ -65,6 +64,7 @@ DynamicMsf::DynamicMsf(EdgeStore store, std::vector<EdgeId> forest,
     : store_(std::move(store)), opts_(std::move(opts)),
       forest_(std::move(forest)) {
   core::validate_request(EdgeList(store_.num_vertices()), opts_.msf);
+  adopt_team(opts_, own_team_);
   std::sort(forest_.begin(), forest_.end());
   for (std::size_t i = 0; i < forest_.size(); ++i) {
     if (i > 0 && forest_[i] == forest_[i - 1]) {
@@ -148,50 +148,13 @@ MsfDelta DynamicMsf::apply_batch(std::span<const WEdge> insertions,
     const std::size_t batch_ops = insertions.size() + del.size();
     if (static_cast<double>(batch_ops) >=
         kScratchBatchFraction * static_cast<double>(live)) {
-      std::vector<EdgeId> ids;
-      const EdgeList all = store_.live_graph(&ids);
-      return solve_and_commit(all, ids, /*from_scratch=*/true);
+      return recompute();
     }
     if (cut.empty() && oracle != nullptr &&
         oracle->num_merges() == forest_.size()) {
       return apply_by_path_max(*oracle, first_new);
     }
-    if (opts_.msf.algorithm == core::Algorithm::kChampion) {
-      return apply_by_kruskal(first_new, std::move(cut));
-    }
-
-    // ---- An explicitly named backend solves the candidate set, ascending
-    // by store id: the retained forest edges, after a cut the retained
-    // non-tree edges that now cross two of its components (one *within* a
-    // component still closes a surviving forest cycle it is the maximum of,
-    // so it can never enter), and the insertions, which follow every
-    // existing id. ----
-    std::vector<EdgeId> retained;
-    retained.reserve(forest_.size() - cut.size());
-    std::set_difference(forest_.begin(), forest_.end(), cut.begin(), cut.end(),
-                        std::back_inserter(retained));
-    std::vector<EdgeId> ids;
-    if (cut.empty()) {
-      ids = std::move(retained);
-    } else {
-      seq::MinRootUnionFind uf(store_.num_vertices());
-      for (const EdgeId id : retained) {
-        uf.unite(store_.edge(id).u, store_.edge(id).v);
-      }
-      std::vector<EdgeId> crossing;
-      const std::vector<VertexId> label = std::move(uf).flatten();
-      for (const Record& r : crossing_records(first_new, label)) {
-        crossing.push_back(r.id);
-      }
-      ids.reserve(retained.size() + crossing.size());
-      std::merge(retained.begin(), retained.end(), crossing.begin(),
-                 crossing.end(), std::back_inserter(ids));
-    }
-    for (EdgeId id = first_new; id < store_.size(); ++id) ids.push_back(id);
-    EdgeList cand(store_.num_vertices());
-    cand.edges.reserve(ids.size());
-    for (const EdgeId id : ids) cand.edges.push_back(store_.edge(id));
-    return solve_and_commit(cand, ids, /*from_scratch=*/false);
+    return apply_by_kruskal(first_new, std::move(cut));
   } catch (...) {
     store_.rollback(del, first_new);
     throw;
@@ -306,14 +269,6 @@ std::vector<DynamicMsf::Record> DynamicMsf::crossing_records(
     const WEdge& e = store_.edge(id);
     return label[e.u] != label[e.v];
   };
-  // Runs fn(tid, nthreads) on every thread of the team, or inline.
-  const auto on_team = [&](const auto& fn) {
-    if (opts_.team == nullptr) {
-      fn(0, 1);
-    } else {
-      opts_.team->run([&](TeamCtx& ctx) { fn(ctx.tid(), ctx.nthreads()); });
-    }
-  };
   // One sweep marks the crossing ids in a bitmap (64 ids per word, each
   // thread owning whole words) and counts them; a gather then writes each
   // thread's records at its offset.  The output is allocated once, here, so
@@ -321,11 +276,10 @@ std::vector<DynamicMsf::Record> DynamicMsf::crossing_records(
   // malloc arena).
   const auto m = static_cast<std::size_t>(end);
   std::vector<std::uint64_t> marks((m + 63) / 64);
-  const auto p =
-      static_cast<std::size_t>(opts_.team != nullptr ? opts_.team->size() : 1);
+  const auto p = static_cast<std::size_t>(opts_.team->size());
   std::vector<std::size_t> offset(p + 1, 0);
-  on_team([&](int tid, int nthreads) {
-    const IndexRange r = block_range(marks.size(), tid, nthreads);
+  opts_.team->run([&](TeamCtx& ctx) {
+    const IndexRange r = block_range(marks.size(), ctx.tid(), ctx.nthreads());
     std::size_t count = 0;
     for (std::size_t w = r.begin; w < r.end; ++w) {
       std::uint64_t bits = 0;
@@ -336,13 +290,13 @@ std::vector<DynamicMsf::Record> DynamicMsf::crossing_records(
       marks[w] = bits;
       count += static_cast<std::size_t>(std::popcount(bits));
     }
-    offset[static_cast<std::size_t>(tid) + 1] = count;
+    offset[static_cast<std::size_t>(ctx.tid()) + 1] = count;
   });
   for (std::size_t t = 0; t < p; ++t) offset[t + 1] += offset[t];
   std::vector<Record> out(offset[p]);
-  on_team([&](int tid, int nthreads) {
-    const IndexRange r = block_range(marks.size(), tid, nthreads);
-    std::size_t o = offset[static_cast<std::size_t>(tid)];
+  opts_.team->run([&](TeamCtx& ctx) {
+    const IndexRange r = block_range(marks.size(), ctx.tid(), ctx.nthreads());
+    std::size_t o = offset[static_cast<std::size_t>(ctx.tid())];
     for (std::size_t w = r.begin; w < r.end; ++w) {
       for (std::uint64_t bits = marks[w]; bits != 0; bits &= bits - 1) {
         out[o++] = record(64 * w + static_cast<std::size_t>(std::countr_zero(bits)));
@@ -453,33 +407,20 @@ std::vector<EdgeId> DynamicMsf::compact_store() {
 MsfDelta DynamicMsf::recompute() {
   std::vector<EdgeId> ids;
   const EdgeList live = store_.live_graph(&ids);
-  return solve_and_commit(live, ids, /*from_scratch=*/true);
-}
-
-MsfDelta DynamicMsf::solve_and_commit(const EdgeList& candidates,
-                                      const std::vector<EdgeId>& ids,
-                                      bool from_scratch) {
-  MsfResult r = opts_.team != nullptr
-                    ? core::minimum_spanning_forest_of_candidates(
-                          *opts_.team, candidates, ids, opts_.msf)
-                    : core::minimum_spanning_forest_of_candidates(
-                          candidates, ids, opts_.msf);
+  MsfResult r = core::minimum_spanning_forest_of_candidates(*opts_.team, live,
+                                                            ids, opts_.msf);
   std::sort(r.edge_ids.begin(), r.edge_ids.end());
   // The diff allocates, so it is taken before anything is committed.
-  MsfDelta d;
+  std::vector<EdgeId> added;
+  std::vector<EdgeId> removed;
   std::set_difference(r.edge_ids.begin(), r.edge_ids.end(), forest_.begin(),
-                      forest_.end(), std::back_inserter(d.forest_added));
+                      forest_.end(), std::back_inserter(added));
   std::set_difference(forest_.begin(), forest_.end(), r.edge_ids.begin(),
-                      r.edge_ids.end(), std::back_inserter(d.forest_removed));
+                      r.edge_ids.end(), std::back_inserter(removed));
+  MsfDelta d = commit(std::move(removed), std::move(added));
   drop_ordered();
-  forest_ = std::move(r.edge_ids);
-  trees_ = r.num_trees;
-  recompute_weight();
-  d.total_weight = weight_;
-  d.num_trees = trees_;
-  d.live_edges = store_.num_live();
-  d.candidate_edges = candidates.edges.size();
-  d.recomputed_from_scratch = from_scratch;
+  d.candidate_edges = live.edges.size();
+  d.recomputed_from_scratch = true;
   return d;
 }
 
@@ -500,9 +441,10 @@ MsfDelta DynamicMsf::commit(std::vector<EdgeId> removed,
     }
     next.insert(next.end(), a, added.end());
     forest_ = std::move(next);
-    trees_ = static_cast<std::size_t>(store_.num_vertices()) - forest_.size();
     recompute_weight();
   }
+  // A forest with k edges on n vertices has exactly n - k trees.
+  trees_ = static_cast<std::size_t>(store_.num_vertices()) - forest_.size();
   MsfDelta d;
   d.forest_added = std::move(added);
   d.forest_removed = std::move(removed);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "dynamic/edge_store.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/msf_result.hpp"
+#include "pprim/thread_team.hpp"
 
 namespace smp::dynamic {
 
@@ -21,22 +23,23 @@ namespace smp::dynamic {
 inline constexpr double kScratchBatchFraction = 0.25;
 
 struct DynamicMsfOptions {
-  /// Backend for every solve: algorithm, threads, seed, budget, sequential
-  /// fallback — the full static engine rides along, including the fused
-  /// ThreadTeam regions and FaultInjector checkpoints.  Under the default
-  /// Algorithm::kChampion ("the fastest engine for the input") a sparsified
-  /// batch is not solved but applied by the forest-ordered Kruskal pass (see
-  /// DynamicMsf); the first solve, recompute() and scratch-crossover batches
-  /// still solve, and an explicitly named algorithm solves every candidate
-  /// set.  Instrumentation out-pointers are honored per solve, and the
-  /// Kruskal pass adds its candidate sort to step_times->rank_build (part
-  /// of `other`) and its union-find scan to step_times->connect.
+  /// Backend for the solves: the first solve, recompute() and batches past
+  /// the scratch crossover.  Algorithm, threads, seed, budget and sequential
+  /// fallback ride along, including the fused ThreadTeam regions and
+  /// FaultInjector checkpoints.  A sparsified batch is never solved, whatever
+  /// the algorithm: one Kruskal pass over the ordered forest decides it (see
+  /// DynamicMsf), and that pass honours the budget too.  Instrumentation
+  /// out-pointers are honored per solve, and the Kruskal pass adds its
+  /// candidate sort to step_times->rank_build (part of `other`) and its
+  /// union-find scan to step_times->connect.
   core::MsfOptions msf;
-  /// Optional persistent thread team for every (re)solve.  When set, solves
-  /// run on it (the run's p is team->size(); msf.threads is ignored) instead
-  /// of spawning a team per solve — the serving layer shares one pool across
-  /// all sessions this way.  Must outlive the DynamicMsf, and the caller
-  /// must serialize solves if the team is shared (regions must not nest).
+  /// Persistent thread team for every solve and for the Kruskal pass's
+  /// replacement sweep.  When null, the DynamicMsf creates one of
+  /// msf.threads and keeps it for its lifetime; when set, the run's p is
+  /// team->size() and msf.threads is ignored — the serving layer shares one
+  /// pool across all sessions this way.  A given team must outlive the
+  /// DynamicMsf, and the caller must serialize solves if the team is shared
+  /// (regions must not nest).
   ThreadTeam* team = nullptr;
 };
 
@@ -55,22 +58,21 @@ struct DynamicMsfOptions {
 ///    non-tree edges whose endpoints now carry different labels (every other
 ///    retained non-tree edge still closes a surviving forest cycle it is the
 ///    maximum of, so it cannot enter).
-///  * Under the default backend (Algorithm::kChampion) the candidate set —
-///    retained forest ∪ batch insertions ∪ replacement candidates — is
-///    decided by one Kruskal pass instead of a solve.  The forest is kept as
-///    packed ⟨weight, store id, u, v⟩ records in WeightOrder (built on the
-///    first batch that needs it), so only the new candidates are sorted;
-///    they are merged into the ordered forest under a fresh union-find, and
-///    the scan writes the next ordered forest as it goes.  A forest record
-///    whose endpoints are already joined leaves the forest, a candidate that
-///    joins two trees enters it.
-///  * Any other backend hands the candidate set, in ascending store-id
-///    order, to core::minimum_spanning_forest_of_candidates.  Both routes
-///    break weight ties by store id exactly as a from-scratch run would, so
-///    the maintained forest is bit-identical (edge ids and weight) to
-///    MSF(live graph) after every batch, for every backend and thread count.
+///  * The candidate set — retained forest ∪ batch insertions ∪ replacement
+///    candidates — is decided by one Kruskal pass, whatever the backend:
+///    every algorithm returns the unique MSF under ⟨weight, store id⟩, so the
+///    pass commits what a solve of the candidate set would.  The forest is
+///    kept as packed ⟨weight, store id, u, v⟩ records in WeightOrder (built
+///    on the first batch that needs it), so only the new candidates are
+///    sorted; they are merged into the ordered forest under a fresh
+///    union-find, and the scan writes the next ordered forest as it goes.  A
+///    forest record whose endpoints are already joined leaves the forest, a
+///    candidate that joins two trees enters it.  Ties break by store id
+///    exactly as a from-scratch run would, so the maintained forest is
+///    bit-identical (edge ids and weight) to MSF(live graph) after every
+///    batch, for every backend and thread count.
 ///  * An insert-only batch given a core::Dendrogram of the forest skips
-///    both: the batch endpoints in leaf order, each same-tree adjacent pair
+///    the pass: the batch endpoints in leaf order, each same-tree adjacent pair
 ///    joined by an edge labelled with the heaviest forest edge between
 ///    them (the range-max junction), realise the forest's bottleneck
 ///    distances between endpoints.  Kruskal over those < 2k labelled edges
@@ -78,11 +80,14 @@ struct DynamicMsfOptions {
 ///    Tangwongsan, "Work-efficient batch-incremental minimum spanning
 ///    trees"): a dropped label removes its edge from the forest, a kept
 ///    batch edge enters it.  The total order is the same ⟨weight, store-id⟩
-///    order, so the result is the same forest the solve would give.
+///    order, so the result is the same forest the pass would give.
 ///
-/// Not thread-safe (one writer); solves parallelize internally per
-/// DynamicMsfOptions::msf.threads (or the team), and the Kruskal pass runs
-/// its O(m) replacement sweep on DynamicMsfOptions::team when one is set.
+/// The configured backend solves the whole live graph: the first time, on
+/// recompute(), and for a batch past the scratch crossover.
+///
+/// Not thread-safe (one writer); solves and the Kruskal pass's O(m)
+/// replacement sweep run on one team (DynamicMsfOptions::team, or the
+/// DynamicMsf's own of msf.threads).
 class DynamicMsf {
  public:
   /// Starts from `initial` (store ids = positions in initial.edges) and
@@ -120,8 +125,8 @@ class DynamicMsf {
   /// committed version).  An insert-only batch that would take the
   /// sparsified path is then applied by path-max instead, with an identical
   /// result and delta; every other batch, and any oracle whose forest size
-  /// differs from ours, takes the sparsified path (the Kruskal pass or a
-  /// candidate solve, see above).
+  /// differs from ours, takes the sparsified path (the Kruskal pass, see
+  /// above).
   ///
   /// All or nothing: if anything fails after validation (budget cancellation
   /// or deadline at a checkpoint, OOM with fallback disabled, an armed fault
@@ -132,8 +137,10 @@ class DynamicMsf {
                        std::span<const graph::EdgeId> deletions,
                        const core::Dendrogram* oracle = nullptr);
 
-  /// Solves the whole live graph from scratch and commits the result; a
-  /// failed solve commits nothing.
+  /// Solves the whole live graph from scratch with the backend and commits
+  /// the diff against the forest; a failed solve commits nothing.  The
+  /// EdgeStore constructor and batches past the scratch crossover take this
+  /// path too.
   MsfDelta recompute();
 
   /// Compacts the underlying store (drops every tombstoned slot, renumbering
@@ -163,7 +170,8 @@ class DynamicMsf {
   /// the same deterministic sum over a from-scratch solve).
   [[nodiscard]] graph::Weight total_weight() const { return weight_; }
   [[nodiscard]] std::size_t num_trees() const { return trees_; }
-  /// Batches apply_batch has applied by path-max rather than by a solve.
+  /// Batches apply_batch has applied by path-max rather than by the Kruskal
+  /// pass or a solve.
   [[nodiscard]] std::uint64_t path_max_batches() const {
     return path_max_batches_;
   }
@@ -187,13 +195,8 @@ class DynamicMsf {
     return Record{e.w, id, e.u, e.v};
   }
 
-  /// Solve `candidates`/`ids`, diff the result against the forest into a
-  /// delta, and commit it.
-  MsfDelta solve_and_commit(const graph::EdgeList& candidates,
-                            const std::vector<graph::EdgeId>& ids,
-                            bool from_scratch);
   /// The insert-only batch [first_new, store size) by path-max over
-  /// `oracle`; commits like solve_and_commit.
+  /// `oracle`.
   MsfDelta apply_by_path_max(const core::Dendrogram& oracle,
                              graph::EdgeId first_new);
   /// The batch [first_new, store size), after the deletion of the forest
@@ -201,7 +204,7 @@ class DynamicMsf {
   MsfDelta apply_by_kruskal(graph::EdgeId first_new,
                             std::vector<graph::EdgeId> cut);
   /// Live edges below `end` whose endpoints carry different `label`s, in
-  /// ascending store-id order (swept on the team when one is set).
+  /// ascending store-id order, swept on the team.
   std::vector<Record> crossing_records(
       graph::EdgeId end, const std::vector<graph::VertexId>& label) const;
   /// Builds ordered_ from forest_ unless it is current.
@@ -215,6 +218,8 @@ class DynamicMsf {
   void recompute_weight();
 
   EdgeStore store_;
+  /// The team opts_.team points at when the caller gave none.
+  std::unique_ptr<ThreadTeam> own_team_;
   DynamicMsfOptions opts_;
   std::vector<graph::EdgeId> forest_;  ///< ascending store ids
   graph::Weight weight_ = 0;

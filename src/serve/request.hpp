@@ -12,22 +12,20 @@
 
 namespace smp::serve {
 
-/// The request vocabulary of the serving layer.  Reads (kWeight, kConnected,
-/// kForestEdges, kSnapshot) run concurrently under a shared session lock;
-/// writes (kInsert, kDelete) are coalesced per session into one apply_batch;
-/// kRecompute and kCompact are exclusive but never coalesced.  The query ops
-/// (kPathMax, kConn, kCut) are served from the session's immutable
-/// ForestIndex snapshot — when the index matches the committed version they
-/// never take the state lock at all, so they cannot queue behind coalesced
-/// writes; kTopK additionally scans the live EdgeStore and therefore runs
-/// under the shared lock like the other reads.
+/// The request vocabulary of the serving layer.  Reads (kWeight,
+/// kForestEdges, kSnapshot) and the query ops (kConnected, kConn, kPathMax,
+/// kCut, kTopK) serve from an immutable MVCC epoch of the session without
+/// the state lock, so they cannot queue behind coalesced writes; the query
+/// ops read the epoch's ForestIndex, and kTopK also scans the epoch's store
+/// view.  Writes (kInsert, kDelete) are coalesced per session into one
+/// apply_batch; kRecompute and kCompact are exclusive but never coalesced.
 enum class Op : int {
   kPing = 0,
   kOpen,         ///< create a session (empty graph or loaded from file)
   kDrop,         ///< destroy a session
   kList,         ///< enumerate sessions
   kWeight,       ///< forest weight / tree count / edge counts
-  kConnected,    ///< are u and v in the same forest component?
+  kConnected,    ///< are u and v in the same forest component? (= kConn)
   kForestEdges,  ///< materialize forest edges (optionally capped)
   kInsert,       ///< insert an edge batch
   kDelete,       ///< delete an edge batch (by endpoints, canonical edge)
@@ -149,7 +147,7 @@ struct Request {
   // kOpen: exactly one of num_vertices (> 0, empty graph) or path (load).
   graph::VertexId num_vertices = 0;
   std::string path;
-  // kConnected.
+  // kConnected / kConn / kPathMax.
   graph::VertexId u = 0;
   graph::VertexId v = 0;
   // kInsert / kDelete payloads.
@@ -201,7 +199,7 @@ struct Response {
   std::size_t trees = 0;
   std::size_t forest_edges = 0;
   std::size_t live_edges = 0;
-  bool connected = false;      // kConnected
+  bool connected = false;      // kConnected / kConn / kPathMax
   std::vector<graph::WEdge> edges;  // kForestEdges payload
   std::size_t edges_total = 0;      // kForestEdges: forest size before `limit`
   // Writes: how many requests the service merged into the apply_batch that

@@ -14,7 +14,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "core/connected_components.hpp"
 #include "core/error.hpp"
 #include "dynamic/dynamic_msf.hpp"
 #include "dynamic/edge_slab.hpp"
@@ -31,11 +30,11 @@ using graph::WEdge;
 
 /// One published MVCC epoch of a session: an O(1) view of the session's
 /// edge store, the committed forest, and lazily built read caches — the
-/// kSnapshot payload, the materialized forest edge list, the forest
-/// component labels, and the query ForestIndex.  A reader holding a
-/// shared_ptr to one of these answers weight/edges/connected/pathmax/conn/
-/// cut/topk bit-identically to a scratch solve of this epoch's graph, no
-/// matter how far the session has moved on since.
+/// kSnapshot payload, the materialized forest edge list, and the query
+/// ForestIndex.  A reader holding a shared_ptr to one of these answers
+/// weight/edges/connected/pathmax/conn/cut/topk bit-identically to a
+/// scratch solve of this epoch's graph, no matter how far the session has
+/// moved on since.
 struct SessionSnapshot {
   std::uint64_t epoch = 0;
   dynamic::StoreView view;
@@ -49,12 +48,11 @@ struct SessionSnapshot {
 
   /// Lazy caches, each built at most once.  aux_mu guards the cheap ones;
   /// the index (expensive, separately buildable) has its own mutex so a
-  /// slow index build never blocks a `connected` read.  Epochs with the
-  /// same forest share fedges, cc and the index body.
+  /// slow index build never blocks a `weight` or `edges` read.  Epochs with
+  /// the same forest share fedges and the index body.
   mutable std::mutex aux_mu;
   mutable std::shared_ptr<SnapshotData> data;
   mutable std::shared_ptr<const std::vector<WEdge>> fedges;
-  mutable std::shared_ptr<const core::CcResult> cc;
   mutable std::mutex index_mu;
   mutable std::shared_ptr<const query::ForestIndex> index;
 };
@@ -180,8 +178,8 @@ bool is_read_shaped(Op op) {
 }
 
 bool is_query_op(Op op) {
-  return op == Op::kPathMax || op == Op::kConn || op == Op::kCut ||
-         op == Op::kTopK;
+  return op == Op::kConnected || op == Op::kPathMax || op == Op::kConn ||
+         op == Op::kCut || op == Op::kTopK;
 }
 
 /// Bound on remembered idempotency ids per session; old ids age out FIFO.
@@ -264,18 +262,6 @@ std::shared_ptr<const std::vector<WEdge>> snapshot_forest_edges(
   for (const EdgeId id : *snap.forest_ids) fe->push_back(snap.view.edge(id));
   snap.fedges = fe;
   return fe;
-}
-
-/// The snapshot's forest component labels (kConnected), built once.
-std::shared_ptr<const core::CcResult> snapshot_cc(const SessionSnapshot& snap) {
-  const auto fe = snapshot_forest_edges(snap);
-  std::lock_guard<std::mutex> lk(snap.aux_mu);
-  if (snap.cc != nullptr) return snap.cc;
-  EdgeList fg(snap.view.num_vertices());
-  fg.edges = *fe;
-  auto cc = std::make_shared<core::CcResult>(core::connected_components(fg));
-  snap.cc = cc;
-  return cc;
 }
 
 std::uint64_t pair_key(VertexId u, VertexId v) {
@@ -565,14 +551,9 @@ void ServiceCore::execute(QueuedRequest qr) {
       case Op::kCompact:
         finish(qr, do_compact(*s));
         return;
-      case Op::kPathMax:
-      case Op::kConn:
-      case Op::kCut:
-      case Op::kTopK:
-        finish(qr, do_query(*s, qr));
-        return;
       default:
-        finish(qr, do_read(*s, qr));
+        finish(qr, is_query_op(qr.req.op) ? do_query(*s, qr)
+                                          : do_read(*s, qr));
         return;
     }
   } catch (const std::exception& e) {
@@ -602,7 +583,6 @@ void ServiceCore::publish_snapshot_locked(Session& s, bool with_index) {
     {
       std::lock_guard<std::mutex> lk(prev->aux_mu);
       snap->fedges = prev->fedges;
-      snap->cc = prev->cc;
     }
     std::lock_guard<std::mutex> lk(prev->index_mu);
     if (prev->index != nullptr) {
@@ -904,15 +884,6 @@ Response ServiceCore::do_read(Session& s, const QueuedRequest& qr) {
     case Op::kWeight:
       fill_snapshot_facts(r, *snap);
       return r;
-    case Op::kConnected: {
-      const VertexId n = snap->view.num_vertices();
-      if (qr.req.u >= n || qr.req.v >= n) {
-        return make_error(Status::kInvalidInput, "vertex out of range");
-      }
-      const auto cc = snapshot_cc(*snap);
-      r.connected = cc->label[qr.req.u] == cc->label[qr.req.v];
-      return r;
-    }
     case Op::kForestEdges: {
       fill_snapshot_facts(r, *snap);
       const auto fe = snapshot_forest_edges(*snap);
@@ -959,6 +930,7 @@ Response ServiceCore::do_query(Session& s, const QueuedRequest& qr) {
   r.index_version = idx->version();
   const VertexId n = idx->num_vertices();
   switch (req.op) {
+    case Op::kConnected:
     case Op::kConn:
       if (req.u >= n || req.v >= n) {
         return make_error(Status::kInvalidInput, "vertex out of range");

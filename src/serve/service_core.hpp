@@ -57,12 +57,11 @@ struct ServeOptions {
   double compact_live_ratio = 0.5;
   std::size_t compact_min_slots = 4096;
 
-  // --- scale-out serving (PR 9) ---
+  // --- scale-out serving ---
   /// Solver shards: each shard owns a ThreadTeam, a bounded request queue
   /// and its dispatcher pool; sessions are placed on shards by consistent
-  /// hashing of the session name.  1 (default) reproduces the single-pool
-  /// behavior of earlier PRs exactly; 0 auto-sizes from the machine's
-  /// hardware threads.
+  /// hashing of the session name.  1 (default) runs every session on one
+  /// pool; 0 auto-sizes from the machine's hardware threads.
   int shards = 1;
   /// MVCC snapshot ring: how many committed epochs each session retains for
   /// pinned reads.  Older epochs are reclaimed (and pinning them fails with
@@ -78,7 +77,7 @@ struct ServeOptions {
   /// Bucket depth (burst allowance); 0 = same as rate_limit_rps.
   double rate_limit_burst = 0;
 
-  // --- durability (PR 6) ---
+  // --- durability ---
   /// Root of the durable state: each session persists to
   /// <data_dir>/<name>/ (WAL segments + snapshots, see persist/).  Empty
   /// disables persistence entirely — the in-memory behavior every earlier
@@ -102,9 +101,10 @@ struct ServeOptions {
 
 /// Transport-agnostic core of the MSF service: owns named graph sessions
 /// (EdgeStore + DynamicMsf each), the solver shards (ThreadTeam + bounded
-/// MPMC queue + dispatcher pool each), and the metrics registry.  The UDS
-/// daemon, the TCP daemon, the in-process bench and the tests all drive
-/// exactly this object — the wire protocols are thin layers on top.
+/// MPMC queue + dispatcher pool each), and the metrics registry.  The
+/// daemon (net::TcpServer, over TCP and AF_UNIX), the in-process bench and
+/// the tests all drive exactly this object — the wire protocols are thin
+/// layers on top.
 ///
 /// Concurrency model per session:
 ///  * every committed mutation publishes an immutable epoch-stamped MVCC
@@ -216,9 +216,11 @@ class ServiceCore {
   Response do_read(Session& s, const QueuedRequest& qr);
   Response do_recompute(Session& s, const QueuedRequest& qr);
   Response do_compact(Session& s);
-  /// kPathMax / kConn / kCut / kTopK, served entirely from the MVCC
-  /// snapshot the request pins (latest by default): no state lock, so they
-  /// never queue behind coalesced writes.
+  /// kConnected / kConn / kPathMax / kCut / kTopK, served from the
+  /// ForestIndex of the MVCC snapshot the request pins (latest by default):
+  /// no state lock, so they never queue behind coalesced writes.  The first
+  /// one marks the session query-active, which makes write flushes build
+  /// the index eagerly.
   Response do_query(Session& s, const QueuedRequest& qr);
 
   // --- MVCC snapshot machinery ---

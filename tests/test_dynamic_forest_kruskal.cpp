@@ -1,18 +1,19 @@
-// Forest-ordered Kruskal batches: under the default backend (Champion)
-// DynamicMsf applies a sparsified batch by one union-find scan over its
-// weight-ordered forest merged with the sorted new candidates, instead of a
-// solve of F ∪ B.  After every batch that state must be bit-identical to a
-// DynamicMsf that solves its candidate sets with Bor-FAL and to sequential
-// Kruskal of the live graph — forest ids, weight bits, tree count and every
-// MsfDelta field — through insert-only, deletion-only and mixed batches,
-// weight ties, ±0.0, parallel edges, an edgeless start, store compaction,
-// recompute, scratch crossovers, the restore constructor and path-max
-// batches that change the forest.  Also: the pass honours the budget and
-// fills StepTimes.
+// Forest-ordered Kruskal batches: DynamicMsf applies a sparsified batch by
+// one union-find scan over its weight-ordered forest merged with the sorted
+// new candidates, whatever the backend.  Every MsfDelta is checked against a
+// reference built from sequential Kruskal of the live graph before and after
+// the batch — the forest diff, the weight bits and tree count of the "after"
+// forest, the live and candidate counts, and the scratch crossover — and the
+// maintained state against Kruskal after it, through insert-only,
+// deletion-only and mixed batches, weight ties, ±0.0, parallel edges, an
+// edgeless start, store compaction, recompute, scratch crossovers, the
+// restore constructor and path-max batches that change the forest.  Also:
+// the pass honours the budget and fills StepTimes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -26,6 +27,7 @@
 #include "pprim/thread_team.hpp"
 #include "query/forest_index.hpp"
 #include "seq/seq_msf.hpp"
+#include "seq/union_find.hpp"
 
 namespace {
 
@@ -57,21 +59,45 @@ void expect_same_delta(const MsfDelta& a, const MsfDelta& b) {
   EXPECT_EQ(a.recomputed_from_scratch, b.recomputed_from_scratch);
 }
 
+/// Sequential Kruskal of the store's live graph, as ascending store ids.
+std::vector<EdgeId> kruskal_ids(const EdgeStore& s, std::size_t* trees) {
+  std::vector<EdgeId> ids;
+  const EdgeList live = s.live_graph(&ids);
+  const MsfResult k = seq::kruskal_msf(live);
+  std::vector<EdgeId> out;
+  out.reserve(k.edge_ids.size());
+  for (const EdgeId e : k.edge_ids) out.push_back(ids[e]);
+  std::sort(out.begin(), out.end());
+  if (trees != nullptr) *trees = k.num_trees;
+  return out;
+}
+
+/// The forest part of the delta a batch or recompute must report, from
+/// Kruskal of the live graph before it (`before`) and after it (the store
+/// as it is now): the diff of the two forests, and the weight (summed in
+/// ascending store-id order), tree count and live count after it.
+MsfDelta forest_delta(const EdgeStore& s, const std::vector<EdgeId>& before) {
+  MsfDelta want;
+  const std::vector<EdgeId> after = kruskal_ids(s, &want.num_trees);
+  std::set_difference(after.begin(), after.end(), before.begin(), before.end(),
+                      std::back_inserter(want.forest_added));
+  std::set_difference(before.begin(), before.end(), after.begin(), after.end(),
+                      std::back_inserter(want.forest_removed));
+  for (const EdgeId id : after) want.total_weight += s.edge(id).w;
+  want.live_edges = s.num_live();
+  return want;
+}
+
 /// The maintained state equals sequential Kruskal of the live graph, with
 /// the weight summed in ascending store-id order.
 void expect_kruskal_state(const DynamicMsf& d) {
-  std::vector<EdgeId> ids;
-  const EdgeList live = d.store().live_graph(&ids);
-  const MsfResult k = seq::kruskal_msf(live);
-  std::vector<EdgeId> want;
-  want.reserve(k.edge_ids.size());
-  for (const EdgeId e : k.edge_ids) want.push_back(ids[e]);
-  std::sort(want.begin(), want.end());
+  std::size_t trees = 0;
+  const std::vector<EdgeId> want = kruskal_ids(d.store(), &trees);
   Weight w = 0;
   for (const EdgeId id : want) w += d.store().edge(id).w;
   ASSERT_EQ(d.forest_edge_ids(), want);
   EXPECT_TRUE(same_bits(d.total_weight(), w));
-  EXPECT_EQ(d.num_trees(), k.num_trees);
+  EXPECT_EQ(d.num_trees(), trees);
 }
 
 enum class Weights { kRandom, kAllEqual, kSignedZero };
@@ -90,46 +116,93 @@ Weight draw_weight(Rng& rng, Weights mode) {
   }
 }
 
-/// A Champion DynamicMsf and a Bor-FAL one fed the same batches.
-struct Twins {
+/// A DynamicMsf whose every delta is checked against Kruskal references.
+struct Checked {
   ThreadTeam* team;
-  std::unique_ptr<DynamicMsf> kruskal;
-  std::unique_ptr<DynamicMsf> solver;
+  std::unique_ptr<DynamicMsf> d;
 
-  Twins(const EdgeList& g, ThreadTeam* t)
+  Checked(const EdgeList& g, ThreadTeam* t)
       : team(t),
-        kruskal(std::make_unique<DynamicMsf>(
-            g, make_opts(core::Algorithm::kChampion, t))),
-        solver(std::make_unique<DynamicMsf>(
-            g, make_opts(core::Algorithm::kBorFAL, t))) {}
+        d(std::make_unique<DynamicMsf>(
+            g, make_opts(core::Algorithm::kChampion, t))) {}
 
   /// Sparsified batches that changed the forest.
   int sparsified_changes = 0;
 
-  MsfDelta apply(const std::vector<WEdge>& ins, const std::vector<EdgeId>& del) {
-    const MsfDelta a = kruskal->apply_batch(ins, del);
-    const MsfDelta b = solver->apply_batch(ins, del);
-    expect_same_delta(a, b);
-    check();
-    if (!a.recomputed_from_scratch && a.changed_forest()) ++sparsified_changes;
-    return a;
+  MsfDelta apply(const std::vector<WEdge>& ins, const std::vector<EdgeId>& del,
+                 const core::Dendrogram* oracle = nullptr) {
+    const std::vector<EdgeId> before = kruskal_ids(d->store(), nullptr);
+    const EdgeId first_new = d->store().size();
+    const MsfDelta got = d->apply_batch(ins, del, oracle);
+    const EdgeStore& s = d->store();
+    MsfDelta want = forest_delta(s, before);
+    // The deleted forest edges.
+    std::vector<EdgeId> cut;
+    for (const EdgeId id : del) {
+      if (std::binary_search(before.begin(), before.end(), id)) {
+        cut.push_back(id);
+      }
+    }
+    const std::size_t ops = ins.size() + del.size();
+    if (ins.empty() && cut.empty()) {
+      // Only non-tree edges died: the forest stands, nothing is decided.
+    } else if (static_cast<double>(ops) >=
+               dynamic::kScratchBatchFraction *
+                   static_cast<double>(s.num_live())) {
+      want.recomputed_from_scratch = true;
+      want.candidate_edges = s.num_live();
+    } else {
+      // The retained forest, the insertions and, after a cut, the live
+      // pre-batch edges that cross two trees of the split forest.
+      want.candidate_edges = before.size() - cut.size() + ins.size();
+      if (!cut.empty()) {
+        seq::UnionFind uf(s.num_vertices());
+        for (const EdgeId id : before) {
+          if (!std::binary_search(cut.begin(), cut.end(), id)) {
+            uf.unite(s.edge(id).u, s.edge(id).v);
+          }
+        }
+        for (EdgeId id = 0; id < first_new; ++id) {
+          if (s.is_live(id) && !uf.connected(s.edge(id).u, s.edge(id).v)) {
+            ++want.candidate_edges;
+          }
+        }
+      }
+    }
+    expect_same_delta(got, want);
+    expect_kruskal_state(*d);
+    if (!got.recomputed_from_scratch && got.changed_forest()) {
+      ++sparsified_changes;
+    }
+    return got;
   }
 
-  void check() const {
-    EXPECT_EQ(kruskal->forest_edge_ids(), solver->forest_edge_ids());
-    EXPECT_TRUE(same_bits(kruskal->total_weight(), solver->total_weight()));
-    EXPECT_EQ(kruskal->num_trees(), solver->num_trees());
-    expect_kruskal_state(*kruskal);
+  void recompute() {
+    const std::vector<EdgeId> before = kruskal_ids(d->store(), nullptr);
+    MsfDelta want = forest_delta(d->store(), before);
+    want.recomputed_from_scratch = true;
+    want.candidate_edges = d->store().num_live();
+    expect_same_delta(d->recompute(), want);
+    expect_kruskal_state(*d);
   }
 
-  /// Rebuilds both sides from copies of their stores and forests.
+  /// Compacts the store: the forest follows the remap and stays Kruskal's.
+  void compact() {
+    const std::vector<EdgeId> old = d->forest_edge_ids();
+    const std::vector<EdgeId> remap = d->compact_store();
+    std::vector<EdgeId> want;
+    for (const EdgeId id : old) want.push_back(remap[id]);
+    EXPECT_EQ(d->forest_edge_ids(), want);
+    EXPECT_EQ(d->store().size(), d->store().num_live());
+    expect_kruskal_state(*d);
+  }
+
+  /// Rebuilds from a copy of the store and forest.
   void restore() {
-    kruskal = std::make_unique<DynamicMsf>(
-        EdgeStore(kruskal->store()), kruskal->forest_edge_ids(),
+    d = std::make_unique<DynamicMsf>(
+        EdgeStore(d->store()), d->forest_edge_ids(),
         make_opts(core::Algorithm::kChampion, team));
-    solver = std::make_unique<DynamicMsf>(
-        EdgeStore(solver->store()), solver->forest_edge_ids(),
-        make_opts(core::Algorithm::kBorFAL, team));
+    expect_kruskal_state(*d);
   }
 };
 
@@ -174,7 +247,7 @@ class DynamicForestKruskal
     : public ::testing::TestWithParam<std::tuple<Weights, int, bool>> {};
 
 TEST_P(DynamicForestKruskal, BitIdenticalToSolverAndKruskal) {
-  // p = 0 runs without a team: sequential sweep, no team regions.
+  // p = 0 gives no team: the DynamicMsf runs on its own team of two.
   const auto [mode, p, edgeless] = GetParam();
   std::unique_ptr<ThreadTeam> team;
   if (p > 0) team = std::make_unique<ThreadTeam>(p);
@@ -190,46 +263,37 @@ TEST_P(DynamicForestKruskal, BitIdenticalToSolverAndKruskal) {
       g.add_edge(u, v, draw_weight(rng, mode));
     }
   }
-  Twins t(g, team.get());
-  t.check();
+  Checked t(g, team.get());
+  expect_kruskal_state(*t.d);
 
   for (int step = 0; step < 36; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
     switch (step % 3) {
       case 0:  // insert-only
-        t.apply(draw_insertions(rng, *t.kruskal, 1 + rng.next_below(12), mode),
-                {});
+        t.apply(draw_insertions(rng, *t.d, 1 + rng.next_below(12), mode), {});
         break;
       case 1:  // deletion-only, tree edges included
-        t.apply({}, draw_deletions(rng, *t.kruskal, 1 + rng.next_below(4),
+        t.apply({}, draw_deletions(rng, *t.d, 1 + rng.next_below(4),
                                    rng.next_below(6)));
         break;
       default:  // mixed
-        t.apply(draw_insertions(rng, *t.kruskal, 1 + rng.next_below(8), mode),
-                draw_deletions(rng, *t.kruskal, rng.next_below(3),
+        t.apply(draw_insertions(rng, *t.d, 1 + rng.next_below(8), mode),
+                draw_deletions(rng, *t.d, rng.next_below(3),
                                rng.next_below(6)));
         break;
     }
     if (step == 9) {
       // Compaction renumbers ids in place; the ordered forest must follow.
-      EXPECT_EQ(t.kruskal->compact_store(), t.solver->compact_store());
-      t.check();
+      t.compact();
     }
-    if (step == 16) {
-      expect_same_delta(t.kruskal->recompute(), t.solver->recompute());
-      t.check();
-    }
-    if (step == 22 && t.kruskal->store().num_live() > 0) {
+    if (step == 16) t.recompute();
+    if (step == 22 && t.d->store().num_live() > 0) {
       // A batch past the crossover fraction solves the whole live graph.
-      const std::size_t live = t.kruskal->store().num_live();
-      EXPECT_TRUE(
-          t.apply(draw_insertions(rng, *t.kruskal, live / 2 + 1, mode), {})
-              .recomputed_from_scratch);
+      const std::size_t live = t.d->store().num_live();
+      EXPECT_TRUE(t.apply(draw_insertions(rng, *t.d, live / 2 + 1, mode), {})
+                      .recomputed_from_scratch);
     }
-    if (step == 28) {
-      t.restore();
-      t.check();
-    }
+    if (step == 28) t.restore();
   }
   EXPECT_GE(t.sparsified_changes, 10);
 }
@@ -261,36 +325,32 @@ TEST(DynamicForestKruskal, PathMaxBatchThatChangesTheForestDropsTheOrder) {
     if (v >= u) ++v;
     g.add_edge(u, v, rng.next_double());
   }
-  Twins t(g, &team);
+  Checked t(g, &team);
   std::uint64_t version = 0;
   for (int round = 0; round < 6; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
     // A Kruskal batch: the ordered forest exists from here on.
-    t.apply(draw_insertions(rng, *t.kruskal, 4, Weights::kRandom),
-            draw_deletions(rng, *t.kruskal, 1, 2));
+    t.apply(draw_insertions(rng, *t.d, 4, Weights::kRandom),
+            draw_deletions(rng, *t.d, 1, 2));
 
-    // A path-max batch on the Champion side.  Light edges change the forest
-    // (even rounds); heavy ones only close cycles and leave it as it was.
-    std::vector<WEdge> ins =
-        draw_insertions(rng, *t.kruskal, 6, Weights::kRandom);
+    // A path-max batch.  Light edges change the forest (even rounds); heavy
+    // ones only close cycles and leave it as it was.
+    std::vector<WEdge> ins = draw_insertions(rng, *t.d, 6, Weights::kRandom);
     for (WEdge& e : ins) e.w = round % 2 == 0 ? e.w * 1e-3 : 2.0 + e.w;
-    const ForestIndex idx(team, t.kruskal->store(),
-                          t.kruskal->forest_edge_ids(), ++version);
-    const std::uint64_t before = t.kruskal->path_max_batches();
-    const MsfDelta a = t.kruskal->apply_batch(ins, {}, &idx.dendrogram());
-    const MsfDelta b = t.solver->apply_batch(ins, {});
-    ASSERT_EQ(t.kruskal->path_max_batches(), before + 1);
-    expect_same_delta(a, b);
+    const ForestIndex idx(team, t.d->store(), t.d->forest_edge_ids(),
+                          ++version);
+    const std::uint64_t before = t.d->path_max_batches();
+    const MsfDelta a = t.apply(ins, {}, &idx.dendrogram());
+    ASSERT_EQ(t.d->path_max_batches(), before + 1);
     if (round % 2 == 0) {
       EXPECT_TRUE(a.changed_forest());
     } else {
       EXPECT_FALSE(a.changed_forest());
     }
-    t.check();
 
     // Sparsified batches after it must see the forest as it is now.
-    t.apply(draw_insertions(rng, *t.kruskal, 5, Weights::kRandom), {});
-    t.apply({}, draw_deletions(rng, *t.kruskal, 2, 0));
+    t.apply(draw_insertions(rng, *t.d, 5, Weights::kRandom), {});
+    t.apply({}, draw_deletions(rng, *t.d, 2, 0));
   }
 }
 

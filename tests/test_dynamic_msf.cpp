@@ -20,6 +20,7 @@
 #include "dynamic/edge_slab.hpp"
 #include "graph/generators.hpp"
 #include "graph/validate.hpp"
+#include "pprim/fault.hpp"
 #include "pprim/rng.hpp"
 #include "test_util.hpp"
 
@@ -227,6 +228,44 @@ TEST(DynamicMsf, CrossoverThresholdIsAQuarterOfLiveAfterTheBatch) {
     EXPECT_EQ(d.forest_edge_ids(), ref.forest) << "batch=" << k;
     EXPECT_EQ(d.total_weight(), ref.weight) << "batch=" << k;
   }
+}
+
+TEST(DynamicMsf, NamedBackendDecidesSparsifiedBatchByKruskalPass) {
+  // Bor-EL solves the graph once; a sparsified batch never reaches its
+  // find-min, so an armed bad_alloc there (fallback off) cannot fail it.
+  const VertexId n = 200;
+  const EdgeList g0 = random_graph(n, 3 * n, 31);
+  DynamicMsfOptions o = dyn_opts(core::Algorithm::kBorEL, 2);
+  o.msf.allow_sequential_fallback = false;
+  DynamicMsf d(g0, o);
+  ASSERT_GT(d.forest_edge_ids().size(), n / 2);
+  FaultInjector::arm("bor-el.find-min", FaultKind::kBadAlloc);
+  // Armed to count hits, never to fire.
+  FaultInjector::arm("dynamic.kruskal-scan", FaultKind::kBadAlloc,
+                     /*skip=*/std::uint64_t{1} << 40);
+  Rng rng(12);
+  std::vector<WEdge> ins;
+  for (int i = 0; i < 6; ++i) {
+    const auto u = static_cast<VertexId>(rng.next_below(n));
+    auto v = static_cast<VertexId>(rng.next_below(n - 1));
+    if (v >= u) ++v;
+    ins.push_back(WEdge{u, v, rng.next_double()});
+  }
+  const std::vector<EdgeId> del{d.forest_edge_ids()[n / 2]};
+  MsfDelta delta;
+  EXPECT_NO_THROW(delta = d.apply_batch(ins, del));
+  const std::uint64_t scans = FaultInjector::hits("dynamic.kruskal-scan");
+  const std::uint64_t find_mins = FaultInjector::hits("bor-el.find-min");
+  FaultInjector::disarm_all();
+  EXPECT_GE(scans, 1u);
+  EXPECT_EQ(find_mins, 0u);
+  EXPECT_FALSE(delta.recomputed_from_scratch);
+  EXPECT_TRUE(std::binary_search(delta.forest_removed.begin(),
+                                 delta.forest_removed.end(), del.front()));
+  const Reference ref = scratch_reference(d, core::Algorithm::kSeqKruskal, 1);
+  EXPECT_EQ(d.forest_edge_ids(), ref.forest);
+  EXPECT_EQ(d.total_weight(), ref.weight);
+  EXPECT_EQ(d.num_trees(), ref.trees);
 }
 
 TEST(DynamicMsf, BridgeDeletionSplitsTree) {

@@ -1,10 +1,9 @@
 // All-or-nothing batches: DynamicMsf::apply_batch commits a whole batch or,
 // when anything fails after validation, rolls the store back and rethrows.
 // Every apply path — the scratch crossover, path-max over a fresh
-// dendrogram, the forest Kruskal pass and a candidate solve under an
-// explicit backend — is failed with a zero deadline and with an injected
-// bad_alloc (sequential fallback off), starting from a full slot buffer so
-// the batch's first insertion grows it.  Afterwards the DynamicMsf and a
+// dendrogram and the forest Kruskal pass — is failed with a zero deadline
+// and with an injected bad_alloc (sequential fallback off), starting from a
+// full slot buffer so the batch's first insertion grows it.  Afterwards the DynamicMsf and a
 // StoreView taken before the batch must read bit for bit as before, and the
 // retried batch must decide exactly as on a twin that never saw the failure.
 // Also: an insertion that fails after an earlier one of the same batch was
@@ -124,7 +123,7 @@ void expect_same_delta(const MsfDelta& a, const MsfDelta& b) {
   EXPECT_EQ(a.recomputed_from_scratch, b.recomputed_from_scratch);
 }
 
-enum class Path { kScratch, kPathMax, kKruskal, kCandidateSolve };
+enum class Path { kScratch, kPathMax, kKruskal };
 enum class Failure { kDeadline, kBadAlloc };
 
 const char* name(Path p) {
@@ -135,16 +134,12 @@ const char* name(Path p) {
       return "path-max";
     case Path::kKruskal:
       return "forest Kruskal pass";
-    case Path::kCandidateSolve:
-      return "Bor-EL candidate solve";
   }
   return "?";
 }
 
-DynamicMsfOptions options(Path path, ThreadTeam* team) {
+DynamicMsfOptions options(ThreadTeam* team) {
   DynamicMsfOptions o;
-  o.msf.algorithm = path == Path::kCandidateSolve ? core::Algorithm::kBorEL
-                                                  : core::Algorithm::kChampion;
   o.msf.threads = team->size();
   o.msf.allow_sequential_fallback = false;
   o.team = team;
@@ -160,8 +155,6 @@ const char* fault_site(Path p) {
       return "dynamic.path-max";
     case Path::kKruskal:
       return "dynamic.kruskal-scan";
-    case Path::kCandidateSolve:
-      return "bor-el.find-min";
   }
   return "";
 }
@@ -213,8 +206,7 @@ void apply_failing(DynamicMsf& d, Path path, Failure failure,
 
 TEST(DynamicRollback, EveryApplyPathLeavesNoTrace) {
   ThreadTeam team(2);
-  for (const Path path : {Path::kScratch, Path::kPathMax, Path::kKruskal,
-                          Path::kCandidateSolve}) {
+  for (const Path path : {Path::kScratch, Path::kPathMax, Path::kKruskal}) {
     for (const Failure failure : {Failure::kDeadline, Failure::kBadAlloc}) {
       SCOPED_TRACE(std::string(name(path)) + ", " +
                    (failure == Failure::kDeadline ? "zero deadline"
@@ -224,8 +216,8 @@ TEST(DynamicRollback, EveryApplyPathLeavesNoTrace) {
       const EdgeList g = random_graph(n, rng);
       // m >= 16 edges fill the store's first slot buffer exactly, so the
       // batch's first insertion grows it.
-      DynamicMsf d(g, options(path, &team));
-      DynamicMsf twin(g, options(path, &team));
+      DynamicMsf d(g, options(&team));
+      DynamicMsf twin(g, options(&team));
       ASSERT_EQ(d.forest_edge_ids(), twin.forest_edge_ids());
       // Build the pair index, so the failed batch has one to undo.
       ASSERT_TRUE(d.store().find_live(0, 1).has_value());
@@ -300,32 +292,29 @@ TEST(DynamicRollback, InsertionFailingAfterAnEarlierOneWasStored) {
   const VertexId n = 16;
   EdgeList g(n);
   for (VertexId v = 1; v < n; ++v) g.add_edge(v - 1, v, static_cast<Weight>(v));
-  for (const Path path : {Path::kKruskal, Path::kCandidateSolve}) {
-    SCOPED_TRACE(name(path));
-    ThreadTeam team(2);
-    DynamicMsf d(g, options(path, &team));
-    DynamicMsf twin(g, options(path, &team));
-    ASSERT_EQ(d.store().find_live(3, 4), std::optional<EdgeId>(3));
-    const std::vector<WEdge> ins{WEdge{0, 9, 0.5}, WEdge{2, 12, 0.25}};
-    const std::vector<EdgeId> del{d.forest_edge_ids()[5]};
-    const Frozen before = freeze(d);
-    const PinnedView view = pin(d);
+  ThreadTeam team(2);
+  DynamicMsf d(g, options(&team));
+  DynamicMsf twin(g, options(&team));
+  ASSERT_EQ(d.store().find_live(3, 4), std::optional<EdgeId>(3));
+  const std::vector<WEdge> ins{WEdge{0, 9, 0.5}, WEdge{2, 12, 0.25}};
+  const std::vector<EdgeId> del{d.forest_edge_ids()[5]};
+  const Frozen before = freeze(d);
+  const PinnedView view = pin(d);
 
-    FaultInjector::arm("edge-store.grow", FaultKind::kBadAlloc);
-    EXPECT_THROW(d.apply_batch(ins, del), std::bad_alloc);
-    EXPECT_EQ(FaultInjector::hits("edge-store.grow"), 1u);
-    FaultInjector::disarm_all();
+  FaultInjector::arm("edge-store.grow", FaultKind::kBadAlloc);
+  EXPECT_THROW(d.apply_batch(ins, del), std::bad_alloc);
+  EXPECT_EQ(FaultInjector::hits("edge-store.grow"), 1u);
+  FaultInjector::disarm_all();
 
-    expect_same(freeze(d), before);
-    expect_unchanged(view);
-    EXPECT_EQ(d.store().find_live(5, 6), std::optional<EdgeId>(5));
-    EXPECT_FALSE(d.store().find_live(0, 9).has_value());
+  expect_same(freeze(d), before);
+  expect_unchanged(view);
+  EXPECT_EQ(d.store().find_live(5, 6), std::optional<EdgeId>(5));
+  EXPECT_FALSE(d.store().find_live(0, 9).has_value());
 
-    expect_same_delta(d.apply_batch(ins, del), twin.apply_batch(ins, del));
-    expect_same(freeze(d), freeze(twin));
-    EXPECT_EQ(d.store().find_live(0, 9), std::optional<EdgeId>(15));
-    EXPECT_FALSE(d.store().find_live(5, 6).has_value());
-  }
+  expect_same_delta(d.apply_batch(ins, del), twin.apply_batch(ins, del));
+  expect_same(freeze(d), freeze(twin));
+  EXPECT_EQ(d.store().find_live(0, 9), std::optional<EdgeId>(15));
+  EXPECT_FALSE(d.store().find_live(5, 6).has_value());
 }
 
 TEST(DynamicRollback, RejectedBatchMutatesNothing) {
@@ -334,7 +323,7 @@ TEST(DynamicRollback, RejectedBatchMutatesNothing) {
   ThreadTeam team(2);
   Rng rng(3);
   const EdgeList g = random_graph(64, rng);
-  DynamicMsf d(g, options(Path::kKruskal, &team));
+  DynamicMsf d(g, options(&team));
   const Frozen before = freeze(d);
   const std::vector<WEdge> bad_ins{WEdge{0, 1, 0.5}, WEdge{3, 3, 1.0}};
   EXPECT_THROW(d.apply_batch(bad_ins, {}), Error);

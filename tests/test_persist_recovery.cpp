@@ -458,9 +458,16 @@ TEST(PersistRecovery, MidSolveFailureLeavesNoTrace) {
     before = state_of(svc, "g");
 
     // The next apply fails *inside* the solve: apply_batch rolls the store
-    // back, so the group is neither logged nor visible.
+    // back, so the group is neither logged nor visible.  32 insertions on
+    // 63 live edges cross over to a whole-graph Bor-EL solve (a smaller
+    // batch is decided by the forest Kruskal pass, which never solves).
     FaultInjector::arm("bor-el.connect.region", FaultKind::kBadAlloc);
-    const Response r = svc.call(insert_req("g", {{0, 63, 0.001}}));
+    Request big = insert_req("g", {});
+    for (VertexId v = 0; v < 32; ++v) {
+      big.insertions.push_back(WEdge{v, v + 2, 0.001});
+    }
+    const Response r = svc.call(big);
+    EXPECT_GE(FaultInjector::hits("bor-el.connect.region"), 1u);
     FaultInjector::disarm_all();
     EXPECT_NE(r.status, Status::kOk);
     EXPECT_EQ(r.lsn, 0u);
