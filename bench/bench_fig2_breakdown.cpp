@@ -1,7 +1,7 @@
 // Fig. 2 of the paper: breakdown of the running time into the three Borůvka
 // steps (find-min / connect-components / compact-graph) for Bor-EL, Bor-AL,
 // Bor-ALM and Bor-FAL, on random graphs with fixed n and m = 4n, 6n, 10n,
-// plus Champion and one m = 64n block.
+// plus Champion and one m = 2n and one m = 64n block.
 //
 // The paper's claims to check:
 //   * compact-graph dominates for Bor-EL and Bor-AL,
@@ -60,9 +60,10 @@ int main(int argc, char** argv) {
   const core::Algorithm algs[] = {core::Algorithm::kBorEL, core::Algorithm::kBorAL,
                                   core::Algorithm::kBorALM, core::Algorithm::kBorFAL,
                                   core::Algorithm::kChampion};
-  // m/n = 64 is the serving shape, where Champion's light set is 1/32 of
-  // the edges: its rows and the forest check below cover Champion there.
-  for (const int density : {4, 6, 10, 64}) {
+  // m/n = 2 is below the light target's bend at 32/15, where Champion's
+  // light set is 15/16 of the edges; m/n = 64 is the serving shape, where
+  // it is 1/32.  Their rows and the forest check below cover Champion there.
+  for (const int density : {2, 4, 6, 10, 64}) {
     const auto m = static_cast<EdgeId>(density) * n;
     const EdgeList g = random_graph(n, m, args.seed + static_cast<std::uint64_t>(density));
     bench::banner("Fig 2 / random", g);

@@ -40,14 +40,12 @@ constexpr std::size_t kPivotSamples = std::size_t{1} << 14;
 /// An edge's place in the rank sort's order: WeightOrder as integers.
 using OrderKey = std::pair<std::uint64_t, EdgeId>;
 
-[[nodiscard]] std::size_t light_target(VertexId n) {
-  return static_cast<std::size_t>(kChampionLightPerVertex * static_cast<double>(n));
-}
-
-/// The pivot: the sampled edge whose sample rank matches `target` of m.
+/// The pivot: the sampled edge whose sample rank matches `target` of m.  With
+/// no edge to sample any pivot splits the empty edge set, so it is ⟨0, 0⟩.
 template <class WeightAt>
 OrderKey pick_pivot(std::size_t m, std::size_t target, WeightAt w_at) {
   const std::size_t s = std::min(m, kPivotSamples);
+  if (s == 0) return {};
   std::vector<OrderKey> sample(s);
   for (std::size_t i = 0; i < s; ++i) {
     const EdgeId e = i * m / s;
@@ -217,7 +215,7 @@ std::vector<EdgeId> light_scan(ThreadTeam& team, const SubGraph& sub,
   return ids;
 }
 
-/// The five-step stage of champion.hpp over any edge source: `w_at(e)` is
+/// Champion's five steps (champion.hpp) over any edge source: `w_at(e)` is
 /// edge e's weight, `walk(begin, end, fn)` calls fn(e, edge) for every edge
 /// e in [begin, end) in ascending order.
 template <class WeightAt, class Walk>
@@ -228,7 +226,7 @@ MsfResult filtered_solve(ThreadTeam& team, VertexId n, std::size_t m,
   WallTimer phase;
 
   // 1–2. Pivot pick and light gather.
-  const OrderKey pivot = pick_pivot(m, light_target(n), w_at);
+  const OrderKey pivot = pick_pivot(m, champion_light_target(n, m), w_at);
   SubGraph sub = gather_edges(
       team, n, m, walk, [&](EdgeId e, const WEdge& edge, WEdge& out) {
         out = edge;
@@ -270,26 +268,24 @@ MsfResult filtered_solve(ThreadTeam& team, VertexId n, std::size_t m,
 
 }  // namespace
 
-bool champion_filters(VertexId n, std::size_t m) {
-  return 2 * light_target(n) < m;
+std::size_t champion_light_target(VertexId n, std::size_t m) {
+  return std::min(
+      static_cast<std::size_t>(kChampionLightPerVertex * static_cast<double>(n)),
+      15 * m / 16);
 }
 
 MsfResult champion_msf(ThreadTeam& team, const EdgeList& g,
                        const MsfOptions& opts) {
-  const std::size_t m = g.edges.size();
-  if (!champion_filters(g.num_vertices, m)) {
-    return bor_fal_msf(team, g, opts);
-  }
   return filtered_solve(
-      team, g.num_vertices, m, [&](EdgeId e) { return g.edges[e].w; },
+      team, g.num_vertices, g.edges.size(), [&](EdgeId e) { return g.edges[e].w; },
       [&](EdgeId begin, EdgeId end, auto&& fn) {
         for (EdgeId e = begin; e < end; ++e) fn(e, g.edges[e]);
       },
       opts);
 }
 
-MsfResult champion_filtered_msf(ThreadTeam& team, const CompressedCsr& g,
-                                const MsfOptions& opts) {
+MsfResult champion_msf(ThreadTeam& team, const CompressedCsr& g,
+                       const MsfOptions& opts) {
   const Weight* const weights = g.weights();
   return filtered_solve(
       team, g.num_vertices(), g.num_edges(), [&](EdgeId e) { return weights[e]; },

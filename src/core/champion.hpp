@@ -20,7 +20,9 @@ namespace smp::core {
 ///
 ///   1. From a fixed strided sample of the edges, pick a pivot in the rank
 ///      sort's own order ⟨monotone_weight_bits(w), id⟩ so that about
-///      kChampionLightPerVertex · n edges are ≤ it ("light").
+///      min(kChampionLightPerVertex · n, ⌊15m/16⌋) edges are ≤ it ("light").
+///      At m ≥ 32n/15 that is the 2n lightest edges; on sparser graphs it is
+///      all but a heavy sixteenth of them.
 ///   2. Gather the light edges on the team, in ascending id order.
 ///   3. Rank-sort them on the team (build_rank_order: the packed prologue's
 ///      sort without its arc scatter) and run one sequential union-find
@@ -33,29 +35,25 @@ namespace smp::core {
 ///   5. Run the engine on those survivors over the contracted vertex set,
 ///      and assemble the result once from both passes' ids.
 ///
-/// Both sub-solves keep ids ascending, so their local ⟨weight, index⟩ order
+/// Every input takes these five steps, the empty graph included.  Both
+/// sub-solves keep ids ascending, so their local ⟨weight, index⟩ order
 /// agrees with the input's WeightOrder and the forest is the unique MSF,
-/// bit-identical to Bor-FAL's and Kruskal's.  When the light set would be
-/// at least half the edges (m ≤ 2 · kChampionLightPerVertex · n), Champion
-/// is exactly Bor-FAL.  Like Bor-FAL it accepts at most 2^31 edges
-/// (validate_edge_count).
+/// bit-identical to Bor-FAL's and Kruskal's.  Like Bor-FAL it accepts at
+/// most 2^31 edges (validate_edge_count).
 inline constexpr double kChampionLightPerVertex = 2.0;
 
-/// Whether Champion runs its filter stage on n vertices and m edges (see
-/// above).
-[[nodiscard]] bool champion_filters(graph::VertexId n, std::size_t m);
+/// Step 1's light target on n vertices and m edges:
+/// min(kChampionLightPerVertex · n, ⌊15m/16⌋), below m whenever m > 0.
+[[nodiscard]] std::size_t champion_light_target(graph::VertexId n, std::size_t m);
 
-/// Champion over an edge list: the filter stage or, when it does not apply,
-/// bor_fal_msf.
+/// Champion over an edge list.
 graph::MsfResult champion_msf(ThreadTeam& team, const graph::EdgeList& g,
                               const MsfOptions& opts = {});
 
-/// The filter stage over a compressed CSR (core/compressed_solve.cpp calls
-/// it when champion_filters holds): the same five steps through the row
-/// walk, with pivot weights read from the flat weight section.  Result ids
-/// are compressed edge ids.
-graph::MsfResult champion_filtered_msf(ThreadTeam& team,
-                                       const graph::CompressedCsr& g,
-                                       const MsfOptions& opts = {});
+/// Champion over a compressed CSR (core/compressed_solve.cpp): the same five
+/// steps through the row walk, with pivot weights read from the flat weight
+/// section.  Result ids are compressed edge ids.
+graph::MsfResult champion_msf(ThreadTeam& team, const graph::CompressedCsr& g,
+                              const MsfOptions& opts = {});
 
 }  // namespace smp::core

@@ -24,23 +24,21 @@ using graph::Weight;
 
 namespace {
 
-/// Whether the streaming Bor-FAL engine serves this request.  kChampion runs
-/// the Bor-FAL engine, so both stream; every other algorithm keeps its own
-/// arc layout and goes eager.
+/// Whether the request streams from the compressed rows: Bor-FAL and
+/// Champion, whose survivor pass is the Bor-FAL engine, do; every other
+/// algorithm keeps its own arc layout and goes eager.
 [[nodiscard]] bool streamable(Algorithm alg) {
   return alg == Algorithm::kBorFAL || alg == Algorithm::kChampion;
 }
 
-/// Streaming solve: ranks from the flat weight section, packed arcs straight
-/// from the varint rows, and a parallel row walk that materializes just the
-/// forest edges (detail::assemble_result over the implicit edge-id order).
-/// Champion runs its filter stage over the same row walk when it applies.
+/// Streaming solve.  Champion runs its five steps over the row walk.
+/// Bor-FAL takes its ranks from the flat weight section and its packed arcs
+/// straight from the varint rows, and a parallel row walk materializes just
+/// the forest edges (detail::assemble_result over the implicit edge-id
+/// order).
 MsfResult solve_streaming(ThreadTeam& team, const CompressedCsr& g,
                           const MsfOptions& opts) {
-  if (opts.algorithm == Algorithm::kChampion &&
-      champion_filters(g.num_vertices(), g.num_edges())) {
-    return champion_filtered_msf(team, g, opts);
-  }
+  if (opts.algorithm == Algorithm::kChampion) return champion_msf(team, g, opts);
   StepTimes st;
   WallTimer phase;
   const std::size_t m = g.num_edges();

@@ -22,9 +22,9 @@ namespace smp::core {
 /// (build_packed_input over CompressedCsr), and result assembly is one more
 /// row walk — no EdgeList or CsrGraph is ever materialized.  Peak memory
 /// past the graph itself is ~36 B/edge, during the packed input build.
-/// kChampion runs its heavy-edge filter stage (core/champion.hpp) over the
-/// same row walk when the stage applies: only the light edges and the
-/// survivors are ever gathered, as flat arrays.
+/// kChampion runs its heavy-edge filter (core/champion.hpp) over the same
+/// row walk: only the light edges and the survivors are ever gathered, as
+/// flat arrays.
 /// Every other algorithm falls back to eager decode_edge_list() + the
 /// standard dispatcher, trading memory for generality.  The edge bound is
 /// checked first, on g.num_edges() (validate_edge_count): Bor-EL, Bor-FAL

@@ -7,7 +7,6 @@
 
 #include "core/bor_uf.hpp"
 #include "core/champion.hpp"
-#include "core/filter_kruskal.hpp"
 #include "core/find_min.hpp"
 #include "pprim/partition.hpp"
 #include "pprim/thread_team.hpp"
@@ -33,8 +32,6 @@ std::string_view to_string(Algorithm a) {
       return "Kruskal";
     case Algorithm::kSeqBoruvka:
       return "Boruvka";
-    case Algorithm::kFilterKruskal:
-      return "Filter-Kruskal";
     case Algorithm::kBorUF:
       return "Bor-UF";
     case Algorithm::kChampion:
@@ -67,7 +64,6 @@ namespace {
     case Algorithm::kSeqPrim:
     case Algorithm::kSeqKruskal:
     case Algorithm::kSeqBoruvka:
-    case Algorithm::kFilterKruskal:
     case Algorithm::kBorUF:
     case Algorithm::kChampion:
       return true;
@@ -139,8 +135,8 @@ void validate_edge_count(Algorithm alg, std::size_t num_edges) {
   throw Error(ErrorCode::kInvalidInput,
               std::string(to_string(alg)) + " handles at most 2^31 edges, got " +
                   std::to_string(num_edges) +
-                  " (Bor-AL, Bor-ALM, MST-BC, Bor-UF, Filter-Kruskal and the "
-                  "sequential baselines have no edge limit)");
+                  " (Bor-AL, Bor-ALM, MST-BC, Bor-UF and the sequential "
+                  "baselines have no edge limit)");
 }
 
 namespace {
@@ -160,8 +156,6 @@ graph::MsfResult dispatch_parallel(ThreadTeam& team, const graph::EdgeList& g,
       return bor_fal_msf(team, g, opts);
     case Algorithm::kMstBC:
       return mst_bc_msf(team, g, opts);
-    case Algorithm::kFilterKruskal:
-      return filter_kruskal_msf(team, g, opts);
     case Algorithm::kBorUF:
       return bor_uf_msf(team, g, opts);
     case Algorithm::kChampion:

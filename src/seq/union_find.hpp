@@ -41,8 +41,8 @@ class UnionFind {
     return find(a) == find(b);
   }
 
-  /// Raw parent pointer — lets concurrent readers walk to a root without the
-  /// path-halving writes of find() (used by Filter-Kruskal's parallel filter).
+  /// Raw parent pointer, read without the path-halving writes of find()
+  /// (Dendrogram's run layout uses it to test for roots).
   [[nodiscard]] std::uint32_t parent_of(std::uint32_t x) const { return parent_[x]; }
 
   [[nodiscard]] std::size_t num_sets() const { return num_sets_; }

@@ -1,6 +1,6 @@
-// Champion's heavy-edge filter stage (core/champion.hpp): the forest must be
-// the unique MSF, bit for bit, whichever side of the skip threshold the
-// input falls on and however the pivot splits ties.
+// Champion's heavy-edge filter (core/champion.hpp): the forest must be the
+// unique MSF, bit for bit, at every density, on either side of the light
+// target's bend, on empty and tiny inputs, and however the pivot splits ties.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,7 +29,7 @@ namespace {
 using namespace smp;
 using namespace smp::graph;
 
-// Densities m/n; the stage runs above 2 · kChampionLightPerVertex.
+// Densities m/n on both sides of the light target's bend at m = 32n/15.
 constexpr int kDensities[] = {1, 2, 4, 10, 64};
 
 /// Kruskal's forest with its weight summed in ascending id order — the order
@@ -133,7 +133,6 @@ void expect_kruskal_forest(const MsfResult& r, const Reference& ref,
 TEST(ChampionFilter, LightScanMatchesKruskalOnTiedComponents) {
   for (const int d : {6, 10, 64}) {
     const EdgeList g = tied_components(d, 960 + static_cast<std::uint64_t>(d));
-    ASSERT_TRUE(core::champion_filters(g.num_vertices, g.edges.size()));
     const Reference ref = kruskal_reference(g);
     ASSERT_GE(ref.num_trees, std::size_t{kParts + kIsolated});
     const CompressedCsr cz = CompressedCsr::build(g);
@@ -149,11 +148,27 @@ TEST(ChampionFilter, LightScanMatchesKruskalOnTiedComponents) {
   }
 }
 
-TEST(ChampionFilter, SkipThresholdFollowsTheLightTarget) {
-  const auto skip_at = static_cast<std::size_t>(2 * core::kChampionLightPerVertex * 1000);
-  EXPECT_FALSE(core::champion_filters(1000, skip_at));
-  EXPECT_TRUE(core::champion_filters(1000, skip_at + 1));
-  EXPECT_FALSE(core::champion_filters(0, 0));
+/// The least m at which the light target of n vertices reaches
+/// kChampionLightPerVertex · n = 2n: ⌈32n/15⌉.
+EdgeId light_target_bend(VertexId n) {
+  return (EdgeId{32} * n + 14) / 15;
+}
+
+TEST(ChampionFilter, LightTargetBendsAt32nOver15) {
+  const EdgeId bend = light_target_bend(1000);
+  ASSERT_EQ(bend, 2134u);
+  EXPECT_EQ(core::champion_light_target(1000, bend - 1), 15 * (bend - 1) / 16);
+  EXPECT_EQ(core::champion_light_target(1000, bend - 1), 1999u);
+  EXPECT_EQ(core::champion_light_target(1000, bend), 2000u);
+  EXPECT_EQ(core::champion_light_target(1000, 10000), 2000u);
+  EXPECT_EQ(core::champion_light_target(1000, 64000), 2000u);
+  // Sparse and tiny inputs: ⌊15m/16⌋, below m whenever there is an edge.
+  for (const std::size_t m : {1u, 15u, 16u, 17u, 500u, 1000u}) {
+    EXPECT_EQ(core::champion_light_target(1000, m), 15 * m / 16) << m;
+    EXPECT_LT(core::champion_light_target(1000, m), m) << m;
+  }
+  EXPECT_EQ(core::champion_light_target(0, 0), 0u);
+  EXPECT_EQ(core::champion_light_target(1000, 0), 0u);
 }
 
 TEST(ChampionFilter, MatchesKruskalAndBorFalAcrossDensities) {
@@ -164,13 +179,49 @@ TEST(ChampionFilter, MatchesKruskalAndBorFalAcrossDensities) {
   }
 }
 
-TEST(ChampionFilter, BothSidesOfTheSkipThreshold) {
+TEST(ChampionFilter, BothSidesOfTheLightTargetBend) {
   const VertexId n = 2500;
-  const auto at = static_cast<EdgeId>(2 * core::kChampionLightPerVertex * n);
-  for (const EdgeId m : {at - 1, at, at + 1, at + 2}) {
+  const EdgeId bend = light_target_bend(n);
+  ASSERT_LT(core::champion_light_target(n, bend - 1), 2 * std::size_t{n});
+  ASSERT_EQ(core::champion_light_target(n, bend), 2 * std::size_t{n});
+  for (const EdgeId m : {bend - 2, bend - 1, bend, bend + 1}) {
     const EdgeList g = random_graph(n, m, 77 + m);
     expect_identical(g, "m=" + std::to_string(m));
   }
+}
+
+/// Champion on `g` against Kruskal at p ∈ {1, 2, 4}, over the edge list and
+/// over its compressed CSR.
+void expect_champion_matches_kruskal(const EdgeList& g, const std::string& what) {
+  const Reference ref = kruskal_reference(g);
+  const CompressedCsr cz = CompressedCsr::build(g);
+  const Reference cref = kruskal_reference(cz.decode_edge_list());
+  for (const int p : {1, 2, 4}) {
+    const std::string at = what + " p=" + std::to_string(p);
+    core::MsfOptions opts;
+    opts.threads = p;
+    expect_kruskal_forest(core::minimum_spanning_forest(g, opts), ref, at);
+    expect_kruskal_forest(core::minimum_spanning_forest_compressed(cz, opts),
+                          cref, at + " compressed");
+  }
+}
+
+TEST(ChampionFilter, EmptyAndTinyInputsTakeTheSameStage) {
+  expect_champion_matches_kruskal(EdgeList(0), "n=0");
+  for (const EdgeId m : {0u, 1u, 15u, 16u, 17u}) {
+    expect_champion_matches_kruskal(random_graph(40, m, 600 + m),
+                                    "n=40 m=" + std::to_string(m));
+  }
+}
+
+TEST(ChampionFilter, TreesAndForestsBelowOneEdgePerVertex) {
+  for (int variant = 0; variant < 4; ++variant) {
+    const EdgeList g =
+        structured_graph(variant, 3000, 700 + static_cast<std::uint64_t>(variant));
+    expect_champion_matches_kruskal(g, "str" + std::to_string(variant));
+  }
+  // m = n/2: most vertices are isolated or in small trees.
+  expect_champion_matches_kruskal(random_graph(4000, 2000, 710), "m=n/2");
 }
 
 TEST(ChampionFilter, AllEqualWeights) {
@@ -222,7 +273,6 @@ TEST(ChampionFilter, ManyLightComponentsAndIsolatedVertices) {
                c2 * kSize + static_cast<VertexId>(rng.next_below(kSize)),
                1.0 + rng.next_double());
   }
-  ASSERT_TRUE(core::champion_filters(n, g.edges.size()));
   expect_identical(g, "clusters");
   EXPECT_GE(solve(g, core::Algorithm::kChampion, 2).num_trees, 1200u);
 }
@@ -274,15 +324,19 @@ TEST(ChampionFilter, InstrumentationSplitsTheLightScanAndTheSurvivorPass) {
   EXPECT_EQ(ps.iterations, iters.size());
   EXPECT_EQ(ps.regions_per_iteration(), 1.0);
 
-  // Skipped stage: exactly Bor-FAL, no filter time.
+  // A sparse graph takes the same stage: filter time, a light scan, and a
+  // survivor pass that starts on the light components.
   const EdgeList sparse = random_graph(20000, 60000, 36);
-  core::StepTimes skipped;
-  opts.step_times = &skipped;
+  core::StepTimes sparse_st;
+  iters.clear();
+  opts.step_times = &sparse_st;
   opts.phase_stats = nullptr;
-  opts.iteration_stats = nullptr;
   (void)core::minimum_spanning_forest(sparse, opts);
-  EXPECT_EQ(skipped.filter, 0.0);
-  EXPECT_GT(skipped.rank_build, 0.0);
+  EXPECT_GT(sparse_st.filter, 0.0);
+  EXPECT_GT(sparse_st.connect, 0.0);
+  EXPECT_GT(sparse_st.rank_build, 0.0);
+  ASSERT_FALSE(iters.empty());
+  EXPECT_LT(iters.front().vertices, sparse.num_vertices);
 }
 
 class ChampionFilterFault : public ::testing::Test {

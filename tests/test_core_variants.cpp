@@ -103,7 +103,6 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(core::Algorithm::kBorEL, core::Algorithm::kBorAL,
                           core::Algorithm::kBorALM, core::Algorithm::kBorFAL,
                           core::Algorithm::kMstBC,
-                          core::Algorithm::kFilterKruskal,
                           core::Algorithm::kBorUF,
                           core::Algorithm::kChampion),
         ::testing::Values(Family::kRandomSparse, Family::kRandomDense,

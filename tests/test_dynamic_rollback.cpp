@@ -150,7 +150,7 @@ DynamicMsfOptions options(ThreadTeam* team) {
 const char* fault_site(Path p) {
   switch (p) {
     case Path::kScratch:
-      return "bor-fal.find-min";  // Champion's engine at m <= 4n
+      return "champion.light-scan";  // every Champion solve scans
     case Path::kPathMax:
       return "dynamic.path-max";
     case Path::kKruskal:
@@ -236,8 +236,9 @@ TEST(DynamicRollback, EveryApplyPathLeavesNoTrace) {
         del.push_back(forest[forest.size() / 2]);
       }
       // The scratch crossover takes a batch of at least kScratchBatchFraction
-      // of the live edges after it (300 + 6 ops vs 0.25 x 1194 live, still
-      // m <= 4n so Champion runs Bor-FAL); every other path a small one.
+      // of the live edges after it (300 + 6 ops vs 0.25 x 1194 live, a
+      // Champion solve that runs its light scan); every other path a small
+      // one.
       const std::size_t num_ins = path == Path::kScratch ? n : 6;
       std::vector<WEdge> ins;
       for (std::size_t i = 0; i < num_ins; ++i) {

@@ -370,8 +370,7 @@ TEST(Budget, CancelMidRunStopsExtensionsAndChampion) {
   // would hang this test).
   const EdgeList g = random_graph(100000, 1000000, 21);
   for (const auto alg :
-       {core::Algorithm::kFilterKruskal, core::Algorithm::kBorUF,
-        core::Algorithm::kChampion}) {
+       {core::Algorithm::kBorUF, core::Algorithm::kChampion}) {
     core::MsfOptions opts;
     opts.algorithm = alg;
     opts.threads = 4;

@@ -38,8 +38,6 @@ if(NOT wa STREQUAL wb)
 endif()
 
 run_cli(0 out cc ${WORK}/g.gr)
-run_cli(0 out solve --alg filter-kruskal --threads 2 --validate ${WORK}/g.gr)
-run_cli(0 out solve --alg filter-kruskal --validate ${WORK}/g.gr)
 
 # Execution-budget flags: a generous timeout still solves; degradation under
 # a tiny memory cap still yields a valid forest (and says so).
@@ -75,7 +73,7 @@ run_cli(0 out solve --mode static --alg bor-fal ${WORK}/g.gr)
 # input (exit 3) and must list the accepted spellings.
 run_cli(3 out solve --alg no-such-alg ${WORK}/g.gr)
 # Removed algorithms are unknown names like any other.
-foreach(removed sample-filter par-kruskal)
+foreach(removed sample-filter par-kruskal filter-kruskal)
   run_cli(3 out solve --alg ${removed} ${WORK}/g.gr)
   string(FIND "${cli_err}" "unknown algorithm '${removed}' (valid: " pos)
   if(pos EQUAL -1)
@@ -155,7 +153,7 @@ execute_process(COMMAND ${SERVER} --alg champion --listen bogus:1
 if(NOT rc EQUAL 2 OR NOT err MATCHES "bad listen spec")
   message(FATAL_ERROR "server rejected --alg champion (exit ${rc}): ${err}")
 endif()
-foreach(removed sample-filter par-kruskal)
+foreach(removed sample-filter par-kruskal filter-kruskal)
   execute_process(COMMAND ${SERVER} --alg ${removed} --listen bogus:1
                   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
   if(NOT rc EQUAL 3 OR NOT err MATCHES "unknown algorithm '${removed}' \\(valid: ")

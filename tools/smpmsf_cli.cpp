@@ -12,7 +12,7 @@
 // Graph types: random (needs --m), mesh2d, mesh2d60, mesh3d40,
 // geometric (--k), str0..str3, rmat (needs --m).
 // Algorithms: champion (default) bor-el bor-al bor-alm bor-fal mst-bc bor-uf
-//             filter-kruskal prim kruskal boruvka (core::kAlgorithmNames).
+//             prim kruskal boruvka (core::kAlgorithmNames).
 //
 // --mode dynamic maintains the forest through a batch-dynamic update trace
 // (--update-trace, applied in batches of --batch-size ops):
@@ -48,7 +48,6 @@
 
 #include "core/connected_components.hpp"
 #include "core/error.hpp"
-#include "core/filter_kruskal.hpp"
 #include "core/verify_msf.hpp"
 #include "core/msf.hpp"
 #include "dynamic/dynamic_msf.hpp"
