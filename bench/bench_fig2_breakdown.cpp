@@ -18,17 +18,20 @@
 // iteration is one persistent region, not one fork/join per parallel loop),
 // and how many arcs Bor-FAL's find-min cursors retired.  Every density block
 // ends with a determinism check — the Bor-EL, Bor-FAL and Champion forests
-// at p ∈ {1,2,4,8} must be bit-identical to sequential Kruskal's; a
-// mismatch aborts the bench.
+// at p ∈ {1,2,4,8} must be bit-identical to sequential Kruskal's, on the
+// block's graph and on the same graph with 8 weight classes; a mismatch
+// aborts the bench.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
 #include "core/msf.hpp"
 #include "graph/generators.hpp"
+#include "pprim/rng.hpp"
 #include "seq/seq_msf.hpp"
 
 using namespace smp;
@@ -129,33 +132,44 @@ int main(int argc, char** argv) {
     // may change the forest.  Compare Bor-EL, Bor-FAL and Champion at
     // p ∈ {1,2,4,8} against sequential Kruskal, an independent reference;
     // any drift is a correctness bug, so fail the whole bench rather than
-    // record timings for a wrong answer.
-    const std::vector<EdgeId> ref = sorted_ids(seq::kruskal_msf(g));
-    int configs = 0;
-    for (const auto alg : {core::Algorithm::kBorEL, core::Algorithm::kBorFAL,
-                           core::Algorithm::kChampion}) {
-      for (const int p : {1, 2, 4, 8}) {
-        ++configs;
-        if (forest_ids(g, alg, p) != ref) {
-          std::fprintf(stderr,
-                       "FAIL: %s forest differs from Kruskal at p=%d "
-                       "(density %d)\n",
-                       std::string(core::to_string(alg)).c_str(), p, density);
-          return 1;
+    // record timings for a wrong answer.  The same graph with 8 weight
+    // classes checks the tie-breaking paths: Champion's light buckets
+    // then split at repeated splitters.
+    EdgeList tied = g;
+    Rng rng(args.seed ^ 0x7135ULL);
+    for (WEdge& e : tied.edges) e.w = static_cast<double>(rng.next_below(8));
+    for (const auto& [weights, input] :
+         {std::pair<const char*, const EdgeList*>{"uniform", &g}, {"8-class", &tied}}) {
+      const std::vector<EdgeId> ref = sorted_ids(seq::kruskal_msf(*input));
+      int configs = 0;
+      for (const auto alg : {core::Algorithm::kBorEL, core::Algorithm::kBorFAL,
+                             core::Algorithm::kChampion}) {
+        for (const int p : {1, 2, 4, 8}) {
+          ++configs;
+          if (forest_ids(*input, alg, p) != ref) {
+            std::fprintf(stderr,
+                         "FAIL: %s forest differs from Kruskal at p=%d "
+                         "(density %d, %s weights)\n",
+                         std::string(core::to_string(alg)).c_str(), p, density,
+                         weights);
+            return 1;
+          }
         }
       }
+      std::printf(
+          "  forest identity, %s weights: OK (%d Bor-EL/Bor-FAL/Champion "
+          "configs bit-identical to Kruskal)\n",
+          weights, configs);
+      char check[256];
+      std::snprintf(check, sizeof check,
+                    "{\"density\": %d, \"check\": \"forest_identity\", "
+                    "\"weights\": \"%s\", "
+                    "\"alg\": \"Bor-EL+Bor-FAL+Champion\", \"reference\": "
+                    "\"Kruskal\", \"configs\": %d, \"forests_identical\": true}",
+                    density, weights, configs);
+      sink.add(check);
     }
-    std::printf(
-        "  forest identity: OK (%d Bor-EL/Bor-FAL/Champion configs "
-        "bit-identical to Kruskal)\n\n",
-        configs);
-    char check[192];
-    std::snprintf(check, sizeof check,
-                  "{\"density\": %d, \"check\": \"forest_identity\", "
-                  "\"alg\": \"Bor-EL+Bor-FAL+Champion\", \"reference\": "
-                  "\"Kruskal\", \"configs\": %d, \"forests_identical\": true}",
-                  density, configs);
-    sink.add(check);
+    std::printf("\n");
   }
   sink.write("fig2_breakdown", args);
   return 0;

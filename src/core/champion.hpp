@@ -18,17 +18,19 @@ namespace smp::core {
 /// heavy-edge filter — the Filter-Borůvka of Sanders and Schimek and the
 /// early heavy-edge exclusion §3 of the paper conjectures.
 ///
-///   1. From a fixed strided sample of the edges, pick a pivot in the rank
-///      sort's own order ⟨monotone_weight_bits(w), id⟩ so that about
+///   1. From a fixed strided sample of the edges, pick a pivot in the
+///      order ⟨monotone_weight_bits(w), id⟩ so that about
 ///      min(kChampionLightPerVertex · n, ⌊15m/16⌋) edges are ≤ it ("light").
 ///      At m ≥ 32n/15 that is the 2n lightest edges; on sparser graphs it is
-///      all but a heavy sixteenth of them.
-///   2. Gather the light edges on the team, in ascending id order.
-///   3. Rank-sort them on the team (build_rank_order: the packed prologue's
-///      sort without its arc scatter) and run one sequential union-find
-///      scan in rank order: every edge that joins two sets is a light MSF
+///      all but a heavy sixteenth of them.  The sorted light part of the
+///      sample gives the splitters of a power-of-two number of weight
+///      buckets, about 4096 light edges each.
+///   2. Gather the light edges on the team into their buckets in one walk
+///      over the input, each bucket in ascending id order.
+///   3. In one region, helpers sort the buckets in weight order, each in
+///      cache, while tid 0 runs one union-find scan over every bucket as
+///      soon as it is sorted: every edge that joins two sets is a light MSF
 ///      edge.  The sets, numbered densely, label the light components.
-///      The scan is the stage's one serial step.
 ///   4. In one team pass keep every edge whose endpoint labels differ — all
 ///      of them heavy — relabelled to ⟨label u, label v⟩.  Every dropped
 ///      heavy edge closes a cycle of lighter edges, so it is in no MSF.

@@ -408,18 +408,22 @@ void scatter_arcs(ThreadTeam& team, VertexId n, EdgeId m,
   });
 }
 
-/// The rank-sort half of every packed prologue: `w_at(e)` is edge e's
-/// weight and `ends_at(e)` its pack_ends word.
+/// The one packed prologue behind every build_packed_input overload: the
+/// rank sort, whose emit writes rank_to_edge and the endpoints at each
+/// rank, then the arc scatter over them.  `w_at(e)` is edge e's weight and
+/// `ends_at(e)` its pack_ends word.
 template <class WeightAt, class EndsAt>
-RankOrder rank_order_impl(ThreadTeam& team, std::size_t m, WeightAt w_at,
-                          EndsAt ends_at, StepTimes& st, bool force_wide) {
+PackedSolveInput build_packed_input_impl(ThreadTeam& team, VertexId n,
+                                         std::size_t m, WeightAt w_at,
+                                         EndsAt ends_at, StepTimes& st,
+                                         bool force_wide = false) {
   WallTimer phase;
-  RankOrder order;
-  reserve_huge(order.rank_to_edge, m);
-  order.rank_to_edge.resize(m);
-  order.ends = make_huge_for_overwrite<std::uint64_t>(m);
-  std::uint32_t* const r2e = order.rank_to_edge.data();
-  std::uint64_t* const ends = order.ends.get();
+  PackedSolveInput in;
+  in.n = n;
+  reserve_huge(in.rank_to_edge, m);
+  in.rank_to_edge.resize(m);
+  auto ends = make_huge_for_overwrite<std::uint64_t>(m);
+  std::uint32_t* const r2e = in.rank_to_edge.data();
   rank_sort(
       team, m, w_at,
       [&](std::size_t r, std::uint32_t e) {
@@ -428,22 +432,8 @@ RankOrder rank_order_impl(ThreadTeam& team, std::size_t m, WeightAt w_at,
       },
       force_wide);
   st.rank_build += phase.elapsed_s();
-  return order;
-}
-
-/// The one packed prologue behind every build_packed_input overload: the
-/// rank order, then the arc scatter over it.
-template <class WeightAt, class EndsAt>
-PackedSolveInput build_packed_input_impl(ThreadTeam& team, VertexId n,
-                                         std::size_t m, WeightAt w_at,
-                                         EndsAt ends_at, StepTimes& st,
-                                         bool force_wide = false) {
-  RankOrder order = rank_order_impl(team, m, w_at, ends_at, st, force_wide);
-  WallTimer phase;
-  PackedSolveInput in;
-  in.n = n;
-  in.rank_to_edge = std::move(order.rank_to_edge);
-  scatter_arcs(team, n, m, order.ends.get(), in.offsets, in.keys);
+  phase.reset();
+  scatter_arcs(team, n, m, ends.get(), in.offsets, in.keys);
   st.arc_build += phase.elapsed_s();
   return in;
 }
@@ -487,13 +477,6 @@ PackedSolveInput build_packed_input(ThreadTeam& team, VertexId n,
   return build_packed_input_impl(
       team, n, w.size(), [&](std::size_t e) { return w[e]; },
       [&](std::size_t e) { return ends[e]; }, st);
-}
-
-RankOrder build_rank_order(ThreadTeam& team, std::span<const std::uint64_t> ends,
-                           std::span<const graph::Weight> w, StepTimes& st) {
-  return rank_order_impl(
-      team, w.size(), [&](std::size_t e) { return w[e]; },
-      [&](std::size_t e) { return ends[e]; }, st, /*force_wide=*/false);
 }
 
 PackedSolveInput build_packed_input(ThreadTeam& team, const graph::CompressedCsr& g,

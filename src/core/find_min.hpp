@@ -154,22 +154,6 @@ struct PackedSolveInput {
                                                   const graph::CompressedCsr& g,
                                                   StepTimes& st);
 
-/// The rank-sort half of build_packed_input alone: the edges in WeightOrder.
-struct RankOrder {
-  /// rank -> input edge id permutation.
-  std::vector<std::uint32_t> rank_to_edge;
-  /// ends[r]: the pack_ends word of the edge of rank r.
-  std::unique_ptr<std::uint64_t[]> ends;
-};
-
-/// build_packed_input's first step over flat arrays, without the arc
-/// scatter: Champion's light pass scans this order with a union-find and
-/// builds no arcs.  Adds its wall time to `st.rank_build`.  Fork-join.
-[[nodiscard]] RankOrder build_rank_order(ThreadTeam& team,
-                                         std::span<const std::uint64_t> ends,
-                                         std::span<const graph::Weight> w,
-                                         StepTimes& st);
-
 namespace detail {
 /// build_packed_input with the rank sort's m > 2^24 path (12-byte
 /// ⟨key, index⟩ pairs) forced at any m, so tests can check it against the

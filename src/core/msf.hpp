@@ -79,11 +79,11 @@ struct StepTimes {
   double other = 0;  ///< setup, result assembly, base-case solve (MST-BC)
   /// Named parts OF `other` (already counted there, so total() and `other`
   /// are unchanged): the weight-rank sort, the packed-arc build, the final
-  /// result assembly, and Champion's heavy-edge filter stage (pivot pick,
-  /// light-edge gather, survivor filter).  Engines without a step leave it
-  /// at 0.  Champion's rank_build adds up its light sort and its survivor
-  /// pass's; arc_build and find_min are the survivor pass's alone; its
-  /// light scan counts as connect.
+  /// result assembly, and Champion's heavy-edge filter stage (pivot and
+  /// splitter pick, the light walk into buckets, survivor filter).  Engines
+  /// without a step leave it at 0.  Champion's rank_build, arc_build and
+  /// find_min are its survivor pass's alone; its light pass's bucket sorts
+  /// and Kruskal scan, which share one region, count as connect.
   double rank_build = 0;
   double arc_build = 0;
   double assembly = 0;

@@ -5,7 +5,9 @@
 
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <new>
 #include <numeric>
 #include <string>
@@ -339,6 +341,114 @@ TEST(ChampionFilter, InstrumentationSplitsTheLightScanAndTheSurvivorPass) {
   EXPECT_LT(iters.front().vertices, sparse.num_vertices);
 }
 
+/// Champion on `g` against Kruskal at every p in `ps`, over the edge list
+/// and over its compressed CSR: ids, edges, the bits of total_weight and
+/// num_trees.
+void expect_matches_kruskal_at(const EdgeList& g, const std::string& what,
+                               std::initializer_list<int> ps) {
+  const Reference ref = kruskal_reference(g);
+  const CompressedCsr cz = CompressedCsr::build(g);
+  const Reference cref = kruskal_reference(cz.decode_edge_list());
+  for (const int p : ps) {
+    const std::string at = what + " p=" + std::to_string(p);
+    core::MsfOptions opts;
+    opts.threads = p;
+    expect_kruskal_forest(core::minimum_spanning_forest(g, opts), ref, at);
+    expect_kruskal_forest(core::minimum_spanning_forest_compressed(cz, opts),
+                          cref, at + " compressed");
+  }
+}
+
+// The light pass sorts the light edges in weight buckets of about 4096
+// edges each, cut at splitters from the pivot sample.  These inputs put the
+// light set in one bucket, most of it in one bucket, repeat splitters, and
+// put the sign flip of the weight bits inside the light range.
+constexpr VertexId kBucketed = VertexId{1} << 15;
+
+TEST(ChampionFilter, LightSetSmallerThanOneBucket) {
+  // 3000 light edges: one bucket, no splitter.
+  const EdgeList g = random_graph(1500, 6000, 41);
+  ASSERT_LT(core::champion_light_target(1500, 6000), 4096u);
+  expect_matches_kruskal_at(g, "one bucket", {1, 2, 3, 4});
+}
+
+TEST(ChampionFilter, OneBucketHoldsMostLightEdges) {
+  // 90 % of the weights equal the minimum: every splitter is that weight,
+  // so its tie class and the light part of the rest share the top bucket.
+  for (const int d : {2, 10}) {
+    const EdgeList g =
+        reweighted(kBucketed, static_cast<EdgeId>(d) * kBucketed, 42, [](Rng& r) {
+          return r.next_below(10) < 9 ? 0.0 : r.next_double();
+        });
+    expect_matches_kruskal_at(g, "90% at the minimum m/n=" + std::to_string(d),
+                              {1, 2, 3, 4});
+  }
+}
+
+TEST(ChampionFilter, RepeatedSplittersLeaveEmptyBuckets) {
+  // Three weight classes: the splitters repeat, and the buckets between two
+  // copies of a splitter stay empty.
+  for (const int d : {2, 10}) {
+    const EdgeList g =
+        reweighted(kBucketed, static_cast<EdgeId>(d) * kBucketed, 43, [](Rng& r) {
+          return static_cast<double>(1 + r.next_below(3));
+        });
+    expect_matches_kruskal_at(g, "3 classes m/n=" + std::to_string(d), {1, 2, 3, 4});
+  }
+}
+
+TEST(ChampionFilter, SignFlipInsideTheLightRange) {
+  // Weights in [-0.1, 0.9) with a tenth ±0.0: the light fifth spans
+  // negative, zero and positive weights, so the sign flip of the weight
+  // bits falls between splitters, and both zeros share one bucket.
+  const EdgeList g = reweighted(kBucketed, 10 * EdgeId{kBucketed}, 44, [](Rng& r) {
+    const std::uint64_t k = r.next_below(20);
+    return k == 0 ? -0.0 : k == 1 ? 0.0 : r.next_double() - 0.1;
+  });
+  expect_matches_kruskal_at(g, "signed", {1, 2, 3, 4});
+}
+
+TEST(ChampionFilter, WeightsOneUlpApartInAWideBucket) {
+  // One bucket whose weights span 1e-300 to 1e6, so its sort key keeps
+  // only the top bits and A and B, one ulp apart, share a key.  They join
+  // the same two light components {0, 2} and {1, 3}, and the lighter, B,
+  // has the larger id: only the full weight bits put it first.
+  EdgeList g(100);
+  g.add_edge(0, 1, std::nextafter(1.0, 2.0));  // A, id 0
+  g.add_edge(2, 3, 1.0);                       // B, id 1
+  g.add_edge(0, 2, 1e-300);
+  g.add_edge(1, 3, 1e-300);
+  for (VertexId v = 4; v + 1 < 100; ++v) g.add_edge(v, v + 1, 1e6 + v);
+  expect_matches_kruskal_at(g, "one ulp", {1, 2, 3, 4});
+}
+
+TEST(ChampionFilter, LightSetFarAboveTheTarget) {
+  // The pivot sample reads every tenth edge id, and only those edges are
+  // heavy: the sample sees none of the light ones, so the light set is
+  // 90 % of the edges against a 20 % target.  The walk's buffer, sized
+  // from the target, fills, and later blocks keep their edges apart; the
+  // sample's splitters all lie above those edges, so one bucket holds
+  // them.
+  const VertexId n = VertexId{1} << 14;
+  EdgeList g = random_graph(n, 10 * EdgeId{n}, 48);
+  Rng rng(49);
+  for (EdgeId e = 0; e < g.edges.size(); ++e) {
+    g.edges[e].w = e % 10 == 0 ? 1.0 + rng.next_double() : 0.5 * rng.next_double();
+  }
+  expect_matches_kruskal_at(g, "misread sample", {1, 2, 3, 4});
+}
+
+TEST(ChampionFilter, OversubscribedHelpers) {
+  // Eight threads on fewer cores: helpers are descheduled while holding
+  // claimed buckets, and the scan waits for them.
+  const EdgeList uniform = random_graph(kBucketed, 10 * EdgeId{kBucketed}, 45);
+  expect_matches_kruskal_at(uniform, "uniform", {8});
+  const EdgeList tied = reweighted(kBucketed, 2 * EdgeId{kBucketed}, 46, [](Rng& r) {
+    return static_cast<double>(r.next_below(3));
+  });
+  expect_matches_kruskal_at(tied, "3 classes", {8});
+}
+
 class ChampionFilterFault : public ::testing::Test {
  protected:
   void TearDown() override { FaultInjector::disarm_all(); }
@@ -377,6 +487,33 @@ TEST_F(ChampionFilterFault, LightScanBadAllocUnwindsAndDegradesToKruskal) {
 
   // Through the dispatcher the failure degrades to Kruskal's forest.
   FaultInjector::arm("champion.light-scan", FaultKind::kBadAlloc);
+  core::MsfOptions opts;
+  opts.threads = 4;
+  const MsfResult r = core::minimum_spanning_forest(g, opts);
+  EXPECT_TRUE(r.degraded_to_sequential);
+  EXPECT_EQ(test::sorted_ids(r), ref.ids);
+}
+
+TEST_F(ChampionFilterFault, LightScanFaultMidPipelineUnwindsAndDegrades) {
+  // The scan hits its fault point at every 2^16-edge checkpoint.  Skip 1
+  // fires at the second, 2^16 edges into the 2^18 light edges, while the
+  // helpers still hold unsorted buckets.
+  const VertexId n = VertexId{1} << 17;
+  const EdgeList g = random_graph(n, 10 * EdgeId{n}, 47);
+  const Reference ref = kruskal_reference(g);
+  ThreadTeam team(4);
+  FaultInjector::arm("champion.light-scan", FaultKind::kBadAlloc, 1);
+  EXPECT_THROW((void)core::champion_msf(team, g), std::bad_alloc);
+  EXPECT_EQ(FaultInjector::hits("champion.light-scan"), 2u);
+  FaultInjector::disarm_all();
+  // The same team runs a clean region, then a clean solve.
+  std::atomic<int> ran{0};
+  team.run([&](TeamCtx&) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 4);
+  EXPECT_EQ(core::champion_msf(team, g).edge_ids, ref.ids);
+
+  // Through the dispatcher the failure degrades to Kruskal's forest.
+  FaultInjector::arm("champion.light-scan", FaultKind::kBadAlloc, 1);
   core::MsfOptions opts;
   opts.threads = 4;
   const MsfResult r = core::minimum_spanning_forest(g, opts);
