@@ -54,9 +54,9 @@ using graph::VertexId;
 /// reads the shared `any` flag after the connect barrier and leaves the
 /// region together; the orchestrator then breaks out of the loop.
 ///
-/// The loop lives in bor_fal_packed_engine so the compressed-CSR
-/// streaming path (core/compressed_solve.cpp) can drive the identical
-/// engine from decoded varint rows without ever materializing an EdgeList.
+/// The loop lives in bor_fal_packed_engine so Champion's survivor pass
+/// (core/champion.cpp) can drive the identical engine from its gathered
+/// flat arrays without ever materializing an EdgeList.
 namespace {
 
 /// The packed Borůvka loop itself; bor_fal_packed_engine wraps it.

@@ -22,9 +22,9 @@ namespace smp::core {
 ///      order ⟨monotone_weight_bits(w), id⟩ so that about
 ///      min(kChampionLightPerVertex · n, ⌊15m/16⌋) edges are ≤ it ("light").
 ///      At m ≥ 32n/15 that is the 2n lightest edges; on sparser graphs it is
-///      all but a heavy sixteenth of them.  The sorted light part of the
-///      sample gives the splitters of a power-of-two number of weight
-///      buckets, about 4096 light edges each.
+///      all but a heavy sixteenth of them.  Steps 1–3 are the library's one
+///      weight sort (core/weight_sort.hpp) with the pivot as its target:
+///      the sorted light part of the sample gives the weight buckets.
 ///   2. Gather the light edges on the team into their buckets in one walk
 ///      over the input, each bucket in ascending id order.
 ///   3. In one region, helpers sort the buckets in weight order, each in
@@ -52,9 +52,10 @@ inline constexpr double kChampionLightPerVertex = 2.0;
 graph::MsfResult champion_msf(ThreadTeam& team, const graph::EdgeList& g,
                               const MsfOptions& opts = {});
 
-/// Champion over a compressed CSR (core/compressed_solve.cpp): the same five
-/// steps through the row walk, with pivot weights read from the flat weight
-/// section.  Result ids are compressed edge ids.
+/// Champion over a compressed CSR: the same five steps through the row
+/// walk, with pivot weights read from the flat weight section — the one
+/// solve that streams from a compressed CSR (core/compressed_solve.hpp).
+/// Result ids are compressed edge ids.
 graph::MsfResult champion_msf(ThreadTeam& team, const graph::CompressedCsr& g,
                               const MsfOptions& opts = {});
 

@@ -1,66 +1,19 @@
 #include "core/compressed_solve.hpp"
 
 #include <new>
-#include <span>
 #include <string>
-#include <vector>
 
-#include "core/bor_fal_packed.hpp"
 #include "core/champion.hpp"
-#include "core/detail.hpp"
-#include "core/find_min.hpp"
 #include "graph/edge_list.hpp"
-#include "pprim/timer.hpp"
 #include "seq/seq_msf.hpp"
 
 namespace smp::core {
 
 using graph::CompressedCsr;
-using graph::EdgeId;
 using graph::EdgeList;
 using graph::MsfResult;
-using graph::VertexId;
-using graph::Weight;
 
 namespace {
-
-/// Whether the request streams from the compressed rows: Bor-FAL and
-/// Champion, whose survivor pass is the Bor-FAL engine, do; every other
-/// algorithm keeps its own arc layout and goes eager.
-[[nodiscard]] bool streamable(Algorithm alg) {
-  return alg == Algorithm::kBorFAL || alg == Algorithm::kChampion;
-}
-
-/// Streaming solve.  Champion runs its five steps over the row walk.
-/// Bor-FAL takes its ranks from the flat weight section and its packed arcs
-/// straight from the varint rows, and a parallel row walk materializes just
-/// the forest edges (detail::assemble_result over the implicit edge-id
-/// order).
-MsfResult solve_streaming(ThreadTeam& team, const CompressedCsr& g,
-                          const MsfOptions& opts) {
-  if (opts.algorithm == Algorithm::kChampion) return champion_msf(team, g, opts);
-  StepTimes st;
-  WallTimer phase;
-  const std::size_t m = g.num_edges();
-
-  PackedSolveInput in = build_packed_input(team, g, st);
-  st.other += phase.elapsed_s();
-
-  std::vector<EdgeId> ids = bor_fal_packed_engine(team, std::move(in), opts, st);
-
-  phase.reset();
-  MsfResult res = detail::assemble_result(
-      team, g.num_vertices(), m, std::move(ids),
-      [&](EdgeId begin, EdgeId end, auto&& fn) {
-        g.for_each_edge(begin, end, [&](EdgeId e, VertexId u, VertexId v, Weight w) {
-          fn(e, graph::WEdge{u, v, w});
-        });
-      });
-  st.assembly += phase.elapsed_s();
-  st.other += st.assembly;
-  if (opts.step_times) *opts.step_times += st;
-  return res;
-}
 
 MsfResult solve_with(ThreadTeam* external_team, const CompressedCsr& g,
                      const MsfOptions& opts) {
@@ -72,10 +25,11 @@ MsfResult solve_with(ThreadTeam* external_team, const CompressedCsr& g,
   iteration_checkpoint(opts, "request start");
 
   try {
-    if (streamable(opts.algorithm)) {
-      if (external_team != nullptr) return solve_streaming(*external_team, g, opts);
+    // Champion streams its five steps over the row walk.
+    if (opts.algorithm == Algorithm::kChampion) {
+      if (external_team != nullptr) return champion_msf(*external_team, g, opts);
       ThreadTeam team(opts.threads);
-      return solve_streaming(team, g, opts);
+      return champion_msf(team, g, opts);
     }
     // Eager fallback: materialize the canonical edge list and hand it to the
     // standard dispatcher.  Compressed ids ARE positions in this list, so

@@ -3,7 +3,8 @@
 #include <limits>
 #include <numeric>
 
-#include "core/find_min.hpp"
+#include "core/weight_sort.hpp"
+#include "pprim/huge_pages.hpp"
 #include "pprim/parallel_for.hpp"
 #include "seq/union_find.hpp"
 
@@ -48,20 +49,11 @@ Dendrogram::Dendrogram(ThreadTeam& team, VertexId num_vertices,
 void Dendrogram::build(ThreadTeam& team, std::span<const WEdge> edges,
                        std::span<const EdgeId> ids) {
   const std::size_t k = edges.size();
-  std::vector<Weight> w(k);
-  parallel_for(team, k, [&](std::size_t i) { w[i] = edges[i].w; });
-  // Ranks break weight ties by input position, i.e. by store id.
-  (void)build_weight_ranks(team, w, &merge_edge_);
-  merge_height_.resize(k);
-  merge_id_.resize(k);
-  parallel_for(team, k, [&](std::size_t i) {
-    merge_height_[i] = w[merge_edge_[i]];
-    merge_id_[i] = ids[merge_edge_[i]];
-  });
-
-  // Kruskal over the forest (its edges never close a cycle): the merged
-  // list is u's followed by v's, and the junction after u's tail records
-  // the merge.
+  // Kruskal over the forest (its edges never close a cycle), behind the
+  // weight sort: tid 0 merges each bucket as soon as it is sorted.  Sort
+  // ids are input positions, so weight ties break like the store id.  The
+  // merged list is u's followed by v's, and the junction after u's tail
+  // records the merge.
   std::vector<VertexId> head(n_);
   std::vector<VertexId> tail(n_);
   std::vector<VertexId> next(n_, kInvalidVertex);
@@ -69,17 +61,32 @@ void Dendrogram::build(ThreadTeam& team, std::span<const WEdge> edges,
   std::iota(head.begin(), head.end(), VertexId{0});
   std::iota(tail.begin(), tail.end(), VertexId{0});
   seq::UnionFind uf(n_);
-  for (std::size_t i = 0; i < k; ++i) {
-    const WEdge& e = edges[merge_edge_[i]];
-    const VertexId a = uf.find(e.u);
-    const VertexId b = uf.find(e.v);
-    next[tail[a]] = head[b];
-    after[tail[a]] = static_cast<std::uint32_t>(i);
-    uf.unite(a, b);
-    const VertexId r = uf.find(a);
-    head[r] = head[a];
-    tail[r] = tail[b];
-  }
+  merge_edge_.resize(k);
+  auto ends = make_huge_for_overwrite<std::uint64_t>(k);
+  sort_by_weight(
+      team, k, [&](EdgeId i) { return edges[i].w; },
+      [&](EdgeId begin, EdgeId end, auto&& fn) {
+        for (EdgeId i = begin; i < end; ++i) fn(i, edges[i]);
+      },
+      {ends.get(), merge_edge_.data()},
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const VertexId a = uf.find(static_cast<VertexId>(ends[i] >> 32));
+          const VertexId b = uf.find(static_cast<VertexId>(ends[i]));
+          next[tail[a]] = head[b];
+          after[tail[a]] = static_cast<std::uint32_t>(i);
+          uf.unite(a, b);
+          const VertexId r = uf.find(a);
+          head[r] = head[a];
+          tail[r] = tail[b];
+        }
+      });
+  merge_height_.resize(k);
+  merge_id_.resize(k);
+  parallel_for(team, k, [&](std::size_t i) {
+    merge_height_[i] = edges[merge_edge_[i]].w;
+    merge_id_[i] = ids[merge_edge_[i]];
+  });
 
   // Lay the runs out by ascending root id.
   pos_.resize(n_);

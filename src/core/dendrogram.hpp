@@ -21,7 +21,10 @@ namespace smp::core {
 /// clustering at that linkage distance.
 ///
 /// The forest edges are united in ⟨weight, store id⟩ order, each union
-/// concatenating the two roots' leaf lists.  Merge i (0-based, ascending
+/// concatenating the two roots' leaf lists.  The order comes from the
+/// library's one weight sort (core/weight_sort.hpp), and the unions run
+/// behind it like Champion's light scan: tid 0 merges each weight bucket
+/// as soon as the team has sorted it.  Merge i (0-based, ascending
 /// in that order) is recorded at the junction between the two lists, so in
 /// the final leaf order:
 ///   * each tree of the forest is one contiguous run;
@@ -37,8 +40,9 @@ class Dendrogram {
   Dendrogram(graph::VertexId num_vertices, const graph::MsfResult& msf);
 
   /// Builds from forest `edges` and their store ids, ids ascending (so the
-  /// input position breaks weight ties like the id).  The weight sort and
-  /// the range-max table run on `team`; the caller must own it.
+  /// input position breaks weight ties like the id).  The weight sort, the
+  /// merges behind it and the range-max table run on `team`; the caller
+  /// must own it.  Every team size builds the same dendrogram.
   Dendrogram(ThreadTeam& team, graph::VertexId num_vertices,
              std::span<const graph::WEdge> edges,
              std::span<const graph::EdgeId> ids);

@@ -15,10 +15,6 @@
 #include "pprim/thread_team.hpp"
 #include "pprim/tuning.hpp"
 
-namespace smp::graph {
-class CompressedCsr;
-}
-
 namespace smp::core {
 
 /// Shared find-min layer: the one find-min of Bor-EL, Bor-FAL and Champion.
@@ -59,7 +55,7 @@ inline constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 /// Order-preserving map from weights to uint64: w1 < w2 ⇔ bits(w1) < bits(w2)
 /// for all finite doubles.  -0.0 is collapsed onto +0.0 first — they compare
 /// equal as weights, so their rank order must fall back to the input index,
-/// which the stable rank sort only guarantees for identical sort keys.
+/// which the weight sort only guarantees for identical sort keys.
 [[nodiscard]] inline std::uint64_t monotone_weight_bits(graph::Weight w) {
   if (w == 0) w = 0;  // normalize -0.0
   const auto bits = std::bit_cast<std::uint64_t>(w);
@@ -86,21 +82,19 @@ inline constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 }
 
 /// rank[e] ∈ [0, m): position of input edge e under the WeightOrder total
-/// order.  Stable parallel LSD radix sort of the input indices keyed by
-/// monotone_weight_bits — stability is what breaks weight ties by input
-/// index, completing the total order.  Below 2^15 edges one std::sort; up to
-/// 2^24 edges packed 8-byte ⟨top 40 weight bits | 24-bit index⟩ elements in
-/// three passes plus a run fix-up; above that 12-byte ⟨key, index⟩ pairs in
-/// four.  Every path runs on `team` (a one-thread team runs the same code
-/// inline).  Fork-join (runs its own region); call during setup, not inside
-/// an open region.  If `rank_to_edge` is non-null it receives the inverse
-/// permutation ((*rank_to_edge)[r] = the input edge with rank r) — the sort
-/// materializes it anyway, so this is free.
+/// order, from the library's one weight sort (sort_by_weight,
+/// core/weight_sort.hpp): a bucketed sample sort on `team` whose buckets
+/// sort their ⟨weight bits, id⟩ keys in cache, so weight ties fall back to
+/// the input index and complete the total order.  One more team pass turns
+/// the sorted ids into ranks.  Fork-join (runs its own regions); call
+/// during setup, not inside an open region.  If `rank_to_edge` is non-null
+/// it receives the inverse permutation ((*rank_to_edge)[r] = the input edge
+/// with rank r) — the sort writes it anyway, so this is free.
 [[nodiscard]] std::vector<std::uint32_t> build_weight_ranks(
     ThreadTeam& team, const graph::EdgeList& g,
     std::vector<std::uint32_t>* rank_to_edge = nullptr);
 
-/// Same sort over a flat weight array (the dendrogram's forest edges).
+/// Same sort over a flat weight array.
 [[nodiscard]] std::vector<std::uint32_t> build_weight_ranks(
     ThreadTeam& team, std::span<const graph::Weight> weights,
     std::vector<std::uint32_t>* rank_to_edge = nullptr);
@@ -119,12 +113,11 @@ struct PackedSolveInput {
   std::vector<std::uint32_t> rank_to_edge;
 };
 
-/// Packed prologue on the caller's team: the weight-rank sort, whose final
-/// pass writes rank_to_edge plus the edge's two endpoints at each rank, then
-/// one counting scatter that walks the ranks in order (per-thread rank
-/// blocks, a (vertex, thread)-ordered scan), so every slice comes out
-/// ascending by rank with no per-vertex sort.  Takes the sort's three paths
-/// (see build_weight_ranks).  Adds the two phases' wall time to
+/// Packed prologue on the caller's team: the weight sort writes
+/// rank_to_edge plus the edge's two endpoints at each rank, then one
+/// counting scatter walks the ranks in order (per-thread rank blocks, a
+/// (vertex, thread)-ordered scan), so every slice comes out ascending by
+/// rank with no per-vertex sort.  Adds the two phases' wall time to
 /// `st.rank_build` and `st.arc_build`.  Fork-join.  The input must have no
 /// self-loops (an edge's two arcs would share a slice and a key).
 [[nodiscard]] PackedSolveInput build_packed_input(ThreadTeam& team,
@@ -139,29 +132,11 @@ struct PackedSolveInput {
 }
 
 /// Same over flat arrays: edge e joins the endpoints packed in ends[e]
-/// (pack_ends) with weight w[e] — Champion gathers its sub-graphs this
-/// way, so the sort's final pass reads one word per edge.
+/// (pack_ends) with weight w[e] — Champion gathers its survivor sub-graph
+/// this way.
 [[nodiscard]] PackedSolveInput build_packed_input(
     ThreadTeam& team, graph::VertexId n, std::span<const std::uint64_t> ends,
     std::span<const graph::Weight> w, StepTimes& st);
-
-/// Same over the compressed CSR: ranks from its flat weight section, the
-/// endpoints decoded once from the varint rows into one ⟨u, v⟩ word per
-/// edge, which the sort's final pass gathers (the decode counts as arc
-/// build).  Equals the EdgeList overload on g.decode_edge_list(); no
-/// EdgeList or CsrGraph is materialized.
-[[nodiscard]] PackedSolveInput build_packed_input(ThreadTeam& team,
-                                                  const graph::CompressedCsr& g,
-                                                  StepTimes& st);
-
-namespace detail {
-/// build_packed_input with the rank sort's m > 2^24 path (12-byte
-/// ⟨key, index⟩ pairs) forced at any m, so tests can check it against the
-/// other paths without a 2^24-edge input.
-[[nodiscard]] PackedSolveInput build_packed_input_wide(ThreadTeam& team,
-                                                       const graph::EdgeList& g,
-                                                       StepTimes& st);
-}  // namespace detail
 
 /// One-thread packed-arc build from per-edge ranks (rank[e] as
 /// build_weight_ranks returns it): the same offsets and keys as

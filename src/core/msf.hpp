@@ -78,12 +78,14 @@ struct StepTimes {
   double compact = 0;
   double other = 0;  ///< setup, result assembly, base-case solve (MST-BC)
   /// Named parts OF `other` (already counted there, so total() and `other`
-  /// are unchanged): the weight-rank sort, the packed-arc build, the final
-  /// result assembly, and Champion's heavy-edge filter stage (pivot and
-  /// splitter pick, the light walk into buckets, survivor filter).  Engines
-  /// without a step leave it at 0.  Champion's rank_build, arc_build and
-  /// find_min are its survivor pass's alone; its light pass's bucket sorts
-  /// and Kruskal scan, which share one region, count as connect.
+  /// are unchanged): the weight sort of the packed prologue (core/
+  /// weight_sort.hpp: its pivot and splitter pick, bucketed walk and bucket
+  /// sorts), the packed-arc build, the final result assembly, and
+  /// Champion's heavy-edge filter stage (the same sort's pick and walk over
+  /// the light edges, then the survivor filter).  Engines without a step
+  /// leave it at 0.  Champion's rank_build, arc_build and find_min are its
+  /// survivor pass's alone; its light pass's bucket sorts and Kruskal scan,
+  /// which share one region, count as connect.
   double rank_build = 0;
   double arc_build = 0;
   double assembly = 0;

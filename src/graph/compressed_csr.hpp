@@ -64,8 +64,7 @@ class CompressedCsr {
 
   /// Decodes every target (larger endpoint) in implicit edge-id order via
   /// the bulk varint kernel + per-row prefix reconstruction.  `out` must
-  /// hold num_edges() values.  This is the hot load of the streaming solve
-  /// path and what the decode-GB/s bench times.
+  /// hold num_edges() values.  This is what the decode-GB/s bench times.
   void decode_targets(VertexId* out) const;
 
   /// Same decode restricted to rows [row_begin, row_end): writes only

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "core/dendrogram.hpp"
 #include "core/msf.hpp"
@@ -106,6 +107,43 @@ TEST(Dendrogram, WorksWithParallelAlgorithmOutput) {
   std::size_t k = 0;
   (void)d.cut_into(5, &k);
   EXPECT_EQ(k, std::max<std::size_t>(5, msf.num_trees));
+}
+
+TEST(Dendrogram, TeamBuildsMatchTheOneThreadBuild) {
+  // A random forest on 2^16 vertices whose weights tie in 16 classes, so
+  // the weight sort's buckets are tie classes broken by input position.
+  const VertexId n = VertexId{1} << 16;
+  EdgeList g = random_graph(n, 2 * EdgeId{n}, 67);
+  for (std::size_t i = 0; i < g.edges.size(); ++i) {
+    g.edges[i].w = static_cast<Weight>((i * 2654435761u) % 16);
+  }
+  const std::vector<EdgeId> ids = test::sorted_ids(seq::kruskal_msf(g));
+  std::vector<WEdge> edges;
+  for (const EdgeId id : ids) edges.push_back(g.edges[id]);
+  ThreadTeam one(1);
+  const core::Dendrogram want(one, n, edges, ids);
+  ASSERT_EQ(want.num_merges(), edges.size());
+  // The one-thread build merges in ⟨weight, position⟩ order.
+  for (std::size_t i = 1; i < want.num_merges(); ++i) {
+    const std::uint32_t ea = want.merge_edge(i - 1);
+    const std::uint32_t eb = want.merge_edge(i);
+    ASSERT_TRUE(edges[ea].w < edges[eb].w || (edges[ea].w == edges[eb].w && ea < eb))
+        << "merge " << i;
+  }
+  for (const int p : {1, 2, 3, 4}) {
+    ThreadTeam team(p);
+    const core::Dendrogram d(team, n, edges, ids);
+    ASSERT_EQ(d.num_merges(), want.num_merges()) << "p=" << p;
+    for (std::size_t i = 0; i < d.num_merges(); ++i) {
+      ASSERT_EQ(d.merge_edge(i), want.merge_edge(i)) << "p=" << p << " merge " << i;
+      ASSERT_EQ(d.merge_height(i), want.merge_height(i)) << "p=" << p;
+      ASSERT_EQ(d.merge_id(i), want.merge_id(i)) << "p=" << p;
+    }
+    for (VertexId v = 0; v < n; ++v) {
+      ASSERT_EQ(d.pos(v), want.pos(v)) << "p=" << p << " v=" << v;
+      ASSERT_EQ(d.run(v), want.run(v)) << "p=" << p << " v=" << v;
+    }
+  }
 }
 
 TEST(Dendrogram, EmptyAndSingleton) {

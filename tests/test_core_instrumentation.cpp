@@ -99,7 +99,7 @@ TEST(StepTimes, AllVariantsPopulate) {
 }
 
 TEST(StepTimes, PrologueAndAssemblyArePartsOfOther) {
-  // Large enough for the packed rank sort's radix path (m >= 2^15).
+  // Large enough for a many-bucket weight sort.
   const EdgeList g = random_graph(20000, 60000, 8);
   for (const auto alg : {core::Algorithm::kBorFAL, core::Algorithm::kChampion}) {
     for (const int threads : {1, 3}) {

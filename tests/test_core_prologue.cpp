@@ -1,8 +1,7 @@
 // The packed solve's prologue and epilogue on the caller's team: the weight
-// rank sort (both radix paths, above their cutoffs), the packed input build
-// (every overload and sort path), result assembly, and request
-// validation — each byte-identical to a plain sequential reference at every
-// team size.
+// rank sort, the packed input build (both overloads), result assembly, and
+// request validation — each byte-identical to a plain sequential reference
+// at every team size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +20,7 @@
 #include "core/error.hpp"
 #include "core/find_min.hpp"
 #include "core/msf.hpp"
+#include "core/weight_sort.hpp"
 #include "graph/compressed_csr.hpp"
 #include "graph/generators.hpp"
 #include "pprim/partition.hpp"
@@ -100,8 +100,7 @@ void reference_ranks(const std::vector<Weight>& w, std::vector<std::uint32_t>& r
 }
 
 TEST(WeightRanks, BothRadixPathsMatchSortReferenceAcrossTeams) {
-  // Above kRankSeqCutoff (2^15), so the packed radix path runs; the wide
-  // path is forced through the packed input's test entry point.
+  // Many buckets, with mixed runs of equal top weight bits.
   const std::size_t m = (std::size_t{1} << 17) + 13;
   const std::vector<Weight> w = rank_test_weights(m, 5);
   std::vector<std::uint32_t> want_rank, want_r2e;
@@ -133,10 +132,6 @@ TEST(WeightRanks, BothRadixPathsMatchSortReferenceAcrossTeams) {
               want_rank)
         << "p=" << p;
     EXPECT_EQ(r2e, want_r2e) << "p=" << p;
-    core::StepTimes st;
-    EXPECT_EQ(core::detail::build_packed_input_wide(team, g, st).rank_to_edge,
-              want_r2e)
-        << "wide p=" << p;
   }
 }
 
@@ -151,6 +146,60 @@ TEST(WeightRanks, AllEqualWeightsRankByIndex) {
       ASSERT_EQ(rank[i], i) << "p=" << p;
       ASSERT_EQ(r2e[i], i) << "p=" << p;
     }
+  }
+}
+
+/// Both build_weight_ranks overloads match reference_ranks at every team
+/// size, rank and rank_to_edge alike.
+void expect_reference_ranks(const std::vector<Weight>& w) {
+  std::vector<std::uint32_t> want_rank, want_r2e;
+  reference_ranks(w, want_rank, want_r2e);
+  EdgeList g(2);
+  for (const Weight x : w) g.edges.push_back(WEdge{0, 1, x});
+  for (const int p : kTeamSizes) {
+    SCOPED_TRACE(testing::Message() << "m=" << w.size() << " p=" << p);
+    ThreadTeam team(p);
+    std::vector<std::uint32_t> r2e;
+    EXPECT_EQ(core::build_weight_ranks(team, g, &r2e), want_rank);
+    EXPECT_EQ(r2e, want_r2e);
+    r2e.clear();
+    EXPECT_EQ(core::build_weight_ranks(team, std::span<const Weight>(w), &r2e),
+              want_rank);
+    EXPECT_EQ(r2e, want_r2e);
+  }
+}
+
+TEST(WeightRanks, FiveWeightClassesRepeatSplittersAndLeaveEmptyBuckets) {
+  const std::size_t m = (std::size_t{1} << 17) + 13;
+  std::mt19937_64 rng(53);
+  std::vector<Weight> w(m);
+  for (Weight& x : w) x = 0.25 * static_cast<Weight>(rng() % 5);
+  // Far more buckets than classes: the splitters repeat, so every bucket
+  // between two copies of one splitter is empty.
+  const core::WeightSplit split =
+      core::pick_split(m, m, [&](EdgeId e) { return w[e]; });
+  ASSERT_GT(split.buckets(), 5u);
+  EXPECT_LT(std::set<std::uint64_t>(split.bound.begin() + 1, split.bound.end()).size(),
+            split.buckets() - 1);
+  expect_reference_ranks(w);
+}
+
+TEST(WeightRanks, OneBucketHoldsMostEdges) {
+  // 90 % of the edges share one weight, so one bucket holds them all.
+  const std::size_t m = std::size_t{1} << 17;
+  std::mt19937_64 rng(59);
+  std::uniform_real_distribution<Weight> uniform(-1.0, 1.0);
+  std::vector<Weight> w(m);
+  for (Weight& x : w) x = rng() % 10 == 0 ? uniform(rng) : 0.5;
+  expect_reference_ranks(w);
+}
+
+TEST(WeightRanks, EmptySingleAndSubBucketInputs) {
+  std::mt19937_64 rng(61);
+  for (const std::size_t m : {std::size_t{0}, std::size_t{1}, std::size_t{4095}}) {
+    std::vector<Weight> w(m);
+    for (Weight& x : w) x = static_cast<Weight>(rng() % 1000) - 500.0;
+    expect_reference_ranks(w);
   }
 }
 
@@ -278,25 +327,9 @@ TEST(PackedArcs, ManyMoreVerticesThanEdges) {
   }
 }
 
-TEST(PackedArcs, CompressedOverloadMatchesEdgeListOverload) {
-  EdgeList raw = random_graph(3000, 30000, 31);
-  raw.edges.push_back(raw.edges.front());  // a parallel edge to canonicalize
-  const CompressedCsr cz = CompressedCsr::build(raw);
-  const EdgeList canon = cz.decode_edge_list();
-  for (const int p : kTeamSizes) {
-    ThreadTeam team(p);
-    core::StepTimes st;
-    EXPECT_TRUE(arcs_of(core::build_packed_input(team, cz, st)) ==
-                team_arcs(team, canon))
-        << "p=" << p;
-  }
-}
-
 TEST(PackedArcs, EveryProloguePathEmitsAscendingSlicesAndOneInput) {
-  // Below 2^15 edges the rank sort is one std::sort; above, the packed
-  // radix path; the wide path is forced.  Each graph also goes through
-  // Champion's flat-array overload and the compressed CSR (the graphs are
-  // canonical, so the compressed edge ids are the EdgeList's).
+  // A 4-bucket and a 16-bucket input.  Each graph also goes
+  // through Champion's flat-array overload.
   for (const std::size_t m : {std::size_t{20000}, std::size_t{1} << 16}) {
     const CompressedCsr cz =
         CompressedCsr::build(random_graph(static_cast<VertexId>(m / 8), m, 47));
@@ -318,11 +351,8 @@ TEST(PackedArcs, EveryProloguePathEmitsAscendingSlicesAndOneInput) {
       ThreadTeam team(p);
       core::StepTimes st;
       EXPECT_TRUE(arcs_of(core::build_packed_input(team, g, st)) == want);
-      EXPECT_TRUE(arcs_of(core::detail::build_packed_input_wide(team, g, st)) ==
-                  want);
       EXPECT_TRUE(arcs_of(core::build_packed_input(team, g.num_vertices, ends,
                                                    w, st)) == want);
-      EXPECT_TRUE(arcs_of(core::build_packed_input(team, cz, st)) == want);
       EXPECT_GT(st.rank_build, 0.0);
       EXPECT_GT(st.arc_build, 0.0);
     }

@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "core/bor_uf.hpp"
+#include "core/champion.hpp"
 #include "core/error.hpp"
 #include "core/msf.hpp"
 #include "graph/generators.hpp"
@@ -22,6 +23,7 @@
 #include "pprim/arena.hpp"
 #include "pprim/fault.hpp"
 #include "pprim/thread_team.hpp"
+#include "query/forest_index.hpp"
 #include "seq/seq_msf.hpp"
 #include "test_util.hpp"
 
@@ -263,6 +265,82 @@ TEST_F(FaultInjection, DispatcherDegradesInjectedBadAllocToKruskal) {
   const auto r = core::minimum_spanning_forest(g, opts);
   EXPECT_TRUE(r.degraded_to_sequential);
   EXPECT_EQ(test::sorted_ids(r), test::sorted_ids(seq::kruskal_msf(g)));
+}
+
+// A helper that fails mid-sort: the weight sort's bucket fault point fires
+// on helpers only, so at p = 4 the fourth bucket a helper claims fails
+// while tid 0 sorts, waits for or consumes other buckets.
+
+/// Arms the bucket sort's fault point to fire at a helper's fourth claim.
+void arm_fourth_bucket_sort() {
+  FaultInjector::arm("weight-sort.bucket", FaultKind::kBadAlloc, /*skip=*/3);
+}
+
+/// The team still runs a clean region on every thread.
+void expect_clean_region(ThreadTeam& team) {
+  std::atomic<int> ran{0};
+  team.run([&](TeamCtx&) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), team.size());
+}
+
+TEST_F(FaultInjection, BucketSortFaultInBorFalPrologueUnwindsAndDegrades) {
+  const VertexId n = VertexId{1} << 17;
+  const EdgeList g = random_graph(n, 10 * EdgeId{n}, 61);
+  const auto ref = test::sorted_ids(seq::kruskal_msf(g));
+  ThreadTeam team(4);
+  core::MsfOptions opts;
+  opts.threads = 4;
+  arm_fourth_bucket_sort();
+  EXPECT_THROW((void)core::bor_fal_msf(team, g, opts), std::bad_alloc);
+  EXPECT_GE(FaultInjector::hits("weight-sort.bucket"), 4u);
+  FaultInjector::disarm_all();
+  expect_clean_region(team);
+  EXPECT_EQ(test::sorted_ids(core::bor_fal_msf(team, g, opts)), ref);
+
+  arm_fourth_bucket_sort();
+  opts.algorithm = core::Algorithm::kBorFAL;
+  const auto r = core::minimum_spanning_forest(g, opts);
+  EXPECT_TRUE(r.degraded_to_sequential);
+  EXPECT_EQ(test::sorted_ids(r), ref);
+}
+
+TEST_F(FaultInjection, BucketSortFaultInChampionLightPassUnwindsAndDegrades) {
+  const VertexId n = VertexId{1} << 17;
+  const EdgeList g = random_graph(n, 10 * EdgeId{n}, 62);
+  const auto ref = test::sorted_ids(seq::kruskal_msf(g));
+  ThreadTeam team(4);
+  arm_fourth_bucket_sort();
+  EXPECT_THROW((void)core::champion_msf(team, g), std::bad_alloc);
+  EXPECT_GE(FaultInjector::hits("weight-sort.bucket"), 4u);
+  FaultInjector::disarm_all();
+  expect_clean_region(team);
+  EXPECT_EQ(test::sorted_ids(core::champion_msf(team, g)), ref);
+
+  arm_fourth_bucket_sort();
+  core::MsfOptions opts;
+  opts.threads = 4;
+  const auto r = core::minimum_spanning_forest(g, opts);
+  EXPECT_TRUE(r.degraded_to_sequential);
+  EXPECT_EQ(test::sorted_ids(r), ref);
+}
+
+TEST_F(FaultInjection, BucketSortFaultInForestIndexBuildUnwinds) {
+  // 2^18 forest edges: 64 buckets, so the helpers claim four of them
+  // however far tid 0's merges run ahead.
+  const VertexId n = VertexId{1} << 18;
+  const EdgeList g = random_graph(n, 4 * EdgeId{n}, 63);
+  const MsfResult msf = seq::kruskal_msf(g);
+  std::vector<EdgeId> fids = test::sorted_ids(msf);
+  std::vector<WEdge> fedges;
+  for (const EdgeId id : fids) fedges.push_back(g.edges[id]);
+  ThreadTeam team(4);
+  arm_fourth_bucket_sort();
+  EXPECT_THROW(query::ForestIndex(team, n, fedges, fids, 1), std::bad_alloc);
+  EXPECT_GE(FaultInjector::hits("weight-sort.bucket"), 4u);
+  FaultInjector::disarm_all();
+  expect_clean_region(team);
+  const query::ForestIndex index(team, n, fedges, fids, 1);
+  EXPECT_EQ(index.stats().num_forest_edges, fids.size());
 }
 
 // ---------------------------------------------------------------------------

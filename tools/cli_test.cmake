@@ -37,6 +37,21 @@ if(NOT wa STREQUAL wb)
   message(FATAL_ERROR "weights differ across algorithms: '${wa}' vs '${wb}'")
 endif()
 
+# Compressed solves: Champion streams from the .smpz rows and Bor-FAL
+# decodes them eagerly; both print the .gr solve's forest weight.
+run_cli(0 out convert ${WORK}/g.gr ${WORK}/g.smpz)
+foreach(alg champion bor-fal)
+  run_cli(0 out solve --alg ${alg} --threads 4 --validate ${WORK}/g.smpz)
+  string(FIND "${out}" "validation: OK" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR ".smpz solve --alg ${alg} did not validate: ${out}")
+  endif()
+  string(REGEX MATCH "weight [0-9.]+" wz "${out}")
+  if(NOT wz STREQUAL wa)
+    message(FATAL_ERROR ".smpz solve --alg ${alg}: '${wz}' vs .gr '${wa}'")
+  endif()
+endforeach()
+
 run_cli(0 out cc ${WORK}/g.gr)
 
 # Execution-budget flags: a generous timeout still solves; degradation under

@@ -480,7 +480,8 @@ int cmd_solve(const Flags& f) {
   if (f.positional.size() != 1) usage("solve needs exactly one FILE");
   const std::string& file = f.positional[0];
   // --graph-format: how the solver sees the graph.  "compressed" keeps (or
-  // builds) the delta/varint CSR and solves through the streaming path;
+  // builds) the delta/varint CSR and solves through the compressed entry
+  // point (Champion streams from the rows, other algorithms decode once);
   // "edges" forces the classic EdgeList even for a .smpz file; "auto" picks
   // by extension.
   const std::string gfmt = f.get("--graph-format").value_or("auto");
