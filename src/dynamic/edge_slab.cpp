@@ -2,7 +2,7 @@
 
 #include <cmath>
 #include <cstring>
-#include <fstream>
+#include <ostream>
 
 #include "core/error.hpp"
 
@@ -76,29 +76,39 @@ EdgeSlab EdgeSlab::open(const std::string& path) {
 }
 
 void EdgeSlab::write_file(const std::string& path, const graph::EdgeList& g) {
-  for (std::size_t i = 0; i < g.edges.size(); ++i) {
-    check_record(path, g.edges[i], g.num_vertices,
-                 kHeaderBytes + i * sizeof(graph::WEdge));
-  }
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) {
-    throw Error(ErrorCode::kInvalidInput,
-                "edge slab " + path + ": cannot open for write");
-  }
-  const std::uint32_t n = g.num_vertices;
+  EdgeSlabWriter w(path, g.num_vertices);
+  w.add_edges(g.edges);
+  w.finish();
+}
+
+EdgeSlabWriter::EdgeSlabWriter(std::string path, graph::VertexId n)
+    : out_(std::move(path)), n_(n) {
   const std::uint32_t pad = 0;
-  const std::uint64_t m = g.edges.size();
+  const std::uint64_t m = 0;  // patched by finish()
+  std::ostream& os = out_.stream();
   os.write(kMagic, 4);
   os.write(reinterpret_cast<const char*>(&kVersion), 4);
-  os.write(reinterpret_cast<const char*>(&n), 4);
+  os.write(reinterpret_cast<const char*>(&n_), 4);
   os.write(reinterpret_cast<const char*>(&pad), 4);
   os.write(reinterpret_cast<const char*>(&m), 8);
-  os.write(reinterpret_cast<const char*>(g.edges.data()),
-           static_cast<std::streamsize>(m * sizeof(graph::WEdge)));
-  if (!os) {
-    throw Error(ErrorCode::kInvalidInput,
-                "edge slab " + path + ": write failed");
+}
+
+void EdgeSlabWriter::add_edges(std::span<const graph::WEdge> edges) {
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    check_record(out_.path(), edges[i], n_,
+                 kHeaderBytes + (m_ + i) * sizeof(graph::WEdge));
   }
+  out_.stream().write(reinterpret_cast<const char*>(edges.data()),
+                      static_cast<std::streamsize>(edges.size_bytes()));
+  m_ += edges.size();
+}
+
+graph::EdgeId EdgeSlabWriter::finish() {
+  std::ostream& os = out_.stream();
+  os.seekp(16);
+  os.write(reinterpret_cast<const char*>(&m_), 8);
+  out_.commit();
+  return m_;
 }
 
 }  // namespace smp::dynamic

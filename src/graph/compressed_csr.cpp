@@ -1,12 +1,19 @@
 #include "graph/compressed_csr.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
+#include <ostream>
+#include <queue>
 
 #include "core/error.hpp"
+#include "graph/io.hpp"
 
 namespace smp::graph {
 
@@ -26,11 +33,89 @@ constexpr std::size_t align8(std::size_t x) { return (x + 7) & ~std::size_t{7}; 
                                             std::to_string(offset));
 }
 
-struct SortItem {
-  VertexId u, v;
-  Weight w;
-  EdgeId orig;
+/// The edge check of both writers: what open_file() would reject.
+bool valid_edge(VertexId u, VertexId v, Weight w, VertexId n) {
+  return u != v && u < n && v < n && std::isfinite(w);
+}
+
+[[noreturn]] void reject_edge(const std::string& where, VertexId u, VertexId v,
+                              EdgeId index) {
+  throw Error(ErrorCode::kInvalidInput,
+              where + ": bad edge (" + std::to_string(u) + ", " +
+                  std::to_string(v) + ") at input edge " +
+                  std::to_string(index) +
+                  " (need u != v, both < n, and a finite weight)");
+}
+
+/// Encodes canonical-order edges as varint gap rows — the one row encoder of
+/// both writers.  Each (u, v) must be strictly greater than the last, u < v.
+struct RowEncoder {
+  explicit RowEncoder(VertexId num_vertices)
+      : n(num_vertices),
+        edge_off(std::size_t{n} + 1, 0),
+        byte_off(std::size_t{n} + 1, 0) {}
+
+  void add(VertexId u, VertexId v, std::vector<std::uint8_t>& adj) {
+    if (m == std::numeric_limits<std::uint32_t>::max()) {
+      throw Error(ErrorCode::kInvalidInput, "compressed csr: more than 2^32-1 edges");
+    }
+    while (row < u) next_row();
+    const std::size_t before = adj.size();
+    varint_append_u32(adj, have_prev ? v - prev_v : v - u);
+    adj_bytes += adj.size() - before;
+    prev_v = v;
+    have_prev = true;
+    ++m;
+  }
+  /// Closes the rows after the last edge's.
+  void finish() {
+    while (row < n) next_row();
+  }
+  void next_row() {
+    ++row;
+    edge_off[row] = static_cast<std::uint32_t>(m);
+    byte_off[row] = adj_bytes;
+    have_prev = false;
+  }
+  [[nodiscard]] bool off64() const {
+    return adj_bytes > std::numeric_limits<std::uint32_t>::max();
+  }
+
+  VertexId n;
+  VertexId row = 0;
+  VertexId prev_v = 0;
+  bool have_prev = false;
+  EdgeId m = 0;
+  std::uint64_t adj_bytes = 0;
+  std::vector<std::uint32_t> edge_off;
+  std::vector<std::uint64_t> byte_off;
 };
+
+void pad_to8(std::ostream& os, std::uint64_t written) {
+  const char pad[8] = {};
+  os.write(pad, static_cast<std::streamsize>(align8(written) - written));
+}
+
+/// Writes the header and both offset sections, each padded to 8 bytes — the
+/// one serializer of the .smpz prefix.  The adjacency and weights follow.
+/// `byte_off` holds u64 offsets when off64, else u32.
+void write_prefix(std::ostream& os, VertexId n, EdgeId m, std::uint64_t adj_bytes,
+                  bool off64, const std::uint32_t* edge_off, const void* byte_off) {
+  const std::uint32_t flags = off64 ? kFlagByteOff64 : 0;
+  const std::uint64_t m64 = m;
+  os.write(kMagic, 4);
+  os.write(reinterpret_cast<const char*>(&kVersion), 4);
+  os.write(reinterpret_cast<const char*>(&flags), 4);
+  os.write(reinterpret_cast<const char*>(&n), 4);
+  os.write(reinterpret_cast<const char*>(&m64), 8);
+  os.write(reinterpret_cast<const char*>(&adj_bytes), 8);
+  std::size_t sz = (std::size_t{n} + 1) * 4;
+  os.write(reinterpret_cast<const char*>(edge_off), static_cast<std::streamsize>(sz));
+  pad_to8(os, sz);
+  sz = (std::size_t{n} + 1) * (off64 ? 8 : 4);
+  os.write(static_cast<const char*>(byte_off), static_cast<std::streamsize>(sz));
+  pad_to8(os, sz);
+}
 
 }  // namespace
 
@@ -50,76 +135,33 @@ void CompressedCsr::adopt_views(bool off64) {
 
 CompressedCsr CompressedCsr::build(const EdgeList& g,
                                    std::vector<EdgeId>* kept_input_ids) {
-  if (g.num_edges() > std::numeric_limits<std::uint32_t>::max()) {
-    throw Error(ErrorCode::kInvalidInput,
-                "CompressedCsr::build: more than 2^32-1 edges");
-  }
-  std::vector<SortItem> items;
-  items.reserve(g.edges.size());
-  for (EdgeId i = 0; i < g.num_edges(); ++i) {
-    const WEdge& e = g.edges[i];
-    const VertexId u = std::min(e.u, e.v);
-    const VertexId v = std::max(e.u, e.v);
-    items.push_back(SortItem{u, v, e.w, i});
-  }
-  // Canonical order: by row, then target; parallel edges resolve to the
-  // WeightOrder-minimal one, the same winner canonicalize_parallel_edges
-  // keeps.
-  std::sort(items.begin(), items.end(),
-            [](const SortItem& a, const SortItem& b) {
-              if (a.u != b.u) return a.u < b.u;
-              if (a.v != b.v) return a.v < b.v;
-              return WeightOrder{a.w, a.orig} < WeightOrder{b.w, b.orig};
-            });
-
+  const std::vector<CanonicalEdge> winners = canonical_winners(g);
   CompressedCsr c;
   c.n_ = g.num_vertices;
-  c.own_edge_off_.assign(std::size_t{c.n_} + 1, 0);
-  std::vector<std::uint64_t> byte_off(std::size_t{c.n_} + 1, 0);
-  c.own_adj_.reserve(items.size() * 2);
-  c.own_weights_.reserve(items.size());
+  RowEncoder enc(c.n_);
+  c.own_adj_.reserve(winners.size() * 2);
+  c.own_weights_.reserve(winners.size());
   if (kept_input_ids != nullptr) {
     kept_input_ids->clear();
-    kept_input_ids->reserve(items.size());
+    kept_input_ids->reserve(winners.size());
   }
-
-  VertexId row = 0;
-  VertexId prev_v = 0;
-  bool have_prev = false;
-  EdgeId m = 0;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const SortItem& it = items[i];
-    if (i > 0 && it.u == items[i - 1].u && it.v == items[i - 1].v) {
-      continue;  // parallel edge: the sort already put the winner first
+  for (const CanonicalEdge& r : winners) {
+    if (!valid_edge(r.u, r.v, r.w, c.n_)) {
+      reject_edge("CompressedCsr::build", r.u, r.v, r.idx);
     }
-    while (row < it.u) {
-      ++row;
-      c.own_edge_off_[row] = static_cast<std::uint32_t>(m);
-      byte_off[row] = c.own_adj_.size();
-      have_prev = false;
-    }
-    const VertexId gap = have_prev ? it.v - prev_v : it.v - it.u;
-    varint_append_u32(c.own_adj_, gap);
-    c.own_weights_.push_back(it.w);
-    if (kept_input_ids != nullptr) kept_input_ids->push_back(it.orig);
-    prev_v = it.v;
-    have_prev = true;
-    ++m;
+    enc.add(r.u, r.v, c.own_adj_);
+    c.own_weights_.push_back(r.w);
+    if (kept_input_ids != nullptr) kept_input_ids->push_back(r.idx);
   }
-  while (row < c.n_) {
-    ++row;
-    c.own_edge_off_[row] = static_cast<std::uint32_t>(m);
-    byte_off[row] = c.own_adj_.size();
-  }
-  c.m_ = m;
-  c.adj_bytes_ = c.own_adj_.size();
-
-  const bool off64 =
-      c.adj_bytes_ > std::numeric_limits<std::uint32_t>::max();
+  enc.finish();
+  c.m_ = enc.m;
+  c.adj_bytes_ = enc.adj_bytes;
+  c.own_edge_off_ = std::move(enc.edge_off);
+  const bool off64 = enc.off64();
   if (off64) {
-    c.own_byte_off64_ = std::move(byte_off);
+    c.own_byte_off64_ = std::move(enc.byte_off);
   } else {
-    c.own_byte_off32_.assign(byte_off.begin(), byte_off.end());
+    c.own_byte_off32_.assign(enc.byte_off.begin(), enc.byte_off.end());
   }
   c.adopt_views(off64);
   return c;
@@ -181,45 +223,16 @@ std::size_t CompressedCsr::structure_bytes() const {
 }
 
 void CompressedCsr::write_file(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) {
-    throw Error(ErrorCode::kInvalidInput,
-                "compressed csr " + path + ": cannot open for write");
-  }
-  std::uint32_t flags = off64_ ? kFlagByteOff64 : 0;
-  std::uint64_t m64 = m_, ab = adj_bytes_;
-  os.write(kMagic, 4);
-  os.write(reinterpret_cast<const char*>(&kVersion), 4);
-  os.write(reinterpret_cast<const char*>(&flags), 4);
-  os.write(reinterpret_cast<const char*>(&n_), 4);
-  os.write(reinterpret_cast<const char*>(&m64), 8);
-  os.write(reinterpret_cast<const char*>(&ab), 8);
-  const char pad[8] = {};
-  auto pad_to8 = [&](std::size_t written) {
-    const std::size_t aligned = align8(written);
-    if (aligned != written) {
-      os.write(pad, static_cast<std::streamsize>(aligned - written));
-    }
-    return aligned;
-  };
-  std::size_t sz = (std::size_t{n_} + 1) * 4;
-  os.write(reinterpret_cast<const char*>(edge_off_),
-           static_cast<std::streamsize>(sz));
-  pad_to8(sz);
-  sz = (std::size_t{n_} + 1) * (off64_ ? 8 : 4);
-  os.write(off64_ ? reinterpret_cast<const char*>(byte_off64_)
-                  : reinterpret_cast<const char*>(byte_off32_),
-           static_cast<std::streamsize>(sz));
-  pad_to8(sz);
+  OutputFile out(path);
+  std::ostream& os = out.stream();
+  write_prefix(os, n_, m_, adj_bytes_, off64_, edge_off_,
+               off64_ ? static_cast<const void*>(byte_off64_) : byte_off32_);
   os.write(reinterpret_cast<const char*>(adj_),
            static_cast<std::streamsize>(adj_bytes_));
-  pad_to8(adj_bytes_);
+  pad_to8(os, adj_bytes_);
   os.write(reinterpret_cast<const char*>(weights_),
            static_cast<std::streamsize>(sizeof(Weight) * m_));
-  if (!os) {
-    throw Error(ErrorCode::kInvalidInput,
-                "compressed csr " + path + ": write failed");
-  }
+  out.commit();
 }
 
 CompressedCsr CompressedCsr::open_file(const std::string& path) {
@@ -303,8 +316,10 @@ CompressedCsr CompressedCsr::open_file(const std::string& path) {
     std::uint64_t v = u;
     for (std::uint32_t k = 0; k < deg; ++k) {
       const std::uint32_t gap = varint_decode_u32(row);
-      if (k > 0 && gap == 0) {
-        fail(path, "duplicate target at vertex " + std::to_string(u),
+      if (gap == 0) {
+        fail(path,
+             std::string(k == 0 ? "self-loop" : "duplicate target") +
+                 " at vertex " + std::to_string(u),
              adj_at + b0);
       }
       v += gap;
@@ -327,83 +342,141 @@ CompressedCsr CompressedCsr::open_file(const std::string& path) {
   return c;
 }
 
+/// A scratch file of the writer — the spilled runs, or a side file — that
+/// is appended to, read back at offsets, and removed on destruction.
+class detail::ScratchFile {
+ public:
+  explicit ScratchFile(std::string path)
+      : path_(std::move(path)),
+        fd_(::open(path_.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644)) {
+    if (fd_ < 0) fail("cannot create");
+  }
+  ~ScratchFile() {
+    ::close(fd_);
+    std::remove(path_.c_str());
+  }
+  ScratchFile(const ScratchFile&) = delete;
+  ScratchFile& operator=(const ScratchFile&) = delete;
+
+  void append(const void* data, std::size_t bytes) {
+    for (std::size_t done = 0; done < bytes;) {
+      const ssize_t got = ::write(fd_, static_cast<const char*>(data) + done,
+                                  bytes - done);
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) fail("short write to");
+      done += static_cast<std::size_t>(got);
+    }
+    size_ += bytes;
+  }
+  void read_at(void* data, std::size_t bytes, std::uint64_t offset) const {
+    for (std::size_t done = 0; done < bytes;) {
+      const ssize_t got = ::pread(fd_, static_cast<char*>(data) + done,
+                                  bytes - done, static_cast<off_t>(offset + done));
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) fail("short read from");
+      done += static_cast<std::size_t>(got);
+    }
+  }
+  void splice_into(std::ostream& os) const {
+    std::vector<char> buf(std::size_t{1} << 20);
+    for (std::uint64_t at = 0; at < size_; at += buf.size()) {
+      const auto n =
+          static_cast<std::size_t>(std::min<std::uint64_t>(buf.size(), size_ - at));
+      read_at(buf.data(), n, at);
+      os.write(buf.data(), static_cast<std::streamsize>(n));
+    }
+  }
+
+ private:
+  [[noreturn]] void fail(const char* what) const {
+    throw Error(ErrorCode::kInvalidInput,
+                std::string(what) + " scratch file " + path_);
+  }
+
+  std::string path_;
+  int fd_;
+  std::uint64_t size_ = 0;
+};
+
 namespace {
 
 constexpr std::size_t kWriterBufEdges = std::size_t{1} << 16;
 
-void flush_bytes(std::FILE* f, const void* data, std::size_t bytes,
-                 const std::string& path) {
-  if (bytes != 0 && std::fwrite(data, 1, bytes, f) != bytes) {
-    throw Error(ErrorCode::kInvalidInput,
-                "compressed csr " + path + ": side-file write failed");
+/// One sorted run in the merge: records [first, first + count) of the
+/// spilled-runs file, read back in blocks, or the last run, still in memory.
+class RunCursor {
+ public:
+  explicit RunCursor(std::vector<CanonicalEdge> recs) : buf_(std::move(recs)) {}
+  RunCursor(const detail::ScratchFile& file, std::uint64_t first,
+            std::uint64_t count)
+      : file_(&file), next_(first), left_(count) {
+    refill();
   }
-}
+
+  [[nodiscard]] bool empty() const { return pos_ == buf_.size(); }
+  [[nodiscard]] const CanonicalEdge& head() const { return buf_[pos_]; }
+  void pop() {
+    if (++pos_ == buf_.size() && left_ != 0) refill();
+  }
+
+ private:
+  void refill() {
+    const auto n =
+        static_cast<std::size_t>(std::min<std::uint64_t>(left_, kWriterBufEdges));
+    buf_.resize(n);
+    file_->read_at(buf_.data(), n * sizeof(CanonicalEdge),
+                   next_ * sizeof(CanonicalEdge));
+    next_ += n;
+    left_ -= n;
+    pos_ = 0;
+  }
+
+  const detail::ScratchFile* file_ = nullptr;
+  std::uint64_t next_ = 0;
+  std::uint64_t left_ = 0;
+  std::vector<CanonicalEdge> buf_;
+  std::size_t pos_ = 0;
+};
 
 }  // namespace
 
-CompressedCsrWriter::CompressedCsrWriter(std::string path, VertexId n)
-    : path_(std::move(path)), n_(n) {
-  edge_off_.assign(std::size_t{n_} + 1, 0);
-  byte_off_.assign(std::size_t{n_} + 1, 0);
-  adj_file_ = std::fopen((path_ + ".adj").c_str(), "wb+");
-  w_file_ = adj_file_ != nullptr ? std::fopen((path_ + ".w").c_str(), "wb+")
-                                 : nullptr;
-  if (adj_file_ == nullptr || w_file_ == nullptr) {
-    if (adj_file_ != nullptr) std::fclose(adj_file_);
-    adj_file_ = nullptr;
+CompressedCsrWriter::CompressedCsrWriter(std::string path, VertexId n,
+                                         std::size_t run_edges,
+                                         std::string tmp_dir)
+    : path_(std::move(path)),
+      n_(n),
+      run_edges_(run_edges),
+      tmp_dir_(std::move(tmp_dir)) {
+  if (run_edges_ == 0) {
     throw Error(ErrorCode::kInvalidInput,
-                "compressed csr " + path_ + ": cannot open side files");
+                "compressed csr " + path_ + ": a run needs at least one edge");
   }
 }
 
-CompressedCsrWriter::~CompressedCsrWriter() {
-  if (adj_file_ != nullptr) std::fclose(adj_file_);
-  if (w_file_ != nullptr) std::fclose(w_file_);
-  std::remove((path_ + ".adj").c_str());
-  std::remove((path_ + ".w").c_str());
-}
-
-void CompressedCsrWriter::catch_up_rows(VertexId u) {
-  while (row_ < u) {
-    ++row_;
-    edge_off_[row_] = static_cast<std::uint32_t>(m_);
-    byte_off_[row_] = adj_bytes_;
-    have_prev_ = false;
-  }
-}
+CompressedCsrWriter::~CompressedCsrWriter() = default;
 
 void CompressedCsrWriter::add_edge(VertexId u, VertexId v, Weight w) {
-  if (u >= v || v >= n_ || !std::isfinite(w)) {
-    throw Error(ErrorCode::kInvalidInput,
-                "compressed csr " + path_ + ": bad edge (" + std::to_string(u) +
-                    ", " + std::to_string(v) + ") at edge " +
-                    std::to_string(m_) +
-                    " (need u < v < n and a finite weight)");
+  if (!valid_edge(u, v, w, n_)) reject_edge("compressed csr " + path_, u, v, read_);
+  if (run_.capacity() == 0) run_.reserve(run_edges_);
+  run_.push_back(CanonicalEdge::of(WEdge{u, v, w}, read_++));
+  if (run_.size() == run_edges_) spill();
+}
+
+void CompressedCsrWriter::add_edges(std::span<const WEdge> edges) {
+  for (const WEdge& e : edges) add_edge(e.u, e.v, e.w);
+}
+
+void CompressedCsrWriter::spill() {
+  std::sort(run_.begin(), run_.end());
+  if (!spilled_) {
+    const std::string base =
+        tmp_dir_.empty() ? path_
+                         : tmp_dir_ + "/" + path_.substr(path_.find_last_of('/') + 1);
+    spilled_ = std::make_unique<detail::ScratchFile>(base + ".runs");
   }
-  if (u < row_ || (u == row_ && have_prev_ && v <= prev_v_)) {
-    throw Error(ErrorCode::kInvalidInput,
-                "compressed csr " + path_ + ": edge (" + std::to_string(u) +
-                    ", " + std::to_string(v) + ") out of canonical order at edge " +
-                    std::to_string(m_));
-  }
-  if (m_ == std::numeric_limits<std::uint32_t>::max()) {
-    throw Error(ErrorCode::kInvalidInput,
-                "compressed csr " + path_ + ": more than 2^32-1 edges");
-  }
-  catch_up_rows(u);
-  const std::size_t before = adj_buf_.size();
-  varint_append_u32(adj_buf_, have_prev_ ? v - prev_v_ : v - u);
-  adj_bytes_ += adj_buf_.size() - before;
-  w_buf_.push_back(w);
-  prev_v_ = v;
-  have_prev_ = true;
-  ++m_;
-  if (w_buf_.size() >= kWriterBufEdges) {
-    flush_bytes(adj_file_, adj_buf_.data(), adj_buf_.size(), path_);
-    flush_bytes(w_file_, w_buf_.data(), w_buf_.size() * sizeof(Weight), path_);
-    adj_buf_.clear();
-    w_buf_.clear();
-  }
+  spilled_->append(run_.data(), run_.size() * sizeof(CanonicalEdge));
+  run_.clear();
+  ++runs_;
 }
 
 EdgeId CompressedCsrWriter::finish() {
@@ -412,78 +485,65 @@ EdgeId CompressedCsrWriter::finish() {
                 "compressed csr " + path_ + ": finish() called twice");
   }
   finished_ = true;
-  flush_bytes(adj_file_, adj_buf_.data(), adj_buf_.size(), path_);
-  flush_bytes(w_file_, w_buf_.data(), w_buf_.size() * sizeof(Weight), path_);
-  adj_buf_.clear();
-  w_buf_.clear();
-  catch_up_rows(n_);
+  std::sort(run_.begin(), run_.end());
+  std::vector<RunCursor> cursors;
+  cursors.reserve(runs_);
+  for (std::size_t k = 0; k + 1 < runs_; ++k) {
+    cursors.emplace_back(*spilled_, k * run_edges_, run_edges_);
+  }
+  cursors.emplace_back(std::move(run_));
 
-  std::ofstream os(path_, std::ios::binary | std::ios::trunc);
-  if (!os) {
-    throw Error(ErrorCode::kInvalidInput,
-                "compressed csr " + path_ + ": cannot open for write");
-  }
-  const bool off64 = adj_bytes_ > std::numeric_limits<std::uint32_t>::max();
-  const std::uint32_t flags = off64 ? kFlagByteOff64 : 0;
-  const std::uint64_t m64 = m_;
-  os.write(kMagic, 4);
-  os.write(reinterpret_cast<const char*>(&kVersion), 4);
-  os.write(reinterpret_cast<const char*>(&flags), 4);
-  os.write(reinterpret_cast<const char*>(&n_), 4);
-  os.write(reinterpret_cast<const char*>(&m64), 8);
-  os.write(reinterpret_cast<const char*>(&adj_bytes_), 8);
-  const char pad[8] = {};
-  auto pad_to8 = [&](std::size_t written) {
-    const std::size_t aligned = align8(written);
-    if (aligned != written) {
-      os.write(pad, static_cast<std::streamsize>(aligned - written));
-    }
+  // K-way merge in canonical order; the first record of each pair wins.
+  const auto later = [&](std::size_t a, std::size_t b) {
+    return cursors[b].head() < cursors[a].head();
   };
-  std::size_t sz = (std::size_t{n_} + 1) * 4;
-  os.write(reinterpret_cast<const char*>(edge_off_.data()),
-           static_cast<std::streamsize>(sz));
-  pad_to8(sz);
-  if (off64) {
-    sz = (std::size_t{n_} + 1) * 8;
-    os.write(reinterpret_cast<const char*>(byte_off_.data()),
-             static_cast<std::streamsize>(sz));
-  } else {
-    std::vector<std::uint32_t> narrow(byte_off_.begin(), byte_off_.end());
-    sz = narrow.size() * 4;
-    os.write(reinterpret_cast<const char*>(narrow.data()),
-             static_cast<std::streamsize>(sz));
+  std::priority_queue<std::size_t, std::vector<std::size_t>, decltype(later)>
+      heap(later);
+  for (std::size_t i = 0; i < cursors.size(); ++i) {
+    if (!cursors[i].empty()) heap.push(i);
   }
-  pad_to8(sz);
+  detail::ScratchFile adj_file(path_ + ".adj");
+  detail::ScratchFile w_file(path_ + ".w");
+  std::vector<std::uint8_t> adj_buf;
+  std::vector<Weight> w_buf;
+  const auto flush = [&] {
+    adj_file.append(adj_buf.data(), adj_buf.size());
+    w_file.append(w_buf.data(), w_buf.size() * sizeof(Weight));
+    adj_buf.clear();
+    w_buf.clear();
+  };
+  RowEncoder enc(n_);
+  CanonicalEdge last{};
+  bool have_last = false;
+  while (!heap.empty()) {
+    const std::size_t i = heap.top();
+    heap.pop();
+    const CanonicalEdge r = cursors[i].head();
+    cursors[i].pop();
+    if (!cursors[i].empty()) heap.push(i);
+    if (have_last && r.same_pair(last)) continue;
+    last = r;
+    have_last = true;
+    enc.add(r.u, r.v, adj_buf);
+    w_buf.push_back(r.w);
+    if (w_buf.size() >= kWriterBufEdges) flush();
+  }
+  flush();
+  enc.finish();
+  cursors.clear();  // frees the last run before the file is assembled
+  spilled_.reset();
 
-  // Splice the side files in (sections already 8-byte aligned except the
-  // adjacency tail, padded below).
-  const auto splice = [&](std::FILE* f, std::uint64_t expect,
-                          const char* what) {
-    std::fflush(f);
-    std::rewind(f);
-    std::vector<char> buf(std::size_t{1} << 20);
-    std::uint64_t copied = 0;
-    for (;;) {
-      const std::size_t got = std::fread(buf.data(), 1, buf.size(), f);
-      if (got == 0) break;
-      os.write(buf.data(), static_cast<std::streamsize>(got));
-      copied += got;
-    }
-    if (copied != expect) {
-      throw Error(ErrorCode::kInvalidInput,
-                  "compressed csr " + path_ + ": " + what +
-                      " side file short (" + std::to_string(copied) + " of " +
-                      std::to_string(expect) + " bytes)");
-    }
-  };
-  splice(adj_file_, adj_bytes_, "adjacency");
-  pad_to8(adj_bytes_);
-  splice(w_file_, sizeof(Weight) * std::uint64_t{m_}, "weight");
-  if (!os) {
-    throw Error(ErrorCode::kInvalidInput,
-                "compressed csr " + path_ + ": write failed");
-  }
-  return m_;
+  const bool off64 = enc.off64();
+  std::vector<std::uint32_t> narrow;
+  if (!off64) narrow.assign(enc.byte_off.begin(), enc.byte_off.end());
+  OutputFile out(path_);
+  write_prefix(out.stream(), n_, enc.m, enc.adj_bytes, off64, enc.edge_off.data(),
+               off64 ? static_cast<const void*>(enc.byte_off.data()) : narrow.data());
+  adj_file.splice_into(out.stream());
+  pad_to8(out.stream(), enc.adj_bytes);
+  w_file.splice_into(out.stream());
+  out.commit();
+  return enc.m;
 }
 
 }  // namespace smp::graph

@@ -3,35 +3,44 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "graph/edge_list.hpp"
 #include "graph/mmap_file.hpp"
 #include "graph/types.hpp"
+#include "graph/validate.hpp"
 #include "pprim/varint.hpp"
 
 namespace smp::graph {
+
+namespace detail {
+class ScratchFile;
+}  // namespace detail
 
 /// Delta/varint-compressed CSR: the billion-edge storage format (.smpz).
 ///
 /// Each undirected edge is stored ONCE, on its smaller endpoint, so the
 /// structure is an upper-triangular adjacency: vertex u's row holds its
-/// neighbors v >= u in strictly increasing order, encoded as LEB128 varints
-/// of the gaps (first value = v0 - u, then v_i - v_{i-1}; see
+/// neighbors v > u in strictly increasing order, encoded as LEB128 varints
+/// of the gaps (first value = v0 - u, then v_i - v_{i-1}, every gap > 0; see
 /// pprim/varint.hpp).  Edge *identity* is implicit — edge id e is the e-th
 /// arc of the row walk — which is what keeps the structure under ~4 bytes
 /// per edge on degree-10 graphs: no per-edge id, no reverse arc.  Weights
 /// stay a raw f64 array indexed by that implicit id (they are incompressible
 /// and the solvers touch them exactly once, to build weight ranks).
 ///
-/// Canonical order invariant: rows are built from the edge list after
-/// normalizing u <= v, sorting by (u, v) and deduplicating parallel edges
-/// keeping the ⟨weight, input-id⟩-minimal one — the same canonical choice
-/// as canonicalize_parallel_edges, so the forest computed on the compressed
+/// Canonical order invariant: rows hold the canonical winners of the edge
+/// list (canonical_winners in graph/validate.hpp: ⟨weight, input-id⟩-minimal
+/// per endpoint pair) in canonical order — the same choice as
+/// canonicalize_parallel_edges, so the forest computed on the compressed
 /// graph equals the forest on the canonicalized uncompressed graph
-/// edge-for-edge (the bit-identity suite pins this at p in {1,2,4,8}).
+/// edge-for-edge (the bit-identity suite pins this at p in {1,2,4,8}).  Both
+/// writers — build()/write_file() and CompressedCsrWriter — share one row
+/// encoder and one header and section serializer, so they write identical
+/// bytes for the same edges.
 ///
 /// On-disk layout (native-endian, like SMPG; sections 8-byte aligned):
 ///   header   { "SMPZ", u32 version=1, u32 flags, u32 n, u64 m, u64 adj_bytes }
@@ -43,7 +52,8 @@ namespace smp::graph {
 ///
 /// open_file() maps the file read-only and VALIDATES everything once —
 /// header geometry, offset monotonicity, per-row varint structure (so the
-/// trusted SIMD bulk decoder can never overrun), target range/monotonicity,
+/// trusted SIMD bulk decoder can never overrun), target range and strict
+/// monotonicity (no self-loop, no parallel edge),
 /// weight finiteness; any violation throws smp::Error{kInvalidInput} naming
 /// the path and byte offset.  After that every decode runs the unchecked
 /// fast path.
@@ -54,6 +64,8 @@ class CompressedCsr {
   /// Builds from an arbitrary edge list: normalizes endpoints, sorts,
   /// dedups parallel edges canonically.  `kept_input_ids` (optional out)
   /// maps each compressed edge id to the input index of the edge it kept.
+  /// A self-loop, an endpoint out of range or a non-finite weight throws
+  /// Error{kInvalidInput}.
   [[nodiscard]] static CompressedCsr build(
       const EdgeList& g, std::vector<EdgeId>* kept_input_ids = nullptr);
 
@@ -161,48 +173,53 @@ class CompressedCsr {
   const Weight* weights_ = nullptr;
 };
 
-/// Streaming .smpz writer for graphs that never fit in memory: feed edges in
-/// canonical order (u <= v normalized by the caller, (u, v) strictly
-/// lexicographically increasing — i.e. already merged and deduplicated) and
-/// finish() produces a file CompressedCsr::open_file accepts.  Only the two
-/// offset arrays are held in RAM (12(n+1) bytes); adjacency varints and
-/// weights stream through side files that finish() splices into place.
-/// smpmsf-convert's k-way run merge is the intended producer.
+/// The streaming .smpz writer behind `smpmsf convert` and `smpmsf gen`, for
+/// graphs whose edge list never fits in memory.  Edges arrive in any order
+/// and orientation, parallel edges included.  Each run of `run_edges`
+/// records is sorted in the canonical order (CanonicalEdge); full runs
+/// spill to one `.runs` file in `tmp_dir` (default: beside `path`).  finish()
+/// k-way merges the spilled runs with the last one, keeps the first record
+/// of each endpoint pair — the winner build() keeps, so both write identical
+/// bytes — and encodes the rows.  Peak memory is the run buffer (24 B per
+/// edge) plus 12(n+1) bytes of offsets: adjacency varints and weights
+/// stream through `path + ".adj"/".w"` side files that finish() splices in.
 class CompressedCsrWriter {
  public:
-  /// Creates `path` plus two `path + ".adj"/".w"` side files (replaced on
-  /// finish, removed on destruction).  Throws Error{kInvalidInput} when any
-  /// of the three cannot be opened.
-  CompressedCsrWriter(std::string path, VertexId n);
+  static constexpr std::size_t kDefaultRunEdges = std::size_t{1} << 24;
+
+  /// Throws Error{kInvalidInput} when run_edges is 0.
+  CompressedCsrWriter(std::string path, VertexId n,
+                      std::size_t run_edges = kDefaultRunEdges,
+                      std::string tmp_dir = {});
   ~CompressedCsrWriter();
   CompressedCsrWriter(const CompressedCsrWriter&) = delete;
   CompressedCsrWriter& operator=(const CompressedCsrWriter&) = delete;
 
-  /// Requires u <= v, no self-loop, v < n, (u, v) strictly greater than the
-  /// previous call's pair, finite w; throws Error{kInvalidInput} otherwise.
+  /// Requires u != v, both < n, and a finite w; throws Error{kInvalidInput}
+  /// otherwise.
   void add_edge(VertexId u, VertexId v, Weight w);
+  void add_edges(std::span<const WEdge> edges);
 
-  /// Assembles the final file; returns the edge count.  The writer is spent
+  /// Merges, encodes and renames the file into place; returns the edge
+  /// count.  Until then no file exists at `path`.  The writer is spent
   /// afterwards.
   EdgeId finish();
 
+  /// Sorted runs so far: the spilled ones plus the one in memory.
+  [[nodiscard]] std::size_t runs() const { return runs_; }
+
  private:
-  void catch_up_rows(VertexId u);
+  void spill();
 
   std::string path_;
   VertexId n_ = 0;
-  EdgeId m_ = 0;
-  VertexId row_ = 0;
-  VertexId prev_v_ = 0;
-  bool have_prev_ = false;
+  std::size_t run_edges_ = 0;
+  std::string tmp_dir_;
+  EdgeId read_ = 0;
   bool finished_ = false;
-  std::uint64_t adj_bytes_ = 0;
-  std::vector<std::uint32_t> edge_off_;
-  std::vector<std::uint64_t> byte_off_;
-  std::vector<std::uint8_t> adj_buf_;
-  std::vector<Weight> w_buf_;
-  std::FILE* adj_file_ = nullptr;
-  std::FILE* w_file_ = nullptr;
+  std::size_t runs_ = 1;
+  std::vector<CanonicalEdge> run_;
+  std::unique_ptr<detail::ScratchFile> spilled_;  ///< the full runs, in order
 };
 
 }  // namespace smp::graph

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/stats.hpp"
@@ -11,37 +10,19 @@
 
 namespace smp::graph {
 
-namespace {
-
-struct Canon {
-  VertexId a, b;
-  Weight w;
-  friend bool operator<(const Canon& x, const Canon& y) {
-    if (x.a != y.a) return x.a < y.a;
-    if (x.b != y.b) return x.b < y.b;
-    return x.w < y.w;
-  }
-  friend bool operator==(const Canon&, const Canon&) = default;
-};
-
-Canon canon_of(const WEdge& e) {
-  return e.u <= e.v ? Canon{e.u, e.v, e.w} : Canon{e.v, e.u, e.w};
-}
-
-}  // namespace
-
 ForestCheck validate_spanning_forest(const EdgeList& g, std::span<const WEdge> forest) {
   ForestCheck res;
 
   // 1. Membership (multiset-aware): every forest edge must match a distinct
   //    graph edge with identical endpoints and weight.
-  std::vector<Canon> have;
+  //    Every record gets index 0, so the canonical order sorts by weight last.
+  std::vector<CanonicalEdge> have;
   have.reserve(g.edges.size());
-  for (const auto& e : g.edges) have.push_back(canon_of(e));
+  for (const auto& e : g.edges) have.push_back(CanonicalEdge::of(e, 0));
   std::sort(have.begin(), have.end());
-  std::vector<Canon> want;
+  std::vector<CanonicalEdge> want;
   want.reserve(forest.size());
-  for (const auto& e : forest) want.push_back(canon_of(e));
+  for (const auto& e : forest) want.push_back(CanonicalEdge::of(e, 0));
   std::sort(want.begin(), want.end());
   {
     std::size_t hi = 0;
@@ -85,36 +66,38 @@ ForestCheck validate_spanning_forest(const EdgeList& g, std::span<const WEdge> f
   return res;
 }
 
+std::vector<CanonicalEdge> canonical_winners(const EdgeList& g) {
+  std::vector<CanonicalEdge> recs;
+  recs.reserve(g.edges.size());
+  for (EdgeId i = 0; i < g.edges.size(); ++i) {
+    recs.push_back(CanonicalEdge::of(g.edges[i], i));
+  }
+  std::sort(recs.begin(), recs.end());
+  recs.erase(std::unique(recs.begin(), recs.end(),
+                         [](const CanonicalEdge& a, const CanonicalEdge& b) {
+                           return a.same_pair(b);
+                         }),
+             recs.end());
+  return recs;
+}
+
 EdgeList canonicalize_parallel_edges(const EdgeList& g,
                                      std::vector<EdgeId>* kept_ids) {
-  const auto pair_key = [](const WEdge& e) {
-    const VertexId a = e.u <= e.v ? e.u : e.v;
-    const VertexId b = e.u <= e.v ? e.v : e.u;
-    return (static_cast<std::uint64_t>(a) << 32) | b;
-  };
-
-  // Pass 1: per endpoint pair, the WeightOrder-minimal edge id.
-  std::unordered_map<std::uint64_t, EdgeId> best;
-  best.reserve(g.edges.size());
-  for (EdgeId i = 0; i < g.edges.size(); ++i) {
-    const auto [it, fresh] = best.try_emplace(pair_key(g.edges[i]), i);
-    if (!fresh) {
-      const EdgeId j = it->second;
-      if (WeightOrder{g.edges[i].w, i} < WeightOrder{g.edges[j].w, j}) {
-        it->second = i;
-      }
-    }
+  std::vector<char> kept(g.edges.size(), 0);
+  std::size_t winners = 0;
+  {
+    const std::vector<CanonicalEdge> recs = canonical_winners(g);
+    for (const CanonicalEdge& r : recs) kept[r.idx] = 1;
+    winners = recs.size();
   }
-
-  // Pass 2: keep the winners in input order.
   EdgeList out(g.num_vertices);
-  out.edges.reserve(best.size());
+  out.edges.reserve(winners);
   if (kept_ids != nullptr) {
     kept_ids->clear();
-    kept_ids->reserve(best.size());
+    kept_ids->reserve(winners);
   }
   for (EdgeId i = 0; i < g.edges.size(); ++i) {
-    if (best.at(pair_key(g.edges[i])) != i) continue;
+    if (!kept[i]) continue;
     out.edges.push_back(g.edges[i]);
     if (kept_ids != nullptr) kept_ids->push_back(i);
   }

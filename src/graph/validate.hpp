@@ -2,6 +2,7 @@
 
 #include <span>
 #include <string>
+#include <vector>
 
 #include "graph/edge_list.hpp"
 
@@ -34,6 +35,35 @@ ForestCheck validate_spanning_forest(const EdgeList& g, std::span<const WEdge> f
 bool verify_cut_property(const EdgeList& g, std::span<const WEdge> forest,
                          std::string* error = nullptr);
 
+/// One edge in the canonical order that every deduplicating path shares —
+/// canonicalize_parallel_edges, CompressedCsr::build and the .smpz
+/// converter's run sort and merge: ⟨min(u,v), max(u,v), w, input index⟩.
+/// Sorted by this order, the first record of each endpoint pair is the pair's
+/// WeightOrder-minimal edge, its canonical winner.
+struct CanonicalEdge {
+  VertexId u, v;  ///< u <= v
+  Weight w;
+  EdgeId idx;     ///< position in the input, the WeightOrder tie-break
+
+  [[nodiscard]] static CanonicalEdge of(const WEdge& e, EdgeId idx) {
+    return e.u <= e.v ? CanonicalEdge{e.u, e.v, e.w, idx}
+                      : CanonicalEdge{e.v, e.u, e.w, idx};
+  }
+  [[nodiscard]] bool same_pair(const CanonicalEdge& o) const {
+    return u == o.u && v == o.v;
+  }
+  friend bool operator<(const CanonicalEdge& a, const CanonicalEdge& b) {
+    if (a.u != b.u) return a.u < b.u;
+    if (a.v != b.v) return a.v < b.v;
+    return WeightOrder{a.w, a.idx} < WeightOrder{b.w, b.idx};
+  }
+  friend bool operator==(const CanonicalEdge&, const CanonicalEdge&) = default;
+};
+static_assert(sizeof(CanonicalEdge) == 24);
+
+/// g's canonical winners, one per endpoint pair, in canonical order.
+std::vector<CanonicalEdge> canonical_winners(const EdgeList& g);
+
 /// Deterministic parallel-edge canonicalization.
 ///
 /// Among every set of edges with the same unordered endpoint pair, exactly
@@ -44,10 +74,12 @@ bool verify_cut_property(const EdgeList& g, std::span<const WEdge> forest,
 /// result is a deterministic function of the input edge list alone —
 /// dynamic batch apply (and delete-by-endpoints update traces) depend on
 /// this canonical choice being reproducible across runs and readers.
+/// The winners are canonical_winners(g), emitted in input order.
 ///
 /// `kept_ids` (optional out) maps each position in the returned edge list
 /// to the index of that edge in `g.edges`.  Self-loops are preserved as-is
-/// (rejecting them is validate_request's job, not this transform's).
+/// (the readers reject them; rejecting an in-memory one is
+/// validate_request's job, not this transform's).
 EdgeList canonicalize_parallel_edges(const EdgeList& g,
                                      std::vector<EdgeId>* kept_ids = nullptr);
 

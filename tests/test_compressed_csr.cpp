@@ -287,6 +287,67 @@ TEST(CompressedCsr, WriterStreamsSameBytesAsBuild) {
   std::remove(str.c_str());
 }
 
+TEST(CompressedCsr, RunMergeWritesBuildBytesOnDuplicateHeavyInputs) {
+  // The streaming writer's run sort and merge keep the same canonical
+  // winner as build(), whatever the run size: one run, many, one edge each.
+  const std::string ref = ::testing::TempDir() + "/smpz_dup_ref.smpz";
+  const std::string str = ::testing::TempDir() + "/smpz_dup_runs.smpz";
+  for (const std::uint64_t seed : {1, 2}) {
+    const EdgeList g = test::duplicate_heavy_graph(60, 200, seed);
+    CompressedCsr::build(g).write_file(ref);
+    for (const std::size_t run : {std::size_t{7}, std::size_t{300},
+                                  CompressedCsrWriter::kDefaultRunEdges}) {
+      CompressedCsrWriter w(str, g.num_vertices, run);
+      w.add_edges(g.edges);
+      EXPECT_EQ(w.runs(), g.edges.size() / run + 1);
+      EXPECT_EQ(w.finish(), CompressedCsr::open_file(ref).num_edges());
+      EXPECT_EQ(read_file(ref), read_file(str)) << "seed " << seed << " run " << run;
+    }
+  }
+  std::remove(ref.c_str());
+  std::remove(str.c_str());
+}
+
+TEST(CompressedCsr, SelfLoopsAreRejectedByBothWritersAndOpen) {
+  EdgeList g(3);
+  g.add_edge(0, 1, 0.5);
+  const std::string path = ::testing::TempDir() + "/smpz_loop.smpz";
+  CompressedCsr::build(g).write_file(path);
+  // Row 0's first gap sits at byte 64 (32-byte header, two 16-byte offset
+  // sections); a zero first gap encodes the self-loop (0, 0).
+  std::string bytes = read_file(path);
+  ASSERT_EQ(bytes[64], 1);
+  bytes[64] = 0;
+  write_bytes(path, bytes);
+  try {
+    (void)CompressedCsr::open_file(path);
+    FAIL() << "accepted a self-loop row";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
+    EXPECT_NE(std::string(e.what()).find("self-loop"), std::string::npos) << e.what();
+  }
+  std::remove(path.c_str());
+
+  g.edges.push_back({2, 2, 1.0});
+  EXPECT_THROW((void)CompressedCsr::build(g), Error);
+  CompressedCsrWriter w(path, 3);
+  EXPECT_THROW(w.add_edge(2, 2, 1.0), Error);
+}
+
+TEST(CompressedCsr, FailedWriterLeavesNoFile) {
+  const std::string path = ::testing::TempDir() + "/smpz_failed.smpz";
+  std::remove(path.c_str());
+  {
+    CompressedCsrWriter w(path, 4, 2);
+    w.add_edge(0, 1, 1.0);
+    w.add_edge(1, 2, 1.0);  // spills a run
+    EXPECT_THROW(w.add_edge(1, 9, 1.0), Error);
+  }
+  for (const std::string& left : {path, path + ".tmp", path + ".runs"}) {
+    EXPECT_FALSE(std::ifstream(left).good()) << left;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The tentpole promise: compressed and uncompressed solves agree bit for bit.
 

@@ -1,8 +1,12 @@
 // DIMACS-like text I/O: exact round-trip and malformed-input handling.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <string>
 
+#include "core/error.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 
@@ -90,12 +94,6 @@ TEST(GraphIO, ReaderCanonicalizesParallelEdges) {
   EXPECT_DOUBLE_EQ(g.edges[1].w, 2.0);
 }
 
-TEST(GraphIO, KeepAllPolicyPreservesParallelEdges) {
-  std::istringstream is("p edge 3 3\ne 1 2 3.0\ne 2 1 1.0\ne 1 2 3.0\n");
-  const EdgeList g = read_dimacs(is, ParallelEdgePolicy::kKeepAll);
-  EXPECT_EQ(g.num_edges(), 3u);
-}
-
 TEST(GraphIO, BinaryReaderCanonicalizesToo) {
   EdgeList g(3);
   g.add_edge(0, 1, 5.0);
@@ -107,8 +105,6 @@ TEST(GraphIO, BinaryReaderCanonicalizesToo) {
   ASSERT_EQ(h.num_edges(), 2u);
   EXPECT_DOUBLE_EQ(h.edges[0].w, 2.0);
   EXPECT_DOUBLE_EQ(h.edges[1].w, 1.0);
-  const EdgeList all = read_binary_file(path, ParallelEdgePolicy::kKeepAll);
-  EXPECT_EQ(all.num_edges(), 3u);
 }
 
 TEST(GraphIO, FileRoundTrip) {
@@ -119,6 +115,90 @@ TEST(GraphIO, FileRoundTrip) {
   EXPECT_EQ(h.num_vertices, g.num_vertices);
   EXPECT_EQ(h.num_edges(), g.num_edges());
   EXPECT_THROW(read_dimacs_file(path + ".does-not-exist"), std::runtime_error);
+}
+
+std::string smpg_bytes(const EdgeList& g) {
+  std::ostringstream os(std::ios::binary);
+  write_binary(os, g);
+  return os.str();
+}
+
+void expect_invalid(const std::string& text, bool binary, const char* what) {
+  std::istringstream is(text, std::ios::binary);
+  try {
+    (void)(binary ? read_binary(is) : read_dimacs(is));
+    FAIL() << "accepted: " << what;
+  } catch (const smp::Error& e) {
+    EXPECT_EQ(e.code(), smp::ErrorCode::kInvalidInput) << what;
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+TEST(GraphIO, OneRuleForBadBytes) {
+  expect_invalid("p edge 3 1\ne 2 2 0.1\n", false, "self-loop at line 2");
+  expect_invalid("p edge 3 5\ne 1 2 0.5\ne 2 3 0.5\n", false,
+                 "edge count mismatch: 2 edges, 5 declared");
+  expect_invalid("p edge 3 1\ne 1 2 0.5\ne 2 3 0.5\n", false,
+                 "more edges than the declared 1 at line 3");
+  expect_invalid("p edge 3 1\np edge 3 1\ne 1 2 0.5\n", false,
+                 "second problem line");
+  EdgeList loop(3);
+  loop.edges.push_back({1, 1, 0.5});  // bypassing add_edge's assert
+  expect_invalid(smpg_bytes(loop), true, "self-loop at edge record 0");
+  EdgeList g(3);
+  g.add_edge(0, 1, 0.5);
+  g.add_edge(1, 2, 0.5);
+  const std::string whole = smpg_bytes(g);
+  expect_invalid(whole.substr(0, whole.size() - 1), true,
+                 "truncated at edge record 1 of 2");
+  expect_invalid(whole + "x", true, "trailing bytes");
+  expect_invalid(whole.substr(0, 10), true, "truncated header");
+}
+
+TEST(GraphIO, LongCommentsAreSkipped) {
+  const std::string comment = "c " + std::string(5000, 'x') + "\n";
+  std::istringstream is(comment + "p edge 3 1\n" + comment + "e 1 3 2.5\n");
+  const EdgeList g = read_dimacs(is);
+  ASSERT_EQ(g.num_edges(), 1u);
+  EXPECT_DOUBLE_EQ(g.edges[0].w, 2.5);
+}
+
+TEST(GraphIO, EdgeReaderStreamsVerbatimAcrossChunks) {
+  // More than two chunks, with parallel edges the readers would drop: the
+  // parser itself hands back every record in file order.
+  EdgeList g = random_graph(3000, 2 * EdgeReader::kChunkEdges + 3, 5);
+  g.edges.push_back(g.edges.front());
+  std::ostringstream text;
+  write_dimacs(text, g);
+  for (const bool binary : {false, true}) {
+    std::istringstream is(binary ? smpg_bytes(g) : text.str(), std::ios::binary);
+    EdgeReader r(is, binary ? EdgeReader::Format::kSmpg : EdgeReader::Format::kDimacs,
+                 "test");
+    EXPECT_EQ(r.num_vertices(), g.num_vertices);
+    EXPECT_EQ(r.declared_edges(), g.num_edges());
+    std::vector<WEdge> all;
+    int chunks = 0;
+    while (r.read_chunk(all)) ++chunks;
+    EXPECT_EQ(chunks, 3);
+    EXPECT_EQ(all, g.edges) << (binary ? "smpg" : "dimacs");
+    EXPECT_FALSE(r.read_chunk(all));
+  }
+}
+
+TEST(GraphIO, FailedWriteLeavesNoFile) {
+  const std::string path = ::testing::TempDir() + "/smpmsf_io_failed.gr";
+  std::remove(path.c_str());
+  {
+    OutputFile out(path);
+    out.stream() << "p edge 1 0\n";
+  }  // never committed
+  EXPECT_FALSE(std::ifstream(path).good());
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  OutputFile out(path);
+  out.stream() << "p edge 1 0\n";
+  out.commit();
+  EXPECT_EQ(read_dimacs_file(path).num_vertices, 1u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include "graph/generators.hpp"
 #include "graph/validate.hpp"
 #include "seq/seq_msf.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -118,6 +119,38 @@ TEST(Validate, IsolatedVerticesNeedNoEdges) {
   const auto chk = validate_spanning_forest(g, {});
   EXPECT_TRUE(chk.ok);
   EXPECT_EQ(chk.num_trees, 4u);
+}
+
+TEST(CanonicalizeParallel, MatchesBruteForceOnDuplicateHeavyInputs) {
+  // Reference: edge i survives iff no edge on its unordered pair is smaller
+  // under WeightOrder ⟨w, id⟩; survivors stay in input order.
+  const auto pair_of = [](const WEdge& e) {
+    return std::pair{std::min(e.u, e.v), std::max(e.u, e.v)};
+  };
+  const std::pair<VertexId, std::size_t> sizes[] = {
+      {2, 1}, {2, 6}, {5, 30}, {40, 300}, {300, 400}};
+  for (const auto& [n, pairs] : sizes) {
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      const EdgeList g = test::duplicate_heavy_graph(n, pairs, seed);
+      std::vector<EdgeId> ref;
+      for (EdgeId i = 0; i < g.edges.size(); ++i) {
+        bool wins = true;
+        for (EdgeId j = 0; j < g.edges.size() && wins; ++j) {
+          wins = pair_of(g.edges[j]) != pair_of(g.edges[i]) ||
+                 !(WeightOrder{g.edges[j].w, j} < WeightOrder{g.edges[i].w, i});
+        }
+        if (wins) ref.push_back(i);
+      }
+      std::vector<EdgeId> kept;
+      const EdgeList c = canonicalize_parallel_edges(g, &kept);
+      ASSERT_EQ(kept, ref) << "n=" << n << " pairs=" << pairs << " seed=" << seed;
+      ASSERT_EQ(c.num_vertices, n);
+      ASSERT_EQ(c.edges.size(), ref.size());
+      for (std::size_t k = 0; k < ref.size(); ++k) {
+        EXPECT_EQ(c.edges[k], g.edges[ref[k]]);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 # End-to-end test of the smpmsf CLI: generate → info → convert → solve →
-# solve --validate, checking exit codes and key output; then the flag
-# parsing of the server, the client and the converter.
+# solve --validate, checking exit codes and key output; the converter's
+# formats and its file-boundary errors; then the flag parsing of the server
+# and the client.
 file(MAKE_DIRECTORY ${WORK})
 
 function(run_cli expect_rc out_var)
@@ -82,6 +83,12 @@ string(FIND "${out}" "validation: OK" pos)
 if(pos EQUAL -1)
   message(FATAL_ERROR "dynamic solve not bit-identical to recompute: ${out}")
 endif()
+# A dynamic run decodes a .smpz into the same canonical edge list.
+run_cli(0 out solve --mode dynamic --alg bor-fal --threads 4 --batch-size 3
+        --update-trace ${WORK}/trace.txt --validate ${WORK}/g.smpz)
+if(NOT out MATCHES "validation: OK")
+  message(FATAL_ERROR "dynamic solve of g.smpz not bit-identical: ${out}")
+endif()
 run_cli(0 out solve --mode static --alg bor-fal ${WORK}/g.gr)
 
 # Error paths, one per exit code class.  Unknown enum values are invalid
@@ -139,9 +146,11 @@ foreach(bad "--n;gen --type random --n 4294967396 --m 300 -o ${WORK}/bad.gr"
   endif()
 endforeach()
 # Removed flags: --compact-sort (the compact always runs the packed radix
-# sort), --auto-tune (the cutoffs are compile-time constants) and --find-min
-# (Bor-EL, Bor-FAL and Champion have one find-min kernel).
-foreach(removed "--compact-sort;radix" "--auto-tune" "--find-min;scan")
+# sort), --auto-tune (the cutoffs are compile-time constants), --find-min
+# (Bor-EL, Bor-FAL and Champion have one find-min kernel) and --graph-format
+# (storage follows the extension: a .smpz solves compressed).
+foreach(removed "--compact-sort;radix" "--auto-tune" "--find-min;scan"
+                "--graph-format;compressed")
   run_cli(2 out solve ${removed} ${WORK}/g.gr)
   list(GET removed 0 flag)
   string(FIND "${cli_err}" "unknown flag ${flag}" pos)
@@ -158,6 +167,91 @@ if(stats MATCHES "\"resolved\"" OR stats MATCHES "\"mode\"")
 endif()
 if(NOT stats MATCHES "\"find_min\": {\"pruned_arcs\": 0}")
   message(FATAL_ERROR "stats JSON lacks find_min.pruned_arcs: ${stats}")
+endif()
+
+# The converter: .smpz through the run sort and merge, .slab verbatim.  A
+# duplicate-heavy DIMACS file (every pair 1-8 times, in both orientations,
+# with tied weights) converts to byte-identical .smpz files with one run and
+# with runs of 7 edges, and the .gr and both .smpz files solve to one weight.
+set(seed 12345)
+set(lines "")
+set(m 0)
+foreach(pair RANGE 299)
+  math(EXPR seed "(${seed} * 1103515245 + 12345) % 2147483648")
+  math(EXPR u "${seed} % 40 + 1")
+  math(EXPR seed "(${seed} * 1103515245 + 12345) % 2147483648")
+  math(EXPR v "(${u} + ${seed} % 39) % 40 + 1")
+  math(EXPR seed "(${seed} * 1103515245 + 12345) % 2147483648")
+  math(EXPR copies "${seed} % 8")
+  foreach(c RANGE ${copies})
+    math(EXPR seed "(${seed} * 1103515245 + 12345) % 2147483648")
+    math(EXPR w "${seed} % 4 + 1")
+    math(EXPR flip "(${seed} / 4) % 2")
+    if(flip)
+      string(APPEND lines "e ${v} ${u} 0.${w}5\n")
+    else()
+      string(APPEND lines "e ${u} ${v} 0.${w}5\n")
+    endif()
+    math(EXPR m "${m} + 1")
+  endforeach()
+endforeach()
+file(WRITE ${WORK}/dup.gr "c duplicate-heavy\np edge 40 ${m}\n${lines}")
+run_cli(0 out convert ${WORK}/dup.gr ${WORK}/dup.smpz)
+run_cli(0 out convert --run-edges 7 ${WORK}/dup.gr ${WORK}/dup7.smpz)
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${WORK}/dup.smpz
+                        ${WORK}/dup7.smpz RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "--run-edges 7 wrote a different .smpz than one run")
+endif()
+run_cli(0 out solve --validate ${WORK}/dup.gr)
+string(REGEX MATCH "weight [0-9.]+" wdup "${out}")
+foreach(z dup.smpz dup7.smpz)
+  run_cli(0 out solve --validate ${WORK}/${z})
+  string(REGEX MATCH "weight [0-9.]+" wz "${out}")
+  if(NOT out MATCHES "validation: OK" OR NOT wz STREQUAL wdup)
+    message(FATAL_ERROR "${z}: '${wz}' vs .gr '${wdup}': ${out}")
+  endif()
+endforeach()
+# A .slab keeps every parallel edge; reading it back canonicalizes them.
+run_cli(0 out convert ${WORK}/dup.gr ${WORK}/dup.slab)
+file(READ ${WORK}/dup.slab magic LIMIT 4 HEX)
+if(NOT magic STREQUAL "534d5042" OR NOT out MATCHES ": ${m} edges")
+  message(FATAL_ERROR "dup.slab is not a ${m}-edge slab: ${out}")
+endif()
+run_cli(0 out solve --validate ${WORK}/dup.slab)
+string(REGEX MATCH "weight [0-9.]+" wz "${out}")
+if(NOT wz STREQUAL wdup)
+  message(FATAL_ERROR "dup.slab: '${wz}' vs .gr '${wdup}'")
+endif()
+# A DIMACS comment of any length is skipped.
+string(REPEAT "x" 300 long)
+file(WRITE ${WORK}/long.gr "c ${long}\np edge 3 2\nc ${long}\ne 1 2 0.5\ne 2 3 0.25\n")
+run_cli(0 out convert ${WORK}/long.gr ${WORK}/long.smpz)
+run_cli(2 out convert --run-edges -1 ${WORK}/g.gr ${WORK}/g.smpz)
+if(NOT cli_err MATCHES "malformed number for --run-edges")
+  message(FATAL_ERROR "convert --run-edges -1: ${cli_err}")
+endif()
+
+# Bad bytes at the file boundary are invalid input (exit 3) for every
+# command, and a failed conversion leaves no output file.
+file(WRITE ${WORK}/loop.gr "p edge 3 1\ne 2 2 0.1\n")
+file(WRITE ${WORK}/short.gr "p edge 3 5\ne 1 2 0.5\ne 2 3 0.25\n")
+file(WRITE ${WORK}/long_count.gr "p edge 3 1\ne 1 2 0.5\ne 2 3 0.25\n")
+execute_process(COMMAND head -c 50 ${WORK}/g.smpg
+                OUTPUT_FILE ${WORK}/trunc.smpg RESULT_VARIABLE rc)  # 1.9 records
+foreach(bad loop.gr short.gr long_count.gr trunc.smpg)
+  run_cli(3 out solve ${WORK}/${bad})
+  run_cli(3 out info ${WORK}/${bad})
+  foreach(ext smpz slab smpg gr)
+    file(REMOVE ${WORK}/out.${ext})
+    run_cli(3 out convert ${WORK}/${bad} ${WORK}/out.${ext})
+    if(EXISTS ${WORK}/out.${ext} OR EXISTS ${WORK}/out.${ext}.tmp)
+      message(FATAL_ERROR "convert ${bad} -> out.${ext} failed but left a file")
+    endif()
+  endforeach()
+endforeach()
+if(NOT cli_err MATCHES "truncated at edge record 1")
+  message(FATAL_ERROR "trunc.smpg: no truncation diagnostic: ${cli_err}")
 endif()
 
 # The server parses --alg through the same table as the CLI.  Parsing stops
@@ -190,8 +284,8 @@ foreach(bad "--threads;4x" "--shards;banana" "--queue-cap;-1")
     message(FATAL_ERROR "server ${bad} exited ${rc}: ${err}")
   endif()
 endforeach()
-# So do the client's and the converter's, the client's tcp:// port included;
-# each is rejected before any connection or file is opened.
+# So do the client's, its tcp:// port included; each is rejected before any
+# connection is opened.
 foreach(bad "--clients;4x" "--socket;tcp://localhost:12ab")
   list(GET bad 0 flag)
   execute_process(COMMAND ${CLIENT} --socket ${WORK}/none.sock ${bad} -e ping
@@ -200,8 +294,3 @@ foreach(bad "--clients;4x" "--socket;tcp://localhost:12ab")
     message(FATAL_ERROR "client ${bad} exited ${rc}: ${err}")
   endif()
 endforeach()
-execute_process(COMMAND ${CONVERT} --run-edges -1 ${WORK}/g.gr ${WORK}/g.smpz
-                OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
-if(NOT rc EQUAL 2 OR NOT err MATCHES "malformed number for --run-edges")
-  message(FATAL_ERROR "convert --run-edges -1 exited ${rc}: ${err}")
-endif()

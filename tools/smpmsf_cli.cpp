@@ -2,12 +2,19 @@
 //
 //   smpmsf gen --type T --n N [--m M] [--k K] [--seed S] -o FILE
 //   smpmsf info FILE
-//   smpmsf convert IN OUT           (format chosen by extension: .smpg = binary)
+//   smpmsf convert [--run-edges N] [--tmp-dir DIR] IN OUT
 //   smpmsf solve [--alg A] [--threads P] [--seed S] [--timeout SECS]
 //                [--mem-cap BYTES] [--no-fallback] [--validate] [--steps]
 //                [--stats-json FILE] [--mode static|dynamic]
 //                [--batch-size N] [--update-trace FILE] FILE
 //   smpmsf cc [--threads P] FILE
+//
+// Graph files are picked by extension: .smpg binary edge list, .smpz
+// compressed CSR, .slab edge slab, anything else DIMACS text.  `convert`
+// streams its input into a .smpz (external run sort and merge, runs of
+// --run-edges edges spilled to --tmp-dir) or a .slab (verbatim multigraph),
+// and loads it, parallel edges canonicalized, for a .smpg or DIMACS output.
+// `gen` writes through the same writers.
 //
 // Graph types: random (needs --m), mesh2d, mesh2d60, mesh3d40,
 // geometric (--k), str0..str3, rmat (needs --m).
@@ -33,11 +40,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <cmath>
 #include <fstream>
 #include <initializer_list>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -51,6 +58,7 @@
 #include "core/verify_msf.hpp"
 #include "core/msf.hpp"
 #include "dynamic/dynamic_msf.hpp"
+#include "dynamic/edge_slab.hpp"
 #include "core/compressed_solve.hpp"
 #include "graph/compressed_csr.hpp"
 #include "graph/generators.hpp"
@@ -74,17 +82,15 @@ using namespace smp::graph;
                "usage:\n"
                "  smpmsf gen --type T --n N [--m M] [--k K] [--seed S] -o FILE\n"
                "  smpmsf info FILE\n"
-               "  smpmsf convert IN OUT\n"
+               "  smpmsf convert [--run-edges N] [--tmp-dir DIR] IN OUT\n"
                "  smpmsf solve [--alg A] [--threads P] [--seed S]"
                " [--timeout SECS] [--mem-cap BYTES] [--no-fallback]"
                " [--validate] [--steps] [--stats-json FILE]\n"
                "               [--mode static|dynamic] [--batch-size N]"
-               " [--update-trace FILE]\n"
-               "               [--graph-format auto|edges|compressed]"
-               " FILE\n"
+               " [--update-trace FILE] FILE\n"
                "  smpmsf cc [--threads P] FILE\n"
                "formats by extension: .smpg binary, .smpz compressed csr,"
-               " else DIMACS text\n"
+               " .slab edge slab, else DIMACS text\n"
                "types: random mesh2d mesh2d60 mesh3d40 geometric str0-str3 rmat\n"
                "algs: ");
   for (const core::AlgorithmName& row : core::kAlgorithmNames) {
@@ -104,24 +110,90 @@ SolveMode parse_mode(const std::string& s) {
                    "unknown mode '" + s + "' (valid: static dynamic)");
 }
 
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
+enum class Format { kDimacs, kSmpg, kSmpz, kSlab };
+
+Format format_of(const std::string& path) {
+  if (path.ends_with(".smpg")) return Format::kSmpg;
+  if (path.ends_with(".smpz")) return Format::kSmpz;
+  if (path.ends_with(".slab")) return Format::kSlab;
+  return Format::kDimacs;
 }
 
+/// The file as an edge list, parallel edges canonicalized (a .smpz holds
+/// only canonical edges already).
 EdgeList load(const std::string& path) {
-  if (ends_with(path, ".smpz")) {
-    // Eager decode: fine for info/convert; solve keeps the compressed form
+  const Format format = format_of(path);
+  if (format == Format::kSmpz) {
+    // Eager decode: fine for info/cc; solve keeps the compressed form
     // (see cmd_solve) so big graphs never materialize an edge list.
     return CompressedCsr::open_file(path).decode_edge_list();
   }
-  return ends_with(path, ".smpg") ? read_binary_file(path) : read_dimacs_file(path);
+  if (format == Format::kSlab) {
+    const auto slab = dynamic::EdgeSlab::open(path);
+    EdgeList g(slab.num_vertices());
+    g.edges.assign(slab.edges(), slab.edges() + slab.num_edges());
+    return canonicalize_parallel_edges(g);
+  }
+  return format == Format::kSmpg ? read_binary_file(path) : read_dimacs_file(path);
+}
+
+/// Streams the file's edges in file order: `begin(n)` once, then `add(chunk)`
+/// per chunk.  DIMACS and .smpg stream verbatim through the parser; a .smpz
+/// or .slab is loaded.
+template <class Begin, class Add>
+void stream_edges(const std::string& path, Begin&& begin, Add&& add) {
+  const Format format = format_of(path);
+  if (format == Format::kSmpz || format == Format::kSlab) {
+    const EdgeList g = load(path);
+    begin(g.num_vertices);
+    add(std::span<const WEdge>(g.edges));
+    return;
+  }
+  std::ifstream is(path, std::ios::binary);
+  if (!is) throw smp::Error(smp::ErrorCode::kInvalidInput, "cannot open " + path);
+  EdgeReader r(is,
+               format == Format::kSmpg ? EdgeReader::Format::kSmpg
+                                       : EdgeReader::Format::kDimacs,
+               path);
+  begin(r.num_vertices());
+  std::vector<WEdge> chunk;
+  while (r.read_chunk(chunk)) {
+    add(std::span<const WEdge>(chunk));
+    chunk.clear();
+  }
+}
+
+/// Writes the edges `source(begin, add)` streams (see stream_edges) to a
+/// .smpz or .slab `path` through that format's one writer; returns the
+/// edge count written.
+template <class Source>
+EdgeId write_streamed(const std::string& path, std::size_t run_edges,
+                      const std::string& tmp_dir, Source&& source) {
+  std::optional<CompressedCsrWriter> smpz;
+  std::optional<dynamic::EdgeSlabWriter> slab;
+  source(
+      [&](VertexId n) {
+        if (format_of(path) == Format::kSmpz) {
+          smpz.emplace(path, n, run_edges, tmp_dir);
+        } else {
+          slab.emplace(path, n);
+        }
+      },
+      [&](std::span<const WEdge> chunk) {
+        smpz ? smpz->add_edges(chunk) : slab->add_edges(chunk);
+      });
+  return smpz ? smpz->finish() : slab->finish();
 }
 
 void store(const std::string& path, const EdgeList& g) {
-  if (ends_with(path, ".smpz")) {
-    CompressedCsr::build(g).write_file(path);
-  } else if (ends_with(path, ".smpg")) {
+  const Format format = format_of(path);
+  if (format == Format::kSmpz || format == Format::kSlab) {
+    write_streamed(path, CompressedCsrWriter::kDefaultRunEdges, "",
+                   [&](auto&& begin, auto&& add) {
+                     begin(g.num_vertices);
+                     add(std::span<const WEdge>(g.edges));
+                   });
+  } else if (format == Format::kSmpg) {
     write_binary_file(path, g);
   } else {
     write_dimacs_file(path, g);
@@ -255,7 +327,7 @@ int cmd_gen(const Flags& f) {
 
 int cmd_info(const Flags& f) {
   if (f.positional.size() != 1) usage("info needs exactly one FILE");
-  if (ends_with(f.positional[0], ".smpz")) {
+  if (format_of(f.positional[0]) == Format::kSmpz) {
     const CompressedCsr c = CompressedCsr::open_file(f.positional[0]);
     std::printf("format: compressed csr (.smpz)\n");
     std::printf("structure: %zu bytes (%.2f B/edge), adjacency %zu bytes\n",
@@ -275,10 +347,27 @@ int cmd_info(const Flags& f) {
   return 0;
 }
 
+/// `convert IN OUT`: a .smpz or .slab OUT is written streaming (see
+/// write_streamed); any other OUT from the loaded, canonicalized graph.
 int cmd_convert(const Flags& f) {
   if (f.positional.size() != 2) usage("convert needs IN and OUT");
-  store(f.positional[1], load(f.positional[0]));
-  std::printf("converted %s -> %s\n", f.positional[0].c_str(), f.positional[1].c_str());
+  const std::string& in = f.positional[0];
+  const std::string& out = f.positional[1];
+  const auto run_edges = f.num<std::size_t>(
+      "--run-edges", CompressedCsrWriter::kDefaultRunEdges);
+  if (run_edges == 0) usage("--run-edges must be >= 1");
+  const Format to = format_of(out);
+  EdgeId m = 0;
+  if (to == Format::kSmpz || to == Format::kSlab) {
+    m = write_streamed(out, run_edges, f.get("--tmp-dir").value_or(""),
+                       [&](auto&& begin, auto&& add) { stream_edges(in, begin, add); });
+  } else {
+    const EdgeList g = load(in);
+    store(out, g);
+    m = g.num_edges();
+  }
+  std::printf("converted %s -> %s: %llu edges\n", in.c_str(), out.c_str(),
+              static_cast<unsigned long long>(m));
   return 0;
 }
 
@@ -479,24 +568,15 @@ void write_stats_json(const std::string& path, const std::string& alg,
 int cmd_solve(const Flags& f) {
   if (f.positional.size() != 1) usage("solve needs exactly one FILE");
   const std::string& file = f.positional[0];
-  // --graph-format: how the solver sees the graph.  "compressed" keeps (or
-  // builds) the delta/varint CSR and solves through the compressed entry
-  // point (Champion streams from the rows, other algorithms decode once);
-  // "edges" forces the classic EdgeList even for a .smpz file; "auto" picks
-  // by extension.
-  const std::string gfmt = f.get("--graph-format").value_or("auto");
-  if (gfmt != "auto" && gfmt != "edges" && gfmt != "compressed") {
-    throw smp::Error(smp::ErrorCode::kInvalidInput,
-                     "unknown graph format '" + gfmt +
-                         "' (valid: auto edges compressed)");
-  }
+  const SolveMode mode = parse_mode(f.get("--mode").value_or("static"));
+  // A static solve keeps a .smpz compressed: Champion streams from the rows,
+  // other algorithms decode once.  Everything else loads as an edge list.
   const bool compressed =
-      gfmt == "compressed" || (gfmt == "auto" && ends_with(file, ".smpz"));
+      mode == SolveMode::kStatic && format_of(file) == Format::kSmpz;
   std::optional<CompressedCsr> cz;
   EdgeList g;
   if (compressed) {
-    cz = ends_with(file, ".smpz") ? CompressedCsr::open_file(file)
-                                  : CompressedCsr::build(load(file));
+    cz = CompressedCsr::open_file(file);
   } else {
     g = load(file);
   }
@@ -550,10 +630,8 @@ int cmd_solve(const Flags& f) {
 
   opts.algorithm = core::parse_algorithm(alg);
 
-  const SolveMode mode = parse_mode(f.get("--mode").value_or("static"));
   if (mode == SolveMode::kDynamic) {
     if (stats_path) usage("--stats-json needs --mode static");
-    if (compressed) usage("--mode dynamic needs an edge-list input");
     return solve_dynamic(f, g, opts, alg);
   }
   if (f.get("--update-trace") || f.get("--batch-size")) {
@@ -626,13 +704,15 @@ int main(int argc, char** argv) {
                            {"--type", "--n", "--m", "--k", "--seed", "--out"}));
     }
     if (cmd == "info") return cmd_info(parse(argc, argv, 2, {}));
-    if (cmd == "convert") return cmd_convert(parse(argc, argv, 2, {}));
+    if (cmd == "convert") {
+      return cmd_convert(parse(argc, argv, 2, {"--run-edges", "--tmp-dir"}));
+    }
     if (cmd == "solve") {
       return cmd_solve(parse(
           argc, argv, 2,
           {"--alg", "--threads", "--seed", "--timeout", "--mem-cap",
            "--no-fallback", "--validate", "--steps", "--stats-json",
-           "--mode", "--batch-size", "--update-trace", "--graph-format"}));
+           "--mode", "--batch-size", "--update-trace"}));
     }
     if (cmd == "cc") return cmd_cc(parse(argc, argv, 2, {"--threads"}));
     usage(("unknown command " + cmd).c_str());
