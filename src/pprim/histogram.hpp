@@ -55,6 +55,16 @@ class Histogram {
     std::uint64_t sum = 0;
     std::uint64_t max = 0;
 
+    /// Adds `o`'s samples: the snapshot of a histogram split into shards
+    /// is the merge of the shards' snapshots.
+    Snapshot& operator+=(const Snapshot& o) {
+      for (std::size_t b = 0; b < kBuckets; ++b) buckets[b] += o.buckets[b];
+      count += o.count;
+      sum += o.sum;
+      if (o.max > max) max = o.max;
+      return *this;
+    }
+
     [[nodiscard]] double mean() const {
       return count == 0 ? 0.0
                         : static_cast<double>(sum) / static_cast<double>(count);

@@ -9,8 +9,7 @@ namespace smp::serve {
 
 namespace {
 
-std::string histogram_json(const Histogram& h) {
-  const Histogram::Snapshot s = h.snapshot();
+std::string histogram_json(const Histogram::Snapshot& s) {
   char buf[256];
   std::snprintf(buf, sizeof buf,
                 "{\"count\": %" PRIu64
@@ -26,8 +25,8 @@ std::string histogram_json(const Histogram& h) {
 std::string MetricsRegistry::to_json(
     std::size_t queue_capacity, double uptime_s,
     const std::vector<std::uint64_t>& shard_depths) const {
-  const auto u64 = [](const std::atomic<std::uint64_t>& a) {
-    return a.load(std::memory_order_relaxed);
+  const auto u64 = [](const auto& c) {
+    return c.load(std::memory_order_relaxed);
   };
   char buf[512];
   std::string json = "{";
@@ -65,7 +64,7 @@ std::string MetricsRegistry::to_json(
                 u64(apply_batches), u64(coalesced_writes),
                 u64(coalesce_conflicts));
   json += buf;
-  json += histogram_json(coalesce_size) + "}";
+  json += histogram_json(coalesce_size.snapshot()) + "}";
   std::snprintf(buf, sizeof buf,
                 ", \"deadline_exceeded\": %" PRIu64
                 ", \"compactions\": %" PRIu64 ", \"slots_reclaimed\": %" PRIu64,
@@ -92,7 +91,7 @@ std::string MetricsRegistry::to_json(
                 u64(index_carried), u64(insert_index_path),
                 u64(insert_solve_fallbacks));
   json += buf;
-  json += histogram_json(index_rebuild_us) + "}";
+  json += histogram_json(index_rebuild_us.snapshot()) + "}";
   json += ", \"ops\": {";
   bool first = true;
   for (int i = 0; i < kNumOps; ++i) {
@@ -111,7 +110,7 @@ std::string MetricsRegistry::to_json(
                   ", \"latency_us\": ",
                   completed, m.errors.load(std::memory_order_relaxed));
     json += buf;
-    json += histogram_json(m.latency_us) + "}";
+    json += histogram_json(m.latency_us.snapshot()) + "}";
   }
   json += "}}";
   return json;

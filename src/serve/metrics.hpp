@@ -4,32 +4,103 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "persist/session_log.hpp"
+#include "pprim/cacheline.hpp"
 #include "pprim/histogram.hpp"
 #include "serve/request.hpp"
 
 namespace smp::serve {
 
+/// Shards per counter or histogram that every read bumps.
+inline constexpr std::size_t kMetricShards = 16;
+
+/// The calling thread's shard: threads take shards round-robin at their
+/// first recording.  Two threads that land on one shard still count exactly
+/// (every shard is atomic); they only share its cache line.
+inline std::size_t metric_shard() {
+  static std::atomic<std::size_t> next{0};
+  thread_local const std::size_t shard =
+      next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
+  return shard;
+}
+
+/// A monotone counter split into cache-line shards, one per thread slot, so
+/// concurrent readers each write only their own line.  Atomic-like: load()
+/// sums the shards, fetch_add() bumps the caller's, store() is reset
+/// support (not atomic with respect to concurrent adds).
+class ShardedCounter {
+ public:
+  void fetch_add(std::uint64_t d,
+                 std::memory_order o = std::memory_order_relaxed) {
+    shards_[metric_shard()]->fetch_add(d, o);
+  }
+  [[nodiscard]] std::uint64_t load(
+      std::memory_order o = std::memory_order_relaxed) const {
+    std::uint64_t sum = 0;
+    for (const auto& s : shards_) sum += s->load(o);
+    return sum;
+  }
+  void store(std::uint64_t v,
+             std::memory_order o = std::memory_order_relaxed) {
+    for (auto& s : shards_) s->store(0, o);
+    shards_[0]->store(v, o);
+  }
+  /// The sum as a plain atomic, for callers that take counters as
+  /// `const std::atomic<std::uint64_t>&` (the benchmark harness does).
+  operator const std::atomic<std::uint64_t>&() const {
+    total_.store(load(), std::memory_order_relaxed);
+    return total_;
+  }
+
+ private:
+  std::array<Padded<std::atomic<std::uint64_t>>, kMetricShards> shards_{};
+  mutable std::atomic<std::uint64_t> total_{0};
+};
+
+/// A Histogram split into per-thread-slot shards; snapshot() merges them.
+/// The shards (2 KB each) live on the heap, so a registry stays small
+/// enough for the stack.
+class ShardedHistogram {
+ public:
+  void record(std::uint64_t value) { shards_[metric_shard()]->record(value); }
+  void reset() {
+    for (std::size_t i = 0; i < kMetricShards; ++i) shards_[i]->reset();
+  }
+  [[nodiscard]] Histogram::Snapshot snapshot() const {
+    Histogram::Snapshot s;
+    for (std::size_t i = 0; i < kMetricShards; ++i) s += shards_[i]->snapshot();
+    return s;
+  }
+
+ private:
+  std::unique_ptr<Padded<Histogram>[]> shards_ =
+      std::make_unique<Padded<Histogram>[]>(kMetricShards);
+};
+
 /// Per-op serving metrics: end-to-end latency (submission to completion,
 /// microseconds — queue wait included, because that is what a client
-/// experiences) plus completion and error counts.
+/// experiences) plus completion and error counts.  Sharded, because every
+/// inline read records here.
 struct OpMetrics {
-  Histogram latency_us;
-  std::atomic<std::uint64_t> completed{0};
-  std::atomic<std::uint64_t> errors{0};  ///< non-kOk completions
+  ShardedHistogram latency_us;
+  ShardedCounter completed;
+  ShardedCounter errors;  ///< non-kOk completions
 };
 
 /// All counters of the service, updated lock-free on the hot path and
 /// dumped as one JSON document by the `stats` request.  Everything here is
 /// monotone or a gauge, so concurrent scrapes are always consistent enough
-/// to difference across time.
+/// to difference across time.  The counters an inline read bumps
+/// (`submitted`, `reads_inline`, `index_hits` and the per-op metrics) are
+/// sharded per thread; a scrape sums the shards.
 class MetricsRegistry {
  public:
   // --- admission / queue ---
-  std::atomic<std::uint64_t> submitted{0};
+  ShardedCounter submitted;
   std::atomic<std::uint64_t> rejected_overload{0};
   std::atomic<std::uint64_t> rejected_shutdown{0};
   std::atomic<std::uint64_t> queue_depth{0};      ///< gauge
@@ -38,7 +109,7 @@ class MetricsRegistry {
   // --- scale-out serving ---
   /// Read-shaped ops served inline on the submitting thread (the priority
   /// lane) instead of crossing a shard queue.
-  std::atomic<std::uint64_t> reads_inline{0};
+  ShardedCounter reads_inline;
   /// Write/admin ops shed by the per-client token bucket.
   std::atomic<std::uint64_t> rejected_rate_limited{0};
   /// MVCC epochs published / retired off session snapshot rings.
@@ -68,7 +139,7 @@ class MetricsRegistry {
   Histogram index_rebuild_us;
   /// Query fast path: answers served from a version-matched index without
   /// the state lock vs. queries that found the index stale (or absent).
-  std::atomic<std::uint64_t> index_hits{0};
+  ShardedCounter index_hits;
   std::atomic<std::uint64_t> index_misses{0};
   /// Epochs that reused the previous epoch's index (same forest) instead of
   /// building one.

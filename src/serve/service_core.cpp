@@ -57,15 +57,41 @@ struct SessionSnapshot {
   mutable std::shared_ptr<const query::ForestIndex> index;
 };
 
+/// The words of a session that a reader's pinned view checks on every hit,
+/// each on its own cache line.  The committer stores `latest_epoch` once per
+/// published epoch; drop and shutdown store `closed` once.  Views hold it by
+/// shared_ptr, never the Session.
+struct SessionHead {
+  alignas(kCacheLineBytes) std::atomic<std::uint64_t> latest_epoch{0};
+  alignas(kCacheLineBytes) std::atomic<bool> closed{false};
+};
+
+/// A reading thread's pinned view of one session's latest epoch.  A read
+/// whose core, session and epoch match it answers from `snap` and `index`
+/// without copying a shared_ptr or taking a lock.  It holds no Session, so
+/// a dropped session's log and flusher thread never outlive the drop; what
+/// it keeps alive is one epoch, released at the thread's next read that
+/// misses, or at its exit.
+struct ReadView {
+  std::uint64_t core = 0;  ///< ServiceCore::id_; 0 = empty
+  std::string session;
+  std::uint64_t epoch = 0;
+  std::shared_ptr<const SessionSnapshot> snap;
+  /// The epoch's index; null when the view was filled before it had one.
+  std::shared_ptr<const query::ForestIndex> index;
+  std::shared_ptr<const SessionHead> head;
+};
+
 /// One named graph session.  `state_mu` is the writer lock: the write
 /// flusher and recompute/compact hold it exclusively.  Reads never take it
 /// — every committed mutation publishes an immutable SessionSnapshot into
 /// the epoch ring, and reads serve from a ring entry (latest by default,
-/// pinned via Request::pin_epoch otherwise), making them wait-free with
-/// respect to writers.  The pending list + flushing flag implement write
-/// coalescing.
+/// pinned via Request::pin_epoch otherwise) or from the reading thread's
+/// ReadView of the latest one.  The pending list + flushing flag implement
+/// write coalescing.
 struct Session {
   std::string name;
+  std::shared_ptr<SessionHead> head = std::make_shared<SessionHead>();
 
   std::shared_mutex state_mu;
   std::unique_ptr<dynamic::DynamicMsf> msf;  ///< guarded by state_mu
@@ -91,7 +117,8 @@ struct Session {
   /// version without touching state_mu.
   std::atomic<std::uint64_t> committed_version{0};
   /// Set by the first query op; write flushes only rebuild the index
-  /// eagerly for sessions that actually serve queries.
+  /// eagerly for sessions that actually serve queries.  Stored only while
+  /// still false, so reads keep its line shared.
   std::atomic<bool> query_active{false};
   std::atomic<std::uint64_t> index_rebuilds{0};
 
@@ -264,6 +291,121 @@ std::shared_ptr<const std::vector<WEdge>> snapshot_forest_edges(
   return fe;
 }
 
+/// A kWeight / kForestEdges / kSnapshot answer from one epoch.
+Response answer_read(const Request& req, const SessionSnapshot& snap) {
+  Response r;
+  r.epoch = snap.epoch;
+  switch (req.op) {
+    case Op::kWeight:
+      fill_snapshot_facts(r, snap);
+      return r;
+    case Op::kForestEdges: {
+      fill_snapshot_facts(r, snap);
+      const auto fe = snapshot_forest_edges(snap);
+      r.edges_total = fe->size();
+      const std::size_t take =
+          req.limit == 0 ? fe->size() : std::min(req.limit, fe->size());
+      r.edges.assign(fe->begin(),
+                     fe->begin() + static_cast<std::ptrdiff_t>(take));
+      return r;
+    }
+    case Op::kSnapshot:
+      // Built from the epoch's view once, then immutable and shared —
+      // handing the pointer out is the whole copy.
+      fill_snapshot_facts(r, snap);
+      r.snapshot = snapshot_data(snap);
+      return r;
+    default:
+      return make_error(Status::kInternal, "bad read dispatch");
+  }
+}
+
+/// A kConnected / kConn / kPathMax / kCut / kTopK answer from one epoch and
+/// its ForestIndex.
+Response answer_query(const Request& req, const SessionSnapshot& snap,
+                      const query::ForestIndex& idx) {
+  Response r;
+  r.epoch = snap.epoch;
+  r.index_version = idx.version();
+  const VertexId n = idx.num_vertices();
+  switch (req.op) {
+    case Op::kConnected:
+    case Op::kConn:
+      if (req.u >= n || req.v >= n) {
+        return make_error(Status::kInvalidInput, "vertex out of range");
+      }
+      r.connected = idx.connected(req.u, req.v);
+      return r;
+    case Op::kPathMax: {
+      if (req.u >= n || req.v >= n) {
+        return make_error(Status::kInvalidInput, "vertex out of range");
+      }
+      if (req.u == req.v) {
+        return make_error(Status::kInvalidInput,
+                          "pathmax endpoints must differ (empty path has no "
+                          "bottleneck edge)");
+      }
+      const query::ForestIndex::PathMax pm = idx.path_max(req.u, req.v);
+      r.pathmax_found = pm.connected;
+      r.connected = pm.connected;
+      if (pm.connected) {
+        r.pathmax_id = pm.edge_id;
+        r.pathmax_u = pm.u;
+        r.pathmax_v = pm.v;
+        r.pathmax_w = pm.weight;
+      }
+      return r;
+    }
+    case Op::kCut: {
+      if (!std::isfinite(req.lambda)) {
+        return make_error(Status::kInvalidInput, "lambda must be finite");
+      }
+      const query::ForestIndex::Cut c = idx.cut(req.lambda);
+      r.clusters = c.num_clusters;
+      r.cut_digest = c.labels_digest;
+      return r;
+    }
+    case Op::kTopK: {
+      // The line protocol validates these before the core; the binary
+      // protocol hands requests straight through, so the core re-checks.
+      if (req.limit == 0 || req.limit > kMaxTopK) {
+        return make_error(Status::kInvalidInput,
+                          "topk needs k in [1, " + std::to_string(kMaxTopK) +
+                              "]");
+      }
+      std::optional<graph::Weight> lambda;
+      if (req.has_lambda) {
+        if (!std::isfinite(req.lambda)) {
+          return make_error(Status::kInvalidInput, "lambda must be finite");
+        }
+        lambda = req.lambda;
+      }
+      // The scan runs over the epoch's immutable store view — no lock,
+      // inline on this thread.
+      ThreadTeam local(1);
+      const std::vector<query::ForestIndex::TopkEdge> top =
+          idx.top_k(local, snap.view, req.limit, lambda);
+      r.edges.reserve(top.size());
+      r.edge_ids.reserve(top.size());
+      for (const auto& e : top) {
+        r.edges.push_back(WEdge{e.u, e.v, e.w});
+        r.edge_ids.push_back(e.id);
+      }
+      return r;
+    }
+    default:
+      return make_error(Status::kInternal, "bad query dispatch");
+  }
+}
+
+/// This thread's pinned view (see ReadView).
+thread_local ReadView t_view;
+
+std::uint64_t next_core_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 std::uint64_t pair_key(VertexId u, VertexId v) {
   if (u > v) std::swap(u, v);
   return (static_cast<std::uint64_t>(u) << 32) | v;
@@ -298,6 +440,7 @@ ServeOptions normalize(ServeOptions opts) {
 
 ServiceCore::ServiceCore(ServeOptions opts)
     : opts_(normalize(std::move(opts))),
+      id_(next_core_id()),
       started_(Clock::now()),
       ring_(opts_.shards) {
   // Shards first: recovery schedules replay solves on their teams.  With
@@ -338,6 +481,14 @@ ServiceCore::~ServiceCore() { shutdown(); }
 void ServiceCore::shutdown() {
   std::call_once(shutdown_once_, [&] {
     stopping_.store(true, std::memory_order_release);
+    {
+      // Thread views of this core's sessions stop hitting, so a read after
+      // shutdown reaches the stopping_ check.
+      std::lock_guard<std::mutex> lk(sessions_mu_);
+      for (auto& [name, s] : sessions_) {
+        s->head->closed.store(true, std::memory_order_release);
+      }
+    }
     for (auto& shard : shards_) shard->queue->close();  // admitted work drains
     for (auto& shard : shards_) {
       for (auto& t : shard->dispatchers) t.join();
@@ -400,11 +551,22 @@ bool ServiceCore::rate_admit(const std::string& client_id) {
 }
 
 bool ServiceCore::submit(Request req, std::function<void(Response)> done) {
+  const Clock::time_point now = Clock::now();
+  if (is_read_shaped(req.op)) {
+    // The read priority lane: snapshot reads run inline on the submitting
+    // (transport) thread — no queueing behind writes, no dispatcher
+    // handoff, and overload shedding never touches them.  Unknown sessions
+    // fall through to the queue for the uniform kNotFound path.
+    if (std::optional<Response> r = serve_read(req, now)) {
+      done(std::move(*r));
+      return true;
+    }
+  }
   metrics_.submitted.fetch_add(1, std::memory_order_relaxed);
   QueuedRequest qr;
   qr.req = std::move(req);
   qr.done = std::move(done);
-  qr.submitted = Clock::now();
+  qr.submitted = now;
   qr.deadline = kNoDeadline;
   const double dl =
       qr.req.deadline_s > 0 ? qr.req.deadline_s : opts_.default_deadline_s;
@@ -418,31 +580,13 @@ bool ServiceCore::submit(Request req, std::function<void(Response)> done) {
     qr.done(make_error(Status::kShuttingDown, "service is shutting down"));
     return false;
   }
-  const bool read_lane = is_read_shaped(qr.req.op);
   // Tiered back-pressure: write/admin ops pay the per-client token bucket;
-  // read-shaped ops ride the priority lane below and are never limited.
-  if (!read_lane && !rate_admit(qr.req.client_id)) {
+  // read-shaped ops ride the priority lane and are never limited.
+  if (!is_read_shaped(qr.req.op) && !rate_admit(qr.req.client_id)) {
     metrics_.rejected_rate_limited.fetch_add(1, std::memory_order_relaxed);
     qr.done(make_error(Status::kRateLimited,
                        "client '" + qr.req.client_id + "' over rate limit"));
     return false;
-  }
-  if (read_lane) {
-    // The read priority lane: snapshot reads are wait-free, so they run
-    // inline on the submitting (transport) thread — no queueing behind
-    // writes, no dispatcher handoff, and overload shedding never touches
-    // them.  Unknown sessions fall through to the queue for the uniform
-    // kNotFound path.
-    if (const std::shared_ptr<Session> s = find_session(qr.req.session)) {
-      metrics_.reads_inline.fetch_add(1, std::memory_order_relaxed);
-      try {
-        finish(qr, is_query_op(qr.req.op) ? do_query(*s, qr)
-                                          : do_read(*s, qr));
-      } catch (const std::exception& e) {
-        finish(qr, make_error(status_of(e), e.what()));
-      }
-      return true;
-    }
   }
   Shard& shard = shard_of(qr.req.session);
   if (!shard.queue->try_push(std::move(qr))) {
@@ -460,6 +604,11 @@ bool ServiceCore::submit(Request req, std::function<void(Response)> done) {
 }
 
 Response ServiceCore::call(Request req) {
+  if (is_read_shaped(req.op)) {
+    if (std::optional<Response> r = serve_read(req, Clock::now())) {
+      return std::move(*r);
+    }
+  }
   std::promise<Response> p;
   std::future<Response> f = p.get_future();
   submit(std::move(req), [&p](Response r) { p.set_value(std::move(r)); });
@@ -500,6 +649,79 @@ std::shared_ptr<Session> ServiceCore::find_session(const std::string& name) {
     return nullptr;
   }
   return it->second;
+}
+
+std::optional<Response> ServiceCore::serve_read(const Request& req,
+                                                Clock::time_point submitted) {
+  ReadView& view = t_view;
+  const bool query = is_query_op(req.op);
+  Response r;
+  try {
+    // The hit: two acquire loads of lines only committers write, and a
+    // name compare.  No lock, no refcount, no store to a shared line.
+    if (req.pin_epoch == 0 && view.core == id_ &&
+        (view.index != nullptr || !query) && view.session == req.session &&
+        !view.head->closed.load(std::memory_order_acquire) &&
+        view.head->latest_epoch.load(std::memory_order_acquire) ==
+            view.epoch) {
+      if (query) metrics_.index_hits.fetch_add(1, std::memory_order_relaxed);
+      r = query ? answer_query(req, *view.snap, *view.index)
+                : answer_read(req, *view.snap);
+    } else {
+      view = ReadView{};  // a thread keeps at most one epoch alive
+      if (stopping_.load(std::memory_order_acquire)) return std::nullopt;
+      const std::shared_ptr<Session> s = find_session(req.session);
+      if (s == nullptr) return std::nullopt;
+      r = read_locked(*s, req, &view);
+    }
+  } catch (const std::exception& e) {
+    r = make_error(status_of(e), e.what());
+  }
+  metrics_.submitted.fetch_add(1, std::memory_order_relaxed);
+  metrics_.reads_inline.fetch_add(1, std::memory_order_relaxed);
+  metrics_.record_completion(
+      req.op, r.status,
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                                submitted)
+              .count()));
+  return r;
+}
+
+Response ServiceCore::read_locked(Session& s, const Request& req,
+                                  ReadView* view) {
+  const bool query = is_query_op(req.op);
+  if (query && !s.query_active.load(std::memory_order_relaxed)) {
+    s.query_active.store(true, std::memory_order_relaxed);
+  }
+  Response err;
+  const std::shared_ptr<SessionSnapshot> snap =
+      pinned_snapshot(s, req.pin_epoch, &err);
+  if (snap == nullptr) return err;
+  // The snapshot's index when it is already built (eagerly at a flush
+  // tail, or by an earlier query against this epoch).
+  std::shared_ptr<const query::ForestIndex> idx;
+  {
+    std::lock_guard<std::mutex> lk(snap->index_mu);
+    idx = snap->index;
+  }
+  if (query) {
+    if (idx != nullptr) {
+      metrics_.index_hits.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      metrics_.index_misses.fetch_add(1, std::memory_order_relaxed);
+      idx = snapshot_index(s, *snap, /*eager=*/false);
+    }
+  }
+  if (view != nullptr && req.pin_epoch == 0) {
+    view->core = id_;
+    view->session = s.name;
+    view->epoch = snap->epoch;
+    view->snap = snap;
+    view->index = idx;
+    view->head = s.head;
+  }
+  return query ? answer_query(req, *snap, *idx) : answer_read(req, *snap);
 }
 
 void ServiceCore::execute(QueuedRequest qr) {
@@ -552,8 +774,7 @@ void ServiceCore::execute(QueuedRequest qr) {
         finish(qr, do_compact(*s));
         return;
       default:
-        finish(qr, is_query_op(qr.req.op) ? do_query(*s, qr)
-                                          : do_read(*s, qr));
+        finish(qr, read_locked(*s, qr.req, nullptr));
         return;
     }
   } catch (const std::exception& e) {
@@ -597,6 +818,7 @@ void ServiceCore::publish_snapshot_locked(Session& s, bool with_index) {
   if (with_index && snap->index == nullptr) {
     snapshot_index(s, *snap, /*eager=*/true);
   }
+  const std::uint64_t epoch = snap->epoch;
   {
     std::lock_guard<std::mutex> lk(s.snap_mu);
     s.snaps.push_back(std::move(snap));
@@ -606,6 +828,9 @@ void ServiceCore::publish_snapshot_locked(Session& s, bool with_index) {
       metrics_.epochs_reclaimed.fetch_add(1, std::memory_order_relaxed);
     }
   }
+  // After the push: a view that sees this epoch as the latest either holds
+  // it already or finds it in the ring.
+  s.head->latest_epoch.store(epoch, std::memory_order_release);
   metrics_.snapshots_published.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -781,6 +1006,9 @@ Response ServiceCore::do_drop(const Request& req) {
     victim = it->second;
     sessions_.erase(it);
   }
+  // Before the ack: once the client sees it, no thread view answers from
+  // the dropped session.
+  victim->head->closed.store(true, std::memory_order_release);
   if (victim->log != nullptr) {
     // Atomic-rename the directory out of the namespace first: a crash
     // mid-delete leaves a '<name>.dropping' husk recovery sweeps, never a
@@ -871,132 +1099,6 @@ Response ServiceCore::do_health(const Request& req) {
   r.health_sessions = count;
   r.lsn = lsn;
   return r;
-}
-
-Response ServiceCore::do_read(Session& s, const QueuedRequest& qr) {
-  Response err;
-  const std::shared_ptr<SessionSnapshot> snap =
-      pinned_snapshot(s, qr.req.pin_epoch, &err);
-  if (snap == nullptr) return err;
-  Response r;
-  r.epoch = snap->epoch;
-  switch (qr.req.op) {
-    case Op::kWeight:
-      fill_snapshot_facts(r, *snap);
-      return r;
-    case Op::kForestEdges: {
-      fill_snapshot_facts(r, *snap);
-      const auto fe = snapshot_forest_edges(*snap);
-      r.edges_total = fe->size();
-      const std::size_t take = qr.req.limit == 0
-                                   ? fe->size()
-                                   : std::min(qr.req.limit, fe->size());
-      r.edges.assign(fe->begin(),
-                     fe->begin() + static_cast<std::ptrdiff_t>(take));
-      return r;
-    }
-    case Op::kSnapshot:
-      // Built from the epoch's view once, then immutable and shared —
-      // handing the pointer out is the whole copy.
-      fill_snapshot_facts(r, *snap);
-      r.snapshot = snapshot_data(*snap);
-      return r;
-    default:
-      return make_error(Status::kInternal, "bad read dispatch");
-  }
-}
-
-Response ServiceCore::do_query(Session& s, const QueuedRequest& qr) {
-  s.query_active.store(true, std::memory_order_relaxed);
-  const Request& req = qr.req;
-  Response r;
-  const std::shared_ptr<SessionSnapshot> snap =
-      pinned_snapshot(s, req.pin_epoch, &r);
-  if (snap == nullptr) return r;
-  // Fast path: the snapshot's index is already built (eagerly at a flush
-  // tail, or by an earlier query against this epoch).
-  std::shared_ptr<const query::ForestIndex> idx;
-  {
-    std::lock_guard<std::mutex> lk(snap->index_mu);
-    idx = snap->index;
-  }
-  if (idx != nullptr) {
-    metrics_.index_hits.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    metrics_.index_misses.fetch_add(1, std::memory_order_relaxed);
-    idx = snapshot_index(s, *snap, /*eager=*/false);
-  }
-  r.epoch = snap->epoch;
-  r.index_version = idx->version();
-  const VertexId n = idx->num_vertices();
-  switch (req.op) {
-    case Op::kConnected:
-    case Op::kConn:
-      if (req.u >= n || req.v >= n) {
-        return make_error(Status::kInvalidInput, "vertex out of range");
-      }
-      r.connected = idx->connected(req.u, req.v);
-      return r;
-    case Op::kPathMax: {
-      if (req.u >= n || req.v >= n) {
-        return make_error(Status::kInvalidInput, "vertex out of range");
-      }
-      if (req.u == req.v) {
-        return make_error(Status::kInvalidInput,
-                          "pathmax endpoints must differ (empty path has no "
-                          "bottleneck edge)");
-      }
-      const query::ForestIndex::PathMax pm = idx->path_max(req.u, req.v);
-      r.pathmax_found = pm.connected;
-      r.connected = pm.connected;
-      if (pm.connected) {
-        r.pathmax_id = pm.edge_id;
-        r.pathmax_u = pm.u;
-        r.pathmax_v = pm.v;
-        r.pathmax_w = pm.weight;
-      }
-      return r;
-    }
-    case Op::kCut: {
-      if (!std::isfinite(req.lambda)) {
-        return make_error(Status::kInvalidInput, "lambda must be finite");
-      }
-      const query::ForestIndex::Cut c = idx->cut(req.lambda);
-      r.clusters = c.num_clusters;
-      r.cut_digest = c.labels_digest;
-      return r;
-    }
-    case Op::kTopK: {
-      // The line protocol validates these before the core; the binary
-      // protocol hands requests straight through, so the core re-checks.
-      if (req.limit == 0 || req.limit > kMaxTopK) {
-        return make_error(Status::kInvalidInput,
-                          "topk needs k in [1, " + std::to_string(kMaxTopK) +
-                              "]");
-      }
-      std::optional<graph::Weight> lambda;
-      if (req.has_lambda) {
-        if (!std::isfinite(req.lambda)) {
-          return make_error(Status::kInvalidInput, "lambda must be finite");
-        }
-        lambda = req.lambda;
-      }
-      // The scan runs over the epoch's immutable store view — no lock,
-      // inline on this thread.
-      ThreadTeam local(1);
-      const std::vector<query::ForestIndex::TopkEdge> top =
-          idx->top_k(local, snap->view, req.limit, lambda);
-      r.edges.reserve(top.size());
-      r.edge_ids.reserve(top.size());
-      for (const auto& e : top) {
-        r.edges.push_back(WEdge{e.u, e.v, e.w});
-        r.edge_ids.push_back(e.id);
-      }
-      return r;
-    }
-    default:
-      return make_error(Status::kInternal, "bad query dispatch");
-  }
 }
 
 Response ServiceCore::do_recompute(Session& s, const QueuedRequest& qr) {

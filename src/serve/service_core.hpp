@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -14,6 +15,7 @@
 
 #include "core/msf.hpp"
 #include "persist/session_log.hpp"
+#include "pprim/cacheline.hpp"
 #include "pprim/thread_team.hpp"
 #include "serve/metrics.hpp"
 #include "serve/placement.hpp"
@@ -28,6 +30,7 @@ namespace smp::serve {
 
 struct Session;          // service_core.cpp
 struct SessionSnapshot;  // service_core.cpp
+struct ReadView;         // service_core.cpp
 
 struct ServeOptions {
   /// Solver backend for every session: algorithm, seed, fallback policy.
@@ -110,9 +113,16 @@ struct ServeOptions {
 ///  * every committed mutation publishes an immutable epoch-stamped MVCC
 ///    snapshot (an O(1) view of the shared edge store + forest + query
 ///    index, carried over while the forest is unchanged); reads and
-///    queries serve from a snapshot without ever touching the writer lock,
-///    so they are wait-free with respect to writers and are executed inline
-///    on the submitting thread (the read priority lane);
+///    queries serve from a snapshot without ever touching the writer lock
+///    and are executed inline on the submitting thread (the read priority
+///    lane);
+///  * each thread that reads keeps a pinned view of the latest epoch it
+///    served.  While that epoch is still the latest, a read takes no lock
+///    and writes no cache line another thread writes; a miss, a pinned
+///    read or an unknown session takes sessions_mu_, the session's snap_mu
+///    and the epoch's index_mu once.  A parked thread retains at most that
+///    one epoch (never the Session or its log), until its next read or its
+///    exit;
 ///  * a bounded ring of recent epochs stays pinnable (Request::pin_epoch);
 ///    epochs that fall off the ring are reclaimed and refuse pins;
 ///  * writes enter a per-session pending list; one dispatcher becomes the
@@ -144,7 +154,8 @@ class ServiceCore {
   /// (queue full, rate limited, or shutting down; `done` has already run).
   bool submit(Request req, std::function<void(Response)> done);
 
-  /// Synchronous convenience wrapper around submit().
+  /// Synchronous form of submit().  A read-shaped op is answered directly
+  /// on this thread (the read lane submit() uses), with no handoff.
   Response call(Request req);
 
   /// Stops admitting, drains every queued request, joins the dispatchers.
@@ -213,15 +224,23 @@ class ServiceCore {
   Response do_drop(const Request& req);
   Response do_list();
   Response do_health(const Request& req);
-  Response do_read(Session& s, const QueuedRequest& qr);
   Response do_recompute(Session& s, const QueuedRequest& qr);
   Response do_compact(Session& s);
-  /// kConnected / kConn / kPathMax / kCut / kTopK, served from the
-  /// ForestIndex of the MVCC snapshot the request pins (latest by default):
-  /// no state lock, so they never queue behind coalesced writes.  The first
-  /// one marks the session query-active, which makes write flushes build
-  /// the index eagerly.
-  Response do_query(Session& s, const QueuedRequest& qr);
+
+  /// The read lane, shared by submit() and call(): serves a read-shaped op
+  /// inline from this thread's pinned view when its epoch is still the
+  /// latest, else through read_locked(), and records the counters (sharded,
+  /// so a hit writes only this thread's lines).  nullopt when it cannot
+  /// serve the op here (unknown session, or shutting down); the caller then
+  /// queues it for the uniform answer.
+  std::optional<Response> serve_read(const Request& req,
+                                     Clock::time_point submitted);
+  /// A read-shaped op served from the MVCC snapshot it pins (latest by
+  /// default) through the ring and index locks, never the state lock.  A
+  /// query op marks the session query-active, which makes write flushes
+  /// build the index eagerly.  A latest-epoch read refills `view` when one
+  /// is given.
+  Response read_locked(Session& s, const Request& req, ReadView* view);
 
   // --- MVCC snapshot machinery ---
   /// Publishes an immutable snapshot of the session's committed state as
@@ -267,6 +286,9 @@ class ServiceCore {
   void snapshot_session_locked(Session& s);
 
   ServeOptions opts_;
+  /// Process-unique (addresses get reused): names this core in the thread
+  /// views that outlive it.
+  const std::uint64_t id_;
   MetricsRegistry metrics_;
   Clock::time_point started_;
 
@@ -283,7 +305,8 @@ class ServiceCore {
   std::mutex rl_mu_;
   std::unordered_map<std::string, TokenBucket> buckets_;
 
-  std::atomic<bool> stopping_{false};
+  /// On its own line: reads load it, and only shutdown writes it.
+  alignas(kCacheLineBytes) std::atomic<bool> stopping_{false};
   std::once_flag shutdown_once_;
 };
 
