@@ -18,18 +18,18 @@ struct CcResult {
 /// Connected components by union-find labelling — the paper lists
 /// connected components as the natural next application of its SMP
 /// techniques (§6).  One sequential pass over the edges plus one over the
-/// vertices, however deep the trees are.  It runs sequentially at every
-/// thread count: the inputs it serves are forests and sparse graphs, on
-/// which a lock-free team union-find (pprim/atomic_union_find.hpp) measured
-/// 0.3–0.65× of this pass at p = 2–4, and hook-and-jump 0.2–0.7×.  The
-/// team and `threads` arguments are kept for callers that pass them.
+/// vertices, however deep the trees are.  The inputs it serves are forests
+/// and sparse graphs, on which a lock-free team union-find measured 0.3–0.65×
+/// of this pass at p = 2–4, and hook-and-jump 0.2–0.7×.
 ///
 /// Deterministic: unions hook the larger root under the smaller one, so
 /// each component's root is its minimum vertex and the dense labels number
 /// the components in order of their minimum vertex.
-CcResult connected_components(ThreadTeam& team, const graph::EdgeList& g);
+CcResult connected_components(const graph::EdgeList& g);
 
-/// Same labelling without a team; `threads` is ignored.
-CcResult connected_components(const graph::EdgeList& g, int threads = 1);
+/// The same labelling; `team` is ignored.  Kept only because perfbench's
+/// frozen `core.cc_ms` probe calls it.  ROADMAP item 1 deletes that probe,
+/// and this overload goes with it.
+CcResult connected_components(ThreadTeam& team, const graph::EdgeList& g);
 
 }  // namespace smp::core

@@ -5,7 +5,6 @@
 #include <new>
 #include <string>
 
-#include "core/bor_uf.hpp"
 #include "core/champion.hpp"
 #include "core/find_min.hpp"
 #include "pprim/partition.hpp"
@@ -32,8 +31,6 @@ std::string_view to_string(Algorithm a) {
       return "Kruskal";
     case Algorithm::kSeqBoruvka:
       return "Boruvka";
-    case Algorithm::kBorUF:
-      return "Bor-UF";
     case Algorithm::kChampion:
       return "Champion";
   }
@@ -64,7 +61,6 @@ namespace {
     case Algorithm::kSeqPrim:
     case Algorithm::kSeqKruskal:
     case Algorithm::kSeqBoruvka:
-    case Algorithm::kBorUF:
     case Algorithm::kChampion:
       return true;
   }
@@ -135,8 +131,8 @@ void validate_edge_count(Algorithm alg, std::size_t num_edges) {
   throw Error(ErrorCode::kInvalidInput,
               std::string(to_string(alg)) + " handles at most 2^31 edges, got " +
                   std::to_string(num_edges) +
-                  " (Bor-AL, Bor-ALM, MST-BC, Bor-UF and the sequential "
-                  "baselines have no edge limit)");
+                  " (Bor-AL, Bor-ALM, MST-BC and the sequential baselines "
+                  "have no edge limit)");
 }
 
 namespace {
@@ -156,8 +152,6 @@ graph::MsfResult dispatch_parallel(ThreadTeam& team, const graph::EdgeList& g,
       return bor_fal_msf(team, g, opts);
     case Algorithm::kMstBC:
       return mst_bc_msf(team, g, opts);
-    case Algorithm::kBorUF:
-      return bor_uf_msf(team, g, opts);
     case Algorithm::kChampion:
       return champion_msf(team, g, opts);
     default:

@@ -26,15 +26,15 @@ enum class Algorithm {
   kSeqPrim,
   kSeqKruskal,
   kSeqBoruvka,
-  // Extensions beyond the paper (see DESIGN.md).  Their ids are pinned:
-  // the ids of removed algorithms (8, 9, 10) are never reused, so an id an
+  // The extension beyond the paper (see DESIGN.md).  Its id is pinned: the
+  // ids of removed algorithms (8, 9, 10, 11) are never reused, so an id an
   // older build logged or printed still names the same algorithm.
-  kBorUF = 11,  ///< Borůvka over a lock-free union-find (GBBS/Galois style)
-  kChampion,    ///< the library default: Bor-FAL behind a heavy-edge
-                ///< filter (core/champion.hpp) — Kruskal over the lightest
-                ///< min(2n, 15m/16) edges, drop every heavier edge inside
-                ///< one light component, finish on the contracted survivors
+  kChampion = 12,  ///< the library default: Bor-FAL behind a heavy-edge
+                   ///< filter (core/champion.hpp) — Kruskal over the lightest
+                   ///< min(2n, 15m/16) edges, drop every heavier edge inside
+                   ///< one light component, finish on the contracted survivors
 };
+static_assert(static_cast<int>(Algorithm::kChampion) == 12);
 
 [[nodiscard]] std::string_view to_string(Algorithm a);
 
@@ -51,7 +51,6 @@ inline constexpr AlgorithmName kAlgorithmNames[] = {
     {"bor-alm", Algorithm::kBorALM},
     {"bor-fal", Algorithm::kBorFAL},
     {"mst-bc", Algorithm::kMstBC},
-    {"bor-uf", Algorithm::kBorUF},
     {"prim", Algorithm::kSeqPrim},
     {"kruskal", Algorithm::kSeqKruskal},
     {"boruvka", Algorithm::kSeqBoruvka},
@@ -65,10 +64,6 @@ inline constexpr AlgorithmName kAlgorithmNames[] = {
 inline constexpr Algorithm kParallelAlgorithms[] = {
     Algorithm::kBorEL, Algorithm::kBorAL, Algorithm::kBorALM,
     Algorithm::kBorFAL, Algorithm::kMstBC};
-
-/// Extension algorithms (not part of the paper's evaluation).
-inline constexpr Algorithm kExtensionAlgorithms[] = {
-    Algorithm::kBorUF, Algorithm::kChampion};
 
 /// Wall-clock seconds spent in each step of the Borůvka iteration — the
 /// instrumentation behind the Fig. 2 breakdown.
@@ -179,8 +174,8 @@ void validate_request(const graph::EdgeList& g, const MsfOptions& opts);
 
 /// The edge bound of the packed find-min.  Bor-EL, Bor-FAL and Champion pack
 /// a 32-bit weight rank beside a 32-bit arc index or target, so they accept
-/// at most 2^31 edges (find_min_packable); Bor-AL, Bor-ALM, MST-BC, Bor-UF
-/// and the sequential baselines have no edge limit.  Throws
+/// at most 2^31 edges (find_min_packable); Bor-AL, Bor-ALM, MST-BC and the
+/// sequential baselines have no edge limit.  Throws
 /// Error{kInvalidInput} naming the limit and the unbounded algorithms when
 /// `num_edges` exceeds the bound of `alg`.  validate_request calls it with
 /// the edge list's size, minimum_spanning_forest_compressed with the

@@ -27,9 +27,6 @@ namespace smp {
 /// poisoned phase leaves the arrival count in an arbitrary state.
 class SenseBarrier {
  public:
-  /// Kept for API symmetry; carries no state in the generation scheme.
-  struct LocalSense {};
-
   explicit SenseBarrier(int num_threads) : n_(num_threads), count_(num_threads) {}
 
   SenseBarrier(const SenseBarrier&) = delete;
@@ -59,8 +56,6 @@ class SenseBarrier {
     }
     return !poisoned_.load(std::memory_order_acquire);
   }
-
-  [[nodiscard]] bool arrive_and_wait(LocalSense&) { return arrive_and_wait(); }
 
   /// Release all current and future waiters with a failure indication.  Safe
   /// to call from any thread, any number of times.

@@ -6,7 +6,7 @@
 namespace smp {
 
 void TeamCtx::barrier() {
-  if (!team_.region_barrier_.arrive_and_wait(sense_)) throw RegionPoisoned{};
+  if (!team_.region_barrier_.arrive_and_wait()) throw RegionPoisoned{};
 }
 
 ThreadTeam::ThreadTeam(int num_threads)

@@ -45,7 +45,6 @@ class TeamCtx {
   ThreadTeam& team_;
   int tid_;
   int nthreads_;
-  SenseBarrier::LocalSense sense_{};
   friend class ThreadTeam;
 };
 

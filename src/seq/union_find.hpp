@@ -57,7 +57,7 @@ class UnionFind {
 /// Disjoint-set forest that links the larger root under the smaller one,
 /// with path halving.  Every root is its set's minimum element, so the
 /// flattened labels depend only on the partition, never on the order of the
-/// unions — the sequential counterpart of AtomicUnionFind.
+/// unions.
 class MinRootUnionFind {
  public:
   explicit MinRootUnionFind(std::size_t n) {

@@ -188,7 +188,7 @@ TEST(AlgorithmNames, ParseCoversEveryAlgorithmOnce) {
       core::Algorithm::kBorALM,       core::Algorithm::kBorFAL,
       core::Algorithm::kMstBC,        core::Algorithm::kSeqPrim,
       core::Algorithm::kSeqKruskal,   core::Algorithm::kSeqBoruvka,
-      core::Algorithm::kBorUF,        core::Algorithm::kChampion};
+      core::Algorithm::kChampion};
   ASSERT_EQ(std::size(core::kAlgorithmNames), std::size(all));
   for (const core::Algorithm a : all) {
     int rows = 0;

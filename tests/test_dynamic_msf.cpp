@@ -123,7 +123,6 @@ INSTANTIATE_TEST_SUITE_P(
                           core::Algorithm::kMstBC, core::Algorithm::kSeqPrim,
                           core::Algorithm::kSeqKruskal,
                           core::Algorithm::kSeqBoruvka,
-                          core::Algorithm::kBorUF,
                           core::Algorithm::kChampion),
         ::testing::Values(1, 2, 4, 8)),
     [](const auto& info) {

@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/bor_uf.hpp"
 #include "core/champion.hpp"
 #include "core/error.hpp"
 #include "core/msf.hpp"
@@ -210,18 +209,6 @@ TEST_F(FaultInjection, CompactFaultInsideFusedRegionUnwinds) {
     // No terminate, no hung barrier — and the same team solves cleanly.
     EXPECT_EQ(test::sorted_ids(c.entry(team, g, opts)), ref) << c.name;
   }
-}
-
-TEST_F(FaultInjection, BorUfCompactFaultInsideFusedRegionUnwinds) {
-  // Bor-UF has its own entry signature (no options), so it gets its own case.
-  const EdgeList g = random_graph(4000, 16000, 19);
-  const auto ref = test::sorted_ids(seq::kruskal_msf(g));
-  ThreadTeam team(4);
-  FaultInjector::arm("bor-uf.compact.region", FaultKind::kBadAlloc);
-  EXPECT_THROW((void)core::bor_uf_msf(team, g), std::bad_alloc);
-  EXPECT_GE(FaultInjector::hits("bor-uf.compact.region"), 1u);
-  FaultInjector::disarm_all();
-  EXPECT_EQ(test::sorted_ids(core::bor_uf_msf(team, g)), ref);
 }
 
 TEST_F(FaultInjection, LaterIterationFaultAlsoUnwinds) {
@@ -447,8 +434,7 @@ TEST(Budget, CancelMidRunStopsExtensionsAndChampion) {
   // dispatcher-owned team is joined before the error escapes (a hung worker
   // would hang this test).
   const EdgeList g = random_graph(100000, 1000000, 21);
-  for (const auto alg :
-       {core::Algorithm::kBorUF, core::Algorithm::kChampion}) {
+  for (const auto alg : {core::Algorithm::kChampion}) {
     core::MsfOptions opts;
     opts.algorithm = alg;
     opts.threads = 4;
@@ -566,14 +552,17 @@ TEST(InvalidOptions, ZeroBcBaseSizeRejected) {
 }
 
 TEST(InvalidOptions, OutOfRangeAlgorithmRejected) {
+  // 8-11 are the ids of removed algorithms: never reused, always rejected.
   const EdgeList g = random_graph(100, 300, 1);
-  core::MsfOptions opts;
-  opts.algorithm = static_cast<core::Algorithm>(999);
-  try {
-    (void)core::minimum_spanning_forest(g, opts);
-    FAIL();
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
+  for (const int id : {999, 8, 9, 10, 11}) {
+    core::MsfOptions opts;
+    opts.algorithm = static_cast<core::Algorithm>(id);
+    try {
+      (void)core::minimum_spanning_forest(g, opts);
+      ADD_FAILURE() << "algorithm id " << id << " accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidInput) << id;
+    }
   }
 }
 

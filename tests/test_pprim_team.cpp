@@ -123,17 +123,16 @@ TEST(ParallelFor, ZeroAndTinySizes) {
 
 TEST(SenseBarrier, ReusableAcrossGenerations) {
   SenseBarrier b(2);
-  SenseBarrier::LocalSense s0, s1;
   std::atomic<int> stage{0};
   std::atomic<int> releases{0};
   std::thread t([&] {
     for (int i = 0; i < 1000; ++i) {
-      if (b.arrive_and_wait(s1)) releases.fetch_add(1);
+      if (b.arrive_and_wait()) releases.fetch_add(1);
     }
     stage.store(1);
   });
   for (int i = 0; i < 1000; ++i) {
-    if (b.arrive_and_wait(s0)) releases.fetch_add(1);
+    if (b.arrive_and_wait()) releases.fetch_add(1);
   }
   t.join();
   EXPECT_EQ(stage.load(), 1);

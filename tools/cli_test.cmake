@@ -54,6 +54,10 @@ foreach(alg champion bor-fal)
 endforeach()
 
 run_cli(0 out cc ${WORK}/g.gr)
+# cc runs on one thread and says nothing about a thread count.
+if(NOT out MATCHES "components: [0-9]+ \\([0-9.]+s\\)" OR out MATCHES "p=")
+  message(FATAL_ERROR "cc output: ${out}")
+endif()
 
 # Execution-budget flags: a generous timeout still solves; degradation under
 # a tiny memory cap still yields a valid forest (and says so).
@@ -95,11 +99,17 @@ run_cli(0 out solve --mode static --alg bor-fal ${WORK}/g.gr)
 # input (exit 3) and must list the accepted spellings.
 run_cli(3 out solve --alg no-such-alg ${WORK}/g.gr)
 # Removed algorithms are unknown names like any other.
-foreach(removed sample-filter par-kruskal filter-kruskal)
+foreach(removed sample-filter par-kruskal filter-kruskal bor-uf)
   run_cli(3 out solve --alg ${removed} ${WORK}/g.gr)
   string(FIND "${cli_err}" "unknown algorithm '${removed}' (valid: " pos)
   if(pos EQUAL -1)
     message(FATAL_ERROR "--alg ${removed}: no valid-list diagnostic: ${cli_err}")
+  endif()
+  string(REGEX MATCH "\\(valid: [^)]*\\)" valid "${cli_err}")
+  string(REGEX REPLACE "^\\(valid:|\\)$" " " valid "${valid}")
+  string(FIND "${valid}" " ${removed} " pos)
+  if(NOT pos EQUAL -1)
+    message(FATAL_ERROR "--alg ${removed} still in the valid list: ${cli_err}")
   endif()
 endforeach()
 run_cli(3 out solve --mode no-such-mode ${WORK}/g.gr)
@@ -135,8 +145,7 @@ run_cli(2 out gen --type random --n 1e3 --m 3000 -o ${WORK}/bad.gr)
 # narrowed to 100, 6 or 2.
 foreach(bad "--n;gen --type random --n 4294967396 --m 300 -o ${WORK}/bad.gr"
             "--k;gen --type geometric --n 300 --k 4294967302 -o ${WORK}/bad.gr"
-            "--threads;solve --threads 4294967298 ${WORK}/g.gr"
-            "--threads;cc --threads 4294967298 ${WORK}/g.gr")
+            "--threads;solve --threads 4294967298 ${WORK}/g.gr")
   list(POP_FRONT bad flag)
   string(REPLACE " " ";" args "${bad}")
   run_cli(2 out ${args})
@@ -156,6 +165,14 @@ foreach(removed "--compact-sort;radix" "--auto-tune" "--find-min;scan"
   string(FIND "${cli_err}" "unknown flag ${flag}" pos)
   if(pos EQUAL -1)
     message(FATAL_ERROR "removed flag ${flag} not named in the usage error: ${cli_err}")
+  endif()
+endforeach()
+# cc runs on one thread: --threads is not a cc flag, whatever its value.
+foreach(p 4 4294967298)
+  run_cli(2 out cc --threads ${p} ${WORK}/g.gr)
+  string(FIND "${cli_err}" "unknown flag --threads" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "cc --threads ${p} not named in the usage error: ${cli_err}")
   endif()
 endforeach()
 # The stats JSON names no find-min kernel, only what Bor-FAL's cursors
@@ -262,11 +279,17 @@ execute_process(COMMAND ${SERVER} --alg champion --listen bogus:1
 if(NOT rc EQUAL 2 OR NOT err MATCHES "bad listen spec")
   message(FATAL_ERROR "server rejected --alg champion (exit ${rc}): ${err}")
 endif()
-foreach(removed sample-filter par-kruskal filter-kruskal)
+foreach(removed sample-filter par-kruskal filter-kruskal bor-uf)
   execute_process(COMMAND ${SERVER} --alg ${removed} --listen bogus:1
                   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
   if(NOT rc EQUAL 3 OR NOT err MATCHES "unknown algorithm '${removed}' \\(valid: ")
     message(FATAL_ERROR "server --alg ${removed} exited ${rc}: ${err}")
+  endif()
+  string(REGEX MATCH "\\(valid: [^)]*\\)" valid "${err}")
+  string(REGEX REPLACE "^\\(valid:|\\)$" " " valid "${valid}")
+  string(FIND "${valid}" " ${removed} " pos)
+  if(NOT pos EQUAL -1)
+    message(FATAL_ERROR "server --alg ${removed} still in the valid list: ${err}")
   endif()
 endforeach()
 execute_process(COMMAND ${SERVER} --auto-tune

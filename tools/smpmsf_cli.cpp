@@ -7,7 +7,7 @@
 //                [--mem-cap BYTES] [--no-fallback] [--validate] [--steps]
 //                [--stats-json FILE] [--mode static|dynamic]
 //                [--batch-size N] [--update-trace FILE] FILE
-//   smpmsf cc [--threads P] FILE
+//   smpmsf cc FILE
 //
 // Graph files are picked by extension: .smpg binary edge list, .smpz
 // compressed CSR, .slab edge slab, anything else DIMACS text.  `convert`
@@ -18,8 +18,8 @@
 //
 // Graph types: random (needs --m), mesh2d, mesh2d60, mesh3d40,
 // geometric (--k), str0..str3, rmat (needs --m).
-// Algorithms: champion (default) bor-el bor-al bor-alm bor-fal mst-bc bor-uf
-//             prim kruskal boruvka (core::kAlgorithmNames).
+// Algorithms: champion (default) bor-el bor-al bor-alm bor-fal mst-bc prim
+//             kruskal boruvka (core::kAlgorithmNames).
 //
 // --mode dynamic maintains the forest through a batch-dynamic update trace
 // (--update-trace, applied in batches of --batch-size ops):
@@ -88,7 +88,7 @@ using namespace smp::graph;
                " [--validate] [--steps] [--stats-json FILE]\n"
                "               [--mode static|dynamic] [--batch-size N]"
                " [--update-trace FILE] FILE\n"
-               "  smpmsf cc [--threads P] FILE\n"
+               "  smpmsf cc FILE\n"
                "formats by extension: .smpg binary, .smpz compressed csr,"
                " .slab edge slab, else DIMACS text\n"
                "types: random mesh2d mesh2d60 mesh3d40 geometric str0-str3 rmat\n"
@@ -685,11 +685,9 @@ int cmd_solve(const Flags& f) {
 int cmd_cc(const Flags& f) {
   if (f.positional.size() != 1) usage("cc needs exactly one FILE");
   const EdgeList g = load(f.positional[0]);
-  const int threads = f.num<int>("--threads", 1);
   WallTimer t;
-  const auto cc = core::connected_components(g, threads);
-  std::printf("components: %zu (%.3fs, p=%d)\n", cc.num_components, t.elapsed_s(),
-              threads);
+  const auto cc = core::connected_components(g);
+  std::printf("components: %zu (%.3fs)\n", cc.num_components, t.elapsed_s());
   return 0;
 }
 
@@ -714,7 +712,7 @@ int main(int argc, char** argv) {
            "--no-fallback", "--validate", "--steps", "--stats-json",
            "--mode", "--batch-size", "--update-trace"}));
     }
-    if (cmd == "cc") return cmd_cc(parse(argc, argv, 2, {"--threads"}));
+    if (cmd == "cc") return cmd_cc(parse(argc, argv, 2, {}));
     usage(("unknown command " + cmd).c_str());
   } catch (const smp::Error& ex) {
     std::fprintf(stderr, "error: %s\n", ex.what());
