@@ -5,6 +5,8 @@
 #include <ostream>
 
 #include "core/error.hpp"
+#include "graph/compressed_csr.hpp"
+#include "graph/validate.hpp"
 
 namespace smp::dynamic {
 
@@ -109,6 +111,28 @@ graph::EdgeId EdgeSlabWriter::finish() {
   os.write(reinterpret_cast<const char*>(&m_), 8);
   out_.commit();
   return m_;
+}
+
+GraphFormat format_of(const std::string& path) {
+  if (path.ends_with(".smpg")) return GraphFormat::kSmpg;
+  if (path.ends_with(".smpz")) return GraphFormat::kSmpz;
+  if (path.ends_with(".slab")) return GraphFormat::kSlab;
+  return GraphFormat::kDimacs;
+}
+
+graph::EdgeList load_graph(const std::string& path) {
+  const GraphFormat format = format_of(path);
+  if (format == GraphFormat::kSmpz) {
+    return graph::CompressedCsr::open_file(path).decode_edge_list();
+  }
+  if (format == GraphFormat::kSlab) {
+    const EdgeSlab slab = EdgeSlab::open(path);
+    graph::EdgeList g(slab.num_vertices());
+    g.edges.assign(slab.edges(), slab.edges() + slab.num_edges());
+    return graph::canonicalize_parallel_edges(g);
+  }
+  return format == GraphFormat::kSmpg ? graph::read_binary_file(path)
+                                      : graph::read_dimacs_file(path);
 }
 
 }  // namespace smp::dynamic

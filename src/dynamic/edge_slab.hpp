@@ -68,4 +68,15 @@ class EdgeSlabWriter {
   graph::EdgeId m_ = 0;
 };
 
+/// The graph file formats, picked by path suffix: .smpg binary edge list,
+/// .smpz compressed CSR, .slab edge slab, anything else DIMACS text.
+enum class GraphFormat { kDimacs, kSmpg, kSmpz, kSlab };
+
+[[nodiscard]] GraphFormat format_of(const std::string& path);
+
+/// The graph file at `path`, in the format its suffix names, as an edge
+/// list with parallel edges canonicalized (a .smpz holds only canonical
+/// edges already).  The one loader `smpmsf` and the serve `open` share.
+[[nodiscard]] graph::EdgeList load_graph(const std::string& path);
+
 }  // namespace smp::dynamic

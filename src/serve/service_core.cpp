@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstring>
 #include <cmath>
 #include <deque>
 #include <exception>
@@ -17,6 +16,7 @@
 #include "core/error.hpp"
 #include "dynamic/dynamic_msf.hpp"
 #include "dynamic/edge_slab.hpp"
+#include "dynamic/write_group.hpp"
 #include "graph/io.hpp"
 #include "query/forest_index.hpp"
 #include "serve/protocol.hpp"
@@ -249,6 +249,54 @@ void bump_version(Session& s) {
   s.committed_version.store(s.version, std::memory_order_release);
 }
 
+/// Whether the session appends to its log: it has one, no append has
+/// failed, and it is not being dropped.
+bool logging(const Session& s) {
+  return s.log != nullptr && !s.log_broken &&
+         !s.dropped.load(std::memory_order_acquire);
+}
+
+/// Appends `rec` to the session's log when it logs; returns the record's
+/// LSN, 0 when it was not logged.  Caller holds the exclusive state lock,
+/// under which the mutation the record describes was applied.
+std::uint64_t append_record(Session& s, persist::WalRecord rec) {
+  if (!logging(s)) return 0;
+  try {
+    const std::uint64_t lsn = s.log->append(std::move(rec));
+    s.committed_lsn.store(lsn, std::memory_order_relaxed);
+    return lsn;
+  } catch (...) {
+    // The mutation is applied in memory but could not be logged.  Any
+    // later append would leave a gap replay refuses to cross, so logging
+    // stops for this session: served state stays correct, durability
+    // degrades to the last good record, and responses carry lsn 0.
+    s.log_broken = true;
+    return 0;
+  }
+}
+
+/// Runs `solve` on the session's DynamicMsf under a budget that expires at
+/// `deadline` (none at kNoDeadline), holding the home shard's solver lock.
+/// The budget is cleared on every exit, an exception's included.
+template <class Solve>
+void solve_budgeted(Session& s, std::chrono::steady_clock::time_point deadline,
+                    Solve&& solve) {
+  ExecutionBudget budget;
+  const bool bounded = deadline != kNoDeadline;
+  if (bounded) {
+    budget.set_deadline_after(std::chrono::duration<double>(
+                                  deadline - std::chrono::steady_clock::now())
+                                  .count());
+  }
+  struct Clear {
+    dynamic::DynamicMsf& m;
+    ~Clear() { m.set_budget(nullptr); }
+  } clear{*s.msf};
+  s.msf->set_budget(bounded ? &budget : nullptr);
+  std::lock_guard<std::mutex> solver(s.home->solver_mu);
+  solve(*s.msf);
+}
+
 void fill_forest_facts(Response& r, const dynamic::DynamicMsf& m) {
   r.weight = m.total_weight();
   r.trees = m.num_trees();
@@ -406,11 +454,6 @@ std::uint64_t next_core_id() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::uint64_t pair_key(VertexId u, VertexId v) {
-  if (u > v) std::swap(u, v);
-  return (static_cast<std::uint64_t>(u) << 32) | v;
-}
-
 int auto_shards() {
   const unsigned hw = std::thread::hardware_concurrency();
   // One shard per four hardware threads: a shard spends its parallelism on
@@ -498,10 +541,7 @@ void ServiceCore::shutdown() {
       // snapshot + CLEAN marker lets the next startup skip replay.
       std::lock_guard<std::mutex> lk(sessions_mu_);
       for (auto& [name, s] : sessions_) {
-        if (!s->ready.load(std::memory_order_acquire) || s->log == nullptr ||
-            s->log_broken || s->dropped.load(std::memory_order_acquire)) {
-          continue;
-        }
+        if (!s->ready.load(std::memory_order_acquire) || !logging(*s)) continue;
         std::unique_lock<std::shared_mutex> state(s->state_mu);
         try {
           s->log->mark_clean(s->msf->store(), s->msf->forest_edge_ids(),
@@ -927,15 +967,10 @@ Response ServiceCore::do_open(const Request& req) {
     dynamic::DynamicMsfOptions dopts;
     dopts.msf = opts_.msf;
     dopts.team = session->home->team.get();
-    const auto has_suffix = [&](const char* sfx) {
-      const std::size_t len = std::strlen(sfx);
-      return req.path.size() > len &&
-             req.path.compare(req.path.size() - len, len, sfx) == 0;
-    };
     if (req.path.empty()) {
       session->msf = std::make_unique<dynamic::DynamicMsf>(req.num_vertices,
                                                            dopts);
-    } else if (has_suffix(".slab")) {
+    } else if (dynamic::format_of(req.path) == dynamic::GraphFormat::kSlab) {
       // mmap-backed preload: the store adopts the slab as its base layer, so
       // the session serves edge reads from the page cache instead of a heap
       // copy (the --preload path for billion-edge sessions).
@@ -945,8 +980,7 @@ Response ServiceCore::do_open(const Request& req) {
       session->msf = std::make_unique<dynamic::DynamicMsf>(
           dynamic::EdgeStore(std::move(slab)), dopts);
     } else {
-      const EdgeList g = has_suffix(".smpg") ? graph::read_binary_file(req.path)
-                                             : graph::read_dimacs_file(req.path);
+      const EdgeList g = dynamic::load_graph(req.path);
       // The initial solve is scheduled like any other on the home shard.
       std::lock_guard<std::mutex> solver(session->home->solver_mu);
       session->msf = std::make_unique<dynamic::DynamicMsf>(g, dopts);
@@ -1103,47 +1137,28 @@ Response ServiceCore::do_health(const Request& req) {
 
 Response ServiceCore::do_recompute(Session& s, const QueuedRequest& qr) {
   std::unique_lock<std::shared_mutex> lk(s.state_mu);
-  ExecutionBudget budget;
-  const bool bounded = qr.deadline != kNoDeadline;
-  if (bounded) {
-    budget.set_deadline_after(
-        std::chrono::duration<double>(qr.deadline - Clock::now()).count());
-  }
-  Response r;
   try {
-    s.msf->set_budget(bounded ? &budget : nullptr);
-    {
-      std::lock_guard<std::mutex> solver(s.home->solver_mu);
-      s.msf->recompute();
-    }
-    s.msf->set_budget(nullptr);
-    bump_version(s);
-    publish_snapshot_locked(s);
-    fill_forest_facts(r, *s.msf);
-    r.epoch = s.version;
-    return r;
+    solve_budgeted(s, qr.deadline,
+                   [](dynamic::DynamicMsf& m) { m.recompute(); });
   } catch (const Error& e) {
     // A failed recompute commits nothing: the previous forest stays.
-    s.msf->set_budget(nullptr);
     return make_error(status_of(e), e.what());
   }
+  bump_version(s);
+  publish_snapshot_locked(s);
+  Response r;
+  fill_forest_facts(r, *s.msf);
+  r.epoch = s.version;
+  return r;
 }
 
 Response ServiceCore::do_compact(Session& s) {
   std::unique_lock<std::shared_mutex> lk(s.state_mu);
-  const std::size_t before = s.msf->store().size();
-  s.msf->compact_store();
-  bump_version(s);
-  const std::size_t after = s.msf->store().size();
-  metrics_.compactions.fetch_add(1, std::memory_order_relaxed);
-  metrics_.slots_reclaimed.fetch_add(before - after, std::memory_order_relaxed);
-  // Compaction renumbers store ids, which every later WAL record names —
-  // replay must reproduce the renumbering at exactly this point.
-  const std::uint64_t lsn = log_compact_record(s);
+  const std::uint64_t lsn = compact_locked(s);
   publish_snapshot_locked(s);
   Response r;
   fill_forest_facts(r, *s.msf);
-  r.remapped = after;
+  r.remapped = s.msf->store().size();
   r.lsn = lsn;
   r.epoch = s.version;
   lk.unlock();
@@ -1151,23 +1166,18 @@ Response ServiceCore::do_compact(Session& s) {
   return r;
 }
 
-void ServiceCore::maybe_compact(Session& s) {
-  // Caller holds the exclusive state lock and publishes the snapshot after.
-  const std::size_t slots = s.msf->store().size();
-  const std::size_t live = s.msf->store().num_live();
-  if (slots < opts_.compact_min_slots) return;
-  if (static_cast<double>(live) >=
-      opts_.compact_live_ratio * static_cast<double>(slots)) {
-    return;
-  }
+std::uint64_t ServiceCore::compact_locked(Session& s) {
+  const std::size_t before = s.msf->store().size();
   s.msf->compact_store();
   bump_version(s);
   metrics_.compactions.fetch_add(1, std::memory_order_relaxed);
-  metrics_.slots_reclaimed.fetch_add(slots - s.msf->store().size(),
+  metrics_.slots_reclaimed.fetch_add(before - s.msf->store().size(),
                                      std::memory_order_relaxed);
-  // Logged but not awaited: auto-compaction is not separately acked, and
-  // any later acked write has a higher LSN, whose fsync covers this record.
-  log_compact_record(s);
+  // Compaction renumbers store ids, which every later WAL record names —
+  // replay must reproduce the renumbering at exactly this point.
+  persist::WalRecord rec;
+  rec.compact = true;
+  return append_record(s, std::move(rec));
 }
 
 void ServiceCore::enqueue_write(const std::shared_ptr<Session>& s,
@@ -1201,20 +1211,15 @@ void ServiceCore::flush_writes(Session& s) {
     }
 
     // Merge the drained writes, in arrival order, into groups that one
-    // apply_batch can serve.  A group ends early only when a later delete
-    // depends on the outcome of an earlier write in the same group (it
-    // targets a just-inserted pair, or the canonical live edge it resolves
-    // to is already being deleted) — applying first keeps replay
-    // order-exact, exactly like the CLI's trace flush.
+    // apply_batch can serve.  dynamic::WriteGroup decides where a group must
+    // end (a delete that depends on an earlier write of the group); applying
+    // first keeps replay order-exact.
     std::size_t i = 0;
     while (i < batch.size()) {
       std::vector<std::size_t> members;
-      std::vector<WEdge> ins;
-      std::vector<EdgeId> del;
+      dynamic::WriteGroup group(s.msf->store());
       std::vector<std::string> group_idem;
       std::unordered_set<std::string> group_idem_set;
-      std::unordered_set<std::uint64_t> ins_pairs;
-      std::unordered_set<EdgeId> del_ids;
       auto earliest = kNoDeadline;
       const auto now = Clock::now();
 
@@ -1223,9 +1228,8 @@ void ServiceCore::flush_writes(Session& s) {
         if (w.deadline != kNoDeadline && now >= w.deadline) {
           // Expired while waiting to be merged: dropped atomically, nothing
           // of it reaches the store.
-          Response r = make_error(Status::kDeadlineExceeded,
-                                  "deadline expired before apply");
-          finish(w, std::move(r));
+          finish(w, make_error(Status::kDeadlineExceeded,
+                               "deadline expired before apply"));
           ++i;
           continue;
         }
@@ -1257,64 +1261,47 @@ void ServiceCore::flush_writes(Session& s) {
             break;
           }
         }
-        if (w.req.op == Op::kInsert) {
-          bool bad = false;
+        const bool is_insert = w.req.op == Op::kInsert;
+        std::string bad;
+        bool cut = false;
+        std::vector<EdgeId> resolved;  // a delete's canonical live edges
+        if (is_insert) {
           for (const WEdge& e : w.req.insertions) {
             try {
               s.msf->store().validate_edge(e.u, e.v, e.w);
             } catch (const Error& err) {
-              finish(w, make_error(Status::kInvalidInput, err.what()));
-              bad = true;
+              bad = err.what();
               break;
             }
           }
-          if (!bad) {
-            members.push_back(i);
-            for (const WEdge& e : w.req.insertions) {
-              ins.push_back(e);
-              ins_pairs.insert(pair_key(e.u, e.v));
+        } else {
+          const VertexId n = s.msf->store().num_vertices();
+          for (const auto& [u, v] : w.req.deletions) {
+            if (u >= n || v >= n || u == v) {
+              bad = "delete endpoint out of range";
+              break;
             }
-            if (!w.req.idem_id.empty()) {
-              group_idem.push_back(w.req.idem_id);
-              group_idem_set.insert(w.req.idem_id);
+            EdgeId id = 0;
+            const auto res = group.resolve(u, v, &id);
+            if (res == dynamic::WriteGroup::Resolve::kCut) {
+              cut = true;
+              break;
             }
-            if (w.deadline < earliest) earliest = w.deadline;
+            if (res == dynamic::WriteGroup::Resolve::kNotLive) {
+              bad = "no live edge (" + std::to_string(u + 1) + "," +
+                    std::to_string(v + 1) + ")";
+              break;
+            }
+            if (std::find(resolved.begin(), resolved.end(), id) !=
+                resolved.end()) {
+              bad =
+                  "duplicate delete of the same canonical edge in one request";
+              break;
+            }
+            resolved.push_back(id);
           }
-          ++i;
-          continue;
         }
-        // Op::kDelete: resolve endpoint pairs to canonical live store ids.
-        std::vector<EdgeId> resolved;
-        bool conflict = false;
-        std::string bad;
-        const VertexId n = s.msf->store().num_vertices();
-        for (const auto& [u, v] : w.req.deletions) {
-          if (u >= n || v >= n || u == v) {
-            bad = "delete endpoint out of range";
-            break;
-          }
-          if (ins_pairs.count(pair_key(u, v)) != 0) {
-            conflict = true;  // may target an edge this group inserts
-            break;
-          }
-          const auto id = s.msf->store().find_live(u, v);
-          if (!id) {
-            bad = "no live edge (" + std::to_string(u + 1) + "," +
-                  std::to_string(v + 1) + ")";
-            break;
-          }
-          if (del_ids.count(*id) != 0) {
-            conflict = true;  // canonical edge already deleted by the group
-            break;
-          }
-          if (std::find(resolved.begin(), resolved.end(), *id) !=
-              resolved.end()) {
-            bad = "duplicate delete of the same canonical edge in one request";
-            break;
-          }
-          resolved.push_back(*id);
-        }
-        if (conflict) {
+        if (cut) {
           // Leave w for the next group; the current group applies first.
           metrics_.coalesce_conflicts.fetch_add(1, std::memory_order_relaxed);
           break;
@@ -1325,15 +1312,15 @@ void ServiceCore::flush_writes(Session& s) {
           continue;
         }
         members.push_back(i);
-        for (const EdgeId id : resolved) {
-          del.push_back(id);
-          del_ids.insert(id);
+        if (is_insert) {
+          for (const WEdge& e : w.req.insertions) group.insert(e);
         }
+        for (const EdgeId id : resolved) group.erase(id);
         if (!w.req.idem_id.empty()) {
           group_idem.push_back(w.req.idem_id);
           group_idem_set.insert(w.req.idem_id);
         }
-        if (w.deadline < earliest) earliest = w.deadline;
+        earliest = std::min(earliest, w.deadline);
         ++i;
       }
 
@@ -1341,15 +1328,10 @@ void ServiceCore::flush_writes(Session& s) {
 
       // One apply_batch for the whole group — this is the coalescing the
       // serving layer is about: burst traffic pays one sparsified solve.
-      ExecutionBudget budget;
-      const bool bounded = earliest != kNoDeadline;
-      if (bounded) {
-        budget.set_deadline_after(
-            std::chrono::duration<double>(earliest - Clock::now()).count());
-      }
       // An insert-only group applies by path-max when the latest epoch's
       // index describes exactly the committed forest.
-      const bool insert_only = del.empty() && !ins.empty();
+      const bool insert_only =
+          group.deletions().empty() && !group.insertions().empty();
       std::shared_ptr<const query::ForestIndex> oracle;
       if (insert_only) {
         std::shared_ptr<SessionSnapshot> latest;
@@ -1364,18 +1346,17 @@ void ServiceCore::flush_writes(Session& s) {
       }
       const std::uint64_t by_path_max = s.msf->path_max_batches();
       try {
-        s.msf->set_budget(bounded ? &budget : nullptr);
-        std::lock_guard<std::mutex> solver(s.home->solver_mu);
-        s.msf->apply_batch(ins, del, oracle ? &oracle->dendrogram() : nullptr);
+        solve_budgeted(s, earliest, [&](dynamic::DynamicMsf& m) {
+          m.apply_batch(group.insertions(), group.deletions(),
+                        oracle ? &oracle->dendrogram() : nullptr);
+        });
       } catch (const std::exception& e) {
         // apply_batch is all or nothing: a rejected, expired or failed group
         // left no trace, so there is nothing to log, publish or repair.
-        s.msf->set_budget(nullptr);
         const Response r = make_error(status_of(e), e.what());
         for (const std::size_t idx : members) finish(batch[idx], r);
         continue;
       }
-      s.msf->set_budget(nullptr);
       if (insert_only) {
         auto& counter = s.msf->path_max_batches() != by_path_max
                             ? metrics_.insert_index_path
@@ -1389,11 +1370,24 @@ void ServiceCore::flush_writes(Session& s) {
       metrics_.coalesce_size.record(members.size());
       // Commit: one WAL record for the whole group, appended under the
       // same exclusive lock as the mutation so log order == store order.
-      const std::uint64_t lsn = log_applied_group(
-          s, std::move(ins), std::move(del), std::move(group_idem));
+      persist::WalRecord rec;
+      rec.insertions = group.insertions();
+      rec.deletions = group.deletions();
+      rec.idem_ids = group_idem;
+      const std::uint64_t lsn = append_record(s, std::move(rec));
+      // Registered even without a log (persistence off, or just broken): the
+      // group IS applied, so a client retry must dedup either way.
+      for (std::string& id : group_idem) register_idem(s, std::move(id), lsn);
       // Compact before the snapshot publishes so a reader that sees the
-      // write response also sees the post-compaction store.
-      maybe_compact(s);
+      // write response also sees the post-compaction store.  The compact
+      // record is logged but not awaited: auto-compaction is not separately
+      // acked, and any later acked write's fsync covers it.
+      const dynamic::EdgeStore& st = s.msf->store();
+      if (st.size() >= opts_.compact_min_slots &&
+          static_cast<double>(st.num_live()) <
+              kCompactLiveRatio * static_cast<double>(st.size())) {
+        compact_locked(s);
+      }
       // Publish the committed state as the newest MVCC epoch — from here
       // on reads serve this (or a pinned older) snapshot.  Query-active
       // sessions get the epoch's ForestIndex (carried, or built on the
@@ -1534,10 +1528,10 @@ void ServiceCore::recover_sessions() {
 
 void ServiceCore::replay_tail(Session& s,
                               std::vector<persist::WalRecord> tail) {
-  // Replay reuses the live path's coalescing: consecutive batch records
-  // merge into one apply_batch (one sparsified solve) until a record's
-  // deletion targets an id this group inserts, repeats a deletion, or a
-  // compact record intervenes — the same dependency cuts the flusher makes,
+  // Replay reuses the flusher's coalescing: consecutive batch records merge
+  // into one apply_batch (one sparsified solve) until a compact record
+  // intervenes or dynamic::WriteGroup cuts — a record deletes an id the group
+  // inserted or already deletes, the same rule the flusher's groups obeyed —
   // so a 10^6-record tail costs a handful of solves, not 10^6.
   std::size_t i = 0;
   while (i < tail.size()) {
@@ -1547,29 +1541,20 @@ void ServiceCore::replay_tail(Session& s,
       ++i;
       continue;
     }
-    std::vector<WEdge> ins;
-    std::vector<EdgeId> del;
-    std::unordered_set<EdgeId> del_ids;
-    const EdgeId group_base = s.msf->store().size();
+    dynamic::WriteGroup group(s.msf->store());
     std::size_t j = i;
     while (j < tail.size() && !tail[j].compact) {
-      bool cut = false;
-      for (const EdgeId id : tail[j].deletions) {
-        if (id >= group_base || del_ids.count(id) != 0) {
-          cut = true;
-          break;
-        }
-      }
+      const std::vector<EdgeId>& dels = tail[j].deletions;
       // j == i cannot legitimately cut (a record's deletions always name
       // pre-record ids); if a malformed log does, the record goes through
       // alone and apply_batch rejects it with a clear diagnostic.
-      if (cut && j > i) break;
-      ins.insert(ins.end(), tail[j].insertions.begin(),
-                 tail[j].insertions.end());
-      for (const EdgeId id : tail[j].deletions) {
-        del.push_back(id);
-        del_ids.insert(id);
+      if (j > i && std::any_of(dels.begin(), dels.end(), [&](EdgeId id) {
+            return group.cuts(id);
+          })) {
+        break;
       }
+      for (const WEdge& e : tail[j].insertions) group.insert(e);
+      for (const EdgeId id : dels) group.erase(id);
       for (std::string& id : tail[j].idem_ids) {
         register_idem(s, std::move(id), tail[j].lsn);
       }
@@ -1577,64 +1562,15 @@ void ServiceCore::replay_tail(Session& s,
     }
     {
       std::lock_guard<std::mutex> solver(s.home->solver_mu);
-      s.msf->apply_batch(ins, del);
+      s.msf->apply_batch(group.insertions(), group.deletions());
     }
     bump_version(s);
     i = j;
   }
 }
 
-std::uint64_t ServiceCore::log_applied_group(
-    Session& s, std::vector<WEdge> insertions, std::vector<EdgeId> deletions,
-    std::vector<std::string> idem_ids) {
-  std::uint64_t lsn = 0;
-  if (s.log != nullptr && !s.log_broken &&
-      !s.dropped.load(std::memory_order_acquire)) {
-    persist::WalRecord rec;
-    rec.insertions = std::move(insertions);
-    rec.deletions = std::move(deletions);
-    rec.idem_ids = idem_ids;
-    try {
-      lsn = s.log->append(std::move(rec));
-      s.committed_lsn.store(lsn, std::memory_order_relaxed);
-    } catch (...) {
-      // The mutation is applied in memory but could not be logged.  Any
-      // later append would leave a gap replay refuses to cross, so logging
-      // stops for this session: served state stays correct, durability
-      // degrades to the last good record, and responses carry lsn 0.
-      s.log_broken = true;
-      lsn = 0;
-    }
-  }
-  // Registered even without a log (persistence off, or just broken): the
-  // mutation IS applied, so a client retry must dedup either way.
-  for (std::string& id : idem_ids) register_idem(s, std::move(id), lsn);
-  return lsn;
-}
-
-std::uint64_t ServiceCore::log_compact_record(Session& s) {
-  if (s.log == nullptr || s.log_broken ||
-      s.dropped.load(std::memory_order_acquire)) {
-    return 0;
-  }
-  persist::WalRecord rec;
-  rec.compact = true;
-  std::uint64_t lsn = 0;
-  try {
-    lsn = s.log->append(std::move(rec));
-  } catch (...) {
-    s.log_broken = true;
-    return 0;
-  }
-  s.committed_lsn.store(lsn, std::memory_order_relaxed);
-  return lsn;
-}
-
 void ServiceCore::snapshot_session_locked(Session& s) {
-  if (s.log == nullptr || s.log_broken ||
-      s.dropped.load(std::memory_order_acquire)) {
-    return;
-  }
+  if (!logging(s)) return;
   try {
     s.log->write_snapshot(s.msf->store(), s.msf->forest_edge_ids(),
                           idem_window(s));

@@ -32,6 +32,10 @@ struct Session;          // service_core.cpp
 struct SessionSnapshot;  // service_core.cpp
 struct ReadView;         // service_core.cpp
 
+/// A flush compacts the session's store when fewer than this fraction of
+/// its slots are live (and it has ServeOptions::compact_min_slots slots).
+inline constexpr double kCompactLiveRatio = 0.5;
+
 struct ServeOptions {
   /// Solver backend for every session: algorithm, seed, fallback policy.
   /// `msf.threads` sizes each shard's solver ThreadTeam; within one shard
@@ -56,8 +60,7 @@ struct ServeOptions {
   /// immediately; bursts then only coalesce while a previous solve runs.
   double coalesce_window_s = 0;
   /// Store compaction trigger, checked after each flush: compact when
-  /// live/slots < compact_live_ratio and slots >= compact_min_slots.
-  double compact_live_ratio = 0.5;
+  /// slots >= compact_min_slots and live/slots < kCompactLiveRatio.
   std::size_t compact_min_slots = 4096;
 
   // --- scale-out serving ---
@@ -126,9 +129,12 @@ struct ServeOptions {
 ///  * a bounded ring of recent epochs stays pinnable (Request::pin_epoch);
 ///    epochs that fall off the ring are reclaimed and refuse pins;
 ///  * writes enter a per-session pending list; one dispatcher becomes the
-///    flusher, merges every compatible queued write into a single
-///    apply_batch under the exclusive lock, and answers all of them —
-///    coalescing N queued writes into one sparsified solve;
+///    flusher, merges the queued writes in arrival order into
+///    dynamic::WriteGroup groups, applies each group as one apply_batch
+///    under the exclusive lock, and answers its members — coalescing N
+///    queued writes into one sparsified solve.  A WriteGroup ends where a
+///    delete depends on an earlier write of the group, and WAL replay
+///    regroups the logged records by the same rule;
 ///  * solves (initial, apply, recompute) are scheduled one at a time per
 ///    shard on that shard's ThreadTeam; sessions hash onto shards by name,
 ///    so cross-session solver load spreads across shards instead of
@@ -264,23 +270,18 @@ class ServiceCore {
 
   void enqueue_write(const std::shared_ptr<Session>& s, QueuedRequest qr);
   void flush_writes(Session& s);
-  void maybe_compact(Session& s);
+  /// Compacts the session's store, bumps the version and the compaction
+  /// counters, and appends the WAL compact marker (replay must reproduce
+  /// the store-id renumbering at the same point).  Returns the marker's
+  /// LSN, 0 when the session does not log.  Caller holds the exclusive
+  /// state lock and publishes the snapshot after.
+  std::uint64_t compact_locked(Session& s);
 
   // --- durability plumbing (all no-ops when data_dir is empty) ---
   [[nodiscard]] persist::SessionLogOptions log_options();
   [[nodiscard]] std::string session_dir(const std::string& name) const;
   void recover_sessions();
   void replay_tail(Session& s, std::vector<persist::WalRecord> tail);
-  /// Appends a WAL record for an applied group and registers its
-  /// idempotency ids; returns the commit LSN (0 when logging is off or the
-  /// log failed — see Session::log_broken).
-  std::uint64_t log_applied_group(Session& s,
-                                  std::vector<graph::WEdge> insertions,
-                                  std::vector<graph::EdgeId> deletions,
-                                  std::vector<std::string> idem_ids);
-  /// Appends a compact marker record (replay must reproduce the store-id
-  /// renumbering at the same point); returns its LSN, 0 when logging is off.
-  std::uint64_t log_compact_record(Session& s);
   /// Snapshots the session state at its current committed LSN (caller holds
   /// the exclusive state lock).
   void snapshot_session_locked(Session& s);

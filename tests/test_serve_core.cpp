@@ -2,16 +2,20 @@
 // admission control, store compaction — everything the tentpole promises,
 // exercised in-process without a socket.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/msf.hpp"
+#include "graph/compressed_csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "serve/service_core.hpp"
@@ -41,6 +45,22 @@ Request delete_req(const std::string& session,
   r.deletions = std::move(pairs);
   return r;
 }
+
+struct TempDir {
+  std::string path;
+  TempDir() {
+    static int counter = 0;
+    path = (std::filesystem::temp_directory_path() /
+            ("smpmsf_serve_core_test_" + std::to_string(::getpid()) + "_" +
+             std::to_string(counter++)))
+               .string();
+    std::filesystem::create_directories(path);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
 
 TEST(ServeCore, SessionLifecycleAndReads) {
   ServiceCore svc;
@@ -240,7 +260,6 @@ TEST(ServeCore, AdmissionControlShedsLoad) {
 TEST(ServeCore, CompactionKicksInBelowLiveRatio) {
   ServeOptions opts;
   opts.compact_min_slots = 64;
-  opts.compact_live_ratio = 0.5;
   ServiceCore svc(opts);
   Request open = make(Op::kOpen, "g");
   open.num_vertices = 100;
@@ -433,6 +452,156 @@ TEST(ServeCore, InlineReadLaneServesWithoutQueueing) {
   ASSERT_EQ(svc.call(make(Op::kWeight, "g")).status, Status::kOk);
   EXPECT_GT(svc.metrics().reads_inline.load(), before);
   svc.shutdown();
+}
+
+/// `open file=` loads a .smpz like the CLI does, not as DIMACS text: the
+/// .smpz and the .smpg of one graph give the same session.
+TEST(ServeCore, OpenLoadsSmpzLikeItsSmpgTwin) {
+  TempDir dir;
+  const EdgeList g = random_graph(1000, 4000, 11);
+  write_binary_file(dir.path + "/g.smpg", g);
+  CompressedCsrWriter w(dir.path + "/g.smpz", g.num_vertices);
+  w.add_edges(g.edges);
+  w.finish();
+
+  ServiceCore svc;
+  std::vector<Response> opened;
+  for (const char* name : {"smpg", "smpz"}) {
+    Request open = make(Op::kOpen, name);
+    open.path = dir.path + "/g." + name;
+    opened.push_back(svc.call(open));
+    ASSERT_EQ(opened.back().status, Status::kOk) << opened.back().detail;
+  }
+  EXPECT_EQ(opened[0].weight, opened[1].weight);
+  EXPECT_EQ(opened[0].forest_edges, opened[1].forest_edges);
+  EXPECT_EQ(opened[0].live_edges, opened[1].live_edges);
+  EXPECT_GT(opened[0].forest_edges, 0u);
+}
+
+/// The forest a snapshot serves, checked against sequential Kruskal on the
+/// snapshot's own live graph: the same store ids and the same weight bits.
+void expect_kruskal_forest(const SnapshotData& snap) {
+  core::MsfOptions kruskal;
+  kruskal.algorithm = core::Algorithm::kSeqKruskal;
+  MsfResult ref = core::minimum_spanning_forest_of_candidates(
+      snap.live, snap.live_ids, kruskal);
+  std::sort(ref.edge_ids.begin(), ref.edge_ids.end());
+  EXPECT_EQ(ref.edge_ids, snap.forest_ids);
+  Weight w = 0;
+  for (const EdgeId id : ref.edge_ids) {
+    const auto pos = std::lower_bound(snap.live_ids.begin(),
+                                      snap.live_ids.end(), id) -
+                     snap.live_ids.begin();
+    w += snap.live.edges[static_cast<std::size_t>(pos)].w;
+  }
+  EXPECT_EQ(w, snap.weight);
+}
+
+/// One coalesced burst that must cut its group three ways: a delete of a
+/// pair the group inserted, a second delete of a pair with a live parallel
+/// edge, and one idempotency id twice.  Every reply's outcome is the one the
+/// same writes get one at a time, the forest is Kruskal's, and a restart
+/// that replays the WAL comes back to the same state.
+TEST(ServeCore, CoalescedBurstCutsWhereWritesDependOnTheirGroup) {
+  TempDir dir;
+  ServeOptions opts;
+  opts.dispatchers = 2;
+  opts.coalesce_window_s = 0.3;
+  opts.data_dir = dir.path;
+  opts.fsync = persist::FsyncPolicy::kAlways;
+  opts.clean_shutdown = false;  // the restart replays the WAL tail
+
+  const auto setup = [](ServiceCore& svc) {
+    Request open = make(Op::kOpen, "g");
+    open.num_vertices = 8;
+    ASSERT_EQ(svc.call(open).status, Status::kOk);
+    ASSERT_EQ(svc.call(insert_req("g", {{0, 1, 1.0},
+                                        {1, 2, 2.0},
+                                        {2, 3, 1.0},
+                                        {2, 3, 2.0},  // parallel, heavier
+                                        {3, 4, 0.5},
+                                        {4, 0, 3.0},
+                                        {5, 6, 1.5}}))
+                  .status,
+              Status::kOk);
+  };
+  std::vector<Request> burst;
+  burst.push_back(insert_req("g", {{6, 7, 0.75}}));
+  burst.push_back(insert_req("g", {{0, 5, 0.25}}));
+  burst.back().idem_id = "x";
+  burst.push_back(insert_req("g", {{2, 7, 5.0}}));
+  burst.back().idem_id = "x";  // cuts, then dedups against the first
+  burst.push_back(insert_req("g", {{1, 4, 0.1}}));
+  burst.push_back(delete_req("g", {{4, 1}}));  // cuts: the group inserted it
+  burst.push_back(delete_req("g", {{2, 3}}));  // the 1.0 edge
+  burst.push_back(delete_req("g", {{3, 2}}));  // cuts, then the 2.0 edge
+  burst.push_back(delete_req("g", {{0, 1}}));
+  burst.push_back(delete_req("g", {{2, 3}}));  // cuts, then nothing is live
+
+  // Reference: the same writes one at a time.
+  std::vector<Response> want;
+  std::shared_ptr<SnapshotData> want_snap;
+  {
+    ServiceCore ref;
+    setup(ref);
+    for (const Request& r : burst) want.push_back(ref.call(r));
+    want_snap = ref.call(make(Op::kSnapshot, "g")).snapshot;
+  }
+  ASSERT_NE(want_snap, nullptr);
+  EXPECT_TRUE(want[2].dedup);
+  EXPECT_EQ(want.back().status, Status::kInvalidInput);
+
+  std::shared_ptr<SnapshotData> got_snap;
+  {
+    ServiceCore svc(opts);
+    setup(svc);
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t done = 0;
+    std::vector<Response> got(burst.size());
+    for (std::size_t i = 0; i < burst.size(); ++i) {
+      ASSERT_TRUE(svc.submit(burst[i], [&, i](Response r) {
+        std::lock_guard<std::mutex> lk(mu);
+        got[i] = std::move(r);
+        ++done;
+        cv.notify_one();
+      }));
+      // The first write parks one dispatcher in the coalescing window as the
+      // flusher; the other then feeds the rest in order.
+      if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    {
+      std::unique_lock<std::mutex> lk(mu);
+      cv.wait(lk, [&] { return done == burst.size(); });
+    }
+    // Forest facts are the group's by design; the outcome is the write's.
+    std::size_t max_coalesced = 0;
+    for (std::size_t i = 0; i < burst.size(); ++i) {
+      SCOPED_TRACE("write " + std::to_string(i));
+      EXPECT_EQ(got[i].status, want[i].status);
+      EXPECT_EQ(got[i].detail, want[i].detail);
+      EXPECT_EQ(got[i].dedup, want[i].dedup);
+      EXPECT_EQ(got[i].idem_id, want[i].idem_id);
+      max_coalesced = std::max(max_coalesced, got[i].coalesced);
+    }
+    EXPECT_GE(max_coalesced, 2u);
+    EXPECT_GE(svc.metrics().coalesce_conflicts.load(), 3u);
+    got_snap = svc.call(make(Op::kSnapshot, "g")).snapshot;
+    ASSERT_NE(got_snap, nullptr);
+    expect_kruskal_forest(*got_snap);
+    EXPECT_EQ(got_snap->forest_ids, want_snap->forest_ids);
+    EXPECT_EQ(got_snap->weight, want_snap->weight);
+    EXPECT_EQ(got_snap->live_ids, want_snap->live_ids);
+  }
+
+  ServiceCore restarted(opts);
+  EXPECT_GE(restarted.metrics().replayed_records.load(), 1u);
+  const auto snap = restarted.call(make(Op::kSnapshot, "g")).snapshot;
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->forest_ids, got_snap->forest_ids);
+  EXPECT_EQ(snap->weight, got_snap->weight);
+  EXPECT_EQ(snap->live_ids, got_snap->live_ids);
+  expect_kruskal_forest(*snap);
 }
 
 }  // namespace

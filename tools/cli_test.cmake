@@ -87,6 +87,19 @@ string(FIND "${out}" "validation: OK" pos)
 if(pos EQUAL -1)
   message(FATAL_ERROR "dynamic solve not bit-identical to recompute: ${out}")
 endif()
+# One batch for the whole trace: its `d 1 2` depends on the batch's own
+# `i 1 2`, so the batch is cut there, and the result is the one-op-per-batch
+# forest.
+run_cli(0 out_one solve --mode dynamic --alg bor-fal --batch-size 1
+        --update-trace ${WORK}/trace.txt --validate ${WORK}/g.gr)
+run_cli(0 out_all solve --mode dynamic --alg bor-fal --batch-size 1000
+        --update-trace ${WORK}/trace.txt --validate ${WORK}/g.gr)
+string(REGEX MATCH "forest: [^;]*" forest_one "${out_one}")
+string(REGEX MATCH "forest: [^;]*" forest_all "${out_all}")
+if(NOT out_all MATCHES "validation: OK" OR forest_one STREQUAL ""
+   OR NOT forest_one STREQUAL forest_all)
+  message(FATAL_ERROR "--batch-size 1000 vs 1: '${forest_all}' vs '${forest_one}': ${out_all}")
+endif()
 # A dynamic run decodes a .smpz into the same canonical edge list.
 run_cli(0 out solve --mode dynamic --alg bor-fal --threads 4 --batch-size 3
         --update-trace ${WORK}/trace.txt --validate ${WORK}/g.smpz)

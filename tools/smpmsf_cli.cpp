@@ -51,7 +51,6 @@
 #include <string_view>
 #include <thread>
 #include <type_traits>
-#include <unordered_set>
 
 #include "core/connected_components.hpp"
 #include "core/error.hpp"
@@ -59,6 +58,7 @@
 #include "core/msf.hpp"
 #include "dynamic/dynamic_msf.hpp"
 #include "dynamic/edge_slab.hpp"
+#include "dynamic/write_group.hpp"
 #include "core/compressed_solve.hpp"
 #include "graph/compressed_csr.hpp"
 #include "graph/generators.hpp"
@@ -110,41 +110,18 @@ SolveMode parse_mode(const std::string& s) {
                    "unknown mode '" + s + "' (valid: static dynamic)");
 }
 
-enum class Format { kDimacs, kSmpg, kSmpz, kSlab };
-
-Format format_of(const std::string& path) {
-  if (path.ends_with(".smpg")) return Format::kSmpg;
-  if (path.ends_with(".smpz")) return Format::kSmpz;
-  if (path.ends_with(".slab")) return Format::kSlab;
-  return Format::kDimacs;
-}
-
-/// The file as an edge list, parallel edges canonicalized (a .smpz holds
-/// only canonical edges already).
-EdgeList load(const std::string& path) {
-  const Format format = format_of(path);
-  if (format == Format::kSmpz) {
-    // Eager decode: fine for info/cc; solve keeps the compressed form
-    // (see cmd_solve) so big graphs never materialize an edge list.
-    return CompressedCsr::open_file(path).decode_edge_list();
-  }
-  if (format == Format::kSlab) {
-    const auto slab = dynamic::EdgeSlab::open(path);
-    EdgeList g(slab.num_vertices());
-    g.edges.assign(slab.edges(), slab.edges() + slab.num_edges());
-    return canonicalize_parallel_edges(g);
-  }
-  return format == Format::kSmpg ? read_binary_file(path) : read_dimacs_file(path);
-}
+using dynamic::GraphFormat;
+using dynamic::format_of;
+using dynamic::load_graph;
 
 /// Streams the file's edges in file order: `begin(n)` once, then `add(chunk)`
 /// per chunk.  DIMACS and .smpg stream verbatim through the parser; a .smpz
 /// or .slab is loaded.
 template <class Begin, class Add>
 void stream_edges(const std::string& path, Begin&& begin, Add&& add) {
-  const Format format = format_of(path);
-  if (format == Format::kSmpz || format == Format::kSlab) {
-    const EdgeList g = load(path);
+  const GraphFormat format = format_of(path);
+  if (format == GraphFormat::kSmpz || format == GraphFormat::kSlab) {
+    const EdgeList g = load_graph(path);
     begin(g.num_vertices);
     add(std::span<const WEdge>(g.edges));
     return;
@@ -152,8 +129,8 @@ void stream_edges(const std::string& path, Begin&& begin, Add&& add) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw smp::Error(smp::ErrorCode::kInvalidInput, "cannot open " + path);
   EdgeReader r(is,
-               format == Format::kSmpg ? EdgeReader::Format::kSmpg
-                                       : EdgeReader::Format::kDimacs,
+               format == GraphFormat::kSmpg ? EdgeReader::Format::kSmpg
+                                            : EdgeReader::Format::kDimacs,
                path);
   begin(r.num_vertices());
   std::vector<WEdge> chunk;
@@ -173,7 +150,7 @@ EdgeId write_streamed(const std::string& path, std::size_t run_edges,
   std::optional<dynamic::EdgeSlabWriter> slab;
   source(
       [&](VertexId n) {
-        if (format_of(path) == Format::kSmpz) {
+        if (format_of(path) == GraphFormat::kSmpz) {
           smpz.emplace(path, n, run_edges, tmp_dir);
         } else {
           slab.emplace(path, n);
@@ -186,14 +163,14 @@ EdgeId write_streamed(const std::string& path, std::size_t run_edges,
 }
 
 void store(const std::string& path, const EdgeList& g) {
-  const Format format = format_of(path);
-  if (format == Format::kSmpz || format == Format::kSlab) {
+  const GraphFormat format = format_of(path);
+  if (format == GraphFormat::kSmpz || format == GraphFormat::kSlab) {
     write_streamed(path, CompressedCsrWriter::kDefaultRunEdges, "",
                    [&](auto&& begin, auto&& add) {
                      begin(g.num_vertices);
                      add(std::span<const WEdge>(g.edges));
                    });
-  } else if (format == Format::kSmpg) {
+  } else if (format == GraphFormat::kSmpg) {
     write_binary_file(path, g);
   } else {
     write_dimacs_file(path, g);
@@ -327,7 +304,7 @@ int cmd_gen(const Flags& f) {
 
 int cmd_info(const Flags& f) {
   if (f.positional.size() != 1) usage("info needs exactly one FILE");
-  if (format_of(f.positional[0]) == Format::kSmpz) {
+  if (format_of(f.positional[0]) == GraphFormat::kSmpz) {
     const CompressedCsr c = CompressedCsr::open_file(f.positional[0]);
     std::printf("format: compressed csr (.smpz)\n");
     std::printf("structure: %zu bytes (%.2f B/edge), adjacency %zu bytes\n",
@@ -337,7 +314,7 @@ int cmd_info(const Flags& f) {
                                   : 0.0,
                 c.adjacency_bytes());
   }
-  const EdgeList g = load(f.positional[0]);
+  const EdgeList g = load_graph(f.positional[0]);
   const auto ds = degree_stats(g);
   std::printf("vertices: %u\nedges: %llu\ncomponents: %zu\n", g.num_vertices,
               static_cast<unsigned long long>(g.num_edges()), num_components(g));
@@ -356,13 +333,13 @@ int cmd_convert(const Flags& f) {
   const auto run_edges = f.num<std::size_t>(
       "--run-edges", CompressedCsrWriter::kDefaultRunEdges);
   if (run_edges == 0) usage("--run-edges must be >= 1");
-  const Format to = format_of(out);
+  const GraphFormat to = format_of(out);
   EdgeId m = 0;
-  if (to == Format::kSmpz || to == Format::kSlab) {
+  if (to == GraphFormat::kSmpz || to == GraphFormat::kSlab) {
     m = write_streamed(out, run_edges, f.get("--tmp-dir").value_or(""),
                        [&](auto&& begin, auto&& add) { stream_edges(in, begin, add); });
   } else {
-    const EdgeList g = load(in);
+    const EdgeList g = load_graph(in);
     store(out, g);
     m = g.num_edges();
   }
@@ -390,34 +367,22 @@ int solve_dynamic(const Flags& f, const EdgeList& g,
   dopts.msf = opts;
   smp::dynamic::DynamicMsf d(g, dopts);
 
-  const auto pair_key = [](VertexId u, VertexId v) {
-    if (u > v) std::swap(u, v);
-    return (static_cast<std::uint64_t>(u) << 32) | v;
-  };
-
   std::size_t ops = 0, batches = 0, scratch = 0, added = 0, removed = 0;
-  std::vector<WEdge> ins;
-  std::vector<EdgeId> del;
-  // Pairs inserted and ids deleted by the *pending* batch: a batch's
-  // deletions always name pre-batch edges, so a trace op that would observe
-  // its own batch forces a flush first (keeps replay order-exact while
-  // still batching the common case).
-  std::unordered_set<std::uint64_t> pending_pairs;
-  std::unordered_set<EdgeId> pending_del;
+  // The pending batch.  A trace op that depends on it (see WriteGroup)
+  // flushes it first, so replay stays order-exact while the common case
+  // still batches.
+  smp::dynamic::WriteGroup group(d.store());
 
   WallTimer t;
   const auto flush = [&] {
-    if (ins.empty() && del.empty()) return;
-    const auto delta = d.apply_batch(ins, del);
+    if (group.empty()) return;
+    const auto delta = d.apply_batch(group.insertions(), group.deletions());
     ++batches;
-    ops += ins.size() + del.size();
+    ops += group.size();
     scratch += delta.recomputed_from_scratch ? 1 : 0;
     added += delta.forest_added.size();
     removed += delta.forest_removed.size();
-    ins.clear();
-    del.clear();
-    pending_pairs.clear();
-    pending_del.clear();
+    group.clear();
   };
 
   std::string line;
@@ -437,34 +402,32 @@ int solve_dynamic(const Flags& f, const EdgeList& g,
         throw smp::Error(smp::ErrorCode::kInvalidInput,
                          "bad trace insert at line " + std::to_string(lineno));
       }
-      ins.push_back(WEdge{u - 1, v - 1, w});
-      pending_pairs.insert(pair_key(u - 1, v - 1));
+      group.insert(WEdge{u - 1, v - 1, w});
     } else if (tag == 'd') {
       ls >> u >> v;
       if (!ls || u == 0 || v == 0 || u > g.num_vertices || v > g.num_vertices) {
         throw smp::Error(smp::ErrorCode::kInvalidInput,
                          "bad trace delete at line " + std::to_string(lineno));
       }
-      if (pending_pairs.count(pair_key(u - 1, v - 1)) != 0) flush();
-      auto id = d.store().find_live(u - 1, v - 1);
-      if (id && pending_del.count(*id) != 0) {
-        flush();  // applies the pending deletion of this very edge
-        id = d.store().find_live(u - 1, v - 1);
+      EdgeId id = 0;
+      auto res = group.resolve(u - 1, v - 1, &id);
+      if (res == smp::dynamic::WriteGroup::Resolve::kCut) {
+        flush();
+        res = group.resolve(u - 1, v - 1, &id);
       }
-      if (!id) {
+      if (res == smp::dynamic::WriteGroup::Resolve::kNotLive) {
         throw smp::Error(smp::ErrorCode::kInvalidInput,
                          "trace deletes edge (" + std::to_string(u) + "," +
                              std::to_string(v) + ") that is not live, line " +
                              std::to_string(lineno));
       }
-      del.push_back(*id);
-      pending_del.insert(*id);
+      group.erase(id);
     } else {
       throw smp::Error(smp::ErrorCode::kInvalidInput,
                        std::string("unknown trace op '") + tag + "' at line " +
                            std::to_string(lineno) + " (valid: c i d)");
     }
-    if (ins.size() + del.size() >= batch_size) flush();
+    if (group.size() >= batch_size) flush();
   }
   flush();
   const double secs = t.elapsed_s();
@@ -572,13 +535,13 @@ int cmd_solve(const Flags& f) {
   // A static solve keeps a .smpz compressed: Champion streams from the rows,
   // other algorithms decode once.  Everything else loads as an edge list.
   const bool compressed =
-      mode == SolveMode::kStatic && format_of(file) == Format::kSmpz;
+      mode == SolveMode::kStatic && format_of(file) == GraphFormat::kSmpz;
   std::optional<CompressedCsr> cz;
   EdgeList g;
   if (compressed) {
     cz = CompressedCsr::open_file(file);
   } else {
-    g = load(file);
+    g = load_graph(file);
   }
   const VertexId num_vertices = compressed ? cz->num_vertices() : g.num_vertices;
   const EdgeId num_edges = compressed ? cz->num_edges() : g.num_edges();
@@ -684,7 +647,7 @@ int cmd_solve(const Flags& f) {
 
 int cmd_cc(const Flags& f) {
   if (f.positional.size() != 1) usage("cc needs exactly one FILE");
-  const EdgeList g = load(f.positional[0]);
+  const EdgeList g = load_graph(f.positional[0]);
   WallTimer t;
   const auto cc = core::connected_components(g);
   std::printf("components: %zu (%.3fs)\n", cc.num_components, t.elapsed_s());

@@ -17,7 +17,7 @@
 // server exits 3 if the open fails), so clients never observe the initial
 // solve of a big graph.  A .slab PATH is adopted as the session store's
 // mmap base layer (see dynamic/edge_slab.hpp) — the billion-edge path;
-// .smpg and DIMACS load like the open verb.
+// .smpg, .smpz and DIMACS load like the open verb (dynamic::load_graph).
 //
 // Each --listen SPEC is `uds:PATH` or `tcp:PORT` (tcp:0 picks an ephemeral
 // port, printed on startup); `--socket PATH` is shorthand for
