@@ -1,11 +1,10 @@
 #include "core/compressed_solve.hpp"
 
 #include <new>
-#include <string>
 
 #include "core/champion.hpp"
+#include "core/detail.hpp"
 #include "graph/edge_list.hpp"
-#include "seq/seq_msf.hpp"
 
 namespace smp::core {
 
@@ -40,20 +39,8 @@ MsfResult solve_with(ThreadTeam* external_team, const CompressedCsr& g,
     }
     return minimum_spanning_forest(el, opts);
   } catch (const std::bad_alloc&) {
-    if (!opts.allow_sequential_fallback) {
-      throw Error(ErrorCode::kOutOfMemory,
-                  std::string(to_string(opts.algorithm)) +
-                      " exhausted its memory budget (fallback disabled)");
-    }
-    iteration_checkpoint(opts, "sequential fallback");
-    try {
-      MsfResult r = seq::kruskal_msf(g.decode_edge_list());
-      r.degraded_to_sequential = true;
-      return r;
-    } catch (const std::bad_alloc&) {
-      throw Error(ErrorCode::kOutOfMemory,
-                  "sequential fallback also exhausted memory");
-    }
+    return detail::sequential_fallback(opts,
+                                       [&] { return g.decode_edge_list(); });
   }
 }
 

@@ -4,10 +4,14 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/dir_edge.hpp"
+#include "core/error.hpp"
+#include "core/msf.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/msf_result.hpp"
 #include "pprim/cacheline.hpp"
@@ -17,6 +21,7 @@
 #include "pprim/prefix_sum.hpp"
 #include "pprim/radix_sort.hpp"
 #include "pprim/thread_team.hpp"
+#include "seq/seq_msf.hpp"
 
 namespace smp::core::detail {
 
@@ -50,6 +55,31 @@ class EdgeCollector {
  private:
   std::vector<Padded<std::vector<graph::EdgeId>>> slots_;
 };
+
+/// Graceful degradation, run when a parallel solve threw std::bad_alloc
+/// (heap exhaustion or the budget's arena cap).  The whole team has unwound,
+/// so the request is recomputed sequentially rather than failed: Kruskal's
+/// working set is the smallest of any algorithm here.  `edges()` yields the
+/// input as an edge list and is called only once the fallback runs.  The
+/// result is flagged degraded_to_sequential.  Throws Error{kOutOfMemory}
+/// when opts.allow_sequential_fallback is false or Kruskal runs out too.
+template <class Edges>
+graph::MsfResult sequential_fallback(const MsfOptions& opts, Edges&& edges) {
+  if (!opts.allow_sequential_fallback) {
+    throw Error(ErrorCode::kOutOfMemory,
+                std::string(to_string(opts.algorithm)) +
+                    " exhausted its memory budget (fallback disabled)");
+  }
+  iteration_checkpoint(opts, "sequential fallback");
+  try {
+    graph::MsfResult r = seq::kruskal_msf(edges());
+    r.degraded_to_sequential = true;
+    return r;
+  } catch (const std::bad_alloc&) {
+    throw Error(ErrorCode::kOutOfMemory,
+                "sequential fallback also exhausted memory");
+  }
+}
 
 /// Ids per dynamically claimed chunk of assemble_result's flag pass.
 inline constexpr std::size_t kAssembleMarkChunk = 4096;

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "core/champion.hpp"
+#include "core/detail.hpp"
 #include "core/find_min.hpp"
 #include "pprim/partition.hpp"
 #include "pprim/thread_team.hpp"
@@ -192,24 +193,8 @@ graph::MsfResult solve_with(ThreadTeam* external_team, const graph::EdgeList& g,
     // ~ThreadTeam joins the (now idle) workers even on the throw path: run()
     // never rethrows before every worker has left the region.
   } catch (const std::bad_alloc&) {
-    // Graceful degradation: the parallel variant ran out of memory (heap or
-    // the budget's arena cap).  The whole team has unwound, so recompute
-    // sequentially rather than fail the request — Kruskal's working set is
-    // the smallest of any algorithm here.
-    if (!opts.allow_sequential_fallback) {
-      throw Error(ErrorCode::kOutOfMemory,
-                  std::string(to_string(opts.algorithm)) +
-                      " exhausted its memory budget (fallback disabled)");
-    }
-    iteration_checkpoint(opts, "sequential fallback");
-    try {
-      graph::MsfResult r = seq::kruskal_msf(g);
-      r.degraded_to_sequential = true;
-      return r;
-    } catch (const std::bad_alloc&) {
-      throw Error(ErrorCode::kOutOfMemory,
-                  "sequential fallback also exhausted memory");
-    }
+    return detail::sequential_fallback(
+        opts, [&]() -> const graph::EdgeList& { return g; });
   }
 }
 

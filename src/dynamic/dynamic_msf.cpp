@@ -44,14 +44,6 @@ DynamicMsf::DynamicMsf(const EdgeList& initial, DynamicMsfOptions opts)
   commit({}, std::move(r.edge_ids));
 }
 
-DynamicMsf::DynamicMsf(EdgeStore store, DynamicMsfOptions opts)
-    : store_(std::move(store)), opts_(std::move(opts)) {
-  adopt_team(opts_, own_team_);
-  // The live-graph copy the solve takes is transient; the store keeps
-  // serving from its mmap base.
-  recompute();
-}
-
 DynamicMsf::DynamicMsf(VertexId num_vertices, DynamicMsfOptions opts)
     : store_(num_vertices), opts_(std::move(opts)) {
   core::validate_request(EdgeList(num_vertices), opts_.msf);

@@ -97,11 +97,6 @@ class DynamicMsf {
   /// Starts from an edgeless graph on `num_vertices` vertices.
   explicit DynamicMsf(graph::VertexId num_vertices,
                       DynamicMsfOptions opts = {});
-  /// Starts from an adopted store (typically slab-backed, see
-  /// EdgeStore(shared_ptr<const EdgeSlab>)) and solves its live graph once.
-  /// The transient solve copy is released afterwards; the maintained graph
-  /// keeps serving reads from the store's mmap base.
-  explicit DynamicMsf(EdgeStore store, DynamicMsfOptions opts = {});
 
   /// Restores a previously maintained state without solving: adopts `store`
   /// as-is and `forest` as the committed forest (store ids, any order; they

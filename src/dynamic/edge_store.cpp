@@ -42,28 +42,26 @@ constexpr std::size_t kMinSlots = 16;
 
 }  // namespace
 
-SlotBuffer::SlotBuffer(std::size_t slots, std::size_t tail)
+SlotBuffer::SlotBuffer(std::size_t slots)
     : slots_(slots),
-      bytes_(tail * sizeof(WEdge) + slots * sizeof(std::uint64_t)),
-      tail_(nullptr),
+      bytes_(slots * (sizeof(WEdge) + sizeof(std::uint64_t))),
+      edges_(nullptr),
       stamps_(nullptr) {
   void* p = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED) throw std::bad_alloc();
-  tail_ = static_cast<WEdge*>(p);
+  edges_ = static_cast<WEdge*>(p);
   // sizeof(WEdge) is a multiple of 8, so the stamps stay 8-aligned.
-  stamps_ = reinterpret_cast<std::uint64_t*>(static_cast<char*>(p) +
-                                             tail * sizeof(WEdge));
+  stamps_ = reinterpret_cast<std::uint64_t*>(edges_ + slots);
 }
 
-SlotBuffer::~SlotBuffer() { munmap(tail_, bytes_); }
+SlotBuffer::~SlotBuffer() { munmap(edges_, bytes_); }
 
 std::shared_ptr<SlotBuffer> EdgeStore::copy_slots(std::size_t capacity) const {
-  const auto base = static_cast<std::size_t>(base_m_);
   const auto slots = static_cast<std::size_t>(slots_);
-  auto nb = std::make_shared<SlotBuffer>(capacity, capacity - base);
+  auto nb = std::make_shared<SlotBuffer>(capacity);
   if (slots > 0) {
-    std::memcpy(nb->tail(), buf_->tail(), (slots - base) * sizeof(WEdge));
+    std::memcpy(nb->edges(), buf_->edges(), slots * sizeof(WEdge));
     for (std::size_t i = 0; i < slots; ++i) nb->set_stamp(i, buf_->stamp(i));
   }
   return nb;
@@ -71,8 +69,6 @@ std::shared_ptr<SlotBuffer> EdgeStore::copy_slots(std::size_t capacity) const {
 
 EdgeStore::EdgeStore(const EdgeStore& other)
     : n_(other.n_),
-      base_(other.base_),
-      base_m_(other.base_m_),
       slots_(other.slots_),
       live_(other.live_),
       erase_clock_(other.erase_clock_),
@@ -92,24 +88,10 @@ EdgeStore& EdgeStore::operator=(const EdgeStore& other) {
 EdgeStore::EdgeStore(const EdgeList& g) : n_(g.num_vertices) {
   for (const auto& e : g.edges) check_edge(e.u, e.v, e.w, n_);
   const std::size_t m = g.edges.size();
-  buf_ = std::make_shared<SlotBuffer>(std::max(m, kMinSlots),
-                                      std::max(m, kMinSlots));
-  if (m > 0) std::memcpy(buf_->tail(), g.edges.data(), m * sizeof(WEdge));
+  buf_ = std::make_shared<SlotBuffer>(std::max(m, kMinSlots));
+  if (m > 0) std::memcpy(buf_->edges(), g.edges.data(), m * sizeof(WEdge));
   for (std::size_t i = 0; i < m; ++i) buf_->set_stamp(i, SlotBuffer::kLive);
   slots_ = m;
-  live_ = m;
-}
-
-EdgeStore::EdgeStore(std::shared_ptr<const EdgeSlab> slab)
-    : n_(slab->num_vertices()),
-      base_(std::move(slab)),
-      base_m_(base_->num_edges()) {
-  // EdgeSlab::open already enforced the insertion invariants per record, so
-  // adoption is O(m) stamps, not another validation pass.
-  const auto m = static_cast<std::size_t>(base_m_);
-  buf_ = std::make_shared<SlotBuffer>(m + kMinSlots, kMinSlots);
-  for (std::size_t i = 0; i < m; ++i) buf_->set_stamp(i, SlotBuffer::kLive);
-  slots_ = base_m_;
   live_ = m;
 }
 
@@ -118,16 +100,15 @@ void EdgeStore::reserve_slot() {
   if (buf_ != nullptr && slots < buf_->capacity()) return;
   // Views taken so far keep the full buffer; the writer moves on to a copy
   // of twice the capacity, so nothing a view reads is ever written again.
-  const auto base = static_cast<std::size_t>(base_m_);
   fault_point("edge-store.grow");
-  buf_ = copy_slots(std::max(base + kMinSlots, 2 * slots));
+  buf_ = copy_slots(std::max(kMinSlots, 2 * slots));
 }
 
 EdgeId EdgeStore::insert(VertexId u, VertexId v, Weight w) {
   check_edge(u, v, w, n_);
   reserve_slot();
   const EdgeId id = slots_;
-  buf_->tail()[static_cast<std::size_t>(id - base_m_)] = WEdge{u, v, w};
+  buf_->edges()[static_cast<std::size_t>(id)] = WEdge{u, v, w};
   buf_->set_stamp(id, SlotBuffer::kLive);
   ++slots_;
   ++live_;
@@ -167,9 +148,7 @@ void EdgeStore::rollback(std::span<const EdgeId> erased,
 
 StoreView EdgeStore::view() const {
   StoreView v;
-  v.base_ = base_;
   v.buf_ = buf_;
-  v.base_m_ = base_m_;
   v.slots_ = slots_;
   v.erase_bound_ = erase_clock_;
   v.live_ = live_;
@@ -208,21 +187,17 @@ std::optional<EdgeId> EdgeStore::find_live(VertexId u, VertexId v) const {
 std::vector<EdgeId> EdgeStore::compact() {
   std::vector<EdgeId> remap(static_cast<std::size_t>(size()),
                             graph::kInvalidEdge);
-  // Compaction materializes everything into a fresh owned buffer and
-  // releases the mmap base (a compacted slab no longer matches its file
-  // anyway); views of the old layout keep the old buffer.
-  auto nb = std::make_shared<SlotBuffer>(std::max(live_, kMinSlots),
-                                         std::max(live_, kMinSlots));
+  // Compaction moves the live slots into a fresh buffer; views of the old
+  // layout keep the old buffer.
+  auto nb = std::make_shared<SlotBuffer>(std::max(live_, kMinSlots));
   EdgeId next = 0;
   for (EdgeId id = 0; id < size(); ++id) {
     if (!is_live(id)) continue;
     remap[static_cast<std::size_t>(id)] = next;
-    nb->tail()[static_cast<std::size_t>(next)] = edge(id);
+    nb->edges()[static_cast<std::size_t>(next)] = edge(id);
     nb->set_stamp(next, SlotBuffer::kLive);
     ++next;
   }
-  base_.reset();
-  base_m_ = 0;
   buf_ = std::move(nb);
   slots_ = next;
   ++compactions_;
@@ -281,8 +256,7 @@ EdgeStore EdgeStore::restore(const unsigned char* data, std::size_t size,
                     " exceeds the serialized payload");
   }
   const auto count = static_cast<std::size_t>(slots);
-  s.buf_ = std::make_shared<SlotBuffer>(std::max(count, kMinSlots),
-                                        std::max(count, kMinSlots));
+  s.buf_ = std::make_shared<SlotBuffer>(std::max(count, kMinSlots));
   for (std::size_t i = 0; i < count; ++i) {
     WEdge e;
     e.u = take<std::uint32_t>(data, size, off, "edge");
@@ -295,7 +269,7 @@ EdgeStore EdgeStore::restore(const unsigned char* data, std::size_t size,
                       std::to_string(i));
     }
     check_edge(e.u, e.v, e.w, s.n_);  // tombstoned slots were once live too
-    s.buf_->tail()[i] = e;
+    s.buf_->edges()[i] = e;
     // Restored tombstones get distinct stamps, like erase() would give.
     s.buf_->set_stamp(i, dead == 0 ? SlotBuffer::kLive : ++s.erase_clock_);
     if (dead == 0) ++s.live_;

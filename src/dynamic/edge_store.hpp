@@ -11,35 +11,34 @@
 #include <utility>
 #include <vector>
 
-#include "dynamic/edge_slab.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/types.hpp"
 
 namespace smp::dynamic {
 
 /// Fixed-capacity slot storage shared by an EdgeStore and the StoreViews
-/// taken from it: the owned tail's edge records and one erase stamp per slot
-/// (base-slab slots included).  The store only ever appends past every
-/// view's slot bound and stamps slots; it never moves or frees a buffer a
-/// view holds — growth and compaction start a new buffer instead.
+/// taken from it: one edge record and one erase stamp per slot.  The store
+/// only ever appends past every view's slot bound and stamps slots; it never
+/// moves or frees a buffer a view holds — growth and compaction start a new
+/// buffer instead.
 class SlotBuffer {
  public:
   /// Stamp of a slot that has never been erased.
   static constexpr std::uint64_t kLive = ~std::uint64_t{0};
 
-  /// `slots` slot stamps, of which the last `tail` also get edge records.
-  /// Both arrays live in one anonymous mapping, left uninitialized: untouched
-  /// capacity costs address space, not resident memory, and the destructor
-  /// returns every page to the system (a freed heap block this large can
-  /// stay resident).  Throws std::bad_alloc when the mapping fails.
-  SlotBuffer(std::size_t slots, std::size_t tail);
+  /// `slots` edge records and slot stamps.  Both arrays live in one
+  /// anonymous mapping, left uninitialized: untouched capacity costs address
+  /// space, not resident memory, and the destructor returns every page to
+  /// the system (a freed heap block this large can stay resident).  Throws
+  /// std::bad_alloc when the mapping fails.
+  explicit SlotBuffer(std::size_t slots);
   ~SlotBuffer();
   SlotBuffer(const SlotBuffer&) = delete;
   SlotBuffer& operator=(const SlotBuffer&) = delete;
 
   [[nodiscard]] std::size_t capacity() const { return slots_; }
-  [[nodiscard]] const graph::WEdge* tail() const { return tail_; }
-  [[nodiscard]] graph::WEdge* tail() { return tail_; }
+  [[nodiscard]] const graph::WEdge* edges() const { return edges_; }
+  [[nodiscard]] graph::WEdge* edges() { return edges_; }
   [[nodiscard]] std::uint64_t stamp(graph::EdgeId id) const {
     return std::atomic_ref<std::uint64_t>(stamps_[id]).load(
         std::memory_order_relaxed);
@@ -52,7 +51,7 @@ class SlotBuffer {
  private:
   std::size_t slots_;
   std::size_t bytes_;
-  graph::WEdge* tail_;
+  graph::WEdge* edges_;
   std::uint64_t* stamps_;
 };
 
@@ -76,8 +75,7 @@ class StoreView {
   }
   /// The edge in slot `id` (id must be < size()).
   [[nodiscard]] const graph::WEdge& edge(graph::EdgeId id) const {
-    return id < base_m_ ? base_->edges()[static_cast<std::size_t>(id)]
-                        : buf_->tail()[static_cast<std::size_t>(id - base_m_)];
+    return buf_->edges()[static_cast<std::size_t>(id)];
   }
   /// The view's live edges in ascending store-id order (see
   /// EdgeStore::live_graph).
@@ -87,24 +85,18 @@ class StoreView {
  private:
   friend class EdgeStore;
 
-  std::shared_ptr<const EdgeSlab> base_;
   std::shared_ptr<const SlotBuffer> buf_;
-  graph::EdgeId base_m_ = 0;
   graph::EdgeId slots_ = 0;
   std::uint64_t erase_bound_ = 0;
   std::size_t live_ = 0;
   graph::VertexId n_ = 0;
 };
 
-/// Mutable edge container backing the batch-dynamic subsystem.
+/// Mutable edge container backing the batch-dynamic subsystem: one owned,
+/// append-only array of slots.
 ///
-/// Storage is two layers: an optional read-only mmap-backed base slab
-/// (billion-edge sessions preload one; see EdgeSlab) followed by an owned
-/// append-only tail.  Ids are global across both layers, so everything
-/// below is layout-agnostic.
-///
-/// Edges get a *store id* on insertion — their index in the append-only
-/// slab — and keep it forever: deletion tombstones the slot instead of
+/// Edges get a *store id* on insertion — their index in the slot array —
+/// and keep it forever: deletion tombstones the slot instead of
 /// compacting, so ids held by callers (forest membership, deltas, update
 /// traces) never dangle or get reused.  Ascending store-id order therefore
 /// doubles as the repo-wide WeightOrder tie-break order: `live_graph()`
@@ -137,12 +129,6 @@ class EdgeStore {
   /// Throws Error{kInvalidInput} on self-loops, out-of-range endpoints or
   /// non-finite weights.
   explicit EdgeStore(const graph::EdgeList& g);
-  /// Adopts a validated mmap-backed slab as the base layer: slots
-  /// [0, slab->num_edges()) serve reads straight from the mapped file (zero
-  /// heap bytes per edge), while later insert()s append to an owned tail —
-  /// store-id semantics are identical to the all-owned store.  compact()
-  /// and restore() drop the base layer (they materialize owned slots).
-  explicit EdgeStore(std::shared_ptr<const EdgeSlab> slab);
 
   [[nodiscard]] graph::VertexId num_vertices() const { return n_; }
   /// Total slots, live and tombstoned; also the next id to be assigned.
@@ -153,16 +139,13 @@ class EdgeStore {
   }
   /// The edge in slot `id` (live or tombstoned; id must be < size()).
   [[nodiscard]] const graph::WEdge& edge(graph::EdgeId id) const {
-    return id < base_m_ ? base_->edges()[static_cast<std::size_t>(id)]
-                        : buf_->tail()[static_cast<std::size_t>(id - base_m_)];
+    return buf_->edges()[static_cast<std::size_t>(id)];
   }
   /// O(1) immutable view of the store as it is now (see StoreView).
   [[nodiscard]] StoreView view() const;
   /// How many times compact() has renumbered this store's ids: two views
   /// with equal counts name the same edge by the same id.
   [[nodiscard]] std::uint64_t compactions() const { return compactions_; }
-  /// Slots served from the mmap-backed base layer (0 = fully owned).
-  [[nodiscard]] graph::EdgeId base_size() const { return base_m_; }
 
   /// Appends a live edge and returns its store id.
   /// Throws Error{kInvalidInput} like the adopting constructor.
@@ -209,7 +192,7 @@ class EdgeStore {
   /// edge.  Returns the remap table: old id -> new id, kInvalidEdge for
   /// tombstoned slots.  Every id held outside the store is stale afterwards
   /// and must be translated through the table.  Without compaction a
-  /// sustained delete workload grows the slab (and every live_graph scan)
+  /// sustained delete workload grows the store (and every live_graph scan)
   /// without bound; the serving layer calls this when live/size falls below
   /// its threshold.
   std::vector<graph::EdgeId> compact();
@@ -244,12 +227,8 @@ class EdgeStore {
   }
 
   graph::VertexId n_ = 0;
-  /// Base layer: validated mmap-backed records for ids [0, base_m_).
-  /// Shared so snapshot copies of the store share one mapping.
-  std::shared_ptr<const EdgeSlab> base_;
-  graph::EdgeId base_m_ = 0;
-  /// Owned tail records for ids [base_m_, slots_) and the stamps of ALL
-  /// slots; shared with the views taken since it was allocated.
+  /// Records and stamps of slots [0, slots_); shared with the views taken
+  /// since it was allocated.
   std::shared_ptr<SlotBuffer> buf_;
   graph::EdgeId slots_ = 0;
   std::size_t live_ = 0;

@@ -1,6 +1,7 @@
 #include "graph/io.hpp"
 
 #include "core/error.hpp"
+#include "graph/compressed_csr.hpp"
 #include "graph/validate.hpp"
 
 #include <algorithm>
@@ -280,6 +281,21 @@ EdgeList read_binary(std::istream& is) {
 
 EdgeList read_binary_file(const std::string& path) {
   return read_file(path, EdgeReader::Format::kSmpg);
+}
+
+GraphFormat format_of(const std::string& path) {
+  if (path.ends_with(".smpg")) return GraphFormat::kSmpg;
+  if (path.ends_with(".smpz")) return GraphFormat::kSmpz;
+  return GraphFormat::kDimacs;
+}
+
+EdgeList load_graph(const std::string& path) {
+  const GraphFormat format = format_of(path);
+  if (format == GraphFormat::kSmpz) {
+    return CompressedCsr::open_file(path).decode_edge_list();
+  }
+  return format == GraphFormat::kSmpg ? read_binary_file(path)
+                                      : read_dimacs_file(path);
 }
 
 }  // namespace smp::graph

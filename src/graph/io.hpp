@@ -86,6 +86,18 @@ class EdgeReader {
   std::string line_;
 };
 
+/// The graph file formats, picked by path suffix: .smpg binary edge list,
+/// .smpz compressed CSR (graph/compressed_csr.hpp), anything else DIMACS
+/// text.
+enum class GraphFormat { kDimacs, kSmpg, kSmpz };
+
+[[nodiscard]] GraphFormat format_of(const std::string& path);
+
+/// The graph file at `path`, in the format its suffix names, as an edge
+/// list with parallel edges canonicalized (a .smpz holds only canonical
+/// edges already).  The one loader `smpmsf` and the serve `open` share.
+[[nodiscard]] EdgeList load_graph(const std::string& path);
+
 /// A file written under `path + ".tmp"` and renamed over `path` by commit():
 /// a writer that throws before commit() leaves no file at `path`, and the
 /// destructor removes the temporary.  Every graph-file writer goes through

@@ -7,12 +7,12 @@
 namespace smp::graph {
 
 /// Read-only memory map of a whole file, the storage substrate under
-/// CompressedCsr::open_file and the dynamic layer's edge slabs.  Every
-/// failure mode — unopenable path, unstattable file, a map the kernel
-/// refuses — surfaces as smp::Error{kInvalidInput} naming the path (and
-/// size where it helps), never a crash; callers layer their own
-/// format-level offset diagnostics on top.  Move-only; unmaps on
-/// destruction.  A default-constructed instance is an empty map.
+/// CompressedCsr::open_file.  Every failure mode — unopenable path,
+/// unstattable file, a map the kernel refuses — surfaces as
+/// smp::Error{kInvalidInput} naming the path (and size where it helps),
+/// never a crash; callers layer their own format-level offset diagnostics
+/// on top.  Move-only; unmaps on destruction.  A default-constructed
+/// instance is an empty map.
 class MmapFile {
  public:
   MmapFile() = default;

@@ -15,7 +15,6 @@
 
 #include "core/error.hpp"
 #include "dynamic/dynamic_msf.hpp"
-#include "dynamic/edge_slab.hpp"
 #include "dynamic/write_group.hpp"
 #include "graph/io.hpp"
 #include "query/forest_index.hpp"
@@ -970,17 +969,8 @@ Response ServiceCore::do_open(const Request& req) {
     if (req.path.empty()) {
       session->msf = std::make_unique<dynamic::DynamicMsf>(req.num_vertices,
                                                            dopts);
-    } else if (dynamic::format_of(req.path) == dynamic::GraphFormat::kSlab) {
-      // mmap-backed preload: the store adopts the slab as its base layer, so
-      // the session serves edge reads from the page cache instead of a heap
-      // copy (the --preload path for billion-edge sessions).
-      auto slab = std::make_shared<const dynamic::EdgeSlab>(
-          dynamic::EdgeSlab::open(req.path));
-      std::lock_guard<std::mutex> solver(session->home->solver_mu);
-      session->msf = std::make_unique<dynamic::DynamicMsf>(
-          dynamic::EdgeStore(std::move(slab)), dopts);
     } else {
-      const EdgeList g = dynamic::load_graph(req.path);
+      const EdgeList g = graph::load_graph(req.path);
       // The initial solve is scheduled like any other on the home shard.
       std::lock_guard<std::mutex> solver(session->home->solver_mu);
       session->msf = std::make_unique<dynamic::DynamicMsf>(g, dopts);

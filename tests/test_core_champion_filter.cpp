@@ -474,6 +474,41 @@ TEST_F(ChampionFilterFault, BadAllocUnwindsAndDegradesToKruskal) {
   EXPECT_EQ(test::sorted_ids(r), ref.ids);
 }
 
+TEST_F(ChampionFilterFault, CompressedBadAllocDegradesToKruskal) {
+  // The .smpz path degrades through the same fallback as the edge list
+  // path: Kruskal on the decoded rows, or the same kOutOfMemory message
+  // when the fallback is disabled.
+  const CompressedCsr cz = CompressedCsr::build(random_graph(3000, 30000, 41));
+  const EdgeList el = cz.decode_edge_list();
+  const Reference ref = kruskal_reference(el);
+  core::MsfOptions opts;
+  opts.threads = 4;
+  FaultInjector::arm("champion.filter", FaultKind::kBadAlloc);
+  const MsfResult r = core::minimum_spanning_forest_compressed(cz, opts);
+  EXPECT_EQ(FaultInjector::hits("champion.filter"), 1u);
+  EXPECT_TRUE(r.degraded_to_sequential);
+  EXPECT_EQ(test::sorted_ids(r), ref.ids);
+
+  opts.allow_sequential_fallback = false;
+  const auto out_of_memory = [&](auto&& solve) {
+    FaultInjector::arm("champion.filter", FaultKind::kBadAlloc);
+    try {
+      (void)solve();
+      ADD_FAILURE() << "no throw";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kOutOfMemory);
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string compressed = out_of_memory(
+      [&] { return core::minimum_spanning_forest_compressed(cz, opts); });
+  const std::string edge_list =
+      out_of_memory([&] { return core::minimum_spanning_forest(el, opts); });
+  EXPECT_FALSE(compressed.empty());
+  EXPECT_EQ(compressed, edge_list);
+}
+
 TEST_F(ChampionFilterFault, LightScanBadAllocUnwindsAndDegradesToKruskal) {
   const EdgeList g = random_graph(3000, 30000, 39);
   const Reference ref = kruskal_reference(g);

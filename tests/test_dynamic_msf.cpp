@@ -6,10 +6,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -17,7 +13,6 @@
 #include "core/error.hpp"
 #include "core/msf.hpp"
 #include "dynamic/dynamic_msf.hpp"
-#include "dynamic/edge_slab.hpp"
 #include "graph/generators.hpp"
 #include "graph/validate.hpp"
 #include "pprim/fault.hpp"
@@ -508,105 +503,6 @@ TEST(CandidateMsf, MapsIdsBackAndRejectsUnsortedIds) {
   const std::vector<EdgeId> short_ids = {3};
   EXPECT_THROW(
       core::minimum_spanning_forest_of_candidates(cand, short_ids, {}), Error);
-}
-
-TEST(EdgeSlab, RoundTripAndDynamicMsfAdoption) {
-  // A slab written from an edge list, reopened via mmap, adopted as the
-  // store's base layer: the forest must match a from-scratch solve, and
-  // subsequent batches must keep working on top of the mapped base.
-  const EdgeList g = random_graph(200, 800, 17);
-  const std::string path = ::testing::TempDir() + "/smpmsf_slab.slab";
-  dynamic::EdgeSlab::write_file(path, g);
-  auto slab = std::make_shared<const dynamic::EdgeSlab>(
-      dynamic::EdgeSlab::open(path));
-  EXPECT_EQ(slab->num_vertices(), g.num_vertices);
-  ASSERT_EQ(slab->num_edges(), g.num_edges());
-  DynamicMsf d(EdgeStore(slab), dyn_opts(core::Algorithm::kChampion, 2));
-  const Reference ref = scratch_reference(d, core::Algorithm::kChampion, 2);
-  EXPECT_EQ(d.forest_edge_ids(), ref.forest);
-  EXPECT_EQ(d.num_trees(), ref.trees);
-  std::remove(path.c_str());
-}
-
-TEST(EdgeSlab, ErrorsNameThePathAndOffset) {
-  // Satellite 6: every way a slab file can be bad must be a clear
-  // kInvalidInput naming the path and the byte offset — never a crash, a
-  // silent partial load, or a size_t-underflow record count.
-  const std::string path = ::testing::TempDir() + "/smpmsf_badslab.slab";
-  const auto expect_invalid = [&](const std::string& label) {
-    try {
-      (void)dynamic::EdgeSlab::open(path);
-      FAIL() << label << ": accepted";
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kInvalidInput) << label;
-      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
-          << label << ": " << e.what();
-      EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos)
-          << label << ": " << e.what();
-    }
-  };
-
-  const auto write_raw = [&](const std::string& bytes) {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  };
-
-  // mmap failure: the file does not exist at all.
-  std::remove(path.c_str());
-  EXPECT_THROW((void)dynamic::EdgeSlab::open(path), Error);
-
-  // Shorter than the 24-byte header.
-  write_raw("SMPB\x01");
-  expect_invalid("short header");
-
-  // Valid slab to corrupt from.
-  EdgeList g(10);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 2.0);
-  dynamic::EdgeSlab::write_file(path, g);
-  std::string whole;
-  {
-    std::ifstream is(path, std::ios::binary);
-    whole.assign(std::istreambuf_iterator<char>(is),
-                 std::istreambuf_iterator<char>());
-  }
-  ASSERT_EQ(whole.size(), 24u + 2 * 16u);
-
-  write_raw("XXXX" + whole.substr(4));
-  expect_invalid("bad magic");
-
-  std::string bad_version = whole;
-  bad_version[4] = 9;
-  write_raw(bad_version);
-  expect_invalid("unsupported version");
-
-  // Truncated mid-record: size no longer matches the declared m.
-  write_raw(whole.substr(0, whole.size() - 7));
-  expect_invalid("truncated records");
-
-  // Trailing garbage after the last record.
-  write_raw(whole + "zz");
-  expect_invalid("trailing bytes");
-
-  // Record-level violations: self-loop, endpoint out of range, NaN weight.
-  std::string self_loop = whole;
-  std::memcpy(&self_loop[24 + 4], &self_loop[24], 4);  // v := u on record 0
-  write_raw(self_loop);
-  expect_invalid("self-loop record");
-
-  std::string out_of_range = whole;
-  const std::uint32_t huge = 1000;
-  std::memcpy(&out_of_range[24 + 4], &huge, 4);
-  write_raw(out_of_range);
-  expect_invalid("endpoint out of range");
-
-  std::string bad_weight = whole;
-  const double nan = std::nan("");
-  std::memcpy(&bad_weight[24 + 8], &nan, 8);
-  write_raw(bad_weight);
-  expect_invalid("non-finite weight");
-
-  std::remove(path.c_str());
 }
 
 TEST(CanonicalizeParallel, KeepsWeightThenIdMinimalEdge) {

@@ -1,6 +1,6 @@
 // StoreView: the O(1) MVCC view of an EdgeStore.  A view taken at any point
 // must keep answering exactly what live_graph() returned at that point —
-// across later inserts, erases, buffer growth, compaction and a slab base —
+// across later inserts, erases, buffer growth and compaction —
 // including while the writer keeps mutating the store on another thread.
 // Also pins EdgeStore::serialize's byte layout, which WAL snapshots depend
 // on.
@@ -8,14 +8,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "dynamic/edge_slab.hpp"
 #include "dynamic/edge_store.hpp"
 #include "pprim/rng.hpp"
 
@@ -23,7 +21,6 @@ namespace {
 
 using namespace smp;
 using namespace smp::graph;
-using smp::dynamic::EdgeSlab;
 using smp::dynamic::EdgeStore;
 using smp::dynamic::StoreView;
 
@@ -125,31 +122,6 @@ TEST(StoreView, AdoptedEdgeListAndRestoredStore) {
   expect_view_matches(restored);
   EXPECT_EQ(restored.ids, after.ids);
   EXPECT_EQ(restored.live.edges, after.live.edges);
-}
-
-TEST(StoreView, SlabBaseLayer) {
-  EdgeList g(30);
-  Rng rng(11);
-  for (int i = 0; i < 100; ++i) {
-    const auto u = static_cast<VertexId>(rng.next_below(30));
-    const auto v = static_cast<VertexId>((u + 1 + rng.next_below(29)) % 30);
-    g.add_edge(u, v, static_cast<Weight>(rng.next_below(5)));
-  }
-  const std::string path = ::testing::TempDir() + "store_view_base.slab";
-  EdgeSlab::write_file(path, g);
-  EdgeStore s(std::make_shared<const EdgeSlab>(EdgeSlab::open(path)));
-  ASSERT_EQ(s.base_size(), 100u);
-  std::vector<Pinned> pins{pin(s)};
-  for (int step = 0; step < 200; ++step) {
-    mutate(s, rng, step, /*compact_every=*/0);
-    if (step % 10 == 0) pins.push_back(pin(s));
-  }
-  (void)s.compact();  // drops the base layer; views keep the mapping alive
-  EXPECT_EQ(s.base_size(), 0u);
-  for (int step = 0; step < 50; ++step) mutate(s, rng, step, 0);
-  pins.push_back(pin(s));
-  std::remove(path.c_str());
-  for (const Pinned& p : pins) expect_view_matches(p);
 }
 
 TEST(StoreView, CopiedStoreNeverSharesAWritableBuffer) {

@@ -10,11 +10,10 @@
 //   smpmsf cc FILE
 //
 // Graph files are picked by extension: .smpg binary edge list, .smpz
-// compressed CSR, .slab edge slab, anything else DIMACS text.  `convert`
-// streams its input into a .smpz (external run sort and merge, runs of
-// --run-edges edges spilled to --tmp-dir) or a .slab (verbatim multigraph),
-// and loads it, parallel edges canonicalized, for a .smpg or DIMACS output.
-// `gen` writes through the same writers.
+// compressed CSR, anything else DIMACS text.  `convert` streams its input
+// into a .smpz (external run sort and merge, runs of --run-edges edges
+// spilled to --tmp-dir), and loads it, parallel edges canonicalized, for a
+// .smpg or DIMACS output.  `gen` writes through the same writers.
 //
 // Graph types: random (needs --m), mesh2d, mesh2d60, mesh3d40,
 // geometric (--k), str0..str3, rmat (needs --m).
@@ -57,7 +56,6 @@
 #include "core/verify_msf.hpp"
 #include "core/msf.hpp"
 #include "dynamic/dynamic_msf.hpp"
-#include "dynamic/edge_slab.hpp"
 #include "dynamic/write_group.hpp"
 #include "core/compressed_solve.hpp"
 #include "graph/compressed_csr.hpp"
@@ -90,7 +88,7 @@ using namespace smp::graph;
                " [--update-trace FILE] FILE\n"
                "  smpmsf cc FILE\n"
                "formats by extension: .smpg binary, .smpz compressed csr,"
-               " .slab edge slab, else DIMACS text\n"
+               " else DIMACS text\n"
                "types: random mesh2d mesh2d60 mesh3d40 geometric str0-str3 rmat\n"
                "algs: ");
   for (const core::AlgorithmName& row : core::kAlgorithmNames) {
@@ -110,17 +108,13 @@ SolveMode parse_mode(const std::string& s) {
                    "unknown mode '" + s + "' (valid: static dynamic)");
 }
 
-using dynamic::GraphFormat;
-using dynamic::format_of;
-using dynamic::load_graph;
-
 /// Streams the file's edges in file order: `begin(n)` once, then `add(chunk)`
 /// per chunk.  DIMACS and .smpg stream verbatim through the parser; a .smpz
-/// or .slab is loaded.
+/// is loaded.
 template <class Begin, class Add>
 void stream_edges(const std::string& path, Begin&& begin, Add&& add) {
   const GraphFormat format = format_of(path);
-  if (format == GraphFormat::kSmpz || format == GraphFormat::kSlab) {
+  if (format == GraphFormat::kSmpz) {
     const EdgeList g = load_graph(path);
     begin(g.num_vertices);
     add(std::span<const WEdge>(g.edges));
@@ -140,36 +134,23 @@ void stream_edges(const std::string& path, Begin&& begin, Add&& add) {
   }
 }
 
-/// Writes the edges `source(begin, add)` streams (see stream_edges) to a
-/// .smpz or .slab `path` through that format's one writer; returns the
-/// edge count written.
+/// Writes the edges `source(begin, add)` streams (see stream_edges) to the
+/// .smpz `path` through its one writer; returns the edge count written.
 template <class Source>
 EdgeId write_streamed(const std::string& path, std::size_t run_edges,
                       const std::string& tmp_dir, Source&& source) {
   std::optional<CompressedCsrWriter> smpz;
-  std::optional<dynamic::EdgeSlabWriter> slab;
-  source(
-      [&](VertexId n) {
-        if (format_of(path) == GraphFormat::kSmpz) {
-          smpz.emplace(path, n, run_edges, tmp_dir);
-        } else {
-          slab.emplace(path, n);
-        }
-      },
-      [&](std::span<const WEdge> chunk) {
-        smpz ? smpz->add_edges(chunk) : slab->add_edges(chunk);
-      });
-  return smpz ? smpz->finish() : slab->finish();
+  source([&](VertexId n) { smpz.emplace(path, n, run_edges, tmp_dir); },
+         [&](std::span<const WEdge> chunk) { smpz->add_edges(chunk); });
+  return smpz->finish();
 }
 
 void store(const std::string& path, const EdgeList& g) {
   const GraphFormat format = format_of(path);
-  if (format == GraphFormat::kSmpz || format == GraphFormat::kSlab) {
-    write_streamed(path, CompressedCsrWriter::kDefaultRunEdges, "",
-                   [&](auto&& begin, auto&& add) {
-                     begin(g.num_vertices);
-                     add(std::span<const WEdge>(g.edges));
-                   });
+  if (format == GraphFormat::kSmpz) {
+    CompressedCsrWriter w(path, g.num_vertices);
+    w.add_edges(g.edges);
+    w.finish();
   } else if (format == GraphFormat::kSmpg) {
     write_binary_file(path, g);
   } else {
@@ -324,8 +305,8 @@ int cmd_info(const Flags& f) {
   return 0;
 }
 
-/// `convert IN OUT`: a .smpz or .slab OUT is written streaming (see
-/// write_streamed); any other OUT from the loaded, canonicalized graph.
+/// `convert IN OUT`: a .smpz OUT is written streaming (see write_streamed);
+/// any other OUT from the loaded, canonicalized graph.
 int cmd_convert(const Flags& f) {
   if (f.positional.size() != 2) usage("convert needs IN and OUT");
   const std::string& in = f.positional[0];
@@ -335,7 +316,7 @@ int cmd_convert(const Flags& f) {
   if (run_edges == 0) usage("--run-edges must be >= 1");
   const GraphFormat to = format_of(out);
   EdgeId m = 0;
-  if (to == GraphFormat::kSmpz || to == GraphFormat::kSlab) {
+  if (to == GraphFormat::kSmpz) {
     m = write_streamed(out, run_edges, f.get("--tmp-dir").value_or(""),
                        [&](auto&& begin, auto&& add) { stream_edges(in, begin, add); });
   } else {

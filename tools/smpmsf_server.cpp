@@ -15,9 +15,9 @@
 //
 // --preload opens session NAME from PATH before any listener starts (the
 // server exits 3 if the open fails), so clients never observe the initial
-// solve of a big graph.  A .slab PATH is adopted as the session store's
-// mmap base layer (see dynamic/edge_slab.hpp) — the billion-edge path;
-// .smpg, .smpz and DIMACS load like the open verb (dynamic::load_graph).
+// solve of a big graph.  PATH is a .smpz (the compressed file for big
+// sessions), a .smpg or DIMACS text, loaded like the open verb does
+// (graph::load_graph).
 //
 // Each --listen SPEC is `uds:PATH` or `tcp:PORT` (tcp:0 picks an ephemeral
 // port, printed on startup); `--socket PATH` is shorthand for
@@ -82,7 +82,7 @@ using namespace smp;
                " [--snapshot-retain N] [--crash-at SITE[:SKIP]]\n"
                "                     [--preload NAME=PATH]...\n"
                "  SPEC: uds:PATH | tcp:PORT (tcp:0 = ephemeral)\n"
-               "  PATH: .slab (mmap store base) | .smpg | DIMACS text\n");
+               "  PATH: .smpz | .smpg | DIMACS text\n");
   std::exit(2);
 }
 
