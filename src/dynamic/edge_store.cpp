@@ -112,7 +112,7 @@ EdgeId EdgeStore::insert(VertexId u, VertexId v, Weight w) {
   buf_->set_stamp(id, SlotBuffer::kLive);
   ++slots_;
   ++live_;
-  if (pair_index_built_) pair_index_.emplace(pair_key(u, v), id);
+  if (pair_index_built_) pair_index_.insert(pair_key(u, v), id);
   return id;
 }
 
@@ -125,14 +125,8 @@ void EdgeStore::erase(EdgeId id) {
   buf_->set_stamp(id, ++erase_clock_);
   --live_;
   if (pair_index_built_) {
-    const auto& e = edge(id);
-    auto [it, last] = pair_index_.equal_range(pair_key(e.u, e.v));
-    for (; it != last; ++it) {
-      if (it->second == id) {
-        pair_index_.erase(it);
-        break;
-      }
-    }
+    const WEdge& e = edge(id);
+    pair_index_.erase(pair_key(e.u, e.v), id);
   }
 }
 
@@ -162,25 +156,20 @@ void EdgeStore::ensure_pair_index() const {
   for (EdgeId id = 0; id < size(); ++id) {
     if (!is_live(id)) continue;
     const auto& e = edge(id);
-    pair_index_.emplace(pair_key(e.u, e.v), id);
+    pair_index_.insert(pair_key(e.u, e.v), id);
   }
   pair_index_built_ = true;
 }
 
 std::optional<EdgeId> EdgeStore::find_live(VertexId u, VertexId v) const {
   ensure_pair_index();
-  auto [it, last] = pair_index_.equal_range(pair_key(u, v));
   std::optional<EdgeId> best;
-  for (; it != last; ++it) {
-    const EdgeId id = it->second;
-    if (!best) {
+  pair_index_.for_each(pair_key(u, v), [&](EdgeId id) {
+    if (!best ||
+        WeightOrder{edge(id).w, id} < WeightOrder{edge(*best).w, *best}) {
       best = id;
-      continue;
     }
-    const WeightOrder cand{edge(id).w, id};
-    const WeightOrder cur{edge(*best).w, *best};
-    if (cand < cur) best = id;
-  }
+  });
   return best;
 }
 

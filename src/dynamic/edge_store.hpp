@@ -7,10 +7,9 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
+#include "dynamic/pair_table.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/types.hpp"
 
@@ -221,10 +220,6 @@ class EdgeStore {
   /// [0, slots_) copied from the current one.
   [[nodiscard]] std::shared_ptr<SlotBuffer> copy_slots(
       std::size_t capacity) const;
-  static std::uint64_t pair_key(graph::VertexId u, graph::VertexId v) {
-    if (u > v) std::swap(u, v);
-    return (static_cast<std::uint64_t>(u) << 32) | v;
-  }
 
   graph::VertexId n_ = 0;
   /// Records and stamps of slots [0, slots_); shared with the views taken
@@ -238,7 +233,7 @@ class EdgeStore {
   std::uint64_t compactions_ = 0;
   /// pair_key -> live store ids, built on first find_live (delete-by-id
   /// workloads never pay for it).
-  mutable std::unordered_multimap<std::uint64_t, graph::EdgeId> pair_index_;
+  mutable PairTable pair_index_;
   mutable bool pair_index_built_ = false;
 };
 

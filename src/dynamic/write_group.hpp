@@ -1,11 +1,11 @@
 #pragma once
 
-#include <cstdint>
-#include <unordered_set>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "dynamic/edge_store.hpp"
+#include "dynamic/pair_table.hpp"
 #include "graph/edge_list.hpp"
 
 namespace smp::dynamic {
@@ -26,6 +26,11 @@ namespace smp::dynamic {
 /// flusher, WAL replay and `smpmsf solve --mode dynamic` all build their
 /// groups here.  The group reads `store` (which must outlive it) and never
 /// writes it: the caller applies insertions() and deletions() itself.
+///
+/// Every check is O(1) and nothing is allocated per write: the sets live in
+/// flat PairTables, and the set of inserted pairs is built from the
+/// insertions only on the first resolve(), so a group that never deletes by
+/// endpoints (a bulk load, WAL replay) never builds it.
 class WriteGroup {
  public:
   /// An empty group that starts from `store` as it is now.
@@ -39,25 +44,36 @@ class WriteGroup {
   /// nothing; erase() does.
   [[nodiscard]] Resolve resolve(graph::VertexId u, graph::VertexId v,
                                 graph::EdgeId* id) const {
-    if (pairs_.count(pair_key(u, v)) != 0) return Resolve::kCut;
+    if (!pairs_built_) {
+      pairs_.reserve(ins_.size());
+      for (const graph::WEdge& e : ins_) {
+        pairs_.insert_unique(pair_key(e.u, e.v));
+      }
+      pairs_built_ = true;
+    }
+    if (pairs_.contains(pair_key(u, v))) return Resolve::kCut;
     const auto live = store_->find_live(u, v);
     if (!live) return Resolve::kNotLive;
     *id = *live;
-    return deleted_.count(*live) != 0 ? Resolve::kCut : Resolve::kJoin;
+    return deleted_.contains(*live) ? Resolve::kCut : Resolve::kJoin;
   }
   /// Whether a deletion of store id `id` cuts: the group inserted that id,
   /// or already deletes it.
   [[nodiscard]] bool cuts(graph::EdgeId id) const {
-    return id >= base_ || deleted_.count(id) != 0;
+    return id >= base_ || deleted_.contains(id);
   }
 
-  void insert(const graph::WEdge& e) {
-    ins_.push_back(e);
-    pairs_.insert(pair_key(e.u, e.v));
+  void insert(std::span<const graph::WEdge> edges) {
+    ins_.insert(ins_.end(), edges.begin(), edges.end());
+    if (!pairs_built_) return;
+    for (const graph::WEdge& e : edges) {
+      pairs_.insert_unique(pair_key(e.u, e.v));
+    }
   }
+  void insert(const graph::WEdge& e) { insert(std::span(&e, 1)); }
   void erase(graph::EdgeId id) {
     del_.push_back(id);
-    deleted_.insert(id);
+    deleted_.insert_unique(id);
   }
 
   [[nodiscard]] const std::vector<graph::WEdge>& insertions() const {
@@ -75,22 +91,27 @@ class WriteGroup {
     ins_.clear();
     del_.clear();
     pairs_.clear();
+    pairs_built_ = false;
     deleted_.clear();
     base_ = store_->size();
   }
 
- private:
-  static std::uint64_t pair_key(graph::VertexId u, graph::VertexId v) {
-    if (u > v) std::swap(u, v);
-    return (static_cast<std::uint64_t>(u) << 32) | v;
+  /// Moves the insertions and deletions out, then clear()s the group.
+  std::pair<std::vector<graph::WEdge>, std::vector<graph::EdgeId>> release() {
+    std::pair out{std::move(ins_), std::move(del_)};
+    clear();
+    return out;
   }
 
+ private:
   const EdgeStore* store_;
   graph::EdgeId base_;  ///< store size at the group's start
   std::vector<graph::WEdge> ins_;
   std::vector<graph::EdgeId> del_;
-  std::unordered_set<std::uint64_t> pairs_;  ///< pair_key of each insertion
-  std::unordered_set<graph::EdgeId> deleted_;
+  /// pair_key of each insertion, built on the first resolve().
+  mutable PairTable pairs_;
+  mutable bool pairs_built_ = false;
+  PairTable deleted_;  ///< ids in del_
 };
 
 }  // namespace smp::dynamic

@@ -9,6 +9,7 @@
 #include <future>
 #include <optional>
 #include <shared_mutex>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -1255,6 +1256,7 @@ void ServiceCore::flush_writes(Session& s) {
         std::string bad;
         bool cut = false;
         std::vector<EdgeId> resolved;  // a delete's canonical live edges
+        dynamic::PairTable seen;       // the same ids, as a set
         if (is_insert) {
           for (const WEdge& e : w.req.insertions) {
             try {
@@ -1282,8 +1284,7 @@ void ServiceCore::flush_writes(Session& s) {
                     std::to_string(v + 1) + ")";
               break;
             }
-            if (std::find(resolved.begin(), resolved.end(), id) !=
-                resolved.end()) {
+            if (!seen.insert_unique(id)) {
               bad =
                   "duplicate delete of the same canonical edge in one request";
               break;
@@ -1302,9 +1303,7 @@ void ServiceCore::flush_writes(Session& s) {
           continue;
         }
         members.push_back(i);
-        if (is_insert) {
-          for (const WEdge& e : w.req.insertions) group.insert(e);
-        }
+        if (is_insert) group.insert(w.req.insertions);
         for (const EdgeId id : resolved) group.erase(id);
         if (!w.req.idem_id.empty()) {
           group_idem.push_back(w.req.idem_id);
@@ -1360,11 +1359,14 @@ void ServiceCore::flush_writes(Session& s) {
       metrics_.coalesce_size.record(members.size());
       // Commit: one WAL record for the whole group, appended under the
       // same exclusive lock as the mutation so log order == store order.
-      persist::WalRecord rec;
-      rec.insertions = group.insertions();
-      rec.deletions = group.deletions();
-      rec.idem_ids = group_idem;
-      const std::uint64_t lsn = append_record(s, std::move(rec));
+      // Nothing reads the group after this, so the record takes its writes.
+      std::uint64_t lsn = 0;
+      if (logging(s)) {
+        persist::WalRecord rec;
+        std::tie(rec.insertions, rec.deletions) = group.release();
+        rec.idem_ids = group_idem;
+        lsn = append_record(s, std::move(rec));
+      }
       // Registered even without a log (persistence off, or just broken): the
       // group IS applied, so a client retry must dedup either way.
       for (std::string& id : group_idem) register_idem(s, std::move(id), lsn);
@@ -1543,7 +1545,7 @@ void ServiceCore::replay_tail(Session& s,
           })) {
         break;
       }
-      for (const WEdge& e : tail[j].insertions) group.insert(e);
+      group.insert(tail[j].insertions);
       for (const EdgeId id : dels) group.erase(id);
       for (std::string& id : tail[j].idem_ids) {
         register_idem(s, std::move(id), tail[j].lsn);

@@ -89,6 +89,47 @@ TEST(WriteGroup, ReplayIdsAtOrPastTheGroupsFirstNewIdOrRepeatedCut) {
   EXPECT_TRUE(group.cuts(4));
 }
 
+/// A bulk group: the inserted-pair set is built from 100k insertions on the
+/// first resolve, answers in both endpoint orders, keeps up with insertions
+/// after that, and clear() empties it.
+TEST(WriteGroup, BulkGroupResolvesInsertedPairsAfterTheFirstLookup) {
+  constexpr VertexId n = 2000;
+  EdgeList g(n);
+  g.edges = {{0, 1, 1.0}};
+  DynamicMsf d(g);
+  WriteGroup group(d.store());
+  Rng rng(7);
+  std::vector<WEdge> bulk;
+  for (int i = 0; i < 100000; ++i) {
+    // Endpoints >= 2 keep the live pair {0, 1} and {0, 2} out of the bulk.
+    const auto u = static_cast<VertexId>(2 + rng.next_below(n - 2));
+    auto v = static_cast<VertexId>(2 + rng.next_below(n - 3));
+    if (v >= u) ++v;
+    bulk.push_back(WEdge{u, v, static_cast<Weight>(rng.next_below(100))});
+  }
+  group.insert(bulk);
+  EXPECT_EQ(group.size(), bulk.size());
+
+  EdgeId id = 99;
+  for (const std::size_t i : {std::size_t{0}, bulk.size() / 2,
+                              bulk.size() - 1}) {
+    EXPECT_EQ(group.resolve(bulk[i].u, bulk[i].v, &id), Resolve::kCut);
+    EXPECT_EQ(group.resolve(bulk[i].v, bulk[i].u, &id), Resolve::kCut);
+  }
+  ASSERT_EQ(group.resolve(1, 0, &id), Resolve::kJoin);
+  EXPECT_EQ(id, 0u);
+  EXPECT_EQ(group.resolve(0, 2, &id), Resolve::kNotLive);
+  group.insert(WEdge{2, 0, 4.0});
+  EXPECT_EQ(group.resolve(0, 2, &id), Resolve::kCut);
+
+  group.clear();
+  EXPECT_TRUE(group.empty());
+  EXPECT_EQ(group.resolve(0, 2, &id), Resolve::kNotLive);
+  EXPECT_EQ(group.resolve(bulk[0].u, bulk[0].v, &id), Resolve::kNotLive);
+  ASSERT_EQ(group.resolve(0, 1, &id), Resolve::kJoin);
+  EXPECT_EQ(id, 0u);
+}
+
 /// Random insert / delete-by-endpoints traces on few vertices (many
 /// parallel edges and repeated pairs, so many cuts), applied one op per
 /// batch and in WriteGroup groups: the stores and forests must agree bit for

@@ -18,6 +18,7 @@
 #include "graph/compressed_csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "serve/protocol.hpp"
 #include "serve/service_core.hpp"
 
 namespace {
@@ -495,6 +496,46 @@ void expect_kruskal_forest(const SnapshotData& snap) {
     w += snap.live.edges[static_cast<std::size_t>(pos)].w;
   }
   EXPECT_EQ(w, snap.weight);
+}
+
+/// One 50k-pair delete request: a duplicate canonical edge at its first and
+/// last position is refused whole, and the request without it commits
+/// Kruskal's forest of what stays live.
+TEST(ServeCore, LargeDeleteRequestChecksDuplicatesAndCommitsKruskal) {
+  constexpr VertexId n = 2000;
+  constexpr std::size_t kDeletes = 50000;
+  ServiceCore svc;
+  Request open = make(Op::kOpen, "g");
+  open.num_vertices = n;
+  ASSERT_EQ(svc.call(open).status, Status::kOk);
+  // 60k distinct pairs, so each delete names one canonical edge.
+  std::vector<WEdge> edges;
+  for (VertexId u = 0; edges.size() < kDeletes + 10000; ++u) {
+    for (VertexId v = u + 1; v <= u + 40 && v < n; ++v) {
+      edges.push_back({u, v, static_cast<Weight>((u * 7919u + v * 31u) % 997)});
+    }
+  }
+  ASSERT_EQ(svc.call(insert_req("g", edges)).status, Status::kOk);
+  std::vector<std::pair<VertexId, VertexId>> pairs;
+  for (std::size_t i = 0; i < kDeletes; ++i) {
+    pairs.emplace_back(edges[i].v, edges[i].u);
+  }
+
+  auto dup = pairs;
+  dup.back() = {pairs[0].second, pairs[0].first};
+  const Response bad = svc.call(delete_req("g", dup));
+  EXPECT_EQ(bad.status, Status::kInvalidInput);
+  EXPECT_EQ(render_response(Op::kDelete, bad),
+            "err invalid_input applied=0 duplicate delete of the same "
+            "canonical edge in one request\n");
+  EXPECT_EQ(svc.call(make(Op::kWeight, "g")).live_edges, edges.size());
+
+  const Response ok = svc.call(delete_req("g", pairs));
+  ASSERT_EQ(ok.status, Status::kOk) << ok.detail;
+  const auto snap = svc.call(make(Op::kSnapshot, "g")).snapshot;
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->live.edges.size(), edges.size() - kDeletes);
+  expect_kruskal_forest(*snap);
 }
 
 /// One coalesced burst that must cut its group three ways: a delete of a
