@@ -26,8 +26,11 @@ struct MsfDelta {
   graph::Weight total_weight = 0;
   /// Trees in the forest after the batch (isolated vertices count).
   std::size_t num_trees = 0;
-  /// Edges in the candidate set handed to the solver (diagnostics: how much
-  /// the sparsification shrank the problem versus `live_edges`).
+  /// Edges in the candidate set a solve would take — the retained forest,
+  /// the crossing non-tree edges and the insertions, or the whole live graph
+  /// on a scratch solve (diagnostics: how much the sparsification shrank the
+  /// problem versus `live_edges`).  The Kruskal pass sorts far fewer
+  /// records: only the forest edges on its candidates' root paths.
   std::size_t candidate_edges = 0;
   /// Live edges in the store after the batch.
   std::size_t live_edges = 0;

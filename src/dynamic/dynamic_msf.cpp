@@ -23,6 +23,9 @@ using graph::WEdge;
 
 namespace {
 
+/// Steps between two budget checkpoints in the Kruskal pass's long loops.
+constexpr std::size_t kCheckEvery = std::size_t{1} << 16;
+
 /// Points `o.team` at a team of o.msf.threads held by `own` unless the
 /// caller gave one.
 void adopt_team(DynamicMsfOptions& o, std::unique_ptr<ThreadTeam>& own) {
@@ -78,6 +81,8 @@ DynamicMsf::DynamicMsf(EdgeStore store, std::vector<EdgeId> forest,
   }
   // A forest with k edges on n vertices has exactly n - k trees.
   trees_ = n - forest_.size();
+  forest_w_.reserve(forest_.size());
+  for (const EdgeId id : forest_) forest_w_.push_back(store_.edge(id).w);
   recompute_weight();
 }
 
@@ -146,7 +151,7 @@ MsfDelta DynamicMsf::apply_batch(std::span<const WEdge> insertions,
         oracle->num_merges() == forest_.size()) {
       return apply_by_path_max(*oracle, first_new);
     }
-    return apply_by_kruskal(first_new, std::move(cut));
+    return apply_by_kruskal(first_new, cut);
   } catch (...) {
     store_.rollback(del, first_new);
     throw;
@@ -154,89 +159,107 @@ MsfDelta DynamicMsf::apply_batch(std::span<const WEdge> insertions,
 }
 
 MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
-                                      std::vector<EdgeId> cut) {
+                                      const std::vector<EdgeId>& cut) {
   core::StepTimes* const steps = opts_.msf.step_times;
   const VertexId n = store_.num_vertices();
   const EdgeId last = store_.size();
   WallTimer sort_timer;
-  // ordered_ caches the entry forest, which a failed batch leaves in place.
-  build_ordered();
+  // links_ caches the entry forest, which a failed batch leaves in place.
+  build_rooted();
   double sort_s = sort_timer.elapsed_s();
 
-  // Positions of the deleted forest records in ordered_, ascending, closed
-  // by a sentinel no position reaches.
-  std::vector<std::size_t> skip;
-  skip.reserve(cut.size() + 1);
+  // stop[x] is set while x's parent edge must not be gathered: it was cut,
+  // or a root-path walk already took it.
+  std::vector<std::uint64_t> stop((static_cast<std::size_t>(n) + 63) / 64);
+  const auto stopped = [&](VertexId x) {
+    return (stop[x / 64] >> (x % 64) & 1) != 0;
+  };
+  const auto set_stop = [&](VertexId x) {
+    stop[x / 64] |= std::uint64_t{1} << (x % 64);
+  };
   for (const EdgeId id : cut) {
-    skip.push_back(static_cast<std::size_t>(
-        std::lower_bound(ordered_.begin(), ordered_.end(), record(id),
-                         before) -
-        ordered_.begin()));
+    const WEdge& e = store_.edge(id);
+    set_stop(links_[e.u].edge == id ? e.u : e.v);
   }
-  std::sort(skip.begin(), skip.end());
-  skip.push_back(std::numeric_limits<std::size_t>::max());
 
-  // ---- Candidates: after a cut, the retained non-tree edges that now
-  // cross two of the split forest's components; then the insertions. ----
+  // ---- Candidates: after a cut, the replacements R — the MSF of the
+  // retained non-tree edges that cross two pieces of F', each piece
+  // contracted to a point; then the insertions. ----
+  double connect_s = 0;
+  std::size_t crossing = 0;
   std::vector<Record> cands;
   if (!cut.empty()) {
     seq::MinRootUnionFind uf(n);
-    for (std::size_t i = 0, s = 0; i < ordered_.size(); ++i) {
-      if (i == skip[s]) {
-        ++s;
-        continue;
+    for (VertexId x = 0; x < n; ++x) {
+      if (links_[x].parent != x && !stopped(x)) uf.unite(x, links_[x].parent);
+      if ((x + 1) % kCheckEvery == 0) {
+        core::iteration_checkpoint(opts_.msf, "forest Kruskal labels");
       }
-      uf.unite(ordered_[i].u, ordered_[i].v);
     }
-    const std::vector<VertexId> label = std::move(uf).flatten();
+    const std::vector<VertexId> label = std::move(uf).dense_labels();
     core::iteration_checkpoint(opts_.msf, "forest Kruskal sweep");
-    cands = crossing_records(first_new, label);
+    std::vector<Record> cross = crossing_records(first_new, label);
+    crossing = cross.size();
+    WallTimer boruvka_timer;
+    // F' has |forest| − |cut| edges, so n − that many pieces.
+    cands = replacements(std::move(cross), label,
+                         n - (forest_.size() - cut.size()));
+    connect_s += boruvka_timer.elapsed_s();
   }
   cands.reserve(cands.size() + static_cast<std::size_t>(last - first_new));
   for (EdgeId id = first_new; id < last; ++id) cands.push_back(record(id));
+
+  // ---- Gather: every forest edge a candidate can close a cycle on lies on
+  // one of its endpoints' root paths in F'.  A walk stops at a root, a cut
+  // edge or an edge already gathered (the walk that took it went on up). ----
   sort_timer.reset();
+  std::vector<Record> path;
+  std::size_t walked = 0;
+  for (const Record& c : cands) {
+    for (VertexId x : {c.u, c.v}) {
+      while (links_[x].parent != x && !stopped(x)) {
+        set_stop(x);
+        const Link& l = links_[x];
+        path.push_back(Record{l.w, l.edge, x, l.parent});
+        x = l.parent;
+        if (++walked % kCheckEvery == 0) {
+          core::iteration_checkpoint(opts_.msf, "forest Kruskal gather");
+        }
+      }
+    }
+  }
+  std::sort(path.begin(), path.end(), before);
   std::sort(cands.begin(), cands.end(), before);
   sort_s += sort_timer.elapsed_s();
 
-  // ---- One union-find scan over the merge of the ordered forest (minus
-  // its deleted records) and the sorted candidates. ----
+  // ---- One union-find scan over the merge of the gathered forest edges
+  // and the candidates.  Every forest edge off the gathered paths is a
+  // bridge of F' ∪ candidates, so it stays without a find. ----
   core::iteration_checkpoint(opts_.msf, "forest Kruskal scan");
   fault_point("dynamic.kruskal-scan");
   WallTimer scan_timer;
   seq::MinRootUnionFind uf(n);
-  ordered_next_.clear();
-  // The output is a forest: at most n − 1 records.
-  ordered_next_.reserve(std::min<std::size_t>(n, ordered_.size() + cands.size()));
   std::vector<EdgeId> dropped;
   std::vector<EdgeId> added;
-  const std::size_t nf = ordered_.size();
+  const std::size_t np = path.size();
   const std::size_t nc = cands.size();
-  std::size_t fi = 0;
-  std::size_t ci = 0;
-  std::size_t si = 0;
-  for (std::size_t scanned = 1;; ++scanned) {
-    if (fi == skip[si]) {
-      ++fi;
-      ++si;
-      continue;
-    }
-    const bool forest = fi < nf && (ci == nc || before(ordered_[fi], cands[ci]));
-    if (!forest && ci == nc) break;
-    const Record& r = forest ? ordered_[fi++] : cands[ci++];
+  for (std::size_t pi = 0, ci = 0; pi < np || ci < nc;) {
+    const bool forest = pi < np && (ci == nc || before(path[pi], cands[ci]));
+    const Record& r = forest ? path[pi++] : cands[ci++];
     if (uf.unite(r.u, r.v)) {
-      ordered_next_.push_back(r);
       if (!forest) added.push_back(r.id);
     } else if (forest) {
       dropped.push_back(r.id);
     }
-    if (scanned % (std::size_t{1} << 16) == 0) {
+    if ((pi + ci) % kCheckEvery == 0) {
       core::iteration_checkpoint(opts_.msf, "forest Kruskal scan");
     }
   }
+  connect_s += scan_timer.elapsed_s();
   if (steps != nullptr) {
     steps->rank_build += sort_s;
     steps->other += sort_s;
-    steps->connect += scan_timer.elapsed_s();
+    steps->connect += connect_s;
   }
 
   // ---- Commit: the delta is the deleted and dropped forest edges out,
@@ -247,9 +270,11 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
   removed.reserve(cut.size() + dropped.size());
   std::merge(cut.begin(), cut.end(), dropped.begin(), dropped.end(),
              std::back_inserter(removed));
-  const std::size_t candidates = nf - cut.size() + nc;
+  // The candidate set a solve would take: the retained forest, the crossing
+  // edges and the insertions.
+  const std::size_t candidates = forest_.size() - cut.size() + crossing +
+                                 static_cast<std::size_t>(last - first_new);
   MsfDelta d = commit(std::move(removed), std::move(added));
-  ordered_.swap(ordered_next_);
   d.candidate_edges = candidates;
   return d;
 }
@@ -298,19 +323,137 @@ std::vector<DynamicMsf::Record> DynamicMsf::crossing_records(
   return out;
 }
 
-void DynamicMsf::build_ordered() {
-  if (ordered_ready_) return;
-  ordered_.clear();
-  ordered_.reserve(forest_.size());
-  for (const EdgeId id : forest_) ordered_.push_back(record(id));
-  std::sort(ordered_.begin(), ordered_.end(), before);
-  ordered_ready_ = true;
+std::vector<DynamicMsf::Record> DynamicMsf::replacements(
+    std::vector<Record> cross, const std::vector<VertexId>& label,
+    std::size_t pieces) const {
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  // Borůvka under ⟨w, store id⟩: each round every component of the pieces
+  // takes its lightest crossing edge.  The order is total, so the edges
+  // taken in one round close no cycle, and an edge both of its sides took
+  // is found joined the second time.
+  seq::MinRootUnionFind comp(pieces);
+  std::vector<std::size_t> best(pieces, kNone);  // index into cross
+  std::vector<std::uint32_t> touched;  // components with a best edge
+  std::vector<Record> out;
+  std::size_t live = cross.size();
+  std::size_t steps = 0;
+  while (live > 0) {
+    // Drop the edges inside one component, compacting the rest in place,
+    // and find each component's lightest.
+    std::size_t keep = 0;
+    for (std::size_t i = 0; i < live; ++i) {
+      const Record r = cross[i];
+      const std::uint32_t a = comp.find(label[r.u]);
+      const std::uint32_t b = comp.find(label[r.v]);
+      if (++steps % kCheckEvery == 0) {
+        core::iteration_checkpoint(opts_.msf, "replacement Boruvka");
+      }
+      if (a == b) continue;
+      cross[keep] = r;
+      for (const std::uint32_t c : {a, b}) {
+        if (best[c] == kNone) {
+          touched.push_back(c);
+          best[c] = keep;
+        } else if (before(r, cross[best[c]])) {
+          best[c] = keep;
+        }
+      }
+      ++keep;
+    }
+    live = keep;
+    for (const std::uint32_t c : touched) {
+      const Record& r = cross[best[c]];
+      best[c] = kNone;
+      if (comp.unite(label[r.u], label[r.v])) out.push_back(r);
+      if (++steps % kCheckEvery == 0) {
+        core::iteration_checkpoint(opts_.msf, "replacement Boruvka");
+      }
+    }
+    touched.clear();
+  }
+  return out;
 }
 
-void DynamicMsf::drop_ordered() {
-  ordered_ = {};
-  ordered_next_ = {};
-  ordered_ready_ = false;
+void DynamicMsf::build_rooted() {
+  if (rooted_) return;
+  const auto n = static_cast<std::size_t>(store_.num_vertices());
+  // The forest as adjacency lists: (neighbour, position in forest_) pairs
+  // bucketed by vertex.
+  std::vector<std::size_t> start(n + 1, 0);
+  for (std::size_t i = 0; i < forest_.size(); ++i) {
+    ++start[store_.edge(forest_[i]).u + 1];
+    ++start[store_.edge(forest_[i]).v + 1];
+    if ((i + 1) % kCheckEvery == 0) {
+      core::iteration_checkpoint(opts_.msf, "rooted forest build");
+    }
+  }
+  for (std::size_t x = 0; x < n; ++x) start[x + 1] += start[x];
+  std::vector<std::pair<VertexId, std::uint32_t>> adj(2 * forest_.size());
+  {
+    std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+    for (std::uint32_t i = 0; i < forest_.size(); ++i) {
+      const WEdge& e = store_.edge(forest_[i]);
+      adj[fill[e.u]++] = {e.v, i};
+      adj[fill[e.v]++] = {e.u, i};
+      if ((i + 1) % kCheckEvery == 0) {
+        core::iteration_checkpoint(opts_.msf, "rooted forest build");
+      }
+    }
+  }
+  // BFS from the least unvisited vertex of each tree; kInvalidVertex marks
+  // a vertex not reached yet.
+  links_.assign(n, Link{0, graph::kInvalidEdge, graph::kInvalidVertex});
+  std::vector<VertexId> queue(n);
+  std::size_t tail = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    if (links_[r].parent != graph::kInvalidVertex) continue;
+    links_[r].parent = static_cast<VertexId>(r);
+    queue[tail++] = static_cast<VertexId>(r);
+    for (std::size_t head = tail - 1; head < tail; ++head) {
+      if ((head + 1) % kCheckEvery == 0) {
+        core::iteration_checkpoint(opts_.msf, "rooted forest build");
+      }
+      const VertexId x = queue[head];
+      for (std::size_t j = start[x]; j < start[x + 1]; ++j) {
+        const auto [y, i] = adj[j];
+        if (links_[y].parent != graph::kInvalidVertex) continue;
+        links_[y] = Link{forest_w_[i], forest_[i], x};
+        queue[tail++] = y;
+      }
+    }
+  }
+  rooted_ = true;
+}
+
+void DynamicMsf::relink(const std::vector<EdgeId>& removed,
+                        const std::vector<EdgeId>& added) {
+  if (!rooted_) return;
+  for (const EdgeId id : removed) {
+    const WEdge& e = store_.edge(id);
+    const VertexId child = links_[e.u].edge == id ? e.u : e.v;
+    links_[child] = Link{0, graph::kInvalidEdge, child};
+  }
+  // Evert u's tree at u — reverse the links on u's root path — and hang it
+  // under v, in one walk.  Past n steps in one commit, drop the rooted
+  // forest instead: the next Kruskal batch rebuilds it in O(n).
+  const auto n = static_cast<std::size_t>(store_.num_vertices());
+  std::size_t steps = 0;
+  for (const EdgeId id : added) {
+    const WEdge& e = store_.edge(id);
+    VertexId x = e.u;
+    Link up{e.w, id, e.v};
+    for (;;) {
+      const Link old = links_[x];
+      links_[x] = up;
+      if (old.parent == x) break;
+      if (++steps > n) {
+        rooted_ = false;
+        return;
+      }
+      up = Link{old.w, old.edge, x};
+      x = old.parent;
+    }
+  }
 }
 
 MsfDelta DynamicMsf::apply_by_path_max(const core::Dendrogram& oracle,
@@ -380,9 +523,6 @@ MsfDelta DynamicMsf::apply_by_path_max(const core::Dendrogram& oracle,
       forest_.size() + static_cast<std::size_t>(last - first_new);
   MsfDelta d = commit(std::move(removed), std::move(added));
   ++path_max_batches_;
-  // A batch that left the forest as it was keeps its ordered records (a
-  // served insert costs about a millisecond; an O(n) rebuild would show).
-  if (d.changed_forest()) drop_ordered();
   d.candidate_edges = candidates;
   return d;
 }
@@ -392,7 +532,9 @@ std::vector<EdgeId> DynamicMsf::compact_store() {
   // Forest ids are live by definition, so every remap hit is valid; the
   // renumbering is monotone, so the forest stays ascending.
   for (EdgeId& id : forest_) id = remap[static_cast<std::size_t>(id)];
-  for (Record& r : ordered_) r.id = remap[static_cast<std::size_t>(r.id)];
+  for (Link& l : links_) {
+    if (l.edge != graph::kInvalidEdge) l.edge = remap[static_cast<std::size_t>(l.edge)];
+  }
   return remap;
 }
 
@@ -402,6 +544,9 @@ MsfDelta DynamicMsf::recompute() {
   MsfResult r = core::minimum_spanning_forest_of_candidates(*opts_.team, live,
                                                             ids, opts_.msf);
   std::sort(r.edge_ids.begin(), r.edge_ids.end());
+  // A whole-graph diff can be any size: the next Kruskal batch rebuilds the
+  // rooted forest rather than this commit everting it.
+  rooted_ = false;
   // The diff allocates, so it is taken before anything is committed.
   std::vector<EdgeId> added;
   std::vector<EdgeId> removed;
@@ -410,7 +555,6 @@ MsfDelta DynamicMsf::recompute() {
   std::set_difference(forest_.begin(), forest_.end(), r.edge_ids.begin(),
                       r.edge_ids.end(), std::back_inserter(removed));
   MsfDelta d = commit(std::move(removed), std::move(added));
-  drop_ordered();
   d.candidate_edges = live.edges.size();
   d.recomputed_from_scratch = true;
   return d;
@@ -419,20 +563,31 @@ MsfDelta DynamicMsf::recompute() {
 MsfDelta DynamicMsf::commit(std::vector<EdgeId> removed,
                             std::vector<EdgeId> added) {
   if (!removed.empty() || !added.empty()) {
+    const std::size_t size = forest_.size() - removed.size() + added.size();
     std::vector<EdgeId> next;
-    next.reserve(forest_.size() - removed.size() + added.size());
+    std::vector<graph::Weight> next_w;
+    next.reserve(size);
+    next_w.reserve(size);
+    const auto push_added = [&](EdgeId id) {
+      next.push_back(id);
+      next_w.push_back(store_.edge(id).w);
+    };
     auto r = removed.begin();
     auto a = added.begin();
-    for (const EdgeId id : forest_) {
+    for (std::size_t i = 0; i < forest_.size(); ++i) {
+      const EdgeId id = forest_[i];
       if (r != removed.end() && *r == id) {
         ++r;
         continue;
       }
-      while (a != added.end() && *a < id) next.push_back(*a++);
+      while (a != added.end() && *a < id) push_added(*a++);
       next.push_back(id);
+      next_w.push_back(forest_w_[i]);
     }
-    next.insert(next.end(), a, added.end());
-    forest_ = std::move(next);
+    std::for_each(a, added.end(), push_added);
+    relink(removed, added);
+    forest_.swap(next);
+    forest_w_.swap(next_w);
     recompute_weight();
   }
   // A forest with k edges on n vertices has exactly n - k trees.
@@ -448,7 +603,7 @@ MsfDelta DynamicMsf::commit(std::vector<EdgeId> removed,
 
 void DynamicMsf::recompute_weight() {
   weight_ = 0;
-  for (const EdgeId id : forest_) weight_ += store_.edge(id).w;
+  for (const graph::Weight w : forest_w_) weight_ += w;
 }
 
 MsfResult DynamicMsf::forest() const {

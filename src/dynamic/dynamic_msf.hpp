@@ -27,11 +27,12 @@ struct DynamicMsfOptions {
   /// the scratch crossover.  Algorithm, threads, seed, budget and sequential
   /// fallback ride along, including the fused ThreadTeam regions and
   /// FaultInjector checkpoints.  A sparsified batch is never solved, whatever
-  /// the algorithm: one Kruskal pass over the ordered forest decides it (see
-  /// DynamicMsf), and that pass honours the budget too.  Instrumentation
-  /// out-pointers are honored per solve, and the Kruskal pass adds its
-  /// candidate sort to step_times->rank_build (part of `other`) and its
-  /// union-find scan to step_times->connect.
+  /// the algorithm: one Kruskal pass over the forest paths the batch can
+  /// close a cycle on decides it (see DynamicMsf), and that pass honours the
+  /// budget too.  Instrumentation out-pointers are honored per solve, and
+  /// the Kruskal pass adds the gathering and sort of its records to
+  /// step_times->rank_build (part of `other`) and its union-find work — the
+  /// replacement Borůvka and the scan — to step_times->connect.
   core::MsfOptions msf;
   /// Persistent thread team for every solve and for the Kruskal pass's
   /// replacement sweep.  When null, the DynamicMsf creates one of
@@ -53,24 +54,35 @@ struct DynamicMsfOptions {
 ///    a non-tree edge of G is the heaviest on a cycle through forest edges,
 ///    and stays so in any supergraph, so the candidate set is the ~n−1
 ///    forest edges plus the batch — independent of m.
-///  * Deletions drop the dead edges, label the split forest's components
-///    with a sequential union-find, and promote candidates from the retained
-///    non-tree edges whose endpoints now carry different labels (every other
-///    retained non-tree edge still closes a surviving forest cycle it is the
-///    maximum of, so it cannot enter).
-///  * The candidate set — retained forest ∪ batch insertions ∪ replacement
-///    candidates — is decided by one Kruskal pass, whatever the backend:
-///    every algorithm returns the unique MSF under ⟨weight, store id⟩, so the
-///    pass commits what a solve of the candidate set would.  The forest is
-///    kept as packed ⟨weight, store id, u, v⟩ records in WeightOrder (built
-///    on the first batch that needs it), so only the new candidates are
-///    sorted; they are merged into the ordered forest under a fresh
-///    union-find, and the scan writes the next ordered forest as it goes.  A
-///    forest record whose endpoints are already joined leaves the forest, a
-///    candidate that joins two trees enters it.  Ties break by store id
-///    exactly as a from-scratch run would, so the maintained forest is
-///    bit-identical (edge ids and weight) to MSF(live graph) after every
-///    batch, for every backend and thread count.
+///  * Deletions drop the dead edges.  F' (the forest minus its cut edges)
+///    stays: an MSF edge is still the lightest across some cut of G − D.
+///    One pass over the rooted forest labels the pieces (the components of
+///    F'), a team sweep collects the retained non-tree edges whose endpoints lie
+///    in different pieces, and Borůvka over those edges, with every piece
+///    contracted to a point, yields the replacement set R:
+///    MSF(G − D) = F' ∪ R.  (Every other retained non-tree edge still closes
+///    a surviving forest cycle it is the maximum of, so it cannot enter.)
+///  * The batch is then decided by one Kruskal pass over F' ∪ R ∪ B, whatever
+///    the backend: every algorithm returns the unique MSF under ⟨weight,
+///    store id⟩, so the pass commits what a solve of that set would.  A
+///    forest edge can leave only if it lies on a cycle with a candidate (an
+///    edge of R ∪ B), and every such edge lies on a candidate endpoint's
+///    root path in F'; every other forest edge is a bridge of F' ∪ R ∪ B and
+///    stays without a find.  So the pass walks each candidate endpoint's
+///    root path in the rooted forest — stopping at the root, a cut edge or
+///    an edge already gathered — and sorts and scans only the gathered edges
+///    with the candidates under a fresh union-find.  A gathered edge whose
+///    endpoints are already joined leaves the forest, a candidate that joins
+///    two trees enters it.  Ties break by store id exactly as a from-scratch
+///    run would, so the maintained forest is bit-identical (edge ids and
+///    weight) to MSF(live graph) after every batch, for every backend and
+///    thread count.
+///  * The rooted forest (a parent vertex and parent edge per vertex) is
+///    built by one BFS over the forest on the first batch that needs it and
+///    kept current by every commit: a removed edge detaches its child side,
+///    an added edge (u, v) everts u's tree at u and hangs it under v.  A
+///    commit whose everts pass n steps drops it instead (a path-shaped forest
+///    can make every evert long), and the next Kruskal batch rebuilds it.
 ///  * An insert-only batch given a core::Dendrogram of the forest skips
 ///    the pass: the batch endpoints in leaf order, each same-tree adjacent pair
 ///    joined by an edge labelled with the heaviest forest edge between
@@ -189,22 +201,38 @@ class DynamicMsf {
     const graph::WEdge& e = store_.edge(id);
     return Record{e.w, id, e.u, e.v};
   }
+  /// A vertex's link to its parent in the rooted forest: the parent edge's
+  /// weight and store id, and the parent vertex.  A root is its own parent,
+  /// with edge kInvalidEdge.
+  struct Link {
+    graph::Weight w;
+    graph::EdgeId edge;
+    graph::VertexId parent;
+  };
 
   /// The insert-only batch [first_new, store size) by path-max over
   /// `oracle`.
   MsfDelta apply_by_path_max(const core::Dendrogram& oracle,
                              graph::EdgeId first_new);
   /// The batch [first_new, store size), after the deletion of the forest
-  /// edges `cut` (ascending), by one Kruskal pass over the ordered forest.
+  /// edges `cut` (ascending), by one Kruskal pass over the root paths of its
+  /// candidates.
   MsfDelta apply_by_kruskal(graph::EdgeId first_new,
-                            std::vector<graph::EdgeId> cut);
+                            const std::vector<graph::EdgeId>& cut);
   /// Live edges below `end` whose endpoints carry different `label`s, in
   /// ascending store-id order, swept on the team.
   std::vector<Record> crossing_records(
       graph::EdgeId end, const std::vector<graph::VertexId>& label) const;
-  /// Builds ordered_ from forest_ unless it is current.
-  void build_ordered();
-  void drop_ordered();
+  /// The MSF of `cross` with every piece contracted to its label in
+  /// [0, pieces), by Borůvka rounds; `cross` is consumed.
+  std::vector<Record> replacements(std::vector<Record> cross,
+                                   const std::vector<graph::VertexId>& label,
+                                   std::size_t pieces) const;
+  /// Builds links_ from forest_ unless it is current.
+  void build_rooted();
+  /// Keeps links_ current across a commit (see commit); allocates nothing.
+  void relink(const std::vector<graph::EdgeId>& removed,
+              const std::vector<graph::EdgeId>& added);
   /// Commits the forest minus `removed` plus `added` (both ascending,
   /// `removed` ⊆ forest, `added` disjoint from it); the delta is exactly
   /// those two lists.  Allocates before it writes anything.
@@ -217,14 +245,13 @@ class DynamicMsf {
   std::unique_ptr<ThreadTeam> own_team_;
   DynamicMsfOptions opts_;
   std::vector<graph::EdgeId> forest_;  ///< ascending store ids
+  std::vector<graph::Weight> forest_w_;  ///< weight of each forest_ edge
   graph::Weight weight_ = 0;
   std::size_t trees_ = 0;
   std::uint64_t path_max_batches_ = 0;
-  /// forest_ as records in WeightOrder, valid while ordered_ready_.
-  std::vector<Record> ordered_;
-  /// The Kruskal scan's output buffer, swapped with ordered_ on commit.
-  std::vector<Record> ordered_next_;
-  bool ordered_ready_ = false;
+  /// The rooted forest, one link per vertex, valid while rooted_.
+  std::vector<Link> links_;
+  bool rooted_ = false;
 };
 
 }  // namespace smp::dynamic

@@ -1,14 +1,20 @@
-// Forest-ordered Kruskal batches: DynamicMsf applies a sparsified batch by
-// one union-find scan over its weight-ordered forest merged with the sorted
-// new candidates, whatever the backend.  Every MsfDelta is checked against a
-// reference built from sequential Kruskal of the live graph before and after
-// the batch — the forest diff, the weight bits and tree count of the "after"
-// forest, the live and candidate counts, and the scratch crossover — and the
-// maintained state against Kruskal after it, through insert-only,
-// deletion-only and mixed batches, weight ties, ±0.0, parallel edges, an
-// edgeless start, store compaction, recompute, scratch crossovers, the
-// restore constructor and path-max batches that change the forest.  Also:
-// the pass honours the budget and fills StepTimes.
+// Forest Kruskal batches: DynamicMsf applies a sparsified batch by one
+// union-find scan over its candidates (the insertions and, after a cut, the
+// Borůvka replacements among the crossing edges) merged with the forest
+// edges on their endpoints' root paths, whatever the backend.  Every
+// MsfDelta is checked against a reference built from sequential Kruskal of
+// the live graph before and after the batch — the forest diff, the weight
+// bits and tree count of the "after" forest, the live and candidate counts,
+// and the scratch crossover — and the maintained state against Kruskal after
+// it, through insert-only, deletion-only and mixed batches, weight ties,
+// ±0.0, parallel edges, an edgeless start, store compaction, recompute,
+// scratch crossovers, the restore constructor and path-max batches that
+// change the forest.  The shapes the pass depends on get cases of their own
+// at p ∈ {1, 2, 4}: a path-shaped forest whose everts pass the cap, a star
+// cut into about n pieces, mostly isolated vertices, tied and parallel
+// crossing edges, a tree edge deleted and re-inserted in one batch, and
+// compaction or a restore between Kruskal batches.  Also: the pass honours
+// the budget and fills StepTimes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -283,7 +289,7 @@ TEST_P(DynamicForestKruskal, BitIdenticalToSolverAndKruskal) {
         break;
     }
     if (step == 9) {
-      // Compaction renumbers ids in place; the ordered forest must follow.
+      // Compaction renumbers ids in place; the rooted forest must follow.
       t.compact();
     }
     if (step == 16) t.recompute();
@@ -314,6 +320,210 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 1, 4), ::testing::Bool()),
     shape_name);
 
+/// The shapes the Kruskal pass depends on, each run through Checked on a
+/// team of p.
+class DynamicForestKruskalCases : public ::testing::TestWithParam<int> {
+ protected:
+  ThreadTeam team{GetParam()};
+};
+
+TEST_P(DynamicForestKruskalCases, PathForestPassesTheEvertCap) {
+  // A path 0 — 1 — … — n−1 cut into eight pieces of L vertices, then joined
+  // again in one batch by the lightest edges in the graph, into one long
+  // path: each joins the far end of the pieces joined so far to the left
+  // end of the next piece.  Every root path spans whole pieces, and the
+  // everts of the one commit add up to about L · (1 + 2 + … + 7) steps,
+  // past n, so the rooted forest is dropped and rebuilt.
+  constexpr VertexId kL = 50;
+  constexpr VertexId kPieces = 8;
+  const VertexId n = kL * kPieces;
+  Rng rng(11 + static_cast<std::uint64_t>(GetParam()));
+  EdgeList g(n);
+  for (VertexId v = 1; v < n; ++v) g.add_edge(v - 1, v, 1.0 + rng.next_double());
+  // Heavy chords: crossing edges the light insertions outbid.
+  for (int i = 0; i < 200; ++i) {
+    const auto u = static_cast<VertexId>(rng.next_below(n));
+    auto v = static_cast<VertexId>(rng.next_below(n - 1));
+    if (v >= u) ++v;
+    g.add_edge(u, v, 3.0 + rng.next_double());
+  }
+  Checked t(g, &team);
+  // A Kruskal batch first, so the rooted forest (rooted at 0) exists.
+  t.apply({WEdge{0, n - 1, 5.0}}, {});
+
+  std::vector<EdgeId> del;
+  for (VertexId j = 1; j < kPieces; ++j) del.push_back(j * kL - 1);  // (jL−1, jL)
+  std::vector<WEdge> ins;
+  // Piece j spans [jL, (j+1)L).  When piece j is joined, pieces 0..j−1
+  // form one path rooted at the left end of piece j−1; its far end, where
+  // the join starts, is L − 1 for j = 1, 0 for j = 2 and the right end of
+  // piece j−2 after that.
+  for (VertexId j = 1; j < kPieces; ++j) {
+    const VertexId far = j == 1 ? kL - 1 : j == 2 ? 0 : (j - 1) * kL - 1;
+    ins.push_back(WEdge{far, j * kL, 1e-3 * j});
+  }
+  const MsfDelta d = t.apply(ins, del);
+  EXPECT_FALSE(d.recomputed_from_scratch);
+  EXPECT_EQ(d.forest_added.size(), ins.size());
+  // The batches after it rebuild the rooted forest and walk long paths.
+  for (int step = 0; step < 6; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    t.apply(draw_insertions(rng, *t.d, 3, Weights::kRandom),
+            draw_deletions(rng, *t.d, 2, 1));
+  }
+  EXPECT_GE(t.sparsified_changes, 5);
+}
+
+TEST_P(DynamicForestKruskalCases, StarCutIntoAboutNPieces) {
+  // A light star on n vertices with heavier chords between leaves.  One
+  // batch cuts three quarters of the spokes, so F' has about n pieces and
+  // the replacement Borůvka contracts nearly nothing.
+  const VertexId n = 400;
+  Rng rng(23 + static_cast<std::uint64_t>(GetParam()));
+  EdgeList g(n);
+  for (VertexId v = 1; v < n; ++v) g.add_edge(0, v, 0.01 * rng.next_double());
+  for (int i = 0; i < 5 * static_cast<int>(n); ++i) {
+    const auto u = 1 + static_cast<VertexId>(rng.next_below(n - 1));
+    auto v = 1 + static_cast<VertexId>(rng.next_below(n - 2));
+    if (v >= u) ++v;
+    g.add_edge(u, v, rng.next_double());
+  }
+  Checked t(g, &team);
+  t.apply(draw_insertions(rng, *t.d, 4, Weights::kRandom), {});
+  std::vector<EdgeId> del;
+  for (VertexId v = 1; v < n; ++v) {
+    if (v % 4 != 0) del.push_back(v - 1);  // spoke (0, v) is store id v − 1
+  }
+  const MsfDelta d = t.apply(draw_insertions(rng, *t.d, 8, Weights::kRandom), del);
+  EXPECT_FALSE(d.recomputed_from_scratch);
+  EXPECT_GT(d.forest_added.size(), n / 2);
+  t.apply({}, draw_deletions(rng, *t.d, 40, 10));
+  t.apply(draw_insertions(rng, *t.d, 20, Weights::kRandom), {});
+}
+
+TEST_P(DynamicForestKruskalCases, MostVerticesIsolated) {
+  // Edges only among the first 150 of 400 vertices: most trees are single
+  // vertices, roots with no path to walk, until insertions reach them.
+  const VertexId n = 400;
+  const VertexId used = 150;
+  Rng rng(37 + static_cast<std::uint64_t>(GetParam()));
+  EdgeList g(n);
+  for (int i = 0; i < 4 * static_cast<int>(used); ++i) {
+    const auto u = static_cast<VertexId>(rng.next_below(used));
+    auto v = static_cast<VertexId>(rng.next_below(used - 1));
+    if (v >= u) ++v;
+    g.add_edge(u, v, rng.next_double());
+  }
+  Checked t(g, &team);
+  for (int step = 0; step < 12; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    std::vector<WEdge> ins;
+    if (step % 3 != 1) ins = draw_insertions(rng, *t.d, 6, Weights::kRandom);
+    t.apply(ins, draw_deletions(rng, *t.d, step % 3 == 0 ? 0 : 3, 2));
+    EXPECT_GE(t.d->num_trees(), static_cast<std::size_t>(n - used) - 6 * 12);
+  }
+  EXPECT_GE(t.sparsified_changes, 6);
+}
+
+TEST_P(DynamicForestKruskalCases, TiedAndParallelCrossingEdges) {
+  // Two paths A = [0, 60) and B = [60, 120) joined by the bridge (59, 60).
+  // Cutting the bridge leaves every crossing edge joining the same two
+  // pieces: parallels of one pair and other pairs, at weights −0.0, 0.0 and
+  // 0.5, so only the store-id tie-break picks the replacement.
+  const VertexId n = 120;
+  Rng rng(41 + static_cast<std::uint64_t>(GetParam()));
+  EdgeList g(n);
+  for (VertexId v = 1; v < n; ++v) {
+    g.add_edge(v - 1, v, v == 60 ? -1.0 : -2.0);
+  }
+  for (int i = 0; i < 120; ++i) {
+    static constexpr Weight kLevels[] = {0.0, -0.0, 0.5};
+    const Weight w = kLevels[rng.next_below(3)];
+    if (i % 3 == 0) {
+      g.add_edge(i % 2 == 0 ? 10 : 70, i % 2 == 0 ? 70 : 10, w);  // parallels
+    } else {
+      g.add_edge(static_cast<VertexId>(rng.next_below(60)),
+                 60 + static_cast<VertexId>(rng.next_below(60)), w);
+    }
+  }
+  Checked t(g, &team);
+  const EdgeId bridge = 59;
+  ASSERT_TRUE(std::binary_search(t.d->forest_edge_ids().begin(),
+                                 t.d->forest_edge_ids().end(), bridge));
+  const MsfDelta d = t.apply({}, {bridge});
+  ASSERT_EQ(d.forest_added.size(), 1u);
+  // Fresh parallels of the replacement, tied with it both ways, and a cut
+  // of it in the same batch.
+  const WEdge r = t.d->store().edge(d.forest_added[0]);
+  t.apply({WEdge{r.v, r.u, -0.0}, WEdge{r.u, r.v, 0.0}, WEdge{r.u, r.v, r.w}},
+          {d.forest_added[0]});
+  t.apply({WEdge{10, 70, -0.0}}, draw_deletions(rng, *t.d, 2, 3));
+}
+
+TEST_P(DynamicForestKruskalCases, TreeEdgeDeletedAndReinsertedInOneBatch) {
+  Rng rng(53 + static_cast<std::uint64_t>(GetParam()));
+  const VertexId n = 200;
+  EdgeList g(n);
+  for (int i = 0; i < 600; ++i) {
+    const auto u = static_cast<VertexId>(rng.next_below(n));
+    auto v = static_cast<VertexId>(rng.next_below(n - 1));
+    if (v >= u) ++v;
+    g.add_edge(u, v, rng.next_double());
+  }
+  Checked t(g, &team);
+  for (int round = 0; round < 6; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::vector<EdgeId>& f = t.d->forest_edge_ids();
+    const EdgeId id = f[rng.next_below(f.size())];
+    const WEdge e = t.d->store().edge(id);
+    // The same edge again (flipped on odd rounds), a lighter and a heavier
+    // parallel.  The cut edge was the lightest across its cut, so the
+    // lighter parallel enters in its place.
+    const WEdge same = round % 2 == 0 ? e : WEdge{e.v, e.u, e.w};
+    const MsfDelta d =
+        t.apply({same, WEdge{e.u, e.v, e.w * 0.5}, WEdge{e.v, e.u, e.w + 1.0}},
+                {id});
+    EXPECT_EQ(d.forest_removed, std::vector<EdgeId>{id});
+    ASSERT_EQ(d.forest_added.size(), 1u);
+    EXPECT_EQ(d.forest_added[0], t.d->store().size() - 2);
+  }
+}
+
+TEST_P(DynamicForestKruskalCases, CompactionAndRestoreBetweenKruskalBatches) {
+  Rng rng(67 + static_cast<std::uint64_t>(GetParam()));
+  const VertexId n = 300;
+  EdgeList g(n);
+  for (int i = 0; i < 900; ++i) {
+    const auto u = static_cast<VertexId>(rng.next_below(n));
+    auto v = static_cast<VertexId>(rng.next_below(n - 1));
+    if (v >= u) ++v;
+    g.add_edge(u, v, rng.next_double());
+  }
+  Checked t(g, &team);
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    // Kruskal batches on both sides of each compaction and restore; the
+    // deletions leave tombstones for the compaction to drop.
+    t.apply(draw_insertions(rng, *t.d, 6, Weights::kRandom),
+            draw_deletions(rng, *t.d, 3, 6));
+    t.compact();
+    t.apply(draw_insertions(rng, *t.d, 6, Weights::kRandom),
+            draw_deletions(rng, *t.d, 3, 6));
+    t.apply(draw_insertions(rng, *t.d, 6, Weights::kRandom), {});
+    t.restore();
+    t.apply({}, draw_deletions(rng, *t.d, 3, 2));
+  }
+  EXPECT_GE(t.sparsified_changes, 12);
+}
+
+INSTANTIATE_TEST_SUITE_P(Team, DynamicForestKruskalCases,
+                         ::testing::Values(1, 2, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           std::string name = "p";
+                           name += std::to_string(info.param);
+                           return name;
+                         });
+
 TEST(DynamicForestKruskal, PathMaxBatchThatChangesTheForestDropsTheOrder) {
   ThreadTeam team(2);
   const VertexId n = 200;
@@ -329,7 +539,7 @@ TEST(DynamicForestKruskal, PathMaxBatchThatChangesTheForestDropsTheOrder) {
   std::uint64_t version = 0;
   for (int round = 0; round < 6; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
-    // A Kruskal batch: the ordered forest exists from here on.
+    // A Kruskal batch: the rooted forest exists from here on.
     t.apply(draw_insertions(rng, *t.d, 4, Weights::kRandom),
             draw_deletions(rng, *t.d, 1, 2));
 

@@ -6,13 +6,15 @@
 // full slot buffer so the batch's first insertion grows it.  Afterwards the DynamicMsf and a
 // StoreView taken before the batch must read bit for bit as before, and the
 // retried batch must decide exactly as on a twin that never saw the failure.
-// Also: an insertion that fails after an earlier one of the same batch was
-// stored.
+// Also: a failed cut batch leaves the rooted forest the Kruskal pass walks
+// as it was, and an insertion that fails after an earlier one of the same
+// batch was stored.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <exception>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -282,6 +284,67 @@ TEST(DynamicRollback, EveryApplyPathLeavesNoTrace) {
       EXPECT_EQ(a.recomputed_from_scratch, path == Path::kScratch);
       EXPECT_EQ(d.path_max_batches(), path == Path::kPathMax ? 1u : 0u);
       expect_unchanged(view);
+    }
+  }
+}
+
+TEST(DynamicRollback, FailedCutBatchLeavesTheRootedForest) {
+  // A first Kruskal batch builds the rooted forest the pass walks.  A cut
+  // batch that then fails — at the scan's fault point or by deadline — must
+  // leave it describing the entry forest: the batches after it decide
+  // exactly as on a twin that never saw the failed one.
+  ThreadTeam team(2);
+  for (const Failure failure : {Failure::kDeadline, Failure::kBadAlloc}) {
+    SCOPED_TRACE(failure == Failure::kDeadline ? "zero deadline"
+                                               : "injected bad_alloc");
+    Rng rng(19);
+    const VertexId n = 300;
+    const EdgeList g = random_graph(n, rng);
+    DynamicMsf d(g, options(&team));
+    DynamicMsf twin(g, options(&team));
+    const auto light_edges = [&](std::size_t k) {
+      std::vector<WEdge> ins;
+      for (std::size_t i = 0; i < k; ++i) {
+        const auto u = static_cast<VertexId>(rng.next_below(n));
+        const auto v =
+            static_cast<VertexId>((u + 1 + rng.next_below(n - 1)) % n);
+        ins.push_back(WEdge{u, v, rng.next_double() * 1e-2});
+      }
+      return ins;
+    };
+    const auto forest_ids = [&](std::initializer_list<std::size_t> at) {
+      std::vector<EdgeId> del;
+      for (const std::size_t i : at) del.push_back(d.forest_edge_ids()[i]);
+      return del;
+    };
+
+    // Warm-up: a Kruskal batch that cuts, inserts and changes the forest.
+    const std::vector<WEdge> warm = light_edges(6);
+    const std::vector<EdgeId> warm_del = forest_ids({7, 100});
+    const MsfDelta w = d.apply_batch(warm, warm_del);
+    expect_same_delta(w, twin.apply_batch(warm, warm_del));
+    ASSERT_FALSE(w.recomputed_from_scratch);
+    ASSERT_GT(w.forest_added.size(), 2u);
+
+    const std::vector<WEdge> ins = light_edges(6);
+    const std::vector<EdgeId> del = forest_ids({3, 50, 150, 250});
+    const Frozen before = freeze(d);
+    apply_failing(d, Path::kKruskal, failure, ins, del, nullptr);
+    expect_same(freeze(d), before);
+
+    // A different cut batch first, then the failed one retried.
+    const std::vector<WEdge> next_ins = light_edges(5);
+    const std::vector<EdgeId> next_del = forest_ids({10, 60, 200});
+    for (int round = 0; round < 2; ++round) {
+      SCOPED_TRACE(round == 0 ? "next batch" : "retried batch");
+      const MsfDelta a = round == 0 ? d.apply_batch(next_ins, next_del)
+                                    : d.apply_batch(ins, del);
+      const MsfDelta b = round == 0 ? twin.apply_batch(next_ins, next_del)
+                                    : twin.apply_batch(ins, del);
+      expect_same_delta(a, b);
+      EXPECT_FALSE(a.recomputed_from_scratch);
+      EXPECT_TRUE(a.changed_forest());
+      expect_same(freeze(d), freeze(twin));
     }
   }
 }
