@@ -6,7 +6,11 @@
 // (smallest B whose batches start falling back to scratch solves) is
 // reported so docs/PERFORMANCE.md numbers can be regenerated.  Two more rows
 // at B = 256 split the paths: deletion-only batches (replacements only) and
-// insertion-only batches; each record names its `mix`.
+// insertion-only batches.  Then one-edge rows at n = 2^16, 2^18 and 2^20
+// (times --scale), m = 4n, time single writes by kind and report the median:
+// an insert that cannot enter the forest, one that must, and the delete of
+// a forest edge.  Each record names its `mix`, and every row's final forest
+// is checked bit-identical to a scratch solve.
 #include <algorithm>
 #include <cstdio>
 #include <random>
@@ -28,11 +32,13 @@ struct Batch {
 };
 
 /// What a row's batches hold: half deletions and half insertions, or only
-/// one of the two.
-enum class Mix { kMixed, kDelete, kInsert };
+/// one of the two; or, in a one-edge row, one insert that cannot enter the
+/// forest, one that must, or the delete of one forest edge.
+enum class Mix { kMixed, kDelete, kInsert, kOneNonTree, kOneForest, kOneTreeDelete };
 
 const char* mix_name(Mix mix) {
-  static constexpr const char* kNames[] = {"mixed", "delete", "insert"};
+  static constexpr const char* kNames[] = {
+      "mixed", "delete", "insert", "one-nontree", "one-forest", "one-tree-delete"};
   return kNames[static_cast<int>(mix)];
 }
 
@@ -67,6 +73,73 @@ Batch make_batch(std::size_t ops, Mix mix, VertexId n,
   return b;
 }
 
+/// The one-edge batch of kind `mix` (k-th of its row): a heavier twin of a
+/// random forest edge closes a 2-cycle it is the maximum of; an edge
+/// lighter than every weight so far between two random vertices enters the
+/// forest; a random forest edge is deleted.
+Batch one_edge_batch(Mix mix, int k, const dynamic::DynamicMsf& d,
+                     std::mt19937_64& rng) {
+  Batch b;
+  const std::vector<EdgeId>& forest = d.forest_edge_ids();
+  const EdgeId f = forest[std::uniform_int_distribution<std::size_t>(
+      0, forest.size() - 1)(rng)];
+  if (mix == Mix::kOneNonTree) {
+    const WEdge& e = d.store().edge(f);
+    b.ins.push_back({e.u, e.v, 2.0});
+  } else if (mix == Mix::kOneForest) {
+    std::uniform_int_distribution<VertexId> vtx(0, d.store().num_vertices() - 1);
+    VertexId u = vtx(rng), v = vtx(rng);
+    while (v == u) v = vtx(rng);
+    b.ins.push_back({u, v, -1.0 - k});
+  } else {
+    b.del.push_back(f);
+  }
+  return b;
+}
+
+/// Checks `d`'s forest against one parallel solve of its live graph, prints
+/// the row and adds its record (n and m are those of `start`, the graph the
+/// row started from); false when the forests differ.
+bool finish_row(bench::JsonSink& sink, const EdgeList& start,
+                const dynamic::DynamicMsf& d, Mix mix,
+                std::size_t batch_size, int batches, double per_batch,
+                int recomputed, const core::MsfOptions& sopts, int reps) {
+  // What recompute-per-batch would pay: one full parallel solve of the
+  // final live graph, and the bit-identity check against the maintained
+  // forest (the acceptance criterion, not just a sanity check).
+  std::vector<EdgeId> ids;
+  const EdgeList final_graph = d.store().live_graph(&ids);
+  graph::MsfResult ref;
+  const double scratch = bench::time_best_of(reps, [&] {
+    ref = core::minimum_spanning_forest_of_candidates(final_graph, ids, sopts);
+  });
+  std::vector<EdgeId> ref_ids = ref.edge_ids;
+  std::sort(ref_ids.begin(), ref_ids.end());
+  const bool match = ref_ids == d.forest_edge_ids() &&
+                     ref.total_weight == d.total_weight();
+
+  std::printf("  %-15s %-8u %-6zu %11.6fs %13.6fs %8.2fx %4d/%-3d %6s\n",
+              mix_name(mix), start.num_vertices, batch_size, per_batch, scratch,
+              scratch / per_batch, recomputed, batches, match ? "yes" : "NO");
+  char buf[512];
+  std::snprintf(buf, sizeof buf,
+                "{\"tag\": \"dynamic\", \"n\": %u, \"m\": %llu, "
+                "\"mix\": \"%s\", \"batch_size\": %zu, \"batches\": %d, "
+                "\"seconds_per_batch\": %.6f, \"scratch_seconds\": %.6f, "
+                "\"speedup_vs_scratch\": %.4f, \"recomputed\": %d, "
+                "\"match\": %s}",
+                start.num_vertices,
+                static_cast<unsigned long long>(start.num_edges()),
+                mix_name(mix), batch_size, batches, per_batch, scratch,
+                scratch / per_batch, recomputed, match ? "true" : "false");
+  sink.add(buf);
+  if (!match) {
+    std::fprintf(stderr, "FATAL: dynamic forest diverged at %s batch size %zu\n",
+                 mix_name(mix), batch_size);
+  }
+  return match;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -84,7 +157,7 @@ int main(int argc, char** argv) {
   bench::JsonSink sink;
   constexpr int kBatches = 8;
   std::size_t crossover = 0;
-  std::printf("  %-7s %-10s %12s %14s %9s %7s %6s\n", "mix", "batch",
+  std::printf("  %-15s %-8s %-6s %12s %14s %9s %8s %6s\n", "mix", "n", "batch",
               "s/batch", "scratch s", "speedup", "scratch", "match");
   struct Row {
     Mix mix;
@@ -109,46 +182,40 @@ int main(int argc, char** argv) {
           1, [&] { recomputed += d.apply_batch(b.ins, b.del).recomputed_from_scratch; });
       dyn_seconds += t;
     }
-    const double per_batch = dyn_seconds / kBatches;
-
-    // What recompute-per-batch would pay: one full parallel solve of the
-    // final live graph, and the bit-identity check against the maintained
-    // forest (the acceptance criterion, not just a sanity check).
-    std::vector<EdgeId> ids;
-    const EdgeList final_graph = d.store().live_graph(&ids);
-    graph::MsfResult ref;
-    const double scratch = bench::time_best_of(args.reps, [&] {
-      ref = core::minimum_spanning_forest_of_candidates(final_graph, ids, sopts);
-    });
-    std::vector<EdgeId> ref_ids = ref.edge_ids;
-    std::sort(ref_ids.begin(), ref_ids.end());
-    const bool match = ref_ids == d.forest_edge_ids() &&
-                       ref.total_weight == d.total_weight();
     if (mix == Mix::kMixed && recomputed > 0 && crossover == 0) {
       crossover = batch_size;
     }
-
-    std::printf("  %-7s %-10zu %11.6fs %13.6fs %8.2fx %4d/%-2d %6s\n",
-                mix_name(mix), batch_size, per_batch, scratch,
-                scratch / per_batch, recomputed, kBatches, match ? "yes" : "NO");
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "{\"tag\": \"dynamic\", \"n\": %u, \"m\": %llu, "
-                  "\"mix\": \"%s\", \"batch_size\": %zu, \"batches\": %d, "
-                  "\"seconds_per_batch\": %.6f, \"scratch_seconds\": %.6f, "
-                  "\"speedup_vs_scratch\": %.4f, \"recomputed\": %d, "
-                  "\"match\": %s}",
-                  base.num_vertices,
-                  static_cast<unsigned long long>(base.num_edges()),
-                  mix_name(mix), batch_size,
-                  kBatches, per_batch, scratch, scratch / per_batch, recomputed,
-                  match ? "true" : "false");
-    sink.add(buf);
-    if (!match) {
-      std::fprintf(stderr,
-                   "FATAL: dynamic forest diverged at %s batch size %zu\n",
-                   mix_name(mix), batch_size);
+    if (!finish_row(sink, base, d, mix, batch_size, kBatches, dyn_seconds / kBatches,
+                    recomputed, sopts, args.reps)) {
       return 1;
+    }
+  }
+
+  // One-edge writes: the median of many single-edge batches per kind.  A
+  // tree-edge delete still labels the pieces and sweeps the store, so it
+  // gets fewer repetitions.
+  for (const int lg : {16, 18, 20}) {
+    const std::size_t full = std::size_t{1} << lg;
+    const auto n1 = static_cast<VertexId>(std::max<std::size_t>(args.size(full, full), 16));
+    const EdgeList g1 = random_graph(n1, 4 * static_cast<EdgeId>(n1), args.seed + lg);
+    for (const Mix mix : {Mix::kOneNonTree, Mix::kOneForest, Mix::kOneTreeDelete}) {
+      dynamic::DynamicMsf d(g1, dopts);
+      std::mt19937_64 rng(args.seed ^ (static_cast<std::uint64_t>(mix) << 32) ^
+                          static_cast<std::uint64_t>(lg));
+      const int batches = mix == Mix::kOneTreeDelete ? 24 : 200;
+      std::vector<double> times;
+      int recomputed = 0;
+      for (int k = 0; k < batches; ++k) {
+        const Batch b = one_edge_batch(mix, k, d, rng);
+        times.push_back(bench::time_best_of(1, [&] {
+          recomputed += d.apply_batch(b.ins, b.del).recomputed_from_scratch;
+        }));
+      }
+      std::nth_element(times.begin(), times.begin() + batches / 2, times.end());
+      if (!finish_row(sink, g1, d, mix, 1, batches, times[batches / 2], recomputed,
+                      sopts, args.reps)) {
+        return 1;
+      }
     }
   }
   if (crossover != 0) {

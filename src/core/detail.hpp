@@ -86,12 +86,13 @@ inline constexpr std::size_t kAssembleMarkChunk = 4096;
 
 /// Builds the public result from the selected input-edge ids of a graph
 /// with n vertices and m edges, in ascending id order: the canonical order
-/// that makes the result (including the floating-point sum) bit-identical
-/// across thread counts and scheduling.  The team flags the ids in an
-/// m-byte map, counts the flags per block of the id space, and emits each
-/// block's ids and edges at its scanned offset; every pass claims its
-/// blocks dynamically (dynamic_block_count), and only the total_weight sum
-/// runs sequentially, in id order.  `walk(begin, end, fn)` calls
+/// that makes the result bit-identical across thread counts and
+/// scheduling.  The team flags the ids in an m-byte map, counts the flags
+/// per block of the id space, and emits each block's ids and edges at its
+/// scanned offset; every pass claims its blocks dynamically
+/// (dynamic_block_count).  Each thread sums the weights it emits in an
+/// ExactSum of its own, and the merged sum rounds once, so total_weight does
+/// not depend on which thread took which block.  `walk(begin, end, fn)` calls
 /// fn(e, edge) for every input edge e in [begin, end) in ascending order;
 /// `ids` must be distinct and below m.  Fork-join.
 template <class Walk>
@@ -110,6 +111,7 @@ graph::MsfResult assemble_result(ThreadTeam& team, graph::VertexId n,
   std::atomic<std::size_t> mark_cursor{0};
   std::atomic<std::size_t> count_cursor{0};
   std::atomic<std::size_t> emit_cursor{0};
+  std::vector<graph::ExactSum> sums(static_cast<std::size_t>(team.size()));
   team.run([&](TeamCtx& ctx) {
     for_range_dynamic(ctx, clear_cursor, blocks, 1, [&](std::size_t b) {
       const IndexRange r = dynamic_block(m, b, blocks);
@@ -131,16 +133,19 @@ graph::MsfResult assemble_result(ThreadTeam& team, graph::VertexId n,
     for_range_dynamic(ctx, emit_cursor, blocks, 1, [&](std::size_t b) {
       const IndexRange r = dynamic_block(m, b, blocks);
       std::size_t pos = at[b];
+      graph::ExactSum& sum = sums[static_cast<std::size_t>(ctx.tid())];
       walk(graph::EdgeId{r.begin}, graph::EdgeId{r.end},
            [&](graph::EdgeId e, const graph::WEdge& edge) {
              if (flags[e] == 0) return;
              res.edge_ids[pos] = e;
              res.edges[pos] = edge;
+             sum.add(edge.w);
              ++pos;
            });
     });
   });
-  for (const graph::WEdge& e : res.edges) res.total_weight += e.w;
+  for (std::size_t t = 1; t < sums.size(); ++t) sums[0].add(sums[t]);
+  res.total_weight = sums[0].value();
   res.num_trees = n - res.edges.size();
   return res;
 }

@@ -9,6 +9,7 @@
 #include "core/error.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/msf_result.hpp"
+#include "pprim/fault.hpp"
 #include "pprim/thread_team.hpp"
 
 namespace smp::core {
@@ -184,9 +185,13 @@ void validate_edge_count(Algorithm alg, std::size_t num_edges);
 
 /// Per-iteration cooperative checkpoint.  Called between parallel regions on
 /// the orchestrating thread only (never inside a team region), so a throw
-/// here unwinds without any barrier interaction.
+/// here unwinds without any barrier interaction.  Each check under a budget
+/// is a hit of the fault point "budget.check", so a test can count them, or
+/// cancel at the k-th one (FaultKind::kCancel).
 inline void iteration_checkpoint(const MsfOptions& opts, std::string_view where) {
-  if (opts.budget != nullptr) opts.budget->check(where);
+  if (opts.budget == nullptr) return;
+  fault_point("budget.check");
+  opts.budget->check(where);
 }
 
 /// Compute the minimum spanning forest of `g`.

@@ -1,6 +1,7 @@
 #include "dynamic/dynamic_msf.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <iterator>
 #include <limits>
@@ -26,6 +27,15 @@ namespace {
 /// Steps between two budget checkpoints in the Kruskal pass's long loops.
 constexpr std::size_t kCheckEvery = std::size_t{1} << 16;
 
+/// slot_ entry of a vertex the scan has not numbered.
+constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
+
+/// A forest version no other forest of the process has had.
+std::uint64_t fresh_forest_version() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 /// Points `o.team` at a team of o.msf.threads held by `own` unless the
 /// caller gave one.
 void adopt_team(DynamicMsfOptions& o, std::unique_ptr<ThreadTeam>& own) {
@@ -45,6 +55,7 @@ DynamicMsf::DynamicMsf(const EdgeList& initial, DynamicMsfOptions opts)
   MsfResult r = core::minimum_spanning_forest(*opts_.team, initial, opts_.msf);
   std::sort(r.edge_ids.begin(), r.edge_ids.end());
   commit({}, std::move(r.edge_ids));
+  forest_version_ = fresh_forest_version();
 }
 
 DynamicMsf::DynamicMsf(VertexId num_vertices, DynamicMsfOptions opts)
@@ -52,38 +63,35 @@ DynamicMsf::DynamicMsf(VertexId num_vertices, DynamicMsfOptions opts)
   core::validate_request(EdgeList(num_vertices), opts_.msf);
   adopt_team(opts_, own_team_);
   trees_ = num_vertices;
+  forest_version_ = fresh_forest_version();
 }
 
 DynamicMsf::DynamicMsf(EdgeStore store, std::vector<EdgeId> forest,
                        DynamicMsfOptions opts)
-    : store_(std::move(store)), opts_(std::move(opts)),
-      forest_(std::move(forest)) {
+    : store_(std::move(store)), opts_(std::move(opts)) {
   core::validate_request(EdgeList(store_.num_vertices()), opts_.msf);
   adopt_team(opts_, own_team_);
-  std::sort(forest_.begin(), forest_.end());
-  for (std::size_t i = 0; i < forest_.size(); ++i) {
-    if (i > 0 && forest_[i] == forest_[i - 1]) {
+  std::sort(forest.begin(), forest.end());
+  for (std::size_t i = 0; i < forest.size(); ++i) {
+    if (i > 0 && forest[i] == forest[i - 1]) {
       throw Error(ErrorCode::kInvalidInput,
-                  "restore: duplicate forest id " + std::to_string(forest_[i]));
+                  "restore: duplicate forest id " + std::to_string(forest[i]));
     }
-    if (!store_.is_live(forest_[i])) {
+    if (!store_.is_live(forest[i])) {
       throw Error(ErrorCode::kInvalidInput,
-                  "restore: forest id " + std::to_string(forest_[i]) +
+                  "restore: forest id " + std::to_string(forest[i]) +
                       " is dead or unknown in the store");
     }
   }
   const auto n = static_cast<std::size_t>(store_.num_vertices());
-  if (!forest_.empty() && forest_.size() >= n) {
+  if (!forest.empty() && forest.size() >= n) {
     throw Error(ErrorCode::kInvalidInput,
-                "restore: " + std::to_string(forest_.size()) +
+                "restore: " + std::to_string(forest.size()) +
                     " forest edges cannot be acyclic on " + std::to_string(n) +
                     " vertices");
   }
-  // A forest with k edges on n vertices has exactly n - k trees.
-  trees_ = n - forest_.size();
-  forest_w_.reserve(forest_.size());
-  for (const EdgeId id : forest_) forest_w_.push_back(store_.edge(id).w);
-  recompute_weight();
+  commit({}, std::move(forest));
+  forest_version_ = fresh_forest_version();
 }
 
 MsfDelta DynamicMsf::apply_batch(std::span<const WEdge> insertions,
@@ -110,9 +118,7 @@ MsfDelta DynamicMsf::apply_batch(std::span<const WEdge> insertions,
   // The forest edges the batch deletes, ascending.
   std::vector<EdgeId> cut;
   for (const EdgeId id : del) {
-    if (std::binary_search(forest_.begin(), forest_.end(), id)) {
-      cut.push_back(id);
-    }
+    if (forest_->contains(id)) cut.push_back(id);
   }
 
   // ---- Deletions first: a batch's ids always name pre-batch edges.  Each
@@ -148,7 +154,7 @@ MsfDelta DynamicMsf::apply_batch(std::span<const WEdge> insertions,
       return recompute();
     }
     if (cut.empty() && oracle != nullptr &&
-        oracle->num_merges() == forest_.size()) {
+        oracle->num_merges() == forest_size_) {
       return apply_by_path_max(*oracle, first_new);
     }
     return apply_by_kruskal(first_new, cut);
@@ -166,16 +172,30 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
   WallTimer sort_timer;
   // links_ caches the entry forest, which a failed batch leaves in place.
   build_rooted();
+  if (slot_.empty()) {
+    stop_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
+    slot_.assign(n, kNoSlot);
+  }
+  // The scratch is clear on entry; clear what this batch set on every exit.
+  struct Clear {
+    DynamicMsf& m;
+    ~Clear() {
+      for (const VertexId x : m.stopped_) m.stop_[x / 64] = 0;
+      for (const VertexId x : m.numbered_) m.slot_[x] = kNoSlot;
+      m.stopped_.clear();
+      m.numbered_.clear();
+    }
+  } clear{*this};
   double sort_s = sort_timer.elapsed_s();
 
-  // stop[x] is set while x's parent edge must not be gathered: it was cut,
+  // stop_[x] is set while x's parent edge must not be gathered: it was cut,
   // or a root-path walk already took it.
-  std::vector<std::uint64_t> stop((static_cast<std::size_t>(n) + 63) / 64);
   const auto stopped = [&](VertexId x) {
-    return (stop[x / 64] >> (x % 64) & 1) != 0;
+    return (stop_[x / 64] >> (x % 64) & 1) != 0;
   };
   const auto set_stop = [&](VertexId x) {
-    stop[x / 64] |= std::uint64_t{1} << (x % 64);
+    stopped_.push_back(x);
+    stop_[x / 64] |= std::uint64_t{1} << (x % 64);
   };
   for (const EdgeId id : cut) {
     const WEdge& e = store_.edge(id);
@@ -203,7 +223,7 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
     WallTimer boruvka_timer;
     // F' has |forest| − |cut| edges, so n − that many pieces.
     cands = replacements(std::move(cross), label,
-                         n - (forest_.size() - cut.size()));
+                         n - (forest_size_ - cut.size()));
     connect_s += boruvka_timer.elapsed_s();
   }
   cands.reserve(cands.size() + static_cast<std::size_t>(last - first_new));
@@ -211,17 +231,31 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
 
   // ---- Gather: every forest edge a candidate can close a cycle on lies on
   // one of its endpoints' root paths in F'.  A walk stops at a root, a cut
-  // edge or an edge already gathered (the walk that took it went on up). ----
+  // edge or an edge already gathered (the walk that took it went on up).
+  // The scan's union-find holds only the vertices the walks reach, so the
+  // walks number them densely and the records keep those numbers. ----
   sort_timer.reset();
+  const auto number = [&](VertexId x) {
+    if (slot_[x] == kNoSlot) {
+      numbered_.push_back(x);
+      slot_[x] = static_cast<std::uint32_t>(numbered_.size() - 1);
+    }
+    return slot_[x];
+  };
   std::vector<Record> path;
   std::size_t walked = 0;
-  for (const Record& c : cands) {
-    for (VertexId x : {c.u, c.v}) {
+  for (Record& c : cands) {
+    for (VertexId* end : {&c.u, &c.v}) {
+      VertexId x = *end;
+      std::uint32_t at = number(x);
+      *end = at;
       while (links_[x].parent != x && !stopped(x)) {
         set_stop(x);
         const Link& l = links_[x];
-        path.push_back(Record{l.w, l.edge, x, l.parent});
+        const std::uint32_t up = number(l.parent);
+        path.push_back(Record{l.w, l.edge, at, up});
         x = l.parent;
+        at = up;
         if (++walked % kCheckEvery == 0) {
           core::iteration_checkpoint(opts_.msf, "forest Kruskal gather");
         }
@@ -238,7 +272,7 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
   core::iteration_checkpoint(opts_.msf, "forest Kruskal scan");
   fault_point("dynamic.kruskal-scan");
   WallTimer scan_timer;
-  seq::MinRootUnionFind uf(n);
+  seq::MinRootUnionFind uf(numbered_.size());
   std::vector<EdgeId> dropped;
   std::vector<EdgeId> added;
   const std::size_t np = path.size();
@@ -272,7 +306,7 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
              std::back_inserter(removed));
   // The candidate set a solve would take: the retained forest, the crossing
   // edges and the insertions.
-  const std::size_t candidates = forest_.size() - cut.size() + crossing +
+  const std::size_t candidates = forest_size_ - cut.size() + crossing +
                                  static_cast<std::size_t>(last - first_new);
   MsfDelta d = commit(std::move(removed), std::move(added));
   d.candidate_edges = candidates;
@@ -377,22 +411,23 @@ std::vector<DynamicMsf::Record> DynamicMsf::replacements(
 void DynamicMsf::build_rooted() {
   if (rooted_) return;
   const auto n = static_cast<std::size_t>(store_.num_vertices());
-  // The forest as adjacency lists: (neighbour, position in forest_) pairs
+  const std::vector<EdgeId>& forest = forest_edge_ids();
+  // The forest as adjacency lists: (neighbour, position in forest) pairs
   // bucketed by vertex.
   std::vector<std::size_t> start(n + 1, 0);
-  for (std::size_t i = 0; i < forest_.size(); ++i) {
-    ++start[store_.edge(forest_[i]).u + 1];
-    ++start[store_.edge(forest_[i]).v + 1];
+  for (std::size_t i = 0; i < forest.size(); ++i) {
+    ++start[store_.edge(forest[i]).u + 1];
+    ++start[store_.edge(forest[i]).v + 1];
     if ((i + 1) % kCheckEvery == 0) {
       core::iteration_checkpoint(opts_.msf, "rooted forest build");
     }
   }
   for (std::size_t x = 0; x < n; ++x) start[x + 1] += start[x];
-  std::vector<std::pair<VertexId, std::uint32_t>> adj(2 * forest_.size());
+  std::vector<std::pair<VertexId, std::uint32_t>> adj(2 * forest.size());
   {
     std::vector<std::size_t> fill(start.begin(), start.end() - 1);
-    for (std::uint32_t i = 0; i < forest_.size(); ++i) {
-      const WEdge& e = store_.edge(forest_[i]);
+    for (std::uint32_t i = 0; i < forest.size(); ++i) {
+      const WEdge& e = store_.edge(forest[i]);
       adj[fill[e.u]++] = {e.v, i};
       adj[fill[e.v]++] = {e.u, i};
       if ((i + 1) % kCheckEvery == 0) {
@@ -417,7 +452,7 @@ void DynamicMsf::build_rooted() {
       for (std::size_t j = start[x]; j < start[x + 1]; ++j) {
         const auto [y, i] = adj[j];
         if (links_[y].parent != graph::kInvalidVertex) continue;
-        links_[y] = Link{forest_w_[i], forest_[i], x};
+        links_[y] = Link{store_.edge(forest[i]).w, forest[i], x};
         queue[tail++] = y;
       }
     }
@@ -520,7 +555,7 @@ MsfDelta DynamicMsf::apply_by_path_max(const core::Dendrogram& oracle,
   std::sort(added.begin(), added.end());
   // The candidate set a solve would have taken: retained forest ∪ batch.
   const std::size_t candidates =
-      forest_.size() + static_cast<std::size_t>(last - first_new);
+      forest_size_ + static_cast<std::size_t>(last - first_new);
   MsfDelta d = commit(std::move(removed), std::move(added));
   ++path_max_batches_;
   d.candidate_edges = candidates;
@@ -528,10 +563,26 @@ MsfDelta DynamicMsf::apply_by_path_max(const core::Dendrogram& oracle,
 }
 
 std::vector<EdgeId> DynamicMsf::compact_store() {
+  // The renumbered forest gets fresh bits, all of them allocated before the
+  // store changes: live ids become [0, num_live), so that many slots cover
+  // every new id.
+  auto next = std::make_shared<ForestBits>();
+  next->seal = seals_;
+  next->blocks.resize((store_.num_live() + kForestBlockSlots - 1) /
+                      kForestBlockSlots);
+  for (auto& b : next->blocks) {
+    b = std::make_shared<ForestBits::Block>();
+    b->seal = seals_;
+  }
   const std::vector<EdgeId> remap = store_.compact();
-  // Forest ids are live by definition, so every remap hit is valid; the
-  // renumbering is monotone, so the forest stays ascending.
-  for (EdgeId& id : forest_) id = remap[static_cast<std::size_t>(id)];
+  // Forest ids are live by definition, so every remap hit is valid.
+  forest_->for_each([&](EdgeId id) {
+    const auto to = static_cast<std::size_t>(remap[static_cast<std::size_t>(id)]);
+    next->blocks[to / kForestBlockSlots]->words[to % kForestBlockSlots / 64] |=
+        std::uint64_t{1} << (to % 64);
+  });
+  forest_ = std::move(next);
+  forest_version_ = fresh_forest_version();
   for (Link& l : links_) {
     if (l.edge != graph::kInvalidEdge) l.edge = remap[static_cast<std::size_t>(l.edge)];
   }
@@ -548,11 +599,12 @@ MsfDelta DynamicMsf::recompute() {
   // rooted forest rather than this commit everting it.
   rooted_ = false;
   // The diff allocates, so it is taken before anything is committed.
+  const std::vector<EdgeId>& forest = forest_edge_ids();
   std::vector<EdgeId> added;
   std::vector<EdgeId> removed;
-  std::set_difference(r.edge_ids.begin(), r.edge_ids.end(), forest_.begin(),
-                      forest_.end(), std::back_inserter(added));
-  std::set_difference(forest_.begin(), forest_.end(), r.edge_ids.begin(),
+  std::set_difference(r.edge_ids.begin(), r.edge_ids.end(), forest.begin(),
+                      forest.end(), std::back_inserter(added));
+  std::set_difference(forest.begin(), forest.end(), r.edge_ids.begin(),
                       r.edge_ids.end(), std::back_inserter(removed));
   MsfDelta d = commit(std::move(removed), std::move(added));
   d.candidate_edges = live.edges.size();
@@ -560,38 +612,49 @@ MsfDelta DynamicMsf::recompute() {
   return d;
 }
 
+void DynamicMsf::prepare_forest(std::span<const EdgeId> a,
+                                std::span<const EdgeId> b) {
+  if (forest_->seal != seals_) {
+    auto copy = std::make_shared<ForestBits>(*forest_);
+    copy->seal = seals_;
+    forest_ = std::move(copy);
+  }
+  std::vector<std::shared_ptr<ForestBits::Block>>& blocks = forest_->blocks;
+  for (const std::span<const EdgeId> ids : {a, b}) {
+    for (const EdgeId id : ids) {
+      const auto at = static_cast<std::size_t>(id / kForestBlockSlots);
+      if (at >= blocks.size()) blocks.resize(at + 1);
+      std::shared_ptr<ForestBits::Block>& block = blocks[at];
+      if (block != nullptr && block->seal == seals_) continue;
+      block = block == nullptr ? std::make_shared<ForestBits::Block>()
+                               : std::make_shared<ForestBits::Block>(*block);
+      block->seal = seals_;
+    }
+  }
+}
+
 MsfDelta DynamicMsf::commit(std::vector<EdgeId> removed,
                             std::vector<EdgeId> added) {
   if (!removed.empty() || !added.empty()) {
-    const std::size_t size = forest_.size() - removed.size() + added.size();
-    std::vector<EdgeId> next;
-    std::vector<graph::Weight> next_w;
-    next.reserve(size);
-    next_w.reserve(size);
-    const auto push_added = [&](EdgeId id) {
-      next.push_back(id);
-      next_w.push_back(store_.edge(id).w);
-    };
-    auto r = removed.begin();
-    auto a = added.begin();
-    for (std::size_t i = 0; i < forest_.size(); ++i) {
-      const EdgeId id = forest_[i];
-      if (r != removed.end() && *r == id) {
-        ++r;
-        continue;
-      }
-      while (a != added.end() && *a < id) push_added(*a++);
-      next.push_back(id);
-      next_w.push_back(forest_w_[i]);
+    prepare_forest(removed, added);
+    // Nothing below allocates or throws.
+    for (const EdgeId id : removed) {
+      const auto s = static_cast<std::size_t>(id % kForestBlockSlots);
+      forest_block(id).words[s / 64] &= ~(std::uint64_t{1} << (s % 64));
+      weight_sum_.sub(store_.edge(id).w);
     }
-    std::for_each(a, added.end(), push_added);
+    for (const EdgeId id : added) {
+      const auto s = static_cast<std::size_t>(id % kForestBlockSlots);
+      forest_block(id).words[s / 64] |= std::uint64_t{1} << (s % 64);
+      weight_sum_.add(store_.edge(id).w);
+    }
+    forest_size_ = forest_size_ - removed.size() + added.size();
+    forest_version_ = fresh_forest_version();
+    weight_ = weight_sum_.value();
     relink(removed, added);
-    forest_.swap(next);
-    forest_w_.swap(next_w);
-    recompute_weight();
   }
   // A forest with k edges on n vertices has exactly n - k trees.
-  trees_ = static_cast<std::size_t>(store_.num_vertices()) - forest_.size();
+  trees_ = static_cast<std::size_t>(store_.num_vertices()) - forest_size_;
   MsfDelta d;
   d.forest_added = std::move(added);
   d.forest_removed = std::move(removed);
@@ -601,16 +664,29 @@ MsfDelta DynamicMsf::commit(std::vector<EdgeId> removed,
   return d;
 }
 
-void DynamicMsf::recompute_weight() {
-  weight_ = 0;
-  for (const graph::Weight w : forest_w_) weight_ += w;
+const std::vector<EdgeId>& DynamicMsf::forest_edge_ids() const {
+  if (ids_version_ != forest_version_) {
+    ids_.clear();
+    ids_.reserve(forest_size_);
+    forest_->for_each([&](EdgeId id) { ids_.push_back(id); });
+    ids_version_ = forest_version_;
+  }
+  return ids_;
+}
+
+ForestView DynamicMsf::share_forest() {
+  ForestView v(forest_, forest_size_, forest_version_);
+  // The view reads the table and every block as they are now: seal them,
+  // so the next write copies what it touches.
+  ++seals_;
+  return v;
 }
 
 MsfResult DynamicMsf::forest() const {
   MsfResult r;
-  r.edge_ids = forest_;
-  r.edges.reserve(forest_.size());
-  for (const EdgeId id : forest_) r.edges.push_back(store_.edge(id));
+  r.edge_ids = forest_edge_ids();
+  r.edges.reserve(r.edge_ids.size());
+  for (const EdgeId id : r.edge_ids) r.edges.push_back(store_.edge(id));
   r.total_weight = weight_;
   r.num_trees = trees_;
   return r;

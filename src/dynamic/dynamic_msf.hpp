@@ -8,7 +8,9 @@
 #include "core/msf.hpp"
 #include "dynamic/delta.hpp"
 #include "dynamic/edge_store.hpp"
+#include "dynamic/forest_bits.hpp"
 #include "graph/edge_list.hpp"
+#include "graph/exact_sum.hpp"
 #include "graph/msf_result.hpp"
 #include "pprim/thread_team.hpp"
 
@@ -83,6 +85,12 @@ struct DynamicMsfOptions {
 ///    an added edge (u, v) everts u's tree at u and hangs it under v.  A
 ///    commit whose everts pass n steps drops it instead (a path-shaped forest
 ///    can make every evert long), and the next Kruskal batch rebuilds it.
+///  * A commit costs O(Δ) for Δ changed edges.  The forest is a membership
+///    bit per store slot in copy-on-write blocks (ForestBits), and its
+///    weight is an exact running sum (graph::ExactSum) that each added edge
+///    adds to and each removed edge subtracts from, rounded once per commit.
+///    Every commit that changes the forest takes a process-unique forest
+///    version, so two forests with the same version are the same forest.
 ///  * An insert-only batch given a core::Dendrogram of the forest skips
 ///    the pass: the batch endpoints in leaf order, each same-tree adjacent pair
 ///    joined by an edge labelled with the heaviest forest edge between
@@ -169,12 +177,22 @@ class DynamicMsf {
   void set_budget(const ExecutionBudget* budget) { opts_.msf.budget = budget; }
 
   [[nodiscard]] const EdgeStore& store() const { return store_; }
-  /// Current forest as ascending store ids.
-  [[nodiscard]] const std::vector<graph::EdgeId>& forest_edge_ids() const {
-    return forest_;
-  }
-  /// Forest weight, summed in ascending store-id order (bit-identical to
-  /// the same deterministic sum over a from-scratch solve).
+  /// Current forest as ascending store ids.  Materialized on the first call
+  /// after the forest changed (O(slots / 64 + forest size)) and cached; the
+  /// reference stays valid until the next batch, recompute or compaction.
+  /// Like every member, not safe to call concurrently.
+  [[nodiscard]] const std::vector<graph::EdgeId>& forest_edge_ids() const;
+  [[nodiscard]] std::size_t forest_size() const { return forest_size_; }
+  /// Changes whenever the forest does (a commit that adds or removes an
+  /// edge, compact_store), and is unique across every DynamicMsf of the
+  /// process.
+  [[nodiscard]] std::uint64_t forest_version() const { return forest_version_; }
+  /// The current forest as an immutable view that shares its blocks with
+  /// this DynamicMsf: O(1) now, and each later commit copies only the
+  /// blocks it touches that a view may still read.
+  [[nodiscard]] ForestView share_forest();
+  /// Forest weight: the exactly rounded sum of the forest's edge weights,
+  /// bit-identical to every solver's total_weight for the same forest.
   [[nodiscard]] graph::Weight total_weight() const { return weight_; }
   [[nodiscard]] std::size_t num_trees() const { return trees_; }
   /// Batches apply_batch has applied by path-max rather than by the Kruskal
@@ -228,30 +246,54 @@ class DynamicMsf {
   std::vector<Record> replacements(std::vector<Record> cross,
                                    const std::vector<graph::VertexId>& label,
                                    std::size_t pieces) const;
-  /// Builds links_ from forest_ unless it is current.
+  /// Builds links_ from the forest unless it is current.
   void build_rooted();
   /// Keeps links_ current across a commit (see commit); allocates nothing.
   void relink(const std::vector<graph::EdgeId>& removed,
               const std::vector<graph::EdgeId>& added);
   /// Commits the forest minus `removed` plus `added` (both ascending,
   /// `removed` ⊆ forest, `added` disjoint from it); the delta is exactly
-  /// those two lists.  Allocates before it writes anything.
+  /// those two lists.  O(|removed| + |added|); allocates before it writes
+  /// anything.
   MsfDelta commit(std::vector<graph::EdgeId> removed,
                   std::vector<graph::EdgeId> added);
-  void recompute_weight();
+  /// Makes the block of every id in `a` and `b` writable in place (see
+  /// ForestBits), allocating or copying as needed.  Changes no bit.
+  void prepare_forest(std::span<const graph::EdgeId> a,
+                      std::span<const graph::EdgeId> b);
+  /// The writable block of `id`, after prepare_forest.
+  [[nodiscard]] ForestBits::Block& forest_block(graph::EdgeId id) {
+    return *forest_->blocks[static_cast<std::size_t>(id / kForestBlockSlots)];
+  }
 
   EdgeStore store_;
   /// The team opts_.team points at when the caller gave none.
   std::unique_ptr<ThreadTeam> own_team_;
   DynamicMsfOptions opts_;
-  std::vector<graph::EdgeId> forest_;  ///< ascending store ids
-  std::vector<graph::Weight> forest_w_;  ///< weight of each forest_ edge
-  graph::Weight weight_ = 0;
+  /// The forest's membership bits; never null.
+  std::shared_ptr<ForestBits> forest_ = std::make_shared<ForestBits>();
+  std::size_t forest_size_ = 0;
+  std::uint64_t forest_version_ = 0;
+  /// How many times share_forest sealed the table and its blocks.
+  std::uint64_t seals_ = 0;
+  /// forest_edge_ids' cache, and the forest version it holds (0 = none).
+  mutable std::vector<graph::EdgeId> ids_;
+  mutable std::uint64_t ids_version_ = 0;
+  graph::ExactSum weight_sum_;  ///< the forest's weight, exact
+  graph::Weight weight_ = 0;    ///< weight_sum_, rounded
   std::size_t trees_ = 0;
   std::uint64_t path_max_batches_ = 0;
   /// The rooted forest, one link per vertex, valid while rooted_.
   std::vector<Link> links_;
   bool rooted_ = false;
+  /// Kruskal-pass scratch, n entries each, allocated on first use and left
+  /// clear between batches: a vertex's stop bit (see apply_by_kruskal) and
+  /// its number in the scan's union-find (kNoSlot when unnumbered), each
+  /// reset through the list of the vertices a batch touched.
+  std::vector<std::uint64_t> stop_;
+  std::vector<graph::VertexId> stopped_;
+  std::vector<std::uint32_t> slot_;
+  std::vector<graph::VertexId> numbered_;
 };
 
 }  // namespace smp::dynamic

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "graph/exact_sum.hpp"
 #include "graph/types.hpp"
 
 namespace smp::graph {
@@ -28,10 +29,9 @@ struct EdgeList {
     edges.push_back(WEdge{u, v, w});
   }
 
+  /// Sum of every edge weight, exactly rounded (see ExactSum).
   [[nodiscard]] Weight total_weight() const {
-    Weight s = 0;
-    for (const auto& e : edges) s += e.w;
-    return s;
+    return exact_sum(edges, [](const WEdge& e) { return e.w; });
   }
 };
 

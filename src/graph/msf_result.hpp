@@ -19,7 +19,8 @@ struct MsfResult {
   /// For each forest edge, the index of the matching edge in the input
   /// EdgeList::edges (parallel to `edges`).
   std::vector<EdgeId> edge_ids;
-  /// Sum of forest edge weights.
+  /// Sum of forest edge weights, exactly rounded (graph::ExactSum): the
+  /// same bits for the same forest, whatever the solver.
   Weight total_weight = 0;
   /// Number of trees = number of connected components of the input
   /// (isolated vertices count as single-vertex trees).

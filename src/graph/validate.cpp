@@ -5,6 +5,7 @@
 #include <queue>
 #include <vector>
 
+#include "graph/exact_sum.hpp"
 #include "graph/stats.hpp"
 #include "seq/union_find.hpp"
 
@@ -47,8 +48,8 @@ ForestCheck validate_spanning_forest(const EdgeList& g, std::span<const WEdge> f
       res.error = "forest contains a cycle";
       return res;
     }
-    res.total_weight += e.w;
   }
+  res.total_weight = exact_sum(forest, [](const WEdge& e) { return e.w; });
 
   // 3. Maximality: exactly n - #components(g) edges.
   const std::size_t comps = num_components(g);

@@ -13,7 +13,7 @@ struct ForestCheck {
   bool ok = false;
   std::string error;          ///< empty when ok
   std::size_t num_trees = 0;  ///< number of trees in the forest
-  Weight total_weight = 0;    ///< sum of forest edge weights
+  Weight total_weight = 0;    ///< exactly rounded forest weight
 
   explicit operator bool() const { return ok; }
 };

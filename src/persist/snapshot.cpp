@@ -202,6 +202,12 @@ SnapshotBody load_snapshot_file(const std::string& path) {
     body.forest.push_back(take<std::uint64_t>(data, off, path, "forest id"));
   }
   const auto n_idem = take<std::uint32_t>(data, off, path, "idem count");
+  // Each entry is at least its u16 length and u64 LSN.
+  const std::size_t left = off < data.size() - 8 ? data.size() - 8 - off : 0;
+  if (n_idem > left / 10) {
+    throw Error(ErrorCode::kInvalidInput,
+                "snapshot '" + path + "': idem count overruns the file");
+  }
   body.idem.reserve(n_idem);
   for (std::uint32_t i = 0; i < n_idem; ++i) {
     const auto len = take<std::uint16_t>(data, off, path, "idem id");

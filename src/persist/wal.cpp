@@ -134,17 +134,31 @@ WalScan scan_wal(const std::string& path, std::uint64_t expected_lsn) {
                         std::to_string(expected_lsn));
     }
     expected_lsn = rec.lsn + 1;
+    // A count is checked against the bytes left before anything is sized
+    // by it: a record that passed its CRC can still claim 2^32 − 1 entries.
+    const auto overruns = [&](std::uint32_t count, std::size_t min_bytes) {
+      return count > (body.size() - p) / min_bytes;
+    };
+    if (overruns(n_ins, 16)) {
+      corrupt(path, record_start, "insertions overrun payload");
+    }
     rec.insertions.resize(n_ins);
     for (graph::WEdge& e : rec.insertions) {
       if (!get(body, p, &e.u) || !get(body, p, &e.v) || !get(body, p, &e.w)) {
         corrupt(path, record_start, "insertions overrun payload");
       }
     }
+    if (overruns(n_del, 8)) {
+      corrupt(path, record_start, "deletions overrun payload");
+    }
     rec.deletions.resize(n_del);
     for (graph::EdgeId& id : rec.deletions) {
       if (!get(body, p, &id)) {
         corrupt(path, record_start, "deletions overrun payload");
       }
+    }
+    if (overruns(n_ids, 2)) {
+      corrupt(path, record_start, "idempotency ids overrun payload");
     }
     rec.idem_ids.resize(n_ids);
     for (std::string& id : rec.idem_ids) {

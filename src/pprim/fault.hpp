@@ -10,6 +10,8 @@
 #include <string_view>
 #include <vector>
 
+#include "core/error.hpp"
+
 namespace smp {
 
 /// What an armed fault point throws when it fires.
@@ -19,6 +21,8 @@ enum class FaultKind {
   kCrash,         ///< std::_Exit(137) — simulates kill -9 at the point (no
                   ///< destructors, no atexit, no buffered-IO flush), the
                   ///< primitive under the crash-point chaos harness
+  kCancel,        ///< Error{kCancelled} — what a cancelled budget raises at a
+                  ///< checkpoint, at a counted hit instead of a moment
 };
 
 /// Deterministic fault injection for tests.
@@ -127,6 +131,8 @@ class FaultInjector {
         throw std::runtime_error("injected fault at " + found->name);
       case FaultKind::kCrash:
         std::_Exit(137);  // the same exit a SIGKILLed process reports
+      case FaultKind::kCancel:
+        throw Error(ErrorCode::kCancelled, "injected at " + found->name);
     }
   }
 };

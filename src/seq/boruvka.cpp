@@ -1,5 +1,6 @@
 #include <vector>
 
+#include "graph/exact_sum.hpp"
 #include "graph/types.hpp"
 #include "seq/seq_msf.hpp"
 #include "seq/union_find.hpp"
@@ -55,7 +56,6 @@ MsfResult boruvka_msf(const EdgeList& g) {
       if (uf.unite(e.u, e.v)) {
         res.edges.push_back(e);
         res.edge_ids.push_back(i);
-        res.total_weight += e.w;
       }
     }
 
@@ -70,6 +70,7 @@ MsfResult boruvka_msf(const EdgeList& g) {
     for (auto& b : best) b = kInvalidEdge;
   }
 
+  res.total_weight = graph::exact_sum(res.edges, [](const graph::WEdge& e) { return e.w; });
   res.num_trees = n - res.edges.size();
   return res;
 }

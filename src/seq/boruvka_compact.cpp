@@ -1,6 +1,7 @@
 #include <numeric>
 #include <vector>
 
+#include "graph/exact_sum.hpp"
 #include "graph/types.hpp"
 #include "seq/seq_msf.hpp"
 
@@ -90,7 +91,6 @@ MsfResult boruvka_compact_msf(const EdgeList& g) {
       }
       res.edges.push_back({e.u, e.v, e.w});
       res.edge_ids.push_back(e.orig);
-      res.total_weight += e.w;
     }
 
     // compact-graph: dense relabel + full edge-list rebuild (the costly
@@ -111,6 +111,7 @@ MsfResult boruvka_compact_msf(const EdgeList& g) {
     n = next_n;
   }
 
+  res.total_weight = graph::exact_sum(res.edges, [](const graph::WEdge& e) { return e.w; });
   res.num_trees = g.num_vertices - res.edges.size();
   return res;
 }

@@ -1,5 +1,6 @@
 #include <vector>
 
+#include "graph/exact_sum.hpp"
 #include "graph/types.hpp"
 #include "pprim/seq_sort.hpp"
 #include "seq/seq_msf.hpp"
@@ -46,10 +47,10 @@ MsfResult kruskal_msf(const EdgeList& g) {
     if (uf.unite(e.u, e.v)) {
       res.edges.push_back(e);
       res.edge_ids.push_back(r.id);
-      res.total_weight += e.w;
       if (uf.num_sets() == 1) break;  // spanning tree complete
     }
   }
+  res.total_weight = graph::exact_sum(res.edges, [](const graph::WEdge& e) { return e.w; });
   res.num_trees = g.num_vertices - res.edges.size();
   return res;
 }

@@ -1,3 +1,4 @@
+#include "graph/exact_sum.hpp"
 #include "graph/types.hpp"
 #include "seq/indexed_heap.hpp"
 #include "seq/seq_msf.hpp"
@@ -56,10 +57,10 @@ MsfResult prim_msf(const CsrGraph& g) {
       in_tree[top.id] = 1;
       res.edges.push_back({top.key.parent, top.id, top.key.order.w});
       res.edge_ids.push_back(top.key.order.orig);
-      res.total_weight += top.key.order.w;
       current = top.id;
     }
   }
+  res.total_weight = graph::exact_sum(res.edges, [](const graph::WEdge& e) { return e.w; });
   res.num_trees = n - res.edges.size();
   return res;
 }

@@ -29,17 +29,19 @@ using graph::VertexId;
 using graph::WEdge;
 
 /// One published MVCC epoch of a session: an O(1) view of the session's
-/// edge store, the committed forest, and lazily built read caches — the
-/// kSnapshot payload, the materialized forest edge list, and the query
-/// ForestIndex.  A reader holding a shared_ptr to one of these answers
-/// weight/edges/connected/pathmax/conn/cut/topk bit-identically to a
-/// scratch solve of this epoch's graph, no matter how far the session has
-/// moved on since.
+/// edge store, an O(1) view of the committed forest, and lazily built read
+/// caches — the kSnapshot payload, the forest's materialized ids and edges,
+/// and the query ForestIndex.  A reader holding a shared_ptr to one of
+/// these answers weight/edges/connected/pathmax/conn/cut/topk
+/// bit-identically to a scratch solve of this epoch's graph, no matter how
+/// far the session has moved on since.
 struct SessionSnapshot {
   std::uint64_t epoch = 0;
   dynamic::StoreView view;
-  /// Ascending store ids; shared with the previous epoch when unchanged.
-  std::shared_ptr<const std::vector<EdgeId>> forest_ids;
+  /// The forest's membership blocks, size and version; the blocks are
+  /// shared with the session's DynamicMsf and with every epoch whose forest
+  /// did not touch them.
+  dynamic::ForestView forest;
   graph::Weight weight = 0;
   std::size_t trees = 0;
   /// The store's compaction count: forest ids of two epochs name the same
@@ -49,9 +51,11 @@ struct SessionSnapshot {
   /// Lazy caches, each built at most once.  aux_mu guards the cheap ones;
   /// the index (expensive, separately buildable) has its own mutex so a
   /// slow index build never blocks a `weight` or `edges` read.  Epochs with
-  /// the same forest share fedges and the index body.
+  /// the same forest version share fids, fedges and the index body.
   mutable std::mutex aux_mu;
   mutable std::shared_ptr<SnapshotData> data;
+  /// The forest as ascending store ids, and its edges in the same order.
+  mutable std::shared_ptr<const std::vector<EdgeId>> fids;
   mutable std::shared_ptr<const std::vector<WEdge>> fedges;
   mutable std::mutex index_mu;
   mutable std::shared_ptr<const query::ForestIndex> index;
@@ -300,15 +304,24 @@ void solve_budgeted(Session& s, std::chrono::steady_clock::time_point deadline,
 void fill_forest_facts(Response& r, const dynamic::DynamicMsf& m) {
   r.weight = m.total_weight();
   r.trees = m.num_trees();
-  r.forest_edges = m.forest_edge_ids().size();
+  r.forest_edges = m.forest_size();
   r.live_edges = m.store().num_live();
 }
 
 void fill_snapshot_facts(Response& r, const SessionSnapshot& snap) {
   r.weight = snap.weight;
   r.trees = snap.trees;
-  r.forest_edges = snap.forest_ids->size();
+  r.forest_edges = snap.forest.size();
   r.live_edges = snap.view.num_live();
+}
+
+/// The snapshot's forest ids, materialized from its forest view on first use
+/// (O(slots / 64 + n)).  Caller holds aux_mu.
+const std::vector<EdgeId>& forest_ids_locked(const SessionSnapshot& snap) {
+  if (snap.fids == nullptr) {
+    snap.fids = std::make_shared<const std::vector<EdgeId>>(snap.forest.ids());
+  }
+  return *snap.fids;
 }
 
 /// The snapshot's kSnapshot payload, materialized from its view on first
@@ -318,7 +331,7 @@ std::shared_ptr<SnapshotData> snapshot_data(const SessionSnapshot& snap) {
   if (snap.data != nullptr) return snap.data;
   auto d = std::make_shared<SnapshotData>();
   d->live = snap.view.live_graph(&d->live_ids);
-  d->forest_ids = *snap.forest_ids;
+  d->forest_ids = forest_ids_locked(snap);
   d->weight = snap.weight;
   d->trees = snap.trees;
   d->version = snap.epoch;
@@ -332,9 +345,10 @@ std::shared_ptr<const std::vector<WEdge>> snapshot_forest_edges(
     const SessionSnapshot& snap) {
   std::lock_guard<std::mutex> lk(snap.aux_mu);
   if (snap.fedges != nullptr) return snap.fedges;
+  const std::vector<EdgeId>& ids = forest_ids_locked(snap);
   auto fe = std::make_shared<std::vector<WEdge>>();
-  fe->reserve(snap.forest_ids->size());
-  for (const EdgeId id : *snap.forest_ids) fe->push_back(snap.view.edge(id));
+  fe->reserve(ids.size());
+  for (const EdgeId id : ids) fe->push_back(snap.view.edge(id));
   snap.fedges = fe;
   return fe;
 }
@@ -829,7 +843,6 @@ void ServiceCore::publish_snapshot_locked(Session& s, bool with_index) {
     if (!s.snaps.empty()) prev = s.snaps.back();
   }
   const dynamic::EdgeStore& store = s.msf->store();
-  const std::vector<EdgeId>& forest = s.msf->forest_edge_ids();
   auto snap = std::make_shared<SessionSnapshot>();
   snap->epoch = s.version;
   snap->view = store.view();
@@ -837,12 +850,13 @@ void ServiceCore::publish_snapshot_locked(Session& s, bool with_index) {
   snap->trees = s.msf->num_trees();
   snap->compactions = store.compactions();
   if (prev != nullptr && prev->compactions == snap->compactions &&
-      *prev->forest_ids == forest) {
-    // Same forest, same ids: everything derived from it carries over, and
-    // the index is restamped with this epoch in O(1).
-    snap->forest_ids = prev->forest_ids;
+      prev->forest.version() == s.msf->forest_version()) {
+    // Same forest version, same ids: everything derived from the forest
+    // carries over, and the index is restamped with this epoch in O(1).
+    snap->forest = prev->forest;
     {
       std::lock_guard<std::mutex> lk(prev->aux_mu);
+      snap->fids = prev->fids;
       snap->fedges = prev->fedges;
     }
     std::lock_guard<std::mutex> lk(prev->index_mu);
@@ -851,7 +865,7 @@ void ServiceCore::publish_snapshot_locked(Session& s, bool with_index) {
       metrics_.index_carried.fetch_add(1, std::memory_order_relaxed);
     }
   } else {
-    snap->forest_ids = std::make_shared<const std::vector<EdgeId>>(forest);
+    snap->forest = s.msf->share_forest();
   }
   // Attach the index before the epoch becomes visible, so no reader finds
   // this epoch without one and builds it inline.
@@ -908,7 +922,11 @@ std::shared_ptr<const query::ForestIndex> ServiceCore::snapshot_index(
   std::lock_guard<std::mutex> lk(snap.index_mu);
   if (snap.index != nullptr) return snap.index;
   std::vector<WEdge> fedges = *snapshot_forest_edges(snap);
-  std::vector<EdgeId> fids = *snap.forest_ids;
+  std::vector<EdgeId> fids;
+  {
+    std::lock_guard<std::mutex> aux(snap.aux_mu);
+    fids = forest_ids_locked(snap);
+  }
   std::shared_ptr<const query::ForestIndex> idx;
   if (eager) {
     // Flusher path (exclusive state lock held): build in parallel on the

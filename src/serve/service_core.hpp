@@ -251,9 +251,10 @@ class ServiceCore {
   // --- MVCC snapshot machinery ---
   /// Publishes an immutable snapshot of the session's committed state as
   /// the newest epoch, retiring the oldest ring entry when the ring is
-  /// full.  O(1) in the graph size: the epoch holds a view of the store.
-  /// When the forest is the previous epoch's (same ids, no compaction in
-  /// between), the forest-derived caches and the index carry over.  With
+  /// full.  O(1) in the graph size: the epoch holds a view of the store
+  /// and shares the forest's blocks.  When the forest version is the
+  /// previous epoch's (and no compaction came in between), the
+  /// forest-derived caches and the index carry over.  With
   /// `with_index` an index is built on the shard team if none carried, and
   /// attached before the epoch becomes visible.  Caller holds the exclusive
   /// state lock (or the session is not yet visible).

@@ -48,12 +48,9 @@ Reference kruskal_reference(const EdgeList& g) {
   const MsfResult k = seq::kruskal_msf(g);
   Reference ref;
   ref.ids = test::sorted_ids(k);
-  double w = 0;
-  for (const EdgeId id : ref.ids) {
-    ref.edges.push_back(g.edges[id]);
-    w += g.edges[id].w;
-  }
-  ref.weight_bits = std::bit_cast<std::uint64_t>(w);
+  for (const EdgeId id : ref.ids) ref.edges.push_back(g.edges[id]);
+  ref.weight_bits = std::bit_cast<std::uint64_t>(
+      exact_sum(ref.edges, [](const WEdge& e) { return e.w; }));
   ref.num_trees = k.num_trees;
   return ref;
 }
@@ -122,7 +119,7 @@ EdgeList tied_components(int d, std::uint64_t seed) {
 }
 
 /// `r` equals Kruskal's forest of `g` field by field: the ids ascending, the
-/// edges at those ids, the bits of their ascending-id weight sum, the trees.
+/// edges at those ids, the bits of their exact weight sum, the trees.
 void expect_kruskal_forest(const MsfResult& r, const Reference& ref,
                            const std::string& at) {
   EXPECT_EQ(r.edge_ids, ref.ids) << at;

@@ -374,13 +374,11 @@ TEST(AssembleResult, BitIdenticalAcrossTeamsForShuffledIds) {
   g.num_vertices += 50;  // isolated vertices: extra trees
   std::vector<EdgeId> ids = seq::kruskal_msf(g).edge_ids;
   std::sort(ids.begin(), ids.end());
-  // The contract: ascending ids, their edges, the sum in id order.
+  // The contract: ascending ids, their edges, their exact weight sum.
   MsfResult want;
   want.edge_ids = ids;
-  for (const EdgeId id : ids) {
-    want.edges.push_back(g.edges[id]);
-    want.total_weight += g.edges[id].w;
-  }
+  for (const EdgeId id : ids) want.edges.push_back(g.edges[id]);
+  want.total_weight = exact_sum(want.edges, [](const WEdge& e) { return e.w; });
   want.num_trees = g.num_vertices - ids.size();
   std::mt19937_64 rng(41);
   for (const int p : kTeamSizes) {

@@ -3,9 +3,13 @@
 // Kruskal's forest exactly (same input-edge-id set).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <random>
 #include <string>
 #include <tuple>
 
+#include "dynamic/dynamic_msf.hpp"
 #include "graph/generators.hpp"
 #include "graph/validate.hpp"
 #include "seq/seq_msf.hpp"
@@ -132,6 +136,44 @@ TEST(VariantDeterminism, RepeatedRunsIdentical) {
         test::sorted_ids(test::run_alg(g, core::Algorithm::kChampion, 4)),
         first)
         << "Champion rep " << rep;
+  }
+}
+
+// One forest, one weight: every solver at p = 1 and p = 4 and
+// graph::validate report the bits of the weight DynamicMsf keeps as a running
+// sum for the same forest.  Weights span 2^-40 … 2^41 with both signs, so
+// left-to-right sums in different orders would disagree in their last bits.
+TEST(VariantWeightBits, EverySolverReportsDynamicMsfBits) {
+  for (const std::uint64_t seed : {5ull, 6ull}) {
+    EdgeList g = random_graph(3000, 12000, seed);
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> mant(1.0, 2.0);
+    for (WEdge& e : g.edges) {
+      const double w = std::ldexp(mant(rng), static_cast<int>(rng() % 81) - 40);
+      e.w = rng() % 2 == 0 ? w : -w;
+    }
+    // DynamicMsf reaches MSF(g) through batches that subtract and add: it
+    // deletes 300 edges, forest edges among them, then inserts copies.
+    dynamic::DynamicMsf d(g);
+    std::vector<EdgeId> del;
+    std::vector<WEdge> back;
+    for (EdgeId id = 0; id < g.num_edges(); id += 40) {
+      del.push_back(id);
+      back.push_back(g.edges[id]);
+    }
+    d.apply_batch({}, del);
+    d.apply_batch(back, {});
+    const auto want = std::bit_cast<std::uint64_t>(d.total_weight());
+    for (const auto& [name, alg] : core::kAlgorithmNames) {
+      for (const int p : {1, 4}) {
+        const MsfResult r = test::run_alg(g, alg, p);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(r.total_weight), want)
+            << name << " p=" << p << " seed=" << seed;
+        EXPECT_EQ(r.num_trees, d.num_trees()) << name;
+        const ForestCheck chk = validate_spanning_forest(g, r.edges);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(chk.total_weight), want) << name;
+      }
+    }
   }
 }
 

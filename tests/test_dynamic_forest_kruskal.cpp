@@ -80,8 +80,8 @@ std::vector<EdgeId> kruskal_ids(const EdgeStore& s, std::size_t* trees) {
 
 /// The forest part of the delta a batch or recompute must report, from
 /// Kruskal of the live graph before it (`before`) and after it (the store
-/// as it is now): the diff of the two forests, and the weight (summed in
-/// ascending store-id order), tree count and live count after it.
+/// as it is now): the diff of the two forests, and the weight (the exact
+/// sum), tree count and live count after it.
 MsfDelta forest_delta(const EdgeStore& s, const std::vector<EdgeId>& before) {
   MsfDelta want;
   const std::vector<EdgeId> after = kruskal_ids(s, &want.num_trees);
@@ -89,18 +89,17 @@ MsfDelta forest_delta(const EdgeStore& s, const std::vector<EdgeId>& before) {
                       std::back_inserter(want.forest_added));
   std::set_difference(before.begin(), before.end(), after.begin(), after.end(),
                       std::back_inserter(want.forest_removed));
-  for (const EdgeId id : after) want.total_weight += s.edge(id).w;
+  want.total_weight = exact_sum(after, [&](EdgeId id) { return s.edge(id).w; });
   want.live_edges = s.num_live();
   return want;
 }
 
 /// The maintained state equals sequential Kruskal of the live graph, with
-/// the weight summed in ascending store-id order.
+/// the weight its exact sum.
 void expect_kruskal_state(const DynamicMsf& d) {
   std::size_t trees = 0;
   const std::vector<EdgeId> want = kruskal_ids(d.store(), &trees);
-  Weight w = 0;
-  for (const EdgeId id : want) w += d.store().edge(id).w;
+  const Weight w = exact_sum(want, [&](EdgeId id) { return d.store().edge(id).w; });
   ASSERT_EQ(d.forest_edge_ids(), want);
   EXPECT_TRUE(same_bits(d.total_weight(), w));
   EXPECT_EQ(d.num_trees(), trees);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <optional>
 #include <string>
@@ -37,8 +38,8 @@ DynamicMsfOptions dyn_opts(core::Algorithm alg, int threads) {
 }
 
 /// From-scratch reference on the store's live graph, in store-id space:
-/// forest ids (ascending) and the weight summed in ascending store-id order
-/// — the exact quantities DynamicMsf maintains incrementally.
+/// forest ids (ascending) and the weight's exact sum — the quantities
+/// DynamicMsf maintains incrementally.
 struct Reference {
   std::vector<EdgeId> forest;
   Weight weight = 0;
@@ -54,7 +55,8 @@ Reference scratch_reference(const DynamicMsf& d, core::Algorithm alg,
   Reference ref;
   ref.forest = r.edge_ids;
   std::sort(ref.forest.begin(), ref.forest.end());
-  for (const EdgeId id : ref.forest) ref.weight += d.store().edge(id).w;
+  ref.weight =
+      exact_sum(ref.forest, [&](EdgeId id) { return d.store().edge(id).w; });
   ref.trees = r.num_trees;
   return ref;
 }
@@ -519,6 +521,50 @@ TEST(CanonicalizeParallel, KeepsWeightThenIdMinimalEdge) {
   EXPECT_EQ(c.edges[0].w, 4.0);
   EXPECT_EQ(c.edges[1].w, 3.0);
   EXPECT_EQ(c.num_vertices, 3u);
+}
+
+TEST(DynamicMsf, SharedForestViewsStayAsPublishedAndVersionsAreUnique) {
+  // 40k slots: two forest blocks.
+  const EdgeList g = random_graph(2000, 40000, 9);
+  DynamicMsf d(g, dyn_opts(core::Algorithm::kBorFAL, 2));
+  DynamicMsf twin(g, dyn_opts(core::Algorithm::kBorFAL, 2));
+  EXPECT_NE(d.forest_version(), twin.forest_version());
+
+  const dynamic::ForestView v0 = d.share_forest();
+  const std::vector<EdgeId> ids0 = d.forest_edge_ids();
+  EXPECT_EQ(v0.ids(), ids0);
+  EXPECT_EQ(v0.size(), d.forest_size());
+  EXPECT_EQ(v0.version(), d.forest_version());
+
+  // A non-tree insert leaves the forest and its version alone.
+  const WEdge f = d.store().edge(ids0.front());
+  const MsfDelta same = d.apply_batch(std::vector<WEdge>{{f.u, f.v, 9.0}}, {});
+  EXPECT_FALSE(same.changed_forest());
+  EXPECT_EQ(d.forest_version(), v0.version());
+
+  // Forest-changing batches: new versions; the view still reads the bits it
+  // was given, and a second view taken in between reads its own.
+  d.apply_batch(std::vector<WEdge>{{1, 1999, -1.0}}, {});
+  EXPECT_NE(d.forest_version(), v0.version());
+  const dynamic::ForestView v1 = d.share_forest();
+  const std::vector<EdgeId> ids1 = d.forest_edge_ids();
+  d.apply_batch({}, std::vector<EdgeId>{ids1[ids1.size() / 2], ids1.back()});
+  EXPECT_NE(d.forest_version(), v1.version());
+  EXPECT_EQ(v0.ids(), ids0);
+  EXPECT_EQ(v1.ids(), ids1);
+  for (const EdgeId id : ids0) EXPECT_TRUE(v0.contains(id));
+  EXPECT_FALSE(v0.contains(ids1.back() + 1));
+
+  // Compaction renumbers the ids: a new version, same edge set and weight.
+  const std::uint64_t before = d.forest_version();
+  const Weight w = d.total_weight();
+  d.compact_store();
+  EXPECT_NE(d.forest_version(), before);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(d.total_weight()),
+            std::bit_cast<std::uint64_t>(w));
+  const Reference ref = scratch_reference(d, core::Algorithm::kSeqKruskal, 1);
+  EXPECT_EQ(d.forest_edge_ids(), ref.forest);
+  EXPECT_EQ(v1.ids(), ids1);
 }
 
 }  // namespace

@@ -429,32 +429,32 @@ TEST(Budget, CancelMidBoruvkaReturnsCancelledWithTeamJoined) {
 
 TEST(Budget, CancelMidRunStopsExtensionsAndChampion) {
   // Each algorithm must check the budget while it runs, not only at the
-  // dispatcher's "request start": a watcher cancels a quarter of the way
-  // into the time an uncancelled run of the same solve took.  The
-  // dispatcher-owned team is joined before the error escapes (a hung worker
-  // would hang this test).
+  // dispatcher's "request start": an uncancelled run counts its budget
+  // checks, and a second run is cancelled at the check a quarter of the way
+  // through that count — no clock involved.  The dispatcher-owned team is
+  // joined before the error escapes (a hung worker would hang this test).
   const EdgeList g = random_graph(100000, 1000000, 21);
   for (const auto alg : {core::Algorithm::kChampion}) {
     core::MsfOptions opts;
     opts.algorithm = alg;
     opts.threads = 4;
-    const auto t0 = std::chrono::steady_clock::now();
-    (void)core::minimum_spanning_forest(g, opts);
-    const auto full = std::chrono::steady_clock::now() - t0;
-
     ExecutionBudget budget;
     opts.budget = &budget;
-    std::thread canceller([&] {
-      std::this_thread::sleep_for(full / 4);
-      budget.request_cancel();
-    });
+    FaultInjector::arm("budget.check", FaultKind::kCancel,
+                       std::uint64_t{1} << 40);  // counts, never fires
+    (void)core::minimum_spanning_forest(g, opts);
+    const std::uint64_t checks = FaultInjector::hits("budget.check");
+    // "request start" and at least three checks inside the run.
+    ASSERT_GE(checks, 4u) << core::to_string(alg);
+
+    FaultInjector::arm("budget.check", FaultKind::kCancel, checks / 4);
     try {
       (void)core::minimum_spanning_forest(g, opts);
       ADD_FAILURE() << core::to_string(alg) << ": expected cancellation";
     } catch (const Error& e) {
       EXPECT_EQ(e.code(), ErrorCode::kCancelled) << core::to_string(alg);
     }
-    canceller.join();
+    FaultInjector::disarm_all();
   }
 }
 

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -177,6 +178,82 @@ TEST(Wal, DuplicateAndGappedLsnAreCorruption) {
     EXPECT_THROW((void)scan_wal(path, 1), Error);
     // expected_lsn = 0 accepts any start.
     EXPECT_EQ(scan_wal(path, 0).records.size(), 1u);
+  }
+}
+
+/// A whole frame with a valid CRC around a batch header claiming `n_ins`
+/// insertions and nothing else: 29 bytes on disk.
+std::string overclaiming_record(std::uint32_t n_ins) {
+  std::string payload;
+  const auto put = [&](auto v) {
+    payload.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  put(std::uint8_t{1});   // batch record
+  put(std::uint64_t{1});  // lsn
+  put(n_ins);
+  put(std::uint32_t{0});  // deletions
+  put(std::uint32_t{0});  // idempotency ids
+  std::string frame;
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  const std::uint32_t crc = crc32c(payload.data(), payload.size());
+  frame.append(reinterpret_cast<const char*>(&len), sizeof len);
+  frame.append(reinterpret_cast<const char*>(&crc), sizeof crc);
+  return frame + payload;
+}
+
+void expect_insertions_overrun(std::uint32_t n_ins) {
+  TempDir dir;
+  const std::string path = dir.file("claim.log");
+  write_file(path, overclaiming_record(n_ins));
+  ASSERT_EQ(std::filesystem::file_size(path), 29u);
+  // The count is refused before anything is sized by it: no 4 GB or 64 GB
+  // allocation, no bad_alloc, the diagnostic recovery prints.
+  try {
+    (void)scan_wal(path, 1);
+    FAIL() << "a count the payload cannot hold must throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
+    EXPECT_NE(std::string(e.what()).find("insertions overrun payload"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Wal, CountOf2To28InsertionsIsRefusedBeforeAllocating) {
+  expect_insertions_overrun(std::uint32_t{1} << 28);
+}
+
+TEST(Wal, CountOf2To32Minus1InsertionsIsRefusedBeforeAllocating) {
+  expect_insertions_overrun(~std::uint32_t{0});
+}
+
+TEST(Snapshot, IdemCountIsCheckedAgainstTheFile) {
+  TempDir dir;
+  dynamic::EdgeStore store(4);
+  store.insert(0, 1, 1.0);
+  write_snapshot_file(dir.path, 3, store, {0}, {});
+  const std::string path = snapshot_path(dir.path, 3);
+  std::string bytes;
+  {
+    std::ifstream is(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is),
+                 std::istreambuf_iterator<char>());
+  }
+  // The u32 idem count sits just before the 8-byte trailer (no entries).
+  // Claim 2^32 − 1 ids and re-seal the CRC so only the count is wrong.
+  const std::uint32_t huge = ~std::uint32_t{0};
+  std::memcpy(bytes.data() + bytes.size() - 12, &huge, sizeof huge);
+  const std::uint32_t crc = crc32c(bytes.data(), bytes.size() - 8);
+  std::memcpy(bytes.data() + bytes.size() - 8, &crc, sizeof crc);
+  write_file(path, bytes);
+  try {
+    (void)load_snapshot_file(path);
+    FAIL() << "an idem count the file cannot hold must throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
+    EXPECT_NE(std::string(e.what()).find("idem count overruns"),
+              std::string::npos)
+        << e.what();
   }
 }
 

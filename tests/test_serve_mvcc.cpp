@@ -13,7 +13,11 @@
 #include <vector>
 
 #include "core/msf.hpp"
+#include "graph/generators.hpp"
+#include "pprim/fault.hpp"
 #include "pprim/rng.hpp"
+#include "pprim/thread_team.hpp"
+#include "query/forest_index.hpp"
 #include "serve/service_core.hpp"
 
 namespace {
@@ -44,8 +48,8 @@ void check_against_scratch(const SnapshotData& snap,
   for (std::size_t i = 0; i < snap.live_ids.size(); ++i) {
     weight_of[snap.live_ids[i]] = snap.live.edges[i].w;
   }
-  Weight ref_weight = 0;
-  for (const EdgeId id : snap.forest_ids) ref_weight += weight_of.at(id);
+  const Weight ref_weight =
+      exact_sum(snap.forest_ids, [&](EdgeId id) { return weight_of.at(id); });
   ASSERT_EQ(snap.weight, ref_weight);
   ASSERT_EQ(snap.trees, ref.num_trees);
 }
@@ -177,6 +181,162 @@ TEST(ServeMvcc, RetiredEpochsFailCleanlyAndAreCounted) {
   EXPECT_GE(health.reclaimed_epochs, 3u);
   EXPECT_GT(svc.metrics().epochs_reclaimed.load(), 0u);
   EXPECT_GT(svc.metrics().snapshots_published.load(), 0u);
+  svc.shutdown();
+}
+
+/// Everything epoch `epoch` of session "g" serves — its snapshot, its
+/// forest edges and its path-max answers — equals a scratch solve of that
+/// epoch's live graph and an index built fresh from it.
+void expect_epoch_is_scratch(ServiceCore& svc, std::uint64_t epoch) {
+  SCOPED_TRACE("epoch " + std::to_string(epoch));
+  Request sr = make(Op::kSnapshot, "g");
+  sr.pin_epoch = epoch;
+  const Response snap = svc.call(sr);
+  ASSERT_EQ(snap.status, Status::kOk);
+  const SnapshotData& data = *snap.snapshot;
+  check_against_scratch(data, core::MsfOptions{});
+
+  std::unordered_map<EdgeId, WEdge> edge_of;
+  for (std::size_t i = 0; i < data.live_ids.size(); ++i) {
+    edge_of[data.live_ids[i]] = data.live.edges[i];
+  }
+  std::vector<WEdge> fedges;
+  for (const EdgeId id : data.forest_ids) fedges.push_back(edge_of.at(id));
+  Request fe = make(Op::kForestEdges, "g");
+  fe.pin_epoch = epoch;
+  const Response fr = svc.call(fe);
+  ASSERT_EQ(fr.status, Status::kOk);
+  EXPECT_EQ(fr.edges, fedges);
+  EXPECT_EQ(fr.forest_edges, data.forest_ids.size());
+
+  ThreadTeam team(1);
+  const query::ForestIndex ref(team, data.live.num_vertices, fedges,
+                               data.forest_ids, epoch);
+  const VertexId n = data.live.num_vertices;
+  for (VertexId u = 0; u < n; u += n / 7 + 1) {
+    for (VertexId v = 1; v < n; v += n / 5 + 1) {
+      if (u == v) continue;
+      Request pm = make(Op::kPathMax, "g");
+      pm.u = u;
+      pm.v = v;
+      pm.pin_epoch = epoch;
+      const Response r = svc.call(pm);
+      ASSERT_EQ(r.status, Status::kOk);
+      EXPECT_EQ(r.index_version, epoch);
+      const query::ForestIndex::PathMax want = ref.path_max(u, v);
+      ASSERT_EQ(r.pathmax_found, want.connected) << u << " " << v;
+      if (want.connected) {
+        EXPECT_EQ(r.pathmax_id, want.edge_id) << u << " " << v;
+      }
+    }
+  }
+}
+
+Response insert_one(ServiceCore& svc, WEdge e) {
+  Request r = make(Op::kInsert, "g");
+  r.insertions = {e};
+  return svc.call(r);
+}
+
+TEST(ServeMvcc, PinnedEpochKeepsItsForestAfterWritesToSharedBlocks) {
+  // 70k edges span three forest blocks.  Epoch `first` is read only after
+  // later forest-changing writes rewrote the blocks it shares, so its lazy
+  // caches are built from the blocks as they were when it was published.
+  ServeOptions opts;
+  opts.snapshot_ring = 16;
+  ServiceCore svc(opts);
+  const EdgeList g = random_graph(5000, 70000, 3);
+  Request open = make(Op::kOpen, "g");
+  open.num_vertices = g.num_vertices;
+  ASSERT_EQ(svc.call(open).status, Status::kOk);
+  Request load = make(Op::kInsert, "g");
+  load.insertions = g.edges;
+  ASSERT_EQ(svc.call(load).status, Status::kOk);
+
+  std::vector<std::uint64_t> epochs;
+  std::vector<std::size_t> sizes;
+  Rng rng(5);
+  for (int i = 0; i < 6; ++i) {
+    // Lighter than every weight: each one enters the forest.
+    const auto u = static_cast<VertexId>(rng.next_below(g.num_vertices));
+    const auto v = static_cast<VertexId>((u + 1 + rng.next_below(100)) % g.num_vertices);
+    const Response r = insert_one(svc, {u, v, -1.0 - i});
+    ASSERT_EQ(r.status, Status::kOk);
+    epochs.push_back(r.epoch);
+    sizes.push_back(r.forest_edges);
+  }
+  // Forest edges of the first epoch are spread over every block.
+  for (std::size_t k = 0; k < epochs.size(); ++k) {
+    expect_epoch_is_scratch(svc, epochs[k]);
+    Request w = make(Op::kWeight, "g");
+    w.pin_epoch = epochs[k];
+    EXPECT_EQ(svc.call(w).forest_edges, sizes[k]);
+  }
+  svc.shutdown();
+}
+
+TEST(ServeMvcc, CompactionFailedGroupsAndReopenCarryNothingStale) {
+  ServeOptions opts;
+  opts.snapshot_ring = 32;
+  ServiceCore svc(opts);
+  const auto open_g = [&](std::uint64_t seed) {
+    const EdgeList g = random_graph(300, 1500, seed);
+    Request open = make(Op::kOpen, "g");
+    open.num_vertices = g.num_vertices;
+    ASSERT_EQ(svc.call(open).status, Status::kOk);
+    Request load = make(Op::kInsert, "g");
+    load.insertions = g.edges;
+    ASSERT_EQ(svc.call(load).status, Status::kOk);
+  };
+  open_g(7);
+  Request q = make(Op::kPathMax, "g");
+  q.u = 0;
+  q.v = 1;
+  ASSERT_EQ(svc.call(q).status, Status::kOk);  // query-active: eager indexes
+
+  // Compaction renumbers every id: the epoch after it must not carry the
+  // forest, its caches or its index from the epoch before.
+  Request fe = make(Op::kForestEdges, "g");
+  for (int i = 0; i < 4; ++i) {
+    const Response f = svc.call(fe);
+    Request del = make(Op::kDelete, "g");
+    del.deletions = {{f.edges[static_cast<std::size_t>(i) * 7].u,
+                      f.edges[static_cast<std::size_t>(i) * 7].v}};
+    ASSERT_EQ(svc.call(del).status, Status::kOk);
+  }
+  const std::uint64_t before = svc.call(make(Op::kWeight, "g")).epoch;
+  expect_epoch_is_scratch(svc, before);
+  const Response c = svc.call(make(Op::kCompact, "g"));
+  ASSERT_EQ(c.status, Status::kOk);
+  expect_epoch_is_scratch(svc, c.epoch);
+  expect_epoch_is_scratch(svc, before);
+
+  // A failed group changes nothing; the write after it publishes its own
+  // forest and index.
+  const Response w0 = svc.call(make(Op::kWeight, "g"));
+  // The insert applies by path-max (the session has an index) or, without
+  // one, by the Kruskal pass: both fail.
+  FaultInjector::arm("dynamic.path-max", FaultKind::kRuntimeError);
+  FaultInjector::arm("dynamic.kruskal-scan", FaultKind::kRuntimeError);
+  EXPECT_NE(insert_one(svc, {3, 200, -5.0}).status, Status::kOk);
+  FaultInjector::disarm_all();
+  const Response w1 = svc.call(make(Op::kWeight, "g"));
+  EXPECT_EQ(w1.weight, w0.weight);
+  EXPECT_EQ(w1.forest_edges, w0.forest_edges);
+  expect_epoch_is_scratch(svc, w1.epoch);
+  const Response ok = insert_one(svc, {3, 200, -5.0});
+  ASSERT_EQ(ok.status, Status::kOk);
+  EXPECT_NE(ok.weight, w0.weight);
+  expect_epoch_is_scratch(svc, ok.epoch);
+
+  // Dropped and reopened on another graph: nothing of the old session's
+  // forest, caches or index shows through, even to this thread's view.
+  ASSERT_EQ(svc.call(make(Op::kDrop, "g")).status, Status::kOk);
+  open_g(8);
+  const std::uint64_t reopened = svc.call(make(Op::kWeight, "g")).epoch;
+  expect_epoch_is_scratch(svc, reopened);
+  ASSERT_EQ(insert_one(svc, {10, 20, 0.5}).status, Status::kOk);
+  expect_epoch_is_scratch(svc, svc.call(make(Op::kWeight, "g")).epoch);
   svc.shutdown();
 }
 

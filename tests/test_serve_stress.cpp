@@ -41,8 +41,8 @@ void check_snapshot(const SnapshotData& snap, const core::MsfOptions& opts) {
   for (std::size_t i = 0; i < snap.live_ids.size(); ++i) {
     weight_of[snap.live_ids[i]] = snap.live.edges[i].w;
   }
-  Weight ref_weight = 0;
-  for (const EdgeId id : snap.forest_ids) ref_weight += weight_of.at(id);
+  const Weight ref_weight =
+      exact_sum(snap.forest_ids, [&](EdgeId id) { return weight_of.at(id); });
   ASSERT_EQ(snap.weight, ref_weight);
   ASSERT_EQ(snap.trees, ref.num_trees);
 }

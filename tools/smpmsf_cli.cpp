@@ -420,7 +420,7 @@ int solve_dynamic(const Flags& f, const EdgeList& g,
   std::printf(
       "forest: %zu edges, weight %.6f, %zu tree(s); edges entered %zu, left "
       "%zu; scratch recomputes %zu\n",
-      d.forest_edge_ids().size(), d.total_weight(), d.num_trees(), added,
+      d.forest_size(), d.total_weight(), d.num_trees(), added,
       removed, scratch);
 
   if (f.has("--validate")) {
@@ -430,9 +430,7 @@ int solve_dynamic(const Flags& f, const EdgeList& g,
     const EdgeList live = d.store().live_graph(&ids);
     auto ref = core::minimum_spanning_forest_of_candidates(live, ids, opts);
     std::sort(ref.edge_ids.begin(), ref.edge_ids.end());
-    Weight ref_weight = 0;
-    for (const EdgeId id : ref.edge_ids) ref_weight += d.store().edge(id).w;
-    if (ref.edge_ids != d.forest_edge_ids() || ref_weight != d.total_weight()) {
+    if (ref.edge_ids != d.forest_edge_ids() || ref.total_weight != d.total_weight()) {
       std::printf("validation: dynamic forest differs from from-scratch recompute\n");
       return 1;
     }
