@@ -196,67 +196,50 @@ std::vector<EdgeId> EdgeStore::compact() {
   return remap;
 }
 
-namespace {
-
-template <typename T>
-void put(std::string& out, T v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  out.append(buf, sizeof v);
-}
-
-template <typename T>
-T take(const unsigned char* data, std::size_t size, std::size_t& off,
-       const char* what) {
-  if (off + sizeof(T) > size) {
-    throw Error(ErrorCode::kInvalidInput,
-                std::string("edge store restore: truncated ") + what);
-  }
-  T v;
-  std::memcpy(&v, data + off, sizeof v);
-  off += sizeof v;
-  return v;
-}
-
-}  // namespace
-
 void EdgeStore::serialize(std::string& out) const {
-  put<std::uint32_t>(out, n_);
-  put<std::uint64_t>(out, size());
+  ByteWriter w(out);
+  w.u32(n_);
+  w.u64(size());
   for (EdgeId i = 0; i < size(); ++i) {
     const WEdge& e = edge(i);
-    put<std::uint32_t>(out, e.u);
-    put<std::uint32_t>(out, e.v);
-    put<double>(out, e.w);
-    put<std::uint8_t>(out, is_live(i) ? 0 : 1);
+    w.u32(e.u);
+    w.u32(e.v);
+    w.f64(e.w);
+    w.u8(is_live(i) ? 0 : 1);
   }
 }
 
 EdgeStore EdgeStore::restore(const unsigned char* data, std::size_t size,
                              std::size_t* consumed) {
-  std::size_t off = 0;
-  EdgeStore s(take<std::uint32_t>(data, size, off, "vertex count"));
-  const auto slots = take<std::uint64_t>(data, size, off, "slot count");
+  ByteReader in(data, size);
+  EdgeStore s = restore(in);
+  if (consumed != nullptr) *consumed = in.offset();
+  return s;
+}
+
+EdgeStore EdgeStore::restore(ByteReader& in) {
+  const auto fail = [](const std::string& why) {
+    throw Error(ErrorCode::kInvalidInput, "edge store restore: " + why);
+  };
+  EdgeStore s(in.u32());
+  if (!in.ok()) fail("truncated vertex count");
+  const std::uint64_t slots = in.u64();
+  if (!in.ok()) fail("truncated slot count");
   // 17 bytes per slot: reject counts the remaining bytes cannot hold before
   // reserving anything.
-  if (slots > (size - off) / 17) {
-    throw Error(ErrorCode::kInvalidInput,
-                "edge store restore: slot count " + std::to_string(slots) +
-                    " exceeds the serialized payload");
+  if (!in.count(slots, 17)) {
+    fail("slot count " + std::to_string(slots) +
+         " exceeds the serialized payload");
   }
   const auto count = static_cast<std::size_t>(slots);
   s.buf_ = std::make_shared<SlotBuffer>(std::max(count, kMinSlots));
   for (std::size_t i = 0; i < count; ++i) {
     WEdge e;
-    e.u = take<std::uint32_t>(data, size, off, "edge");
-    e.v = take<std::uint32_t>(data, size, off, "edge");
-    e.w = take<double>(data, size, off, "edge");
-    const auto dead = take<std::uint8_t>(data, size, off, "dead flag");
-    if (dead > 1) {
-      throw Error(ErrorCode::kInvalidInput,
-                  "edge store restore: bad dead flag at slot " +
-                      std::to_string(i));
-    }
+    e.u = in.u32();
+    e.v = in.u32();
+    e.w = in.f64();
+    const std::uint8_t dead = in.u8();
+    if (dead > 1) fail("bad dead flag at slot " + std::to_string(i));
     check_edge(e.u, e.v, e.w, s.n_);  // tombstoned slots were once live too
     s.buf_->edges()[i] = e;
     // Restored tombstones get distinct stamps, like erase() would give.
@@ -264,7 +247,6 @@ EdgeStore EdgeStore::restore(const unsigned char* data, std::size_t size,
     if (dead == 0) ++s.live_;
     ++s.slots_;
   }
-  if (consumed != nullptr) *consumed = off;
   return s;
 }
 

@@ -12,6 +12,7 @@
 #include "dynamic/pair_table.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/types.hpp"
+#include "pprim/byte_codec.hpp"
 
 namespace smp::dynamic {
 
@@ -209,6 +210,8 @@ class EdgeStore {
   /// Throws Error{kInvalidInput} on truncated or malformed input.
   static EdgeStore restore(const unsigned char* data, std::size_t size,
                            std::size_t* consumed = nullptr);
+  /// The same, reading from `in` and leaving it just past the store.
+  static EdgeStore restore(ByteReader& in);
 
  private:
   static void check_edge(graph::VertexId u, graph::VertexId v, graph::Weight w,

@@ -17,7 +17,8 @@
 //     u8  op    serve::Op as a byte, or kOpQuit / kOpShutdown
 //     ...       fixed field layout (request or response direction)
 //
-// All integers are little-endian; strings and arrays are u32 length-prefixed.
+// All integers are little-endian; strings and arrays are u32 length-prefixed
+// (pprim/byte_codec.hpp writes and reads every field).
 // Malformed input is a protocol error, never UB: a CRC mismatch or a parse
 // failure inside a well-delimited frame is recoverable (the connection
 // survives and an error response is sent); only an oversized length prefix —

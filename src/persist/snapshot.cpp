@@ -14,6 +14,7 @@
 
 #include "core/error.hpp"
 #include "persist/crc32c.hpp"
+#include "pprim/byte_codec.hpp"
 #include "pprim/fault.hpp"
 
 namespace smp::persist {
@@ -24,26 +25,6 @@ namespace {
 
 constexpr char kMagic[8] = {'S', 'M', 'P', 'S', 'N', 'A', 'P', '1'};
 constexpr std::uint32_t kEndMagic = 0x50414E53u;  // "SNAP"
-
-template <typename T>
-void put(std::string& out, T v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  out.append(buf, sizeof v);
-}
-
-template <typename T>
-T take(const std::string& buf, std::size_t& off, const std::string& path,
-       const char* what) {
-  if (off + sizeof(T) > buf.size()) {
-    throw Error(ErrorCode::kInvalidInput,
-                "snapshot '" + path + "': truncated " + what);
-  }
-  T v;
-  std::memcpy(&v, buf.data() + off, sizeof v);
-  off += sizeof v;
-  return v;
-}
 
 [[noreturn]] void sys_fail(const std::string& what, const std::string& path) {
   throw Error(ErrorCode::kInvalidInput,
@@ -125,18 +106,19 @@ void write_snapshot_file(
     const std::vector<graph::EdgeId>& forest,
     const std::vector<std::pair<std::string, std::uint64_t>>& idem) {
   std::string data(kMagic, sizeof kMagic);
-  put<std::uint64_t>(data, lsn);
+  ByteWriter w(data);
+  w.u64(lsn);
   store.serialize(data);
-  put<std::uint64_t>(data, forest.size());
-  for (const graph::EdgeId id : forest) put<std::uint64_t>(data, id);
-  put<std::uint32_t>(data, static_cast<std::uint32_t>(idem.size()));
+  w.u64(forest.size());
+  for (const graph::EdgeId id : forest) w.u64(id);
+  w.u32(static_cast<std::uint32_t>(idem.size()));
   for (const auto& [id, id_lsn] : idem) {
-    put<std::uint16_t>(data, static_cast<std::uint16_t>(id.size()));
-    data += id;
-    put<std::uint64_t>(data, id_lsn);
+    w.u16(static_cast<std::uint16_t>(id.size()));
+    w.bytes(id);
+    w.u64(id_lsn);
   }
-  put<std::uint32_t>(data, crc32c(data.data(), data.size()));
-  put<std::uint32_t>(data, kEndMagic);
+  w.u32(crc32c(data.data(), data.size()));
+  w.u32(kEndMagic);
 
   const std::string final_path = snapshot_path(dir, lsn);
   const std::string tmp_path = final_path + ".tmp";
@@ -151,79 +133,46 @@ void write_snapshot_file(
 }
 
 SnapshotBody load_snapshot_file(const std::string& path) {
+  const auto fail = [&](const std::string& why) {
+    throw Error(ErrorCode::kInvalidInput, "snapshot '" + path + "': " + why);
+  };
   std::string data;
   {
     std::ifstream is(path, std::ios::binary);
-    if (!is) {
-      throw Error(ErrorCode::kInvalidInput,
-                  "snapshot '" + path + "': cannot open");
-    }
+    if (!is) fail("cannot open");
     data.assign(std::istreambuf_iterator<char>(is),
                 std::istreambuf_iterator<char>());
   }
   if (data.size() < sizeof kMagic + 8 + 8) {
-    throw Error(ErrorCode::kInvalidInput,
-                "snapshot '" + path + "': too short (" +
-                    std::to_string(data.size()) + " bytes)");
+    fail("too short (" + std::to_string(data.size()) + " bytes)");
   }
-  if (std::memcmp(data.data(), kMagic, sizeof kMagic) != 0) {
-    throw Error(ErrorCode::kInvalidInput,
-                "snapshot '" + path + "': bad magic");
-  }
-  {
-    std::size_t toff = data.size() - 8;
-    const auto crc = take<std::uint32_t>(data, toff, path, "trailer");
-    const auto end = take<std::uint32_t>(data, toff, path, "trailer");
-    if (end != kEndMagic) {
-      throw Error(ErrorCode::kInvalidInput,
-                  "snapshot '" + path + "': missing end marker (truncated?)");
-    }
-    if (crc32c(data.data(), data.size() - 8) != crc) {
-      throw Error(ErrorCode::kInvalidInput,
-                  "snapshot '" + path + "': CRC32C mismatch");
-    }
-  }
+  if (std::memcmp(data.data(), kMagic, sizeof kMagic) != 0) fail("bad magic");
+  const std::string_view bytes(data);
+  ByteReader trailer(bytes.substr(bytes.size() - 8));
+  const std::uint32_t crc = trailer.u32();
+  if (trailer.u32() != kEndMagic) fail("missing end marker (truncated?)");
+  if (crc32c(data.data(), data.size() - 8) != crc) fail("CRC32C mismatch");
 
   SnapshotBody body;
-  std::size_t off = sizeof kMagic;
-  body.lsn = take<std::uint64_t>(data, off, path, "lsn");
-  std::size_t consumed = 0;
-  body.store = dynamic::EdgeStore::restore(
-      reinterpret_cast<const unsigned char*>(data.data()) + off,
-      data.size() - 8 - off, &consumed);
-  off += consumed;
-  const auto n_forest = take<std::uint64_t>(data, off, path, "forest count");
-  if (n_forest > (data.size() - off) / 8) {
-    throw Error(ErrorCode::kInvalidInput,
-                "snapshot '" + path + "': forest count overruns the file");
-  }
-  body.forest.reserve(static_cast<std::size_t>(n_forest));
-  for (std::uint64_t i = 0; i < n_forest; ++i) {
-    body.forest.push_back(take<std::uint64_t>(data, off, path, "forest id"));
-  }
-  const auto n_idem = take<std::uint32_t>(data, off, path, "idem count");
+  ByteReader r(bytes.substr(sizeof kMagic, bytes.size() - 8 - sizeof kMagic));
+  body.lsn = r.u64();  // the length check above covers it
+  body.store = dynamic::EdgeStore::restore(r);
+  const std::uint64_t n_forest = r.u64();
+  if (!r.ok()) fail("truncated forest count");
+  if (!r.count(n_forest, 8)) fail("forest count overruns the file");
+  body.forest.resize(static_cast<std::size_t>(n_forest));
+  for (graph::EdgeId& id : body.forest) id = r.u64();
+  const std::uint32_t n_idem = r.u32();
+  if (!r.ok()) fail("truncated idem count");
   // Each entry is at least its u16 length and u64 LSN.
-  const std::size_t left = off < data.size() - 8 ? data.size() - 8 - off : 0;
-  if (n_idem > left / 10) {
-    throw Error(ErrorCode::kInvalidInput,
-                "snapshot '" + path + "': idem count overruns the file");
+  if (!r.count(n_idem, 10)) fail("idem count overruns the file");
+  body.idem.resize(n_idem);
+  for (auto& [id, lsn] : body.idem) {
+    id = r.bytes(r.u16());
+    lsn = r.u64();
   }
-  body.idem.reserve(n_idem);
-  for (std::uint32_t i = 0; i < n_idem; ++i) {
-    const auto len = take<std::uint16_t>(data, off, path, "idem id");
-    if (off + len > data.size() - 8) {
-      throw Error(ErrorCode::kInvalidInput,
-                  "snapshot '" + path + "': idempotency id overruns the file");
-    }
-    std::string id(data.data() + off, len);
-    off += len;
-    const auto lsn = take<std::uint64_t>(data, off, path, "idem lsn");
-    body.idem.emplace_back(std::move(id), lsn);
-  }
-  if (off != data.size() - 8) {
-    throw Error(ErrorCode::kInvalidInput,
-                "snapshot '" + path + "': trailing bytes before the trailer");
-  }
+  if (!r.ok()) fail("truncated idem id");
+  if (r.remaining() != 0) fail("trailing bytes before the trailer");
   return body;
 }
 

@@ -53,7 +53,7 @@ struct WalRecord {
 ///             n_ins * (u32 u, u32 v, f64 w)  n_del * (u64 id)
 ///             n_ids * (u16 len, bytes)
 ///
-/// Little-endian throughout (the only byte order this repo targets).
+/// Little-endian throughout, written and read by pprim/byte_codec.hpp.
 [[nodiscard]] std::string encode_record(const WalRecord& rec);
 
 /// Result of scanning one WAL segment file.

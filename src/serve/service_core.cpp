@@ -172,7 +172,7 @@ Status status_of(const std::exception& e) {
 }
 
 bool valid_session_name(const std::string& name) {
-  if (name.empty() || name.size() > 64) return false;
+  if (name.empty() || name.size() > kMaxSessionNameBytes) return false;
   // Session names double as directory names under the data dir: "." and
   // ".." would escape it, and the ".dropping" suffix is reserved for
   // half-deleted directories startup recovery sweeps away.
@@ -819,6 +819,13 @@ void ServiceCore::execute(QueuedRequest qr) {
     switch (qr.req.op) {
       case Op::kInsert:
       case Op::kDelete:
+        if (qr.req.idem_id.size() > kMaxIdemIdBytes) {
+          finish(qr, make_error(Status::kInvalidInput,
+                                "idempotency id longer than " +
+                                    std::to_string(kMaxIdemIdBytes) +
+                                    " bytes"));
+          return;
+        }
         enqueue_write(s, std::move(qr));  // responds from the flusher
         return;
       case Op::kRecompute:

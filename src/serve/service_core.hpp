@@ -36,6 +36,13 @@ struct ReadView;         // service_core.cpp
 /// its slots are live (and it has ServeOptions::compact_min_slots slots).
 inline constexpr double kCompactLiveRatio = 0.5;
 
+/// Longest session name, and longest idempotency id a write may carry (the
+/// WAL and snapshots store an id's length as a u16; at this bound a
+/// session's 65,536-entry idem window stays near 16 MB).  A longer id is
+/// refused with kInvalidInput before the write is queued.
+inline constexpr std::size_t kMaxSessionNameBytes = 64;
+inline constexpr std::size_t kMaxIdemIdBytes = 256;
+
 struct ServeOptions {
   /// Solver backend for every session: algorithm, seed, fallback policy.
   /// `msf.threads` sizes each shard's solver ThreadTeam; within one shard

@@ -404,27 +404,32 @@ TEST(Budget, GenerousDeadlineDoesNotPerturbResults) {
 }
 
 TEST(Budget, CancelMidBoruvkaReturnsCancelledWithTeamJoined) {
-  // A watcher thread cancels shortly after the solve starts; the request
-  // must come back as kCancelled at the next iteration checkpoint.  The
-  // dispatcher-owned ThreadTeam is destroyed (joined) before the error
-  // escapes minimum_spanning_forest — a hung worker would hang this test.
+  // An uncancelled run counts its budget checks; a second run is cancelled
+  // at the check halfway through that count, so the request must come back
+  // as kCancelled from a Borůvka iteration checkpoint however loaded the
+  // machine is.  The dispatcher-owned ThreadTeam is destroyed (joined)
+  // before the error escapes minimum_spanning_forest — a hung worker would
+  // hang this test.
   const EdgeList g = random_graph(300000, 900000, 18);
   ExecutionBudget budget;
   core::MsfOptions opts;
   opts.algorithm = core::Algorithm::kBorEL;
   opts.threads = 4;
   opts.budget = &budget;
-  std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    budget.request_cancel();
-  });
+  FaultInjector::arm("budget.check", FaultKind::kCancel,
+                     std::uint64_t{1} << 40);  // counts, never fires
+  (void)core::minimum_spanning_forest(g, opts);
+  const std::uint64_t checks = FaultInjector::hits("budget.check");
+  // "request start" and at least two iteration checkpoints.
+  ASSERT_GE(checks, 3u);
+  FaultInjector::arm("budget.check", FaultKind::kCancel, checks / 2);
   try {
     (void)core::minimum_spanning_forest(g, opts);
     FAIL() << "expected cancellation";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kCancelled);
   }
-  canceller.join();
+  FaultInjector::disarm_all();
 }
 
 TEST(Budget, CancelMidRunStopsExtensionsAndChampion) {

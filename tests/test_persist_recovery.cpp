@@ -278,6 +278,58 @@ TEST(PersistRecovery, IdempotentRetryDedupsAcrossRestart) {
   EXPECT_EQ(state_of(svc, "g"), before);
 }
 
+TEST(PersistRecovery, OverlongIdemIdIsRefusedAndRestartRecovers) {
+  TempDir dir;
+  const ServeOptions opts = durable_opts(dir.path);
+  const std::string at_bound(kMaxIdemIdBytes, 'k');
+  SessionState before;
+  {
+    ServiceCore svc(opts);
+    ASSERT_EQ(svc.call(open_req("g", 4)).status, Status::kOk);
+    // Longer than the u16 the WAL stores an id's length in: refused before
+    // it is queued, so it leaves no record, no epoch and no idem entry.
+    const std::string overlong(70000, 'x');
+    const Response refused = svc.call(insert_req("g", {{0, 1, 1.0}}, overlong));
+    EXPECT_EQ(refused.status, Status::kInvalidInput);
+    EXPECT_EQ(refused.lsn, 0u);
+    Request del = delete_req("g", {{0, 1}});
+    del.idem_id = std::string(kMaxIdemIdBytes + 1, 'x');
+    EXPECT_EQ(svc.call(del).status, Status::kInvalidInput);
+    EXPECT_EQ(svc.call(make(Op::kWeight, "g")).live_edges, 0u);
+    EXPECT_EQ(svc.call(insert_req("g", {{0, 1, 1.0}}, overlong)).status,
+              Status::kInvalidInput);
+
+    const Response r = svc.call(insert_req("g", {{0, 1, 1.0}}, at_bound));
+    ASSERT_EQ(r.status, Status::kOk);
+    EXPECT_EQ(r.lsn, 1u);  // the refused writes took no LSN
+    before = state_of(svc, "g");
+  }
+  // Through the WAL: the restart replays the record holding the id, and a
+  // retry of it dedups.  A clean shutdown then writes it into a snapshot.
+  {
+    ServeOptions clean = opts;
+    clean.clean_shutdown = true;
+    ServiceCore svc(clean);
+    EXPECT_EQ(svc.metrics().replayed_records.load(), 1u);
+    EXPECT_EQ(state_of(svc, "g"), before);
+    const Response retry = svc.call(insert_req("g", {{0, 1, 1.0}}, at_bound));
+    ASSERT_EQ(retry.status, Status::kOk);
+    EXPECT_TRUE(retry.dedup);
+    EXPECT_EQ(retry.lsn, 1u);
+    svc.shutdown();
+  }
+  // Through the snapshot: nothing to replay, and the retry still dedups.
+  ServiceCore svc(opts);
+  EXPECT_EQ(svc.metrics().replayed_records.load(), 0u);
+  EXPECT_NE(joined_notes(svc).find("clean shutdown"), std::string::npos)
+      << joined_notes(svc);
+  const Response retry = svc.call(insert_req("g", {{0, 1, 1.0}}, at_bound));
+  ASSERT_EQ(retry.status, Status::kOk);
+  EXPECT_TRUE(retry.dedup);
+  EXPECT_EQ(retry.lsn, 1u);
+  EXPECT_EQ(state_of(svc, "g"), before);
+}
+
 TEST(PersistRecovery, DedupWorksWithoutPersistenceToo) {
   ServiceCore svc;  // no data dir
   ASSERT_EQ(svc.call(open_req("g", 4)).status, Status::kOk);

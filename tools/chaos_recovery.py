@@ -19,7 +19,8 @@ Modes:
     corpus   corrupt-log corpus: torn tail, bit-flipped CRC, zero-length
              segment, duplicate LSN - recovery must repair the first three
              shapes' recoverable variants and refuse the unrecoverable ones
-             with a clear diagnostic
+             with a clear diagnostic; and an over-long idempotency id, which
+             the daemon must refuse without breaking recovery
     all      both (default)
 
 Usage:
@@ -363,6 +364,25 @@ def corpus_trials(args):
     with open(seg, "ab") as f:
         f.write(buf[off:off + size])
     expect_refuses(args, "corpus[duplicate-lsn]", data, "duplicate")
+
+    # Over-long idempotency id: 70,000 bytes would overflow the u16 the WAL
+    # stores an id's length in, so the daemon refuses the write before it
+    # is logged, and after a SIGKILL the directory recovers every base edge.
+    data, edges = make_base_dir(args, "corpus_long_id")
+    sock = os.path.join(args.workdir, "chaos.sock")
+    srv = Server(args.server, sock, data)
+    if not wait_health(args.client, sock):
+        srv.proc.kill()
+        fail("corpus[long-idem-id]: server never became healthy")
+        return
+    rc, line = client_cmd(args.client, sock,
+                          f"insert g 1 2 0.5 id={'k' * 70000}")
+    srv.proc.send_signal(signal.SIGKILL)
+    srv.proc.wait()
+    if not line.startswith("err invalid_input"):
+        fail(f"corpus[long-idem-id]: want err invalid_input, got {line[:120]}")
+        return
+    expect_recovers(args, "corpus[long-idem-id]", data, edges, len(edges))
 
 
 def main():
