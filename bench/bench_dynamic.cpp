@@ -9,8 +9,11 @@
 // insertion-only batches.  Then one-edge rows at n = 2^16, 2^18 and 2^20
 // (times --scale), m = 4n, time single writes by kind and report the median:
 // an insert that cannot enter the forest, one that must, and the delete of
-// a forest edge.  Each record names its `mix`, and every row's final forest
-// is checked bit-identical to a scratch solve.
+// a forest edge.  Each record names its `mix`, the path most of its cut
+// batches took to their replacement edges (`search` of the small pieces,
+// `sweep` of every slot, or `none`), how many swept, and the median arcs a
+// search read; every row's final forest is checked bit-identical to a
+// scratch solve.
 #include <algorithm>
 #include <cstdio>
 #include <random>
@@ -97,13 +100,38 @@ Batch one_edge_batch(Mix mix, int k, const dynamic::DynamicMsf& d,
   return b;
 }
 
+/// How a row's cut batches found their replacements: how many searched the
+/// small pieces and how many swept, and the arcs each search read.
+struct Replacements {
+  int searched = 0;
+  int swept = 0;
+  std::vector<std::size_t> arcs;
+
+  void add(const dynamic::MsfDelta& d) {
+    if (d.replacement_path == dynamic::ReplacementPath::kNone) return;
+    ++(d.replacement_path == dynamic::ReplacementPath::kSearch ? searched : swept);
+    arcs.push_back(d.search_arcs);
+  }
+  /// The path most of the row's cut batches took, or "none".
+  [[nodiscard]] const char* path() const {
+    return searched + swept == 0 ? "none" : searched >= swept ? "search" : "sweep";
+  }
+  /// The median of `arcs`, 0 for a row without cut batches.
+  [[nodiscard]] std::size_t median_arcs() {
+    if (arcs.empty()) return 0;
+    std::nth_element(arcs.begin(), arcs.begin() + arcs.size() / 2, arcs.end());
+    return arcs[arcs.size() / 2];
+  }
+};
+
 /// Checks `d`'s forest against one parallel solve of its live graph, prints
 /// the row and adds its record (n and m are those of `start`, the graph the
 /// row started from); false when the forests differ.
 bool finish_row(bench::JsonSink& sink, const EdgeList& start,
                 const dynamic::DynamicMsf& d, Mix mix,
                 std::size_t batch_size, int batches, double per_batch,
-                int recomputed, const core::MsfOptions& sopts, int reps) {
+                int recomputed, Replacements& rep,
+                const core::MsfOptions& sopts, int reps) {
   // What recompute-per-batch would pay: one full parallel solve of the
   // final live graph, and the bit-identity check against the maintained
   // forest (the acceptance criterion, not just a sanity check).
@@ -118,20 +146,25 @@ bool finish_row(bench::JsonSink& sink, const EdgeList& start,
   const bool match = ref_ids == d.forest_edge_ids() &&
                      ref.total_weight == d.total_weight();
 
-  std::printf("  %-15s %-8u %-6zu %11.6fs %13.6fs %8.2fx %4d/%-3d %6s\n",
+  const std::size_t arcs = rep.median_arcs();
+  std::printf("  %-15s %-8u %-6zu %11.6fs %13.6fs %8.2fx %4d/%-3d %6s %-6s %3d/%-3d "
+              "%9zu\n",
               mix_name(mix), start.num_vertices, batch_size, per_batch, scratch,
-              scratch / per_batch, recomputed, batches, match ? "yes" : "NO");
-  char buf[512];
+              scratch / per_batch, recomputed, batches, match ? "yes" : "NO",
+              rep.path(), rep.swept, rep.searched + rep.swept, arcs);
+  char buf[640];
   std::snprintf(buf, sizeof buf,
                 "{\"tag\": \"dynamic\", \"n\": %u, \"m\": %llu, "
                 "\"mix\": \"%s\", \"batch_size\": %zu, \"batches\": %d, "
                 "\"seconds_per_batch\": %.6f, \"scratch_seconds\": %.6f, "
                 "\"speedup_vs_scratch\": %.4f, \"recomputed\": %d, "
-                "\"match\": %s}",
+                "\"path\": \"%s\", \"searched\": %d, \"swept\": %d, "
+                "\"search_arcs\": %zu, \"match\": %s}",
                 start.num_vertices,
                 static_cast<unsigned long long>(start.num_edges()),
                 mix_name(mix), batch_size, batches, per_batch, scratch,
-                scratch / per_batch, recomputed, match ? "true" : "false");
+                scratch / per_batch, recomputed, rep.path(), rep.searched,
+                rep.swept, arcs, match ? "true" : "false");
   sink.add(buf);
   if (!match) {
     std::fprintf(stderr, "FATAL: dynamic forest diverged at %s batch size %zu\n",
@@ -157,8 +190,9 @@ int main(int argc, char** argv) {
   bench::JsonSink sink;
   constexpr int kBatches = 8;
   std::size_t crossover = 0;
-  std::printf("  %-15s %-8s %-6s %12s %14s %9s %8s %6s\n", "mix", "n", "batch",
-              "s/batch", "scratch s", "speedup", "scratch", "match");
+  std::printf("  %-15s %-8s %-6s %12s %14s %9s %8s %6s %-6s %7s %9s\n", "mix", "n",
+              "batch", "s/batch", "scratch s", "speedup", "scratch", "match", "path",
+              "swept", "arcs");
   struct Row {
     Mix mix;
     std::size_t batch_size;
@@ -175,25 +209,29 @@ int main(int argc, char** argv) {
 
     int recomputed = 0;
     double dyn_seconds = 0;
+    Replacements rep;
     for (int k = 0; k < kBatches; ++k) {
       const Batch b = make_batch(batch_size, mix, n, live,
                                  static_cast<EdgeId>(d.store().size()), rng);
-      const double t = bench::time_best_of(
-          1, [&] { recomputed += d.apply_batch(b.ins, b.del).recomputed_from_scratch; });
-      dyn_seconds += t;
+      dynamic::MsfDelta delta;
+      dyn_seconds +=
+          bench::time_best_of(1, [&] { delta = d.apply_batch(b.ins, b.del); });
+      recomputed += delta.recomputed_from_scratch;
+      rep.add(delta);
     }
     if (mix == Mix::kMixed && recomputed > 0 && crossover == 0) {
       crossover = batch_size;
     }
     if (!finish_row(sink, base, d, mix, batch_size, kBatches, dyn_seconds / kBatches,
-                    recomputed, sopts, args.reps)) {
+                    recomputed, rep, sopts, args.reps)) {
       return 1;
     }
   }
 
-  // One-edge writes: the median of many single-edge batches per kind.  A
-  // tree-edge delete still labels the pieces and sweeps the store, so it
-  // gets fewer repetitions.
+  // One-edge writes: the median of many single-edge batches per kind.  The
+  // first tree-edge delete builds the incidence lists, and a delete whose
+  // small side passes the search limit labels and sweeps, so tree-edge
+  // deletes get fewer repetitions.
   for (const int lg : {16, 18, 20}) {
     const std::size_t full = std::size_t{1} << lg;
     const auto n1 = static_cast<VertexId>(std::max<std::size_t>(args.size(full, full), 16));
@@ -205,15 +243,18 @@ int main(int argc, char** argv) {
       const int batches = mix == Mix::kOneTreeDelete ? 24 : 200;
       std::vector<double> times;
       int recomputed = 0;
+      Replacements rep;
       for (int k = 0; k < batches; ++k) {
         const Batch b = one_edge_batch(mix, k, d, rng);
-        times.push_back(bench::time_best_of(1, [&] {
-          recomputed += d.apply_batch(b.ins, b.del).recomputed_from_scratch;
-        }));
+        dynamic::MsfDelta delta;
+        times.push_back(
+            bench::time_best_of(1, [&] { delta = d.apply_batch(b.ins, b.del); }));
+        recomputed += delta.recomputed_from_scratch;
+        rep.add(delta);
       }
       std::nth_element(times.begin(), times.begin() + batches / 2, times.end());
       if (!finish_row(sink, g1, d, mix, 1, batches, times[batches / 2], recomputed,
-                      sopts, args.reps)) {
+                      rep, sopts, args.reps)) {
         return 1;
       }
     }

@@ -1,11 +1,20 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "graph/types.hpp"
 
 namespace smp::dynamic {
+
+/// How a batch that cut forest edges found the non-tree edges crossing the
+/// pieces of the cut forest (see DynamicMsf).
+enum class ReplacementPath : std::uint8_t {
+  kNone,    ///< no forest edge was cut, or the batch was solved from scratch
+  kSearch,  ///< a search of the cut trees' smaller pieces
+  kSweep,   ///< piece labels for every vertex and a sweep of every slot
+};
 
 /// What one DynamicMsf::apply_batch changed about the maintained forest.
 ///
@@ -37,6 +46,11 @@ struct MsfDelta {
   /// True when the crossover heuristic gave up on filtering and solved the
   /// whole live graph from scratch.
   bool recomputed_from_scratch = false;
+  /// How a cut batch found its crossing edges.
+  ReplacementPath replacement_path = ReplacementPath::kNone;
+  /// Incidence arcs the piece search read, also when it passed its limit
+  /// and the batch fell back to the sweep (0 when no search ran).
+  std::size_t search_arcs = 0;
 
   [[nodiscard]] bool changed_forest() const {
     return !forest_added.empty() || !forest_removed.empty();

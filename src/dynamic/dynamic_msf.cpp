@@ -5,6 +5,7 @@
 #include <bit>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -204,27 +205,42 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
 
   // ---- Candidates: after a cut, the replacements R — the MSF of the
   // retained non-tree edges that cross two pieces of F', each piece
-  // contracted to a point; then the insertions. ----
+  // contracted to a point; then the insertions.  The crossing edges come
+  // from the piece search, or past its limit from labels for every vertex
+  // and a sweep of every slot. ----
   double connect_s = 0;
   std::size_t crossing = 0;
+  ReplacementPath how = ReplacementPath::kNone;
+  std::size_t search_arcs = 0;
   std::vector<Record> cands;
   if (!cut.empty()) {
-    seq::MinRootUnionFind uf(n);
-    for (VertexId x = 0; x < n; ++x) {
-      if (links_[x].parent != x && !stopped(x)) uf.unite(x, links_[x].parent);
-      if ((x + 1) % kCheckEvery == 0) {
-        core::iteration_checkpoint(opts_.msf, "forest Kruskal labels");
-      }
+    WallTimer connect_timer;
+    core::iteration_checkpoint(opts_.msf, "forest Kruskal search");
+    std::optional<Crossing> found;
+    if (first_new <= IncidenceList::kMaxSlots) {
+      incidence_.sync(*opts_.team, store_, first_new);
+      const auto limit = static_cast<std::size_t>(
+          kSearchFraction * static_cast<double>(store_.num_live()));
+      found = search_pieces(cut, limit, search_arcs);
     }
-    const std::vector<VertexId> label = std::move(uf).dense_labels();
-    core::iteration_checkpoint(opts_.msf, "forest Kruskal sweep");
-    std::vector<Record> cross = crossing_records(first_new, label);
-    crossing = cross.size();
-    WallTimer boruvka_timer;
-    // F' has |forest| − |cut| edges, so n − that many pieces.
-    cands = replacements(std::move(cross), label,
-                         n - (forest_size_ - cut.size()));
-    connect_s += boruvka_timer.elapsed_s();
+    how = found ? ReplacementPath::kSearch : ReplacementPath::kSweep;
+    if (!found) {
+      seq::MinRootUnionFind uf(n);
+      for (VertexId x = 0; x < n; ++x) {
+        if (links_[x].parent != x && !stopped(x)) uf.unite(x, links_[x].parent);
+        if ((x + 1) % kCheckEvery == 0) {
+          core::iteration_checkpoint(opts_.msf, "forest Kruskal labels");
+        }
+      }
+      const std::vector<VertexId> label = std::move(uf).dense_labels();
+      core::iteration_checkpoint(opts_.msf, "forest Kruskal sweep");
+      // F' has |forest| − |cut| edges, so n − that many pieces.
+      found = Crossing{crossing_records(first_new, label),
+                       n - (forest_size_ - cut.size())};
+    }
+    crossing = found->edges.size();
+    cands = replacements(std::move(*found));
+    connect_s += connect_timer.elapsed_s();
   }
   cands.reserve(cands.size() + static_cast<std::size_t>(last - first_new));
   for (EdgeId id = first_new; id < last; ++id) cands.push_back(record(id));
@@ -233,7 +249,11 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
   // one of its endpoints' root paths in F'.  A walk stops at a root, a cut
   // edge or an edge already gathered (the walk that took it went on up).
   // The scan's union-find holds only the vertices the walks reach, so the
-  // walks number them densely and the records keep those numbers. ----
+  // walks number them densely and the records keep those numbers.  The
+  // walks go up together, one step each per round, each loading the link it
+  // reads next: their cache misses overlap instead of queueing.  Each edge
+  // is gathered once whatever the order, and the scan sorts what it reads,
+  // so the order changes nothing downstream. ----
   sort_timer.reset();
   const auto number = [&](VertexId x) {
     if (slot_[x] == kNoSlot) {
@@ -242,25 +262,36 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
     }
     return slot_[x];
   };
-  std::vector<Record> path;
-  std::size_t walked = 0;
+  struct Walk {
+    VertexId x;
+    std::uint32_t at;  ///< x's number
+  };
+  std::vector<Walk> walks;
+  walks.reserve(2 * cands.size());
   for (Record& c : cands) {
     for (VertexId* end : {&c.u, &c.v}) {
-      VertexId x = *end;
-      std::uint32_t at = number(x);
-      *end = at;
-      while (links_[x].parent != x && !stopped(x)) {
-        set_stop(x);
-        const Link& l = links_[x];
-        const std::uint32_t up = number(l.parent);
-        path.push_back(Record{l.w, l.edge, at, up});
-        x = l.parent;
-        at = up;
-        if (++walked % kCheckEvery == 0) {
-          core::iteration_checkpoint(opts_.msf, "forest Kruskal gather");
-        }
+      walks.push_back(Walk{*end, number(*end)});
+      __builtin_prefetch(&links_[*end]);
+      *end = walks.back().at;
+    }
+  }
+  std::vector<Record> path;
+  std::size_t walked = 0;
+  while (!walks.empty()) {
+    std::size_t keep = 0;
+    for (const Walk w : walks) {
+      if (links_[w.x].parent == w.x || stopped(w.x)) continue;
+      set_stop(w.x);
+      const Link& l = links_[w.x];
+      const std::uint32_t up = number(l.parent);
+      path.push_back(Record{l.w, l.edge, w.at, up});
+      __builtin_prefetch(&links_[l.parent]);
+      walks[keep++] = Walk{l.parent, up};
+      if (++walked % kCheckEvery == 0) {
+        core::iteration_checkpoint(opts_.msf, "forest Kruskal gather");
       }
     }
+    walks.resize(keep);
   }
   std::sort(path.begin(), path.end(), before);
   std::sort(cands.begin(), cands.end(), before);
@@ -310,7 +341,240 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
                                  static_cast<std::size_t>(last - first_new);
   MsfDelta d = commit(std::move(removed), std::move(added));
   d.candidate_edges = candidates;
+  d.replacement_path = how;
+  d.search_arcs = search_arcs;
   return d;
+}
+
+std::optional<DynamicMsf::Crossing> DynamicMsf::search_pieces(
+    const std::vector<EdgeId>& cut, std::size_t limit, std::size_t& arcs) {
+  if (piece_.empty()) piece_.assign(store_.num_vertices(), kNoSlot);
+  struct Clear {
+    DynamicMsf& m;
+    ~Clear() {
+      for (const VertexId x : m.claimed_) m.piece_[x] = kNoSlot;
+      m.claimed_.clear();
+    }
+  } clear{*this};
+
+  // One search per claimed part of a piece.  `up` joins searches that met
+  // (the union-find of merges); `group` joins the searches of one cut tree
+  // known so far: the two ends of a cut edge, and searches that met.  A
+  // group's root counts its cut edges and its exhausted searches.  A group's
+  // searches, merged, always number its cut edges plus one, so it has one
+  // search left when every other is exhausted: then it is done, and its
+  // last search stops.  When every group is done, every cut tree has at
+  // most one piece left unexhausted (two such pieces would put two
+  // unexhausted searches in one group: the pieces between them are
+  // exhausted, so their searches joined the cut edges on the way).
+  struct Search {
+    /// Claimed vertices in claim order; those from `head` on are unread.
+    std::vector<VertexId> queue;
+    std::size_t head = 0;
+    /// Vertices being read: one, or more after a merge.
+    std::vector<IncidenceList::Cursor> open;
+    std::uint32_t up;
+    std::uint32_t group;
+    std::uint32_t cuts = 0;
+    std::uint32_t exhausted = 0;
+    std::uint32_t read = 0;  ///< arcs read
+    bool child = false;      ///< holds the child end of a cut edge
+    bool done = false;       ///< its piece is exhausted
+  };
+  std::vector<Search> s;
+  const auto find = [&](std::uint32_t a) {
+    while (s[a].up != a) a = s[a].up = s[s[a].up].up;
+    return a;
+  };
+  const auto group = [&](std::uint32_t a) {
+    while (s[a].group != a) a = s[a].group = s[s[a].group].group;
+    return a;
+  };
+  const auto join_groups = [&](std::uint32_t a, std::uint32_t b,
+                               std::uint32_t cuts) {
+    a = group(a);
+    b = group(b);
+    s[b].group = a;
+    s[a].cuts += s[b].cuts + cuts;
+    s[a].exhausted += s[b].exhausted;
+  };
+  const auto claim = [&](VertexId x, std::uint32_t a) {
+    piece_[x] = a;
+    claimed_.push_back(x);
+    s[a].queue.push_back(x);
+    incidence_.prefetch(x);
+  };
+  const auto seed = [&](VertexId x, bool child) {
+    std::uint32_t a = 0;
+    if (piece_[x] != kNoSlot) {
+      a = find(piece_[x]);
+    } else {
+      a = static_cast<std::uint32_t>(s.size());
+      s.push_back(Search{{}, 0, {}, a, a});
+      claim(x, a);
+    }
+    s[a].child = s[a].child || child;
+    return a;
+  };
+  for (const EdgeId id : cut) {
+    const WEdge& e = store_.edge(id);
+    const bool u_child = links_[e.u].edge == id;
+    const std::uint32_t a = seed(e.u, u_child);
+    join_groups(a, seed(e.v, !u_child), 1);
+  }
+
+  // Reads one arc of search `a` (a root, not done, in a group not done):
+  // claims the far end of a forest arc of F' or merges with the search that
+  // holds it, and sets every non-tree arc aside unread (the membership bit
+  // needs only the id); the labelling below reads those whose search ends
+  // exhausted.  Vertices are read in claim order, and starting one loads
+  // the slots of its forest arcs and the arc list of the next, so a
+  // search's reads wait on memory together rather than one after another.
+  struct Arc {
+    VertexId x;
+    std::uint32_t id;
+  };
+  std::vector<Arc> leaving;
+  const auto advance = [&](std::uint32_t a) {
+    Search& t = s[a];
+    std::uint32_t id = 0;
+    VertexId x = 0;
+    for (;;) {
+      if (!t.open.empty()) {
+        if (incidence_.next(t.open.back(), id)) {
+          x = t.open.back().x;
+          break;
+        }
+        t.open.pop_back();
+      } else if (t.head < t.queue.size()) {
+        const IncidenceList::Cursor c = incidence_.arcs(t.queue[t.head++]);
+        for (const std::uint32_t* p = c.pos; p != c.end; ++p) {
+          if (forest_->contains(*p)) store_.prefetch(*p);
+        }
+        if (t.head < t.queue.size()) incidence_.prefetch_arcs(t.queue[t.head]);
+        t.open.push_back(c);
+      } else {
+        t.done = true;
+        ++s[group(a)].exhausted;
+        return;
+      }
+    }
+    ++t.read;
+    if (++arcs % kCheckEvery == 0) {
+      core::iteration_checkpoint(opts_.msf, "forest Kruskal search");
+    }
+    if (!forest_->contains(id)) {
+      leaving.push_back(Arc{x, id});
+      return;
+    }
+    if (!store_.is_live(id)) return;
+    const WEdge& e = store_.edge(id);
+    const VertexId y = e.u == x ? e.v : e.u;
+    const std::uint32_t b = piece_[y] == kNoSlot ? kNoSlot : find(piece_[y]);
+    if (b == a) return;
+    if (b == kNoSlot) {
+      claim(y, a);
+    } else {
+      // Two searches of one piece met: `a` takes over b's unread and
+      // half-read vertices, and b's group, another group of the same tree,
+      // joins a's.
+      Search& u = s[b];
+      u.up = a;
+      t.child = t.child || u.child;
+      if (u.queue.size() - u.head > t.queue.size() - t.head) {
+        std::swap(t.queue, u.queue);
+        std::swap(t.head, u.head);
+      }
+      t.queue.insert(t.queue.end(),
+                     u.queue.begin() + static_cast<std::ptrdiff_t>(u.head),
+                     u.queue.end());
+      t.open.insert(t.open.end(), u.open.begin(), u.open.end());
+      u.queue = {};
+      u.open = {};
+      join_groups(a, b, 0);
+    }
+  };
+  const auto running = [&](std::uint32_t a) {
+    if (s[a].up != a || s[a].done) return false;
+    const std::uint32_t g = group(a);
+    return s[g].exhausted != s[g].cuts;
+  };
+
+  // Turns: a search that holds a cut edge's child end reads one arc every
+  // turn; one started only at parent ends does so for its first kOwnTurns
+  // arcs, and after that the searches like it take one arc between them
+  // every kRotationTurns turns, in rotation.  A child end's search reads its
+  // own piece (the cut child tops it in the rooted forest, so no two child
+  // ends share one), while the parent ends mostly lie in one piece, the cut
+  // tree's root piece, which is nearly always the largest: reading it
+  // slowly costs a quarter of the small pieces' arcs instead of all of
+  // them again.  The first arcs at full rate still end the search of a
+  // small root piece quickly, and a root piece smaller than a child piece
+  // is read within four times its size.
+  constexpr std::uint32_t kOwnTurns = 32;
+  constexpr std::size_t kRotationTurns = 4;
+  const auto every_turn = [&](std::uint32_t a) {
+    return s[a].child || s[a].read < kOwnTurns;
+  };
+  std::vector<std::uint32_t> turn(s.size());
+  for (std::uint32_t a = 0; a < s.size(); ++a) turn[a] = a;
+  std::vector<std::uint32_t> rotation;  // from rotation_head on
+  std::size_t rotation_head = 0;
+  std::vector<std::uint32_t> next;
+  const auto step = [&](std::uint32_t a) {
+    advance(a);
+    if (running(a)) (every_turn(a) ? next : rotation).push_back(a);
+  };
+  for (std::size_t turns = 1; !turn.empty() || rotation_head < rotation.size();
+       ++turns) {
+    next.clear();
+    for (const std::uint32_t a : turn) {
+      if (running(a)) step(a);
+    }
+    while (turns % kRotationTurns == 0 && rotation_head < rotation.size()) {
+      const std::uint32_t a = rotation[rotation_head++];
+      if (!running(a)) continue;
+      if (every_turn(a)) {
+        next.push_back(a);
+        continue;
+      }
+      step(a);
+      break;
+    }
+    if (arcs > limit) return std::nullopt;
+    std::swap(turn, next);
+  }
+
+  // Each exhausted search is a piece of its own, numbered from 1; every
+  // other vertex lies in the one unexhausted piece of its tree, all of them
+  // labelled 0.  Sharing one label across trees is safe: crossing edges
+  // never join two trees, so the contracted pieces of different trees meet
+  // only at that point, and the MSF of graphs glued at one vertex is the
+  // union of their MSFs.  Each crossing edge has an end in an exhausted
+  // piece, which set it aside; an edge between two exhausted pieces is kept
+  // from its lower-labelled end.  The slots are loaded kAhead arcs early.
+  std::vector<std::uint32_t> label(s.size(), 0);
+  std::uint32_t pieces = 1;
+  for (std::uint32_t a = 0; a < s.size(); ++a) {
+    if (s[a].done) label[a] = pieces++;
+  }
+  const auto piece = [&](VertexId x) {
+    return piece_[x] == kNoSlot ? 0 : label[find(piece_[x])];
+  };
+  constexpr std::size_t kAhead = 16;
+  Crossing cross{{}, pieces};
+  for (std::size_t i = 0; i < leaving.size(); ++i) {
+    if (i + kAhead < leaving.size()) store_.prefetch(leaving[i + kAhead].id);
+    const Arc arc = leaving[i];
+    const std::uint32_t px = piece(arc.x);
+    if (px == 0 || !store_.is_live(arc.id)) continue;
+    const WEdge& e = store_.edge(arc.id);
+    const std::uint32_t py = piece(e.u == arc.x ? e.v : e.u);
+    if (px != py && (py == 0 || px < py)) {
+      cross.edges.push_back(Record{e.w, arc.id, px, py});
+    }
+  }
+  return cross;
 }
 
 std::vector<DynamicMsf::Record> DynamicMsf::crossing_records(
@@ -350,17 +614,19 @@ std::vector<DynamicMsf::Record> DynamicMsf::crossing_records(
     std::size_t o = offset[static_cast<std::size_t>(ctx.tid())];
     for (std::size_t w = r.begin; w < r.end; ++w) {
       for (std::uint64_t bits = marks[w]; bits != 0; bits &= bits - 1) {
-        out[o++] = record(64 * w + static_cast<std::size_t>(std::countr_zero(bits)));
+        const EdgeId id = 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+        const WEdge& e = store_.edge(id);
+        out[o++] = Record{e.w, id, label[e.u], label[e.v]};
       }
     }
   });
   return out;
 }
 
-std::vector<DynamicMsf::Record> DynamicMsf::replacements(
-    std::vector<Record> cross, const std::vector<VertexId>& label,
-    std::size_t pieces) const {
+std::vector<DynamicMsf::Record> DynamicMsf::replacements(Crossing c) const {
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  std::vector<Record>& cross = c.edges;
+  const std::size_t pieces = c.pieces;
   // Borůvka under ⟨w, store id⟩: each round every component of the pieces
   // takes its lightest crossing edge.  The order is total, so the edges
   // taken in one round close no cycle, and an edge both of its sides took
@@ -377,8 +643,8 @@ std::vector<DynamicMsf::Record> DynamicMsf::replacements(
     std::size_t keep = 0;
     for (std::size_t i = 0; i < live; ++i) {
       const Record r = cross[i];
-      const std::uint32_t a = comp.find(label[r.u]);
-      const std::uint32_t b = comp.find(label[r.v]);
+      const std::uint32_t a = comp.find(r.u);
+      const std::uint32_t b = comp.find(r.v);
       if (++steps % kCheckEvery == 0) {
         core::iteration_checkpoint(opts_.msf, "replacement Boruvka");
       }
@@ -398,7 +664,7 @@ std::vector<DynamicMsf::Record> DynamicMsf::replacements(
     for (const std::uint32_t c : touched) {
       const Record& r = cross[best[c]];
       best[c] = kNone;
-      if (comp.unite(label[r.u], label[r.v])) out.push_back(r);
+      if (comp.unite(r.u, r.v)) out.push_back(record(r.id));
       if (++steps % kCheckEvery == 0) {
         core::iteration_checkpoint(opts_.msf, "replacement Boruvka");
       }
@@ -586,6 +852,7 @@ std::vector<EdgeId> DynamicMsf::compact_store() {
   for (Link& l : links_) {
     if (l.edge != graph::kInvalidEdge) l.edge = remap[static_cast<std::size_t>(l.edge)];
   }
+  incidence_.clear();
   return remap;
 }
 

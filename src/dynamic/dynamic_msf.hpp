@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "dynamic/delta.hpp"
 #include "dynamic/edge_store.hpp"
 #include "dynamic/forest_bits.hpp"
+#include "dynamic/incidence_list.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/exact_sum.hpp"
 #include "graph/msf_result.hpp"
@@ -24,6 +26,11 @@ namespace smp::dynamic {
 /// the real crossover.
 inline constexpr double kScratchBatchFraction = 0.25;
 
+/// A cut batch's piece search gives up, and the batch labels every piece
+/// and sweeps every slot instead, once it has read more incidence arcs than
+/// this fraction of the live edge count.
+inline constexpr double kSearchFraction = 0.125;
+
 struct DynamicMsfOptions {
   /// Backend for the solves: the first solve, recompute() and batches past
   /// the scratch crossover.  Algorithm, threads, seed, budget and sequential
@@ -33,16 +40,17 @@ struct DynamicMsfOptions {
   /// close a cycle on decides it (see DynamicMsf), and that pass honours the
   /// budget too.  Instrumentation out-pointers are honored per solve, and
   /// the Kruskal pass adds the gathering and sort of its records to
-  /// step_times->rank_build (part of `other`) and its union-find work — the
-  /// replacement Borůvka and the scan — to step_times->connect.
+  /// step_times->rank_build (part of `other`) and the rest — finding the
+  /// crossing edges (the piece search, or the fallback labels and sweep),
+  /// the replacement Borůvka and the scan — to step_times->connect.
   core::MsfOptions msf;
   /// Persistent thread team for every solve and for the Kruskal pass's
-  /// replacement sweep.  When null, the DynamicMsf creates one of
-  /// msf.threads and keeps it for its lifetime; when set, the run's p is
-  /// team->size() and msf.threads is ignored — the serving layer shares one
-  /// pool across all sessions this way.  A given team must outlive the
-  /// DynamicMsf, and the caller must serialize solves if the team is shared
-  /// (regions must not nest).
+  /// incidence-list build and replacement sweep.  When null, the DynamicMsf
+  /// creates one of msf.threads and keeps it for its lifetime; when set, the
+  /// run's p is team->size() and msf.threads is ignored — the serving layer
+  /// shares one pool across all sessions this way.  A given team must
+  /// outlive the DynamicMsf, and the caller must serialize solves if the
+  /// team is shared (regions must not nest).
   ThreadTeam* team = nullptr;
 };
 
@@ -58,12 +66,26 @@ struct DynamicMsfOptions {
 ///    forest edges plus the batch — independent of m.
 ///  * Deletions drop the dead edges.  F' (the forest minus its cut edges)
 ///    stays: an MSF edge is still the lightest across some cut of G − D.
-///    One pass over the rooted forest labels the pieces (the components of
-///    F'), a team sweep collects the retained non-tree edges whose endpoints lie
-///    in different pieces, and Borůvka over those edges, with every piece
-///    contracted to a point, yields the replacement set R:
-///    MSF(G − D) = F' ∪ R.  (Every other retained non-tree edge still closes
-///    a surviving forest cycle it is the maximum of, so it cannot enter.)
+///    The crossing edges — retained non-tree edges whose endpoints lie in
+///    different pieces (components of F') — are found by searching the
+///    pieces of every cut tree in lockstep, about one incidence arc per
+///    piece per turn, over a per-vertex incidence list of the store
+///    (IncidenceList, built on the first cut batch).  Searches start at
+///    both ends of every cut edge, go through the live forest arcs of F',
+///    and merge when one reaches a vertex another claimed; they collect the
+///    live non-tree arcs that leave them.  A tree is done when all of its
+///    pieces but one are exhausted: every crossing edge of that tree has an
+///    end in an exhausted piece, so the unsearched rest needs no label of
+///    its own.
+///    (Searching only the two sides of each cut would not do: with pieces
+///    A–B–C and a small B, both of B's searches end before A or C is known
+///    whole, and the A–C edges are never seen.)  When the search reads more
+///    than kSearchFraction of the live edge count in arcs, the batch falls
+///    back to labelling every vertex's piece and sweeping every slot on the
+///    team.  Borůvka over the crossing edges, with every piece contracted
+///    to a point, yields the replacement set R: MSF(G − D) = F' ∪ R.  (Every
+///    other retained non-tree edge still closes a surviving forest cycle it
+///    is the maximum of, so it cannot enter.)
 ///  * The batch is then decided by one Kruskal pass over F' ∪ R ∪ B, whatever
 ///    the backend: every algorithm returns the unique MSF under ⟨weight,
 ///    store id⟩, so the pass commits what a solve of that set would.  A
@@ -106,8 +128,8 @@ struct DynamicMsfOptions {
 /// recompute(), and for a batch past the scratch crossover.
 ///
 /// Not thread-safe (one writer); solves and the Kruskal pass's O(m)
-/// replacement sweep run on one team (DynamicMsfOptions::team, or the
-/// DynamicMsf's own of msf.threads).
+/// incidence-list build and fallback sweep run on one team
+/// (DynamicMsfOptions::team, or the DynamicMsf's own of msf.threads).
 class DynamicMsf {
  public:
   /// Starts from `initial` (store ids = positions in initial.edges) and
@@ -237,15 +259,26 @@ class DynamicMsf {
   /// candidates.
   MsfDelta apply_by_kruskal(graph::EdgeId first_new,
                             const std::vector<graph::EdgeId>& cut);
-  /// Live edges below `end` whose endpoints carry different `label`s, in
-  /// ascending store-id order, swept on the team.
+  /// The retained non-tree edges that cross two pieces of F', each with
+  /// its endpoints replaced by their pieces' labels in [0, pieces).
+  struct Crossing {
+    std::vector<Record> edges;
+    std::size_t pieces = 0;
+  };
+  /// The crossing edges after the deletion of the forest edges `cut`, over
+  /// the slots incidence_ lists, by the search of the cut trees' pieces (see
+  /// the class comment); nullopt once it has read more than `limit` arcs.
+  /// `arcs` receives the arcs read.
+  std::optional<Crossing> search_pieces(const std::vector<graph::EdgeId>& cut,
+                                        std::size_t limit, std::size_t& arcs);
+  /// The search's fallback: live edges below `end` whose endpoints carry
+  /// different `label`s, with those labels as endpoints, in ascending
+  /// store-id order, swept on the team.
   std::vector<Record> crossing_records(
       graph::EdgeId end, const std::vector<graph::VertexId>& label) const;
-  /// The MSF of `cross` with every piece contracted to its label in
-  /// [0, pieces), by Borůvka rounds; `cross` is consumed.
-  std::vector<Record> replacements(std::vector<Record> cross,
-                                   const std::vector<graph::VertexId>& label,
-                                   std::size_t pieces) const;
+  /// The MSF of the crossing edges with every piece contracted to its
+  /// label, by Borůvka rounds, as records of the store's edges.
+  std::vector<Record> replacements(Crossing cross) const;
   /// Builds links_ from the forest unless it is current.
   void build_rooted();
   /// Keeps links_ current across a commit (see commit); allocates nothing.
@@ -294,6 +327,13 @@ class DynamicMsf {
   std::vector<graph::VertexId> stopped_;
   std::vector<std::uint32_t> slot_;
   std::vector<graph::VertexId> numbered_;
+  /// The piece search's scratch, left clear the same way: the search that
+  /// claimed each vertex (kNoSlot when none), and the claimed vertices.
+  std::vector<std::uint32_t> piece_;
+  std::vector<graph::VertexId> claimed_;
+  /// The store's incidence lists, for the piece search; built on the first
+  /// cut batch, dropped by compact_store.
+  IncidenceList incidence_;
 };
 
 }  // namespace smp::dynamic

@@ -47,6 +47,11 @@ class SlotBuffer {
     std::atomic_ref<std::uint64_t>(stamps_[id]).store(
         s, std::memory_order_relaxed);
   }
+  /// Starts loading slot `id`'s edge and stamp into the cache.
+  void prefetch(graph::EdgeId id) const {
+    __builtin_prefetch(edges_ + id);
+    __builtin_prefetch(stamps_ + id);
+  }
 
  private:
   std::size_t slots_;
@@ -141,6 +146,9 @@ class EdgeStore {
   [[nodiscard]] const graph::WEdge& edge(graph::EdgeId id) const {
     return buf_->edges()[static_cast<std::size_t>(id)];
   }
+  /// Starts loading slot `id` (< size()) into the cache, for a reader that
+  /// will ask for it soon.
+  void prefetch(graph::EdgeId id) const { buf_->prefetch(id); }
   /// O(1) immutable view of the store as it is now (see StoreView).
   [[nodiscard]] StoreView view() const;
   /// How many times compact() has renumbered this store's ids: two views

@@ -515,6 +515,136 @@ TEST_P(DynamicForestKruskalCases, CompactionAndRestoreBetweenKruskalBatches) {
   EXPECT_GE(t.sparsified_changes, 12);
 }
 
+/// A path 0 — 1 — … — n−1 of edges lighter than 1e-3, so the MSF is the
+/// path and vertex 0, the least, roots it.
+EdgeList light_path(VertexId n) {
+  EdgeList g(n);
+  for (VertexId v = 1; v < n; ++v) g.add_edge(v - 1, v, 1e-3 * v / n);
+  return g;
+}
+
+/// `k` random chords inside [lo, hi), at weights in [w, w + 1).
+void add_chords(EdgeList& g, VertexId lo, VertexId hi, int k, Weight w,
+                Rng& rng) {
+  for (int i = 0; i < k; ++i) {
+    const auto u = lo + static_cast<VertexId>(rng.next_below(hi - lo));
+    auto v = lo + static_cast<VertexId>(rng.next_below(hi - lo - 1));
+    if (v >= u) ++v;
+    g.add_edge(u, v, w + rng.next_double());
+  }
+}
+
+TEST_P(DynamicForestKruskalCases, MiddlePieceSmallReplacementJoinsTheOuterPieces) {
+  // One path cut twice into pieces A = [0, 600), B = [600, 603) and
+  // C = [603, 615).  B is the smallest, so the searches from both of its
+  // cuts are exhausted first; the tree is done only once C is too, and the
+  // lightest crossing edges are the A–C chords.  A search that stopped each
+  // cut at its first exhausted side would never read them, and would join
+  // A, B and C through B's heavy edges instead.
+  const VertexId n = 615;
+  Rng rng(71 + static_cast<std::uint64_t>(GetParam()));
+  EdgeList g = light_path(n);
+  add_chords(g, 0, 600, 3000, 1.0, rng);
+  for (int i = 0; i < 4; ++i) {
+    g.add_edge(static_cast<VertexId>(rng.next_below(600)),
+               603 + static_cast<VertexId>(rng.next_below(12)),
+               0.5 + 0.01 * i);  // A–C
+  }
+  for (const VertexId b : {600u, 601u, 602u}) {
+    g.add_edge(b, static_cast<VertexId>(rng.next_below(600)), 5.0);  // A–B
+    g.add_edge(b, 603 + static_cast<VertexId>(rng.next_below(12)), 6.0);  // B–C
+  }
+  Checked t(g, &team);
+  // Path edge (v − 1, v) is store id v − 1.
+  const MsfDelta d = t.apply({}, {599, 602});
+  EXPECT_EQ(d.replacement_path, dynamic::ReplacementPath::kSearch);
+  EXPECT_GT(d.search_arcs, 0u);
+  ASSERT_EQ(d.forest_added.size(), 2u);
+  const WEdge& ac = t.d->store().edge(d.forest_added[0]);
+  EXPECT_TRUE(ac.u < 600 && ac.v >= 603) << ac.u << " " << ac.v;
+}
+
+TEST_P(DynamicForestKruskalCases, PathCutInTheMiddleFallsBackToTheSweep) {
+  // Cutting a path in the middle leaves two pieces of half the graph each:
+  // the search passes kSearchFraction of the live edges before either is
+  // exhausted, and the batch labels and sweeps instead.
+  const VertexId n = 400;
+  Rng rng(83 + static_cast<std::uint64_t>(GetParam()));
+  EdgeList g = light_path(n);
+  add_chords(g, 0, n, 800, 1.0, rng);
+  Checked t(g, &team);
+  const MsfDelta d = t.apply(draw_insertions(rng, *t.d, 4, Weights::kRandom),
+                             {n / 2 - 1});
+  EXPECT_EQ(d.replacement_path, dynamic::ReplacementPath::kSweep);
+  EXPECT_GT(static_cast<double>(d.search_arcs),
+            dynamic::kSearchFraction * static_cast<double>(d.live_edges - 4));
+  // A cut near the end of the path searches again.
+  EXPECT_EQ(t.apply({}, {n - 3}).replacement_path,
+            dynamic::ReplacementPath::kSearch);
+}
+
+TEST_P(DynamicForestKruskalCases, OneStarLeafSearchesOnlyTheLeaf) {
+  // A star's centre 0 roots it and has degree n − 1.  Cutting one spoke
+  // leaves the leaf alone: its search is exhausted after the leaf's few
+  // arcs, while the centre's search reads about as many.
+  const VertexId n = 2000;
+  Rng rng(97 + static_cast<std::uint64_t>(GetParam()));
+  EdgeList g(n);
+  for (VertexId v = 1; v < n; ++v) g.add_edge(0, v, 1e-3 * rng.next_double());
+  add_chords(g, 1, n, 4000, 1.0, rng);
+  Checked t(g, &team);
+  for (const VertexId leaf : {7u, 1234u, n - 1}) {
+    SCOPED_TRACE("leaf " + std::to_string(leaf));
+    const MsfDelta d = t.apply({}, {leaf - 1});  // spoke (0, v) is id v − 1
+    EXPECT_EQ(d.replacement_path, dynamic::ReplacementPath::kSearch);
+    EXPECT_LT(d.search_arcs, 64u);
+    EXPECT_EQ(d.forest_added.size(), 1u);
+  }
+}
+
+TEST_P(DynamicForestKruskalCases, RandomBatchesOnBothSidesOfTheSearchLimit) {
+  // Cutting three forest edges at forest leaves leaves pieces of one vertex,
+  // far below the search limit; cutting a fifth of the forest leaves pieces
+  // that hold most of the graph, far above it.  Both kinds, with insertions and
+  // non-tree deletions, decide like Kruskal.
+  const VertexId n = 600;
+  Rng rng(101 + static_cast<std::uint64_t>(GetParam()));
+  EdgeList g(n);
+  add_chords(g, 0, n, 2400, 0.0, rng);
+  Checked t(g, &team);
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    // Forest edges with an end of forest degree 1.
+    std::vector<std::size_t> degree(n, 0);
+    const std::vector<EdgeId>& f = t.d->forest_edge_ids();
+    for (const EdgeId id : f) {
+      ++degree[t.d->store().edge(id).u];
+      ++degree[t.d->store().edge(id).v];
+    }
+    std::vector<EdgeId> del;
+    for (const EdgeId id : f) {
+      const WEdge& e = t.d->store().edge(id);
+      if ((degree[e.u] == 1 || degree[e.v] == 1) && del.size() < 3 &&
+          rng.next_below(8) == 0) {
+        del.push_back(id);
+      }
+    }
+    ASSERT_EQ(del.size(), 3u);
+    for (const EdgeId id : draw_deletions(rng, *t.d, 0, 4)) {
+      if (!std::binary_search(f.begin(), f.end(), id)) del.push_back(id);
+    }
+    std::sort(del.begin(), del.end());
+    del.erase(std::unique(del.begin(), del.end()), del.end());
+    const MsfDelta small =
+        t.apply(draw_insertions(rng, *t.d, 6, Weights::kRandom), del);
+    EXPECT_EQ(small.replacement_path, dynamic::ReplacementPath::kSearch);
+
+    const MsfDelta big = t.apply(draw_insertions(rng, *t.d, 6, Weights::kRandom),
+                                 draw_deletions(rng, *t.d, n / 5, 4));
+    EXPECT_EQ(big.replacement_path, dynamic::ReplacementPath::kSweep);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Team, DynamicForestKruskalCases,
                          ::testing::Values(1, 2, 4),
                          [](const ::testing::TestParamInfo<int>& info) {

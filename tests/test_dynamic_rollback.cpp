@@ -17,6 +17,7 @@
 #include <initializer_list>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/error.hpp"
@@ -25,6 +26,7 @@
 #include "pprim/fault.hpp"
 #include "pprim/rng.hpp"
 #include "pprim/thread_team.hpp"
+#include "seq/seq_msf.hpp"
 #include "query/forest_index.hpp"
 
 namespace {
@@ -347,6 +349,91 @@ TEST(DynamicRollback, FailedCutBatchLeavesTheRootedForest) {
       expect_same(freeze(d), freeze(twin));
     }
   }
+}
+
+TEST(DynamicRollback, FailedCutBatchLeavesNoIncidenceForItsInsertions) {
+  // The first cut batch builds the incidence lists the piece search reads.
+  // A cut batch with insertions then fails at the scan, and the next batch
+  // inserts different edges under the same store ids.  A later cut must
+  // find those edges in their own endpoints' lists: the only edges left at
+  // vertex z are the reused ids, so a list that still held the failed
+  // batch's edges would leave z cut off.
+  ThreadTeam team(2);
+  Rng rng(29);
+  const VertexId n = 300;
+  const EdgeList g = random_graph(n, rng);
+  DynamicMsf d(g, options(&team));
+  DynamicMsf twin(g, options(&team));
+  // Forest edges at vertices of forest degree 1, and those vertices.
+  const auto leaf_edges = [&] {
+    std::vector<std::size_t> degree(n, 0);
+    for (const EdgeId id : d.forest_edge_ids()) {
+      ++degree[d.store().edge(id).u];
+      ++degree[d.store().edge(id).v];
+    }
+    std::vector<std::pair<EdgeId, VertexId>> out;
+    for (const EdgeId id : d.forest_edge_ids()) {
+      const WEdge& e = d.store().edge(id);
+      if (degree[e.u] == 1) out.emplace_back(id, e.u);
+      if (degree[e.v] == 1) out.emplace_back(id, e.v);
+    }
+    return out;
+  };
+  const auto apply_both = [&](const std::vector<WEdge>& ins,
+                              const std::vector<EdgeId>& del) {
+    const MsfDelta a = d.apply_batch(ins, del);
+    expect_same_delta(a, twin.apply_batch(ins, del));
+    expect_same(freeze(d), freeze(twin));
+    // Both are also what a solve from scratch gives.
+    std::vector<EdgeId> ids;
+    const EdgeList live = d.store().live_graph(&ids);
+    std::vector<EdgeId> want;
+    for (const EdgeId e : seq::kruskal_msf(live).edge_ids) want.push_back(ids[e]);
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(d.forest_edge_ids(), want);
+    EXPECT_EQ(a.replacement_path, dynamic::ReplacementPath::kSearch);
+    return a;
+  };
+
+  std::vector<std::pair<EdgeId, VertexId>> leaves = leaf_edges();
+  ASSERT_GE(leaves.size(), 4u);
+  apply_both({}, {leaves[0].first});
+
+  // z: a leaf vertex the failed batch does not touch.
+  leaves = leaf_edges();
+  const VertexId z = leaves.back().second;
+  const auto heavy_edges = [&](VertexId from) {
+    std::vector<WEdge> ins;
+    for (VertexId k = 1; k <= 4; ++k) {
+      ins.push_back(WEdge{from, static_cast<VertexId>((from + 37 * k) % n),
+                          5.0 + 0.1 * k});
+    }
+    return ins;
+  };
+  VertexId other = leaves[0].second;
+  if (other == z) other = leaves[1].second;
+  const std::vector<EdgeId> cut{leaves[0].first == leaves.back().first
+                                    ? leaves[1].first
+                                    : leaves[0].first};
+  const Frozen before = freeze(d);
+  apply_failing(d, Path::kKruskal, Failure::kBadAlloc, heavy_edges(other), cut,
+                nullptr);
+  expect_same(freeze(d), before);
+
+  // The same store ids, now at z.
+  const EdgeId first = d.store().size();
+  apply_both(heavy_edges(z), cut);
+  ASSERT_EQ(d.store().edge(first).u, z);
+
+  // Cut z off from everything but those edges: the lightest enters.
+  std::vector<EdgeId> del;
+  for (EdgeId id = 0; id < first; ++id) {
+    const WEdge& e = d.store().edge(id);
+    if (d.store().is_live(id) && (e.u == z || e.v == z)) del.push_back(id);
+  }
+  const MsfDelta last = apply_both({}, del);
+  EXPECT_EQ(std::count(last.forest_added.begin(), last.forest_added.end(), first),
+            1);
 }
 
 TEST(DynamicRollback, InsertionFailingAfterAnEarlierOneWasStored) {

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -153,10 +154,18 @@ TEST(ServeReadView, DropAndReopenUnderReadersNeverAnswersFromTheDroppedSession) 
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> ok_reads{0};
   std::atomic<std::uint64_t> late_generation_reads{0};
+  // Answered reads by the generation acked when they started, and the
+  // readers still running (a failed assertion ends one early).
+  std::array<std::atomic<std::uint64_t>, kGenerations + 1> reads_of{};
+  std::atomic<int> readers_left{3};
 
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&, t] {
+      struct Leave {
+        std::atomic<int>& left;
+        ~Leave() { left.fetch_sub(1); }
+      } leave{readers_left};
       Rng rng(0x7265616465ULL + static_cast<std::uint64_t>(t));
       for (std::uint64_t i = 0; !done.load(std::memory_order_acquire); ++i) {
         const auto u = static_cast<VertexId>(rng.next_below(kN));
@@ -188,18 +197,29 @@ TEST(ServeReadView, DropAndReopenUnderReadersNeverAnswersFromTheDroppedSession) 
         }
         ok_reads.fetch_add(1, std::memory_order_relaxed);
         if (g0 >= 2) late_generation_reads.fetch_add(1);
+        reads_of[static_cast<std::size_t>(g0)].fetch_add(1);
       }
     });
   }
+  // Waits until a read that started at generation k or later has been
+  // answered, or every reader has stopped.
+  const auto await_read_of = [&](int k) {
+    while (readers_left.load() > 0) {
+      for (int j = k; j <= kGenerations; ++j) {
+        if (reads_of[static_cast<std::size_t>(j)].load() > 0) return;
+      }
+      std::this_thread::yield();
+    }
+  };
   for (int k = 2; k <= kGenerations; ++k) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    await_read_of(k - 1);
     EXPECT_EQ(svc.call(make(Op::kDrop, "g")).status, Status::kOk);
     EXPECT_EQ(svc.call(open_req("g", kN)).status, Status::kOk);
     generation.store(k, std::memory_order_release);
     EXPECT_EQ(svc.call(insert_req("g", generation_graph(k, kN))).status,
               Status::kOk);
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  await_read_of(kGenerations);
   done.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
   EXPECT_GT(ok_reads.load(), 0u);
