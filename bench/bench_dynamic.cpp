@@ -12,8 +12,10 @@
 // a forest edge.  Each record names its `mix`, the path most of its cut
 // batches took to their replacement edges (`search` of the small pieces,
 // `sweep` of every slot, or `none`), how many swept, and the median arcs a
-// search read; every row's final forest is checked bit-identical to a
-// scratch solve.
+// search read; and, over its batches that took the Kruskal pass, the median
+// forest edges the root-path walks gathered, the median and the largest
+// count of compressed path records the pass sorted in their place.  Every
+// row's final forest is checked bit-identical to a scratch solve.
 #include <algorithm>
 #include <cstdio>
 #include <random>
@@ -100,14 +102,31 @@ Batch one_edge_batch(Mix mix, int k, const dynamic::DynamicMsf& d,
   return b;
 }
 
-/// How a row's cut batches found their replacements: how many searched the
-/// small pieces and how many swept, and the arcs each search read.
+/// The median of `v`, 0 when it is empty.
+std::size_t median(std::vector<std::size_t>& v) {
+  if (v.empty()) return 0;
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+/// What a row's batches did: how its cut batches found their replacements
+/// (how many searched the small pieces and how many swept, and the arcs
+/// each search read), and, for each batch that took the Kruskal pass, the
+/// forest edges its walks gathered and the path records it sorted.
 struct Replacements {
   int searched = 0;
   int swept = 0;
   std::vector<std::size_t> arcs;
+  std::vector<std::size_t> gathered;
+  std::vector<std::size_t> records;
 
   void add(const dynamic::MsfDelta& d) {
+    // No oracle is passed, so a batch that decided something without a
+    // scratch solve took the Kruskal pass.
+    if (!d.recomputed_from_scratch && d.candidate_edges > 0) {
+      gathered.push_back(d.gathered_edges);
+      records.push_back(d.path_records);
+    }
     if (d.replacement_path == dynamic::ReplacementPath::kNone) return;
     ++(d.replacement_path == dynamic::ReplacementPath::kSearch ? searched : swept);
     arcs.push_back(d.search_arcs);
@@ -116,11 +135,9 @@ struct Replacements {
   [[nodiscard]] const char* path() const {
     return searched + swept == 0 ? "none" : searched >= swept ? "search" : "sweep";
   }
-  /// The median of `arcs`, 0 for a row without cut batches.
-  [[nodiscard]] std::size_t median_arcs() {
-    if (arcs.empty()) return 0;
-    std::nth_element(arcs.begin(), arcs.begin() + arcs.size() / 2, arcs.end());
-    return arcs[arcs.size() / 2];
+  /// The most path records one batch sorted.
+  [[nodiscard]] std::size_t max_records() const {
+    return records.empty() ? 0 : *std::max_element(records.begin(), records.end());
   }
 };
 
@@ -146,25 +163,33 @@ bool finish_row(bench::JsonSink& sink, const EdgeList& start,
   const bool match = ref_ids == d.forest_edge_ids() &&
                      ref.total_weight == d.total_weight();
 
-  const std::size_t arcs = rep.median_arcs();
+  const std::size_t arcs = median(rep.arcs);
+  const std::size_t kruskal = rep.records.size();
+  const std::size_t max_records = rep.max_records();
+  const std::size_t gathered = median(rep.gathered);
+  const std::size_t records = median(rep.records);
   std::printf("  %-15s %-8u %-6zu %11.6fs %13.6fs %8.2fx %4d/%-3d %6s %-6s %3d/%-3d "
-              "%9zu\n",
+              "%9zu %9zu %8zu\n",
               mix_name(mix), start.num_vertices, batch_size, per_batch, scratch,
               scratch / per_batch, recomputed, batches, match ? "yes" : "NO",
-              rep.path(), rep.swept, rep.searched + rep.swept, arcs);
-  char buf[640];
+              rep.path(), rep.swept, rep.searched + rep.swept, arcs, gathered,
+              records);
+  char buf[768];
   std::snprintf(buf, sizeof buf,
                 "{\"tag\": \"dynamic\", \"n\": %u, \"m\": %llu, "
                 "\"mix\": \"%s\", \"batch_size\": %zu, \"batches\": %d, "
                 "\"seconds_per_batch\": %.6f, \"scratch_seconds\": %.6f, "
                 "\"speedup_vs_scratch\": %.4f, \"recomputed\": %d, "
                 "\"path\": \"%s\", \"searched\": %d, \"swept\": %d, "
-                "\"search_arcs\": %zu, \"match\": %s}",
+                "\"search_arcs\": %zu, \"kruskal_batches\": %zu, "
+                "\"gathered_edges\": %zu, \"path_records\": %zu, "
+                "\"max_path_records\": %zu, \"match\": %s}",
                 start.num_vertices,
                 static_cast<unsigned long long>(start.num_edges()),
                 mix_name(mix), batch_size, batches, per_batch, scratch,
                 scratch / per_batch, recomputed, rep.path(), rep.searched,
-                rep.swept, arcs, match ? "true" : "false");
+                rep.swept, arcs, kruskal, gathered, records, max_records,
+                match ? "true" : "false");
   sink.add(buf);
   if (!match) {
     std::fprintf(stderr, "FATAL: dynamic forest diverged at %s batch size %zu\n",
@@ -190,9 +215,9 @@ int main(int argc, char** argv) {
   bench::JsonSink sink;
   constexpr int kBatches = 8;
   std::size_t crossover = 0;
-  std::printf("  %-15s %-8s %-6s %12s %14s %9s %8s %6s %-6s %7s %9s\n", "mix", "n",
-              "batch", "s/batch", "scratch s", "speedup", "scratch", "match", "path",
-              "swept", "arcs");
+  std::printf("  %-15s %-8s %-6s %12s %14s %9s %8s %6s %-6s %7s %9s %9s %8s\n",
+              "mix", "n", "batch", "s/batch", "scratch s", "speedup", "scratch",
+              "match", "path", "swept", "arcs", "gathered", "records");
   struct Row {
     Mix mix;
     std::size_t batch_size;

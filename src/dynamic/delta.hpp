@@ -39,8 +39,15 @@ struct MsfDelta {
   /// the crossing non-tree edges and the insertions, or the whole live graph
   /// on a scratch solve (diagnostics: how much the sparsification shrank the
   /// problem versus `live_edges`).  The Kruskal pass sorts far fewer
-  /// records: only the forest edges on its candidates' root paths.
+  /// records: see `path_records`.
   std::size_t candidate_edges = 0;
+  /// Forest edges the Kruskal pass's root-path walks gathered (0 on every
+  /// other path).
+  std::size_t gathered_edges = 0;
+  /// Records the Kruskal pass sorted in place of the gathered edges: one
+  /// per chain of the compressed path tree, at most one per key vertex
+  /// (see DynamicMsf).
+  std::size_t path_records = 0;
   /// Live edges in the store after the batch.
   std::size_t live_edges = 0;
   /// True when the crossover heuristic gave up on filtering and solved the

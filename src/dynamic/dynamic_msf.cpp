@@ -275,6 +275,8 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
       *end = walks.back().at;
     }
   }
+  // The candidates' endpoints, numbered first: slots [0, terminals).
+  const auto terminals = static_cast<std::uint32_t>(numbered_.size());
   std::vector<Record> path;
   std::size_t walked = 0;
   while (!walks.empty()) {
@@ -293,24 +295,67 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
     }
     walks.resize(keep);
   }
-  std::sort(path.begin(), path.end(), before);
+
+  // ---- Compress: the gathered edges form trees whose leaves are all
+  // terminals.  A vertex is key if it is a terminal or has two or more
+  // gathered children; every other numbered vertex has one child and at
+  // most one parent edge, so it lies inside a chain that runs up from one
+  // key vertex.  Every cycle through a chain edge uses the whole chain, so
+  // only the chain's heaviest edge can be a cycle's maximum: one record per
+  // chain, that edge between the chain's key ends, decides the same edges.
+  // A chain that ends at a root or a cut edge before reaching a key vertex
+  // is all bridges and stays; it gets no record.  key_ counts each slot's
+  // children, then holds its number in the scan's union-find (terminals
+  // keep theirs) or kNoSlot.  A vertex that is not key was reached only by
+  // the walk from its one child, which took the child's edge a round
+  // before its own, so one pass in gathering order carries each chain up:
+  // below_ holds, per vertex that is not key, the chain's heaviest edge so
+  // far and its bottom key. ----
+  const std::size_t slots = numbered_.size();
+  key_.assign(slots, 0);
+  below_.resize(slots);
+  for (const Record& r : path) ++key_[r.v];
+  std::uint32_t keys = terminals;
+  for (std::uint32_t x = terminals; x < slots; ++x) {
+    key_[x] = key_[x] >= 2 ? keys++ : kNoSlot;
+  }
+  for (std::uint32_t x = 0; x < terminals; ++x) key_[x] = x;
+  std::vector<Record> chains;
+  chains.reserve(keys);
+  for (const Record& r : path) {
+    Record c{r.w, r.id, key_[r.u], 0};
+    if (c.u == kNoSlot) {
+      c = below_[r.u];
+      if (before(c, r)) {
+        c.w = r.w;
+        c.id = r.id;
+      }
+    }
+    if (key_[r.v] == kNoSlot) {
+      below_[r.v] = c;
+    } else {
+      c.v = key_[r.v];
+      chains.push_back(c);
+    }
+  }
+  std::sort(chains.begin(), chains.end(), before);
   std::sort(cands.begin(), cands.end(), before);
   sort_s += sort_timer.elapsed_s();
 
-  // ---- One union-find scan over the merge of the gathered forest edges
-  // and the candidates.  Every forest edge off the gathered paths is a
-  // bridge of F' ∪ candidates, so it stays without a find. ----
+  // ---- One union-find scan over the key vertices: the merge of the chain
+  // records and the candidates.  Every forest edge off the gathered paths
+  // is a bridge of F' ∪ candidates, so it stays without a find. ----
   core::iteration_checkpoint(opts_.msf, "forest Kruskal scan");
   fault_point("dynamic.kruskal-scan");
   WallTimer scan_timer;
-  seq::MinRootUnionFind uf(numbered_.size());
+  seq::MinRootUnionFind uf(keys);
   std::vector<EdgeId> dropped;
   std::vector<EdgeId> added;
-  const std::size_t np = path.size();
+  const std::size_t np = chains.size();
   const std::size_t nc = cands.size();
   for (std::size_t pi = 0, ci = 0; pi < np || ci < nc;) {
-    const bool forest = pi < np && (ci == nc || before(path[pi], cands[ci]));
-    const Record& r = forest ? path[pi++] : cands[ci++];
+    const bool forest = pi < np && (ci == nc || before(chains[pi], cands[ci]));
+    const Record& r = forest ? chains[pi++] : cands[ci++];
     if (uf.unite(r.u, r.v)) {
       if (!forest) added.push_back(r.id);
     } else if (forest) {
@@ -341,6 +386,8 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
                                  static_cast<std::size_t>(last - first_new);
   MsfDelta d = commit(std::move(removed), std::move(added));
   d.candidate_edges = candidates;
+  d.gathered_edges = path.size();
+  d.path_records = chains.size();
   d.replacement_path = how;
   d.search_arcs = search_arcs;
   return d;

@@ -39,10 +39,11 @@ struct DynamicMsfOptions {
   /// the algorithm: one Kruskal pass over the forest paths the batch can
   /// close a cycle on decides it (see DynamicMsf), and that pass honours the
   /// budget too.  Instrumentation out-pointers are honored per solve, and
-  /// the Kruskal pass adds the gathering and sort of its records to
-  /// step_times->rank_build (part of `other`) and the rest — finding the
-  /// crossing edges (the piece search, or the fallback labels and sweep),
-  /// the replacement Borůvka and the scan — to step_times->connect.
+  /// the Kruskal pass adds the gathering, compression and sort of its
+  /// records to step_times->rank_build (part of `other`) and the rest —
+  /// finding the crossing edges (the piece search, or the fallback labels
+  /// and sweep), the replacement Borůvka and the scan — to
+  /// step_times->connect.
   core::MsfOptions msf;
   /// Persistent thread team for every solve and for the Kruskal pass's
   /// incidence-list build and replacement sweep.  When null, the DynamicMsf
@@ -94,13 +95,21 @@ struct DynamicMsfOptions {
 ///    root path in F'; every other forest edge is a bridge of F' ∪ R ∪ B and
 ///    stays without a find.  So the pass walks each candidate endpoint's
 ///    root path in the rooted forest — stopping at the root, a cut edge or
-///    an edge already gathered — and sorts and scans only the gathered edges
-///    with the candidates under a fresh union-find.  A gathered edge whose
-///    endpoints are already joined leaves the forest, a candidate that joins
-///    two trees enters it.  Ties break by store id exactly as a from-scratch
-///    run would, so the maintained forest is bit-identical (edge ids and
-///    weight) to MSF(live graph) after every batch, for every backend and
-///    thread count.
+///    an edge already gathered — and compresses the gathered edges before
+///    it sorts anything.  A numbered vertex is key if it is a candidate
+///    endpoint or has two or more gathered children; every other one has
+///    degree 2 in the gathered edges ∪ candidates, so the gathered edges
+///    fall into chains between key vertices.  Every cycle through a chain
+///    edge uses the whole chain, so no chain edge but the heaviest can be a
+///    cycle's maximum: the chain becomes one record, that edge between its
+///    two key ends.  A chain that reaches a root or a cut edge before a key
+///    vertex is all bridges and gets no record.  The pass sorts and scans
+///    those records with the candidates under a fresh union-find over the
+///    key vertices.  A record whose endpoints are already joined takes its
+///    edge out of the forest, a candidate that joins two trees enters it.
+///    Ties break by store id exactly as a from-scratch run would, so the
+///    maintained forest is bit-identical (edge ids and weight) to MSF(live
+///    graph) after every batch, for every backend and thread count.
 ///  * The rooted forest (a parent vertex and parent edge per vertex) is
 ///    built by one BFS over the forest on the first batch that needs it and
 ///    kept current by every commit: a removed edge detaches its child side,
@@ -327,6 +336,11 @@ class DynamicMsf {
   std::vector<graph::VertexId> stopped_;
   std::vector<std::uint32_t> slot_;
   std::vector<graph::VertexId> numbered_;
+  /// The compression's scratch, one entry per numbered vertex, resized each
+  /// batch: its child count and then its key number, and the chain below it
+  /// so far (see apply_by_kruskal).
+  std::vector<std::uint32_t> key_;
+  std::vector<Record> below_;
   /// The piece search's scratch, left clear the same way: the search that
   /// claimed each vertex (kNoSlot when none), and the claimed vertices.
   std::vector<std::uint32_t> piece_;

@@ -13,8 +13,11 @@
 // at p ∈ {1, 2, 4}: a path-shaped forest whose everts pass the cap, a star
 // cut into about n pieces, mostly isolated vertices, tied and parallel
 // crossing edges, a tree edge deleted and re-inserted in one batch, and
-// compaction or a restore between Kruskal batches.  Also: the pass honours
-// the budget and fills StepTimes.
+// compaction or a restore between Kruskal batches; and the shapes of the
+// compressed path tree: long chains along a path, a dangling chain holding
+// the heaviest forest edge, a star joined leaf to leaf, a terminal inside
+// another candidate's chain, and walks stopped by a cut partway up a chain.
+// Also: the pass honours the budget and fills StepTimes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -643,6 +646,159 @@ TEST_P(DynamicForestKruskalCases, RandomBatchesOnBothSidesOfTheSearchLimit) {
                                  draw_deletions(rng, *t.d, n / 5, 4));
     EXPECT_EQ(big.replacement_path, dynamic::ReplacementPath::kSweep);
   }
+}
+
+/// A path 0 — 1 — … — n−1 at tiny weights but for the edges (v − 1, v)
+/// named in `heavy`, each with its weight.  Vertex 0, the least, roots it.
+EdgeList weighted_path(VertexId n,
+                       std::initializer_list<std::pair<VertexId, Weight>> heavy) {
+  EdgeList g = light_path(n);
+  for (const auto& [v, w] : heavy) g.edges[v - 1].w = w;
+  return g;
+}
+
+TEST_P(DynamicForestKruskalCases, CandidatesAlongALongPathMakeManyChains) {
+  // Insertions with endpoints spread along one long path: every walk runs
+  // to vertex 0, so the gathered edges are one path with many terminals on
+  // it and long chains between them.
+  const VertexId n = 3000;
+  Rng rng(107 + static_cast<std::uint64_t>(GetParam()));
+  EdgeList g = light_path(n);
+  add_chords(g, 0, n, 3000, 1.0, rng);
+  Checked t(g, &team);
+  for (int step = 0; step < 6; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    std::vector<WEdge> ins;
+    for (int i = 0; i < 12; ++i) {
+      const auto u = static_cast<VertexId>(rng.next_below(n));
+      auto v = static_cast<VertexId>(rng.next_below(n - 1));
+      if (v >= u) ++v;
+      ins.push_back(WEdge{u, v, 1e-3 * rng.next_double()});
+    }
+    const MsfDelta d = t.apply(ins, {});
+    EXPECT_GT(d.gathered_edges, 10 * d.path_records);
+    EXPECT_LE(d.path_records, 2 * 2 * ins.size() - 1);
+  }
+  EXPECT_GE(t.sparsified_changes, 5);
+}
+
+TEST_P(DynamicForestKruskalCases, DanglingChainAboveTheTopKeyKeepsTheHeaviestEdge) {
+  // The walks from 50, 100, 200 and 400 meet at 50; the chain from 50 up
+  // to the root 0 meets no other key vertex and holds the heaviest forest
+  // edge, (0, 1).  It is all bridges and stays.  The insertion (100, 200)
+  // closes a cycle whose heaviest edge is (150, 151); (50, 400) is heavier
+  // than every edge of its cycle.
+  const VertexId n = 600;
+  Checked t(weighted_path(n, {{1, 10.0}, {151, 3.0}}), &team);
+  const EdgeId first_new = t.d->store().size();
+  const MsfDelta d =
+      t.apply({WEdge{100, 200, -1.0}, WEdge{50, 400, 7.0}}, {});
+  EXPECT_EQ(d.forest_removed, std::vector<EdgeId>{150});  // (150, 151)
+  EXPECT_EQ(d.forest_added, std::vector<EdgeId>{first_new});
+  // 400 → 200 → 100 → 50 sorted; 50 → 0 dropped.
+  EXPECT_EQ(d.gathered_edges, 400u);
+  EXPECT_EQ(d.path_records, 3u);
+  EXPECT_TRUE(std::binary_search(t.d->forest_edge_ids().begin(),
+                                 t.d->forest_edge_ids().end(), EdgeId{0}));
+}
+
+TEST_P(DynamicForestKruskalCases, StarWhoseInsertionsJoinLeaves) {
+  // Every insertion joins two leaves of a star rooted at its centre 0, so
+  // the centre is the one key vertex that is not a terminal, and each
+  // touched spoke is a chain of its own.
+  const VertexId n = 500;
+  Rng rng(109 + static_cast<std::uint64_t>(GetParam()));
+  EdgeList g(n);
+  for (VertexId v = 1; v < n; ++v) g.add_edge(0, v, 0.5 + 0.5 * rng.next_double());
+  add_chords(g, 1, n, 2000, 1.0, rng);
+  Checked t(g, &team);
+  for (int step = 0; step < 5; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    std::vector<WEdge> ins;
+    std::vector<VertexId> leaves;
+    for (int i = 0; i < 20; ++i) {
+      const auto u = 1 + static_cast<VertexId>(rng.next_below(n - 1));
+      auto v = 1 + static_cast<VertexId>(rng.next_below(n - 2));
+      if (v >= u) ++v;
+      ins.push_back(WEdge{u, v, rng.next_double()});
+      leaves.push_back(u);
+      leaves.push_back(v);
+    }
+    std::sort(leaves.begin(), leaves.end());
+    leaves.erase(std::unique(leaves.begin(), leaves.end()), leaves.end());
+    const MsfDelta d = t.apply(ins, {});
+    // The first batch roots the star at 0; the later ones walk from leaves
+    // of a re-rooted forest, where only the bound holds.
+    if (step == 0) {
+      EXPECT_EQ(d.gathered_edges, leaves.size());
+      EXPECT_EQ(d.path_records, leaves.size());
+    }
+    EXPECT_LE(d.path_records, 2 * leaves.size() - 1);
+  }
+  EXPECT_GE(t.sparsified_changes, 4);
+}
+
+TEST_P(DynamicForestKruskalCases, CandidateEndpointSplitsAnotherCandidatesChain) {
+  // (10, 300) alone would make one chain 300 → 10 with max (200, 201).  The
+  // endpoint 150 of (150, 500) lies inside it and splits it at 150: the
+  // pass must see that (10, 300) enters before (150, 500) is decided, and
+  // that (200, 201) then closes a cycle with both.
+  const VertexId n = 600;
+  Checked t(weighted_path(n, {{101, 2.0}, {201, 3.0}}), &team);
+  const EdgeId first_new = t.d->store().size();
+  const MsfDelta d =
+      t.apply({WEdge{10, 300, 2.5}, WEdge{150, 500, 2.8}}, {});
+  EXPECT_EQ(d.forest_removed, std::vector<EdgeId>{200});  // (200, 201)
+  EXPECT_EQ(d.forest_added, std::vector<EdgeId>{first_new});
+  // 500 → 300 → 150 → 10 sorted; 10 → 0 dropped.
+  EXPECT_EQ(d.path_records, 3u);
+}
+
+TEST_P(DynamicForestKruskalCases, CutStopsTheWalksPartwayUpAChain) {
+  // Cutting (300, 301) stops every walk from above it at 301.  The
+  // replacement (100, 380) and the insertion (350, 450) make 350 and 380
+  // key vertices; the chain 350 → 301 ends at the cut and is dropped.  The
+  // insertion outbids (420, 421), the heaviest edge between 380 and 450.
+  const VertexId n = 600;
+  EdgeList g = weighted_path(n, {{361, 4.0}, {421, 4.5}});
+  const EdgeId first_chord = g.num_edges();
+  g.add_edge(100, 380, 5.0);
+  g.add_edge(50, 420, 6.0);
+  Checked t(g, &team);
+  const EdgeId first_new = t.d->store().size();
+  const MsfDelta d = t.apply({WEdge{350, 450, 4.2}}, {300});
+  EXPECT_EQ(d.forest_removed, (std::vector<EdgeId>{300, 420}));
+  EXPECT_EQ(d.forest_added, (std::vector<EdgeId>{first_chord, first_new}));
+  // 450 → 380 → 350 sorted; 350 → 301 and 100 → 0 dropped.
+  EXPECT_EQ(d.path_records, 2u);
+}
+
+TEST_P(DynamicForestKruskalCases, PathRecordsStayUnderTwiceTheTerminals) {
+  // Key vertices are the terminals and the branch points of the gathered
+  // forest, whose leaves are all terminals, so there are fewer than twice
+  // as many as terminals; each sends up at most one record.
+  const VertexId n = 2000;
+  Rng rng(113 + static_cast<std::uint64_t>(GetParam()));
+  EdgeList g(n);
+  add_chords(g, 0, n, 6000, 0.0, rng);
+  Checked t(g, &team);
+  for (int step = 0; step < 20; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const std::vector<WEdge> ins =
+        draw_insertions(rng, *t.d, 1 + rng.next_below(64), Weights::kRandom);
+    std::vector<VertexId> terminals;
+    for (const WEdge& e : ins) {
+      terminals.push_back(e.u);
+      terminals.push_back(e.v);
+    }
+    std::sort(terminals.begin(), terminals.end());
+    terminals.erase(std::unique(terminals.begin(), terminals.end()),
+                    terminals.end());
+    const MsfDelta d = t.apply(ins, {});
+    EXPECT_LE(d.path_records, 2 * terminals.size() - 1);
+    EXPECT_LE(d.path_records, d.gathered_edges);
+  }
+  EXPECT_GE(t.sparsified_changes, 10);
 }
 
 INSTANTIATE_TEST_SUITE_P(Team, DynamicForestKruskalCases,
