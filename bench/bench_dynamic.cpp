@@ -11,11 +11,13 @@
 // an insert that cannot enter the forest, one that must, and the delete of
 // a forest edge.  Each record names its `mix`, the path most of its cut
 // batches took to their replacement edges (`search` of the small pieces,
-// `sweep` of every slot, or `none`), how many swept, and the median arcs a
-// search read; and, over its batches that took the Kruskal pass, the median
-// forest edges the root-path walks gathered, the median and the largest
-// count of compressed path records the pass sorted in their place.  Every
-// row's final forest is checked bit-identical to a scratch solve.
+// `sweep` of every slot, or `none`), how many swept, and the medians of the
+// arcs a search read, the pieces it named, the rounds it read in and the
+// arcs of its largest exhausted piece; and, over its batches that took the
+// Kruskal pass, the median forest edges the root-path walks gathered, the
+// median and the largest count of compressed path records the pass sorted
+// in their place.  Every row's final forest is checked bit-identical to a
+// scratch solve.
 #include <algorithm>
 #include <cstdio>
 #include <random>
@@ -110,13 +112,17 @@ std::size_t median(std::vector<std::size_t>& v) {
 }
 
 /// What a row's batches did: how its cut batches found their replacements
-/// (how many searched the small pieces and how many swept, and the arcs
-/// each search read), and, for each batch that took the Kruskal pass, the
-/// forest edges its walks gathered and the path records it sorted.
+/// (how many searched the small pieces and how many swept, and for each
+/// search the arcs it read, the pieces it named, its rounds and the arcs of
+/// its largest exhausted piece), and, for each batch that took the Kruskal
+/// pass, the forest edges its walks gathered and the path records it sorted.
 struct Replacements {
   int searched = 0;
   int swept = 0;
   std::vector<std::size_t> arcs;
+  std::vector<std::size_t> pieces;
+  std::vector<std::size_t> rounds;
+  std::vector<std::size_t> largest;
   std::vector<std::size_t> gathered;
   std::vector<std::size_t> records;
 
@@ -130,6 +136,9 @@ struct Replacements {
     if (d.replacement_path == dynamic::ReplacementPath::kNone) return;
     ++(d.replacement_path == dynamic::ReplacementPath::kSearch ? searched : swept);
     arcs.push_back(d.search_arcs);
+    pieces.push_back(d.search_pieces);
+    rounds.push_back(d.search_rounds);
+    largest.push_back(d.largest_piece_arcs);
   }
   /// The path most of the row's cut batches took, or "none".
   [[nodiscard]] const char* path() const {
@@ -164,32 +173,37 @@ bool finish_row(bench::JsonSink& sink, const EdgeList& start,
                      ref.total_weight == d.total_weight();
 
   const std::size_t arcs = median(rep.arcs);
+  const std::size_t pieces = median(rep.pieces);
+  const std::size_t rounds = median(rep.rounds);
+  const std::size_t largest = median(rep.largest);
   const std::size_t kruskal = rep.records.size();
   const std::size_t max_records = rep.max_records();
   const std::size_t gathered = median(rep.gathered);
   const std::size_t records = median(rep.records);
   std::printf("  %-15s %-8u %-6zu %11.6fs %13.6fs %8.2fx %4d/%-3d %6s %-6s %3d/%-3d "
-              "%9zu %9zu %8zu\n",
+              "%9zu %7zu %6zu %8zu %9zu %8zu\n",
               mix_name(mix), start.num_vertices, batch_size, per_batch, scratch,
               scratch / per_batch, recomputed, batches, match ? "yes" : "NO",
-              rep.path(), rep.swept, rep.searched + rep.swept, arcs, gathered,
-              records);
-  char buf[768];
+              rep.path(), rep.swept, rep.searched + rep.swept, arcs, pieces,
+              rounds, largest, gathered, records);
+  char buf[1024];
   std::snprintf(buf, sizeof buf,
                 "{\"tag\": \"dynamic\", \"n\": %u, \"m\": %llu, "
                 "\"mix\": \"%s\", \"batch_size\": %zu, \"batches\": %d, "
                 "\"seconds_per_batch\": %.6f, \"scratch_seconds\": %.6f, "
                 "\"speedup_vs_scratch\": %.4f, \"recomputed\": %d, "
                 "\"path\": \"%s\", \"searched\": %d, \"swept\": %d, "
-                "\"search_arcs\": %zu, \"kruskal_batches\": %zu, "
+                "\"search_arcs\": %zu, \"search_pieces\": %zu, "
+                "\"search_rounds\": %zu, \"largest_piece_arcs\": %zu, "
+                "\"kruskal_batches\": %zu, "
                 "\"gathered_edges\": %zu, \"path_records\": %zu, "
                 "\"max_path_records\": %zu, \"match\": %s}",
                 start.num_vertices,
                 static_cast<unsigned long long>(start.num_edges()),
                 mix_name(mix), batch_size, batches, per_batch, scratch,
                 scratch / per_batch, recomputed, rep.path(), rep.searched,
-                rep.swept, arcs, kruskal, gathered, records, max_records,
-                match ? "true" : "false");
+                rep.swept, arcs, pieces, rounds, largest, kruskal, gathered,
+                records, max_records, match ? "true" : "false");
   sink.add(buf);
   if (!match) {
     std::fprintf(stderr, "FATAL: dynamic forest diverged at %s batch size %zu\n",
@@ -215,9 +229,10 @@ int main(int argc, char** argv) {
   bench::JsonSink sink;
   constexpr int kBatches = 8;
   std::size_t crossover = 0;
-  std::printf("  %-15s %-8s %-6s %12s %14s %9s %8s %6s %-6s %7s %9s %9s %8s\n",
+  std::printf("  %-15s %-8s %-6s %12s %14s %9s %8s %6s %-6s %7s %9s %7s %6s %8s %9s %8s\n",
               "mix", "n", "batch", "s/batch", "scratch s", "speedup", "scratch",
-              "match", "path", "swept", "arcs", "gathered", "records");
+              "match", "path", "swept", "arcs", "pieces", "rounds", "largest",
+              "gathered", "records");
   struct Row {
     Mix mix;
     std::size_t batch_size;

@@ -183,9 +183,10 @@ void validate_request(const graph::EdgeList& g, const MsfOptions& opts);
 /// compressed graph's edge count.
 void validate_edge_count(Algorithm alg, std::size_t num_edges);
 
-/// Per-iteration cooperative checkpoint.  Called between parallel regions on
-/// the orchestrating thread only (never inside a team region), so a throw
-/// here unwinds without any barrier interaction.  Each check under a budget
+/// Per-iteration cooperative checkpoint.  Called on the orchestrating thread
+/// between parallel regions, or by one thread of a region between two of its
+/// barriers (DynamicMsf's piece search does so between rounds), where a
+/// throw poisons the barrier and the region unwinds.  Each check under a budget
 /// is a hit of the fault point "budget.check", so a test can count them, or
 /// cancel at the k-th one (FaultKind::kCancel).
 inline void iteration_checkpoint(const MsfOptions& opts, std::string_view where) {

@@ -58,6 +58,16 @@ struct MsfDelta {
   /// Incidence arcs the piece search read, also when it passed its limit
   /// and the batch fell back to the sweep (0 when no search ran).
   std::size_t search_arcs = 0;
+  /// Pieces the search named: one per cut edge, plus, when its first rounds
+  /// left a child piece unexhausted, one per cut tree for the piece that
+  /// holds its root (0 when no search ran).
+  std::size_t search_pieces = 0;
+  /// Rounds the search read in (see DynamicMsf).
+  std::size_t search_rounds = 0;
+  /// Arcs of the largest piece the search exhausted (0 when it exhausted
+  /// none): the longest a search that read each piece on one thread would
+  /// take.
+  std::size_t largest_piece_arcs = 0;
 
   [[nodiscard]] bool changed_forest() const {
     return !forest_added.empty() || !forest_removed.empty();

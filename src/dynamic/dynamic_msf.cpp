@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "core/error.hpp"
+#include "pprim/cacheline.hpp"
 #include "pprim/fault.hpp"
 #include "pprim/partition.hpp"
 #include "pprim/timer.hpp"
@@ -211,7 +212,7 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
   double connect_s = 0;
   std::size_t crossing = 0;
   ReplacementPath how = ReplacementPath::kNone;
-  std::size_t search_arcs = 0;
+  SearchCounts search;
   std::vector<Record> cands;
   if (!cut.empty()) {
     WallTimer connect_timer;
@@ -221,7 +222,7 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
       incidence_.sync(*opts_.team, store_, first_new);
       const auto limit = static_cast<std::size_t>(
           kSearchFraction * static_cast<double>(store_.num_live()));
-      found = search_pieces(cut, limit, search_arcs);
+      found = search_pieces(cut, limit, search);
     }
     how = found ? ReplacementPath::kSearch : ReplacementPath::kSweep;
     if (!found) {
@@ -389,242 +390,410 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
   d.gathered_edges = path.size();
   d.path_records = chains.size();
   d.replacement_path = how;
-  d.search_arcs = search_arcs;
+  d.search_arcs = search.arcs;
+  d.search_pieces = search.pieces;
+  d.search_rounds = search.rounds;
+  d.largest_piece_arcs = search.largest;
   return d;
 }
 
 std::optional<DynamicMsf::Crossing> DynamicMsf::search_pieces(
-    const std::vector<EdgeId>& cut, std::size_t limit, std::size_t& arcs) {
+    const std::vector<EdgeId>& cut, std::size_t limit, SearchCounts& counts) {
   if (piece_.empty()) piece_.assign(store_.num_vertices(), kNoSlot);
+  /// A vertex a piece's reading reached, and its parent edge (kNoSlot at
+  /// the top, whose parent edge is cut or absent).
+  struct Visit {
+    VertexId x;
+    std::uint32_t up;
+  };
+  // A piece is the subtree of its top in the rooted forest, less the
+  // subtrees of the cut edges' child ends inside it; a top is a cut edge's
+  // child end or the root of a cut tree.  One to a cache line: the threads
+  // write their pieces side by side.
+  struct alignas(kCacheLineBytes) Piece {
+    explicit Piece(VertexId t, std::uint32_t r = kNoSlot) : top(t), tree(r) {}
+    VertexId top;
+    std::uint32_t tree;            ///< the piece that holds its tree's root
+    std::uint32_t count = 0;       ///< its tree's pieces (a root piece's)
+    std::uint32_t exhausted = 0;   ///< of which exhausted (a root piece's)
+    /// The vertices its reading reached, in order; from `head` on unread.
+    std::vector<Visit> queue;
+    std::size_t head = 0;
+    std::vector<std::uint32_t> aside;  ///< the non-tree arcs it set aside
+    IncidenceList::Cursor at{};  ///< the vertex being read, while `open`
+    std::uint32_t up = kNoSlot;  ///< at.x's parent edge
+    bool open = false;
+    bool done = false;      ///< exhausted
+    std::size_t quota = 0;  ///< arcs it may read this round
+    std::size_t read = 0;   ///< arcs it read this round
+    std::size_t total = 0;  ///< arcs it read
+  };
+  std::vector<Piece> pieces;
+  // piece_ holds the piece of every vertex a walk labelled and of every
+  // vertex a reading reached; clear both on every exit.
   struct Clear {
     DynamicMsf& m;
+    const std::vector<Piece>& pieces;
     ~Clear() {
       for (const VertexId x : m.claimed_) m.piece_[x] = kNoSlot;
       m.claimed_.clear();
+      for (const Piece& pc : pieces) {
+        for (const Visit v : pc.queue) m.piece_[v.x] = kNoSlot;
+      }
     }
-  } clear{*this};
+  } clear{*this, pieces};
 
-  // One search per claimed part of a piece.  `up` joins searches that met
-  // (the union-find of merges); `group` joins the searches of one cut tree
-  // known so far: the two ends of a cut edge, and searches that met.  A
-  // group's root counts its cut edges and its exhausted searches.  A group's
-  // searches, merged, always number its cut edges plus one, so it has one
-  // search left when every other is exhausted: then it is done, and its
-  // last search stops.  When every group is done, every cut tree has at
-  // most one piece left unexhausted (two such pieces would put two
-  // unexhausted searches in one group: the pieces between them are
-  // exhausted, so their searches joined the cut edges on the way).
-  struct Search {
-    /// Claimed vertices in claim order; those from `head` on are unread.
-    std::vector<VertexId> queue;
-    std::size_t head = 0;
-    /// Vertices being read: one, or more after a merge.
-    std::vector<IncidenceList::Cursor> open;
-    std::uint32_t up;
-    std::uint32_t group;
-    std::uint32_t cuts = 0;
-    std::uint32_t exhausted = 0;
-    std::uint32_t read = 0;  ///< arcs read
-    bool child = false;      ///< holds the child end of a cut edge
-    bool done = false;       ///< its piece is exhausted
-  };
-  std::vector<Search> s;
-  const auto find = [&](std::uint32_t a) {
-    while (s[a].up != a) a = s[a].up = s[s[a].up].up;
-    return a;
-  };
-  const auto group = [&](std::uint32_t a) {
-    while (s[a].group != a) a = s[a].group = s[s[a].group].group;
-    return a;
-  };
-  const auto join_groups = [&](std::uint32_t a, std::uint32_t b,
-                               std::uint32_t cuts) {
-    a = group(a);
-    b = group(b);
-    s[b].group = a;
-    s[a].cuts += s[b].cuts + cuts;
-    s[a].exhausted += s[b].exhausted;
-  };
-  const auto claim = [&](VertexId x, std::uint32_t a) {
-    piece_[x] = a;
+  // ---- The child pieces: each cut edge's child end tops one, numbered in
+  // cut order.  Its parent end, at[i], lies in another piece. ----
+  const auto name = [&](VertexId x, std::uint32_t label) {
+    piece_[x] = label;
     claimed_.push_back(x);
-    s[a].queue.push_back(x);
-    incidence_.prefetch(x);
   };
-  const auto seed = [&](VertexId x, bool child) {
-    std::uint32_t a = 0;
-    if (piece_[x] != kNoSlot) {
-      a = find(piece_[x]);
-    } else {
-      a = static_cast<std::uint32_t>(s.size());
-      s.push_back(Search{{}, 0, {}, a, a});
-      claim(x, a);
-    }
-    s[a].child = s[a].child || child;
-    return a;
-  };
-  for (const EdgeId id : cut) {
-    const WEdge& e = store_.edge(id);
-    const bool u_child = links_[e.u].edge == id;
-    const std::uint32_t a = seed(e.u, u_child);
-    join_groups(a, seed(e.v, !u_child), 1);
+  const auto cuts = static_cast<std::uint32_t>(cut.size());
+  std::vector<VertexId> at(cuts);
+  pieces.reserve(2 * cut.size());
+  for (std::uint32_t i = 0; i < cuts; ++i) {
+    const WEdge& e = store_.edge(cut[i]);
+    const bool u_child = links_[e.u].edge == cut[i];
+    pieces.emplace_back(u_child ? e.u : e.v);
+    name(pieces.back().top, i);
+    at[i] = u_child ? e.v : e.u;
   }
 
-  // Reads one arc of search `a` (a root, not done, in a group not done):
-  // claims the far end of a forest arc of F' or merges with the search that
-  // holds it, and sets every non-tree arc aside unread (the membership bit
-  // needs only the id); the labelling below reads those whose search ends
-  // exhausted.  Vertices are read in claim order, and starting one loads
-  // the slots of its forest arcs and the arc list of the next, so a
-  // search's reads wait on memory together rather than one after another.
-  struct Arc {
-    VertexId x;
-    std::uint32_t id;
-  };
-  std::vector<Arc> leaving;
-  const auto advance = [&](std::uint32_t a) {
-    Search& t = s[a];
-    std::uint32_t id = 0;
-    VertexId x = 0;
-    for (;;) {
-      if (!t.open.empty()) {
-        if (incidence_.next(t.open.back(), id)) {
-          x = t.open.back().x;
-          break;
+  // ---- Read the pieces, each from its top down, in rounds.  At a vertex x,
+  // every live forest arc but x's parent edge leads to a child of x in the
+  // same piece, which nothing else reaches, so the pieces are read side by
+  // side without claiming anything.  Every non-tree arc is set aside unread
+  // (the membership bit needs only the id), for the labelling below to read
+  // if its piece ends exhausted.  Starting a vertex loads the slots of its
+  // forest arcs and the arc list of the next, so a piece's reads wait on
+  // memory together rather than one after another.
+  //
+  // Each round, a running child piece reads up to kFirstArcs arcs, doubled
+  // every round after the first, and a root piece 1/kRootShare of that: it
+  // is nearly always its tree's largest, and it is read only until the
+  // rest of its tree is exhausted, so reading it slowly costs a fraction of
+  // the small pieces' arcs instead of all of them again; a root piece
+  // smaller than a child piece is still read within kRootShare times its
+  // size.  No round reads past `limit` by more than one arc per piece: the
+  // quotas shrink in proportion to fit what is left of it.  The threads
+  // take pieces in turn, and between rounds one of them adds up, counts the
+  // exhausted pieces, runs the budget checkpoint and stops the search at
+  // `limit`; a tree is done when all of its pieces but one are exhausted.
+  // A piece is read by one thread at a time, in one order, so what a round
+  // reads depends only on the rounds before it: the arcs read, and whether
+  // the search passes `limit`, are the same at every p and every schedule.
+  // Rounds whose quotas sum to less than kTeamArcs run on the calling
+  // thread, so a small search never wakes the team.  A piece reaches at
+  // most one vertex and sets aside at most one arc per arc it reads, so
+  // reserving its quota before each round leaves the threads nothing to
+  // allocate (memory a worker allocates stays in its own malloc arena).
+  //
+  // The first rounds read only the child pieces: once all of them are
+  // exhausted, every tree has at most its root piece left, and the search
+  // is over without knowing where the roots are.  That ends most searches
+  // of a few cuts.  A search whose child pieces still run when their
+  // budget reaches kWalkArcs names the rest of its pieces first (below). ----
+  constexpr std::size_t kFirstArcs = 8;
+  constexpr std::size_t kRootShare = 4;
+  constexpr std::size_t kWalkArcs = 64;
+  constexpr std::size_t kTeamArcs = 1024;
+  const auto p = static_cast<std::size_t>(opts_.team->size());
+  const auto read = [&](std::uint32_t i) {
+    Piece& pc = pieces[i];
+    std::size_t n = 0;
+    while (n < pc.quota) {
+      if (!pc.open) {
+        if (pc.head == pc.queue.size()) break;
+        const Visit v = pc.queue[pc.head++];
+        pc.at = incidence_.arcs(v.x);
+        pc.up = v.up;
+        pc.open = true;
+        for (const std::uint32_t* a = pc.at.pos; a != pc.at.end; ++a) {
+          if (forest_->contains(*a)) store_.prefetch(*a);
         }
-        t.open.pop_back();
-      } else if (t.head < t.queue.size()) {
-        const IncidenceList::Cursor c = incidence_.arcs(t.queue[t.head++]);
-        for (const std::uint32_t* p = c.pos; p != c.end; ++p) {
-          if (forest_->contains(*p)) store_.prefetch(*p);
-        }
-        if (t.head < t.queue.size()) incidence_.prefetch_arcs(t.queue[t.head]);
-        t.open.push_back(c);
-      } else {
-        t.done = true;
-        ++s[group(a)].exhausted;
-        return;
+        if (pc.head < pc.queue.size()) incidence_.prefetch_arcs(pc.queue[pc.head].x);
       }
-    }
-    ++t.read;
-    if (++arcs % kCheckEvery == 0) {
-      core::iteration_checkpoint(opts_.msf, "forest Kruskal search");
-    }
-    if (!forest_->contains(id)) {
-      leaving.push_back(Arc{x, id});
-      return;
-    }
-    if (!store_.is_live(id)) return;
-    const WEdge& e = store_.edge(id);
-    const VertexId y = e.u == x ? e.v : e.u;
-    const std::uint32_t b = piece_[y] == kNoSlot ? kNoSlot : find(piece_[y]);
-    if (b == a) return;
-    if (b == kNoSlot) {
-      claim(y, a);
-    } else {
-      // Two searches of one piece met: `a` takes over b's unread and
-      // half-read vertices, and b's group, another group of the same tree,
-      // joins a's.
-      Search& u = s[b];
-      u.up = a;
-      t.child = t.child || u.child;
-      if (u.queue.size() - u.head > t.queue.size() - t.head) {
-        std::swap(t.queue, u.queue);
-        std::swap(t.head, u.head);
-      }
-      t.queue.insert(t.queue.end(),
-                     u.queue.begin() + static_cast<std::ptrdiff_t>(u.head),
-                     u.queue.end());
-      t.open.insert(t.open.end(), u.open.begin(), u.open.end());
-      u.queue = {};
-      u.open = {};
-      join_groups(a, b, 0);
-    }
-  };
-  const auto running = [&](std::uint32_t a) {
-    if (s[a].up != a || s[a].done) return false;
-    const std::uint32_t g = group(a);
-    return s[g].exhausted != s[g].cuts;
-  };
-
-  // Turns: a search that holds a cut edge's child end reads one arc every
-  // turn; one started only at parent ends does so for its first kOwnTurns
-  // arcs, and after that the searches like it take one arc between them
-  // every kRotationTurns turns, in rotation.  A child end's search reads its
-  // own piece (the cut child tops it in the rooted forest, so no two child
-  // ends share one), while the parent ends mostly lie in one piece, the cut
-  // tree's root piece, which is nearly always the largest: reading it
-  // slowly costs a quarter of the small pieces' arcs instead of all of
-  // them again.  The first arcs at full rate still end the search of a
-  // small root piece quickly, and a root piece smaller than a child piece
-  // is read within four times its size.
-  constexpr std::uint32_t kOwnTurns = 32;
-  constexpr std::size_t kRotationTurns = 4;
-  const auto every_turn = [&](std::uint32_t a) {
-    return s[a].child || s[a].read < kOwnTurns;
-  };
-  std::vector<std::uint32_t> turn(s.size());
-  for (std::uint32_t a = 0; a < s.size(); ++a) turn[a] = a;
-  std::vector<std::uint32_t> rotation;  // from rotation_head on
-  std::size_t rotation_head = 0;
-  std::vector<std::uint32_t> next;
-  const auto step = [&](std::uint32_t a) {
-    advance(a);
-    if (running(a)) (every_turn(a) ? next : rotation).push_back(a);
-  };
-  for (std::size_t turns = 1; !turn.empty() || rotation_head < rotation.size();
-       ++turns) {
-    next.clear();
-    for (const std::uint32_t a : turn) {
-      if (running(a)) step(a);
-    }
-    while (turns % kRotationTurns == 0 && rotation_head < rotation.size()) {
-      const std::uint32_t a = rotation[rotation_head++];
-      if (!running(a)) continue;
-      if (every_turn(a)) {
-        next.push_back(a);
+      std::uint32_t id = 0;
+      if (!incidence_.next(pc.at, id)) {
+        pc.open = false;
         continue;
       }
-      step(a);
-      break;
+      ++n;
+      if (!forest_->contains(id)) {
+        pc.aside.push_back(id);
+        continue;
+      }
+      if (id == pc.up || !store_.is_live(id)) continue;
+      const WEdge& e = store_.edge(id);
+      const VertexId y = e.u == pc.at.x ? e.v : e.u;
+      piece_[y] = i;
+      pc.queue.push_back(Visit{y, id});
+      incidence_.prefetch(y);
     }
-    if (arcs > limit) return std::nullopt;
-    std::swap(turn, next);
-  }
-
-  // Each exhausted search is a piece of its own, numbered from 1; every
-  // other vertex lies in the one unexhausted piece of its tree, all of them
-  // labelled 0.  Sharing one label across trees is safe: crossing edges
-  // never join two trees, so the contracted pieces of different trees meet
-  // only at that point, and the MSF of graphs glued at one vertex is the
-  // union of their MSFs.  Each crossing edge has an end in an exhausted
-  // piece, which set it aside; an edge between two exhausted pieces is kept
-  // from its lower-labelled end.  The slots are loaded kAhead arcs early.
-  std::vector<std::uint32_t> label(s.size(), 0);
-  std::uint32_t pieces = 1;
-  for (std::uint32_t a = 0; a < s.size(); ++a) {
-    if (s[a].done) label[a] = pieces++;
-  }
-  const auto piece = [&](VertexId x) {
-    return piece_[x] == kNoSlot ? 0 : label[find(piece_[x])];
+    pc.read = n;
   };
-  constexpr std::size_t kAhead = 16;
-  Crossing cross{{}, pieces};
-  for (std::size_t i = 0; i < leaving.size(); ++i) {
-    if (i + kAhead < leaving.size()) store_.prefetch(leaving[i + kAhead].id);
-    const Arc arc = leaving[i];
-    const std::uint32_t px = piece(arc.x);
-    if (px == 0 || !store_.is_live(arc.id)) continue;
-    const WEdge& e = store_.edge(arc.id);
-    const std::uint32_t py = piece(e.u == arc.x ? e.v : e.u);
-    if (px != py && (py == 0 || px < py)) {
-      cross.edges.push_back(Record{e.w, arc.id, px, py});
+
+  // The pieces reading this round, and the next one a thread takes.
+  std::vector<std::uint32_t> run;
+  std::atomic<std::size_t> next{0};
+  const auto read_round = [&] {
+    for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+         k < run.size(); k = next.fetch_add(1, std::memory_order_relaxed)) {
+      read(run[k]);
     }
+  };
+
+  // ---- Name the rest of the pieces.  A cut edge's parent end lies in the
+  // piece of the nearest top above it: a walk goes up links_ from there and
+  // stops at a named vertex — a top, a vertex a reading reached, or one an
+  // earlier walk labelled — or at a root, which tops its tree's root piece.
+  // The walks go up together, one step each per round, each loading the
+  // link it reads next, as the Kruskal pass's gather walks do.  A walk
+  // marks what it passes with kWalk and its index, and one that reaches a
+  // mark ends in the piece of the walk that made it; that walk reached the
+  // vertex first, so following the marks ends.  This gives the piece tree,
+  // each cut tree's piece count and its exhausted pieces so far; the root
+  // pieces join the reading. ----
+  bool walked = false;
+  const auto walk = [&] {
+    constexpr std::uint32_t kWalk = std::uint32_t{1} << 31;
+    // ends[w]: the piece walk w ended in, or kWalk | the walk whose mark it
+    // reached.
+    std::vector<std::uint32_t> ends(cuts, kNoSlot);
+    std::vector<std::uint32_t> walks(cuts);
+    for (std::uint32_t w = 0; w < cuts; ++w) {
+      walks[w] = w;
+      __builtin_prefetch(&links_[at[w]]);
+    }
+    std::size_t steps = 0;
+    while (!walks.empty()) {
+      std::size_t keep = 0;
+      for (const std::uint32_t w : walks) {
+        const VertexId x = at[w];
+        if (piece_[x] != kNoSlot) {
+          ends[w] = piece_[x];
+          continue;
+        }
+        const VertexId up = links_[x].parent;
+        if (up == x) {
+          ends[w] = static_cast<std::uint32_t>(pieces.size());
+          pieces.emplace_back(x, ends[w]);
+          name(x, ends[w]);
+          continue;
+        }
+        name(x, kWalk | w);
+        at[w] = up;
+        __builtin_prefetch(&links_[up]);
+        __builtin_prefetch(&piece_[up]);
+        walks[keep++] = w;
+        if (++steps % kCheckEvery == 0) {
+          core::iteration_checkpoint(opts_.msf, "forest Kruskal search");
+        }
+      }
+      walks.resize(keep);
+    }
+    for (std::uint32_t w = 0; w < cuts; ++w) {
+      std::uint32_t end = ends[w];
+      while ((end & kWalk) != 0) end = ends[end & ~kWalk];
+      for (std::uint32_t v = w; (ends[v] & kWalk) != 0;) {
+        const std::uint32_t up = ends[v] & ~kWalk;
+        ends[v] = end;
+        v = up;
+      }
+    }
+    for (const VertexId x : claimed_) {
+      if ((piece_[x] & kWalk) != 0) piece_[x] = ends[piece_[x] & ~kWalk];
+    }
+    // Child piece i hangs below ends[i], the piece of its cut edge's parent
+    // end; a root piece tops its tree.
+    for (std::uint32_t i = 0; i < cuts; ++i) {
+      std::uint32_t j = i;
+      while (pieces[j].tree == kNoSlot) j = ends[j];
+      for (std::uint32_t k = i; pieces[k].tree == kNoSlot; k = ends[k]) {
+        pieces[k].tree = pieces[j].tree;
+      }
+    }
+    for (const Piece& pc : pieces) {
+      Piece& tree = pieces[pc.tree];
+      ++tree.count;
+      tree.exhausted += pc.done;
+    }
+    for (std::uint32_t i = cuts; i < pieces.size(); ++i) {
+      pieces[i].queue.push_back(Visit{pieces[i].top, kNoSlot});
+      if (pieces[i].exhausted + 1 < pieces[i].count) run.push_back(i);
+    }
+    counts.pieces = pieces.size();
+    walked = true;
+  };
+
+  std::size_t round_arcs = 0;  // the quotas of the next round
+  const auto plan_round = [&] {
+    const std::size_t child = kFirstArcs << std::min<std::size_t>(counts.rounds, 40);
+    const std::size_t root = std::max<std::size_t>(child / kRootShare, 1);
+    const std::size_t left = limit + 1 - counts.arcs;
+    round_arcs = 0;
+    for (const std::uint32_t i : run) {
+      pieces[i].quota = std::min(i < cuts ? child : root, left);
+      round_arcs += pieces[i].quota;
+    }
+    if (round_arcs > left) {
+      const std::size_t all = round_arcs;
+      round_arcs = 0;
+      for (const std::uint32_t i : run) {
+        pieces[i].quota = (pieces[i].quota * left + all - 1) / all;
+        round_arcs += pieces[i].quota;
+      }
+    }
+    for (const std::uint32_t i : run) {
+      Piece& pc = pieces[i];
+      pc.queue.reserve(pc.queue.size() + pc.quota);
+      pc.aside.reserve(pc.aside.size() + pc.quota);
+    }
+    next.store(0, std::memory_order_relaxed);
+  };
+  // Each exhausted piece's label, from 1, and 0 for every other (see
+  // below); `labels` counts them.  The exhausted pieces (`spent`), the arcs
+  // they set aside, and each thread's crossing edges, reserved for its
+  // share.
+  std::vector<std::uint32_t> label;
+  std::uint32_t labels = 1;
+  std::vector<std::uint32_t> spent;
+  std::size_t set_aside = 0;
+  struct alignas(kCacheLineBytes) Lane {
+    Records found;
+  };
+  std::vector<Lane> lanes(p);
+  bool over = false;
+  // Settles a round; false once the search is over: past `limit` (`over`),
+  // or with every tree done (`label`, `spent` and `lanes` set).
+  const auto settle_round = [&] {
+    ++counts.rounds;
+    for (const std::uint32_t i : run) {
+      Piece& pc = pieces[i];
+      pc.total += pc.read;
+      counts.arcs += pc.read;
+      if (!pc.open && pc.head == pc.queue.size()) {
+        pc.done = true;
+        if (walked) ++pieces[pc.tree].exhausted;
+        counts.largest = std::max(counts.largest, pc.total);
+      }
+    }
+    core::iteration_checkpoint(opts_.msf, "forest Kruskal search");
+    if (counts.arcs > limit) {
+      over = true;
+      return false;
+    }
+    std::size_t keep = 0;
+    for (const std::uint32_t i : run) {
+      const Piece& tree = pieces[walked ? pieces[i].tree : i];
+      if (!pieces[i].done && (!walked || tree.exhausted + 1 < tree.count)) {
+        run[keep++] = i;
+      }
+    }
+    run.resize(keep);
+    if (!run.empty() && !walked &&
+        kFirstArcs << std::min<std::size_t>(counts.rounds, 40) >= kWalkArcs) {
+      walk();
+    }
+    if (run.empty()) {
+      label.assign(pieces.size(), 0);
+      for (std::uint32_t i = 0; i < pieces.size(); ++i) {
+        if (!pieces[i].done) continue;
+        label[i] = labels++;
+        spent.push_back(i);
+        set_aside += pieces[i].aside.size();
+      }
+      for (std::size_t t = 0; t < p; ++t) {
+        lanes[t].found.reserve(
+            block_range(set_aside, static_cast<int>(t), static_cast<int>(p)).size());
+      }
+      return false;
+    }
+    plan_round();
+    return true;
+  };
+  for (std::uint32_t i = 0; i < cuts; ++i) {
+    pieces[i].queue.push_back(Visit{pieces[i].top, kNoSlot});
+    run.push_back(i);
+  }
+  counts.pieces = cuts;
+  plan_round();
+
+  // ---- Label: each exhausted piece is a piece of its own, numbered from 1;
+  // every other vertex lies in the one unexhausted piece of its tree, all of
+  // them labelled 0.  Sharing one label across trees is safe: crossing
+  // edges never join two trees, so the contracted pieces of different trees
+  // meet only at that point, and the MSF of graphs glued at one vertex is
+  // the union of their MSFs.  Each crossing edge has an end in an exhausted
+  // piece, which set it aside; an edge between two exhausted pieces is kept
+  // from its lower-labelled end.  The threads take equal blocks of the arcs
+  // the exhausted pieces set aside, and load the slots kAhead arcs early and
+  // the endpoints' pieces half as early. ----
+  const auto label_arcs = [&](std::size_t tid) {
+    constexpr std::size_t kAhead = 16;
+    const auto piece_label = [&](VertexId x) {
+      return piece_[x] == kNoSlot ? 0 : label[piece_[x]];
+    };
+    const IndexRange r =
+        block_range(set_aside, static_cast<int>(tid), static_cast<int>(p));
+    std::size_t base = 0;
+    for (const std::uint32_t i : spent) {
+      const std::vector<std::uint32_t>& a = pieces[i].aside;
+      const std::uint32_t px = label[i];
+      const std::size_t hi = std::clamp(r.end, base, base + a.size()) - base;
+      for (std::size_t k = std::clamp(r.begin, base, base + a.size()) - base;
+           k < hi; ++k) {
+        if (k + kAhead < hi) store_.prefetch(a[k + kAhead]);
+        if (k + kAhead / 2 < hi) {
+          const WEdge& f = store_.edge(a[k + kAhead / 2]);
+          __builtin_prefetch(&piece_[f.u]);
+          __builtin_prefetch(&piece_[f.v]);
+        }
+        if (!store_.is_live(a[k])) continue;
+        const WEdge& e = store_.edge(a[k]);
+        const std::uint32_t pu = piece_label(e.u);
+        const std::uint32_t py = pu == px ? piece_label(e.v) : pu;
+        if (px != py && (py == 0 || px < py)) {
+          lanes[tid].found.push_back(Record{e.w, a[k], px, py});
+        }
+      }
+      base += a.size();
+    }
+  };
+
+  bool more = true;
+  while (more && (p == 1 || round_arcs < kTeamArcs)) {
+    read_round();
+    more = settle_round();
+  }
+  if (over) return std::nullopt;
+  if (more || (p > 1 && set_aside >= kTeamArcs)) {
+    opts_.team->run([&](TeamCtx& ctx) {
+      const auto tid = static_cast<std::size_t>(ctx.tid());
+      while (more) {
+        read_round();
+        ctx.barrier();
+        if (tid == 0) more = settle_round();
+        ctx.barrier();
+      }
+      if (!over) label_arcs(tid);
+    });
+    if (over) return std::nullopt;
+  } else {
+    for (std::size_t t = 0; t < p; ++t) label_arcs(t);
+  }
+  Crossing cross{{}, labels};
+  std::size_t found = 0;
+  for (const Lane& l : lanes) found += l.found.size();
+  cross.edges.reserve(found);
+  for (const Lane& l : lanes) {
+    cross.edges.insert(cross.edges.end(), l.found.begin(), l.found.end());
   }
   return cross;
 }
 
-std::vector<DynamicMsf::Record> DynamicMsf::crossing_records(
+DynamicMsf::Records DynamicMsf::crossing_records(
     EdgeId end, const std::vector<VertexId>& label) const {
   const auto crosses = [&](std::size_t id) {
     if (!store_.is_live(id)) return false;
@@ -655,7 +824,7 @@ std::vector<DynamicMsf::Record> DynamicMsf::crossing_records(
     offset[static_cast<std::size_t>(ctx.tid()) + 1] = count;
   });
   for (std::size_t t = 0; t < p; ++t) offset[t + 1] += offset[t];
-  std::vector<Record> out(offset[p]);
+  Records out(offset[p]);
   opts_.team->run([&](TeamCtx& ctx) {
     const IndexRange r = block_range(marks.size(), ctx.tid(), ctx.nthreads());
     std::size_t o = offset[static_cast<std::size_t>(ctx.tid())];
@@ -672,7 +841,7 @@ std::vector<DynamicMsf::Record> DynamicMsf::crossing_records(
 
 std::vector<DynamicMsf::Record> DynamicMsf::replacements(Crossing c) const {
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-  std::vector<Record>& cross = c.edges;
+  Records& cross = c.edges;
   const std::size_t pieces = c.pieces;
   // Borůvka under ⟨w, store id⟩: each round every component of the pieces
   // takes its lightest crossing edge.  The order is total, so the edges

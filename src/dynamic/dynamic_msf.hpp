@@ -3,6 +3,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/dendrogram.hpp"
@@ -46,12 +47,12 @@ struct DynamicMsfOptions {
   /// step_times->connect.
   core::MsfOptions msf;
   /// Persistent thread team for every solve and for the Kruskal pass's
-  /// incidence-list build and replacement sweep.  When null, the DynamicMsf
-  /// creates one of msf.threads and keeps it for its lifetime; when set, the
-  /// run's p is team->size() and msf.threads is ignored — the serving layer
-  /// shares one pool across all sessions this way.  A given team must
-  /// outlive the DynamicMsf, and the caller must serialize solves if the
-  /// team is shared (regions must not nest).
+  /// incidence-list build, piece search and replacement sweep.  When null,
+  /// the DynamicMsf creates one of msf.threads and keeps it for its
+  /// lifetime; when set, the run's p is team->size() and msf.threads is
+  /// ignored — the serving layer shares one pool across all sessions this
+  /// way.  A given team must outlive the DynamicMsf, and the caller must
+  /// serialize solves if the team is shared (regions must not nest).
   ThreadTeam* team = nullptr;
 };
 
@@ -68,25 +69,36 @@ struct DynamicMsfOptions {
 ///  * Deletions drop the dead edges.  F' (the forest minus its cut edges)
 ///    stays: an MSF edge is still the lightest across some cut of G − D.
 ///    The crossing edges — retained non-tree edges whose endpoints lie in
-///    different pieces (components of F') — are found by searching the
-///    pieces of every cut tree in lockstep, about one incidence arc per
-///    piece per turn, over a per-vertex incidence list of the store
-///    (IncidenceList, built on the first cut batch).  Searches start at
-///    both ends of every cut edge, go through the live forest arcs of F',
-///    and merge when one reaches a vertex another claimed; they collect the
-///    live non-tree arcs that leave them.  A tree is done when all of its
+///    different pieces (components of F') — are found by a search of the
+///    pieces of every cut tree over a per-vertex incidence list of the
+///    store (IncidenceList, built on the first cut batch).  The rooted
+///    forest (below) names the pieces: each cut edge's child end tops a
+///    piece, and a walk up the parent links from each parent end finds the
+///    top of its piece — another cut's child end, or a root, which tops its
+///    tree's root piece.  That gives the piece tree: each cut tree and its
+///    piece count.  Each piece is read top-down from its top: at a vertex,
+///    every live forest arc but its parent edge leads to a child in the
+///    same piece, and the live non-tree arcs are set aside.  The pieces are
+///    disjoint, so they are read side by side on the team, in rounds whose
+///    per-piece arc budget doubles (a root piece, nearly always its tree's
+///    largest, at a quarter of the rate).  A tree is done when all of its
 ///    pieces but one are exhausted: every crossing edge of that tree has an
 ///    end in an exhausted piece, so the unsearched rest needs no label of
-///    its own.
+///    its own.  The first rounds read only the child pieces; when all of
+///    them are exhausted every tree is done, and the walks are skipped.
 ///    (Searching only the two sides of each cut would not do: with pieces
-///    A–B–C and a small B, both of B's searches end before A or C is known
-///    whole, and the A–C edges are never seen.)  When the search reads more
-///    than kSearchFraction of the live edge count in arcs, the batch falls
-///    back to labelling every vertex's piece and sweeping every slot on the
-///    team.  Borůvka over the crossing edges, with every piece contracted
-///    to a point, yields the replacement set R: MSF(G − D) = F' ∪ R.  (Every
-///    other retained non-tree edge still closes a surviving forest cycle it
-///    is the maximum of, so it cannot enter.)
+///    A–B–C and a small B, both of B's sides end before A or C is known
+///    whole, and the A–C edges are never seen; the piece tree holds A, B
+///    and C in one tree of three pieces, so the search goes on until A or
+///    C is exhausted too.)  Each round reads what the rounds before it
+///    decide, so the arcs read are the same at every thread count.  When
+///    the search reads more than kSearchFraction of the live edge count in
+///    arcs, the batch falls back to labelling every vertex's piece and
+///    sweeping every slot on the team.  Borůvka over the crossing edges,
+///    with every piece contracted to a point, yields the replacement set R:
+///    MSF(G − D) = F' ∪ R.  (Every other retained non-tree edge still
+///    closes a surviving forest cycle it is the maximum of, so it cannot
+///    enter.)
 ///  * The batch is then decided by one Kruskal pass over F' ∪ R ∪ B, whatever
 ///    the backend: every algorithm returns the unique MSF under ⟨weight,
 ///    store id⟩, so the pass commits what a solve of that set would.  A
@@ -137,8 +149,8 @@ struct DynamicMsfOptions {
 /// recompute(), and for a batch past the scratch crossover.
 ///
 /// Not thread-safe (one writer); solves and the Kruskal pass's O(m)
-/// incidence-list build and fallback sweep run on one team
-/// (DynamicMsfOptions::team, or the DynamicMsf's own of msf.threads).
+/// incidence-list build, its piece search and its fallback sweep run on one
+/// team (DynamicMsfOptions::team, or the DynamicMsf's own of msf.threads).
 class DynamicMsf {
  public:
   /// Starts from `initial` (store ids = positions in initial.edges) and
@@ -268,23 +280,48 @@ class DynamicMsf {
   /// candidates.
   MsfDelta apply_by_kruskal(graph::EdgeId first_new,
                             const std::vector<graph::EdgeId>& cut);
+  /// std::allocator, but a vector's resize leaves the new elements
+  /// default-initialized: unwritten, for a trivial type.
+  template <class T>
+  struct Unzeroed : std::allocator<T> {
+    template <class U>
+    struct rebind {
+      using other = Unzeroed<U>;
+    };
+    template <class U, class... Args>
+    void construct(U* at, Args&&... args) {
+      if constexpr (sizeof...(Args) == 0) {
+        ::new (static_cast<void*>(at)) U;
+      } else {
+        ::new (static_cast<void*>(at)) U(std::forward<Args>(args)...);
+      }
+    }
+  };
+  using Records = std::vector<Record, Unzeroed<Record>>;
   /// The retained non-tree edges that cross two pieces of F', each with
   /// its endpoints replaced by their pieces' labels in [0, pieces).
   struct Crossing {
-    std::vector<Record> edges;
+    Records edges;
     std::size_t pieces = 0;
+  };
+  /// What the piece search did, for MsfDelta.
+  struct SearchCounts {
+    std::size_t arcs = 0;
+    std::size_t pieces = 0;
+    std::size_t rounds = 0;
+    std::size_t largest = 0;  ///< arcs of the largest exhausted piece
   };
   /// The crossing edges after the deletion of the forest edges `cut`, over
   /// the slots incidence_ lists, by the search of the cut trees' pieces (see
-  /// the class comment); nullopt once it has read more than `limit` arcs.
-  /// `arcs` receives the arcs read.
+  /// the class comment), read on the team; nullopt once it has read more
+  /// than `limit` arcs.  `counts` receives what it did, also then.
   std::optional<Crossing> search_pieces(const std::vector<graph::EdgeId>& cut,
-                                        std::size_t limit, std::size_t& arcs);
+                                        std::size_t limit, SearchCounts& counts);
   /// The search's fallback: live edges below `end` whose endpoints carry
   /// different `label`s, with those labels as endpoints, in ascending
   /// store-id order, swept on the team.
-  std::vector<Record> crossing_records(
-      graph::EdgeId end, const std::vector<graph::VertexId>& label) const;
+  Records crossing_records(graph::EdgeId end,
+                           const std::vector<graph::VertexId>& label) const;
   /// The MSF of the crossing edges with every piece contracted to its
   /// label, by Borůvka rounds, as records of the store's edges.
   std::vector<Record> replacements(Crossing cross) const;
@@ -341,8 +378,9 @@ class DynamicMsf {
   /// so far (see apply_by_kruskal).
   std::vector<std::uint32_t> key_;
   std::vector<Record> below_;
-  /// The piece search's scratch, left clear the same way: the search that
-  /// claimed each vertex (kNoSlot when none), and the claimed vertices.
+  /// The piece search's scratch, left clear the same way: the piece of
+  /// each vertex the search named or reached (kNoSlot when none), and the
+  /// vertices its naming walks labelled.
   std::vector<std::uint32_t> piece_;
   std::vector<graph::VertexId> claimed_;
   /// The store's incidence lists, for the piece search; built on the first

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <utility>
 
+#include "pprim/machine.hpp"
+
 namespace smp {
 
 void TeamCtx::barrier() {
@@ -11,7 +13,9 @@ void TeamCtx::barrier() {
 
 ThreadTeam::ThreadTeam(int num_threads)
     : nthreads_(num_threads > 0 ? num_threads : 1),
-      region_barrier_(nthreads_) {
+      spin_(static_cast<unsigned>(nthreads_) <=
+            machine_profile().available_threads),
+      region_barrier_(nthreads_, spin_) {
   workers_.reserve(static_cast<std::size_t>(nthreads_ - 1));
   for (int tid = 1; tid < nthreads_; ++tid) {
     workers_.emplace_back([this, tid] { worker_loop(tid); });
@@ -63,10 +67,7 @@ void ThreadTeam::run(const std::function<void(TeamCtx&)>& fn) {
   // Wait until all workers report completion of this region — also on the
   // error path, so no worker still touches region state after run() returns.
   int done = done_count_.load(std::memory_order_acquire);
-  while (done != nthreads_ - 1) {
-    done_count_.wait(done, std::memory_order_acquire);
-    done = done_count_.load(std::memory_order_acquire);
-  }
+  while (done != nthreads_ - 1) done = wait_for_change(done_count_, done, spin_);
   job_ = nullptr;
   if (region_error_) {
     // The done_count_ acquire loop ordered the workers' error publication
@@ -79,12 +80,7 @@ void ThreadTeam::run(const std::function<void(TeamCtx&)>& fn) {
 void ThreadTeam::worker_loop(int tid) {
   std::uint64_t seen = 0;
   for (;;) {
-    std::uint64_t gen = generation_.load(std::memory_order_acquire);
-    while (gen == seen) {
-      generation_.wait(gen, std::memory_order_acquire);
-      gen = generation_.load(std::memory_order_acquire);
-    }
-    seen = gen;
+    seen = wait_for_change(generation_, seen, spin_);
     if (shutdown_.load(std::memory_order_acquire)) return;
     assert(job_ != nullptr);
     TeamCtx ctx(*this, tid, nthreads_);

@@ -92,11 +92,16 @@ class ThreadTeam {
   void record_region_error(std::exception_ptr e);
 
   int nthreads_;
+  /// Whether waits spin before they park (see SenseBarrier): only when the
+  /// team has no more threads than the process has CPUs, so an
+  /// oversubscribed team never spins on a CPU another member needs.
+  bool spin_;
   SenseBarrier region_barrier_;
   std::vector<std::thread> workers_;
 
-  // Job dispatch: a generation counter bumped per region; workers futex-wait
-  // on it.  `done_count_` lets the caller wait for region completion.
+  // Job dispatch: a generation counter bumped per region; workers wait on
+  // it, spinning first when spin_ is set.  `done_count_` lets the caller
+  // wait for region completion.
   const std::function<void(TeamCtx&)>* job_ = nullptr;
   std::atomic<std::uint64_t> regions_started_{0};
   alignas(kCacheLineBytes) std::atomic<std::uint64_t> generation_{0};

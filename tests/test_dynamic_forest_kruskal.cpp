@@ -801,6 +801,231 @@ TEST_P(DynamicForestKruskalCases, PathRecordsStayUnderTwiceTheTerminals) {
   EXPECT_GE(t.sparsified_changes, 10);
 }
 
+/// A DynamicMsf on the case's team and a twin on one thread, both checked
+/// against Kruskal: every batch runs on both, and their searches must read
+/// the same arcs in the same rounds and take the same path.
+struct Twins {
+  ThreadTeam one{1};
+  Checked t;
+  Checked ref;
+
+  Twins(const EdgeList& g, ThreadTeam* team) : t(g, team), ref(g, &one) {}
+
+  MsfDelta apply(const std::vector<WEdge>& ins, const std::vector<EdgeId>& del) {
+    const MsfDelta a = t.apply(ins, del);
+    const MsfDelta b = ref.apply(ins, del);
+    EXPECT_EQ(a.replacement_path, b.replacement_path);
+    EXPECT_EQ(a.search_arcs, b.search_arcs);
+    EXPECT_EQ(a.search_pieces, b.search_pieces);
+    EXPECT_EQ(a.search_rounds, b.search_rounds);
+    EXPECT_EQ(a.largest_piece_arcs, b.largest_piece_arcs);
+    return a;
+  }
+};
+
+TEST_P(DynamicForestKruskalCases, AdjacentCutsNameTheMiddlePieceOnce) {
+  // Cutting (449, 450) and (450, 451) of a path rooted at 0 leaves 450 a
+  // piece of its own: the child end of one cut is the parent end of the
+  // other, so that walk ends where it starts.  With (480, 481) cut too,
+  // the pieces are [0, 450), {450}, [451, 481) and [481, 500).
+  const VertexId n = 500;
+  Rng rng(127 + static_cast<std::uint64_t>(GetParam()));
+  EdgeList g = light_path(n);
+  add_chords(g, 0, 450, 3000, 1.0, rng);
+  add_chords(g, 0, n, 200, 2.0, rng);
+  for (const VertexId v : {450u, 460u, 490u}) g.add_edge(v, v - 440, 3.0);
+  Twins t(g, &team);
+  const MsfDelta d = t.apply({}, {449, 450, 480});
+  EXPECT_EQ(d.replacement_path, dynamic::ReplacementPath::kSearch);
+  EXPECT_EQ(d.search_pieces, 4u);
+  EXPECT_EQ(d.forest_added.size(), 3u);
+}
+
+TEST_P(DynamicForestKruskalCases, CutOfARootsChildEdge) {
+  // A spider: legs of 40, 40 and 300 vertices from the root 0.  Cutting
+  // the first edge of a short leg starts a walk at the root itself, which
+  // names the root piece at once; the leg is the child piece.
+  const VertexId n = 381;
+  Rng rng(131 + static_cast<std::uint64_t>(GetParam()));
+  EdgeList g(n);
+  for (VertexId v = 1; v < n; ++v) {
+    const bool leg_start = v == 1 || v == 41 || v == 81;
+    g.add_edge(leg_start ? 0 : v - 1, v, 1e-3 * v / n);
+  }
+  add_chords(g, 81, n, 1500, 1.0, rng);
+  add_chords(g, 0, n, 300, 2.0, rng);
+  for (const EdgeId leg : {EdgeId{0}, EdgeId{40}}) {  // (0, 1) and (0, 41)
+    SCOPED_TRACE("leg " + std::to_string(leg));
+    Twins t(g, &team);
+    const MsfDelta d = t.apply({}, {leg});
+    EXPECT_EQ(d.replacement_path, dynamic::ReplacementPath::kSearch);
+    EXPECT_EQ(d.search_pieces, 2u);
+    EXPECT_EQ(d.forest_added.size(), 1u);
+  }
+}
+
+TEST_P(DynamicForestKruskalCases, CutsInThreeTreesInOneBatch) {
+  // Three paths, [0, 200), [200, 400) and [400, 600), rooted at 0, 200 and
+  // 400, each cut twice near its end into child pieces of 30 vertices, too
+  // large to be exhausted before the walks: nine pieces in three piece
+  // trees, each done with its root piece read only a little.
+  const VertexId n = 600;
+  Rng rng(137 + static_cast<std::uint64_t>(GetParam()));
+  EdgeList g(n);
+  std::vector<EdgeId> del;
+  for (VertexId base = 0; base < n; base += 200) {
+    for (VertexId v = base + 1; v < base + 200; ++v) {
+      if (v == base + 140 || v == base + 170) del.push_back(g.num_edges());
+      g.add_edge(v - 1, v, 1e-3 * v / n);
+    }
+    add_chords(g, base, base + 140, 2000, 1.0, rng);
+    add_chords(g, base, base + 200, 60, 2.0, rng);
+  }
+  Twins t(g, &team);
+  ASSERT_EQ(t.t.d->num_trees(), 3u);
+  const MsfDelta d = t.apply({}, del);
+  EXPECT_EQ(d.replacement_path, dynamic::ReplacementPath::kSearch);
+  EXPECT_EQ(d.search_pieces, 9u);
+  EXPECT_EQ(d.forest_added.size(), 6u);
+  EXPECT_EQ(d.num_trees, 3u);
+}
+
+TEST_P(DynamicForestKruskalCases, SmallChildPiecesEndTheSearchUnwalked) {
+  // Cuts of the last edges of a path rooted at 0 leave child pieces of two
+  // or three vertices.  They are exhausted in the first rounds, before any
+  // walk looks for the root: every tree then has only its root piece left,
+  // so the search names no more pieces than it has cuts.
+  const VertexId n = 400;
+  Rng rng(163 + static_cast<std::uint64_t>(GetParam()));
+  EdgeList g = light_path(n);
+  add_chords(g, 0, n - 8, 1200, 1.0, rng);
+  for (const VertexId v : {392u, 394u, 396u, 398u}) g.add_edge(v, v - 300, 2.0);
+  Twins t(g, &team);
+  const MsfDelta d = t.apply({}, {391, 394, 397});  // (391, 392) …
+  EXPECT_EQ(d.replacement_path, dynamic::ReplacementPath::kSearch);
+  EXPECT_EQ(d.search_pieces, 3u);
+  EXPECT_EQ(d.forest_added.size(), 3u);
+}
+
+TEST_P(DynamicForestKruskalCases, PieceTreeThreeLevelsDeep) {
+  // Cuts at (329, 330), (359, 360) and (379, 380) of a path rooted at 0
+  // nest the pieces A = [0, 330) ⊃ B = [330, 360) ⊃ C = [360, 380) ⊃
+  // D = [380, 400): each walk stops at the top of the piece just above.
+  // The lightest crossing edges join A to D and B to C, so the labels of
+  // pieces two levels apart must meet.
+  const VertexId n = 400;
+  Rng rng(139 + static_cast<std::uint64_t>(GetParam()));
+  EdgeList g = light_path(n);
+  add_chords(g, 0, 330, 4000, 2.0, rng);
+  const EdgeId ad = g.num_edges();
+  g.add_edge(100, 390, 0.5);
+  const EdgeId bc = g.num_edges();
+  g.add_edge(340, 370, 0.6);
+  g.add_edge(20, 345, 0.7);  // A–B
+  g.add_edge(50, 375, 0.8);  // A–C
+  Twins t(g, &team);
+  const MsfDelta d = t.apply({}, {329, 359, 379});
+  EXPECT_EQ(d.replacement_path, dynamic::ReplacementPath::kSearch);
+  EXPECT_EQ(d.search_pieces, 4u);
+  EXPECT_EQ(d.forest_added, (std::vector<EdgeId>{ad, bc, bc + 1}));
+}
+
+TEST_P(DynamicForestKruskalCases, ChildPieceLargerThanItsRootPiece) {
+  // Cutting (19, 20) of a path rooted at 0 leaves a root piece of 20
+  // vertices above a child piece of 580 with all the chords.  The root
+  // piece, read at a quarter of the child's rate, is the one exhausted: the
+  // child is read to a few times its size, not whole.
+  const VertexId n = 600;
+  Rng rng(149 + static_cast<std::uint64_t>(GetParam()));
+  EdgeList g = light_path(n);
+  add_chords(g, 20, n, 4000, 1.0, rng);
+  for (int i = 0; i < 6; ++i) {
+    g.add_edge(static_cast<VertexId>(rng.next_below(20)),
+               20 + static_cast<VertexId>(rng.next_below(n - 20)), 3.0 + i);
+  }
+  Twins t(g, &team);
+  const MsfDelta d = t.apply({}, {19});
+  EXPECT_EQ(d.replacement_path, dynamic::ReplacementPath::kSearch);
+  EXPECT_EQ(d.search_pieces, 2u);
+  // The root piece: 39 path arcs and the six crossing chords' ends.
+  EXPECT_EQ(d.largest_piece_arcs, 45u);
+  EXPECT_LT(d.search_arcs, 8 * d.largest_piece_arcs);
+  EXPECT_EQ(d.forest_added.size(), 1u);
+}
+
+TEST_P(DynamicForestKruskalCases, SearchLimitDecidesTheSameAtEveryP) {
+  // Cutting the path's edge into its last s vertices leaves a child piece
+  // of s vertices; growing s by 4 at a time, the search passes the limit
+  // somewhere around s = 60.  The last batch that searches and the first
+  // that sweeps read the same arcs at every p.
+  const VertexId n = 1200;
+  Rng rng(151 + static_cast<std::uint64_t>(GetParam()));
+  EdgeList g = light_path(n);
+  add_chords(g, 0, n, 2400, 1.0, rng);
+  const auto limit = static_cast<std::size_t>(
+      dynamic::kSearchFraction * static_cast<double>(g.num_edges() - 1));
+  VertexId searched = 0;
+  VertexId swept = 0;
+  for (VertexId s = 4; s < 200 && swept == 0; s += 4) {
+    SCOPED_TRACE("child piece of " + std::to_string(s));
+    Twins t(g, &team);
+    const MsfDelta d = t.apply({}, {n - s - 1});
+    if (d.replacement_path == dynamic::ReplacementPath::kSearch) {
+      EXPECT_LE(d.search_arcs, limit);
+      searched = s;
+    } else {
+      EXPECT_EQ(d.replacement_path, dynamic::ReplacementPath::kSweep);
+      EXPECT_GT(d.search_arcs, limit);
+      swept = s;
+    }
+  }
+  EXPECT_GT(searched, 0u);
+  EXPECT_EQ(swept, searched + 4);
+}
+
+TEST_P(DynamicForestKruskalCases, ManyPiecesAreReadOnTheTeam) {
+  // A broom: a core [0, 5000) with 60k heavy chords, and 96 legs of 12
+  // vertices, each hanging from the core by a light edge, with 20 chords
+  // inside and two to the core.  Cutting the hanging edges leaves a piece
+  // per leg, each about 65 arcs, so the legs read for four rounds and the
+  // walks name the core's root piece; by the second round their quotas sum
+  // past what the calling thread reads alone, and the rounds from there on
+  // run on the team when there is one.
+  constexpr VertexId kCore = 5000;
+  constexpr VertexId kLegs = 96;
+  constexpr VertexId kLen = 12;
+  const VertexId n = kCore + kLegs * kLen;
+  Rng rng(157 + static_cast<std::uint64_t>(GetParam()));
+  EdgeList g = light_path(kCore);
+  g.num_vertices = n;
+  add_chords(g, 0, kCore, 60000, 1.0, rng);
+  std::vector<EdgeId> hanging;
+  for (VertexId leg = 0; leg < kLegs; ++leg) {
+    const VertexId first = kCore + leg * kLen;
+    hanging.push_back(g.num_edges());
+    g.add_edge(static_cast<VertexId>(rng.next_below(kCore)), first, 1e-3);
+    for (VertexId v = first + 1; v < first + kLen; ++v) g.add_edge(v - 1, v, 1e-3);
+    add_chords(g, first, first + kLen, 20, 1.0, rng);
+    for (int i = 0; i < 2; ++i) {
+      g.add_edge(static_cast<VertexId>(rng.next_below(kCore)),
+                 first + static_cast<VertexId>(rng.next_below(kLen)),
+                 2.0 + rng.next_double());
+    }
+  }
+  Twins t(g, &team);
+  // A first cut builds the incidence lists, so the batch below runs no
+  // region but the search's.
+  t.apply({}, {hanging.back()});
+  hanging.pop_back();
+  const std::uint64_t regions = team.regions_started();
+  const MsfDelta d = t.apply({}, hanging);
+  EXPECT_EQ(team.regions_started() - regions, GetParam() > 1 ? 1u : 0u);
+  EXPECT_EQ(d.replacement_path, dynamic::ReplacementPath::kSearch);
+  EXPECT_EQ(d.search_pieces, kLegs);
+  EXPECT_GE(d.search_rounds, 4u);
+  EXPECT_EQ(d.forest_added.size(), kLegs - 1);
+}
+
 INSTANTIATE_TEST_SUITE_P(Team, DynamicForestKruskalCases,
                          ::testing::Values(1, 2, 4),
                          [](const ::testing::TestParamInfo<int>& info) {

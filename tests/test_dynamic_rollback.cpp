@@ -7,8 +7,9 @@
 // StoreView taken before the batch must read bit for bit as before, and the
 // retried batch must decide exactly as on a twin that never saw the failure.
 // Also: a failed cut batch leaves the rooted forest the Kruskal pass walks
-// as it was, and an insertion that fails after an earlier one of the same
-// batch was stored.
+// as it was, a cancel at a budget check inside the piece search's team
+// region unwinds the batch, and an insertion that fails after an earlier
+// one of the same batch was stored.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -466,6 +467,76 @@ TEST(DynamicRollback, InsertionFailingAfterAnEarlierOneWasStored) {
   expect_same(freeze(d), freeze(twin));
   EXPECT_EQ(d.store().find_live(0, 9), std::optional<EdgeId>(15));
   EXPECT_FALSE(d.store().find_live(5, 6).has_value());
+}
+
+TEST(DynamicRollback, CancelInsideTheSearchRegion) {
+  // A broom: a core [0, 5000) with 80k heavy chords and 96 legs of 20
+  // vertices hanging from it by light edges.  Cutting the hanging edges
+  // makes a search whose later rounds run on the team, each ending at a
+  // budget check on one thread while the others wait at the barrier.  A
+  // cancel at the last round's check unwinds the region and the batch;
+  // the retried batch decides as on a twin that never saw it.
+  ThreadTeam team(4);
+  Rng rng(31);
+  constexpr VertexId kCore = 5000;
+  constexpr VertexId kLegs = 96;
+  constexpr VertexId kLen = 20;
+  EdgeList g(kCore + kLegs * kLen);
+  const auto chord = [&](VertexId lo, VertexId hi, Weight w) {
+    const auto u = lo + static_cast<VertexId>(rng.next_below(hi - lo));
+    auto v = lo + static_cast<VertexId>(rng.next_below(hi - lo - 1));
+    if (v >= u) ++v;
+    g.add_edge(u, v, w + rng.next_double());
+  };
+  for (VertexId v = 1; v < kCore; ++v) g.add_edge(v - 1, v, 1e-3);
+  for (int i = 0; i < 80000; ++i) chord(0, kCore, 1.0);
+  std::vector<EdgeId> hanging;
+  for (VertexId leg = 0; leg < kLegs; ++leg) {
+    const VertexId first = kCore + leg * kLen;
+    hanging.push_back(g.num_edges());
+    g.add_edge(static_cast<VertexId>(rng.next_below(kCore)), first, 1e-3);
+    for (VertexId v = first + 1; v < first + kLen; ++v) g.add_edge(v - 1, v, 1e-3);
+    for (int i = 0; i < 20; ++i) chord(first, first + kLen, 1.0);
+    g.add_edge(static_cast<VertexId>(rng.next_below(kCore)), first + 1, 2.0);
+  }
+  DynamicMsf d(g, options(&team));
+  DynamicMsf twin(g, options(&team));
+  // A first cut builds the incidence lists.
+  const std::vector<EdgeId> warm{hanging.back()};
+  expect_same_delta(d.apply_batch({}, warm), twin.apply_batch({}, warm));
+  hanging.pop_back();
+
+  // The twin counts the batch's budget checks: one before the search, one
+  // per round and one before the scan.  Its one region is the search's.
+  ExecutionBudget budget;
+  twin.set_budget(&budget);
+  FaultInjector::arm("budget.check", FaultKind::kCancel, 1u << 30);
+  const std::uint64_t regions = team.regions_started();
+  const MsfDelta want = twin.apply_batch({}, hanging);
+  ASSERT_EQ(team.regions_started() - regions, 1u);
+  ASSERT_EQ(want.replacement_path, dynamic::ReplacementPath::kSearch);
+  ASSERT_EQ(FaultInjector::hits("budget.check"), want.search_rounds + 2);
+  FaultInjector::disarm_all();
+  twin.set_budget(nullptr);
+
+  const Frozen before = freeze(d);
+  d.set_budget(&budget);
+  FaultInjector::arm("budget.check", FaultKind::kCancel, want.search_rounds);
+  try {
+    d.apply_batch({}, hanging);
+    ADD_FAILURE() << "the batch was not cancelled";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCancelled);
+  }
+  EXPECT_EQ(FaultInjector::hits("budget.check"), want.search_rounds + 1);
+  FaultInjector::disarm_all();
+  d.set_budget(nullptr);
+  expect_same(freeze(d), before);
+
+  const MsfDelta got = d.apply_batch({}, hanging);
+  expect_same_delta(got, want);
+  EXPECT_EQ(got.search_arcs, want.search_arcs);
+  expect_same(freeze(d), freeze(twin));
 }
 
 TEST(DynamicRollback, RejectedBatchMutatesNothing) {

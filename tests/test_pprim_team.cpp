@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "pprim/barrier.hpp"
@@ -137,6 +138,60 @@ TEST(SenseBarrier, ReusableAcrossGenerations) {
   t.join();
   EXPECT_EQ(stage.load(), 1);
   EXPECT_EQ(releases.load(), 2000);  // never poisoned: every release is normal
+}
+
+TEST(SenseBarrier, SpinningWaitersReleaseAcrossGenerations) {
+  SenseBarrier b(2, /*spin=*/true);
+  std::atomic<int> releases{0};
+  std::thread t([&] {
+    for (int i = 0; i < 1000; ++i) {
+      if (b.arrive_and_wait()) releases.fetch_add(1);
+    }
+  });
+  for (int i = 0; i < 1000; ++i) {
+    if (b.arrive_and_wait()) releases.fetch_add(1);
+  }
+  t.join();
+  EXPECT_EQ(releases.load(), 2000);
+}
+
+TEST(SenseBarrier, PoisonReleasesSpinningWaiters) {
+  // Three parties of four arrive and spin; the fourth poisons the barrier
+  // instead of arriving.  Each waiter returns false, whether the poison
+  // found it spinning, parked or not yet arrived.
+  SenseBarrier b(4, /*spin=*/true);
+  std::atomic<int> arriving{0};
+  std::atomic<int> released{0};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < 3; ++i) {
+    waiters.emplace_back([&] {
+      arriving.fetch_add(1);
+      (b.arrive_and_wait() ? released : failed).fetch_add(1);
+    });
+  }
+  while (arriving.load() < 3) std::this_thread::yield();
+  b.poison();
+  for (std::thread& t : waiters) t.join();
+  EXPECT_EQ(released.load(), 0);
+  EXPECT_EQ(failed.load(), 3);
+}
+
+TEST(ThreadTeam, DestroyedWhileItsWorkersSpin) {
+  // Right after a region, the workers of a team no larger than the machine
+  // spin on the dispatch word before they park.  Destroying the team then
+  // must stop and join them, in either state.
+  for (int round = 0; round < 50; ++round) {
+    std::atomic<int> ran{0};
+    {
+      ThreadTeam team(2);
+      team.run([&](TeamCtx& ctx) {
+        ran.fetch_add(1);
+        ctx.barrier();
+      });
+    }
+    EXPECT_EQ(ran.load(), 2) << "round " << round;
+  }
 }
 
 }  // namespace
