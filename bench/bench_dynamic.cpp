@@ -13,11 +13,15 @@
 // batches took to their replacement edges (`search` of the small pieces,
 // `sweep` of every slot, or `none`), how many swept, and the medians of the
 // arcs a search read, the pieces it named, the rounds it read in and the
-// arcs of its largest exhausted piece; and, over its batches that took the
-// Kruskal pass, the median forest edges the root-path walks gathered, the
-// median and the largest count of compressed path records the pass sorted
-// in their place.  Every row's final forest is checked bit-identical to a
-// scratch solve.
+// arcs of its largest exhausted piece, and the median count of crossing
+// pairs (one record per pair of pieces) it handed the replacement solve;
+// over its batches that took the Kruskal pass, the median forest edges the
+// root-path walks gathered, the median and the largest count of compressed
+// path records the pass sorted in their place; and the row's first batch
+// (`first_batch_s`, which builds the rooted forest and, on a cut, the
+// incidence lists) apart from the mean of the rest
+// (`steady_seconds_per_batch`).  Every row's final forest is checked
+// bit-identical to a scratch solve.
 #include <algorithm>
 #include <cstdio>
 #include <random>
@@ -114,8 +118,9 @@ std::size_t median(std::vector<std::size_t>& v) {
 /// What a row's batches did: how its cut batches found their replacements
 /// (how many searched the small pieces and how many swept, and for each
 /// search the arcs it read, the pieces it named, its rounds and the arcs of
-/// its largest exhausted piece), and, for each batch that took the Kruskal
-/// pass, the forest edges its walks gathered and the path records it sorted.
+/// its largest exhausted piece, and the crossing pairs it handed the
+/// replacement solve), and, for each batch that took the Kruskal pass, the
+/// forest edges its walks gathered and the path records it sorted.
 struct Replacements {
   int searched = 0;
   int swept = 0;
@@ -123,6 +128,7 @@ struct Replacements {
   std::vector<std::size_t> pieces;
   std::vector<std::size_t> rounds;
   std::vector<std::size_t> largest;
+  std::vector<std::size_t> pairs;
   std::vector<std::size_t> gathered;
   std::vector<std::size_t> records;
 
@@ -139,6 +145,7 @@ struct Replacements {
     pieces.push_back(d.search_pieces);
     rounds.push_back(d.search_rounds);
     largest.push_back(d.largest_piece_arcs);
+    pairs.push_back(d.crossing_pairs);
   }
   /// The path most of the row's cut batches took, or "none".
   [[nodiscard]] const char* path() const {
@@ -152,12 +159,19 @@ struct Replacements {
 
 /// Checks `d`'s forest against one parallel solve of its live graph, prints
 /// the row and adds its record (n and m are those of `start`, the graph the
-/// row started from); false when the forests differ.
+/// row started from, `per_batch` the row's reported time and `times` each
+/// batch's, in order); false when the forests differ.
 bool finish_row(bench::JsonSink& sink, const EdgeList& start,
                 const dynamic::DynamicMsf& d, Mix mix,
                 std::size_t batch_size, int batches, double per_batch,
-                int recomputed, Replacements& rep,
-                const core::MsfOptions& sopts, int reps) {
+                const std::vector<double>& times, int recomputed,
+                Replacements& rep, const core::MsfOptions& sopts, int reps) {
+  // The first batch builds the rooted forest and, on a cut, the incidence
+  // lists; the rest are the row's steady state.
+  const double first = times.front();
+  double steady = 0;
+  for (std::size_t i = 1; i < times.size(); ++i) steady += times[i];
+  if (times.size() > 1) steady /= static_cast<double>(times.size() - 1);
   // What recompute-per-batch would pay: one full parallel solve of the
   // final live graph, and the bit-identity check against the maintained
   // forest (the acceptance criterion, not just a sanity check).
@@ -176,33 +190,36 @@ bool finish_row(bench::JsonSink& sink, const EdgeList& start,
   const std::size_t pieces = median(rep.pieces);
   const std::size_t rounds = median(rep.rounds);
   const std::size_t largest = median(rep.largest);
+  const std::size_t pairs = median(rep.pairs);
   const std::size_t kruskal = rep.records.size();
   const std::size_t max_records = rep.max_records();
   const std::size_t gathered = median(rep.gathered);
   const std::size_t records = median(rep.records);
-  std::printf("  %-15s %-8u %-6zu %11.6fs %13.6fs %8.2fx %4d/%-3d %6s %-6s %3d/%-3d "
-              "%9zu %7zu %6zu %8zu %9zu %8zu\n",
-              mix_name(mix), start.num_vertices, batch_size, per_batch, scratch,
-              scratch / per_batch, recomputed, batches, match ? "yes" : "NO",
-              rep.path(), rep.swept, rep.searched + rep.swept, arcs, pieces,
-              rounds, largest, gathered, records);
+  std::printf("  %-15s %-8u %-6zu %11.6fs %10.6fs %10.6fs %13.6fs %8.2fx %4d/%-3d "
+              "%6s %-6s %3d/%-3d %9zu %7zu %6zu %8zu %7zu %9zu %8zu\n",
+              mix_name(mix), start.num_vertices, batch_size, per_batch, first,
+              steady, scratch, scratch / per_batch, recomputed, batches,
+              match ? "yes" : "NO", rep.path(), rep.swept, rep.searched + rep.swept,
+              arcs, pieces, rounds, largest, pairs, gathered, records);
   char buf[1024];
   std::snprintf(buf, sizeof buf,
                 "{\"tag\": \"dynamic\", \"n\": %u, \"m\": %llu, "
                 "\"mix\": \"%s\", \"batch_size\": %zu, \"batches\": %d, "
-                "\"seconds_per_batch\": %.6f, \"scratch_seconds\": %.6f, "
+                "\"seconds_per_batch\": %.6f, \"first_batch_s\": %.6f, "
+                "\"steady_seconds_per_batch\": %.6f, \"scratch_seconds\": %.6f, "
                 "\"speedup_vs_scratch\": %.4f, \"recomputed\": %d, "
                 "\"path\": \"%s\", \"searched\": %d, \"swept\": %d, "
                 "\"search_arcs\": %zu, \"search_pieces\": %zu, "
                 "\"search_rounds\": %zu, \"largest_piece_arcs\": %zu, "
+                "\"crossing_pairs\": %zu, "
                 "\"kruskal_batches\": %zu, "
                 "\"gathered_edges\": %zu, \"path_records\": %zu, "
                 "\"max_path_records\": %zu, \"match\": %s}",
                 start.num_vertices,
                 static_cast<unsigned long long>(start.num_edges()),
-                mix_name(mix), batch_size, batches, per_batch, scratch,
-                scratch / per_batch, recomputed, rep.path(), rep.searched,
-                rep.swept, arcs, pieces, rounds, largest, kruskal, gathered,
+                mix_name(mix), batch_size, batches, per_batch, first, steady,
+                scratch, scratch / per_batch, recomputed, rep.path(), rep.searched,
+                rep.swept, arcs, pieces, rounds, largest, pairs, kruskal, gathered,
                 records, max_records, match ? "true" : "false");
   sink.add(buf);
   if (!match) {
@@ -229,10 +246,11 @@ int main(int argc, char** argv) {
   bench::JsonSink sink;
   constexpr int kBatches = 8;
   std::size_t crossover = 0;
-  std::printf("  %-15s %-8s %-6s %12s %14s %9s %8s %6s %-6s %7s %9s %7s %6s %8s %9s %8s\n",
-              "mix", "n", "batch", "s/batch", "scratch s", "speedup", "scratch",
-              "match", "path", "swept", "arcs", "pieces", "rounds", "largest",
-              "gathered", "records");
+  std::printf("  %-15s %-8s %-6s %12s %11s %11s %14s %9s %8s %6s %-6s %7s %9s %7s %6s "
+              "%8s %7s %9s %8s\n",
+              "mix", "n", "batch", "s/batch", "first s", "steady s", "scratch s",
+              "speedup", "scratch", "match", "path", "swept", "arcs", "pieces",
+              "rounds", "largest", "pairs", "gathered", "records");
   struct Row {
     Mix mix;
     std::size_t batch_size;
@@ -249,13 +267,15 @@ int main(int argc, char** argv) {
 
     int recomputed = 0;
     double dyn_seconds = 0;
+    std::vector<double> times;
     Replacements rep;
     for (int k = 0; k < kBatches; ++k) {
       const Batch b = make_batch(batch_size, mix, n, live,
                                  static_cast<EdgeId>(d.store().size()), rng);
       dynamic::MsfDelta delta;
-      dyn_seconds +=
-          bench::time_best_of(1, [&] { delta = d.apply_batch(b.ins, b.del); });
+      times.push_back(
+          bench::time_best_of(1, [&] { delta = d.apply_batch(b.ins, b.del); }));
+      dyn_seconds += times.back();
       recomputed += delta.recomputed_from_scratch;
       rep.add(delta);
     }
@@ -263,7 +283,7 @@ int main(int argc, char** argv) {
       crossover = batch_size;
     }
     if (!finish_row(sink, base, d, mix, batch_size, kBatches, dyn_seconds / kBatches,
-                    recomputed, rep, sopts, args.reps)) {
+                    times, recomputed, rep, sopts, args.reps)) {
       return 1;
     }
   }
@@ -292,9 +312,10 @@ int main(int argc, char** argv) {
         recomputed += delta.recomputed_from_scratch;
         rep.add(delta);
       }
-      std::nth_element(times.begin(), times.begin() + batches / 2, times.end());
-      if (!finish_row(sink, g1, d, mix, 1, batches, times[batches / 2], recomputed,
-                      rep, sopts, args.reps)) {
+      std::vector<double> ranked = times;
+      std::nth_element(ranked.begin(), ranked.begin() + batches / 2, ranked.end());
+      if (!finish_row(sink, g1, d, mix, 1, batches, ranked[batches / 2], times,
+                      recomputed, rep, sopts, args.reps)) {
         return 1;
       }
     }

@@ -41,6 +41,10 @@ struct MsfDelta {
   /// problem versus `live_edges`).  The Kruskal pass sorts far fewer
   /// records: see `path_records`.
   std::size_t candidate_edges = 0;
+  /// Records the replacement solve read after a cut: the lightest crossing
+  /// edge of each pair of pieces that any crossing edge joins (0 when
+  /// nothing was cut).
+  std::size_t crossing_pairs = 0;
   /// Forest edges the Kruskal pass's root-path walks gathered (0 on every
   /// other path).
   std::size_t gathered_edges = 0;

@@ -1,10 +1,12 @@
 #include "dynamic/dynamic_msf.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
-#include <bit>
 #include <iterator>
 #include <limits>
+#include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
@@ -28,6 +30,11 @@ namespace {
 
 /// Steps between two budget checkpoints in the Kruskal pass's long loops.
 constexpr std::size_t kCheckEvery = std::size_t{1} << 16;
+
+/// Independent loads a latency-bound loop keeps in flight: the search's
+/// labelling loads slots this many arcs ahead, and the sweep's label walks
+/// go up this many side by side.
+constexpr std::size_t kAhead = 16;
 
 /// slot_ entry of a vertex the scan has not numbered.
 constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
@@ -211,6 +218,7 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
   // and a sweep of every slot. ----
   double connect_s = 0;
   std::size_t crossing = 0;
+  std::size_t pairs = 0;
   ReplacementPath how = ReplacementPath::kNone;
   SearchCounts search;
   std::vector<Record> cands;
@@ -225,21 +233,9 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
       found = search_pieces(cut, limit, search);
     }
     how = found ? ReplacementPath::kSearch : ReplacementPath::kSweep;
-    if (!found) {
-      seq::MinRootUnionFind uf(n);
-      for (VertexId x = 0; x < n; ++x) {
-        if (links_[x].parent != x && !stopped(x)) uf.unite(x, links_[x].parent);
-        if ((x + 1) % kCheckEvery == 0) {
-          core::iteration_checkpoint(opts_.msf, "forest Kruskal labels");
-        }
-      }
-      const std::vector<VertexId> label = std::move(uf).dense_labels();
-      core::iteration_checkpoint(opts_.msf, "forest Kruskal sweep");
-      // F' has |forest| − |cut| edges, so n − that many pieces.
-      found = Crossing{crossing_records(first_new, label),
-                       n - (forest_size_ - cut.size())};
-    }
-    crossing = found->edges.size();
+    if (!found) found = sweep_pieces(first_new);
+    crossing = found->edges;
+    pairs = found->pairs.size();
     cands = replacements(std::move(*found));
     connect_s += connect_timer.elapsed_s();
   }
@@ -387,6 +383,7 @@ MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
                                  static_cast<std::size_t>(last - first_new);
   MsfDelta d = commit(std::move(removed), std::move(added));
   d.candidate_edges = candidates;
+  d.crossing_pairs = pairs;
   d.gathered_edges = path.size();
   d.path_records = chains.size();
   d.replacement_path = how;
@@ -654,15 +651,11 @@ std::optional<DynamicMsf::Crossing> DynamicMsf::search_pieces(
   };
   // Each exhausted piece's label, from 1, and 0 for every other (see
   // below); `labels` counts them.  The exhausted pieces (`spent`), the arcs
-  // they set aside, and each thread's crossing edges, reserved for its
-  // share.
+  // they set aside, and each thread's crossing edges.
   std::vector<std::uint32_t> label;
   std::uint32_t labels = 1;
   std::vector<std::uint32_t> spent;
   std::size_t set_aside = 0;
-  struct alignas(kCacheLineBytes) Lane {
-    Records found;
-  };
   std::vector<Lane> lanes(p);
   bool over = false;
   // Settles a round; false once the search is over: past `limit` (`over`),
@@ -704,10 +697,6 @@ std::optional<DynamicMsf::Crossing> DynamicMsf::search_pieces(
         spent.push_back(i);
         set_aside += pieces[i].aside.size();
       }
-      for (std::size_t t = 0; t < p; ++t) {
-        lanes[t].found.reserve(
-            block_range(set_aside, static_cast<int>(t), static_cast<int>(p)).size());
-      }
       return false;
     }
     plan_round();
@@ -726,12 +715,12 @@ std::optional<DynamicMsf::Crossing> DynamicMsf::search_pieces(
   // edges never join two trees, so the contracted pieces of different trees
   // meet only at that point, and the MSF of graphs glued at one vertex is
   // the union of their MSFs.  Each crossing edge has an end in an exhausted
-  // piece, which set it aside; an edge between two exhausted pieces is kept
-  // from its lower-labelled end.  The threads take equal blocks of the arcs
-  // the exhausted pieces set aside, and load the slots kAhead arcs early and
-  // the endpoints' pieces half as early. ----
+  // piece, which set it aside; an edge between two exhausted pieces is
+  // counted from its lower-labelled end.  The threads take equal blocks of
+  // the arcs the exhausted pieces set aside, and load the slots kAhead arcs
+  // early and the endpoints' pieces half as early; each keeps the lightest
+  // edge per pair of labels in its lane. ----
   const auto label_arcs = [&](std::size_t tid) {
-    constexpr std::size_t kAhead = 16;
     const auto piece_label = [&](VertexId x) {
       return piece_[x] == kNoSlot ? 0 : label[piece_[x]];
     };
@@ -755,7 +744,8 @@ std::optional<DynamicMsf::Crossing> DynamicMsf::search_pieces(
         const std::uint32_t pu = piece_label(e.u);
         const std::uint32_t py = pu == px ? piece_label(e.v) : pu;
         if (px != py && (py == 0 || px < py)) {
-          lanes[tid].found.push_back(Record{e.w, a[k], px, py});
+          ++lanes[tid].edges;
+          lanes[tid].keep(Record{e.w, a[k], px, py});
         }
       }
       base += a.size();
@@ -783,65 +773,111 @@ std::optional<DynamicMsf::Crossing> DynamicMsf::search_pieces(
   } else {
     for (std::size_t t = 0; t < p; ++t) label_arcs(t);
   }
-  Crossing cross{{}, labels};
-  std::size_t found = 0;
-  for (const Lane& l : lanes) found += l.found.size();
-  cross.edges.reserve(found);
-  for (const Lane& l : lanes) {
-    cross.edges.insert(cross.edges.end(), l.found.begin(), l.found.end());
-  }
-  return cross;
+  return merge(lanes, labels);
 }
 
-DynamicMsf::Records DynamicMsf::crossing_records(
-    EdgeId end, const std::vector<VertexId>& label) const {
-  const auto crosses = [&](std::size_t id) {
-    if (!store_.is_live(id)) return false;
-    const WEdge& e = store_.edge(id);
-    return label[e.u] != label[e.v];
-  };
-  // One sweep marks the crossing ids in a bitmap (64 ids per word, each
-  // thread owning whole words) and counts them; a gather then writes each
-  // thread's records at its offset.  The output is allocated once, here, so
-  // the workers allocate nothing (memory a worker allocates stays in its own
-  // malloc arena).
-  const auto m = static_cast<std::size_t>(end);
-  std::vector<std::uint64_t> marks((m + 63) / 64);
+DynamicMsf::Crossing DynamicMsf::sweep_pieces(EdgeId end) const {
+  const auto n = static_cast<std::size_t>(store_.num_vertices());
   const auto p = static_cast<std::size_t>(opts_.team->size());
-  std::vector<std::size_t> offset(p + 1, 0);
+  // ---- Label: a piece is named by its top, as in the search: a root, or
+  // a cut edge's child end (its stop_ bit is set, and no other is yet).
+  // Each thread counts the tops in its block of vertices, then numbers them
+  // from the count of the blocks before it and marks the rest of its block
+  // unlabelled; then it walks up links_ from each unlabelled vertex of its
+  // block to a labelled one — a top, or a vertex a walk labelled — and
+  // labels the path below with that label.  Walks of two threads that meet
+  // write the same labels, so the labels are relaxed atomics. ----
+  const auto top = [&](std::size_t x) {
+    return links_[x].parent == x || (stop_[x / 64] >> (x % 64) & 1) != 0;
+  };
+  const auto label = std::make_unique_for_overwrite<std::uint32_t[]>(n);
+  const auto at = [&](VertexId x) {
+    return std::atomic_ref<std::uint32_t>(label[x]);
+  };
+  std::vector<std::size_t> tops(p, 0);
   opts_.team->run([&](TeamCtx& ctx) {
-    const IndexRange r = block_range(marks.size(), ctx.tid(), ctx.nthreads());
+    const auto tid = static_cast<std::size_t>(ctx.tid());
+    const IndexRange r = block_range(n, ctx.tid(), ctx.nthreads());
     std::size_t count = 0;
-    for (std::size_t w = r.begin; w < r.end; ++w) {
-      std::uint64_t bits = 0;
-      const std::size_t base = 64 * w;
-      for (std::size_t id = base; id < std::min(base + 64, m); ++id) {
-        if (crosses(id)) bits |= std::uint64_t{1} << (id - base);
-      }
-      marks[w] = bits;
-      count += static_cast<std::size_t>(std::popcount(bits));
+    for (std::size_t x = r.begin; x < r.end; ++x) count += top(x);
+    tops[tid] = count;
+    if (tid + 1 == p) fault_point("dynamic.piece-labels");
+    ctx.barrier();
+    auto next = static_cast<std::uint32_t>(
+        std::accumulate(tops.begin(), tops.begin() + ctx.tid(), std::size_t{0}));
+    for (std::size_t x = r.begin; x < r.end; ++x) {
+      at(x).store(top(x) ? next++ : kNoSlot, std::memory_order_relaxed);
     }
-    offset[static_cast<std::size_t>(ctx.tid()) + 1] = count;
+    if (tid == 0) core::iteration_checkpoint(opts_.msf, "forest Kruskal labels");
+    ctx.barrier();
+    // kAhead walks go up side by side, one step each per turn, each
+    // loading the link and label it reads next: their misses overlap.
+    struct Walk {
+      VertexId from, y;
+    };
+    std::array<Walk, kAhead> walks;
+    std::size_t live = 0;
+    const auto step = [&](Walk& w, VertexId y) {
+      w.y = y;
+      __builtin_prefetch(&links_[y]);
+      __builtin_prefetch(&label[y]);
+    };
+    for (auto x = static_cast<VertexId>(r.begin);;) {
+      for (; live < kAhead && x < r.end; ++x) {
+        if (at(x).load(std::memory_order_relaxed) != kNoSlot) continue;
+        walks[live].from = x;
+        step(walks[live++], links_[x].parent);
+      }
+      if (live == 0) break;
+      for (std::size_t k = 0; k < live;) {
+        Walk& w = walks[k];
+        const std::uint32_t l = at(w.y).load(std::memory_order_relaxed);
+        if (l == kNoSlot) {
+          step(w, links_[w.y].parent);
+          ++k;
+          continue;
+        }
+        for (VertexId z = w.from; z != w.y; z = links_[z].parent) {
+          at(z).store(l, std::memory_order_relaxed);
+        }
+        w = walks[--live];
+      }
+    }
   });
-  for (std::size_t t = 0; t < p; ++t) offset[t + 1] += offset[t];
-  Records out(offset[p]);
+
+  // ---- Sweep: each thread takes an equal block of the slots below `end`
+  // and keeps the lightest edge per pair of labels in its lane. ----
+  std::vector<Lane> lanes(p);
   opts_.team->run([&](TeamCtx& ctx) {
-    const IndexRange r = block_range(marks.size(), ctx.tid(), ctx.nthreads());
-    std::size_t o = offset[static_cast<std::size_t>(ctx.tid())];
-    for (std::size_t w = r.begin; w < r.end; ++w) {
-      for (std::uint64_t bits = marks[w]; bits != 0; bits &= bits - 1) {
-        const EdgeId id = 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
-        const WEdge& e = store_.edge(id);
-        out[o++] = Record{e.w, id, label[e.u], label[e.v]};
-      }
+    const auto tid = static_cast<std::size_t>(ctx.tid());
+    if (tid + 1 == p) fault_point("dynamic.sweep");
+    if (tid == 0) core::iteration_checkpoint(opts_.msf, "forest Kruskal sweep");
+    const IndexRange r = block_range(end, ctx.tid(), ctx.nthreads());
+    Lane& lane = lanes[tid];
+    for (EdgeId id = r.begin; id < r.end; ++id) {
+      if (!store_.is_live(id)) continue;
+      const WEdge& e = store_.edge(id);
+      if (label[e.u] == label[e.v]) continue;
+      ++lane.edges;
+      lane.keep(Record{e.w, id, label[e.u], label[e.v]});
     }
   });
-  return out;
+  return merge(lanes, std::accumulate(tops.begin(), tops.end(), std::size_t{0}));
+}
+
+DynamicMsf::Crossing DynamicMsf::merge(std::vector<Lane>& lanes,
+                                       std::size_t pieces) {
+  Lane& all = lanes[0];
+  for (std::size_t t = 1; t < lanes.size(); ++t) {
+    all.edges += lanes[t].edges;
+    for (const Record& r : lanes[t].best) all.keep(r);
+  }
+  return Crossing{std::move(all.best), pieces, all.edges};
 }
 
 std::vector<DynamicMsf::Record> DynamicMsf::replacements(Crossing c) const {
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-  Records& cross = c.edges;
+  std::vector<Record>& cross = c.pairs;
   const std::size_t pieces = c.pieces;
   // Borůvka under ⟨w, store id⟩: each round every component of the pieces
   // takes its lightest crossing edge.  The order is total, so the edges

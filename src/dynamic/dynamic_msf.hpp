@@ -12,9 +12,11 @@
 #include "dynamic/edge_store.hpp"
 #include "dynamic/forest_bits.hpp"
 #include "dynamic/incidence_list.hpp"
+#include "dynamic/pair_table.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/exact_sum.hpp"
 #include "graph/msf_result.hpp"
+#include "pprim/cacheline.hpp"
 #include "pprim/thread_team.hpp"
 
 namespace smp::dynamic {
@@ -93,12 +95,15 @@ struct DynamicMsfOptions {
 ///    C is exhausted too.)  Each round reads what the rounds before it
 ///    decide, so the arcs read are the same at every thread count.  When
 ///    the search reads more than kSearchFraction of the live edge count in
-///    arcs, the batch falls back to labelling every vertex's piece and
-///    sweeping every slot on the team.  Borůvka over the crossing edges,
-///    with every piece contracted to a point, yields the replacement set R:
-///    MSF(G − D) = F' ∪ R.  (Every other retained non-tree edge still
-///    closes a surviving forest cycle it is the maximum of, so it cannot
-///    enter.)
+///    arcs, the batch falls back to labelling every vertex with its piece's
+///    top, by walks up the parent links, and sweeping every slot, both on
+///    the team.  Either way each thread keeps only the lightest crossing
+///    edge of each pair of pieces: with the pieces contracted, a heavier
+///    one closes a 2-cycle it is the maximum of.  Borůvka over those pair
+///    minima, with every piece contracted to a point, yields the
+///    replacement set R: MSF(G − D) = F' ∪ R.  (Every other retained
+///    non-tree edge still closes a surviving forest cycle it is the maximum
+///    of, so it cannot enter.)
 ///  * The batch is then decided by one Kruskal pass over F' ∪ R ∪ B, whatever
 ///    the backend: every algorithm returns the unique MSF under ⟨weight,
 ///    store id⟩, so the pass commits what a solve of that set would.  A
@@ -280,30 +285,37 @@ class DynamicMsf {
   /// candidates.
   MsfDelta apply_by_kruskal(graph::EdgeId first_new,
                             const std::vector<graph::EdgeId>& cut);
-  /// std::allocator, but a vector's resize leaves the new elements
-  /// default-initialized: unwritten, for a trivial type.
-  template <class T>
-  struct Unzeroed : std::allocator<T> {
-    template <class U>
-    struct rebind {
-      using other = Unzeroed<U>;
-    };
-    template <class U, class... Args>
-    void construct(U* at, Args&&... args) {
-      if constexpr (sizeof...(Args) == 0) {
-        ::new (static_cast<void*>(at)) U;
-      } else {
-        ::new (static_cast<void*>(at)) U(std::forward<Args>(args)...);
+  /// The lightest under ⟨w, store id⟩ of the retained non-tree edges that
+  /// cross each pair of pieces of F', with its endpoints replaced by their
+  /// pieces' labels in [0, pieces), and how many crossing edges there were.
+  /// A heavier edge of a pair is the maximum of a 2-cycle once the pieces
+  /// are contracted, so no MSF of the crossing edges holds it.
+  struct Crossing {
+    std::vector<Record> pairs;
+    std::size_t pieces = 0;
+    std::size_t edges = 0;
+  };
+  /// One thread's share of the crossing edges: the lightest it saw of each
+  /// pair of pieces, as a record between their labels (`best`), the index
+  /// of that record under pair_key of the labels (`at`), and how many
+  /// crossing edges it saw.  One to a cache line.
+  struct alignas(kCacheLineBytes) Lane {
+    PairTable at;
+    std::vector<Record> best;
+    std::size_t edges = 0;
+    /// Keeps `r`, a crossing edge between the labels r.u != r.v, if it is
+    /// the lightest of its pair so far.
+    void keep(const Record& r) {
+      graph::EdgeId& i = at.try_emplace(pair_key(r.u, r.v), best.size());
+      if (i == best.size()) {
+        best.push_back(r);
+      } else if (before(r, best[i])) {
+        best[i] = r;
       }
     }
   };
-  using Records = std::vector<Record, Unzeroed<Record>>;
-  /// The retained non-tree edges that cross two pieces of F', each with
-  /// its endpoints replaced by their pieces' labels in [0, pieces).
-  struct Crossing {
-    Records edges;
-    std::size_t pieces = 0;
-  };
+  /// The lanes merged: the lightest edge per pair over all of them.
+  [[nodiscard]] static Crossing merge(std::vector<Lane>& lanes, std::size_t pieces);
   /// What the piece search did, for MsfDelta.
   struct SearchCounts {
     std::size_t arcs = 0;
@@ -317,13 +329,12 @@ class DynamicMsf {
   /// than `limit` arcs.  `counts` receives what it did, also then.
   std::optional<Crossing> search_pieces(const std::vector<graph::EdgeId>& cut,
                                         std::size_t limit, SearchCounts& counts);
-  /// The search's fallback: live edges below `end` whose endpoints carry
-  /// different `label`s, with those labels as endpoints, in ascending
-  /// store-id order, swept on the team.
-  Records crossing_records(graph::EdgeId end,
-                           const std::vector<graph::VertexId>& label) const;
-  /// The MSF of the crossing edges with every piece contracted to its
-  /// label, by Borůvka rounds, as records of the store's edges.
+  /// The search's fallback: every vertex labelled with its piece, then
+  /// every live slot below `end` swept for edges whose ends' labels differ,
+  /// each in one region on the team.
+  Crossing sweep_pieces(graph::EdgeId end) const;
+  /// The MSF of the crossing pairs' edges with every piece contracted to
+  /// its label, by Borůvka rounds, as records of the store's edges.
   std::vector<Record> replacements(Crossing cross) const;
   /// Builds links_ from the forest unless it is current.
   void build_rooted();

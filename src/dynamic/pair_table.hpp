@@ -17,14 +17,15 @@ inline std::uint64_t pair_key(graph::VertexId u, graph::VertexId v) {
 }
 
 /// Flat open-addressing multimap from a 64-bit key to an EdgeId: the pair
-/// index of EdgeStore, and (through insert_unique) the pair and id sets of
-/// WriteGroup and of the serve flusher's duplicate check.  One array of
-/// 16-byte slots and linear probing, so an insert or lookup touches one or
-/// two cache lines and allocates nothing per entry.  The capacity is a power
-/// of two and doubles only when an insert would push the load above 3/4;
-/// erase shifts the rest of the probe run back instead of leaving a
-/// tombstone, so a long insert/erase workload never degrades the probes.
-/// Key kEmpty (~0) marks a free slot and may not be inserted; neither a
+/// index of EdgeStore, (through insert_unique) the pair and id sets of
+/// WriteGroup and of the serve flusher's duplicate check, and (through
+/// try_emplace) the index of DynamicMsf's lightest crossing edge per pair
+/// of pieces.  One array of 16-byte slots and linear probing, so an insert
+/// or lookup touches one or two cache lines and allocates nothing per
+/// entry.  The capacity is a power of two and doubles only when an insert
+/// would push the load above 3/4; erase shifts the rest of the probe run
+/// back instead of leaving a tombstone, so a long insert/erase workload
+/// never degrades the probes.  Key kEmpty (~0) marks a free slot and may not be inserted; neither a
 /// pair_key nor a store id (kInvalidEdge aside) is ever equal to it.
 class PairTable {
  public:
@@ -44,14 +45,19 @@ class PairTable {
   }
 
   /// Adds (key, value), beside any entries already under `key`.
-  void insert(std::uint64_t key, graph::EdgeId value) {
-    if (4 * (size_ + 1) > 3 * slots_.size()) {
-      rehash(slots_.empty() ? kMinCapacity : 2 * slots_.size());
+  void insert(std::uint64_t key, graph::EdgeId value) { place(key, value); }
+
+  /// The value under `key`, after adding (key, value) if `key` is absent:
+  /// for a table that holds one entry per key.  The reference lasts until
+  /// the next insert.
+  graph::EdgeId& try_emplace(std::uint64_t key, graph::EdgeId value) {
+    if (size_ > 0) {
+      for (std::size_t i = home(key); slots_[i].key != kEmpty;
+           i = (i + 1) & mask_) {
+        if (slots_[i].key == key) return slots_[i].value;
+      }
     }
-    std::size_t i = home(key);
-    while (slots_[i].key != kEmpty) i = (i + 1) & mask_;
-    slots_[i] = Slot{key, value};
-    ++size_;
+    return slots_[place(key, value)].value;
   }
 
   /// Adds (key, value) unless `key` is present; returns whether it added.
@@ -126,6 +132,18 @@ class PairTable {
     k *= 0xc4ceb9fe1a85ec53ULL;
     k ^= k >> 33;
     return static_cast<std::size_t>(k) & mask_;
+  }
+
+  /// Adds (key, value) and returns its slot.
+  std::size_t place(std::uint64_t key, graph::EdgeId value) {
+    if (4 * (size_ + 1) > 3 * slots_.size()) {
+      rehash(slots_.empty() ? kMinCapacity : 2 * slots_.size());
+    }
+    std::size_t i = home(key);
+    while (slots_[i].key != kEmpty) i = (i + 1) & mask_;
+    slots_[i] = Slot{key, value};
+    ++size_;
+    return i;
   }
 
   void rehash(std::size_t capacity) {

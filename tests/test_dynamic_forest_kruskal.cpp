@@ -12,11 +12,13 @@
 // change the forest.  The shapes the pass depends on get cases of their own
 // at p ∈ {1, 2, 4}: a path-shaped forest whose everts pass the cap, a star
 // cut into about n pieces, mostly isolated vertices, tied and parallel
-// crossing edges, a tree edge deleted and re-inserted in one batch, and
-// compaction or a restore between Kruskal batches; and the shapes of the
-// compressed path tree: long chains along a path, a dangling chain holding
-// the heaviest forest edge, a star joined leaf to leaf, a terminal inside
-// another candidate's chain, and walks stopped by a cut partway up a chain.
+// crossing edges, a tree edge deleted and re-inserted in one batch,
+// compaction or a restore between Kruskal batches, and pieces joined by
+// runs of tied crossing edges (swept and searched, with the crossing and
+// pair counts known by hand); and the shapes of the compressed path tree:
+// long chains along a path, a dangling chain holding the heaviest forest
+// edge, a star joined leaf to leaf, a terminal inside another candidate's
+// chain, and walks stopped by a cut partway up a chain.
 // Also: the pass honours the budget and fills StepTimes.
 #include <gtest/gtest.h>
 
@@ -27,6 +29,7 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/error.hpp"
@@ -1024,6 +1027,92 @@ TEST_P(DynamicForestKruskalCases, ManyPiecesAreReadOnTheTeam) {
   EXPECT_EQ(d.search_pieces, kLegs);
   EXPECT_GE(d.search_rounds, 4u);
   EXPECT_EQ(d.forest_added.size(), kLegs - 1);
+}
+
+/// Pieces of a light path joined by runs of tied crossing edges.  The path
+/// 0 — … — n−1 is cut at each inner bound b (its edge (b − 1, b) is store
+/// id b − 1) into the pieces [bounds[i], bounds[i + 1]), each with `chords`
+/// heavy chords inside.  Each pair of pieces in `pairs` is joined by kRun
+/// crossing edges at weight 0.5, a run of ties that only its lowest store
+/// id may win, and kHeavier heavier ones.  A pair's edges alternate in
+/// direction and are spread over the store between the chords, so a sweep
+/// on p threads finds some of each in every thread's block.
+struct TiedPieces {
+  static constexpr int kRun = 4;
+  static constexpr int kHeavier = 3;
+  EdgeList g;
+  std::vector<EdgeId> cut;
+  std::vector<EdgeId> run_heads;  ///< the lowest id of each pair's run
+  std::size_t crossing = 0;       ///< the crossing edges the cut leaves
+
+  TiedPieces(const std::vector<VertexId>& bounds,
+             const std::vector<std::pair<int, int>>& pairs,
+             const std::vector<int>& chords, Rng& rng)
+      : g(light_path(bounds.back())) {
+    for (std::size_t i = 1; i + 1 < bounds.size(); ++i) cut.push_back(bounds[i] - 1);
+    const auto in = [&](int piece) {
+      return bounds[piece] + static_cast<VertexId>(
+                                 rng.next_below(bounds[piece + 1] - bounds[piece]));
+    };
+    run_heads.assign(pairs.size(), 0);
+    crossing = pairs.size() * (kRun + kHeavier);
+    for (int k = 0; k < kRun + kHeavier; ++k) {
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const auto [a, b] = pairs[i];
+        const Weight w = k < kRun ? 0.5 : 0.9 + rng.next_double();
+        if (k == 0) run_heads[i] = g.num_edges();
+        if (k % 2 == 0) {
+          g.add_edge(in(a), in(b), w);
+        } else {
+          g.add_edge(in(b), in(a), w);
+        }
+      }
+      for (std::size_t piece = 0; piece + 1 < bounds.size(); ++piece) {
+        add_chords(g, bounds[piece], bounds[piece + 1],
+                   chords[piece] / (kRun + kHeavier), 1.0, rng);
+      }
+    }
+  }
+};
+
+TEST_P(DynamicForestKruskalCases, SweptBatchKeepsTheLowestIdOfEachTiedPair) {
+  // Four pieces of 100 vertices, each with 700 chords: the search passes
+  // its limit long before any piece is exhausted, and the batch sweeps.
+  // Five pairs of pieces are joined, by 35 crossing edges; the
+  // replacement solve reads one per pair, and the three that enter are
+  // each the lowest id of its pair's run.
+  Rng rng(163 + static_cast<std::uint64_t>(GetParam()));
+  const std::vector<std::pair<int, int>> pairs{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {1, 2}};
+  const TiedPieces tp({0, 100, 200, 300, 400}, pairs, {700, 700, 700, 700}, rng);
+  Checked t(tp.g, &team);
+  const MsfDelta d = t.apply({}, tp.cut);
+  EXPECT_EQ(d.replacement_path, dynamic::ReplacementPath::kSweep);
+  EXPECT_EQ(d.candidate_edges, 399 - tp.cut.size() + tp.crossing);
+  EXPECT_EQ(d.crossing_pairs, pairs.size());
+  ASSERT_EQ(d.forest_added.size(), 3u);
+  for (const EdgeId id : d.forest_added) {
+    EXPECT_EQ(std::count(tp.run_heads.begin(), tp.run_heads.end(), id), 1) << id;
+  }
+  // An insert-only batch cuts nothing and reads no pairs.
+  EXPECT_EQ(t.apply({WEdge{0, 399, 0.25}}, {}).crossing_pairs, 0u);
+}
+
+TEST_P(DynamicForestKruskalCases, SearchedBatchKeepsTheLowestIdOfEachTiedPair) {
+  // The same shape with three child pieces of 10 vertices below a root
+  // piece of 370: the search exhausts the child pieces, labels the root
+  // piece 0, and hands the replacement solve the same one edge per pair.
+  Rng rng(167 + static_cast<std::uint64_t>(GetParam()));
+  const std::vector<std::pair<int, int>> pairs{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {1, 2}};
+  const TiedPieces tp({0, 370, 380, 390, 400}, pairs, {2800, 14, 14, 14}, rng);
+  Checked t(tp.g, &team);
+  const MsfDelta d = t.apply({}, tp.cut);
+  EXPECT_EQ(d.replacement_path, dynamic::ReplacementPath::kSearch);
+  EXPECT_EQ(d.candidate_edges, 399 - tp.cut.size() + tp.crossing);
+  EXPECT_EQ(d.crossing_pairs, pairs.size());
+  ASSERT_EQ(d.forest_added.size(), 3u);
+  for (const EdgeId id : d.forest_added) {
+    EXPECT_EQ(std::count(tp.run_heads.begin(), tp.run_heads.end(), id), 1) << id;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Team, DynamicForestKruskalCases,

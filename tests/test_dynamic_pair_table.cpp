@@ -1,5 +1,7 @@
 // dynamic::PairTable: the flat open-addressing multimap behind EdgeStore's
-// pair index and WriteGroup's sets, checked against std::unordered_multimap.
+// pair index, WriteGroup's sets and DynamicMsf's lightest crossing edge per
+// pair of pieces, checked against std::unordered_multimap and
+// std::unordered_map.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -135,6 +137,30 @@ TEST(PairTable, EmptyTableAnswersWithoutStorage) {
   EXPECT_TRUE(t.erase(5, 1));
   EXPECT_FALSE(t.contains(5));
   EXPECT_EQ(t.size(), 0u);
+}
+
+TEST(PairTable, TryEmplaceKeepsOneEntryPerKeyThroughGrowth) {
+  // A running minimum per key, checked against std::unordered_map: the
+  // reference try_emplace returns writes through, growth keeps it, and a
+  // key already present is found, not added again.
+  Rng rng(11);
+  PairTable t;
+  std::unordered_map<std::uint64_t, EdgeId> ref;
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t key = pair_key(static_cast<graph::VertexId>(rng.next_below(60)),
+                                       60 + static_cast<graph::VertexId>(rng.next_below(60)));
+    const EdgeId value = rng.next_below(1u << 20);
+    EdgeId& at = t.try_emplace(key, value);
+    at = std::min(at, value);
+    const auto [it, added] = ref.try_emplace(key, value);
+    if (!added) it->second = std::min(it->second, value);
+  }
+  ASSERT_EQ(t.size(), ref.size());
+  for (const auto& [key, value] : ref) {
+    EXPECT_EQ(t.try_emplace(key, PairTable::kEmpty - 1), value);
+    EXPECT_EQ(values_of(t, key), std::vector<EdgeId>{value});
+  }
+  EXPECT_EQ(t.size(), ref.size());
 }
 
 }  // namespace

@@ -8,8 +8,10 @@
 // retried batch must decide exactly as on a twin that never saw the failure.
 // Also: a failed cut batch leaves the rooted forest the Kruskal pass walks
 // as it was, a cancel at a budget check inside the piece search's team
-// region unwinds the batch, and an insertion that fails after an earlier
-// one of the same batch was stored.
+// region unwinds the batch, a fault or a cancel inside either region of
+// the sweep fallback (the piece labels and the slot sweep) unwinds it too,
+// and an insertion that fails after an earlier one of the same batch was
+// stored.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -537,6 +539,94 @@ TEST(DynamicRollback, CancelInsideTheSearchRegion) {
   expect_same_delta(got, want);
   EXPECT_EQ(got.search_arcs, want.search_arcs);
   expect_same(freeze(d), freeze(twin));
+}
+
+TEST(DynamicRollback, FailedSweepRegionsLeaveNoStaleScratch) {
+  // A path of 2000 light edges under 6000 heavy chords: a batch that cuts
+  // it in three places leaves pieces too large to search, so it labels
+  // every vertex and sweeps every slot, each in a region on the team.  A
+  // fault on a helper thread of either region, or a cancel at either
+  // region's checkpoint, unwinds the batch and leaves everything as it
+  // was; that batch and a second swept one then decide exactly as on a
+  // fresh copy.
+  Rng rng(37);
+  const VertexId n = 2000;
+  EdgeList g(n);
+  for (VertexId v = 1; v < n; ++v) g.add_edge(v - 1, v, 1e-3 * rng.next_double());
+  for (int i = 0; i < 6000; ++i) {
+    const auto u = static_cast<VertexId>(rng.next_below(n));
+    const auto v = static_cast<VertexId>((u + 1 + rng.next_below(n - 1)) % n);
+    g.add_edge(u, v, 1.0 + rng.next_double());
+  }
+  // Path edge (v − 1, v) is store id v − 1.
+  const std::vector<EdgeId> first{399, 999, 1499};
+  const std::vector<EdgeId> second{199, 1299};
+  struct Case {
+    const char* site;  ///< the fault point armed, or nullptr for a cancel
+    bool sweep;        ///< in the sweep region, not the label region
+  };
+  for (const int p : {1, 4}) {
+    ThreadTeam team(p);
+    // A counting run: one check before the search, one per search round,
+    // the label region's and the sweep region's, which are the batch's
+    // last two regions, and one before the scan.
+    DynamicMsf counter(g, options(&team));
+    ExecutionBudget budget;
+    counter.set_budget(&budget);
+    FaultInjector::arm("budget.check", FaultKind::kCancel, 1u << 30);
+    std::uint64_t regions = team.regions_started();
+    const MsfDelta counted = counter.apply_batch({}, first);
+    regions = team.regions_started() - regions;
+    ASSERT_EQ(counted.replacement_path, dynamic::ReplacementPath::kSweep);
+    ASSERT_EQ(FaultInjector::hits("budget.check"), counted.search_rounds + 4);
+    FaultInjector::disarm_all();
+
+    for (const Case c : {Case{"dynamic.piece-labels", false},
+                         Case{"dynamic.sweep", true}, Case{nullptr, false},
+                         Case{nullptr, true}}) {
+      SCOPED_TRACE("p = " + std::to_string(p) + ", " +
+                   (c.site != nullptr ? c.site : "cancel") + " in the " +
+                   (c.sweep ? "sweep" : "label") + " region");
+      DynamicMsf d(g, options(&team));
+      DynamicMsf fresh(g, options(&team));
+      const Frozen before = freeze(d);
+      const PinnedView view = pin(d);
+      const std::uint64_t started = team.regions_started();
+      if (c.site != nullptr) {
+        FaultInjector::arm(c.site, FaultKind::kBadAlloc);
+        EXPECT_THROW(d.apply_batch({}, first), std::bad_alloc);
+        EXPECT_EQ(FaultInjector::hits(c.site), 1u);
+      } else {
+        const std::uint64_t skip = counted.search_rounds + (c.sweep ? 2 : 1);
+        d.set_budget(&budget);
+        FaultInjector::arm("budget.check", FaultKind::kCancel, skip);
+        try {
+          d.apply_batch({}, first);
+          ADD_FAILURE() << "the batch was not cancelled";
+        } catch (const Error& e) {
+          EXPECT_EQ(e.code(), ErrorCode::kCancelled);
+        }
+        EXPECT_EQ(FaultInjector::hits("budget.check"), skip + 1);
+        d.set_budget(nullptr);
+      }
+      // The failure unwound the region it names: a label-region failure
+      // starts no sweep region.
+      EXPECT_EQ(team.regions_started() - started, regions - (c.sweep ? 0 : 1));
+      FaultInjector::disarm_all();
+      expect_same(freeze(d), before);
+      expect_unchanged(view);
+
+      for (const std::vector<EdgeId>* batch : {&first, &second}) {
+        const MsfDelta a = d.apply_batch({}, *batch);
+        const MsfDelta b = fresh.apply_batch({}, *batch);
+        expect_same_delta(a, b);
+        EXPECT_EQ(a.replacement_path, dynamic::ReplacementPath::kSweep);
+        EXPECT_EQ(a.crossing_pairs, b.crossing_pairs);
+        EXPECT_EQ(a.search_arcs, b.search_arcs);
+        expect_same(freeze(d), freeze(fresh));
+      }
+    }
+  }
 }
 
 TEST(DynamicRollback, RejectedBatchMutatesNothing) {
