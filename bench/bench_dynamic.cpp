@@ -18,8 +18,8 @@
 // over its batches that took the Kruskal pass, the median forest edges the
 // root-path walks gathered, the median and the largest count of compressed
 // path records the pass sorted in their place; and the row's first batch
-// (`first_batch_s`, which builds the rooted forest and, on a cut, the
-// incidence lists) apart from the mean of the rest
+// (`first_batch_s`, which on a cut builds the incidence lists; the rooted
+// forest is built with the DynamicMsf) apart from the mean of the rest
 // (`steady_seconds_per_batch`).  Every row's final forest is checked
 // bit-identical to a scratch solve.
 #include <algorithm>
@@ -166,8 +166,8 @@ bool finish_row(bench::JsonSink& sink, const EdgeList& start,
                 std::size_t batch_size, int batches, double per_batch,
                 const std::vector<double>& times, int recomputed,
                 Replacements& rep, const core::MsfOptions& sopts, int reps) {
-  // The first batch builds the rooted forest and, on a cut, the incidence
-  // lists; the rest are the row's steady state.
+  // The first batch builds the incidence lists on a cut; the rest are the
+  // row's steady state.
   const double first = times.front();
   double steady = 0;
   for (std::size_t i = 1; i < times.size(); ++i) steady += times[i];

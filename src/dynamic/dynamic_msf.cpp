@@ -14,6 +14,7 @@
 #include "core/error.hpp"
 #include "pprim/cacheline.hpp"
 #include "pprim/fault.hpp"
+#include "pprim/huge_pages.hpp"
 #include "pprim/partition.hpp"
 #include "pprim/timer.hpp"
 #include "seq/union_find.hpp"
@@ -32,8 +33,9 @@ namespace {
 constexpr std::size_t kCheckEvery = std::size_t{1} << 16;
 
 /// Independent loads a latency-bound loop keeps in flight: the search's
-/// labelling loads slots this many arcs ahead, and the sweep's label walks
-/// go up this many side by side.
+/// labelling loads slots this many arcs ahead, the sweep's label walks go
+/// up this many side by side, and the rooted forest's BFS loads the runs of
+/// the vertices this many places ahead in its queue.
 constexpr std::size_t kAhead = 16;
 
 /// slot_ entry of a vertex the scan has not numbered.
@@ -56,8 +58,9 @@ void adopt_team(DynamicMsfOptions& o, std::unique_ptr<ThreadTeam>& own) {
 }  // namespace
 
 DynamicMsf::DynamicMsf(const EdgeList& initial, DynamicMsfOptions opts)
-    : store_(initial), opts_(std::move(opts)) {
+    : opts_(std::move(opts)) {
   adopt_team(opts_, own_team_);
+  store_ = EdgeStore(initial, *opts_.team);
   // The dispatcher re-validates the graph; this also vets the MsfOptions
   // (threads, bc_base_size, algorithm) once, up front.  Store ids are the
   // positions in initial.edges, so the result needs no id map.
@@ -65,6 +68,7 @@ DynamicMsf::DynamicMsf(const EdgeList& initial, DynamicMsfOptions opts)
   std::sort(r.edge_ids.begin(), r.edge_ids.end());
   commit({}, std::move(r.edge_ids));
   forest_version_ = fresh_forest_version();
+  build_rooted();
 }
 
 DynamicMsf::DynamicMsf(VertexId num_vertices, DynamicMsfOptions opts)
@@ -73,6 +77,8 @@ DynamicMsf::DynamicMsf(VertexId num_vertices, DynamicMsfOptions opts)
   adopt_team(opts_, own_team_);
   trees_ = num_vertices;
   forest_version_ = fresh_forest_version();
+  // Nothing to root yet: with no live edge, every batch that decides
+  // anything crosses over, and recompute() roots the forest it commits.
 }
 
 DynamicMsf::DynamicMsf(EdgeStore store, std::vector<EdgeId> forest,
@@ -101,6 +107,9 @@ DynamicMsf::DynamicMsf(EdgeStore store, std::vector<EdgeId> forest,
   }
   commit({}, std::move(forest));
   forest_version_ = fresh_forest_version();
+  if (!build_rooted()) {
+    throw Error(ErrorCode::kInvalidInput, "restore: forest ids contain a cycle");
+  }
 }
 
 MsfDelta DynamicMsf::apply_batch(std::span<const WEdge> insertions,
@@ -176,15 +185,12 @@ MsfDelta DynamicMsf::apply_batch(std::span<const WEdge> insertions,
 MsfDelta DynamicMsf::apply_by_kruskal(EdgeId first_new,
                                       const std::vector<EdgeId>& cut) {
   core::StepTimes* const steps = opts_.msf.step_times;
-  const VertexId n = store_.num_vertices();
   const EdgeId last = store_.size();
   WallTimer sort_timer;
   // links_ caches the entry forest, which a failed batch leaves in place.
-  build_rooted();
-  if (slot_.empty()) {
-    stop_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
-    slot_.assign(n, kNoSlot);
-  }
+  // Every commit keeps it current but one whose everts pass the cap, which
+  // drops it for this call to rebuild.
+  if (!rooted_) build_rooted();
   // The scratch is clear on entry; clear what this batch set on every exit.
   struct Clear {
     DynamicMsf& m;
@@ -926,56 +932,68 @@ std::vector<DynamicMsf::Record> DynamicMsf::replacements(Crossing c) const {
   return out;
 }
 
-void DynamicMsf::build_rooted() {
-  if (rooted_) return;
+bool DynamicMsf::build_rooted() {
+  fault_point("dynamic.rooted-build");
+  rooted_ = false;
   const auto n = static_cast<std::size_t>(store_.num_vertices());
   const std::vector<EdgeId>& forest = forest_edge_ids();
-  // The forest as adjacency lists: (neighbour, position in forest) pairs
-  // bucketed by vertex.
-  std::vector<std::size_t> start(n + 1, 0);
-  for (std::size_t i = 0; i < forest.size(); ++i) {
-    ++start[store_.edge(forest[i]).u + 1];
-    ++start[store_.edge(forest[i]).v + 1];
-    if ((i + 1) % kCheckEvery == 0) {
-      core::iteration_checkpoint(opts_.msf, "rooted forest build");
-    }
+  // The forest as adjacency runs, built on the team.  Each entry is the
+  // link the BFS gives the neighbour it leads to — the edge's weight and
+  // id, with the vertex in `parent` — so the BFS never reads the store.
+  auto start = make_huge_for_overwrite<std::size_t>(n + 1);
+  auto adj = make_huge_for_overwrite<Link>(2 * forest.size());
+  build_team_csr(
+      *opts_.team, n, forest.size(), start.get(),
+      [&](std::size_t i) -> const WEdge& { return store_.edge(forest[i]); },
+      [&](std::size_t at, std::size_t i, const WEdge& e, VertexId y) {
+        adj[at] = Link{e.w, forest[i], y};
+      });
+  if (links_ == nullptr) {
+    // The first build also sets up the pass's per-vertex scratch, clear.
+    stop_.assign((n + 63) / 64, 0);
+    slot_.assign(n, kNoSlot);
+    links_ = make_huge_for_overwrite<Link>(n);
   }
-  for (std::size_t x = 0; x < n; ++x) start[x + 1] += start[x];
-  std::vector<std::pair<VertexId, std::uint32_t>> adj(2 * forest.size());
-  {
-    std::vector<std::size_t> fill(start.begin(), start.end() - 1);
-    for (std::uint32_t i = 0; i < forest.size(); ++i) {
-      const WEdge& e = store_.edge(forest[i]);
-      adj[fill[e.u]++] = {e.v, i};
-      adj[fill[e.v]++] = {e.u, i};
-      if ((i + 1) % kCheckEvery == 0) {
-        core::iteration_checkpoint(opts_.msf, "rooted forest build");
-      }
-    }
-  }
-  // BFS from the least unvisited vertex of each tree; kInvalidVertex marks
-  // a vertex not reached yet.
-  links_.assign(n, Link{0, graph::kInvalidEdge, graph::kInvalidVertex});
-  std::vector<VertexId> queue(n);
+  // BFS from the least unseen vertex of each tree.  Every vertex is reached
+  // once, so every link is written; a forest edge that leads to a vertex
+  // seen already closes a cycle and places nothing.
+  std::vector<std::uint64_t> seen((n + 63) / 64, 0);
+  const auto see = [&](std::size_t x) {
+    std::uint64_t& word = seen[x / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (x % 64);
+    const bool was = (word & bit) != 0;
+    word |= bit;
+    return was;
+  };
+  const auto queue = make_huge_for_overwrite<VertexId>(n);
   std::size_t tail = 0;
+  std::size_t placed = 0;
   for (std::size_t r = 0; r < n; ++r) {
-    if (links_[r].parent != graph::kInvalidVertex) continue;
-    links_[r].parent = static_cast<VertexId>(r);
+    if (see(r)) continue;
+    links_[r] = Link{0, graph::kInvalidEdge, static_cast<VertexId>(r)};
     queue[tail++] = static_cast<VertexId>(r);
     for (std::size_t head = tail - 1; head < tail; ++head) {
       if ((head + 1) % kCheckEvery == 0) {
         core::iteration_checkpoint(opts_.msf, "rooted forest build");
       }
+      // The queue says which runs come next: start loading the offsets of
+      // one far ahead and the run of one nearer, whose offsets are in.
+      if (head + 2 * kAhead < tail) {
+        __builtin_prefetch(&start[queue[head + 2 * kAhead]]);
+      }
+      if (head + kAhead < tail) __builtin_prefetch(&adj[start[queue[head + kAhead]]]);
       const VertexId x = queue[head];
       for (std::size_t j = start[x]; j < start[x + 1]; ++j) {
-        const auto [y, i] = adj[j];
-        if (links_[y].parent != graph::kInvalidVertex) continue;
-        links_[y] = Link{store_.edge(forest[i]).w, forest[i], x};
-        queue[tail++] = y;
+        const Link& a = adj[j];
+        if (see(a.parent)) continue;
+        links_[a.parent] = Link{a.w, a.edge, x};
+        queue[tail++] = a.parent;
+        ++placed;
       }
     }
   }
-  rooted_ = true;
+  rooted_ = placed == forest.size();
+  return rooted_;
 }
 
 void DynamicMsf::relink(const std::vector<EdgeId>& removed,
@@ -1101,8 +1119,13 @@ std::vector<EdgeId> DynamicMsf::compact_store() {
   });
   forest_ = std::move(next);
   forest_version_ = fresh_forest_version();
-  for (Link& l : links_) {
-    if (l.edge != graph::kInvalidEdge) l.edge = remap[static_cast<std::size_t>(l.edge)];
+  if (rooted_) {
+    for (VertexId x = 0; x < store_.num_vertices(); ++x) {
+      Link& l = links_[x];
+      if (l.edge != graph::kInvalidEdge) {
+        l.edge = remap[static_cast<std::size_t>(l.edge)];
+      }
+    }
   }
   incidence_.clear();
   return remap;
@@ -1114,8 +1137,8 @@ MsfDelta DynamicMsf::recompute() {
   MsfResult r = core::minimum_spanning_forest_of_candidates(*opts_.team, live,
                                                             ids, opts_.msf);
   std::sort(r.edge_ids.begin(), r.edge_ids.end());
-  // A whole-graph diff can be any size: the next Kruskal batch rebuilds the
-  // rooted forest rather than this commit everting it.
+  // A whole-graph diff can be any size: the rooted forest is built again
+  // after the commit rather than everted by it.
   rooted_ = false;
   // The diff allocates, so it is taken before anything is committed.
   const std::vector<EdgeId>& forest = forest_edge_ids();
@@ -1128,6 +1151,13 @@ MsfDelta DynamicMsf::recompute() {
   MsfDelta d = commit(std::move(removed), std::move(added));
   d.candidate_edges = live.edges.size();
   d.recomputed_from_scratch = true;
+  // Root the new forest here, where the solve has paid O(m) already, so no
+  // later batch pays for it.  The commit stands if this fails: the forest is
+  // left unrooted, and the next Kruskal batch roots it.
+  try {
+    build_rooted();
+  } catch (...) {  // NOLINT(bugprone-empty-catch): rooted_ stays false
+  }
   return d;
 }
 

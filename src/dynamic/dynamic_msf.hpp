@@ -48,13 +48,14 @@ struct DynamicMsfOptions {
   /// and sweep), the replacement Borůvka and the scan — to
   /// step_times->connect.
   core::MsfOptions msf;
-  /// Persistent thread team for every solve and for the Kruskal pass's
-  /// incidence-list build, piece search and replacement sweep.  When null,
-  /// the DynamicMsf creates one of msf.threads and keeps it for its
-  /// lifetime; when set, the run's p is team->size() and msf.threads is
-  /// ignored — the serving layer shares one pool across all sessions this
-  /// way.  A given team must outlive the DynamicMsf, and the caller must
-  /// serialize solves if the team is shared (regions must not nest).
+  /// Persistent thread team for every solve, the rooted forest's adjacency
+  /// and the Kruskal pass's incidence-list build, piece search and
+  /// replacement sweep.  When null, the DynamicMsf creates one of
+  /// msf.threads and keeps it for its lifetime; when set, the run's p is
+  /// team->size() and msf.threads is ignored — the serving layer shares one
+  /// pool across all sessions this way.  A given team must outlive the
+  /// DynamicMsf, and the caller must serialize solves if the team is shared
+  /// (regions must not nest).
   ThreadTeam* team = nullptr;
 };
 
@@ -128,11 +129,15 @@ struct DynamicMsfOptions {
 ///    maintained forest is bit-identical (edge ids and weight) to MSF(live
 ///    graph) after every batch, for every backend and thread count.
 ///  * The rooted forest (a parent vertex and parent edge per vertex) is
-///    built by one BFS over the forest on the first batch that needs it and
-///    kept current by every commit: a removed edge detaches its child side,
-///    an added edge (u, v) everts u's tree at u and hangs it under v.  A
-///    commit whose everts pass n steps drops it instead (a path-shaped forest
-///    can make every evert long), and the next Kruskal batch rebuilds it.
+///    built by the constructors that take edges and by recompute(), after
+///    its commit: the forest's adjacency on the team, then one BFS from the
+///    least vertex of each tree.  (An edgeless start roots nothing: its
+///    first batch that decides anything is a crossover.)  Every commit
+///    keeps it current: a removed edge detaches its child side, an added
+///    edge (u, v) everts u's tree at u and hangs it under v.  A commit whose
+///    everts pass n steps drops it instead (a path-shaped forest can make
+///    every evert long), and the next Kruskal batch rebuilds it; no other
+///    batch builds it.
 ///  * A commit costs O(Δ) for Δ changed edges.  The forest is a membership
 ///    bit per store slot in copy-on-write blocks (ForestBits), and its
 ///    weight is an exact running sum (graph::ExactSum) that each added edge
@@ -153,16 +158,19 @@ struct DynamicMsfOptions {
 /// The configured backend solves the whole live graph: the first time, on
 /// recompute(), and for a batch past the scratch crossover.
 ///
-/// Not thread-safe (one writer); solves and the Kruskal pass's O(m)
-/// incidence-list build, its piece search and its fallback sweep run on one
-/// team (DynamicMsfOptions::team, or the DynamicMsf's own of msf.threads).
+/// Not thread-safe (one writer); solves, the rooted forest's adjacency and
+/// the Kruskal pass's O(m) incidence-list build, its piece search and its
+/// fallback sweep run on one team (DynamicMsfOptions::team, or the
+/// DynamicMsf's own of msf.threads).
 class DynamicMsf {
  public:
-  /// Starts from `initial` (store ids = positions in initial.edges) and
-  /// solves it once with the configured backend.
+  /// Starts from `initial` (store ids = positions in initial.edges,
+  /// adopted on the team), solves it once with the configured backend and
+  /// roots the forest.
   explicit DynamicMsf(const graph::EdgeList& initial,
                       DynamicMsfOptions opts = {});
-  /// Starts from an edgeless graph on `num_vertices` vertices.
+  /// Starts from an edgeless graph on `num_vertices` vertices, allocating
+  /// nothing per vertex.
   explicit DynamicMsf(graph::VertexId num_vertices,
                       DynamicMsfOptions opts = {});
 
@@ -171,8 +179,9 @@ class DynamicMsf {
   /// are sorted here).  Used by the persistence layer to rebuild a session
   /// from a snapshot — the forest was bit-identical to MSF(live graph) when
   /// snapshotted, so no recompute is needed.  Validates that every forest id
-  /// is live, that ids are unique, and that the edge count is consistent
-  /// with a forest (<= n - 1); throws Error{kInvalidInput} otherwise.
+  /// is live, that ids are unique, that the edge count is consistent with a
+  /// forest (<= n - 1), and, while rooting it, that the edges close no
+  /// cycle; throws Error{kInvalidInput} otherwise.
   DynamicMsf(EdgeStore store, std::vector<graph::EdgeId> forest,
              DynamicMsfOptions opts = {});
 
@@ -201,9 +210,10 @@ class DynamicMsf {
                        const core::Dendrogram* oracle = nullptr);
 
   /// Solves the whole live graph from scratch with the backend and commits
-  /// the diff against the forest; a failed solve commits nothing.  The
-  /// EdgeStore constructor and batches past the scratch crossover take this
-  /// path too.
+  /// the diff against the forest; a failed solve commits nothing.  Then
+  /// roots the new forest; if that fails, the commit stands and the forest
+  /// is left unrooted for the next Kruskal batch to root.  Batches past the
+  /// scratch crossover take this path too.
   MsfDelta recompute();
 
   /// Compacts the underlying store (drops every tombstoned slot, renumbering
@@ -336,8 +346,12 @@ class DynamicMsf {
   /// The MSF of the crossing pairs' edges with every piece contracted to
   /// its label, by Borůvka rounds, as records of the store's edges.
   std::vector<Record> replacements(Crossing cross) const;
-  /// Builds links_ from the forest unless it is current.
-  void build_rooted();
+  /// Builds links_ from the forest: its adjacency on the team, then one BFS
+  /// from the least vertex of each tree.  Sets rooted_ and returns true,
+  /// unless the forest has a cycle (only a restore of bad input gives it
+  /// one): then rooted_ stays false and it returns false.  On an exception
+  /// rooted_ stays false too.
+  bool build_rooted();
   /// Keeps links_ current across a commit (see commit); allocates nothing.
   void relink(const std::vector<graph::EdgeId>& removed,
               const std::vector<graph::EdgeId>& added);
@@ -373,13 +387,15 @@ class DynamicMsf {
   graph::Weight weight_ = 0;    ///< weight_sum_, rounded
   std::size_t trees_ = 0;
   std::uint64_t path_max_batches_ = 0;
-  /// The rooted forest, one link per vertex, valid while rooted_.
-  std::vector<Link> links_;
+  /// The rooted forest, one link per vertex (allocated by the first
+  /// build), valid while rooted_.
+  std::unique_ptr<Link[]> links_;
   bool rooted_ = false;
-  /// Kruskal-pass scratch, n entries each, allocated on first use and left
-  /// clear between batches: a vertex's stop bit (see apply_by_kruskal) and
-  /// its number in the scan's union-find (kNoSlot when unnumbered), each
-  /// reset through the list of the vertices a batch touched.
+  /// Kruskal-pass scratch, n entries each, allocated by the first
+  /// build_rooted and left clear between batches: a vertex's stop bit (see
+  /// apply_by_kruskal) and its number in the scan's union-find (kNoSlot
+  /// when unnumbered), each reset through the list of the vertices a batch
+  /// touched.
   std::vector<std::uint64_t> stop_;
   std::vector<graph::VertexId> stopped_;
   std::vector<std::uint32_t> slot_;

@@ -10,6 +10,8 @@
 
 #include "core/error.hpp"
 #include "pprim/fault.hpp"
+#include "pprim/huge_pages.hpp"
+#include "pprim/partition.hpp"
 
 namespace smp::dynamic {
 
@@ -19,6 +21,10 @@ using graph::VertexId;
 using graph::WEdge;
 using graph::Weight;
 using graph::WeightOrder;
+
+bool EdgeStore::valid_edge(const WEdge& e, VertexId n) {
+  return e.u != e.v && e.u < n && e.v < n && std::isfinite(e.w);
+}
 
 void EdgeStore::check_edge(VertexId u, VertexId v, Weight w, VertexId n) {
   if (u == v) {
@@ -44,18 +50,30 @@ constexpr std::size_t kMinSlots = 16;
 
 SlotBuffer::SlotBuffer(std::size_t slots)
     : slots_(slots),
-      bytes_(slots * (sizeof(WEdge) + sizeof(std::uint64_t))),
+      reserved_(2 * slots),
+      bytes_(reserved_ * (sizeof(WEdge) + sizeof(std::uint64_t))),
       edges_(nullptr),
       stamps_(nullptr) {
   void* p = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
-                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
   if (p == MAP_FAILED) throw std::bad_alloc();
   edges_ = static_cast<WEdge*>(p);
   // sizeof(WEdge) is a multiple of 8, so the stamps stay 8-aligned.
-  stamps_ = reinterpret_cast<std::uint64_t*>(edges_ + slots);
+  stamps_ = reinterpret_cast<std::uint64_t*>(edges_ + reserved_);
+  // Huge pages for the room the store fills when it makes the buffer; the
+  // reservation beyond it takes small pages, so a batch that appends past
+  // that fill faults a few kilobytes in, not a zeroed 2 MiB page.
+  advise_huge_pages(edges_, slots * sizeof(WEdge));
+  advise_huge_pages(stamps_, slots * sizeof(std::uint64_t));
 }
 
 SlotBuffer::~SlotBuffer() { munmap(edges_, bytes_); }
+
+bool SlotBuffer::grow() {
+  if (2 * slots_ > reserved_) return false;
+  slots_ *= 2;
+  return true;
+}
 
 std::shared_ptr<SlotBuffer> EdgeStore::copy_slots(std::size_t capacity) const {
   const auto slots = static_cast<std::size_t>(slots_);
@@ -85,12 +103,35 @@ EdgeStore& EdgeStore::operator=(const EdgeStore& other) {
   return *this;
 }
 
-EdgeStore::EdgeStore(const EdgeList& g) : n_(g.num_vertices) {
-  for (const auto& e : g.edges) check_edge(e.u, e.v, e.w, n_);
+EdgeStore::EdgeStore(const EdgeList& g) {
+  ThreadTeam calling_thread(1);
+  *this = EdgeStore(g, calling_thread);
+}
+
+EdgeStore::EdgeStore(const EdgeList& g, ThreadTeam& team) : n_(g.num_vertices) {
   const std::size_t m = g.edges.size();
   buf_ = std::make_shared<SlotBuffer>(std::max(m, kMinSlots));
-  if (m > 0) std::memcpy(buf_->edges(), g.edges.data(), m * sizeof(WEdge));
-  for (std::size_t i = 0; i < m; ++i) buf_->set_stamp(i, SlotBuffer::kLive);
+  // Each thread checks and copies one block, stopping at its first bad
+  // edge; the first bad edge of all is the least of those.
+  std::vector<std::size_t> bad(static_cast<std::size_t>(team.size()), m);
+  SlotBuffer& b = *buf_;
+  team.run([&](TeamCtx& ctx) {
+    const IndexRange r = block_range(m, ctx.tid(), ctx.nthreads());
+    for (std::size_t i = r.begin; i < r.end; ++i) {
+      const WEdge& e = g.edges[i];
+      if (!valid_edge(e, n_)) {
+        bad[static_cast<std::size_t>(ctx.tid())] = i;
+        return;
+      }
+      b.edges()[i] = e;
+      b.set_stamp(i, SlotBuffer::kLive);
+    }
+  });
+  const std::size_t first = *std::min_element(bad.begin(), bad.end());
+  if (first < m) {
+    const WEdge& e = g.edges[first];
+    check_edge(e.u, e.v, e.w, n_);
+  }
   slots_ = m;
   live_ = m;
 }
@@ -98,9 +139,12 @@ EdgeStore::EdgeStore(const EdgeList& g) : n_(g.num_vertices) {
 void EdgeStore::reserve_slot() {
   const auto slots = static_cast<std::size_t>(slots_);
   if (buf_ != nullptr && slots < buf_->capacity()) return;
-  // Views taken so far keep the full buffer; the writer moves on to a copy
-  // of twice the capacity, so nothing a view reads is ever written again.
+  // Every doubling passes the fault point, in place or not.  Either way the
+  // writer only writes past every view's slot bound: in place, into the
+  // reservation no view reads; otherwise into a copy of twice the room,
+  // while the views keep the full buffer.
   fault_point("edge-store.grow");
+  if (buf_ != nullptr && buf_->grow()) return;
   buf_ = copy_slots(std::max(kMinSlots, 2 * slots));
 }
 

@@ -13,30 +13,39 @@
 #include "graph/edge_list.hpp"
 #include "graph/types.hpp"
 #include "pprim/byte_codec.hpp"
+#include "pprim/thread_team.hpp"
 
 namespace smp::dynamic {
 
-/// Fixed-capacity slot storage shared by an EdgeStore and the StoreViews
-/// taken from it: one edge record and one erase stamp per slot.  The store
-/// only ever appends past every view's slot bound and stamps slots; it never
-/// moves or frees a buffer a view holds — growth and compaction start a new
-/// buffer instead.
+/// Slot storage shared by an EdgeStore and the StoreViews taken from it:
+/// one edge record and one erase stamp per slot.  The store only ever
+/// appends past every view's slot bound and stamps slots; it never moves or
+/// frees a buffer a view holds.  A buffer reserves address space for twice
+/// the slots it is made with, and grow() extends it into that reservation in
+/// place, once; past that, and on compaction, the store starts a new buffer.
 class SlotBuffer {
  public:
   /// Stamp of a slot that has never been erased.
   static constexpr std::uint64_t kLive = ~std::uint64_t{0};
 
-  /// `slots` edge records and slot stamps.  Both arrays live in one
-  /// anonymous mapping, left uninitialized: untouched capacity costs address
-  /// space, not resident memory, and the destructor returns every page to
-  /// the system (a freed heap block this large can stay resident).  Throws
-  /// std::bad_alloc when the mapping fails.
+  /// Room for `slots` edge records and slot stamps, in one anonymous
+  /// mapping that reserves room for twice as many.  The mapping is
+  /// MAP_NORESERVE and left uninitialized, and the room is advised for huge
+  /// pages: untouched room costs address space, not resident memory, and
+  /// the destructor returns every page to the system (a freed heap block
+  /// this large can stay resident).  Throws std::bad_alloc when the mapping
+  /// fails.
   explicit SlotBuffer(std::size_t slots);
   ~SlotBuffer();
   SlotBuffer(const SlotBuffer&) = delete;
   SlotBuffer& operator=(const SlotBuffer&) = delete;
 
   [[nodiscard]] std::size_t capacity() const { return slots_; }
+  /// Doubles capacity() in place when the reservation holds it, and
+  /// returns false, changing nothing, when it does not.  No slot moves, so
+  /// the views reading this buffer are undisturbed.  Only the store that
+  /// writes the buffer may call it.
+  bool grow();
   [[nodiscard]] const graph::WEdge* edges() const { return edges_; }
   [[nodiscard]] graph::WEdge* edges() { return edges_; }
   [[nodiscard]] std::uint64_t stamp(graph::EdgeId id) const {
@@ -54,7 +63,8 @@ class SlotBuffer {
   }
 
  private:
-  std::size_t slots_;
+  std::size_t slots_;     ///< usable now
+  std::size_t reserved_;  ///< mapped: edge records and stamps for this many
   std::size_t bytes_;
   graph::WEdge* edges_;
   std::uint64_t* stamps_;
@@ -115,9 +125,12 @@ class StoreView {
 /// graph::canonicalize_parallel_edges, so delete-by-endpoints trace
 /// operations are deterministic.
 ///
-/// Slots live in a shared, fixed-capacity SlotBuffer (see StoreView):
-/// appends fill it, growth doubles into a new one, and a deletion stamps the
-/// slot with the next value of an erase clock, so `view()` is O(1).
+/// Slots live in a shared SlotBuffer (see StoreView): appends fill it, a
+/// deletion stamps the slot with the next value of an erase clock, so
+/// `view()` is O(1), and growth doubles the room.  Every other doubling
+/// extends the buffer in place and the rest move to a new buffer of twice
+/// the room; the first one after adoption, restore, compaction or a copy is
+/// in place, so the first batch after any of them copies no slot.
 ///
 /// Not thread-safe: one writer, external synchronization if shared.  Views
 /// may be read concurrently with the writer.  Copying a store copies its
@@ -132,8 +145,10 @@ class EdgeStore {
   EdgeStore& operator=(EdgeStore&& other) = default;
   /// Adopts `g` with store ids equal to positions in `g.edges`.
   /// Throws Error{kInvalidInput} on self-loops, out-of-range endpoints or
-  /// non-finite weights.
+  /// non-finite weights, naming the first such edge.
   explicit EdgeStore(const graph::EdgeList& g);
+  /// The same, with the checks and the copy split across `team`.
+  EdgeStore(const graph::EdgeList& g, ThreadTeam& team);
 
   [[nodiscard]] graph::VertexId num_vertices() const { return n_; }
   /// Total slots, live and tombstoned; also the next id to be assigned.
@@ -222,10 +237,13 @@ class EdgeStore {
   static EdgeStore restore(ByteReader& in);
 
  private:
+  /// Whether check_edge passes, without throwing.
+  static bool valid_edge(const graph::WEdge& e, graph::VertexId n);
   static void check_edge(graph::VertexId u, graph::VertexId v, graph::Weight w,
                          graph::VertexId n);
   void ensure_pair_index() const;
-  /// Makes room for one more slot, doubling into a new buffer when full.
+  /// Makes room for one more slot, doubling the room when full: in place
+  /// when the buffer's reservation holds it, into a new buffer otherwise.
   void reserve_slot();
   /// A fresh buffer holding room for `capacity` slots, with slots
   /// [0, slots_) copied from the current one.

@@ -2,8 +2,6 @@
 
 #include <iterator>
 
-#include "pprim/partition.hpp"
-
 namespace smp::dynamic {
 
 using graph::EdgeId;
@@ -11,11 +9,11 @@ using graph::VertexId;
 using graph::WEdge;
 
 void IncidenceList::sync(ThreadTeam& team, const EdgeStore& store, EdgeId end) {
-  const bool built = !start_.empty();
+  const bool built = start_ != nullptr;
   if (built && end == covered_) return;
   try {
     const auto more = 2 * static_cast<std::size_t>(end - covered_);
-    if (!built || tail_arcs_ + more > start_.back()) {
+    if (!built || tail_arcs_ + more > csr_arcs_) {
       build(team, store, end);
       return;
     }
@@ -33,8 +31,9 @@ void IncidenceList::sync(ThreadTeam& team, const EdgeStore& store, EdgeId end) {
 }
 
 void IncidenceList::clear() {
-  start_ = {};
-  arcs_ = {};
+  start_ = nullptr;
+  arcs_ = nullptr;
+  csr_arcs_ = 0;
   tail_ = {};
   chunks_ = {};
   tail_arcs_ = 0;
@@ -45,52 +44,17 @@ void IncidenceList::build(ThreadTeam& team, const EdgeStore& store, EdgeId end) 
   clear();
   const auto n = static_cast<std::size_t>(store.num_vertices());
   const auto m = static_cast<std::size_t>(end);
-  const auto p = static_cast<std::size_t>(team.size());
-  start_.assign(n + 1, 0);
-  arcs_.resize(2 * m);
+  // Every offset and arc is written in the region before anything reads it.
+  start_ = make_huge_for_overwrite<std::size_t>(n + 1);
+  arcs_ = make_huge_for_overwrite<std::uint32_t>(2 * m);
   tail_.assign(n, kNoChunk);
-  // count[t * n + x]: thread t's arcs at x, then where they start in x's run.
-  // Each thread takes one block of slots, so x's run lists its slots
-  // ascending.
-  std::vector<std::uint32_t> count(p * n, 0);
-  std::vector<std::size_t> block_sum(p + 1, 0);
-  team.run([&](TeamCtx& ctx) {
-    const auto t = static_cast<std::size_t>(ctx.tid());
-    std::uint32_t* mine = count.data() + t * n;
-    const IndexRange slots = block_range(m, ctx.tid(), ctx.nthreads());
-    for (std::size_t id = slots.begin; id < slots.end; ++id) {
-      const WEdge& e = store.edge(id);
-      ++mine[e.u];
-      ++mine[e.v];
-    }
-    ctx.barrier();
-    // Per vertex, turn the threads' counts into offsets within its run, and
-    // sum the run lengths of this thread's block of vertices.
-    const IndexRange verts = block_range(n, ctx.tid(), ctx.nthreads());
-    std::size_t sum = 0;
-    for (std::size_t x = verts.begin; x < verts.end; ++x) {
-      std::uint32_t run = 0;
-      for (std::size_t u = 0; u < p; ++u) {
-        const std::uint32_t c = count[u * n + x];
-        count[u * n + x] = run;
-        run += c;
-      }
-      start_[x] = sum;
-      sum += run;
-    }
-    block_sum[t + 1] = sum;
-    ctx.barrier();
-    std::size_t base = 0;
-    for (std::size_t u = 0; u <= t; ++u) base += block_sum[u];
-    for (std::size_t x = verts.begin; x < verts.end; ++x) start_[x] += base;
-    if (t + 1 == p) start_[n] = base + sum;
-    ctx.barrier();
-    for (std::size_t id = slots.begin; id < slots.end; ++id) {
-      const WEdge& e = store.edge(id);
-      arcs_[start_[e.u] + mine[e.u]++] = static_cast<std::uint32_t>(id);
-      arcs_[start_[e.v] + mine[e.v]++] = static_cast<std::uint32_t>(id);
-    }
-  });
+  build_team_csr(
+      team, n, m, start_.get(),
+      [&](std::size_t id) -> const WEdge& { return store.edge(id); },
+      [&](std::size_t at, std::size_t id, const WEdge&, VertexId) {
+        arcs_[at] = static_cast<std::uint32_t>(id);
+      });
+  csr_arcs_ = 2 * m;
   covered_ = end;
 }
 

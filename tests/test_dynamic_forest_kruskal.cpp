@@ -19,7 +19,9 @@
 // long chains along a path, a dangling chain holding the heaviest forest
 // edge, a star joined leaf to leaf, a terminal inside another candidate's
 // chain, and walks stopped by a cut partway up a chain.
-// Also: the pass honours the budget and fills StepTimes.
+// Also: the pass honours the budget and fills StepTimes; no batch after a
+// constructor or a recompute builds the rooted forest, and one whose build
+// failed inside recompute is left unrooted with the commit standing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,6 +37,7 @@
 #include "core/error.hpp"
 #include "core/msf.hpp"
 #include "dynamic/dynamic_msf.hpp"
+#include "pprim/fault.hpp"
 #include "pprim/rng.hpp"
 #include "pprim/thread_team.hpp"
 #include "query/forest_index.hpp"
@@ -367,16 +370,137 @@ TEST_P(DynamicForestKruskalCases, PathForestPassesTheEvertCap) {
     const VertexId far = j == 1 ? kL - 1 : j == 2 ? 0 : (j - 1) * kL - 1;
     ins.push_back(WEdge{far, j * kL, 1e-3 * j});
   }
+  // Counts the rooted forest's builds from here on, without failing one.
+  FaultInjector::arm("dynamic.rooted-build", FaultKind::kBadAlloc, 1u << 30);
   const MsfDelta d = t.apply(ins, del);
   EXPECT_FALSE(d.recomputed_from_scratch);
   EXPECT_EQ(d.forest_added.size(), ins.size());
-  // The batches after it rebuild the rooted forest and walk long paths.
+  EXPECT_EQ(FaultInjector::hits("dynamic.rooted-build"), 0u);
+  // The batches after it rebuild the rooted forest, the first of them
+  // once, and walk long paths.
   for (int step = 0; step < 6; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
     t.apply(draw_insertions(rng, *t.d, 3, Weights::kRandom),
             draw_deletions(rng, *t.d, 2, 1));
+    if (step == 0) {
+      EXPECT_EQ(FaultInjector::hits("dynamic.rooted-build"), 1u);
+    }
   }
+  FaultInjector::disarm_all();
   EXPECT_GE(t.sparsified_changes, 5);
+}
+
+/// A random graph on n vertices with 3n edges.
+EdgeList random_edges(VertexId n, Rng& rng) {
+  EdgeList g(n);
+  while (g.edges.size() < 3 * static_cast<std::size_t>(n)) {
+    const auto u = static_cast<VertexId>(rng.next_below(n));
+    auto v = static_cast<VertexId>(rng.next_below(n - 1));
+    if (v >= u) ++v;
+    g.add_edge(u, v, rng.next_double());
+  }
+  return g;
+}
+
+TEST_P(DynamicForestKruskalCases, NoBatchAfterSetUpRootsTheForest) {
+  // Every constructor and every recompute, a crossover batch's included,
+  // roots the forest.  With the rooted build's fault point counting from
+  // then on, an insert-only batch and a cut batch after any of them build
+  // nothing.  (An edgeless start roots nothing: its first batch that
+  // decides anything is a crossover, which does.)
+  Rng rng(211 + static_cast<std::uint64_t>(GetParam()));
+  const VertexId n = 400;
+  const EdgeList g = random_edges(n, rng);
+  const auto expect_no_build = [&](Checked& t) {
+    FaultInjector::arm("dynamic.rooted-build", FaultKind::kBadAlloc, 1u << 30);
+    const MsfDelta a = t.apply(draw_insertions(rng, *t.d, 4, Weights::kRandom), {});
+    const MsfDelta b = t.apply(draw_insertions(rng, *t.d, 2, Weights::kRandom),
+                               draw_deletions(rng, *t.d, 3, 1));
+    EXPECT_EQ(FaultInjector::hits("dynamic.rooted-build"), 0u);
+    FaultInjector::disarm_all();
+    EXPECT_FALSE(a.recomputed_from_scratch);
+    EXPECT_FALSE(b.recomputed_from_scratch);
+    EXPECT_NE(b.replacement_path, dynamic::ReplacementPath::kNone);
+  };
+  const auto crossover = [&](Checked& t, const std::vector<WEdge>& ins) {
+    EXPECT_TRUE(t.apply(ins, {}).recomputed_from_scratch);
+  };
+  Checked t(g, &team);
+  {
+    SCOPED_TRACE("edge-list constructor");
+    expect_no_build(t);
+  }
+  {
+    SCOPED_TRACE("restore constructor");
+    t.restore();
+    expect_no_build(t);
+  }
+  {
+    SCOPED_TRACE("crossover batch");
+    crossover(t, draw_insertions(rng, *t.d, 2 * n, Weights::kRandom));
+    expect_no_build(t);
+  }
+  {
+    SCOPED_TRACE("recompute");
+    t.recompute();
+    expect_no_build(t);
+  }
+  {
+    SCOPED_TRACE("edgeless constructor and a crossover batch");
+    t.d = std::make_unique<DynamicMsf>(n, make_opts(core::Algorithm::kChampion, &team));
+    crossover(t, g.edges);
+    expect_no_build(t);
+  }
+}
+
+TEST_P(DynamicForestKruskalCases, FailedRootedBuildAfterRecomputeKeepsTheCommit) {
+  // recompute() commits the solve's forest and then roots it.  When the
+  // build fails the commit stands, unrooted, and nothing escapes: a
+  // crossover batch keeps its store changes.  The forest, weight and store
+  // read as on a twin whose build passed, and the next batch roots the
+  // forest once and decides as on the twin.
+  Rng rng(223 + static_cast<std::uint64_t>(GetParam()));
+  const VertexId n = 400;
+  const EdgeList g = random_edges(n, rng);
+  for (const bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "crossover batch" : "recompute");
+    Checked t(g, &team);
+    DynamicMsf twin(g, make_opts(core::Algorithm::kChampion, &team));
+    const std::vector<WEdge> warm = draw_insertions(rng, *t.d, 4, Weights::kRandom);
+    const std::vector<EdgeId> warm_del = draw_deletions(rng, *t.d, 2, 2);
+    expect_same_delta(t.apply(warm, warm_del), twin.apply_batch(warm, warm_del));
+
+    std::vector<WEdge> ins;
+    if (batch) ins = draw_insertions(rng, *t.d, 2 * n, Weights::kRandom);
+    const MsfDelta want = batch ? twin.apply_batch(ins, {}) : twin.recompute();
+    FaultInjector::arm("dynamic.rooted-build", FaultKind::kBadAlloc);
+    if (batch) {
+      expect_same_delta(t.apply(ins, {}), want);
+    } else {
+      t.recompute();
+    }
+    EXPECT_EQ(FaultInjector::hits("dynamic.rooted-build"), 1u);
+    FaultInjector::disarm_all();
+
+    EXPECT_EQ(t.d->forest_edge_ids(), twin.forest_edge_ids());
+    EXPECT_TRUE(same_bits(t.d->total_weight(), twin.total_weight()));
+    EXPECT_EQ(t.d->num_trees(), twin.num_trees());
+    const EdgeStore& a = t.d->store();
+    const EdgeStore& b = twin.store();
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(a.num_live(), b.num_live());
+    for (EdgeId id = 0; id < a.size(); ++id) {
+      EXPECT_EQ(a.edge(id), b.edge(id)) << id;
+      EXPECT_EQ(a.is_live(id), b.is_live(id)) << id;
+    }
+
+    FaultInjector::arm("dynamic.rooted-build", FaultKind::kBadAlloc, 1u << 30);
+    const std::vector<WEdge> next = draw_insertions(rng, *t.d, 3, Weights::kRandom);
+    const std::vector<EdgeId> next_del = draw_deletions(rng, *t.d, 3, 1);
+    expect_same_delta(t.apply(next, next_del), twin.apply_batch(next, next_del));
+    EXPECT_EQ(FaultInjector::hits("dynamic.rooted-build"), 1u);
+    FaultInjector::disarm_all();
+  }
 }
 
 TEST_P(DynamicForestKruskalCases, StarCutIntoAboutNPieces) {

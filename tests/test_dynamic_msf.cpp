@@ -1,7 +1,9 @@
 // Batch-dynamic MSF subsystem: after every batch of a randomized
 // insert/delete trace the maintained forest must be bit-identical (edge ids
 // and deterministically-summed weight) to a from-scratch solve on the
-// current live graph — for every algorithm backend and thread count.
+// current live graph — for every algorithm backend and thread count.  Also:
+// the restore constructor rejects forest ids that are not a forest of the
+// store, and an adoption split across a team names the first bad edge.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 #include "graph/validate.hpp"
 #include "pprim/fault.hpp"
 #include "pprim/rng.hpp"
+#include "pprim/thread_team.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -355,6 +358,37 @@ TEST(DynamicMsf, BadBatchesThrowBeforeMutating) {
   EXPECT_EQ(d.forest_edge_ids(), ref.forest);
 }
 
+TEST(DynamicMsf, RestoreRejectsWhatIsNotAForestOfTheStore) {
+  // Ids 0-2 are a triangle on {0, 1, 2}, id 3 hangs vertex 3 off vertex 2,
+  // and id 4 is dead.
+  EdgeStore s(VertexId{4});
+  s.insert(0, 1, 1.0);
+  s.insert(1, 2, 2.0);
+  s.insert(0, 2, 3.0);
+  s.insert(2, 3, 4.0);
+  s.erase(s.insert(1, 3, 5.0));
+  const auto rejects = [&](std::vector<EdgeId> forest, const std::string& why) {
+    SCOPED_TRACE(why);
+    try {
+      DynamicMsf d(EdgeStore(s), std::move(forest),
+                   dyn_opts(core::Algorithm::kChampion, 2));
+      ADD_FAILURE() << "restore accepted the forest";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+    }
+  };
+  rejects({2, 0, 1}, "restore: forest ids contain a cycle");
+  rejects({0, 0}, "restore: duplicate forest id 0");
+  rejects({0, 4}, "restore: forest id 4 is dead or unknown");
+  rejects({0, 1, 2, 3}, "cannot be acyclic on 4 vertices");
+
+  const DynamicMsf d(EdgeStore(s), {3, 0, 1}, dyn_opts(core::Algorithm::kChampion, 2));
+  EXPECT_EQ(d.forest_edge_ids(), (std::vector<EdgeId>{0, 1, 3}));
+  EXPECT_EQ(d.total_weight(), 7.0);
+  EXPECT_EQ(d.num_trees(), 1u);
+}
+
 TEST(EdgeStore, StableIdsAndTombstones) {
   EdgeStore s(VertexId{4});
   const EdgeId a = s.insert(0, 1, 1.0);
@@ -403,6 +437,33 @@ TEST(EdgeStore, RejectsInvalidEdges) {
   EXPECT_THROW(s.insert(0, 3, 1.0), Error);
   EXPECT_THROW(s.insert(0, 1, std::nan("")), Error);
   EXPECT_EQ(s.size(), 0u);
+}
+
+TEST(EdgeStore, AdoptionOnATeamNamesTheFirstBadEdge) {
+  // Bad edges in the blocks of threads 1 and 3: the error names the one
+  // with the least index, whichever thread finds its own first.
+  EdgeList g(100);
+  for (VertexId i = 0; i < 4000; ++i) g.add_edge(i % 100, (i + 1) % 100, 1.0);
+  g.edges[1500] = WEdge{7, 7, 1.0};
+  g.edges[3500] = WEdge{0, 100, 1.0};
+  ThreadTeam team(4);
+  try {
+    EdgeStore s(g, team);
+    FAIL() << "adoption accepted a self-loop";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
+    EXPECT_NE(std::string(e.what()).find("self-loop at vertex 7"), std::string::npos)
+        << e.what();
+  }
+  g.edges[1500] = WEdge{7, 8, 1.0};
+  g.edges[3500] = WEdge{0, 99, 2.0};
+  const EdgeStore s(g, team);
+  ASSERT_EQ(s.size(), 4000u);
+  EXPECT_EQ(s.num_live(), 4000u);
+  for (EdgeId id = 0; id < s.size(); ++id) {
+    ASSERT_EQ(s.edge(id), g.edges[id]) << id;
+    ASSERT_TRUE(s.is_live(id)) << id;
+  }
 }
 
 TEST(EdgeStore, CompactReclaimsTombstonesPreservingOrder) {

@@ -1,7 +1,8 @@
 // Durable serving end to end: WAL + snapshot recovery through ServiceCore,
-// clean-shutdown fast path, the corrupt-log corpus recovery must refuse,
-// idempotent retries across restarts, and the failure-snapshot
-// interactions the chaos harness drills from outside the process.
+// clean-shutdown fast path, the corrupt-log corpus (and a snapshot forest
+// with a cycle) recovery must refuse, idempotent retries across restarts,
+// and the failure-snapshot interactions the chaos harness drills from
+// outside the process.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -405,6 +406,34 @@ TEST(PersistRecovery, CorruptRecordRefusesRecoveryWithDiagnostics) {
     const std::string what = e.what();
     EXPECT_NE(what.find("recovering session 'g'"), std::string::npos) << what;
     EXPECT_NE(what.find("offset"), std::string::npos) << what;
+  }
+}
+
+TEST(PersistRecovery, SnapshotForestWithACycleRefusesRecovery) {
+  TempDir dir;
+  {
+    ServiceCore svc(durable_opts(dir.path));
+    ASSERT_EQ(svc.call(open_req("g", 4)).status, Status::kOk);
+    ASSERT_EQ(svc.call(insert_req("g", {{0, 1, 1.0}, {1, 2, 2.0}, {0, 2, 3.0}}))
+                  .status,
+              Status::kOk);
+  }
+  // A newer snapshot of the same store whose forest holds the whole
+  // triangle: every id is live and unique, and there are fewer than n.
+  dynamic::EdgeStore store(4);
+  store.insert(0, 1, 1.0);
+  store.insert(1, 2, 2.0);
+  store.insert(0, 2, 3.0);
+  persist::write_snapshot_file(dir.path + "/g", 5, store, {0, 1, 2}, {});
+  try {
+    ServiceCore svc(durable_opts(dir.path));
+    FAIL() << "recovery must refuse a snapshot forest with a cycle";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("recovering session 'g'"), std::string::npos) << what;
+    EXPECT_NE(what.find("restore: forest ids contain a cycle"), std::string::npos)
+        << what;
   }
 }
 

@@ -2,8 +2,9 @@
 // must keep answering exactly what live_graph() returned at that point —
 // across later inserts, erases, buffer growth and compaction —
 // including while the writer keeps mutating the store on another thread.
-// Also pins EdgeStore::serialize's byte layout, which WAL snapshots depend
-// on.
+// Also: a store made by adoption, restore, compaction or a copy grows to
+// twice its slots in place, and EdgeStore::serialize's byte layout, which
+// WAL snapshots depend on, is pinned.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "dynamic/edge_store.hpp"
+#include "pprim/fault.hpp"
 #include "pprim/rng.hpp"
 
 namespace {
@@ -189,6 +191,74 @@ TEST(StoreView, ConcurrentReadersOfPinnedViewsWhileWriterMutates) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(mismatches.load(), 0);
   for (const auto& p : pins) expect_view_matches(*p);
+}
+
+TEST(StoreView, FirstDoublingAfterAnyNewBufferIsInPlace) {
+  // Adoption, restore, compaction and a copy each make a buffer of the
+  // store's slots, with a reservation of twice as many.  Growing to twice
+  // the slots passes edge-store.grow once and leaves slot 0 where it was;
+  // the next doubling moves to a new buffer, the one after extends that
+  // buffer in place again.  A view pinned before any of it reads as pinned.
+  constexpr VertexId kN = 100;
+  constexpr EdgeId kM = 1000;
+  EdgeList g(kN);
+  Rng rng(17);
+  for (EdgeId i = 0; i < kM; ++i) {
+    const auto u = static_cast<VertexId>(rng.next_below(kN));
+    g.add_edge(u, (u + 1 + static_cast<VertexId>(rng.next_below(kN - 1))) % kN,
+               rng.next_double());
+  }
+  const auto made = [&](int how) {
+    if (how == 0) return EdgeStore(g);
+    if (how == 1) {
+      std::string bytes;
+      EdgeStore(g).serialize(bytes);
+      return EdgeStore::restore(
+          reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size());
+    }
+    if (how == 2) {
+      // kM live edges once the first kM / 2 dead slots are dropped.
+      EdgeList wider = g;
+      wider.edges.insert(wider.edges.begin(), g.edges.begin(),
+                         g.edges.begin() + kM / 2);
+      EdgeStore s(wider);
+      for (EdgeId id = 0; id < kM / 2; ++id) s.erase(id);
+      (void)s.compact();
+      return s;
+    }
+    const EdgeStore original(g);
+    return EdgeStore(original);
+  };
+  for (int how = 0; how < 4; ++how) {
+    static constexpr const char* kHow[] = {"adopted", "restored", "compacted",
+                                           "copied"};
+    SCOPED_TRACE(kHow[how]);
+    EdgeStore s = made(how);
+    ASSERT_EQ(s.size(), kM);
+    const Pinned pinned = pin(s);
+    const WEdge* slot0 = &s.edge(0);
+    // Counts the hits without ever firing.
+    FaultInjector::arm("edge-store.grow", FaultKind::kBadAlloc, 1u << 30);
+    const auto grow_to = [&](EdgeId size) {
+      while (s.size() < size) {
+        const auto u = static_cast<VertexId>(rng.next_below(kN));
+        s.insert(u, (u + 1) % kN, rng.next_double());
+      }
+    };
+    grow_to(2 * kM);
+    EXPECT_EQ(FaultInjector::hits("edge-store.grow"), 1u);
+    EXPECT_EQ(&s.edge(0), slot0);
+    expect_view_matches(pinned);
+    grow_to(2 * kM + 1);
+    EXPECT_EQ(FaultInjector::hits("edge-store.grow"), 2u);
+    const WEdge* moved = &s.edge(0);
+    EXPECT_NE(moved, slot0);
+    grow_to(4 * kM + 1);
+    EXPECT_EQ(FaultInjector::hits("edge-store.grow"), 3u);
+    EXPECT_EQ(&s.edge(0), moved);
+    FaultInjector::disarm_all();
+    expect_view_matches(pinned);
+  }
 }
 
 /// The serialize layout, written out independently of the store: u32 n,
